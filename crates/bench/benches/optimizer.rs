@@ -1,22 +1,27 @@
 //! Microbenchmarks for the optimizer substrate: full optimization of
-//! representative query shapes, with and without rule masks. Runs on the
-//! dependency-free std::time harness.
+//! representative query shapes, with and without rule masks, and one rung
+//! for each inner loop of the search (memo insert, pattern bind, plan
+//! extraction). Runs on the dependency-free std::time harness.
 
 use ruletest_bench::harness;
 use ruletest_expr::{AggCall, AggFunc, Expr};
-use ruletest_logical::{IdGen, JoinKind, LogicalTree};
-use ruletest_optimizer::{Optimizer, OptimizerConfig};
+use ruletest_logical::{IdGen, JoinKind, LogicalTree, OpKind, Operator};
+use ruletest_optimizer::rule::newtree_from_logical;
+use ruletest_optimizer::{
+    match_bindings, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig,
+};
 use ruletest_storage::{tpch_database, TpchConfig};
 use std::sync::Arc;
 
 fn star_query(opt: &Optimizer, joins: usize) -> LogicalTree {
     let cat = &opt.database().catalog;
+    let table = |name: &str| cat.table_by_name(name).expect("TPC-H table");
     let mut ids = IdGen::new();
     let tables = ["lineitem", "orders", "part", "supplier", "customer"];
-    let mut tree = LogicalTree::get(cat.table_by_name("lineitem").unwrap(), &mut ids);
+    let mut tree = LogicalTree::get(table("lineitem"), &mut ids);
     let mut left_key = tree.output_col(0);
     for t in tables.iter().skip(1).take(joins) {
-        let right = LogicalTree::get(cat.table_by_name(t).unwrap(), &mut ids);
+        let right = LogicalTree::get(table(t), &mut ids);
         let rk = right.output_col(0);
         tree = LogicalTree::join(
             JoinKind::Inner,
@@ -34,20 +39,116 @@ fn star_query(opt: &Optimizer, joins: usize) -> LogicalTree {
     )
 }
 
+/// Every `(group, expression)` of `memo` as the substitute that would
+/// re-derive it: all duplicates.
+fn rederivations(memo: &Memo) -> Vec<(NewTree, GroupId)> {
+    (0..memo.num_groups() as u32)
+        .map(GroupId)
+        .flat_map(|g| {
+            memo.group(g).exprs.iter().map(move |e| {
+                let children = e.children.iter().map(|&c| NewChild::Group(c)).collect();
+                (NewTree::new(e.op.clone(), children), g)
+            })
+        })
+        .collect()
+}
+
 fn main() {
-    let db = Arc::new(tpch_database(&TpchConfig::default()).unwrap());
-    let opt = Optimizer::new(db);
+    let db = Arc::new(tpch_database(&TpchConfig::default()).expect("default TPC-H database"));
+    let opt = Optimizer::new(db.clone());
     let mut group = harness::group("optimizer");
     for joins in [1usize, 2, 3] {
         let q = star_query(&opt, joins);
         group.bench(&format!("optimize/{joins}-join"), || {
-            opt.optimize(&q).unwrap().cost
+            opt.optimize(&q).expect("star query optimizes").cost
         });
     }
     let q = star_query(&opt, 2);
-    let masked = OptimizerConfig::disabling(&[opt.rule_id("JoinToHashJoin").unwrap()]);
+    let hash_join = opt.rule_id("JoinToHashJoin").expect("catalog rule");
+    let masked = OptimizerConfig::disabling(&[hash_join]);
     group.bench("optimize/2-join-masked", || {
-        opt.optimize_with(&q, &masked).unwrap().cost
+        opt.optimize_with(&q, &masked)
+            .expect("masked star query optimizes")
+            .cost
+    });
+
+    // ---- The three inner loops, on the saturated memo of a 4-join ----
+    let config = OptimizerConfig::default();
+    let q4 = star_query(&opt, 4);
+    let mut search = opt.explore(&q4, &config).expect("4-join explores");
+    println!(
+        "saturated 4-join memo: {} groups, {} expressions",
+        search.memo.num_groups(),
+        search.memo.num_exprs()
+    );
+
+    // Fresh inserts: the query's own tree, then 256 selections no rule
+    // derives into its root group (group numbering repeats per memo).
+    let seed = newtree_from_logical(&q4);
+    let mut probe = Memo::new();
+    let (seed_root, _) = probe
+        .insert(&db, seed.clone(), None, true)
+        .expect("seed tree inserts");
+    let count_col = probe.schema(seed_root)[0].id;
+    let fresh: Vec<NewTree> = (0..256i64)
+        .map(|k| {
+            let predicate = Expr::eq(Expr::col(count_col), Expr::lit(k));
+            NewTree::new(
+                Operator::Select { predicate },
+                vec![NewChild::Group(seed_root)],
+            )
+        })
+        .collect();
+    group.bench("memo_insert_fresh", || {
+        let mut memo = Memo::new();
+        memo.insert(&db, seed.clone(), None, true)
+            .expect("seed tree inserts");
+        for nt in &fresh {
+            memo.insert(&db, nt.clone(), Some(seed_root), false)
+                .expect("fresh selection inserts");
+        }
+        memo.num_exprs()
+    });
+
+    let duplicates = rederivations(&search.memo);
+    let before = search.memo.num_exprs();
+    group.bench("memo_insert_duplicate", || {
+        for (nt, g) in &duplicates {
+            search
+                .memo
+                .insert(&db, nt.clone(), Some(*g), true)
+                .expect("re-derivation inserts");
+        }
+        search.memo.num_exprs()
+    });
+    assert_eq!(search.memo.num_exprs(), before, "duplicates added nothing");
+
+    // Bind: the join whose left input group is the fattest.
+    let assoc = opt.rule_id("InnerJoinAssocLeft").expect("catalog rule");
+    let pattern = opt.rule_pattern(assoc);
+    let memo = &search.memo;
+    let (fat, g, ei) = (0..memo.num_groups() as u32)
+        .map(GroupId)
+        .flat_map(|g| {
+            memo.group(g)
+                .exprs
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.op.kind() == OpKind::Join)
+                .map(move |(ei, e)| (memo.group(e.children[0]).exprs.len(), g, ei))
+        })
+        .max()
+        .expect("the memo of a join query holds a join");
+    assert!(fat >= 100, "fattest left input has only {fat} expressions");
+    println!("bind target: {g} expression {ei}, left input of {fat} expressions");
+    group.bench("bind_assoc_on_fat_group", || {
+        match_bindings(memo, pattern, g, ei).len()
+    });
+
+    group.bench("extract_saturated_4join", || {
+        opt.extract(&mut search, &config)
+            .expect("saturated memo has a plan")
+            .est_cost
     });
     group.finish();
 }

@@ -8,6 +8,7 @@
 pub mod chaos;
 pub mod check;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod multiset;
 pub mod pool;
@@ -16,6 +17,7 @@ pub mod supervise;
 pub mod value;
 
 pub use error::{Error, Result};
+pub use hash::{WordBuild, WordHasher};
 pub use ids::{ColId, RuleId, TableId};
 pub use multiset::{diff_multisets, multisets_equal, ResultDiff};
 pub use pool::{par_map, par_map_supervised, poolstats, try_par_map, Parallelism, ThreadPool};

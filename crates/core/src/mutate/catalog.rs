@@ -63,11 +63,6 @@ fn wrapped(
     rule
 }
 
-/// Column ids visible in a memo group's schema.
-fn cols_of(ctx: &RuleCtx, g: ruletest_optimizer::GroupId) -> BTreeSet<ruletest_common::ColId> {
-    ctx.schema(g).iter().map(|c| c.id).collect()
-}
-
 /// Rewrites the kind of the first `Join` operator found on the spine of
 /// a substitute (depth-first).
 fn corrupt_first_join_kind(tree: &mut NewTree, from: JoinKind, to: JoinKind) -> bool {
@@ -263,10 +258,10 @@ fn push_below_null_side(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     if *kind != JoinKind::LeftOuter {
         return vec![];
     }
-    let right_cols = cols_of(ctx, join.children[1].group());
+    let right_cols = ctx.cols(join.children[1].group());
     let (push, keep): (Vec<Expr>, Vec<Expr>) = conjuncts(predicate)
         .into_iter()
-        .partition(|c| ruletest_expr::columns_of(c).is_subset(&right_cols));
+        .partition(|c| ruletest_expr::columns_of(c).is_subset(right_cols));
     if push.is_empty() {
         return vec![];
     }
@@ -349,16 +344,16 @@ fn select_push_drops_residual(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Join { predicate: jp, .. } = &join.op else {
         return vec![];
     };
-    let left_cols = cols_of(ctx, join.children[0].group());
-    let right_cols = cols_of(ctx, join.children[1].group());
+    let left_cols = ctx.cols(join.children[0].group());
+    let right_cols = ctx.cols(join.children[1].group());
     let mut to_left = Vec::new();
     let mut to_right = Vec::new();
     let mut dropped = false;
     for c in conjuncts(predicate) {
         let cols = ruletest_expr::columns_of(&c);
-        if cols.is_subset(&left_cols) {
+        if cols.is_subset(left_cols) {
             to_left.push(c);
-        } else if cols.is_subset(&right_cols) {
+        } else if cols.is_subset(right_cols) {
             to_right.push(c);
         } else {
             dropped = true;
@@ -634,7 +629,7 @@ fn eager_push_drops_join_cols(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     if *kind != JoinKind::Inner {
         return vec![];
     }
-    let side_cols = cols_of(ctx, join.children[0].group());
+    let side_cols = ctx.cols(join.children[0].group());
     if !aggs
         .iter()
         .all(|a| a.arg.is_none_or(|c| side_cols.contains(&c)))

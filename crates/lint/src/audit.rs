@@ -505,7 +505,7 @@ fn insert_tree(
         ));
         children.push(node);
     }
-    let (gid, _) = memo.insert(db, &NewTree::new(tree.op.clone(), child_gids), None, true)?;
+    let (gid, _) = memo.insert(db, NewTree::new(tree.op.clone(), child_gids), None, true)?;
     let node = AuditNode::Op {
         op: tree.op.clone(),
         gid: Some(gid),
@@ -590,7 +590,7 @@ pub fn audit_rule(
     let mut out = Vec::new();
     for ct in corpus {
         let bindings = match_bindings(&ct.memo, &rule.pattern, ct.root, 0);
-        for (bound, _) in bindings {
+        for bound in bindings {
             stats.bindings_audited += 1;
             let ids = RefCell::new(IdGen::above(&ct.tree));
             let ctx = RuleCtx {

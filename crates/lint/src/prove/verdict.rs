@@ -70,7 +70,7 @@ pub fn prove_rule(db: &Database, rule: &Rule) -> ruletest_common::Result<RulePro
     let mut substitutes = 0usize;
 
     for ct in &corpus {
-        for (bound, _) in match_bindings(&ct.memo, &rule.pattern, ct.root, 0) {
+        for bound in match_bindings(&ct.memo, &rule.pattern, ct.root, 0) {
             let ids = RefCell::new(IdGen::above(&ct.tree));
             let ctx = RuleCtx {
                 db,

@@ -47,9 +47,24 @@ fn check_predicate(predicate: &ruletest_expr::Expr, schemas: &[&Schema]) -> Resu
 }
 
 fn no_duplicate_ids(schema: &Schema) -> Result<()> {
-    let mut seen = BTreeSet::new();
+    // Ids are minted densely from zero, so a bitmap over the low ones
+    // decides nearly every schema without allocating (this runs once per
+    // memo insert and once per physical candidate); larger ids fall back
+    // to an ordered set.
+    let mut low = [0u64; 16];
+    let mut high = BTreeSet::new();
     for c in schema {
-        if !seen.insert(c.id) {
+        let id = c.id.0 as usize;
+        let fresh = match low.get_mut(id / 64) {
+            Some(word) => {
+                let bit = 1u64 << (id % 64);
+                let fresh = *word & bit == 0;
+                *word |= bit;
+                fresh
+            }
+            None => high.insert(c.id),
+        };
+        if !fresh {
             return Err(Error::invalid(format!("duplicate output column {}", c.id)));
         }
     }
@@ -407,16 +422,22 @@ mod tests {
     #[test]
     fn duplicate_output_ids_rejected() {
         let cat = tpch_catalog();
-        let def = cat.table_by_name("region").unwrap();
-        let tree = LogicalTree {
-            op: Operator::Get {
-                table: TableId(0),
-                cols: vec![ColId(1), ColId(1)],
-            },
-            children: vec![],
-        };
-        let _ = def;
-        assert!(derive_schema(&cat, &tree).is_err());
+        // Low ids take the bitmap, ids past it the ordered set.
+        for (a, b, ok) in [
+            (1, 1, false),
+            (1, 2, true),
+            (5000, 5000, false),
+            (5000, 5001, true),
+        ] {
+            let tree = LogicalTree {
+                op: Operator::Get {
+                    table: TableId(0),
+                    cols: vec![ColId(a), ColId(b)],
+                },
+                children: vec![],
+            };
+            assert_eq!(derive_schema(&cat, &tree).is_ok(), ok, "ids {a}, {b}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub use cache::{CacheKey, CacheStats, OptCache};
 pub use mask::RuleMask;
 pub use memo::{GroupId, Memo};
 pub use optimizer::{
-    match_bindings, OptimizeResult, Optimizer, OptimizerConfig, SubstituteAuditor,
+    match_bindings, OptimizeResult, Optimizer, OptimizerConfig, Search, SubstituteAuditor,
 };
 pub use pattern::{OpMatcher, PatternTree};
 pub use persist::{campaign_fingerprint, Fnv64, SnapshotStore, WarmHit};

@@ -6,11 +6,12 @@
 //! (merge/split, commute twice, ...).
 
 use crate::rule::{NewChild, NewTree};
-use ruletest_common::{Error, Result};
+use ruletest_common::{ColId, Error, Result, RuleId, WordBuild};
 use ruletest_logical::{output_schema, Operator, Schema};
 use ruletest_storage::Database;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a group in the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,7 +35,9 @@ pub struct GroupExpr {
 /// cardinality estimate.
 #[derive(Debug, Clone)]
 pub struct Group {
-    pub exprs: Vec<GroupExpr>,
+    /// Append-only; an expression that belongs to several groups is one
+    /// allocation shared by all of them and by the memo's index.
+    pub exprs: Vec<Arc<GroupExpr>>,
     /// Per-expression provenance flag, aligned with `exprs`: `true` when
     /// the expression's derivation from the seed tree used no fresh-id
     /// minting rule. Fresh-id rules fire only on organic expressions —
@@ -44,8 +47,11 @@ pub struct Group {
     /// Which rule created each expression (`None` for the seed tree) —
     /// backs the §7 "rule r2 exercised on an expression obtained as a
     /// result of exercising rule r1" interaction tracking.
-    pub created_by: Vec<Option<ruletest_common::RuleId>>,
+    pub created_by: Vec<Option<RuleId>>,
     pub schema: Schema,
+    /// Column ids of `schema`, for the rules' "predicate within this
+    /// input" checks.
+    pub cols: BTreeSet<ColId>,
     /// Estimated output rows (a logical property: computed once from the
     /// first expression inserted, which is the canonical one).
     pub est_rows: f64,
@@ -54,14 +60,18 @@ pub struct Group {
 /// The memo structure.
 pub struct Memo {
     groups: Vec<Group>,
-    dedup: HashMap<GroupExpr, GroupId>,
+    /// Every `(group, position)` holding each expression; the first entry
+    /// is where it was first inserted.
+    index: HashMap<Arc<GroupExpr>, Vec<(GroupId, u32)>, WordBuild>,
+    num_exprs: usize,
 }
 
 impl Memo {
     pub fn new() -> Self {
         Self {
             groups: Vec::new(),
-            dedup: HashMap::new(),
+            index: HashMap::default(),
+            num_exprs: 0,
         }
     }
 
@@ -82,7 +92,7 @@ impl Memo {
     }
 
     pub fn num_exprs(&self) -> usize {
-        self.groups.iter().map(|g| g.exprs.len()).sum()
+        self.num_exprs
     }
 
     /// Inserts a substitute. `target` is `Some(g)` when the substitute is
@@ -96,7 +106,7 @@ impl Memo {
     pub fn insert(
         &mut self,
         db: &Database,
-        tree: &NewTree,
+        tree: NewTree,
         target: Option<GroupId>,
         organic: bool,
     ) -> Result<(GroupId, bool)> {
@@ -108,31 +118,31 @@ impl Memo {
     pub fn insert_created_by(
         &mut self,
         db: &Database,
-        tree: &NewTree,
+        tree: NewTree,
         target: Option<GroupId>,
         organic: bool,
-        creator: Option<ruletest_common::RuleId>,
+        creator: Option<RuleId>,
     ) -> Result<(GroupId, bool)> {
         let mut any_new = false;
-        let mut child_ids = Vec::with_capacity(tree.children.len());
-        for c in &tree.children {
+        let mut children = Vec::with_capacity(tree.children.len());
+        for c in tree.children {
             match c {
                 NewChild::Group(g) => {
                     if g.0 as usize >= self.groups.len() {
                         return Err(Error::internal(format!("dangling group reference {g}")));
                     }
-                    child_ids.push(*g);
+                    children.push(g);
                 }
                 NewChild::Tree(t) => {
                     let (g, n) = self.insert_created_by(db, t, None, organic, creator)?;
                     any_new |= n;
-                    child_ids.push(g);
+                    children.push(g);
                 }
             }
         }
         let expr = GroupExpr {
-            op: tree.op.clone(),
-            children: child_ids,
+            op: tree.op,
+            children,
         };
         let (g, n) = self.add_expr(db, expr, target, organic, creator)?;
         Ok((g, any_new || n))
@@ -144,8 +154,12 @@ impl Memo {
     }
 
     /// The rule that created expression `ei` of group `g`, if any.
-    pub fn created_by(&self, g: GroupId, ei: usize) -> Option<ruletest_common::RuleId> {
+    pub fn created_by(&self, g: GroupId, ei: usize) -> Option<RuleId> {
         self.groups[g.0 as usize].created_by[ei]
+    }
+
+    fn child_schemas(&self, expr: &GroupExpr) -> Vec<&Schema> {
+        expr.children.iter().map(|&c| self.schema(c)).collect()
     }
 
     /// Adds a single expression, deduplicating globally.
@@ -155,16 +169,14 @@ impl Memo {
         expr: GroupExpr,
         target: Option<GroupId>,
         organic: bool,
-        creator: Option<ruletest_common::RuleId>,
+        creator: Option<RuleId>,
     ) -> Result<(GroupId, bool)> {
-        if let Some(&existing) = self.dedup.get(&expr) {
+        let (shared, gid) = if let Some(held) = self.index.get(&expr) {
+            let (home, pos) = held[0];
             // Already known. An organic re-derivation upgrades the stored
             // flag.
             if organic {
-                let group = &mut self.groups[existing.0 as usize];
-                if let Some(pos) = group.exprs.iter().position(|e| *e == expr) {
-                    group.organic[pos] = true;
-                }
+                self.groups[home.0 as usize].organic[pos as usize] = true;
             }
             // If the caller proved this expression equivalent to a
             // *different* group, record it there too (full Cascades would
@@ -172,65 +184,62 @@ impl Memo {
             // which derivation happened to run first — that would make the
             // searched plan space, and thus the best cost, depend on the
             // rule mask in non-monotonic ways.
-            if let Some(target) = target {
-                if target != existing {
-                    let group = &self.groups[target.0 as usize];
-                    if !group.exprs.contains(&expr) {
-                        let child_schemas: Vec<&Schema> =
-                            expr.children.iter().map(|&c| self.schema(c)).collect();
-                        let schema = output_schema(&db.catalog, &expr.op, &child_schemas)?;
-                        let tgroup = &self.groups[target.0 as usize];
-                        if !same_shape(&tgroup.schema, &schema) {
-                            return Err(Error::internal(format!(
-                                "substitute schema mismatch in {target}: op {}",
-                                expr.op.label()
-                            )));
-                        }
-                        let tgroup = &mut self.groups[target.0 as usize];
-                        tgroup.exprs.push(expr);
-                        tgroup.organic.push(organic);
-                        tgroup.created_by.push(creator);
-                        return Ok((target, true));
+            let Some(target) = target.filter(|t| *t != home) else {
+                return Ok((home, false));
+            };
+            if held.iter().any(|&(g, _)| g == target) {
+                return Ok((target, false));
+            }
+            let schema = output_schema(&db.catalog, &expr.op, &self.child_schemas(&expr))?;
+            if !same_shape(self.schema(target), &schema) {
+                return Err(Error::internal(format!(
+                    "substitute schema mismatch in {target}: op {}",
+                    expr.op.label()
+                )));
+            }
+            let shared = &self.groups[home.0 as usize].exprs[pos as usize];
+            (Arc::clone(shared), target)
+        } else {
+            let child_schemas = self.child_schemas(&expr);
+            let schema = output_schema(&db.catalog, &expr.op, &child_schemas)?;
+            let gid = match target {
+                Some(g) => {
+                    let group = &self.groups[g.0 as usize];
+                    if !same_shape(&group.schema, &schema) {
+                        return Err(Error::internal(format!(
+                            "substitute schema mismatch in {g}: {:?} vs {:?} (op {})",
+                            group.schema,
+                            schema,
+                            expr.op.label()
+                        )));
                     }
-                    return Ok((target, false));
+                    g
                 }
-            }
-            return Ok((existing, false));
-        }
-        let child_schemas: Vec<&Schema> = expr.children.iter().map(|&c| self.schema(c)).collect();
-        let schema = output_schema(&db.catalog, &expr.op, &child_schemas)?;
-        let gid = match target {
-            Some(g) => {
-                let group = &self.groups[g.0 as usize];
-                if !same_shape(&group.schema, &schema) {
-                    return Err(Error::internal(format!(
-                        "substitute schema mismatch in {g}: {:?} vs {:?} (op {})",
-                        group.schema,
+                None => {
+                    let child_rows: Vec<f64> =
+                        expr.children.iter().map(|&c| self.est_rows(c)).collect();
+                    let est_rows =
+                        crate::cost::estimate_rows(db, &expr.op, &child_schemas, &child_rows);
+                    self.groups.push(Group {
+                        exprs: Vec::new(),
+                        organic: Vec::new(),
+                        created_by: Vec::new(),
+                        cols: schema.iter().map(|c| c.id).collect(),
                         schema,
-                        expr.op.label()
-                    )));
+                        est_rows,
+                    });
+                    GroupId((self.groups.len() - 1) as u32)
                 }
-                g
-            }
-            None => {
-                let child_rows: Vec<f64> =
-                    expr.children.iter().map(|&c| self.est_rows(c)).collect();
-                let est = crate::cost::estimate_rows(db, &expr.op, &child_schemas, &child_rows);
-                self.groups.push(Group {
-                    exprs: Vec::new(),
-                    organic: Vec::new(),
-                    created_by: Vec::new(),
-                    schema,
-                    est_rows: est,
-                });
-                GroupId((self.groups.len() - 1) as u32)
-            }
+            };
+            (Arc::new(expr), gid)
         };
-        self.dedup.insert(expr.clone(), gid);
         let group = &mut self.groups[gid.0 as usize];
-        group.exprs.push(expr);
+        let held = self.index.entry(Arc::clone(&shared)).or_default();
+        held.push((gid, group.exprs.len() as u32));
+        group.exprs.push(shared);
         group.organic.push(organic);
         group.created_by.push(creator);
+        self.num_exprs += 1;
         Ok((gid, true))
     }
 }
@@ -281,7 +290,7 @@ mod tests {
         let mut ids = IdGen::new();
         let tree = join_tree(&db, &mut ids);
         let nt = newtree_from_logical(&tree);
-        let (root, fresh) = memo.insert(&db, &nt, None, true).unwrap();
+        let (root, fresh) = memo.insert(&db, nt, None, true).unwrap();
         assert!(fresh);
         assert_eq!(memo.num_groups(), 3);
         assert_eq!(memo.num_exprs(), 3);
@@ -296,8 +305,8 @@ mod tests {
         let mut ids = IdGen::new();
         let tree = join_tree(&db, &mut ids);
         let nt = newtree_from_logical(&tree);
-        let (g1, _) = memo.insert(&db, &nt, None, true).unwrap();
-        let (g2, fresh) = memo.insert(&db, &nt, None, true).unwrap();
+        let (g1, _) = memo.insert(&db, nt.clone(), None, true).unwrap();
+        let (g2, fresh) = memo.insert(&db, nt, None, true).unwrap();
         assert_eq!(g1, g2);
         assert!(!fresh);
         assert_eq!(memo.num_exprs(), 3);
@@ -310,7 +319,7 @@ mod tests {
         let mut ids = IdGen::new();
         let tree = join_tree(&db, &mut ids);
         let (root, _) = memo
-            .insert(&db, &newtree_from_logical(&tree), None, true)
+            .insert(&db, newtree_from_logical(&tree), None, true)
             .unwrap();
         // Commuted join: same predicate, swapped children -> same schema set
         // but different column order... so build the *same* join again (dup)
@@ -322,10 +331,90 @@ mod tests {
             },
             vec![NewChild::Group(root)],
         );
-        let (g, fresh) = memo.insert(&db, &sel, Some(root), false).unwrap();
+        let (g, fresh) = memo.insert(&db, sel, Some(root), false).unwrap();
         assert_eq!(g, root);
         assert!(fresh);
         assert_eq!(memo.group(root).exprs.len(), 2);
+    }
+
+    /// The O(1) count agrees with the groups, every index entry points at
+    /// an equal expression, and every expression is indexed exactly once
+    /// per group that holds it.
+    fn assert_index_consistent(memo: &Memo) {
+        let total: usize = memo.groups.iter().map(|g| g.exprs.len()).sum();
+        assert_eq!(memo.num_exprs(), total);
+        let mut indexed = 0;
+        for (expr, held) in &memo.index {
+            for (i, &(g, pos)) in held.iter().enumerate() {
+                assert_eq!(memo.group(g).exprs[pos as usize], *expr);
+                assert!(held[..i].iter().all(|&(earlier, _)| earlier != g));
+                indexed += 1;
+            }
+        }
+        assert_eq!(indexed, total);
+    }
+
+    #[test]
+    fn saturated_memo_keeps_count_and_index_consistent() {
+        let db = Arc::new(db());
+        let mut ids = IdGen::new();
+        let table = |name: &str, ids: &mut IdGen| {
+            LogicalTree::get(db.catalog.table_by_name(name).unwrap(), ids)
+        };
+        let (r, n, s) = (
+            table("region", &mut ids),
+            table("nation", &mut ids),
+            table("supplier", &mut ids),
+        );
+        let rn_pred = Expr::eq(Expr::col(r.output_col(0)), Expr::col(n.output_col(2)));
+        let ns_pred = Expr::eq(Expr::col(n.output_col(0)), Expr::col(s.output_col(3)));
+        let rn = LogicalTree::join(JoinKind::Inner, r, n, rn_pred);
+        let tree = LogicalTree::join(JoinKind::Inner, rn, s, ns_pred);
+        let config = crate::OptimizerConfig::default();
+        let search = crate::Optimizer::new(db).explore(&tree, &config).unwrap();
+        assert!(search.memo.num_exprs() <= config.max_exprs, "saturated");
+        assert!(search.memo.num_exprs() > search.memo.num_groups());
+        assert_index_consistent(&search.memo);
+    }
+
+    #[test]
+    fn expression_proven_equivalent_to_a_second_group_is_shared_and_indexed_in_both() {
+        let db = db();
+        let mut memo = Memo::new();
+        let mut ids = IdGen::new();
+        let tree = join_tree(&db, &mut ids);
+        let (root, _) = memo
+            .insert(&db, newtree_from_logical(&tree), None, true)
+            .unwrap();
+        let sel = NewTree::new(
+            Operator::Select {
+                predicate: Expr::true_lit(),
+            },
+            vec![NewChild::Group(root)],
+        );
+        let (home, _) = memo.insert(&db, sel.clone(), None, false).unwrap();
+        assert_ne!(home, root);
+        let (landed, fresh) = memo.insert(&db, sel.clone(), Some(root), false).unwrap();
+        assert_eq!((landed, fresh), (root, true));
+        let copy = memo.group(root).exprs.len() - 1;
+        assert!(Arc::ptr_eq(
+            &memo.group(home).exprs[0],
+            &memo.group(root).exprs[copy]
+        ));
+        assert_eq!(
+            memo.index[&memo.group(home).exprs[0]],
+            vec![(home, 0), (root, copy as u32)]
+        );
+        assert_index_consistent(&memo);
+
+        // An organic re-derivation is a no-op apart from the flag at the
+        // first-inserted position.
+        let before = memo.num_exprs();
+        let (landed, fresh) = memo.insert(&db, sel, Some(root), true).unwrap();
+        assert_eq!((landed, fresh, memo.num_exprs()), (root, false, before));
+        assert!(memo.is_organic(home, 0));
+        assert!(!memo.is_organic(root, copy));
+        assert_index_consistent(&memo);
     }
 
     #[test]
@@ -335,11 +424,11 @@ mod tests {
         let mut ids = IdGen::new();
         let tree = join_tree(&db, &mut ids);
         let (root, _) = memo
-            .insert(&db, &newtree_from_logical(&tree), None, true)
+            .insert(&db, newtree_from_logical(&tree), None, true)
             .unwrap();
         let other = LogicalTree::get(db.catalog.table_by_name("part").unwrap(), &mut ids);
         let bad = newtree_from_logical(&other);
-        assert!(memo.insert(&db, &bad, Some(root), true).is_err());
+        assert!(memo.insert(&db, bad, Some(root), true).is_err());
     }
 
     #[test]
@@ -348,7 +437,7 @@ mod tests {
         let mut memo = Memo::new();
         let nt = NewTree::new(Operator::Distinct, vec![NewChild::Group(GroupId(42))]);
         assert!(matches!(
-            memo.insert(&db, &nt, None, true),
+            memo.insert(&db, nt, None, true),
             Err(Error::Internal(_))
         ));
     }

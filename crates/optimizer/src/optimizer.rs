@@ -5,17 +5,17 @@
 use crate::cache::{CacheKey, CacheStats, OptCache};
 use crate::cost::phys_cost;
 use crate::mask::RuleMask;
-use crate::memo::{GroupId, Memo};
+use crate::memo::{GroupExpr, GroupId, Memo};
 use crate::pattern::{OpMatcher, PatternTree};
 use crate::persist::SnapshotStore;
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::rule::{newtree_from_logical, Bound, BoundChild, Rule, RuleAction, RuleCtx, RuleKind};
 use crate::rules::exploration_rules;
 use crate::rules_impl::implementation_rules;
-use ruletest_common::{Error, Result, RuleId};
+use ruletest_common::{Error, Result, RuleId, WordBuild};
 use ruletest_expr::Expr;
 use ruletest_logical::{
-    derive_schema, output_schema, IdGen, JoinKind, LogicalTree, Operator, Schema,
+    derive_schema, output_schema, IdGen, JoinKind, LogicalTree, OpKind, Operator, Schema,
 };
 use ruletest_storage::Database;
 use ruletest_telemetry::{Counter, Event, Hist, ProfileSample, RulePhase, Telemetry};
@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -117,11 +117,12 @@ pub struct Optimizer {
     db: Arc<Database>,
     rules: Vec<Rule>,
     by_name: HashMap<&'static str, RuleId>,
-    /// Exploration-rule indexes whose pattern root can match each OpKind —
-    /// avoids testing all rules against every expression.
-    explore_by_kind: HashMap<ruletest_logical::OpKind, Vec<usize>>,
+    /// Exploration-rule indexes whose pattern root can match each OpKind
+    /// (indexed by `kind as usize`) — avoids testing all rules against
+    /// every expression.
+    explore_by_kind: [Vec<usize>; ALL_KINDS.len()],
     /// Same for implementation rules.
-    implement_by_kind: HashMap<ruletest_logical::OpKind, Vec<usize>>,
+    implement_by_kind: [Vec<usize>; ALL_KINDS.len()],
     invocations: AtomicU64,
     /// Invocation cache for the `optimize*_cached` entry points; shared
     /// across every campaign phase that goes through this optimizer.
@@ -133,14 +134,29 @@ pub struct Optimizer {
     /// Disk-backed warm store (`--cache-dir`), attached once like
     /// telemetry; never attached → the cached path never touches disk.
     store: OnceLock<Arc<SnapshotStore>>,
-    /// Injected sink for memo dumps; `None` falls back to stderr when the
-    /// `RULETEST_DUMP_MEMO` environment variable requests dumps.
+    /// Injected sink for memo dumps; `None` (the default) means no dumps.
     memo_sink: Mutex<Option<Box<dyn Write + Send>>>,
     /// Debug-mode static auditor run on every exploration substitute
     /// before it is inserted into the memo (see the `ruletest-lint`
     /// crate); `None` (the default) costs one branch per rule firing.
     auditor: Mutex<Option<Arc<dyn SubstituteAuditor>>>,
+    /// Whether `memo_sink` / `auditor` hold anything, so an invocation
+    /// takes their locks only when they do.
+    has_memo_sink: AtomicBool,
+    has_auditor: AtomicBool,
 }
+
+const ALL_KINDS: [OpKind; 9] = [
+    OpKind::Get,
+    OpKind::Select,
+    OpKind::Project,
+    OpKind::Join,
+    OpKind::GbAgg,
+    OpKind::UnionAll,
+    OpKind::Distinct,
+    OpKind::Sort,
+    OpKind::Top,
+];
 
 /// Hook for statically auditing rule substitutes as they are produced,
 /// before memo insertion. Implemented by the lint crate's online auditor;
@@ -198,20 +214,8 @@ impl Optimizer {
             .enumerate()
             .map(|(i, r)| (r.name, RuleId(i as u16)))
             .collect();
-        use ruletest_logical::OpKind;
-        const ALL_KINDS: [OpKind; 9] = [
-            OpKind::Get,
-            OpKind::Select,
-            OpKind::Project,
-            OpKind::Join,
-            OpKind::GbAgg,
-            OpKind::UnionAll,
-            OpKind::Distinct,
-            OpKind::Sort,
-            OpKind::Top,
-        ];
-        let mut explore_by_kind: HashMap<OpKind, Vec<usize>> = HashMap::new();
-        let mut implement_by_kind: HashMap<OpKind, Vec<usize>> = HashMap::new();
+        let mut explore_by_kind: [Vec<usize>; ALL_KINDS.len()] = Default::default();
+        let mut implement_by_kind: [Vec<usize>; ALL_KINDS.len()] = Default::default();
         for kind in ALL_KINDS {
             for (i, r) in rules.iter().enumerate() {
                 let root_accepts = match &r.pattern {
@@ -223,10 +227,8 @@ impl Optimizer {
                 };
                 if root_accepts {
                     match r.kind {
-                        RuleKind::Exploration => explore_by_kind.entry(kind).or_default().push(i),
-                        RuleKind::Implementation => {
-                            implement_by_kind.entry(kind).or_default().push(i)
-                        }
+                        RuleKind::Exploration => explore_by_kind[kind as usize].push(i),
+                        RuleKind::Implementation => implement_by_kind[kind as usize].push(i),
                     }
                 }
             }
@@ -243,6 +245,8 @@ impl Optimizer {
             store: OnceLock::new(),
             memo_sink: Mutex::new(None),
             auditor: Mutex::new(None),
+            has_memo_sink: AtomicBool::new(false),
+            has_auditor: AtomicBool::new(false),
         }
     }
 
@@ -286,18 +290,21 @@ impl Optimizer {
         Ok(persisted)
     }
 
-    /// Installs a sink that receives a memo dump after every optimization
-    /// (instead of the `RULETEST_DUMP_MEMO`-gated stderr fallback). Pass
-    /// `None` to uninstall.
+    /// Installs a sink that receives a memo dump after every optimization.
+    /// Pass `None` to uninstall.
     pub fn set_memo_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        *self.memo_sink.lock().expect("memo sink poisoned") = sink;
+        let mut slot = self.memo_sink.lock().expect("memo sink poisoned");
+        self.has_memo_sink.store(sink.is_some(), Ordering::SeqCst);
+        *slot = sink;
     }
 
     /// Installs a debug-mode substitute auditor, invoked on every
     /// exploration substitute before memo insertion. Takes `&self` so it
     /// works through an `Arc<Optimizer>`; pass `None` to uninstall.
     pub fn set_substitute_auditor(&self, auditor: Option<Arc<dyn SubstituteAuditor>>) {
-        *self.auditor.lock().expect("auditor poisoned") = auditor;
+        let mut slot = self.auditor.lock().expect("auditor poisoned");
+        self.has_auditor.store(auditor.is_some(), Ordering::SeqCst);
+        *slot = auditor;
     }
 
     pub fn database(&self) -> &Arc<Database> {
@@ -479,13 +486,60 @@ impl Optimizer {
         // Timestamp only when enabled: `Instant::now` is a syscall on some
         // platforms and the disabled path must stay near-free.
         let started = tel.is_enabled().then(Instant::now);
-        // Per-rule bind/substitute timing, buffered until the dedup
-        // decision (`Some` exactly when `started` is).
-        let mut sample = tel.profile_sample();
         // Fingerprint the *unpinned* tree so invocation events correlate
         // with the cache-lookup events for the same query.
         let fingerprint = tel.tracing().then(|| tree_fingerprint(tree));
 
+        let mut search = self.explore(tree, config)?;
+        self.maybe_dump_memo(&search.memo);
+        let plan = self.extract(&mut search, config)?;
+        let Search {
+            memo,
+            exercised,
+            rule_dependencies,
+            truncated,
+            mut sample,
+            ..
+        } = search;
+
+        if let Some(started) = started {
+            let elapsed = started.elapsed();
+            let elapsed_us = elapsed.as_micros() as u64;
+            tel.observe(Hist::InvocationMicros, elapsed_us);
+            if let Some(s) = sample.as_mut() {
+                s.elapsed_ns = elapsed.as_nanos() as u64;
+            }
+            let (groups, exprs) = (memo.num_groups() as u32, memo.num_exprs() as u32);
+            let masked_rules = config.mask.disabled_rules().len() as u32;
+            tel.event(|| Event::Invocation {
+                fingerprint: fingerprint.unwrap_or(0),
+                masked_rules,
+                groups,
+                exprs,
+                truncated,
+                elapsed_us,
+            });
+        }
+
+        Ok((
+            OptimizeResult {
+                cost: plan.est_cost,
+                plan,
+                rule_set: exercised,
+                rule_dependencies,
+                groups: memo.num_groups(),
+                exprs: memo.num_exprs(),
+                truncated,
+            },
+            sample,
+        ))
+    }
+
+    /// The first phase of an optimization: seeds a memo with `tree` and
+    /// explores it to the fixpoint (or a budget). Public for tests and
+    /// benches that look at one phase; counts no invocation.
+    pub fn explore(&self, tree: &LogicalTree, config: &OptimizerConfig) -> Result<Search> {
+        let tel = self.telemetry();
         // Pin the root output order with an identity projection so that
         // every alternative plan emits columns in the same order (join
         // commutativity legitimately permutes column order inside).
@@ -503,15 +557,22 @@ impl Optimizer {
         };
 
         let mut memo = Memo::new();
-        let (root, _) = memo.insert(&self.db, &newtree_from_logical(tree), None, true)?;
+        let (root, _) = memo.insert(&self.db, newtree_from_logical(tree), None, true)?;
         let ids = RefCell::new(IdGen::above(tree));
-        let auditor = self.auditor.lock().expect("auditor poisoned").clone();
+        let auditor = if self.has_auditor.load(Ordering::SeqCst) {
+            self.auditor.lock().expect("auditor poisoned").clone()
+        } else {
+            None
+        };
         let mut exercised: BTreeSet<RuleId> = BTreeSet::new();
         let mut rule_dependencies: BTreeSet<(RuleId, RuleId)> = BTreeSet::new();
         let mut truncated = false;
+        // Per-rule bind/substitute timing, buffered until the caller's
+        // dedup decision (`Some` exactly when telemetry is enabled).
+        let mut sample = tel.profile_sample();
 
         // ---- Exploration to fixpoint ----
-        // `applied` dedupes (expression, rule, concrete binding). Rules
+        // Each (expression, rule, concrete binding) is applied once. Rules
         // that mint fresh column ids fire only on *organic* expressions
         // (those not derived from any fresh-id rule): their outputs can
         // never deduplicate, so firing them on their own descendants would
@@ -519,13 +580,21 @@ impl Optimizer {
         // previous split). Organic-ness is intrinsic to an expression's
         // derivation, hence independent of the rule mask — which preserves
         // cost monotonicity under masking.
-        let mut applied: HashSet<AppliedKey> = HashSet::new();
-        // (group, expr, rule) -> sum of child group sizes when last matched;
-        // re-matching is pointless until some child group grows.
-        let mut match_watermark: HashMap<(u32, u32, u16), usize> = HashMap::new();
-        let empty: Vec<usize> = Vec::new();
+        //
+        // `applied` holds `[rule, binding signature..]` of the applied
+        // bindings that have nested picks; a binding of the root alone is
+        // applied the first time its rule matches the expression.
+        let mut applied: HashSet<Box<[u32]>, WordBuild> = HashSet::default();
+        let mut key: Vec<u32> = Vec::new();
+        // Per group, at `expr * rules + rule`: the sum of child group sizes
+        // when the rule last matched the expression; re-matching is
+        // pointless until some child group grows.
+        let mut match_watermark: Vec<Vec<u32>> = Vec::new();
+        const UNMATCHED: u32 = u32::MAX;
+        let n_rules = self.rules.len();
+        let mut binder = Binder::default();
 
-        'passes: for _pass in 0..config.max_passes {
+        'passes: for pass in 0..config.max_passes {
             config.deadline.check("memo exploration pass")?;
             let mut changed = false;
             let mut g = 0usize;
@@ -534,11 +603,11 @@ impl Optimizer {
                 // Task-expansion boundary: a runaway rule is abandoned
                 // within one group's worth of work.
                 config.deadline.check("memo task expansion")?;
+                match_watermark.resize_with(memo.num_groups(), Vec::new);
                 let mut ei = 0usize;
                 while ei < memo.group(gid).exprs.len() {
                     let kind = memo.group(gid).exprs[ei].op.kind();
-                    let candidates = self.explore_by_kind.get(&kind).unwrap_or(&empty);
-                    for &ri in candidates {
+                    for &ri in &self.explore_by_kind[kind as usize] {
                         let rule = &self.rules[ri];
                         let rid = RuleId(ri as u16);
                         if config.mask.is_disabled(rid) {
@@ -549,42 +618,59 @@ impl Optimizer {
                         }
                         // Child-growth watermark: bindings only change when
                         // a child group gains expressions.
-                        let child_sum: usize = memo.group(gid).exprs[ei]
+                        let child_sum = memo.group(gid).exprs[ei]
                             .children
                             .iter()
-                            .map(|&c| memo.group(c).exprs.len())
-                            .sum();
-                        let wm_key = (gid.0, ei as u32, rid.0);
-                        if match_watermark.get(&wm_key) == Some(&child_sum) {
+                            .map(|&c| memo.group(c).exprs.len() as u32)
+                            .sum::<u32>();
+                        let marks = &mut match_watermark[g];
+                        if marks.len() < (ei + 1) * n_rules {
+                            marks.resize((ei + 1) * n_rules, UNMATCHED);
+                        }
+                        let mark = std::mem::replace(&mut marks[ei * n_rules + ri], child_sum);
+                        if mark == child_sum {
                             continue;
                         }
-                        match_watermark.insert(wm_key, child_sum);
                         let bind_started = sample.is_some().then(Instant::now);
-                        let bindings = match_bindings(&memo, &rule.pattern, gid, ei);
+                        binder.sigs.clear();
+                        let bindings = binder.bind(&memo, &rule.pattern, gid, ei);
                         if let (Some(s), Some(t)) = (sample.as_mut(), bind_started) {
                             s.record_bind(rid.0, RulePhase::Explore, t.elapsed().as_nanos() as u64);
                         }
-                        for (bound, sig) in bindings {
+                        let stride = binder.sigs.len() / bindings.max(1);
+                        for sig in (0..bindings).map(|b| &binder.sigs[b * stride..][..stride]) {
                             if rule.mints_fresh_ids
-                                && !sig.iter().all(|&(g, e)| memo.is_organic(GroupId(g), e))
+                                && !sig
+                                    .iter()
+                                    .all(|&(g, e)| memo.is_organic(GroupId(g), e as usize))
                             {
                                 continue;
                             }
-                            let key = (gid.0, ei, rid.0, sig);
-                            if !applied.insert(key) {
-                                continue;
+                            if sig.len() == 1 {
+                                if mark != UNMATCHED {
+                                    continue;
+                                }
+                            } else {
+                                key.clear();
+                                key.push(ri as u32);
+                                key.extend(sig.iter().flat_map(|&(g, e)| [g, e]));
+                                if applied.contains(key.as_slice()) {
+                                    continue;
+                                }
+                                applied.insert(key.as_slice().into());
                             }
                             let apply_started = sample.is_some().then(Instant::now);
-                            let results = {
-                                let ctx = RuleCtx {
-                                    db: &self.db,
-                                    memo: &memo,
-                                    ids: &ids,
-                                };
-                                rule.action
-                                    .apply_explore(&ctx, &bound)
-                                    .expect("exploration task on implementation rule")
+                            let mut picks = sig.iter().copied();
+                            let bound = bound_at(&memo, &rule.pattern, &mut picks);
+                            let ctx = RuleCtx {
+                                db: &self.db,
+                                memo: &memo,
+                                ids: &ids,
                             };
+                            let results = rule
+                                .action
+                                .apply_explore(&ctx, &bound)
+                                .expect("exploration task on implementation rule");
                             if let (Some(s), Some(t)) = (sample.as_mut(), apply_started) {
                                 s.record_apply(
                                     rid.0,
@@ -620,7 +706,7 @@ impl Optimizer {
                                 ruletest_common::chaos::point("memo.insert")?;
                                 let (_, fresh) = memo.insert_created_by(
                                     &self.db,
-                                    &nt,
+                                    nt,
                                     Some(gid),
                                     organic,
                                     Some(rid),
@@ -647,79 +733,67 @@ impl Optimizer {
             if !changed {
                 break;
             }
-            if _pass + 1 == config.max_passes {
+            if pass + 1 == config.max_passes {
                 truncated = true;
             }
         }
 
-        self.maybe_dump_memo(&memo);
+        Ok(Search {
+            memo,
+            root,
+            ids,
+            exercised,
+            rule_dependencies,
+            truncated,
+            sample,
+        })
+    }
 
-        // ---- Implementation & extraction ----
+    /// The second phase: implementation and extraction of the cheapest
+    /// physical plan for `search.root`.
+    pub fn extract(&self, search: &mut Search, config: &OptimizerConfig) -> Result<PhysicalPlan> {
         let mut extractor = Extractor {
             optimizer: self,
-            memo: &memo,
+            memo: &search.memo,
             config,
-            ids: &ids,
-            cache: HashMap::new(),
-            exercised: &mut exercised,
-            sample: &mut sample,
+            ids: &search.ids,
+            winners: (0..search.memo.num_groups()).map(|_| None).collect(),
+            binder: Binder::default(),
+            exercised: &mut search.exercised,
+            sample: &mut search.sample,
         };
-        let best = extractor.best_plan(root)?;
-        let Some((plan, cost)) = best else {
+        if !extractor.solve(search.root)? {
             return Err(Error::invalid(
                 "no physical plan exists under the given rule mask",
             ));
-        };
-
-        if let Some(started) = started {
-            let elapsed = started.elapsed();
-            let elapsed_us = elapsed.as_micros() as u64;
-            tel.observe(Hist::InvocationMicros, elapsed_us);
-            if let Some(s) = sample.as_mut() {
-                s.elapsed_ns = elapsed.as_nanos() as u64;
-            }
-            let (groups, exprs) = (memo.num_groups() as u32, memo.num_exprs() as u32);
-            let masked_rules = config.mask.disabled_rules().len() as u32;
-            tel.event(|| Event::Invocation {
-                fingerprint: fingerprint.unwrap_or(0),
-                masked_rules,
-                groups,
-                exprs,
-                truncated,
-                elapsed_us,
-            });
         }
-
-        Ok((
-            OptimizeResult {
-                cost,
-                plan,
-                rule_set: exercised,
-                rule_dependencies,
-                groups: memo.num_groups(),
-                exprs: memo.num_exprs(),
-                truncated,
-            },
-            sample,
-        ))
+        Ok(extractor.assemble(search.root))
     }
 
-    /// Writes a memo dump to the injected sink (see
-    /// [`Optimizer::set_memo_sink`]); without a sink, dumps to stderr only
-    /// when the `RULETEST_DUMP_MEMO` environment variable is set.
+    /// Writes a memo dump to the injected sink, if any (see
+    /// [`Optimizer::set_memo_sink`]).
     fn maybe_dump_memo(&self, memo: &Memo) {
-        let mut sink = self.memo_sink.lock().expect("memo sink poisoned");
-        match sink.as_mut() {
-            Some(w) => {
-                let _ = write_memo_dump(memo, w.as_mut());
-            }
-            None => {
-                if std::env::var_os("RULETEST_DUMP_MEMO").is_some() {
-                    let _ = write_memo_dump(memo, &mut std::io::stderr().lock());
-                }
-            }
+        if !self.has_memo_sink.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Some(w) = self.memo_sink.lock().expect("memo sink poisoned").as_mut() {
+            let _ = write_memo_dump(memo, w.as_mut());
         }
     }
+}
+
+/// One query's search state: what exploration hands to extraction and to
+/// the result.
+pub struct Search {
+    pub memo: Memo,
+    /// The group of the (order-pinned) query root.
+    pub root: GroupId,
+    ids: RefCell<IdGen>,
+    exercised: BTreeSet<RuleId>,
+    rule_dependencies: BTreeSet<(RuleId, RuleId)>,
+    truncated: bool,
+    /// The invocation's profile buffer (`None` when telemetry is disabled).
+    sample: Option<ProfileSample>,
 }
 
 /// Renders every memo group and expression (organic expressions unstarred,
@@ -743,90 +817,116 @@ fn write_memo_dump(memo: &Memo, out: &mut dyn Write) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Signature of one concrete binding: the (group, expression) pairs
-/// chosen for nested pattern nodes, used to deduplicate applications.
-pub type BindingSig = Vec<(u32, usize)>;
+/// The pattern binder and its reusable buffers. Bindings are enumerated
+/// as signatures — the (group, expression) picked for each concrete
+/// pattern node, root first, in pattern pre-order — which are small
+/// integers, so the caller may grow the memo while it walks them; a
+/// [`Bound`] is built from a signature (by [`bound_at`]) only when a rule
+/// is actually applied.
+#[derive(Default)]
+struct Binder<'p> {
+    /// Concrete pattern nodes still to be matched: each with the group it
+    /// must match in and, for the root, the one expression to try. The top
+    /// is next in pattern pre-order.
+    todo: Vec<(&'p PatternTree, GroupId, Option<usize>)>,
+    /// The picks made so far for the binding under construction.
+    partial: Vec<(u32, u32)>,
+    /// Output: the signatures of the enumerated bindings, back to back.
+    sigs: Vec<(u32, u32)>,
+}
 
-/// One rule application, for the explore loop's dedup set: expression
-/// coordinates, rule id, and the concrete binding signature.
-type AppliedKey = (u32, usize, u16, BindingSig);
+impl<'p> Binder<'p> {
+    /// Appends to `sigs` the signature of every binding of `pattern`
+    /// against expression `ei` of group `gid` and returns their number.
+    /// Order: the first child slot varies slowest, and within a slot the
+    /// child group's expressions are tried in position order.
+    fn bind(&mut self, memo: &Memo, pattern: &'p PatternTree, gid: GroupId, ei: usize) -> usize {
+        self.todo.push((pattern, gid, Some(ei)));
+        let found = self.expand(memo);
+        self.todo.clear();
+        found
+    }
 
-/// Enumerates pattern bindings of `pattern` against expression `ei` of
-/// group `gid`. Returns each binding plus a signature identifying the
-/// nested expressions chosen (for deduplication). Public so the lint
-/// crate's corpus auditor can bind rules exactly as the explore loop does.
-pub fn match_bindings(
-    memo: &Memo,
+    /// Matches the top of `todo` against the expressions of its group and,
+    /// for each that fits, the rest of `todo`; leaves `todo` as found.
+    fn expand(&mut self, memo: &Memo) -> usize {
+        let Some((pattern, g, only)) = self.todo.pop() else {
+            self.sigs.extend_from_slice(&self.partial);
+            return 1;
+        };
+        let rest = self.todo.len();
+        let exprs = &memo.group(g).exprs;
+        let mut found = 0;
+        for ei in only.map_or(0..exprs.len(), |e| e..e + 1) {
+            let expr: &GroupExpr = &exprs[ei];
+            // A bare placeholder root would match trivially but bind
+            // nothing a rule could use; no rule has one.
+            let children = match pattern {
+                PatternTree::Op { matcher, children }
+                    if matcher.accepts(expr.op.kind(), expr.op.join_kind())
+                        && children.len() == expr.children.len() =>
+                {
+                    children
+                }
+                _ => continue,
+            };
+            self.partial.push((g.0, ei as u32));
+            for (p, &cg) in children.iter().zip(&expr.children).rev() {
+                if matches!(p, PatternTree::Op { .. }) {
+                    self.todo.push((p, cg, None));
+                }
+            }
+            found += self.expand(memo);
+            self.todo.truncate(rest);
+            self.partial.pop();
+        }
+        self.todo.push((pattern, g, only));
+        found
+    }
+}
+
+/// Builds the [`Bound`] of the binding of `pattern` whose signature `sig`
+/// yields.
+fn bound_at<'m>(
+    memo: &'m Memo,
+    pattern: &PatternTree,
+    sig: &mut impl Iterator<Item = (u32, u32)>,
+) -> Bound<'m> {
+    let (g, e) = sig.next().expect("one pick per concrete pattern node");
+    let expr = &memo.group(GroupId(g)).exprs[e as usize];
+    let PatternTree::Op { children, .. } = pattern else {
+        unreachable!("only concrete pattern nodes are bound");
+    };
+    let children = children
+        .iter()
+        .zip(&expr.children)
+        .map(|(p, &cg)| match p {
+            PatternTree::Any => BoundChild::Leaf(cg),
+            PatternTree::Op { .. } => BoundChild::Nested(bound_at(memo, p, sig)),
+        })
+        .collect();
+    Bound {
+        group: GroupId(g),
+        op: &expr.op,
+        children,
+    }
+}
+
+/// The bindings of `pattern` against expression `ei` of group `gid` —
+/// exactly those, in the order, the explore loop applies. Public so the
+/// lint crate's corpus auditor can bind rules the same way.
+pub fn match_bindings<'m>(
+    memo: &'m Memo,
     pattern: &PatternTree,
     gid: GroupId,
     ei: usize,
-) -> Vec<(Bound, BindingSig)> {
-    let expr = &memo.group(gid).exprs[ei];
-    let PatternTree::Op { matcher, children } = pattern else {
-        // A bare placeholder pattern matches trivially but binds nothing a
-        // rule could use; no rule has one.
-        return vec![];
-    };
-    if !matcher_accepts(matcher, &expr.op) {
-        return vec![];
-    }
-    if children.len() != expr.children.len() {
-        return vec![];
-    }
-    // For each child slot, the list of possible (BoundChild, signature)
-    // alternatives.
-    let mut slot_options: Vec<Vec<(BoundChild, BindingSig)>> = Vec::new();
-    for (pat_child, &cg) in children.iter().zip(&expr.children) {
-        match pat_child {
-            PatternTree::Any => {
-                slot_options.push(vec![(BoundChild::Leaf(cg), vec![])]);
-            }
-            PatternTree::Op { .. } => {
-                let mut opts = Vec::new();
-                for (cei, _) in memo.group(cg).exprs.iter().enumerate() {
-                    for (nested, mut sig) in match_bindings(memo, pat_child, cg, cei) {
-                        sig.insert(0, (cg.0, cei));
-                        opts.push((BoundChild::Nested(nested), sig));
-                    }
-                }
-                if opts.is_empty() {
-                    return vec![];
-                }
-                slot_options.push(opts);
-            }
-        }
-    }
-    // Cartesian product over slots.
-    let mut out: Vec<(Vec<BoundChild>, BindingSig)> = vec![(vec![], vec![])];
-    for opts in slot_options {
-        let mut next = Vec::with_capacity(out.len() * opts.len());
-        for (partial, psig) in &out {
-            for (child, csig) in &opts {
-                let mut p = partial.clone();
-                p.push(child.clone());
-                let mut s = psig.clone();
-                s.extend(csig.iter().copied());
-                next.push((p, s));
-            }
-        }
-        out = next;
-    }
-    out.into_iter()
-        .map(|(children, sig)| {
-            (
-                Bound {
-                    group: gid,
-                    op: expr.op.clone(),
-                    children,
-                },
-                sig,
-            )
-        })
+) -> Vec<Bound<'m>> {
+    let mut binder = Binder::default();
+    let bindings = binder.bind(memo, pattern, gid, ei);
+    let mut picks = binder.sigs.iter().copied();
+    (0..bindings)
+        .map(|_| bound_at(memo, pattern, &mut picks))
         .collect()
-}
-
-fn matcher_accepts(matcher: &OpMatcher, op: &Operator) -> bool {
-    matcher.accepts(op.kind(), op.join_kind())
 }
 
 /// Maps a physical operator to the logical operator whose schema derivation
@@ -910,9 +1010,17 @@ pub fn phys_schema(db: &Database, op: &PhysOp, children: &[&Schema]) -> Result<S
     output_schema(&db.catalog, &logical, children)
 }
 
-enum CacheEntry {
-    InProgress,
-    Done(Option<(PhysicalPlan, f64)>),
+/// No physical operator has more inputs than a join.
+const MAX_INPUTS: usize = 2;
+const NO_COLUMNS: &Schema = &Schema::new();
+
+/// The cheapest implementation found for a group: one physical operator
+/// over child *groups* (their own winners complete the plan).
+struct Winner {
+    op: PhysOp,
+    children: Vec<GroupId>,
+    schema: Schema,
+    cost: f64,
 }
 
 struct Extractor<'a> {
@@ -920,7 +1028,11 @@ struct Extractor<'a> {
     memo: &'a Memo,
     config: &'a OptimizerConfig,
     ids: &'a RefCell<IdGen>,
-    cache: HashMap<GroupId, CacheEntry>,
+    /// Per group: `None` until visited, `Some(None)` while in progress or
+    /// when no plan exists, else the winner. Never revised once set to a
+    /// winner, so parents may cost against it.
+    winners: Vec<Option<Option<Winner>>>,
+    binder: Binder<'a>,
     exercised: &'a mut BTreeSet<RuleId>,
     /// The invocation's profile buffer (implementation-phase bind/apply
     /// timings land here, `None` when telemetry is disabled).
@@ -928,42 +1040,43 @@ struct Extractor<'a> {
 }
 
 impl Extractor<'_> {
-    /// Bottom-up dynamic program: the cheapest physical plan for a group.
-    fn best_plan(&mut self, g: GroupId) -> Result<Option<(PhysicalPlan, f64)>> {
-        match self.cache.get(&g) {
-            Some(CacheEntry::Done(r)) => return Ok(r.clone()),
-            Some(CacheEntry::InProgress) => return Ok(None), // cycle guard
-            None => {}
+    /// Bottom-up dynamic program: finds the cheapest physical operator for
+    /// group `g` (and, first, for the groups below it). False when the
+    /// group has no plan — or is still being solved further up the stack
+    /// (the cycle guard).
+    fn solve(&mut self, g: GroupId) -> Result<bool> {
+        if let Some(seen) = &self.winners[g.0 as usize] {
+            return Ok(seen.is_some());
         }
-        self.cache.insert(g, CacheEntry::InProgress);
+        self.winners[g.0 as usize] = Some(None);
 
-        let db = &self.optimizer.db;
-        let mut best: Option<(PhysicalPlan, f64)> = None;
-        let empty: Vec<usize> = Vec::new();
-        for ei in 0..self.memo.group(g).exprs.len() {
-            let kind = self.memo.group(g).exprs[ei].op.kind();
-            let candidates = self
-                .optimizer
-                .implement_by_kind
-                .get(&kind)
-                .unwrap_or(&empty);
-            for &ri in candidates.iter() {
+        let (db, memo) = (&self.optimizer.db, self.memo);
+        let mut best: Option<Winner> = None;
+        for ei in 0..memo.group(g).exprs.len() {
+            let kind = memo.group(g).exprs[ei].op.kind();
+            for &ri in &self.optimizer.implement_by_kind[kind as usize] {
                 let rule = &self.optimizer.rules[ri];
                 let rid = RuleId(ri as u16);
                 if self.config.mask.is_disabled(rid) {
                     continue;
                 }
                 let bind_started = self.sample.is_some().then(Instant::now);
-                let bindings = match_bindings(self.memo, &rule.pattern, g, ei);
+                // Deeper groups solved below push their signatures above
+                // this group's and pop them again.
+                let base = self.binder.sigs.len();
+                let bindings = self.binder.bind(memo, &rule.pattern, g, ei);
                 if let (Some(s), Some(t)) = (self.sample.as_mut(), bind_started) {
                     s.record_bind(rid.0, RulePhase::Implement, t.elapsed().as_nanos() as u64);
                 }
-                for (bound, _) in bindings {
+                let stride = (self.binder.sigs.len() - base) / bindings.max(1);
+                for b in 0..bindings {
                     let apply_started = self.sample.is_some().then(Instant::now);
                     let candidates = {
+                        let sig = &self.binder.sigs[base + b * stride..][..stride];
+                        let bound = bound_at(memo, &rule.pattern, &mut sig.iter().copied());
                         let ctx = RuleCtx {
                             db,
-                            memo: self.memo,
+                            memo,
                             ids: self.ids,
                         };
                         match &rule.action {
@@ -989,46 +1102,68 @@ impl Extractor<'_> {
                         });
                     }
                     'cand: for cand in candidates {
-                        let mut child_plans = Vec::with_capacity(cand.children.len());
                         for &cg in &cand.children {
-                            match self.best_plan(cg)? {
-                                Some((p, _)) => child_plans.push(p),
-                                None => continue 'cand,
+                            if !self.solve(cg)? {
+                                continue 'cand;
                             }
                         }
-                        let child_schemas: Vec<&Schema> =
-                            child_plans.iter().map(|p| &p.schema).collect();
-                        let schema = phys_schema(db, &cand.op, &child_schemas)?;
-                        let child_rows: Vec<f64> = child_plans.iter().map(|p| p.est_rows).collect();
-                        let child_costs: Vec<f64> =
-                            child_plans.iter().map(|p| p.est_cost).collect();
                         // Cardinality is a *group* (logical) property: every
-                        // plan implementing this group carries the same row
+                        // plan implementing a group carries the same row
                         // estimate. Per-plan estimates would let a locally
                         // cheaper alternative claim a different output size
                         // and make parent costs — and therefore the chosen
                         // plan — depend on which alternatives the rule mask
                         // happened to generate.
-                        let rows = self.memo.est_rows(g);
-                        let cost = phys_cost(&cand.op, &child_rows, &child_costs, rows);
-                        if best.as_ref().is_none_or(|(_, bc)| cost < *bc) {
-                            best = Some((
-                                PhysicalPlan {
-                                    op: cand.op,
-                                    children: child_plans,
-                                    schema,
-                                    est_rows: rows,
-                                    est_cost: cost,
-                                },
+                        let n = cand.children.len();
+                        let (mut schemas, mut rows, mut costs) = (
+                            [NO_COLUMNS; MAX_INPUTS],
+                            [0.0; MAX_INPUTS],
+                            [0.0; MAX_INPUTS],
+                        );
+                        for (i, &cg) in cand.children.iter().enumerate() {
+                            let input = self.winner(cg);
+                            schemas[i] = &input.schema;
+                            rows[i] = memo.est_rows(cg);
+                            costs[i] = input.cost;
+                        }
+                        let schema = phys_schema(db, &cand.op, &schemas[..n])?;
+                        let cost = phys_cost(&cand.op, &rows[..n], &costs[..n], memo.est_rows(g));
+                        if best.as_ref().is_none_or(|b| cost < b.cost) {
+                            best = Some(Winner {
+                                op: cand.op,
+                                children: cand.children,
+                                schema,
                                 cost,
-                            ));
+                            });
                         }
                     }
                 }
+                self.binder.sigs.truncate(base);
             }
         }
-        self.cache.insert(g, CacheEntry::Done(best.clone()));
-        Ok(best)
+        let solved = best.is_some();
+        self.winners[g.0 as usize] = Some(best);
+        Ok(solved)
+    }
+
+    fn winner(&self, g: GroupId) -> &Winner {
+        self.winners[g.0 as usize]
+            .as_ref()
+            .and_then(Option::as_ref)
+            .expect("assembled and costed only over solved groups")
+    }
+
+    /// Builds the plan tree of a solved group from the winners. Finite: a
+    /// winner's inputs were solved before it was chosen.
+    fn assemble(&self, g: GroupId) -> PhysicalPlan {
+        let w = self.winner(g);
+        PhysicalPlan {
+            op: w.op.clone(),
+            children: w.children.iter().map(|&cg| self.assemble(cg)).collect(),
+            schema: w.schema.clone(),
+            est_rows: self.memo.est_rows(g),
+            est_cost: w.cost,
+        }
     }
 }
 
@@ -1063,6 +1198,48 @@ mod tests {
         // Implementation rules are traced too.
         let seqscan = opt.rule_id("GetToSeqScan").unwrap();
         assert!(res.rule_set.contains(&seqscan));
+    }
+
+    #[test]
+    fn extraction_over_a_group_cycle_is_finite_and_costed_bottom_up() {
+        use crate::rule::{NewChild, NewTree};
+
+        fn recost(plan: &PhysicalPlan) -> f64 {
+            let rows: Vec<f64> = plan.children.iter().map(|c| c.est_rows).collect();
+            let costs: Vec<f64> = plan.children.iter().map(recost).collect();
+            let cost = phys_cost(&plan.op, &rows, &costs, plan.est_rows);
+            assert_eq!(
+                plan.est_cost.to_bits(),
+                cost.to_bits(),
+                "{}",
+                plan.op.name()
+            );
+            cost
+        }
+
+        let opt = optimizer();
+        let tree = simple_join(&opt);
+        let config = OptimizerConfig::default();
+        let mut search = opt.explore(&tree, &config).unwrap();
+        // `Select(true)` over its own group: a cycle the extractor must
+        // step over, not follow.
+        let cycle = NewTree::new(
+            Operator::Select {
+                predicate: Expr::true_lit(),
+            },
+            vec![NewChild::Group(search.root)],
+        );
+        let root = search.root;
+        let (_, fresh) = search
+            .memo
+            .insert(&opt.db, cycle, Some(root), false)
+            .unwrap();
+        assert!(fresh);
+        let plan = opt.extract(&mut search, &config).unwrap();
+        recost(&plan);
+        let whole = opt.optimize(&tree).unwrap();
+        assert!(plan.same_shape(&whole.plan));
+        assert_eq!(plan.est_cost.to_bits(), whole.cost.to_bits());
     }
 
     #[test]

@@ -17,27 +17,27 @@ pub enum RuleKind {
 
 /// A pattern match handed to a rule's substitution function.
 ///
-/// The matched concrete operators are inlined; every pattern placeholder
-/// ("circle") is bound to the memo group it matched.
+/// The matched concrete operators are borrowed from the memo; every
+/// pattern placeholder ("circle") is bound to the memo group it matched.
 #[derive(Debug, Clone)]
-pub struct Bound {
+pub struct Bound<'m> {
     /// The group that the *root* of the match lives in; substitutes are
     /// inserted back into this group.
     pub group: GroupId,
-    pub op: Operator,
-    pub children: Vec<BoundChild>,
+    pub op: &'m Operator,
+    pub children: Vec<BoundChild<'m>>,
 }
 
 /// One child position of a bound match.
 #[derive(Debug, Clone)]
-pub enum BoundChild {
+pub enum BoundChild<'m> {
     /// A placeholder: any expression of this group matched.
     Leaf(GroupId),
     /// A nested concrete match.
-    Nested(Bound),
+    Nested(Bound<'m>),
 }
 
-impl BoundChild {
+impl<'m> BoundChild<'m> {
     /// The memo group this child denotes, regardless of nesting.
     pub fn group(&self) -> GroupId {
         match self {
@@ -48,7 +48,7 @@ impl BoundChild {
 
     /// The nested bound match, if the pattern matched a concrete operator
     /// here.
-    pub fn nested(&self) -> Option<&Bound> {
+    pub fn nested(&self) -> Option<&Bound<'m>> {
         match self {
             BoundChild::Nested(b) => Some(b),
             BoundChild::Leaf(_) => None,
@@ -98,10 +98,15 @@ pub struct RuleCtx<'a> {
     pub ids: &'a RefCell<ruletest_logical::IdGen>,
 }
 
-impl RuleCtx<'_> {
+impl<'a> RuleCtx<'a> {
     /// Output schema of a memo group.
     pub fn schema(&self, g: GroupId) -> &ruletest_logical::Schema {
         self.memo.schema(g)
+    }
+
+    /// Column ids of a memo group's output.
+    pub fn cols(&self, g: GroupId) -> &'a std::collections::BTreeSet<ruletest_common::ColId> {
+        &self.memo.group(g).cols
     }
 }
 

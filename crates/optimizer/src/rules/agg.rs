@@ -91,7 +91,7 @@ fn eager_push(ctx: &RuleCtx, b: &Bound, side: usize) -> Vec<NewTree> {
     if *kind != JoinKind::Inner {
         return vec![];
     }
-    let side_cols = group_cols(ctx, join.children[side].group());
+    let side_cols = ctx.cols(join.children[side].group());
     // Every aggregate argument must come from this side. COUNT(*) has no
     // argument and is side-agnostic.
     if !aggs

@@ -46,12 +46,11 @@ fn inner_join_assoc_left(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     };
     let (a, bb) = (&lower.children[0], &lower.children[1]);
     let c = &b.children[1];
-    let mut bc_cols = group_cols(ctx, bb.group());
-    bc_cols.extend(group_cols(ctx, c.group()));
     let mut all = ruletest_expr::conjuncts(p);
     all.extend(ruletest_expr::conjuncts(q));
-    let (lower_parts, upper_parts): (Vec<Expr>, Vec<Expr>) =
-        all.into_iter().partition(|e| pred_within(e, &bc_cols));
+    let (lower_parts, upper_parts): (Vec<Expr>, Vec<Expr>) = all
+        .into_iter()
+        .partition(|e| pred_within_groups(ctx, e, bb.group(), c.group()));
     vec![NewTree::new(
         join_op(JoinKind::Inner, conjoin(upper_parts)),
         vec![
@@ -77,12 +76,11 @@ fn inner_join_assoc_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     };
     let a = &b.children[0];
     let (bb, c) = (&lower.children[0], &lower.children[1]);
-    let mut ab_cols = group_cols(ctx, a.group());
-    ab_cols.extend(group_cols(ctx, bb.group()));
     let mut all = ruletest_expr::conjuncts(p);
     all.extend(ruletest_expr::conjuncts(q));
-    let (lower_parts, upper_parts): (Vec<Expr>, Vec<Expr>) =
-        all.into_iter().partition(|e| pred_within(e, &ab_cols));
+    let (lower_parts, upper_parts): (Vec<Expr>, Vec<Expr>) = all
+        .into_iter()
+        .partition(|e| pred_within_groups(ctx, e, a.group(), bb.group()));
     vec![NewTree::new(
         join_op(JoinKind::Inner, conjoin(upper_parts)),
         vec![
@@ -142,9 +140,7 @@ fn join_loj_assoc(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
         return vec![];
     };
     let (s, t) = (&loj.children[0], &loj.children[1]);
-    let mut rs_cols = group_cols(ctx, r.group());
-    rs_cols.extend(group_cols(ctx, s.group()));
-    if !pred_within(p, &rs_cols) {
+    if !pred_within_groups(ctx, p, r.group(), s.group()) {
         return vec![];
     }
     vec![NewTree::new(
@@ -173,9 +169,7 @@ fn join_loj_assoc_inv(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     };
     let (r, s) = (&inner.children[0], &inner.children[1]);
     let t = &b.children[1];
-    let mut st_cols = group_cols(ctx, s.group());
-    st_cols.extend(group_cols(ctx, t.group()));
-    if !pred_within(q, &st_cols) {
+    if !pred_within_groups(ctx, q, s.group(), t.group()) {
         return vec![];
     }
     // The inner predicate must also avoid T (guaranteed: it was validated
@@ -362,7 +356,7 @@ fn anti_join_to_loj_filter(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Join { predicate, .. } = &b.op else {
         return vec![];
     };
-    let right_cols = group_cols(ctx, b.children[1].group());
+    let right_cols = ctx.cols(b.children[1].group());
     let probe = ruletest_expr::conjuncts(predicate).iter().find_map(|c| {
         try_col_eq_col(c).and_then(|(x, y)| {
             if right_cols.contains(&x) {

@@ -75,12 +75,12 @@ fn select_push_below_inner_join(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
         return vec![];
     };
     debug_assert_eq!(*kind, JoinKind::Inner);
-    let left_cols = group_cols(ctx, join.children[0].group());
-    let right_cols = group_cols(ctx, join.children[1].group());
-    let (to_left, rest) = partition_conjuncts(predicate, &left_cols);
+    let left_cols = ctx.cols(join.children[0].group());
+    let right_cols = ctx.cols(join.children[1].group());
+    let (to_left, rest) = partition_conjuncts(predicate, left_cols);
     let (to_right, keep) = {
         let (tr, kp): (Vec<Expr>, Vec<Expr>) =
-            rest.into_iter().partition(|c| pred_within(c, &right_cols));
+            rest.into_iter().partition(|c| pred_within(c, right_cols));
         (tr, kp)
     };
     if to_left.is_empty() && to_right.is_empty() {
@@ -142,8 +142,8 @@ fn select_push_below_outer_join(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
         JoinKind::RightOuter => 1,
         _ => return vec![],
     };
-    let preserved_cols = group_cols(ctx, join.children[preserved_idx].group());
-    let (push, keep) = partition_conjuncts(predicate, &preserved_cols);
+    let preserved_cols = ctx.cols(join.children[preserved_idx].group());
+    let (push, keep) = partition_conjuncts(predicate, preserved_cols);
     if push.is_empty() {
         return vec![];
     }
@@ -422,10 +422,10 @@ fn outer_join_simplify(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     else {
         return vec![];
     };
-    let left_cols = group_cols(ctx, join.children[0].group());
-    let right_cols = group_cols(ctx, join.children[1].group());
-    let rejects_left = is_null_rejecting(predicate, &left_cols);
-    let rejects_right = is_null_rejecting(predicate, &right_cols);
+    let left_cols = ctx.cols(join.children[0].group());
+    let right_cols = ctx.cols(join.children[1].group());
+    let rejects_left = is_null_rejecting(predicate, left_cols);
+    let rejects_right = is_null_rejecting(predicate, right_cols);
     let new_kind = match kind {
         JoinKind::LeftOuter if rejects_right => JoinKind::Inner,
         JoinKind::RightOuter if rejects_left => JoinKind::Inner,

@@ -4,18 +4,7 @@ use crate::memo::GroupId;
 use crate::rule::{BoundChild, NewChild, RuleCtx};
 use ruletest_common::ColId;
 use ruletest_expr::Expr;
-use ruletest_logical::Schema;
 use std::collections::BTreeSet;
-
-/// Column-id set of a schema.
-pub(crate) fn schema_cols(schema: &Schema) -> BTreeSet<ColId> {
-    schema.iter().map(|c| c.id).collect()
-}
-
-/// Column-id set of a memo group's output.
-pub(crate) fn group_cols(ctx: &RuleCtx, g: GroupId) -> BTreeSet<ColId> {
-    schema_cols(ctx.schema(g))
-}
 
 /// Shorthand: a substitute child referencing the group a bound child
 /// matched.
@@ -41,4 +30,12 @@ pub(crate) fn partition_conjuncts(pred: &Expr, cols: &BTreeSet<ColId>) -> (Vec<E
 /// True iff every column of `pred` is in `cols`.
 pub(crate) fn pred_within(pred: &Expr, cols: &BTreeSet<ColId>) -> bool {
     ruletest_expr::columns_of(pred).is_subset(cols)
+}
+
+/// True iff every column of `pred` is an output of group `a` or group `b`.
+pub(crate) fn pred_within_groups(ctx: &RuleCtx, pred: &Expr, a: GroupId, b: GroupId) -> bool {
+    let (a, b) = (ctx.cols(a), ctx.cols(b));
+    ruletest_expr::columns_of(pred)
+        .iter()
+        .all(|c| a.contains(c) || b.contains(c))
 }
