@@ -1,5 +1,7 @@
 //! Identifier newtypes used across the workspace.
 
+use crate::json::Json;
+use crate::wire::{Decode, DecodeError, Encode};
 use std::fmt;
 
 /// Identifies a base table in the catalog.
@@ -39,6 +41,25 @@ impl fmt::Display for RuleId {
         write!(f, "r{}", self.0)
     }
 }
+
+/// An id's wire form is its number.
+macro_rules! id_wire {
+    ($($ty:ident),+) => {$(
+        impl Encode for $ty {
+            fn encode(&self) -> Json {
+                self.0.encode()
+            }
+        }
+
+        impl Decode for $ty {
+            fn decode(j: &Json) -> Result<Self, DecodeError> {
+                Decode::decode(j).map($ty)
+            }
+        }
+    )+};
+}
+
+id_wire!(TableId, ColId, RuleId);
 
 #[cfg(test)]
 mod tests {

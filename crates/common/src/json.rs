@@ -1,11 +1,14 @@
 //! Minimal JSON value model, serializer, and parser.
 //!
 //! The workspace builds fully offline with zero external dependencies, so
-//! the telemetry crate carries its own JSON support: enough of RFC 8259
-//! to write and read back run reports and JSONL trace events. Numbers are
-//! `f64` (counters stay exact up to 2^53 — far beyond any campaign);
-//! object keys are kept in a `BTreeMap` so serialization is canonical,
-//! which is what lets tests compare reports as strings.
+//! it carries its own JSON support: enough of RFC 8259 to write and read
+//! back every persisted document (cache shards, checkpoints, bundles, run
+//! reports) and JSONL trace events. Numbers are `f64`, exact for integers
+//! up to 2^53; [`Json::count`] writes larger `u64`s as decimal strings.
+//! Object keys are kept in a `BTreeMap` so serialization is canonical,
+//! which is what lets tests compare reports as strings and lets a
+//! compact-printed cache key address its shard entry. The typed layer over
+//! this value model is [`crate::wire`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -21,6 +24,9 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// 2^53: the largest integer below which every integer is an exact `f64`.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
 impl Json {
     /// Convenience: an object from key/value pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
@@ -31,9 +37,14 @@ impl Json {
         Json::Num(n.into())
     }
 
-    /// `u64` counters round-trip exactly up to 2^53.
+    /// A `u64`: a number up to 2^53 (every integer below is exact in an
+    /// `f64`), a decimal string above, so no value rounds on the way out.
     pub fn count(n: u64) -> Json {
-        Json::Num(n as f64)
+        if n <= MAX_EXACT_INT {
+            Json::Num(n as f64)
+        } else {
+            Json::Str(n.to_string())
+        }
     }
 
     pub fn str(s: impl Into<String>) -> Json {
@@ -61,9 +72,14 @@ impl Json {
         }
     }
 
+    /// A non-negative integral number no larger than 2^53. Anything above
+    /// is not exactly representable (and [`Json::count`] never writes it),
+    /// so a corrupt `1e300` is rejected instead of saturating to `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -372,9 +388,27 @@ mod tests {
 
     #[test]
     fn large_counters_stay_exact() {
-        let n = (1u64 << 53) - 1;
-        let text = Json::count(n).to_string_compact();
-        assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n));
+        for n in [(1u64 << 53) - 1, 1 << 53] {
+            let text = Json::count(n).to_string_compact();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n));
+        }
+        // Above 2^53 the number form would round: a string is written.
+        assert_eq!(
+            Json::count((1 << 53) + 1).to_string_compact(),
+            "\"9007199254740993\""
+        );
+    }
+
+    #[test]
+    fn as_u64_rejects_numbers_beyond_the_exact_range() {
+        // A corrupt `"b":1e300` must not saturate to u64::MAX (NO_BOUNDARY),
+        // nor `"groups":1e300` to usize::MAX.
+        for text in ["1e300", "9007199254740994", "1.8446744073709552e19"] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
     }
 
     #[test]

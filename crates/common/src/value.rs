@@ -7,6 +7,8 @@
 //! plans always produce bit-identical results (no rounding divergence in
 //! correctness validation).
 
+use crate::json::Json;
+use crate::wire::{Decode, DecodeError, Encode};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -17,6 +19,8 @@ pub enum DataType {
     Int,
     Str,
 }
+
+crate::wire_names!(DataType { Bool => "bool", Int => "int", Str => "str" });
 
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -157,6 +161,40 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(s: String) -> Self {
         Value::Str(s)
+    }
+}
+
+/// Tagged by shape, not by a tag key: `null`, `true`/`false`, `{"int":
+/// "<decimal>"}` (a string, because an `i64` exceeds the 2^53 a JSON number
+/// holds exactly) or `{"str": "..."}`.
+impl Encode for Value {
+    fn encode(&self) -> Json {
+        match self {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(*b),
+            Value::Int(i) => Json::obj(vec![("int", Json::str(i.to_string()))]),
+            Value::Str(s) => Json::obj(vec![("str", Json::str(s.clone()))]),
+        }
+    }
+}
+
+impl Decode for Value {
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        match j {
+            Json::Null => Ok(Value::Null),
+            Json::Bool(b) => Ok(Value::Bool(*b)),
+            _ => {
+                if let Some(s) = j.get("int").and_then(Json::as_str) {
+                    s.parse()
+                        .map(Value::Int)
+                        .map_err(|_| DecodeError::expected("a decimal i64").at("int"))
+                } else if let Some(s) = j.get("str").and_then(Json::as_str) {
+                    Ok(Value::Str(s.to_string()))
+                } else {
+                    Err(DecodeError::expected("a value"))
+                }
+            }
+        }
     }
 }
 

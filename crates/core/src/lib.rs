@@ -7,7 +7,6 @@
 
 pub mod compress;
 pub mod correctness;
-pub mod faults;
 pub mod framework;
 pub mod generate;
 pub mod mutate;

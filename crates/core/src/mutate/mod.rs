@@ -2,11 +2,11 @@
 //! real catalog, to *measure* the framework's fault-detection power.
 //!
 //! The paper's claim (§2.3, §6) is that `Plan(q)` vs `Plan(q, ¬{r})`
-//! differential execution finds incorrectly implemented rules. The
-//! hand-written [`crate::faults::Fault`] catalog holds three such bugs,
-//! all in one class — and the static linter catches all three, so the
-//! dynamic pipeline's unique contribution was unmeasured. This module
-//! derives a few dozen buggy variants ([`Mutant`]) across six bug
+//! differential execution finds incorrectly implemented rules. Three
+//! hand-written bugs (the original `--fault` names, still the ids of
+//! three mutants here) sit in one class — and the static linter catches
+//! all three, so the dynamic pipeline's unique contribution was
+//! unmeasured. This module derives a few dozen buggy variants ([`Mutant`]) across six bug
 //! classes ([`BugClass`]) from the real rules, runs the full
 //! generation → differential-execution pipeline plus the static linter
 //! against each, and reports per-class detection rates and the

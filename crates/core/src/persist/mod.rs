@@ -32,16 +32,12 @@
 
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
-use crate::suite::{
-    build_graph, generate_suite, singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery,
-    TestSuite,
-};
+use crate::suite::{build_graph, generate_suite, singleton_targets, BipartiteGraph, TestSuite};
 use crate::supervise::{build_graph_supervised, generate_suite_supervised, Quarantine};
-use ruletest_common::{Error, Result, RuleId};
-use ruletest_optimizer::persist::{tree_from_json, tree_to_json};
+use ruletest_common::{wire_record, Decode, DecodeError, Encode, Error, Json, Result};
+use ruletest_optimizer::persist::write_atomic;
 use ruletest_optimizer::SnapshotStore;
-use ruletest_telemetry::{Json, RunReport, Stage};
-use std::collections::{BTreeSet, HashMap};
+use ruletest_telemetry::{RunReport, Stage};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -67,16 +63,9 @@ fn io_err(what: &str, e: io::Error) -> Error {
     Error::unsupported(format!("{what}: {e}"))
 }
 
-fn malformed(what: &str) -> Error {
-    Error::unsupported(format!("campaign checkpoint: malformed {what}"))
-}
-
-/// Atomic write: temp sibling + rename, same contract as the optimizer
-/// snapshot files — a kill mid-write leaves the previous file intact.
-fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
+/// A stage payload that passed the identity guard but does not decode.
+fn bad_payload(e: DecodeError) -> Error {
+    Error::unsupported(format!("campaign checkpoint: malformed {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -110,275 +99,84 @@ impl CampaignParams {
             ..GenConfig::default()
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rules", Json::count(self.rules as u64)),
-            ("k", Json::count(self.k as u64)),
-            ("seed", Json::count(self.seed)),
-            ("pad_ops", Json::count(self.pad_ops as u64)),
-            ("max_trials", Json::count(self.max_trials as u64)),
-        ])
-    }
 }
 
-// ---------------------------------------------------------------------
-// Suite / graph serialization. Floats are hex bit patterns for the same
-// reason as in the optimizer snapshot: costs must survive bit-exactly.
-
-fn f64_hex(f: f64) -> Json {
-    Json::str(format!("{:016x}", f.to_bits()))
-}
-
-fn f64_unhex(j: &Json, what: &str) -> Result<f64> {
-    j.as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .map(f64::from_bits)
-        .ok_or_else(|| malformed(what))
-}
-
-fn usize_from(j: &Json, what: &str) -> Result<usize> {
-    j.as_u64()
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| malformed(what))
-}
-
-fn rule_id_from(j: &Json, what: &str) -> Result<RuleId> {
-    j.as_u64()
-        .and_then(|v| u16::try_from(v).ok())
-        .map(RuleId)
-        .ok_or_else(|| malformed(what))
-}
-
-fn target_to_json(t: &RuleTarget) -> Json {
-    match t {
-        RuleTarget::Single(r) => Json::obj(vec![("s", Json::count(u64::from(r.0)))]),
-        RuleTarget::Pair(a, b) => Json::obj(vec![(
-            "p",
-            Json::Arr(vec![
-                Json::count(u64::from(a.0)),
-                Json::count(u64::from(b.0)),
-            ]),
-        )]),
-    }
-}
-
-fn target_from_json(j: &Json) -> Result<RuleTarget> {
-    if let Some(s) = j.get("s") {
-        return Ok(RuleTarget::Single(rule_id_from(s, "target")?));
-    }
-    if let Some([a, b]) = j.get("p").and_then(Json::as_arr) {
-        return Ok(RuleTarget::Pair(
-            rule_id_from(a, "target")?,
-            rule_id_from(b, "target")?,
-        ));
-    }
-    Err(malformed("target"))
-}
-
-fn targets_to_json(targets: &[RuleTarget]) -> Json {
-    Json::Arr(targets.iter().map(target_to_json).collect())
-}
-
-fn targets_from_json(j: &Json, what: &str) -> Result<Vec<RuleTarget>> {
-    j.as_arr()
-        .ok_or_else(|| malformed(what))?
-        .iter()
-        .map(target_from_json)
-        .collect()
-}
-
-fn get<'a>(j: &'a Json, field: &str) -> Result<&'a Json> {
-    j.get(field).ok_or_else(|| malformed(field))
-}
-
-/// Serializes a generated test suite for the `suite` checkpoint.
-pub fn suite_to_json(suite: &TestSuite) -> Json {
-    let queries = suite
-        .queries
-        .iter()
-        .map(|q| {
-            Json::obj(vec![
-                ("tree", tree_to_json(&q.tree)),
-                ("sql", Json::str(q.sql.clone())),
-                (
-                    "rule_set",
-                    Json::Arr(
-                        q.rule_set
-                            .iter()
-                            .map(|r| Json::count(u64::from(r.0)))
-                            .collect(),
-                    ),
-                ),
-                ("cost", f64_hex(q.cost)),
-                ("generated_for", Json::count(q.generated_for as u64)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("targets", targets_to_json(&suite.targets)),
-        ("k", Json::count(suite.k as u64)),
-        ("seed", Json::count(suite.seed)),
-        ("queries", Json::Arr(queries)),
-    ])
-}
-
-/// Inverse of [`suite_to_json`].
-pub fn suite_from_json(j: &Json) -> Result<TestSuite> {
-    let queries = get(j, "queries")?
-        .as_arr()
-        .ok_or_else(|| malformed("queries"))?
-        .iter()
-        .map(|q| {
-            let rule_set: BTreeSet<RuleId> = get(q, "rule_set")?
-                .as_arr()
-                .ok_or_else(|| malformed("rule_set"))?
-                .iter()
-                .map(|r| rule_id_from(r, "rule_set"))
-                .collect::<Result<_>>()?;
-            Ok(SuiteQuery {
-                tree: tree_from_json(get(q, "tree")?).map_err(Error::unsupported)?,
-                sql: get(q, "sql")?
-                    .as_str()
-                    .ok_or_else(|| malformed("sql"))?
-                    .to_string(),
-                rule_set,
-                cost: f64_unhex(get(q, "cost")?, "cost")?,
-                generated_for: usize_from(get(q, "generated_for")?, "generated_for")?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(TestSuite {
-        targets: targets_from_json(get(j, "targets")?, "targets")?,
-        k: usize_from(get(j, "k")?, "k")?,
-        queries,
-        seed: get(j, "seed")?.as_u64().ok_or_else(|| malformed("seed"))?,
-    })
-}
-
-/// Serializes a bipartite graph for the `graph` checkpoint. Edges are
-/// written sorted by `(target, query)` so the checkpoint bytes are
-/// deterministic.
-pub fn graph_to_json(graph: &BipartiteGraph) -> Json {
-    let mut edges: Vec<(&(usize, usize), &f64)> = graph.edges.iter().collect();
-    edges.sort_by_key(|(k, _)| **k);
-    Json::obj(vec![
-        ("targets", targets_to_json(&graph.targets)),
-        ("k", Json::count(graph.k as u64)),
-        (
-            "node_cost",
-            Json::Arr(graph.node_cost.iter().map(|&c| f64_hex(c)).collect()),
-        ),
-        (
-            "adjacency",
-            Json::Arr(
-                graph
-                    .adjacency
-                    .iter()
-                    .map(|adj| Json::Arr(adj.iter().map(|&q| Json::count(q as u64)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "edges",
-            Json::Arr(
-                edges
-                    .into_iter()
-                    .map(|(&(t, q), &c)| {
-                        Json::obj(vec![
-                            ("t", Json::count(t as u64)),
-                            ("q", Json::count(q as u64)),
-                            ("c", f64_hex(c)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "generated_for",
-            Json::Arr(
-                graph
-                    .generated_for
-                    .iter()
-                    .map(|&g| Json::count(g as u64))
-                    .collect(),
-            ),
-        ),
-        ("optimizer_calls", Json::count(graph.optimizer_calls)),
-    ])
-}
-
-/// Inverse of [`graph_to_json`].
-pub fn graph_from_json(j: &Json) -> Result<BipartiteGraph> {
-    let node_cost = get(j, "node_cost")?
-        .as_arr()
-        .ok_or_else(|| malformed("node_cost"))?
-        .iter()
-        .map(|c| f64_unhex(c, "node_cost"))
-        .collect::<Result<Vec<_>>>()?;
-    let adjacency = get(j, "adjacency")?
-        .as_arr()
-        .ok_or_else(|| malformed("adjacency"))?
-        .iter()
-        .map(|adj| {
-            adj.as_arr()
-                .ok_or_else(|| malformed("adjacency"))?
-                .iter()
-                .map(|q| usize_from(q, "adjacency"))
-                .collect::<Result<Vec<_>>>()
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let edges = get(j, "edges")?
-        .as_arr()
-        .ok_or_else(|| malformed("edges"))?
-        .iter()
-        .map(|e| {
-            Ok((
-                (
-                    usize_from(get(e, "t")?, "edge target")?,
-                    usize_from(get(e, "q")?, "edge query")?,
-                ),
-                f64_unhex(get(e, "c")?, "edge cost")?,
-            ))
-        })
-        .collect::<Result<HashMap<_, _>>>()?;
-    let generated_for = get(j, "generated_for")?
-        .as_arr()
-        .ok_or_else(|| malformed("generated_for"))?
-        .iter()
-        .map(|g| usize_from(g, "generated_for"))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(BipartiteGraph {
-        targets: targets_from_json(get(j, "targets")?, "targets")?,
-        k: usize_from(get(j, "k")?, "k")?,
-        node_cost,
-        adjacency,
-        edges,
-        generated_for,
-        optimizer_calls: get(j, "optimizer_calls")?
-            .as_u64()
-            .ok_or_else(|| malformed("optimizer_calls"))?,
-    })
-}
+wire_record!(CampaignParams {
+    "rules" => rules,
+    "k" => k,
+    "seed" => seed,
+    "pad_ops" => pad_ops,
+    "max_trials" => max_trials,
+});
 
 // ---------------------------------------------------------------------
 // The checkpoint store.
 
-/// Stage-boundary checkpoint files under `<cache-dir>/checkpoint/`. Each
-/// stage file carries the format version, campaign fingerprint, campaign
-/// parameters, the boundary stamp, the stage payload, and the cumulative
-/// run-report snapshot at that boundary.
+/// Stage-boundary checkpoint files under `<cache-dir>/checkpoint/`. Every
+/// file is stamped with the [`Identity`] of the campaign that wrote it and
+/// is only consumed by a campaign with the same identity.
 pub struct CampaignStore {
     dir: PathBuf,
-    fingerprint: String,
-    params: String,
+    identity: Identity,
     metrics: bool,
 }
+
+/// The stamp at the top of every checkpoint document: two campaigns that
+/// differ in any member must not consume each other's files.
+#[derive(PartialEq)]
+struct Identity {
+    format: u64,
+    /// The campaign fingerprint, as 16 hex digits.
+    fingerprint: String,
+    /// Wire form of the [`CampaignParams`].
+    params: Json,
+}
+
+wire_record!(Identity {
+    "format" => format,
+    "fingerprint" => fingerprint,
+    "params" => params,
+});
+
+/// `stage-<name>.json` below the stamp: whether telemetry observed the
+/// campaign, the boundary stamp, the stage payload, and the cumulative
+/// run-report snapshot at that boundary.
+struct StageDoc {
+    metrics: bool,
+    boundary: u64,
+    payload: Json,
+    report: RunReport,
+}
+
+wire_record!(StageDoc {
+    "metrics" => metrics,
+    "boundary" => boundary,
+    "payload" => payload,
+    "report" => report,
+});
+
+/// `quarantine.json` below the stamp: the poisoned inputs.
+struct QuarantineDoc {
+    quarantine: Quarantine,
+}
+
+wire_record!(QuarantineDoc { "quarantine" => quarantine });
+
+/// The graph-stage payload of a *supervised* campaign: the stage may shrink
+/// the suite (quarantined targets drop with their queries), so the shrunk
+/// suite travels with the graph — the two must stay consistent on resume.
+/// (An unsupervised graph stage's payload is the bare graph.)
+struct ShrunkGraph {
+    suite: TestSuite,
+    graph: BipartiteGraph,
+}
+
+wire_record!(ShrunkGraph { "suite" => suite, "graph" => graph });
 
 impl CampaignStore {
     /// Opens (creating if needed) the checkpoint directory for a campaign
     /// identified by `fingerprint` and `params`. `metrics` records whether
-    /// telemetry is observing the campaign — it is part of the checkpoint
+    /// telemetry is observing the campaign — it is part of a stage file's
     /// identity, because a metrics-enabled resume merging the empty base
     /// report of an unobserved original would claim zero invocations for
     /// stages that very much ran (and trip `report --check`). Switching
@@ -391,10 +189,14 @@ impl CampaignStore {
     ) -> io::Result<Self> {
         let dir = cache_dir.join("checkpoint");
         fs::create_dir_all(&dir)?;
+        let identity = Identity {
+            format: CHECKPOINT_FORMAT,
+            fingerprint: format!("{fingerprint:016x}"),
+            params: params.encode(),
+        };
         Ok(CampaignStore {
             dir,
-            fingerprint: format!("{fingerprint:016x}"),
-            params: params.to_json().to_string_compact(),
+            identity,
             metrics,
         })
     }
@@ -403,110 +205,82 @@ impl CampaignStore {
         self.dir.join(format!("stage-{name}.json"))
     }
 
-    /// Writes the checkpoint for one completed stage atomically.
+    /// Writes one checkpoint document — this campaign's stamp followed by
+    /// the members of `body` — atomically.
+    fn write_doc(&self, path: &Path, body: &impl Encode) -> io::Result<()> {
+        let mut doc = self.identity.encode();
+        if let (Json::Obj(doc), Json::Obj(body)) = (&mut doc, body.encode()) {
+            doc.extend(body);
+        }
+        write_atomic(path, doc.to_string_compact())
+    }
+
+    /// Reads one checkpoint document. `None` when the file is absent,
+    /// unreadable, or stamped by another campaign (a stale checkpoint
+    /// silently falls back to recomputation, never to an error). A file
+    /// that exists but does not decode (truncated by a crash mid-write of
+    /// a non-atomic editor, disk corruption) is *warned about* first,
+    /// naming the offending field, so the operator learns the resume was
+    /// partial.
+    fn read_doc<T: Decode>(&self, path: &Path, fallback: &str) -> Option<T> {
+        let text = fs::read_to_string(path).ok()?;
+        let decoded = Json::parse(&text).and_then(|doc| {
+            let ours = Identity::decode(&doc)? == self.identity;
+            Ok(if ours { Some(T::decode(&doc)?) } else { None })
+        });
+        decoded.unwrap_or_else(|e: String| {
+            let file = path.file_name().unwrap_or_default().to_string_lossy();
+            eprintln!("warning: campaign checkpoint {file} is corrupted ({e}); {fallback}");
+            None
+        })
+    }
+
+    /// Writes the checkpoint for one completed stage.
     pub fn save_stage(
         &self,
         name: &str,
         boundary: u64,
         payload: Json,
-        report: &RunReport,
+        report: RunReport,
     ) -> io::Result<()> {
-        let params = Json::parse(&self.params).expect("params round-trip");
-        let doc = Json::obj(vec![
-            ("format", Json::count(CHECKPOINT_FORMAT)),
-            ("fingerprint", Json::str(self.fingerprint.clone())),
-            ("params", params),
-            ("metrics", Json::Bool(self.metrics)),
-            ("boundary", Json::count(boundary)),
-            ("payload", payload),
-            ("report", report.to_json()),
-        ]);
-        write_atomic(&self.stage_path(name), doc.to_string_compact().as_bytes())
+        let doc = StageDoc {
+            metrics: self.metrics,
+            boundary,
+            payload,
+            report,
+        };
+        self.write_doc(&self.stage_path(name), &doc)
     }
 
-    /// Loads a stage checkpoint, or `None` when it is absent, unreadable,
-    /// or was written by a different format version, fingerprint, or
-    /// parameter set — a stale checkpoint silently falls back to
-    /// recomputation, never to an error. A file that exists but does not
-    /// parse (truncated by a crash mid-write of a non-atomic editor, disk
-    /// corruption) is *warned about* before the cold-start fallback, so
-    /// the operator learns the resume was partial.
+    /// Loads a stage checkpoint — its boundary stamp, payload and report
+    /// snapshot — or `None` when [`CampaignStore::read_doc`] finds nothing
+    /// usable or the file was written under the other telemetry mode.
     pub fn load_stage(&self, name: &str) -> Option<(u64, Json, RunReport)> {
-        let text = fs::read_to_string(self.stage_path(name)).ok()?;
-        let doc = match Json::parse(&text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!(
-                    "warning: campaign checkpoint stage-{name}.json is corrupted ({e}); recomputing the stage"
-                );
-                return None;
-            }
-        };
-        if doc.get("format")?.as_u64()? != CHECKPOINT_FORMAT {
-            return None;
-        }
-        if doc.get("fingerprint")?.as_str()? != self.fingerprint {
-            return None;
-        }
-        if doc.get("params")?.to_string_compact() != self.params {
-            return None;
-        }
-        if doc.get("metrics")?.as_bool()? != self.metrics {
-            return None;
-        }
-        let boundary = doc.get("boundary")?.as_u64()?;
-        let report = RunReport::from_json_value(doc.get("report")?).ok()?;
-        Some((boundary, doc.get("payload")?.clone(), report))
+        let doc: StageDoc = self.read_doc(&self.stage_path(name), "recomputing the stage")?;
+        (doc.metrics == self.metrics).then_some((doc.boundary, doc.payload, doc.report))
     }
 
     fn quarantine_path(&self) -> PathBuf {
         self.dir.join("quarantine.json")
     }
 
-    /// Persists the campaign's quarantine atomically, guarded by the same
-    /// format/fingerprint/params identity as the stage files (quarantine
-    /// fingerprints are only meaningful for the campaign that wrote them).
-    /// Telemetry on/off is deliberately *not* part of the identity: the
-    /// quarantine records poisoned inputs, not counted work.
+    /// Persists the campaign's quarantine, under the same stamp as the
+    /// stage files (quarantine fingerprints are only meaningful for the
+    /// campaign that wrote them). Telemetry on/off is deliberately *not*
+    /// part of it: the quarantine records poisoned inputs, not counted work.
     pub fn save_quarantine(&self, quarantine: &Quarantine) -> io::Result<()> {
-        let params = Json::parse(&self.params).expect("params round-trip");
-        let doc = Json::obj(vec![
-            ("format", Json::count(CHECKPOINT_FORMAT)),
-            ("fingerprint", Json::str(self.fingerprint.clone())),
-            ("params", params),
-            ("quarantine", quarantine.to_json()),
-        ]);
-        write_atomic(&self.quarantine_path(), doc.to_string_compact().as_bytes())
+        let doc = QuarantineDoc {
+            quarantine: quarantine.clone(),
+        };
+        self.write_doc(&self.quarantine_path(), &doc)
     }
 
-    /// Loads the persisted quarantine; absent, unreadable, or mismatched
-    /// files yield an empty quarantine (same soft-fail contract as
-    /// [`CampaignStore::load_stage`], with the same corruption warning).
+    /// Loads the persisted quarantine; anything but a decodable file of
+    /// this campaign yields an empty quarantine (same soft-fail contract
+    /// as [`CampaignStore::load_stage`], with the same corruption warning).
     pub fn load_quarantine(&self) -> Quarantine {
-        let Ok(text) = fs::read_to_string(self.quarantine_path()) else {
-            return Quarantine::new();
-        };
-        let doc = match Json::parse(&text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!(
-                    "warning: campaign quarantine.json is corrupted ({e}); starting with an empty quarantine"
-                );
-                return Quarantine::new();
-            }
-        };
-        let valid = doc.get("format").and_then(Json::as_u64) == Some(CHECKPOINT_FORMAT)
-            && doc.get("fingerprint").and_then(Json::as_str) == Some(self.fingerprint.as_str())
-            && doc
-                .get("params")
-                .map(|p| p.to_string_compact() == self.params)
-                .unwrap_or(false);
-        if !valid {
-            return Quarantine::new();
-        }
-        doc.get("quarantine")
-            .and_then(|q| Quarantine::from_json(q).ok())
-            .unwrap_or_default()
+        self.read_doc(&self.quarantine_path(), "starting with an empty quarantine")
+            .map_or_else(Quarantine::new, |doc: QuarantineDoc| doc.quarantine)
     }
 
     /// Removes all stage files and the quarantine (a fresh non-resume run
@@ -657,7 +431,7 @@ fn campaign_impl(
 
     // Stage 1: suite generation.
     let suite = match &suite_ck {
-        Some((_, payload, _)) => suite_from_json(payload)?,
+        Some((_, payload, _)) => TestSuite::decode(payload).map_err(bad_payload)?,
         None => {
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_SUITE);
@@ -680,13 +454,7 @@ fn campaign_impl(
                     &params.gen_config(),
                 )?,
             };
-            checkpoint(
-                fw,
-                &cstore,
-                STAGE_SUITE,
-                BOUNDARY_SUITE,
-                suite_to_json(&suite),
-            )?;
+            checkpoint(fw, &cstore, STAGE_SUITE, BOUNDARY_SUITE, suite.encode())?;
             save_quarantine(&cstore, supervised.as_deref())?;
             suite
         }
@@ -695,18 +463,14 @@ fn campaign_impl(
         return Ok(None);
     }
 
-    // Stage 2: bipartite graph. A supervised graph stage may shrink the
-    // suite (quarantined targets drop with their queries), so its
-    // checkpoint payload carries the shrunk suite alongside the graph —
-    // the two must stay consistent on resume.
+    // Stage 2: bipartite graph (payload: `ShrunkGraph` when supervised,
+    // the bare graph otherwise).
     let (suite, graph) = match &graph_ck {
-        Some((_, payload, _)) => match payload.get("graph") {
-            Some(g) => (
-                suite_from_json(payload.get("suite").ok_or_else(|| malformed("suite"))?)?,
-                graph_from_json(g)?,
-            ),
-            None => (suite, graph_from_json(payload)?),
-        },
+        Some((_, payload, _)) if payload.get("graph").is_some() => {
+            let shrunk = ShrunkGraph::decode(payload).map_err(bad_payload)?;
+            (shrunk.suite, shrunk.graph)
+        }
+        Some((_, payload, _)) => (suite, BipartiteGraph::decode(payload).map_err(bad_payload)?),
         None => {
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_GRAPH);
@@ -714,28 +478,14 @@ fn campaign_impl(
             match supervised.as_deref_mut() {
                 Some(q) => {
                     let (suite, graph) = build_graph_supervised(fw, &suite, q)?;
-                    checkpoint(
-                        fw,
-                        &cstore,
-                        STAGE_GRAPH,
-                        BOUNDARY_GRAPH,
-                        Json::obj(vec![
-                            ("suite", suite_to_json(&suite)),
-                            ("graph", graph_to_json(&graph)),
-                        ]),
-                    )?;
+                    let shrunk = ShrunkGraph { suite, graph };
+                    checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, shrunk.encode())?;
                     save_quarantine(&cstore, supervised.as_deref())?;
-                    (suite, graph)
+                    (shrunk.suite, shrunk.graph)
                 }
                 None => {
                     let graph = build_graph(fw, &suite)?;
-                    checkpoint(
-                        fw,
-                        &cstore,
-                        STAGE_GRAPH,
-                        BOUNDARY_GRAPH,
-                        graph_to_json(&graph),
-                    )?;
+                    checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, graph.encode())?;
                     (suite, graph)
                 }
             }
@@ -787,8 +537,7 @@ fn checkpoint(
             .persist_cache()
             .map_err(|e| io_err("persisting invocation cache", e))?;
     }
-    let report = fw.run_report();
-    cs.save_stage(name, boundary, payload, &report)
+    cs.save_stage(name, boundary, payload, fw.run_report())
         .map_err(|e| io_err("writing stage checkpoint", e))
 }
 

@@ -24,11 +24,11 @@ use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
 use crate::suite::{queries_for_target, BipartiteGraph, RuleTarget, TestSuite};
 use crate::triage::{bundle::BUNDLE_VERSION, minimize, ReproBundle, TriageConfig};
-use ruletest_common::{par_map_supervised, sandbox, Error, Failure, Result, RuleId};
+use ruletest_common::{fnv1a, par_map_supervised, sandbox, wire_record, Failure, Result, RuleId};
 use ruletest_executor::execute_with;
 use ruletest_logical::LogicalTree;
 use ruletest_optimizer::OptimizerConfig;
-use ruletest_telemetry::{Counter, Event, Json, Stage};
+use ruletest_telemetry::{Counter, Event, Stage};
 use std::collections::{BTreeSet, HashMap};
 
 /// Supervision site labels (stable: they feed quarantine fingerprints).
@@ -36,16 +36,6 @@ pub const SITE_SUITE: &str = "suite.generate";
 pub const SITE_GRAPH: &str = "graph.edges";
 pub const SITE_EXEC_BASE: &str = "exec.base";
 pub const SITE_EXEC_PAIR: &str = "exec.pair";
-
-/// FNV-1a 64 over the `(site, input)` identity of a supervised work item.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Stable fingerprint of a supervised input: a pure function of the site
 /// label and the input's identity string (target label, SQL text, ...),
@@ -84,12 +74,24 @@ pub struct QuarantineEntry {
     pub rule_mask: Vec<String>,
 }
 
+wire_record!(QuarantineEntry {
+    "fingerprint" => fingerprint,
+    "kind" => kind,
+    "site" => site,
+    "message" => message,
+    "label" => label,
+    "sql" => sql: omit_none,
+    "rule_mask" => rule_mask,
+});
+
 /// The set of inputs a campaign must not touch again. Ordered by first
 /// insertion; deduplicated by fingerprint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Quarantine {
     entries: Vec<QuarantineEntry>,
 }
+
+wire_record!(Quarantine { "entries" => entries });
 
 impl Quarantine {
     pub fn new() -> Self {
@@ -134,72 +136,6 @@ impl Quarantine {
         for e in other.entries {
             self.add(e);
         }
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "entries",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|e| {
-                        let mut fields = vec![
-                            ("fingerprint", Json::str(e.fingerprint.clone())),
-                            ("kind", Json::str(e.kind.clone())),
-                            ("site", Json::str(e.site.clone())),
-                            ("message", Json::str(e.message.clone())),
-                            ("label", Json::str(e.label.clone())),
-                        ];
-                        if let Some(sql) = &e.sql {
-                            fields.push(("sql", Json::str(sql.clone())));
-                        }
-                        fields.push((
-                            "rule_mask",
-                            Json::Arr(e.rule_mask.iter().map(Json::str).collect()),
-                        ));
-                        Json::obj(fields)
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-
-    pub fn from_json(j: &Json) -> Result<Quarantine> {
-        let malformed = |what: &str| Error::unsupported(format!("quarantine: malformed {what}"));
-        let str_field = |e: &Json, name: &str| -> Result<String> {
-            e.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| malformed(name))
-        };
-        let mut out = Quarantine::new();
-        for e in j
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| malformed("entries"))?
-        {
-            let rule_mask = e
-                .get("rule_mask")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| malformed("rule_mask"))?
-                .iter()
-                .map(|r| {
-                    r.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| malformed("rule_mask"))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            out.add(QuarantineEntry {
-                fingerprint: str_field(e, "fingerprint")?,
-                kind: str_field(e, "kind")?,
-                site: str_field(e, "site")?,
-                message: str_field(e, "message")?,
-                label: str_field(e, "label")?,
-                sql: e.get("sql").and_then(Json::as_str).map(str::to_string),
-                rule_mask,
-            });
-        }
-        Ok(out)
     }
 }
 
@@ -585,7 +521,7 @@ pub fn crash_bundles(
             version: BUNDLE_VERSION,
             target_label: entry.label.clone(),
             rule_mask: entry.rule_mask.clone(),
-            fault: cfg.fault.map(|f| f.name().to_string()),
+            fault: cfg.fault.map(|m| m.id.to_string()),
             seed: suite_seed,
             db_seed: fw.db_profile.db_seed,
             scale: fw.db_profile.scale as u64,
@@ -628,6 +564,7 @@ pub fn quarantine_summary(q: &Quarantine) -> String {
 mod tests {
     use super::*;
     use crate::framework::FrameworkConfig;
+    use ruletest_common::{Decode, Encode};
 
     #[test]
     fn fingerprints_are_stable_and_site_scoped() {
@@ -669,7 +606,7 @@ mod tests {
         assert!(q.contains_input(SITE_EXEC_PAIR, "A|SELECT 1"));
         assert!(!q.contains_input(SITE_EXEC_PAIR, "A|SELECT 2"));
 
-        let round = Quarantine::from_json(&q.to_json()).unwrap();
+        let round = Quarantine::decode(&q.encode()).unwrap();
         assert_eq!(round, q);
         // The optional sql field round-trips both present and absent.
         assert_eq!(round.entries()[0].sql.as_deref(), Some("SELECT 1"));

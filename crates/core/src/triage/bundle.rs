@@ -1,7 +1,7 @@
 //! Repro bundles: self-contained, deterministic bug reproductions.
 //!
 //! A bundle records everything a fresh process needs to re-derive the
-//! divergence: the database generator seed and scale, the fault to
+//! divergence: the database generator seed and scale, the mutant to
 //! inject (if the run used one), the masked rule names, and the
 //! minimized SQL. [`replay`] rebuilds the database and optimizer from
 //! those fields alone, re-parses the SQL (the dialect round-trips
@@ -11,13 +11,13 @@
 //! Bundles serialize one-per-line as JSONL so campaign artifacts can be
 //! concatenated, grepped, and replayed individually.
 
-use crate::faults::{buggy_optimizer, Fault};
-use ruletest_common::{diff_multisets, Error, Result, RuleId};
+use crate::mutate::{mutant_optimizer, Mutant};
+use ruletest_common::wire::{object, required};
+use ruletest_common::{diff_multisets, wire_record, Decode, Encode, Error, Json, Result, RuleId};
 use ruletest_executor::{execute_with, ExecConfig};
 use ruletest_optimizer::{Optimizer, OptimizerConfig};
 use ruletest_sql::parse_sql;
 use ruletest_storage::{tpch_database, TpchConfig};
-use ruletest_telemetry::Json;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ pub struct ReproBundle {
     pub target_label: String,
     /// Names of the rules masked in `Plan(q, ¬R)`.
     pub rule_mask: Vec<String>,
-    /// Name of the injected [`Fault`], when the run was fault-injected.
+    /// Id of the injected [`Mutant`], when the run was fault-injected.
     pub fault: Option<String>,
     /// Suite generation seed (provenance; not needed to replay).
     pub seed: u64,
@@ -56,100 +56,51 @@ pub struct ReproBundle {
     pub masked_plan: String,
 }
 
-impl ReproBundle {
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version", Json::count(self.version)),
-            ("target", Json::str(self.target_label.clone())),
-            (
-                "rule_mask",
-                Json::Arr(self.rule_mask.iter().map(Json::str).collect()),
-            ),
-        ];
-        if let Some(f) = &self.fault {
-            fields.push(("fault", Json::str(f.clone())));
-        }
-        fields.extend([
-            ("seed", Json::count(self.seed)),
-            ("db_seed", Json::count(self.db_seed)),
-            ("scale", Json::count(self.scale)),
-            ("sql", Json::str(self.sql.clone())),
-            ("ops", Json::count(self.ops)),
-            ("signature", Json::str(self.signature.clone())),
-            ("duplicates", Json::count(self.duplicates)),
-            ("diff_summary", Json::str(self.diff_summary.clone())),
-            ("base_plan", Json::str(self.base_plan.clone())),
-            ("masked_plan", Json::str(self.masked_plan.clone())),
-        ]);
-        Json::obj(fields)
-    }
+wire_record!(ReproBundle {
+    "version" => version,
+    "target" => target_label,
+    "rule_mask" => rule_mask,
+    "fault" => fault: omit_none,
+    "seed" => seed,
+    "db_seed" => db_seed,
+    "scale" => scale,
+    "sql" => sql,
+    "ops" => ops,
+    "signature" => signature,
+    "duplicates" => duplicates,
+    "diff_summary" => diff_summary,
+    "base_plan" => base_plan,
+    "masked_plan" => masked_plan,
+});
 
-    pub fn from_json(j: &Json) -> std::result::Result<ReproBundle, String> {
-        let str_field = |name: &str| -> std::result::Result<String, String> {
-            j.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("bundle missing string field '{name}'"))
-        };
-        let num_field = |name: &str| -> std::result::Result<u64, String> {
-            j.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("bundle missing numeric field '{name}'"))
-        };
-        let version = num_field("version")?;
+/// Writes bundles as JSONL, one per line.
+pub fn write_bundles<W: Write>(w: &mut W, bundles: &[ReproBundle]) -> std::io::Result<()> {
+    for b in bundles {
+        writeln!(w, "{}", b.encode().to_string_compact())?;
+    }
+    Ok(())
+}
+
+/// Reads a JSONL bundle stream (blank lines ignored). The version is
+/// checked before anything else: another version's fields are not ours to
+/// interpret.
+pub fn read_bundles<R: BufRead>(r: R) -> std::result::Result<Vec<ReproBundle>, String> {
+    let read_one = |line: &str| -> std::result::Result<ReproBundle, String> {
+        let j = Json::parse(line)?;
+        let version: u64 = required(object(&j)?, "version", Decode::decode)?;
         if version != BUNDLE_VERSION {
             return Err(format!(
                 "bundle version {version} unsupported (expected {BUNDLE_VERSION})"
             ));
         }
-        let rule_mask = j
-            .get("rule_mask")
-            .and_then(Json::as_arr)
-            .ok_or("bundle missing rule_mask")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string rule name".to_string())
-            })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        Ok(ReproBundle {
-            version,
-            target_label: str_field("target")?,
-            rule_mask,
-            fault: j.get("fault").and_then(Json::as_str).map(str::to_string),
-            seed: num_field("seed")?,
-            db_seed: num_field("db_seed")?,
-            scale: num_field("scale")?,
-            sql: str_field("sql")?,
-            ops: num_field("ops")?,
-            signature: str_field("signature")?,
-            duplicates: num_field("duplicates")?,
-            diff_summary: str_field("diff_summary")?,
-            base_plan: str_field("base_plan")?,
-            masked_plan: str_field("masked_plan")?,
-        })
-    }
-}
-
-/// Writes bundles as JSONL, one per line.
-pub fn write_bundles<W: Write>(w: &mut W, bundles: &[ReproBundle]) -> std::io::Result<()> {
-    for b in bundles {
-        writeln!(w, "{}", b.to_json().to_string_compact())?;
-    }
-    Ok(())
-}
-
-/// Reads a JSONL bundle stream (blank lines ignored).
-pub fn read_bundles<R: BufRead>(r: R) -> std::result::Result<Vec<ReproBundle>, String> {
+        Ok(ReproBundle::decode(&j)?)
+    };
     let mut out = Vec::new();
     for (i, line) in r.lines().enumerate() {
         let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-        if line.trim().is_empty() {
-            continue;
+        if !line.trim().is_empty() {
+            out.push(read_one(&line).map_err(|e| format!("line {}: {e}", i + 1))?);
         }
-        let j = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(ReproBundle::from_json(&j).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(out)
 }
@@ -167,7 +118,7 @@ pub struct ReplayOutcome {
 }
 
 /// Re-executes a bundle from scratch: fresh database (same generator seed
-/// and scale), fresh optimizer (same fault), re-parsed SQL. No state from
+/// and scale), fresh optimizer (same mutant), re-parsed SQL. No state from
 /// the detecting process is consulted.
 pub fn replay(bundle: &ReproBundle) -> Result<ReplayOutcome> {
     let db = Arc::new(tpch_database(&TpchConfig::scaled(
@@ -175,10 +126,7 @@ pub fn replay(bundle: &ReproBundle) -> Result<ReplayOutcome> {
         bundle.scale as usize,
     ))?);
     let optimizer = match &bundle.fault {
-        Some(name) => {
-            let fault = Fault::from_name(name)?;
-            buggy_optimizer(db.clone(), fault)
-        }
+        Some(id) => mutant_optimizer(db.clone(), Mutant::by_id(id)?),
         None => Optimizer::new(db.clone()),
     };
     let rules: Vec<RuleId> = bundle

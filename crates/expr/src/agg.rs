@@ -7,7 +7,7 @@
 //! validation (see DESIGN.md).
 
 use crate::expr::Expr;
-use ruletest_common::{ColId, DataType, Value};
+use ruletest_common::{wire_names, wire_record, ColId, DataType, Value};
 
 /// An aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,6 +23,14 @@ pub enum AggFunc {
     /// `MAX(col)`.
     Max,
 }
+
+wire_names!(AggFunc {
+    CountStar => "count_star",
+    Count => "count",
+    Sum => "sum",
+    Min => "min",
+    Max => "max",
+});
 
 impl AggFunc {
     /// The function that combines partial results of this aggregate when an
@@ -65,6 +73,8 @@ pub struct AggCall {
     pub arg: Option<ColId>,
     pub output: ColId,
 }
+
+wire_record!(AggCall { "func" => func, "arg" => arg, "out" => output });
 
 impl AggCall {
     pub fn new(func: AggFunc, arg: Option<ColId>, output: ColId) -> Self {

@@ -1,6 +1,7 @@
 //! The scalar expression tree.
 
-use ruletest_common::{ColId, Value};
+use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
+use ruletest_common::{wire_names, ColId, Json, Value};
 use std::fmt;
 
 /// Binary operators. Comparison and logical operators produce BOOL;
@@ -19,6 +20,20 @@ pub enum BinOp {
     And,
     Or,
 }
+
+wire_names!(BinOp {
+    Eq => "eq",
+    Ne => "ne",
+    Lt => "lt",
+    Le => "le",
+    Gt => "gt",
+    Ge => "ge",
+    Add => "add",
+    Sub => "sub",
+    Mul => "mul",
+    And => "and",
+    Or => "or",
+});
 
 impl BinOp {
     /// True for `=, <>, <, <=, >, >=`.
@@ -132,6 +147,48 @@ impl Expr {
             Expr::Col(_) | Expr::Lit(_) => 1,
             Expr::Bin { left, right, .. } => 1 + left.node_count() + right.node_count(),
             Expr::Not(e) | Expr::IsNull(e) => 1 + e.node_count(),
+        }
+    }
+}
+
+/// Tagged by which member is present, not by a tag key: `{"col": id}`,
+/// `{"lit": value}`, `{"bin": op, "l": e, "r": e}`, `{"not": e}`,
+/// `{"is_null": e}` — so an expression carries no tag member.
+impl Encode for Expr {
+    fn encode(&self) -> Json {
+        match self {
+            Expr::Col(c) => Json::obj(vec![("col", c.encode())]),
+            Expr::Lit(v) => Json::obj(vec![("lit", v.encode())]),
+            Expr::Bin { op, left, right } => Json::obj(vec![
+                ("bin", op.encode()),
+                ("l", left.encode()),
+                ("r", right.encode()),
+            ]),
+            Expr::Not(x) => Json::obj(vec![("not", x.encode())]),
+            Expr::IsNull(x) => Json::obj(vec![("is_null", x.encode())]),
+        }
+    }
+}
+
+impl Decode for Expr {
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        let m = object(j)?;
+        if m.contains_key("col") {
+            required(m, "col", Decode::decode).map(Expr::Col)
+        } else if m.contains_key("lit") {
+            required(m, "lit", Decode::decode).map(Expr::Lit)
+        } else if m.contains_key("bin") {
+            Ok(Expr::bin(
+                required(m, "bin", Decode::decode)?,
+                required(m, "l", Decode::decode)?,
+                required(m, "r", Decode::decode)?,
+            ))
+        } else if m.contains_key("not") {
+            required(m, "not", Decode::decode).map(Expr::not)
+        } else if m.contains_key("is_null") {
+            required(m, "is_null", Decode::decode).map(Expr::is_null)
+        } else {
+            Err(DecodeError::expected("an expression"))
         }
     }
 }

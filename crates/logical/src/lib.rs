@@ -10,6 +10,6 @@ pub mod op;
 pub mod schema;
 pub mod tree;
 
-pub use op::{JoinKind, OpKind, Operator, SortKey};
+pub use op::{projections, JoinKind, OpKind, Operator, SortKey};
 pub use schema::{derive_schema, output_schema, ColumnInfo, Schema};
 pub use tree::{IdGen, LogicalTree};

@@ -1,6 +1,6 @@
 //! Logical operator payloads (children abstracted away).
 
-use ruletest_common::{ColId, TableId};
+use ruletest_common::{wire_enum, wire_names, wire_record, ColId, TableId};
 use ruletest_expr::{AggCall, Expr};
 use std::fmt;
 
@@ -16,6 +16,15 @@ pub enum JoinKind {
     /// Left anti-join: emits left rows with no match.
     LeftAnti,
 }
+
+wire_names!(JoinKind {
+    Inner => "inner",
+    LeftOuter => "left_outer",
+    RightOuter => "right_outer",
+    FullOuter => "full_outer",
+    LeftSemi => "left_semi",
+    LeftAnti => "left_anti",
+});
 
 impl JoinKind {
     /// True for the kinds whose output contains both input schemas.
@@ -65,6 +74,8 @@ pub struct SortKey {
     pub col: ColId,
     pub descending: bool,
 }
+
+wire_record!(SortKey { "col" => col, "desc" => descending });
 
 impl SortKey {
     pub fn asc(col: ColId) -> Self {
@@ -148,6 +159,47 @@ pub enum Operator {
     Sort { keys: Vec<SortKey> },
     /// ORDER BY ... FETCH FIRST n: deterministic via full-row tie-break.
     Top { n: u64, keys: Vec<SortKey> },
+}
+
+wire_enum!(Operator tagged "op" {
+    "get" => Get { "table" => table, "cols" => cols },
+    "select" => Select { "pred" => predicate },
+    "project" => Project { "outputs" => outputs via projections },
+    "join" => Join { "kind" => kind, "pred" => predicate },
+    "gbagg" => GbAgg { "group_by" => group_by, "aggs" => aggs },
+    "union_all" => UnionAll {
+        "outputs" => outputs,
+        "left_cols" => left_cols,
+        "right_cols" => right_cols,
+    },
+    "distinct" => Distinct {},
+    "sort" => Sort { "keys" => keys },
+    "top" => Top { "n" => n, "keys" => keys },
+});
+
+/// `via projections`: a computing projection's `(output id, expression)`
+/// list as `[{"col": id, "expr": e}, ..]`. Hand-written because the element
+/// is a tuple, whose own wire form is a two-element array.
+pub mod projections {
+    use ruletest_common::wire::{array, object, required, Decode, DecodeError, Encode};
+    use ruletest_common::{ColId, Json};
+    use ruletest_expr::Expr;
+
+    pub fn encode(outputs: &[(ColId, Expr)]) -> Json {
+        let entry =
+            |(c, e): &(ColId, Expr)| Json::obj(vec![("col", c.encode()), ("expr", e.encode())]);
+        Json::Arr(outputs.iter().map(entry).collect())
+    }
+
+    pub fn decode(j: &Json) -> Result<Vec<(ColId, Expr)>, DecodeError> {
+        array(j, |entry| {
+            let m = object(entry)?;
+            Ok((
+                required(m, "col", Decode::decode)?,
+                required(m, "expr", Decode::decode)?,
+            ))
+        })
+    }
 }
 
 impl Operator {

@@ -8,7 +8,7 @@
 
 use crate::op::{JoinKind, Operator};
 use crate::tree::LogicalTree;
-use ruletest_common::{ColId, DataType, Error, Result};
+use ruletest_common::{wire_record, ColId, DataType, Error, Result};
 use ruletest_expr::{infer_type, AggFunc};
 use ruletest_storage::Catalog;
 use std::collections::BTreeSet;
@@ -20,6 +20,8 @@ pub struct ColumnInfo {
     pub data_type: DataType,
     pub nullable: bool,
 }
+
+wire_record!(ColumnInfo { "id" => id, "type" => data_type, "nullable" => nullable });
 
 /// An ordered output schema.
 pub type Schema = Vec<ColumnInfo>;

@@ -1,7 +1,7 @@
 //! Standalone logical query trees and tree utilities.
 
 use crate::op::{JoinKind, Operator, SortKey};
-use ruletest_common::{ColId, TableId};
+use ruletest_common::{wire_record, ColId, TableId};
 use ruletest_expr::{AggCall, Expr};
 use std::fmt;
 
@@ -61,6 +61,11 @@ pub struct LogicalTree {
     pub op: Operator,
     pub children: Vec<LogicalTree>,
 }
+
+// Column ids and all: SQL text is deliberately *not* the wire form —
+// re-parsing renumbers column ids, and a cache key that round-trips
+// inexactly would never match again.
+wire_record!(LogicalTree { "o" => op, "c" => children });
 
 impl LogicalTree {
     pub fn new(op: Operator, children: Vec<LogicalTree>) -> Self {

@@ -45,6 +45,16 @@ pub struct CacheKey {
     hard_max_exprs: Option<usize>,
 }
 
+// `hard_max_exprs` is left out when unset so default-config keys keep the
+// exact canonical bytes older snapshots were addressed by.
+ruletest_common::wire_record!(CacheKey {
+    "tree" => tree,
+    "disabled" => disabled,
+    "max_exprs" => max_exprs,
+    "max_passes" => max_passes,
+    "hard_max_exprs" => hard_max_exprs: omit_none,
+});
+
 impl CacheKey {
     pub fn new(tree: &LogicalTree, config: &OptimizerConfig) -> Self {
         Self {
@@ -54,28 +64,6 @@ impl CacheKey {
             max_passes: config.max_passes,
             hard_max_exprs: config.hard_max_exprs,
         }
-    }
-
-    /// The logical tree this key was built from.
-    pub fn tree(&self) -> &LogicalTree {
-        &self.tree
-    }
-
-    /// Canonical (ascending) disabled rule ids.
-    pub fn disabled(&self) -> &[RuleId] {
-        &self.disabled
-    }
-
-    pub fn max_exprs(&self) -> usize {
-        self.max_exprs
-    }
-
-    pub fn max_passes(&self) -> usize {
-        self.max_passes
-    }
-
-    pub fn hard_max_exprs(&self) -> Option<usize> {
-        self.hard_max_exprs
     }
 
     pub fn fingerprint(&self) -> u64 {

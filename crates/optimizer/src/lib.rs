@@ -34,8 +34,9 @@ pub use optimizer::{
     match_bindings, OptimizeResult, Optimizer, OptimizerConfig, Search, SubstituteAuditor,
 };
 pub use pattern::{OpMatcher, PatternTree};
-pub use persist::{campaign_fingerprint, Fnv64, SnapshotStore, WarmHit};
+pub use persist::{campaign_fingerprint, SnapshotStore, WarmHit};
 pub use physical::{PhysOp, PhysicalPlan};
 pub use rule::{
     Bound, BoundChild, NewChild, NewTree, PhysCandidate, Rule, RuleAction, RuleCtx, RuleKind,
 };
+pub use ruletest_common::Fnv64;

@@ -101,6 +101,16 @@ pub struct OptimizeResult {
     pub truncated: bool,
 }
 
+ruletest_common::wire_record!(OptimizeResult {
+    "plan" => plan,
+    "cost" => cost,
+    "rule_set" => rule_set,
+    "rule_deps" => rule_dependencies,
+    "groups" => groups,
+    "exprs" => exprs,
+    "truncated" => truncated,
+});
+
 impl OptimizeResult {
     /// Exercised rules restricted to exploration rules.
     pub fn exercised(&self, optimizer: &Optimizer) -> BTreeSet<RuleId> {
@@ -1482,14 +1492,8 @@ mod tests {
             .map(|i| cold.rule(RuleId(i as u16)).name.to_string())
             .collect();
         assert_eq!(
-            cold.telemetry()
-                .profile_section(&names)
-                .to_json()
-                .to_string_compact(),
-            warm.telemetry()
-                .profile_section(&names)
-                .to_json()
-                .to_string_compact()
+            cold.telemetry().profile_section(&names),
+            warm.telemetry().profile_section(&names)
         );
 
         // A stale fingerprint is rejected and counted; the probe computes.

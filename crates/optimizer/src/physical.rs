@@ -5,9 +5,9 @@
 //! away: order-sensitive algorithms (merge join, stream aggregate) sort
 //! their inputs internally and carry that cost themselves — see DESIGN.md.
 
-use ruletest_common::{ColId, TableId, Value};
+use ruletest_common::{wire_enum, wire_record, ColId, TableId, Value};
 use ruletest_expr::{AggCall, Expr};
-use ruletest_logical::{JoinKind, Schema, SortKey};
+use ruletest_logical::{projections, JoinKind, Schema, SortKey};
 
 /// A physical operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +68,40 @@ pub enum PhysOp {
     TopN { n: u64, keys: Vec<SortKey> },
 }
 
+wire_enum!(PhysOp tagged "op" {
+    "seq_scan" => SeqScan { "table" => table, "cols" => cols },
+    "index_seek" => IndexSeek {
+        "table" => table,
+        "cols" => cols,
+        "key" => key,
+        "residual" => residual,
+    },
+    "filter" => Filter { "pred" => predicate },
+    "compute" => Compute { "outputs" => outputs via projections },
+    "nl_join" => NLJoin { "kind" => kind, "pred" => predicate },
+    "hash_join" => HashJoin {
+        "kind" => kind,
+        "left_keys" => left_keys,
+        "right_keys" => right_keys,
+        "residual" => residual,
+    },
+    "merge_join" => MergeJoin {
+        "left_key" => left_key,
+        "right_key" => right_key,
+        "residual" => residual,
+    },
+    "hash_agg" => HashAgg { "group_by" => group_by, "aggs" => aggs },
+    "stream_agg" => StreamAgg { "group_by" => group_by, "aggs" => aggs },
+    "concat" => Concat {
+        "outputs" => outputs,
+        "left_cols" => left_cols,
+        "right_cols" => right_cols,
+    },
+    "hash_distinct" => HashDistinct {},
+    "sort" => SortOp { "keys" => keys },
+    "top_n" => TopN { "n" => n, "keys" => keys },
+});
+
 impl PhysOp {
     /// Short name for EXPLAIN output.
     pub fn name(&self) -> &'static str {
@@ -102,6 +136,14 @@ pub struct PhysicalPlan {
     /// the `Cost(q)` / `Cost(q, ¬R)` of the paper.
     pub est_cost: f64,
 }
+
+wire_record!(PhysicalPlan {
+    "o" => op,
+    "c" => children,
+    "schema" => schema,
+    "est_rows" => est_rows,
+    "est_cost" => est_cost,
+});
 
 impl PhysicalPlan {
     /// Number of physical operators.

@@ -1,5 +1,6 @@
-//! Campaign telemetry for the `ruletest` workspace — std-only, zero
-//! dependencies, and near-free when disabled.
+//! Campaign telemetry for the `ruletest` workspace — std-only (its one
+//! dependency is `ruletest-common`, for the JSON value model and the wire
+//! codec), and near-free when disabled.
 //!
 //! The paper's framework is an *instrumented* optimizer: §3 needs
 //! per-query rule traces, and §5 / Figure 14 measures campaigns in
@@ -22,19 +23,18 @@
 //! reproductions and the campaign determinism guarantees unchanged.
 
 pub mod diff;
-pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod trace;
 
 pub use diff::{diff_reports, DiffItem, DiffReport};
-pub use json::Json;
 pub use metrics::{
     bucket_index, Counter, Hist, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
     HIST_BUCKETS, MAX_RULES,
 };
 pub use report::{CacheSection, PoolSection, RunReport, TraceSection, SCHEMA_VERSION};
+pub use ruletest_common::json::{self, Json};
 pub use span::{ProfileSample, ProfileSection, Profiler, RuleCostRow, SpanGuard, SpanRow, Stage};
 pub use trace::{Event, RulePhase, TraceStats, Tracer, DEFAULT_SHARD_CAPACITY};
 

@@ -6,7 +6,7 @@
 //! fixed atomic array indexed by `RuleId` so the fire site is a single
 //! relaxed add too.
 
-use crate::json::Json;
+use ruletest_common::wire_record;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters tracked by the registry.
@@ -349,57 +349,37 @@ impl HistogramSnapshot {
         // Unreachable when count > 0, but stay total.
         0.0
     }
+}
 
-    /// Serialized with trailing empty buckets trimmed.
-    pub fn to_json(&self) -> Json {
-        let last = self
-            .buckets
-            .iter()
-            .rposition(|&b| b != 0)
-            .map_or(0, |i| i + 1);
-        Json::obj(vec![
-            ("count", Json::count(self.count)),
-            ("sum", Json::count(self.sum)),
-            (
-                "buckets",
-                Json::Arr(
-                    self.buckets[..last]
-                        .iter()
-                        .map(|&b| Json::count(b))
-                        .collect(),
-                ),
-            ),
-        ])
+wire_record!(HistogramSnapshot {
+    "count" => count,
+    "sum" => sum,
+    "buckets" => buckets via trimmed_buckets,
+});
+
+/// `via trimmed_buckets`: the fixed bucket array with its trailing empty
+/// buckets trimmed on the way out and restored on the way in.
+mod trimmed_buckets {
+    use super::HIST_BUCKETS;
+    use ruletest_common::wire::{Decode, DecodeError, Encode};
+    use ruletest_common::Json;
+
+    pub fn encode(buckets: &[u64; HIST_BUCKETS]) -> Json {
+        let used = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        buckets[..used].encode()
     }
 
-    pub fn from_json(j: &Json) -> Result<HistogramSnapshot, String> {
-        let count = j
-            .get("count")
-            .and_then(Json::as_u64)
-            .ok_or("histogram missing count")?;
-        let sum = j
-            .get("sum")
-            .and_then(Json::as_u64)
-            .ok_or("histogram missing sum")?;
-        let arr = j
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or("histogram missing buckets")?;
-        if arr.len() > HIST_BUCKETS {
-            return Err(format!(
-                "histogram has {} buckets (max {HIST_BUCKETS})",
-                arr.len()
-            ));
+    pub fn decode(j: &Json) -> Result<[u64; HIST_BUCKETS], DecodeError> {
+        let written = Vec::<u64>::decode(j)?;
+        if written.len() > HIST_BUCKETS {
+            return Err(DecodeError::new(format!(
+                "{} buckets (max {HIST_BUCKETS})",
+                written.len()
+            )));
         }
         let mut buckets = [0u64; HIST_BUCKETS];
-        for (i, b) in arr.iter().enumerate() {
-            buckets[i] = b.as_u64().ok_or("non-integer bucket")?;
-        }
-        Ok(HistogramSnapshot {
-            buckets,
-            count,
-            sum,
-        })
+        buckets[..written.len()].copy_from_slice(&written);
+        Ok(buckets)
     }
 }
 
@@ -499,6 +479,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruletest_common::{Decode, Encode};
 
     #[test]
     fn counters_accumulate() {
@@ -533,7 +514,7 @@ mod tests {
         assert_eq!(snap.count, 6);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
         assert_eq!(snap.sum, 207 + (1 << 40));
-        let rt = HistogramSnapshot::from_json(&snap.to_json()).unwrap();
+        let rt = HistogramSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(rt, snap);
     }
 
@@ -566,7 +547,7 @@ mod tests {
         assert!(p95 >= 1024.0 && p99 <= 4096.0, "{p95} {p99}");
         // Empty histogram: defined, zero.
         assert_eq!(
-            HistogramSnapshot::from_json(&Histogram::default().snapshot().to_json())
+            HistogramSnapshot::decode(&Histogram::default().snapshot().encode())
                 .unwrap()
                 .percentile(50.0),
             0.0

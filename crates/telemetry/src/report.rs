@@ -14,6 +14,8 @@
 use crate::json::Json;
 use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot, HIST_BUCKETS};
 use crate::span::{ProfileSection, SpanRow};
+use ruletest_common::wire::{decimal, Decode, Encode};
+use ruletest_common::wire_record;
 use std::collections::BTreeMap;
 
 /// Invocation-cache section (mirrors the optimizer's `CacheStats`).
@@ -23,6 +25,12 @@ pub struct CacheSection {
     pub misses: u64,
     pub evictions: u64,
 }
+
+wire_record!(CacheSection {
+    "hits" => hits,
+    "misses" => misses,
+    "evictions" => evictions,
+} + { "hit_ratio" => hit_ratio });
 
 impl CacheSection {
     pub fn hit_ratio(&self) -> f64 {
@@ -53,6 +61,15 @@ pub struct PoolSection {
     pub idle_ns: u64,
 }
 
+wire_record!(PoolSection {
+    "par_calls" => par_calls,
+    "tasks" => tasks,
+    "workers" => workers,
+    "steals" => steals,
+    "busy_ns" => busy_ns,
+    "idle_ns" => idle_ns,
+} + { "utilization" => utilization });
+
 impl PoolSection {
     /// Fraction of worker wall time spent doing work.
     pub fn utilization(&self) -> f64 {
@@ -71,6 +88,8 @@ pub struct TraceSection {
     pub recorded: u64,
     pub dropped: u64,
 }
+
+wire_record!(TraceSection { "recorded" => recorded, "dropped" => dropped });
 
 /// Current report schema version (bump on breaking layout changes).
 pub const SCHEMA_VERSION: u64 = 1;
@@ -109,6 +128,20 @@ pub struct RunReport {
     /// Campaign wall time as measured by the caller (0 when unset).
     pub wall_seconds: f64,
 }
+
+// The sections and `wall_seconds` may be missing: reports that predate a
+// section (the profiler's, say) still load as diff baselines.
+wire_record!(RunReport {
+    "schema" => schema,
+    "wall_seconds" => wall_seconds via decimal: or_default,
+    "rule_firings" => rule_firings,
+    "counters" => counters,
+    "histograms" => histograms,
+    "cache" => cache: or_default,
+    "pool" => pool: or_default,
+    "trace" => trace: or_default,
+    "profile" => profile: or_default,
+});
 
 impl RunReport {
     /// Builds a report from a metrics snapshot, naming rule indices with
@@ -157,67 +190,9 @@ impl RunReport {
         self.counter(Counter::OptInvocations)
     }
 
+    /// The report document (its wire form, [`Encode::encode`]).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::count(self.schema)),
-            ("wall_seconds", Json::num(self.wall_seconds)),
-            (
-                "rule_firings",
-                Json::Obj(
-                    self.rule_firings
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::count(v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::count(v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::count(self.cache.hits)),
-                    ("misses", Json::count(self.cache.misses)),
-                    ("evictions", Json::count(self.cache.evictions)),
-                    ("hit_ratio", Json::num(self.cache.hit_ratio())),
-                ]),
-            ),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("par_calls", Json::count(self.pool.par_calls)),
-                    ("tasks", Json::count(self.pool.tasks)),
-                    ("workers", Json::count(self.pool.workers)),
-                    ("steals", Json::count(self.pool.steals)),
-                    ("busy_ns", Json::count(self.pool.busy_ns)),
-                    ("idle_ns", Json::count(self.pool.idle_ns)),
-                    ("utilization", Json::num(self.pool.utilization())),
-                ]),
-            ),
-            (
-                "trace",
-                Json::obj(vec![
-                    ("recorded", Json::count(self.trace.recorded)),
-                    ("dropped", Json::count(self.trace.dropped)),
-                ]),
-            ),
-            ("profile", self.profile.to_json()),
-        ])
+        self.encode()
     }
 
     /// Canonical serialization of the deterministic subset only: rule
@@ -233,7 +208,7 @@ impl RunReport {
                     .iter()
                     .any(|h| h.name() == name.as_str() && h.deterministic())
             })
-            .map(|(name, snap)| (name.clone(), snap.to_json()))
+            .map(|(name, snap)| (name.clone(), snap.encode()))
             .collect();
         // Counters that track disk-state effects (cold vs warm cache)
         // are environmental and excluded, same as wall-clock histograms.
@@ -265,79 +240,10 @@ impl RunReport {
         .to_string_compact()
     }
 
-    /// Parses a report previously serialized with
-    /// [`RunReport::to_json`].
+    /// Parses the text of a report document; a failure names the field
+    /// (`profile.spans[3].wall_ns: expected a non-negative integer`).
     pub fn from_json(text: &str) -> Result<RunReport, String> {
-        let doc = Json::parse(text)?;
-        RunReport::from_json_value(&doc)
-    }
-
-    /// Parses an already-decoded JSON report (used by `ruletest diff`,
-    /// which also accepts bench documents wrapping a report).
-    pub fn from_json_value(doc: &Json) -> Result<RunReport, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or("report missing schema")?;
-        let u64_map = |key: &str| -> Result<BTreeMap<String, u64>, String> {
-            let obj = doc
-                .get(key)
-                .and_then(Json::as_obj)
-                .ok_or_else(|| format!("report missing {key}"))?;
-            obj.iter()
-                .map(|(k, v)| {
-                    v.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("{key}.{k} is not a count"))
-                })
-                .collect()
-        };
-        let histograms = doc
-            .get("histograms")
-            .and_then(Json::as_obj)
-            .ok_or("report missing histograms")?
-            .iter()
-            .map(|(k, v)| HistogramSnapshot::from_json(v).map(|h| (k.clone(), h)))
-            .collect::<Result<BTreeMap<_, _>, _>>()?;
-        let section = |key: &str, field: &str| -> u64 {
-            doc.get(key)
-                .and_then(|s| s.get(field))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
-        Ok(RunReport {
-            schema,
-            rule_firings: u64_map("rule_firings")?,
-            counters: u64_map("counters")?,
-            histograms,
-            cache: CacheSection {
-                hits: section("cache", "hits"),
-                misses: section("cache", "misses"),
-                evictions: section("cache", "evictions"),
-            },
-            pool: PoolSection {
-                par_calls: section("pool", "par_calls"),
-                tasks: section("pool", "tasks"),
-                workers: section("pool", "workers"),
-                steals: section("pool", "steals"),
-                busy_ns: section("pool", "busy_ns"),
-                idle_ns: section("pool", "idle_ns"),
-            },
-            trace: TraceSection {
-                recorded: section("trace", "recorded"),
-                dropped: section("trace", "dropped"),
-            },
-            profile: match doc.get("profile") {
-                // Absent in pre-profiler reports; tolerated for diffing
-                // old baselines.
-                None => ProfileSection::default(),
-                Some(p) => ProfileSection::from_json(p)?,
-            },
-            wall_seconds: doc
-                .get("wall_seconds")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-        })
+        Ok(RunReport::decode(&Json::parse(text)?)?)
     }
 
     /// Merges another report's accumulations into this one, summing

@@ -31,6 +31,8 @@
 use crate::json::Json;
 use crate::metrics::MAX_RULES;
 use crate::trace::RulePhase;
+use ruletest_common::wire::{array, object, optional, required, Decode, DecodeError, Encode};
+use ruletest_common::wire_record;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -370,15 +372,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Per-(rule, phase) accumulator inside one optimizer invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RuleAcc {
-    binds: u64,
-    fires: u64,
-    bind_ns: u64,
-    subst_ns: u64,
-}
-
 /// Buffered profile of one optimizer invocation. The optimizer fills
 /// one per `compute` and hands it back with the result; only the
 /// invocation-cache insertion winner flushes it, so aggregated counts
@@ -388,7 +381,7 @@ pub struct ProfileSample {
     /// Whole-invocation wall time, set by the optimizer at the end of
     /// `compute`.
     pub elapsed_ns: u64,
-    rules: BTreeMap<(u16, RulePhase), RuleAcc>,
+    rules: BTreeMap<(u16, RulePhase), RuleCostRow>,
 }
 
 impl ProfileSample {
@@ -408,63 +401,43 @@ impl ProfileSample {
             acc.fires += 1;
         }
     }
+}
 
-    /// Serializes the sample for the disk-backed invocation cache, so a
-    /// warm hit can flush the exact profile rows the original compute
-    /// produced (identical span shape and per-rule bind/fire counts).
-    pub fn to_json(&self) -> Json {
-        let rules = self
-            .rules
-            .iter()
-            .map(|(&(rule, phase), acc)| {
-                Json::obj(vec![
-                    ("rule", Json::count(u64::from(rule))),
-                    ("phase", Json::str(phase.name())),
-                    ("binds", Json::count(acc.binds)),
-                    ("fires", Json::count(acc.fires)),
-                    ("bind_ns", Json::count(acc.bind_ns)),
-                    ("subst_ns", Json::count(acc.subst_ns)),
-                ])
-            })
-            .collect();
+/// The sample rides along with its result in the disk-backed invocation
+/// cache, so a warm hit can flush the exact profile rows the original
+/// compute produced (identical span shape and per-rule bind/fire counts).
+/// Hand-written because the rows are a map keyed by a pair: each row is the
+/// cost record with the key's `rule` and `phase` as two more members.
+impl Encode for ProfileSample {
+    fn encode(&self) -> Json {
+        let row = |(&(rule, phase), cost): (&(u16, RulePhase), &RuleCostRow)| {
+            let mut row = cost.encode();
+            if let Json::Obj(members) = &mut row {
+                members.insert("rule".to_string(), rule.encode());
+                members.insert("phase".to_string(), phase.encode());
+            }
+            row
+        };
         Json::obj(vec![
-            ("elapsed_ns", Json::count(self.elapsed_ns)),
-            ("rules", Json::Arr(rules)),
+            ("elapsed_ns", self.elapsed_ns.encode()),
+            ("rules", Json::Arr(self.rules.iter().map(row).collect())),
         ])
     }
+}
 
-    pub fn from_json(j: &Json) -> Result<ProfileSample, String> {
-        fn u64_field(obj: &Json, field: &str) -> Result<u64, String> {
-            obj.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("profile sample: missing or invalid '{field}'"))
-        }
-        let elapsed_ns = u64_field(j, "elapsed_ns")?;
-        let mut rules = BTreeMap::new();
-        if let Some(arr) = j.get("rules") {
-            let arr = arr
-                .as_arr()
-                .ok_or("profile sample: 'rules' must be an array")?;
-            for row in arr {
-                let rule = u16::try_from(u64_field(row, "rule")?)
-                    .map_err(|_| "profile sample: rule id out of range".to_string())?;
-                let phase = row
-                    .get("phase")
-                    .and_then(Json::as_str)
-                    .and_then(RulePhase::from_name)
-                    .ok_or("profile sample: missing or invalid 'phase'")?;
-                rules.insert(
-                    (rule, phase),
-                    RuleAcc {
-                        binds: u64_field(row, "binds")?,
-                        fires: u64_field(row, "fires")?,
-                        bind_ns: u64_field(row, "bind_ns")?,
-                        subst_ns: u64_field(row, "subst_ns")?,
-                    },
-                );
-            }
-        }
-        Ok(ProfileSample { elapsed_ns, rules })
+impl Decode for ProfileSample {
+    fn decode(j: &Json) -> Result<Self, DecodeError> {
+        let row = |row: &Json| {
+            let key = object(row)?;
+            let rule = required(key, "rule", Decode::decode)?;
+            let phase = required(key, "phase", Decode::decode)?;
+            Ok(((rule, phase), RuleCostRow::decode(row)?))
+        };
+        let m = object(j)?;
+        Ok(ProfileSample {
+            elapsed_ns: required(m, "elapsed_ns", Decode::decode)?,
+            rules: optional(m, "rules", |rows| array(rows, row))?.unwrap_or_default(),
+        })
     }
 }
 
@@ -479,6 +452,13 @@ pub struct SpanRow {
     /// `wall_ns`).
     pub child_ns: u64,
 }
+
+wire_record!(SpanRow {
+    "path" => path,
+    "count" => count,
+    "wall_ns" => wall_ns,
+    "child_ns" => child_ns,
+});
 
 impl SpanRow {
     pub fn self_ns(&self) -> u64 {
@@ -513,6 +493,13 @@ pub struct RuleCostRow {
     pub subst_ns: u64,
 }
 
+wire_record!(RuleCostRow {
+    "binds" => binds,
+    "fires" => fires,
+    "bind_ns" => bind_ns,
+    "subst_ns" => subst_ns,
+});
+
 impl RuleCostRow {
     pub fn total_ns(&self) -> u64 {
         self.bind_ns + self.subst_ns
@@ -527,6 +514,8 @@ pub struct ProfileSection {
     /// `"{RuleName}/{phase}"` → aggregated optimizer cost.
     pub rules: BTreeMap<String, RuleCostRow>,
 }
+
+wire_record!(ProfileSection { "spans" => spans: or_default, "rules" => rules: or_default });
 
 impl ProfileSection {
     pub fn is_empty(&self) -> bool {
@@ -546,97 +535,6 @@ impl ProfileSection {
     /// exactly when the section validates.
     pub fn total_self_ns(&self) -> u64 {
         self.spans.iter().map(SpanRow::self_ns).sum()
-    }
-
-    pub fn to_json(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("path", Json::str(r.path.clone())),
-                    ("count", Json::count(r.count)),
-                    ("wall_ns", Json::count(r.wall_ns)),
-                    ("child_ns", Json::count(r.child_ns)),
-                ])
-            })
-            .collect();
-        let rules = self
-            .rules
-            .iter()
-            .map(|(name, c)| {
-                (
-                    name.as_str(),
-                    Json::obj(vec![
-                        ("binds", Json::count(c.binds)),
-                        ("fires", Json::count(c.fires)),
-                        ("bind_ns", Json::count(c.bind_ns)),
-                        ("subst_ns", Json::count(c.subst_ns)),
-                    ]),
-                )
-            })
-            .collect::<Vec<_>>();
-        Json::obj(vec![
-            ("spans", Json::Arr(spans)),
-            (
-                "rules",
-                Json::Obj(rules.into_iter().map(|(k, v)| (k.to_string(), v)).collect()),
-            ),
-        ])
-    }
-
-    /// Parses the section back, reporting failures with a full field
-    /// path (`profile.spans[3].wall_ns`) instead of a generic error.
-    pub fn from_json(j: &Json) -> Result<ProfileSection, String> {
-        fn u64_field(obj: &Json, path: &str, field: &str) -> Result<u64, String> {
-            obj.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{path}.{field}: expected a non-negative integer"))
-        }
-        let obj = j
-            .as_obj()
-            .ok_or_else(|| "profile: expected an object".to_string())?;
-        let mut spans = Vec::new();
-        if let Some(arr) = obj.get("spans") {
-            let arr = arr
-                .as_arr()
-                .ok_or_else(|| "profile.spans: expected an array".to_string())?;
-            for (i, row) in arr.iter().enumerate() {
-                let path_str = format!("profile.spans[{i}]");
-                let path = row
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{path_str}.path: expected a string"))?;
-                if path.is_empty() {
-                    return Err(format!("{path_str}.path: empty span path"));
-                }
-                spans.push(SpanRow {
-                    path: path.to_string(),
-                    count: u64_field(row, &path_str, "count")?,
-                    wall_ns: u64_field(row, &path_str, "wall_ns")?,
-                    child_ns: u64_field(row, &path_str, "child_ns")?,
-                });
-            }
-        }
-        let mut rules = BTreeMap::new();
-        if let Some(r) = obj.get("rules") {
-            let map = r
-                .as_obj()
-                .ok_or_else(|| "profile.rules: expected an object".to_string())?;
-            for (name, cost) in map {
-                let path_str = format!("profile.rules.{name}");
-                rules.insert(
-                    name.clone(),
-                    RuleCostRow {
-                        binds: u64_field(cost, &path_str, "binds")?,
-                        fires: u64_field(cost, &path_str, "fires")?,
-                        bind_ns: u64_field(cost, &path_str, "bind_ns")?,
-                        subst_ns: u64_field(cost, &path_str, "subst_ns")?,
-                    },
-                );
-            }
-        }
-        Ok(ProfileSection { spans, rules })
     }
 
     /// The thread-count-invariant slice: span paths and counts plus
@@ -899,18 +797,18 @@ mod tests {
             p.flush_optimize(&s);
         }
         let sec = p.section(&["A".into()]);
-        let back = ProfileSection::from_json(&sec.to_json()).unwrap();
+        let back = ProfileSection::decode(&sec.encode()).unwrap();
         assert_eq!(back, sec);
 
         let bad = Json::parse(r#"{"spans":[{"path":"triage","count":1,"wall_ns":-1}]}"#).unwrap();
-        let err = ProfileSection::from_json(&bad).unwrap_err();
-        assert!(err.contains("profile.spans[0].wall_ns"), "{err}");
+        let err = ProfileSection::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("spans[0].wall_ns"), "{err}");
         let bad = Json::parse(r#"{"spans":[{"count":1}]}"#).unwrap();
-        let err = ProfileSection::from_json(&bad).unwrap_err();
-        assert!(err.contains("profile.spans[0].path"), "{err}");
+        let err = ProfileSection::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("spans[0].path"), "{err}");
         let bad = Json::parse(r#"{"rules":{"A/explore":{"binds":1}}}"#).unwrap();
-        let err = ProfileSection::from_json(&bad).unwrap_err();
-        assert!(err.contains("profile.rules.A/explore.fires"), "{err}");
+        let err = ProfileSection::decode(&bad).unwrap_err().to_string();
+        assert!(err.contains("rules.A/explore.fires"), "{err}");
     }
 
     #[test]

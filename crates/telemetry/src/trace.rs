@@ -25,22 +25,7 @@ pub enum RulePhase {
     Implement,
 }
 
-impl RulePhase {
-    pub fn name(self) -> &'static str {
-        match self {
-            RulePhase::Explore => "explore",
-            RulePhase::Implement => "implement",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<RulePhase> {
-        match name {
-            "explore" => Some(RulePhase::Explore),
-            "implement" => Some(RulePhase::Implement),
-            _ => None,
-        }
-    }
-}
+ruletest_common::wire_names!(RulePhase { Explore => "explore", Implement => "implement" });
 
 /// One traced event. Payloads are small and fixed-size; rule and target
 /// indices resolve against the run report's rule table.

@@ -12,7 +12,7 @@
 //! ruletest impact [--rules N]            workload-level rule performance impact (§1's third dimension)
 //! ruletest report <run-report.json>      summarize a --metrics-json run report (--check fails on dead instrumentation)
 //! ruletest diff <BASE.json> <CUR.json>    compare two run reports; exits nonzero on regression (--threshold-pct N)
-//! ruletest triage [--fault F] [--out P]  campaign + bug triage: minimize, dedup, emit repro bundles
+//! ruletest triage [--fault F] [--out P]  campaign + bug triage: minimize, dedup, emit repro bundles (F: any mutant id)
 //! ruletest triage replay <bugs.jsonl>    re-execute bundles in a fresh process (--check fails unless all confirm)
 //! ruletest lint [--fault F] [--json P]   static rule audit: catch rule bugs without executing queries
 //! ruletest lint --prove                  also run the symbolic equivalence prover
@@ -34,15 +34,16 @@
 //! deterministic fault-injection plan to exercise exactly that path.
 
 use ruletest::cli::{self, Opts};
+use ruletest::common::Decode;
 use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::execute_solution;
-use ruletest::core::faults::{buggy_optimizer, Fault};
 use ruletest::core::generate::dependency::find_dependency_query;
 use ruletest::core::generate::relevant::find_relevant_query;
 use ruletest::core::{
-    build_graph, final_persist, generate_suite, read_bundles, replay, run_checkpointed_campaign,
-    singleton_targets, to_bundles, triage_report, write_bundles, CampaignParams, DbProfile,
-    Framework, FrameworkConfig, GenConfig, RuleTarget, Strategy, TriageConfig,
+    build_graph, final_persist, generate_suite, mutant_optimizer, read_bundles, replay,
+    run_checkpointed_campaign, singleton_targets, to_bundles, triage_report, write_bundles,
+    CampaignParams, DbProfile, Framework, FrameworkConfig, GenConfig, Mutant, RuleTarget, Strategy,
+    TriageConfig,
 };
 use ruletest::executor::{execute, ExecConfig};
 use ruletest::optimizer::{Optimizer, RuleKind};
@@ -367,7 +368,7 @@ fn load_run_report(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let report = doc.get("run_report").unwrap_or(&doc);
-    RunReport::from_json_value(report).map_err(|e| format!("{path}: {e}"))
+    RunReport::decode(report).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `ruletest diff <BASE.json> <CUR.json> [--threshold-pct N] [--json OUT]`.
@@ -599,13 +600,13 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
 /// fault is injected and the command fails unless the audit catches it.
 fn run_lint(opts: &Opts) -> Result<(), String> {
     let fault = match &opts.fault {
-        Some(name) => Some(Fault::from_name(name).map_err(|e| e.to_string())?),
+        Some(id) => Some(Mutant::by_id(id).map_err(|e| e.to_string())?),
         None => None,
     };
     // Data scale is irrelevant to a static audit; only the catalog is read.
     let db = Arc::new(tpch_database(&TpchConfig::default()).map_err(|e| e.to_string())?);
     let optimizer = match fault {
-        Some(f) => buggy_optimizer(db, f),
+        Some(m) => mutant_optimizer(db, m),
         None => Optimizer::new(db),
     };
     let started = Instant::now();
@@ -625,7 +626,7 @@ fn run_lint(opts: &Opts) -> Result<(), String> {
         use ruletest::lint::prove;
         let sdb = Arc::new(prove::symbolic_database());
         let sopt = match fault {
-            Some(f) => buggy_optimizer(sdb, f),
+            Some(m) => mutant_optimizer(sdb, m),
             None => Optimizer::new(sdb),
         };
         let preport =
@@ -638,12 +639,12 @@ fn run_lint(opts: &Opts) -> Result<(), String> {
     match fault {
         Some(f) => {
             let caught =
-                report.flagged_rules().iter().any(|r| r == f.rule_name()) || prove_failures > 0;
+                report.flagged_rules().iter().any(|r| r == f.rule_name) || prove_failures > 0;
             if caught {
-                println!("lint: fault {} caught statically", f.name());
+                println!("lint: fault {} caught statically", f.id);
                 Ok(())
             } else {
-                Err(format!("fault {} NOT caught by the static audit", f.name()))
+                Err(format!("fault {} NOT caught by the static audit", f.id))
             }
         }
         None if report.is_clean() && prove_failures == 0 => Ok(()),
@@ -665,7 +666,6 @@ fn run_lint(opts: &Opts) -> Result<(), String> {
 /// injected and the command fails unless its rule is proved
 /// inequivalent statically.
 fn run_prove(opts: &Opts) -> Result<(), String> {
-    use ruletest::core::mutate::{mutant_optimizer, Mutant};
     use ruletest::lint::prove::{self, ProveVerdict};
     let telemetry = if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
         Telemetry::metrics_only()
@@ -832,14 +832,14 @@ fn run_triage(opts: &Opts) -> Result<(), String> {
         Telemetry::disabled()
     };
     let fault = match &opts.fault {
-        Some(name) => Some(Fault::from_name(name).map_err(|e| e.to_string())?),
+        Some(id) => Some(Mutant::by_id(id).map_err(|e| e.to_string())?),
         None => None,
     };
     let scale = opts.scale.max(1);
     let db_cfg = TpchConfig::scaled(TpchConfig::default().seed, scale);
     let db = Arc::new(tpch_database(&db_cfg).map_err(|e| e.to_string())?);
     let optimizer = Arc::new(match fault {
-        Some(f) => buggy_optimizer(db.clone(), f),
+        Some(m) => mutant_optimizer(db.clone(), m),
         None => Optimizer::new(db.clone()),
     });
     let fw = Framework::with_optimizer(optimizer)
@@ -854,8 +854,8 @@ fn run_triage(opts: &Opts) -> Result<(), String> {
         Some(f) => {
             let rid = fw
                 .optimizer
-                .rule_id(f.rule_name())
-                .ok_or_else(|| format!("fault rule '{}' not in catalog", f.rule_name()))?;
+                .rule_id(f.rule_name)
+                .ok_or_else(|| format!("fault rule '{}' not in catalog", f.rule_name))?;
             (vec![RuleTarget::Single(rid)], opts.pad.max(1))
         }
         None => (singleton_targets(&fw, opts.rules), opts.pad.max(2)),

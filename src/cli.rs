@@ -28,7 +28,7 @@ pub struct Opts {
     /// `ruletest report --check`: fail on dead instrumentation.
     /// `ruletest triage replay --check`: fail unless every bundle confirms.
     pub check: bool,
-    /// `ruletest triage --fault NAME`: inject the named fault.
+    /// `--fault ID` (`triage`, `lint`, `prove`): inject the mutant with this id.
     pub fault: Option<String>,
     /// Write JSONL repro bundles here (`ruletest triage --out PATH`).
     pub out: Option<String>,

@@ -161,11 +161,7 @@ fn fixed_plan_replays_to_identical_quarantine() {
         let (report, quarantine, _) = supervised_run(&fw);
         let stats = chaos::stats();
         chaos::clear();
-        (
-            report.deterministic_json(),
-            quarantine.to_json().to_string_compact(),
-            stats,
-        )
+        (report.deterministic_json(), quarantine, stats)
     };
     let a = run_once();
     let b = run_once();

@@ -5,10 +5,9 @@
 
 use ruletest_core::compress::{topk, Instance};
 use ruletest_core::correctness::execute_solution;
-use ruletest_core::faults::{buggy_optimizer, Fault};
 use ruletest_core::{
-    build_graph, generate_suite, read_bundles, replay, to_bundles, triage_report, write_bundles,
-    Framework, GenConfig, RuleTarget, Strategy, TriageConfig,
+    build_graph, generate_suite, mutant_optimizer, read_bundles, replay, to_bundles, triage_report,
+    write_bundles, Framework, GenConfig, Mutant, RuleTarget, Strategy, TriageConfig,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_storage::{tpch_database, TpchConfig};
@@ -18,11 +17,12 @@ use std::sync::Arc;
 /// findings and checks every triage guarantee: one signature, a small
 /// witness, a replayable bundle, and cache locality at least as good as
 /// the campaign's.
-fn detect_and_triage(fault: Fault) {
+fn detect_and_triage(mutant_id: &str) {
+    let fault = Mutant::by_id(mutant_id).unwrap();
     let db = Arc::new(tpch_database(&TpchConfig::default()).unwrap());
-    let opt = Arc::new(buggy_optimizer(db, fault));
+    let opt = Arc::new(mutant_optimizer(db, fault));
     let fw = Framework::with_optimizer(opt.clone());
-    let rule = opt.rule_id(fault.rule_name()).unwrap();
+    let rule = opt.rule_id(fault.rule_name).unwrap();
     // A handful of seeds: suite generation is deterministic per seed, and
     // detection needs the buggy alternative to win costing on at least one
     // of the k queries.
@@ -59,7 +59,7 @@ fn detect_and_triage(fault: Fault) {
         assert!(report
             .bugs
             .iter()
-            .all(|b| b.target_label == fault.rule_name()));
+            .all(|b| b.target_label == fault.rule_name));
         assert!(report.bugs.iter().all(|b| !b.sql.is_empty()));
         assert!(report
             .bugs
@@ -70,7 +70,7 @@ fn detect_and_triage(fault: Fault) {
         assert!(report
             .bugs
             .iter()
-            .all(|b| b.rule_mask == vec![fault.rule_name().to_string()]));
+            .all(|b| b.rule_mask == vec![fault.rule_name.to_string()]));
 
         // Triage: every raw finding for one injected fault must collapse
         // to a single signature with a small witness.
@@ -136,17 +136,17 @@ fn detect_and_triage(fault: Fault) {
 
 #[test]
 fn pipeline_detects_unconditional_outer_join_simplification() {
-    detect_and_triage(Fault::OuterJoinSimplifyUnconditional);
+    detect_and_triage("OuterJoinSimplifyUnconditional");
 }
 
 #[test]
 fn pipeline_detects_pushdown_below_null_supplying_side() {
-    detect_and_triage(Fault::PushBelowNullSupplyingSide);
+    detect_and_triage("PushBelowNullSupplyingSide");
 }
 
 #[test]
 fn pipeline_detects_filter_merged_into_outer_join() {
-    detect_and_triage(Fault::SelectMergedIntoOuterJoin);
+    detect_and_triage("SelectMergedIntoOuterJoin");
 }
 
 #[test]

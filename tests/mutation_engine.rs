@@ -8,6 +8,14 @@ use ruletest_storage::{tpch_database, TpchConfig};
 use ruletest_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 
+/// The hand-written bugs that predate the catalog; `--fault` and repro
+/// bundles name them by these ids.
+const HISTORICAL_FAULTS: [&str; 3] = [
+    "OuterJoinSimplifyUnconditional",
+    "PushBelowNullSupplyingSide",
+    "SelectMergedIntoOuterJoin",
+];
+
 #[test]
 fn full_catalog_campaign_meets_the_acceptance_bar() {
     let db = Arc::new(tpch_database(&TpchConfig::default()).unwrap());
@@ -59,6 +67,22 @@ fn full_catalog_campaign_meets_the_acceptance_bar() {
         "only {} lint escapes: {escapes:?}",
         escapes.len()
     );
+
+    // The three original faults are statically caught, and the §2.3
+    // methodology detects each of them dynamically as well.
+    for name in HISTORICAL_FAULTS {
+        let o = report
+            .outcomes
+            .iter()
+            .find(|o| o.mutant.id == name)
+            .unwrap_or_else(|| panic!("{name} not in the catalog run"));
+        assert!(
+            o.dynamic().is_some(),
+            "{name} was never detected (fired={}, diverged={})",
+            o.detection.fired,
+            o.detection.plans_diverged
+        );
+    }
 
     // Benign controls: no false positives anywhere.
     for s in report.class_stats() {
@@ -112,4 +136,11 @@ fn mutant_ids_resolve_and_bad_ids_name_the_offender() {
     }
     let err = Mutant::by_id("Bogus").unwrap_err();
     assert!(err.to_string().contains("Bogus"), "{err}");
+    // The three names `--fault` and repro bundles have always used are
+    // mutant ids, each replacing the rule it names.
+    for name in HISTORICAL_FAULTS {
+        let m = Mutant::by_id(name).unwrap();
+        assert_eq!(m.id, name);
+        assert_eq!(m.rule().name, m.rule_name);
+    }
 }

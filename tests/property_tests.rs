@@ -7,12 +7,12 @@
 
 use ruletest_common::check::{self, gen, CheckConfig};
 use ruletest_common::{diff_multisets, ensure, ensure_eq, ensure_ne, forall};
-use ruletest_common::{multisets_equal, Rng, RuleId, Value};
+use ruletest_common::{multisets_equal, Decode, Encode, Json, Rng, RuleId, Value};
 use ruletest_core::generate::random::random_tree;
 use ruletest_core::{Framework, FrameworkConfig};
 use ruletest_executor::{execute_with, ExecConfig};
 use ruletest_logical::IdGen;
-use ruletest_optimizer::{OptimizerConfig, RuleMask};
+use ruletest_optimizer::{OptimizerConfig, PhysicalPlan, RuleMask};
 use ruletest_sql::{parse_sql, to_sql};
 use std::sync::OnceLock;
 
@@ -94,6 +94,43 @@ fn optimization_is_deterministic() {
         ensure!(a.plan.same_shape(&b.plan));
         ensure_eq!(a.cost, b.cost);
         ensure_eq!(a.rule_set, b.rule_set);
+        Ok(())
+    });
+}
+
+/// Random trees, and the plans and results the optimizer derives from
+/// them, survive the wire — through the printed text, as on disk — exactly:
+/// structure by `==`, every estimate and cost bit for bit.
+#[test]
+fn wire_round_trip_is_exact() {
+    fn same_plan(a: &PhysicalPlan, b: &PhysicalPlan) -> bool {
+        a.op == b.op
+            && a.schema == b.schema
+            && a.est_rows.to_bits() == b.est_rows.to_bits()
+            && a.est_cost.to_bits() == b.est_cost.to_bits()
+            && a.children.len() == b.children.len()
+            && a.children
+                .iter()
+                .zip(&b.children)
+                .all(|(x, y)| same_plan(x, y))
+    }
+    fn through_text<T: Encode + Decode>(v: &T) -> Result<T, String> {
+        Ok(T::decode(&Json::parse(&v.encode().to_string_compact())?)?)
+    }
+    forall!(CheckConfig::cases(48); seed in gen::u64s(), budget in gen::usizes(1..9) => {
+        let fw = fw();
+        let mut rng = Rng::new(seed);
+        let mut ids = IdGen::new();
+        let tree = random_tree(&fw.db, &mut rng, &mut ids, budget).tree;
+        ensure_eq!(through_text(&tree)?, tree);
+        let res = fw.optimizer.optimize(&tree).unwrap();
+        ensure!(same_plan(&through_text(&res.plan)?, &res.plan));
+        let back = through_text(&res)?;
+        ensure!(same_plan(&back.plan, &res.plan));
+        ensure_eq!(back.cost.to_bits(), res.cost.to_bits());
+        ensure_eq!(back.rule_set, res.rule_set);
+        ensure_eq!(back.rule_dependencies, res.rule_dependencies);
+        ensure_eq!((back.groups, back.exprs, back.truncated), (res.groups, res.exprs, res.truncated));
         Ok(())
     });
 }
