@@ -3,10 +3,7 @@
 //! The workspace must resolve and build completely offline, so `criterion`
 //! cannot be a (even optional) manifest dependency — cargo contacts the
 //! registry to resolve optional dependencies too. The benches therefore
-//! run on this minimal harness by default. The non-default
-//! `criterion-bench` feature is the declared hook for plugging a vendored
-//! criterion back in; with the stock tree it selects the same harness, so
-//! `cargo bench --features criterion-bench` stays green.
+//! run on this minimal harness.
 //!
 //! Methodology: each benchmark is calibrated so one sample lasts roughly
 //! [`TARGET_SAMPLE`], then `sample_size` samples are measured and the

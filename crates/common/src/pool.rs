@@ -3,22 +3,16 @@
 //! The campaign loop — per-rule query generation, bipartite-graph edge
 //! probing, and `Plan(q)` vs `Plan(q, ¬R)` correctness executions — is
 //! embarrassingly parallel *across targets/queries* while each item's
-//! computation stays a pure function of its inputs. Two primitives cover
-//! it:
-//!
-//! * [`par_map`] — a scoped, work-stealing parallel map built on
-//!   `std::thread::scope` and an atomic item counter. Results come back
-//!   **in item order**, so a campaign's output is byte-identical for any
-//!   thread count (determinism is delegated to the per-item seeds; see
-//!   [`Parallelism`]).
-//! * [`ThreadPool`] — a small persistent channel-fed pool for
-//!   fire-and-forget `'static` jobs. Panicking jobs are caught and
-//!   counted; the pool never deadlocks on shutdown.
+//! computation stays a pure function of its inputs. One primitive covers
+//! it: [`par_map`], a scoped, work-stealing parallel map built on
+//! `std::thread::scope` and an atomic item counter. Results come back
+//! **in item order**, so a campaign's output is byte-identical for any
+//! thread count (determinism is delegated to the per-item seeds; see
+//! [`Parallelism`]).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 /// Process-global worker-pool statistics, collected by [`par_map`] when
@@ -216,36 +210,6 @@ where
     out
 }
 
-/// Result-preserving supervised variant of [`par_map`].
-///
-/// [`par_map`] deliberately has abort semantics: one panicking item
-/// resumes the unwind on the caller and discards every other worker's
-/// completed result. A supervised campaign wants the opposite — keep
-/// everything that finished and hand back the failures as data. Here a
-/// panicking item becomes `Err(Failure::Panic)` (payload message plus
-/// `site[index]`) in its own slot, while all other items' results are
-/// preserved, still in item order.
-pub fn par_map_supervised<T, R, F>(
-    threads: usize,
-    items: &[T],
-    site: &str,
-    f: F,
-) -> Vec<Result<R, crate::supervise::Failure>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(threads, items, |i, x| {
-        catch_unwind(AssertUnwindSafe(|| f(i, x))).map_err(|payload| {
-            crate::supervise::Failure::panic(
-                crate::supervise::panic_message(payload.as_ref()),
-                format!("{site}[{i}]"),
-            )
-        })
-    })
-}
-
 /// Like [`par_map`] but for fallible item functions: returns the first
 /// error by item order, or all results.
 pub fn try_par_map<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
@@ -259,96 +223,11 @@ where
     results.into_iter().collect()
 }
 
-enum Job {
-    Run(Box<dyn FnOnce() + Send + 'static>),
-    Shutdown,
-}
-
-/// A small persistent thread pool fed by an mpsc channel.
-///
-/// Jobs are `'static` fire-and-forget closures; a panicking job is caught
-/// inside the worker (the worker survives and keeps draining the queue)
-/// and counted in [`ThreadPool::panicked_jobs`]. Dropping the pool sends
-/// one shutdown message per worker and joins them — pending jobs finish
-/// first, and shutdown completes even when jobs panicked.
-pub struct ThreadPool {
-    sender: mpsc::Sender<Job>,
-    workers: Vec<thread::JoinHandle<()>>,
-    panicked: Arc<AtomicUsize>,
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = mpsc::channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let panicked = Arc::new(AtomicUsize::new(0));
-        let workers = (0..threads)
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                let panicked = Arc::clone(&panicked);
-                thread::spawn(move || loop {
-                    // Hold the lock only while receiving, never while
-                    // running a job.
-                    let job = {
-                        let rx = receiver.lock().expect("pool receiver poisoned");
-                        rx.recv()
-                    };
-                    match job {
-                        Ok(Job::Run(job)) => {
-                            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                                panicked.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Ok(Job::Shutdown) | Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-        Self {
-            sender,
-            workers,
-            panicked,
-        }
-    }
-
-    /// Enqueues a job. Panics if the pool is shut down (impossible while
-    /// the pool value is alive).
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .send(Job::Run(Box::new(job)))
-            .expect("thread pool has shut down");
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Jobs that panicked so far.
-    pub fn panicked_jobs(&self) -> usize {
-        self.panicked.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        for _ in &self.workers {
-            // Workers exit on Shutdown or on a closed channel; either way
-            // the join below cannot deadlock.
-            let _ = self.sender.send(Job::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -413,34 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_supervised_preserves_other_results_on_panic() {
-        let items: Vec<u32> = (0..32).collect();
-        for threads in [1, 4] {
-            let out = par_map_supervised(threads, &items, "square", |i, &v| {
-                if i == 5 || i == 20 {
-                    panic!("item {i} exploded");
-                }
-                v * v
-            });
-            assert_eq!(out.len(), 32, "threads={threads}");
-            for (i, slot) in out.iter().enumerate() {
-                match slot {
-                    Ok(v) => {
-                        assert!(i != 5 && i != 20);
-                        assert_eq!(*v, (i * i) as u32);
-                    }
-                    Err(fail) => {
-                        assert!(i == 5 || i == 20, "unexpected failure at {i}");
-                        assert_eq!(fail.kind(), "panic");
-                        assert!(fail.message().contains(&format!("item {i} exploded")));
-                        assert!(fail.to_string().contains(&format!("square[{i}]")), "{fail}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn try_par_map_returns_first_error_by_index() {
         let items: Vec<u32> = (0..100).collect();
         let r: Result<Vec<u32>, String> = try_par_map(4, &items, |i, &v| {
@@ -451,45 +302,6 @@ mod tests {
             }
         });
         assert_eq!(r.unwrap_err(), "bad 41");
-    }
-
-    #[test]
-    fn pool_runs_jobs_and_shuts_down() {
-        let counter = Arc::new(AtomicU64::new(0));
-        {
-            let pool = ThreadPool::new(3);
-            assert_eq!(pool.threads(), 3);
-            for _ in 0..50 {
-                let counter = Arc::clone(&counter);
-                pool.submit(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // Drop waits for the queue to drain.
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn pool_survives_panicking_jobs_and_never_deadlocks_on_drop() {
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let pool = ThreadPool::new(2);
-            for i in 0..20 {
-                let done = Arc::clone(&done);
-                pool.submit(move || {
-                    if i % 3 == 0 {
-                        panic!("job {i} panicked");
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // Give the workers a moment so the panic counter below is
-            // meaningful even if drop is instant.
-            thread::sleep(Duration::from_millis(20));
-            assert!(pool.panicked_jobs() > 0, "panics must be observed");
-        } // drop: must join cleanly despite panicked jobs
-        assert_eq!(done.load(Ordering::Relaxed), 13, "non-panicking jobs ran");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   checked cooperatively at task-expansion and per-batch boundaries;
 //! * [`sandbox`] — `catch_unwind` around a fallible closure, converting
 //!   a panic payload into `Failure::Panic` (message + site) and mapping
-//!   `Error::Timeout` / `Error::Budget` into their `Failure` kinds.
+//!   `Error::Timeout` / `Error::Budget` into their `Failure` kinds — the
+//!   one place that decides whether an outcome is a `Failure`.
 //!
 //! The campaign layer (in `ruletest-core`) builds quarantine and resume
 //! semantics on top; nothing here allocates unless a failure actually
@@ -44,6 +45,29 @@ pub enum Failure {
     BudgetExhausted { message: String },
 }
 
+/// The three ways a supervised invocation can fail, as the stable tag
+/// telemetry events, quarantine files and report sections carry. A tag
+/// from outside the program that is none of these is a decode error, not
+/// a fourth kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureKind {
+    Panic,
+    Timeout,
+    Budget,
+}
+
+crate::wire_names!(FailureKind {
+    Panic => "panic",
+    Timeout => "timeout",
+    Budget => "budget",
+});
+
+impl fmt::Display for FailureKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 impl Failure {
     pub fn panic(message: impl Into<String>, site: impl Into<String>) -> Self {
         Failure::Panic {
@@ -64,13 +88,12 @@ impl Failure {
         }
     }
 
-    /// Stable kind tag used in telemetry events, quarantine files, and
-    /// report sections.
-    pub fn kind(&self) -> &'static str {
+    /// Which of the three kinds this failure is.
+    pub fn kind(&self) -> FailureKind {
         match self {
-            Failure::Panic { .. } => "panic",
-            Failure::Timeout { .. } => "timeout",
-            Failure::BudgetExhausted { .. } => "budget",
+            Failure::Panic { .. } => FailureKind::Panic,
+            Failure::Timeout { .. } => FailureKind::Timeout,
+            Failure::BudgetExhausted { .. } => FailureKind::Budget,
         }
     }
 
@@ -80,18 +103,6 @@ impl Failure {
             Failure::Panic { message, .. }
             | Failure::Timeout { message }
             | Failure::BudgetExhausted { message } => message,
-        }
-    }
-
-    /// Classifies an ordinary [`Error`] as a supervision failure, when it
-    /// is one. `Timeout` and `Budget` are sandbox outcomes; everything
-    /// else (invalid tree, unsupported dialect, ...) stays an error the
-    /// caller handles as before.
-    pub fn from_error(e: &Error) -> Option<Failure> {
-        match e {
-            Error::Timeout(m) => Some(Failure::timeout(m.clone())),
-            Error::Budget(m) => Some(Failure::budget(m.clone())),
-            _ => None,
         }
     }
 }
@@ -223,11 +234,9 @@ pub fn sandbox<T>(
     f: impl FnOnce() -> Result<T>,
 ) -> std::result::Result<Result<T>, Failure> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(Ok(v)) => Ok(Ok(v)),
-        Ok(Err(e)) => match Failure::from_error(&e) {
-            Some(fail) => Err(fail),
-            None => Ok(Err(e)),
-        },
+        Ok(Err(Error::Timeout(m))) => Err(Failure::timeout(m)),
+        Ok(Err(Error::Budget(m))) => Err(Failure::budget(m)),
+        Ok(result) => Ok(result),
         Err(payload) => Err(Failure::panic(panic_message(payload.as_ref()), site)),
     }
 }
@@ -280,7 +289,7 @@ mod tests {
         let out: std::result::Result<Result<u32>, Failure> =
             sandbox("optimize:BadRule", || panic!("rule exploded"));
         let fail = out.unwrap_err();
-        assert_eq!(fail.kind(), "panic");
+        assert_eq!(fail.kind(), FailureKind::Panic);
         assert_eq!(fail.message(), "rule exploded");
         assert!(fail.to_string().contains("optimize:BadRule"), "{fail}");
         // String payloads too.
@@ -292,9 +301,9 @@ mod tests {
     #[test]
     fn sandbox_classifies_timeout_and_budget_errors() {
         let out = sandbox("s", || -> Result<u32> { Err(Error::timeout("memo loop")) });
-        assert_eq!(out.unwrap_err().kind(), "timeout");
+        assert_eq!(out.unwrap_err(), Failure::timeout("memo loop"));
         let out = sandbox("s", || -> Result<u32> { Err(Error::budget("rows")) });
-        assert_eq!(out.unwrap_err().kind(), "budget");
+        assert_eq!(out.unwrap_err(), Failure::budget("rows"));
         // Ordinary errors pass through unclassified.
         let out = sandbox("s", || -> Result<u32> { Err(Error::invalid("tree")) });
         assert_eq!(out.unwrap().unwrap_err(), Error::invalid("tree"));
@@ -304,17 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn failure_kinds_and_from_error_round_trip() {
-        assert_eq!(
-            Failure::from_error(&Error::timeout("x")),
-            Some(Failure::timeout("x"))
-        );
-        assert_eq!(
-            Failure::from_error(&Error::budget("y")),
-            Some(Failure::budget("y"))
-        );
-        assert_eq!(Failure::from_error(&Error::internal("z")), None);
-        assert_eq!(Failure::budget("y").kind(), "budget");
-        assert_eq!(Failure::timeout("x").kind(), "timeout");
+    fn failure_kinds_keep_their_wire_names_and_admit_no_others() {
+        assert_eq!(Failure::panic("p", "s").kind().name(), "panic");
+        assert_eq!(Failure::timeout("x").kind().name(), "timeout");
+        assert_eq!(Failure::budget("y").kind().name(), "budget");
+        assert_eq!(FailureKind::from_name("oom"), None);
     }
 }

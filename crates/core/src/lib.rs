@@ -17,7 +17,7 @@ pub mod supervise;
 pub mod triage;
 
 pub use compress::{Instance, Solution};
-pub use correctness::{execute_solution_supervised, BugReport, CorrectnessReport};
+pub use correctness::{execute_solution_with, BugReport, CorrectnessReport};
 pub use framework::{DbProfile, Framework, FrameworkConfig};
 pub use generate::{GenConfig, GenOutcome, Strategy};
 pub use mutate::{
@@ -27,16 +27,15 @@ pub use mutate::{
 };
 pub use perf::{rule_impact, RuleImpact};
 pub use persist::{
-    final_persist, run_checkpointed_campaign, run_checkpointed_campaign_supervised, CampaignParams,
-    CampaignRun, CampaignStore,
+    final_persist, run_checkpointed_campaign, CampaignParams, CampaignRun, CampaignStore,
 };
 pub use suite::{
-    build_graph, build_graph_pruned, generate_suite, generate_suite_lenient, pair_targets,
-    singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery, TestSuite,
+    build_graph, build_graph_pruned, build_graph_with, generate_suite, generate_suite_lenient,
+    generate_suite_with, pair_targets, singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery,
+    TestSuite,
 };
 pub use supervise::{
-    build_graph_supervised, crash_bundles, generate_suite_supervised, input_fingerprint,
-    quarantine_summary, Quarantine, QuarantineEntry,
+    crash_bundles, input_fingerprint, quarantine_summary, Quarantine, QuarantineEntry,
 };
 pub use triage::{
     read_bundles, replay, to_bundles, triage_report, write_bundles, BugSignature, ReplayOutcome,

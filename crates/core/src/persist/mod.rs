@@ -32,8 +32,10 @@
 
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
-use crate::suite::{build_graph, generate_suite, singleton_targets, BipartiteGraph, TestSuite};
-use crate::supervise::{build_graph_supervised, generate_suite_supervised, Quarantine};
+use crate::suite::{
+    build_graph_with, generate_suite_with, singleton_targets, BipartiteGraph, TestSuite,
+};
+use crate::supervise::Quarantine;
 use ruletest_common::{wire_record, Decode, DecodeError, Encode, Error, Json, Result};
 use ruletest_optimizer::persist::write_atomic;
 use ruletest_optimizer::SnapshotStore;
@@ -162,10 +164,10 @@ struct QuarantineDoc {
 
 wire_record!(QuarantineDoc { "quarantine" => quarantine });
 
-/// The graph-stage payload of a *supervised* campaign: the stage may shrink
-/// the suite (quarantined targets drop with their queries), so the shrunk
-/// suite travels with the graph — the two must stay consistent on resume.
-/// (An unsupervised graph stage's payload is the bare graph.)
+/// The graph-stage payload of a campaign run with a quarantine: the stage
+/// may shrink the suite (quarantined targets drop with their queries), so
+/// the shrunk suite travels with the graph — the two must stay consistent
+/// on resume. (Without a quarantine the payload is the bare graph.)
 struct ShrunkGraph {
     suite: TestSuite,
     graph: BipartiteGraph,
@@ -330,6 +332,13 @@ pub struct CampaignRun {
 /// previous boundary: neither the report nor the disk cache retains
 /// partial-stage state).
 ///
+/// `quarantine` is the failure policy of both stages. With one, absorbed
+/// failures land in it, quarantined targets shrink the suite instead of
+/// aborting the run, and it is persisted in the checkpoint dir at every
+/// stage boundary and merged back on `resume`, so a resumed campaign
+/// skips known-poisoned inputs instead of re-crashing on them. Without
+/// one, the first failure propagates.
+///
 /// On return, the snapshot store's boundary is set to
 /// [`BOUNDARY_EXECUTE`]; the caller runs compression/execution and
 /// finishes with [`final_persist`].
@@ -339,34 +348,7 @@ pub fn run_checkpointed_campaign(
     cache_dir: Option<&Path>,
     resume: bool,
     stop_after: Option<&str>,
-) -> Result<Option<CampaignRun>> {
-    campaign_impl(fw, params, cache_dir, resume, stop_after, None)
-}
-
-/// Supervised variant of [`run_checkpointed_campaign`]: the generation
-/// and graph stages run under the panic sandbox, absorbed failures land
-/// in `quarantine` (which is persisted in the checkpoint dir at every
-/// stage boundary and merged back on `--resume`, so a resumed campaign
-/// skips known-poisoned inputs instead of re-crashing on them), and
-/// quarantined targets shrink the suite instead of aborting the run.
-pub fn run_checkpointed_campaign_supervised(
-    fw: &Framework,
-    params: &CampaignParams,
-    cache_dir: Option<&Path>,
-    resume: bool,
-    stop_after: Option<&str>,
-    quarantine: &mut Quarantine,
-) -> Result<Option<CampaignRun>> {
-    campaign_impl(fw, params, cache_dir, resume, stop_after, Some(quarantine))
-}
-
-fn campaign_impl(
-    fw: &Framework,
-    params: &CampaignParams,
-    cache_dir: Option<&Path>,
-    resume: bool,
-    stop_after: Option<&str>,
-    mut supervised: Option<&mut Quarantine>,
+    mut quarantine: Option<&mut Quarantine>,
 ) -> Result<Option<CampaignRun>> {
     let fingerprint = fw.campaign_fingerprint();
     let cstore = match cache_dir {
@@ -396,9 +378,9 @@ fn campaign_impl(
         cs.clear()
             .map_err(|e| io_err("clearing stale checkpoints", e))?;
     }
-    // A supervised resume inherits the persisted quarantine: inputs that
-    // crashed the previous run are skipped, not retried.
-    if let (Some(cs), true, Some(q)) = (&cstore, resume, supervised.as_deref_mut()) {
+    // A resume inherits the persisted quarantine: inputs that crashed the
+    // previous run are skipped, not retried.
+    if let (Some(cs), true, Some(q)) = (&cstore, resume, quarantine.as_deref_mut()) {
         q.merge(cs.load_quarantine());
     }
     let counted_through = graph_ck
@@ -437,25 +419,16 @@ fn campaign_impl(
                 s.set_boundary(BOUNDARY_SUITE);
             }
             let targets = singleton_targets(fw, params.rules);
-            let suite = match supervised.as_deref_mut() {
-                Some(q) => generate_suite_supervised(
-                    fw,
-                    targets,
-                    params.k,
-                    Strategy::Pattern,
-                    &params.gen_config(),
-                    q,
-                )?,
-                None => generate_suite(
-                    fw,
-                    targets,
-                    params.k,
-                    Strategy::Pattern,
-                    &params.gen_config(),
-                )?,
-            };
+            let suite = generate_suite_with(
+                fw,
+                targets,
+                params.k,
+                Strategy::Pattern,
+                &params.gen_config(),
+                quarantine.as_deref_mut(),
+            )?;
             checkpoint(fw, &cstore, STAGE_SUITE, BOUNDARY_SUITE, suite.encode())?;
-            save_quarantine(&cstore, supervised.as_deref())?;
+            save_quarantine(&cstore, quarantine.as_deref())?;
             suite
         }
     };
@@ -463,7 +436,7 @@ fn campaign_impl(
         return Ok(None);
     }
 
-    // Stage 2: bipartite graph (payload: `ShrunkGraph` when supervised,
+    // Stage 2: bipartite graph (payload: `ShrunkGraph` with a quarantine,
     // the bare graph otherwise).
     let (suite, graph) = match &graph_ck {
         Some((_, payload, _)) if payload.get("graph").is_some() => {
@@ -475,19 +448,15 @@ fn campaign_impl(
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_GRAPH);
             }
-            match supervised.as_deref_mut() {
-                Some(q) => {
-                    let (suite, graph) = build_graph_supervised(fw, &suite, q)?;
-                    let shrunk = ShrunkGraph { suite, graph };
-                    checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, shrunk.encode())?;
-                    save_quarantine(&cstore, supervised.as_deref())?;
-                    (shrunk.suite, shrunk.graph)
-                }
-                None => {
-                    let graph = build_graph(fw, &suite)?;
-                    checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, graph.encode())?;
-                    (suite, graph)
-                }
+            let (suite, graph) = build_graph_with(fw, suite, quarantine.as_deref_mut())?;
+            if quarantine.is_some() {
+                let shrunk = ShrunkGraph { suite, graph };
+                checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, shrunk.encode())?;
+                save_quarantine(&cstore, quarantine.as_deref())?;
+                (shrunk.suite, shrunk.graph)
+            } else {
+                checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, graph.encode())?;
+                (suite, graph)
             }
         }
     };
@@ -507,7 +476,7 @@ fn campaign_impl(
     }))
 }
 
-/// Persists the quarantine at a stage boundary (supervised runs only).
+/// Persists the quarantine at a stage boundary, when the run has one.
 fn save_quarantine(cstore: &Option<CampaignStore>, quarantine: Option<&Quarantine>) -> Result<()> {
     if let (Some(cs), Some(q)) = (cstore, quarantine) {
         cs.save_quarantine(q)

@@ -5,13 +5,13 @@
 //! pairs, `nC2` invocations per query in the worst case — so the number of
 //! optimizer invocations is itself the cost metric of Figure 14.
 
-use super::{RuleTarget, TestSuite};
+use super::{RuleTarget, SuiteQuery, TestSuite};
 use crate::framework::Framework;
-use ruletest_common::{try_par_map, wire_record, Result};
+use crate::supervise::{run_stage, ItemName, Quarantine, SITE_GRAPH};
+use ruletest_common::{wire_record, Result};
 use ruletest_optimizer::OptimizerConfig;
 use ruletest_telemetry::{Counter, Event, Stage};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A fully materialized bipartite graph (Figure 4 / Figure 7).
@@ -78,7 +78,6 @@ pub struct EdgeOracle<'a> {
     fw: &'a Framework,
     suite: &'a TestSuite,
     cache: Mutex<HashMap<(usize, usize), f64>>,
-    calls: AtomicU64,
 }
 
 impl<'a> EdgeOracle<'a> {
@@ -87,7 +86,6 @@ impl<'a> EdgeOracle<'a> {
             fw,
             suite,
             cache: Mutex::new(HashMap::new()),
-            calls: AtomicU64::new(0),
         }
     }
 
@@ -106,7 +104,6 @@ impl<'a> EdgeOracle<'a> {
             &self.suite.queries[q].tree,
             &OptimizerConfig::disabling(&rules),
         )?;
-        self.calls.fetch_add(1, Ordering::Relaxed);
         self.fw.telemetry.incr(Counter::OracleCalls);
         self.cache
             .lock()
@@ -115,113 +112,201 @@ impl<'a> EdgeOracle<'a> {
         Ok(res.cost)
     }
 
+    /// Edge costs computed so far (cache misses).
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.cache.lock().expect("edge cache poisoned").len() as u64
     }
 
-    fn into_edges(self) -> (HashMap<(usize, usize), f64>, u64) {
-        let calls = self.calls.load(Ordering::Relaxed);
-        (self.cache.into_inner().expect("edge cache poisoned"), calls)
+    fn into_edges(self) -> HashMap<(usize, usize), f64> {
+        self.cache.into_inner().expect("edge cache poisoned")
     }
 }
 
-fn skeleton(suite: &TestSuite) -> (Vec<f64>, Vec<Vec<usize>>, Vec<usize>) {
-    let node_cost: Vec<f64> = suite.queries.iter().map(|q| q.cost).collect();
-    let adjacency: Vec<Vec<usize>> = (0..suite.targets.len())
-        .map(|t| suite.covering(t))
+/// Numbers the kept positions `0, 1, ..` in order: `old -> Some(new)`,
+/// `None` for a dropped one.
+fn renumber(keep: impl Iterator<Item = bool>) -> Vec<Option<usize>> {
+    let mut next = 0;
+    keep.map(|kept| {
+        kept.then(|| {
+            next += 1;
+            next - 1
+        })
+    })
+    .collect()
+}
+
+/// The items a [`renumber`]ed map keeps, in order.
+fn kept<'a, T>(items: &'a [T], map: &'a [Option<usize>]) -> impl Iterator<Item = &'a T> {
+    items
+        .iter()
+        .zip(map)
+        .filter_map(|(item, new)| new.map(|_| item))
+}
+
+/// The one graph build: `scan(oracle, t, adjacency[t])` computes the edge
+/// costs of target `t` ([`eager_scan`] or [`pruned_scan`]) through a
+/// shared [`EdgeOracle`], fanned out through [`run_stage`] under the
+/// caller's failure policy, and the graph is assembled over the targets
+/// that came through. One worker per target: every `(t, q)` edge belongs
+/// to exactly one target, so workers never race on an edge, and edge
+/// costs are pure, so the edge map is identical at any thread count.
+///
+/// A quarantined target (before this run or just now) is dropped
+/// *together with its dedicated queries*: the graph indexes a shrunk
+/// suite, returned as the second member (`None` when nothing was dropped
+/// and the graph indexes `suite` itself — always, without a quarantine).
+/// Targets the quarantine already names are out before any edge is
+/// computed, so their queries are never optimized again.
+fn build(
+    fw: &Framework,
+    suite: &TestSuite,
+    scan: impl Fn(&EdgeOracle, usize, &[usize]) -> Result<()> + Sync,
+    quarantine: Option<&mut Quarantine>,
+) -> Result<(BipartiteGraph, Option<TestSuite>)> {
+    let known: Vec<bool> = suite
+        .targets
+        .iter()
+        .map(|t| {
+            quarantine
+                .as_deref()
+                .is_some_and(|q| q.contains_input(SITE_GRAPH, &t.label(&fw.optimizer)))
+        })
         .collect();
-    let generated_for = suite.queries.iter().map(|q| q.generated_for).collect();
-    (node_cost, adjacency, generated_for)
+    let adjacency: Vec<Vec<usize>> = (0..suite.targets.len())
+        .map(|t| {
+            let mut adj = suite.covering(t);
+            adj.retain(|&q| !known[suite.queries[q].generated_for]);
+            adj
+        })
+        .collect();
+    let oracle = EdgeOracle::new(fw, suite);
+    let scanned = run_stage(
+        fw,
+        SITE_GRAPH,
+        &suite.targets,
+        |&target| ItemName::of_target(fw, target),
+        |t, _| {
+            // Per-target span inside the leaf closure: the tree shape stays
+            // identical at any thread count.
+            let _span = fw.telemetry.span(Stage::Graph);
+            scan(&oracle, t, &adjacency[t])
+        },
+        quarantine,
+    )?;
+
+    let target_map = renumber(scanned.iter().map(Option::is_some));
+    let query_map = renumber(
+        suite
+            .queries
+            .iter()
+            .map(|q| target_map[q.generated_for].is_some()),
+    );
+    let edges: HashMap<(usize, usize), f64> = oracle
+        .into_edges()
+        .into_iter()
+        .filter_map(|((t, q), c)| Some(((target_map[t]?, query_map[q]?), c)))
+        .collect();
+    let graph = BipartiteGraph {
+        targets: kept(&suite.targets, &target_map).copied().collect(),
+        k: suite.k,
+        node_cost: kept(&suite.queries, &query_map).map(|q| q.cost).collect(),
+        adjacency: kept(&adjacency, &target_map)
+            .map(|adj| adj.iter().filter_map(|&q| query_map[q]).collect())
+            .collect(),
+        optimizer_calls: edges.len() as u64,
+        edges,
+        generated_for: kept(&suite.queries, &query_map)
+            .filter_map(|q| target_map[q.generated_for])
+            .collect(),
+    };
+    let shrunk = scanned.contains(&None).then(|| TestSuite {
+        targets: graph.targets.clone(),
+        k: suite.k,
+        queries: kept(&suite.queries, &query_map)
+            .zip(&graph.generated_for)
+            .map(|(q, &generated_for)| SuiteQuery {
+                generated_for,
+                ..q.clone()
+            })
+            .collect(),
+        seed: suite.seed,
+    });
+    Ok((graph, shrunk))
+}
+
+/// Every adjacency edge — the exhaustive strategy Figure 14 compares
+/// against.
+fn eager_scan(oracle: &EdgeOracle, t: usize, adj: &[usize]) -> Result<()> {
+    adj.iter()
+        .try_for_each(|&q| oracle.edge_cost(t, q).map(drop))
+}
+
+/// The §5.3.1 scan of one target: queries are visited in increasing
+/// `Cost(q)` order while maintaining the k cheapest edges seen; once the
+/// next query's node cost reaches the current k-th cheapest edge cost, no
+/// remaining query can improve the top-k (because `Cost(q) <= Cost(q, ¬R)`
+/// for a well-behaved optimizer) and the scan stops. The scan is
+/// sequential *within* a target (each edge decides whether to keep
+/// scanning), but targets are independent — the parallel campaign fans
+/// out across them with the pruning intact.
+fn pruned_scan(oracle: &EdgeOracle, t: usize, adj: &[usize]) -> Result<()> {
+    let (fw, k) = (oracle.fw, oracle.suite.k);
+    let node_cost = |q: usize| oracle.suite.queries[q].cost;
+    let mut by_node_cost = adj.to_vec();
+    by_node_cost.sort_by(|&a, &b| node_cost(a).total_cmp(&node_cost(b)));
+    // Max-heap of the k cheapest edge costs seen so far.
+    let mut heap: std::collections::BinaryHeap<ordered::F64> = std::collections::BinaryHeap::new();
+    let mut scanned = 0u32;
+    for &q in &by_node_cost {
+        if heap.len() == k {
+            let kth = heap.peek().expect("heap is full").0;
+            if node_cost(q) >= kth {
+                break; // every remaining edge is at least this expensive
+            }
+        }
+        let c = oracle.edge_cost(t, q)?;
+        scanned += 1;
+        if heap.len() < k {
+            heap.push(ordered::F64(c));
+        } else if c < heap.peek().expect("heap is full").0 {
+            heap.pop();
+            heap.push(ordered::F64(c));
+        }
+    }
+    let pruned = adj.len() as u32 - scanned;
+    fw.telemetry.add(Counter::EdgesPruned, pruned as u64);
+    fw.telemetry.event(|| Event::GraphProbe {
+        target: t as u32,
+        scanned,
+        pruned,
+    });
+    Ok(())
 }
 
 /// Builds the graph eagerly: every adjacency edge's cost is computed — the
 /// exhaustive strategy Figure 14 compares against.
 pub fn build_graph(fw: &Framework, suite: &TestSuite) -> Result<BipartiteGraph> {
-    let (node_cost, adjacency, generated_for) = skeleton(suite);
-    let oracle = EdgeOracle::new(fw, suite);
-    // One worker per target: every (t, q) edge belongs to exactly one
-    // target, so workers never race on an edge, and edge costs are pure,
-    // so the resulting map is identical at any thread count.
-    let indexed: Vec<usize> = (0..adjacency.len()).collect();
-    try_par_map(fw.parallelism.threads, &indexed, |_, &t| {
-        // Per-target span inside the leaf closure: the tree shape stays
-        // identical at any thread count.
-        let _span = fw.telemetry.span(Stage::Graph);
-        for &q in &adjacency[t] {
-            oracle.edge_cost(t, q)?;
-        }
-        Ok(())
-    })?;
-    let (edges, optimizer_calls) = oracle.into_edges();
-    Ok(BipartiteGraph {
-        targets: suite.targets.clone(),
-        k: suite.k,
-        node_cost,
-        adjacency,
-        edges,
-        generated_for,
-        optimizer_calls,
-    })
+    Ok(build(fw, suite, eager_scan, None)?.0)
 }
 
-/// Builds the graph with the §5.3.1 pruning: for each target, queries are
-/// visited in increasing `Cost(q)` order while maintaining the k cheapest
-/// edges seen; once the next query's node cost reaches the current k-th
-/// cheapest edge cost, no remaining query can improve the top-k (because
-/// `Cost(q) <= Cost(q, ¬R)` for a well-behaved optimizer) and the scan
-/// stops. Only the edges the TopKIndependent algorithm can ever use are
-/// computed.
+/// Builds the graph with the §5.3.1 pruning ([`pruned_scan`]): only the
+/// edges the TopKIndependent algorithm can ever use are computed.
 pub fn build_graph_pruned(fw: &Framework, suite: &TestSuite) -> Result<BipartiteGraph> {
-    let (node_cost, adjacency, generated_for) = skeleton(suite);
-    let oracle = EdgeOracle::new(fw, suite);
-    // The §5.3.1 scan is sequential *within* a target (each edge decides
-    // whether to keep scanning), but targets are independent — the
-    // parallel campaign fans out across them with the pruning intact.
-    let indexed: Vec<usize> = (0..adjacency.len()).collect();
-    try_par_map(fw.parallelism.threads, &indexed, |_, &t| {
-        let _span = fw.telemetry.span(Stage::Graph);
-        let adj = &adjacency[t];
-        let mut by_node_cost = adj.clone();
-        by_node_cost.sort_by(|&a, &b| node_cost[a].total_cmp(&node_cost[b]));
-        // Max-heap of the k cheapest edge costs seen so far.
-        let mut heap: std::collections::BinaryHeap<ordered::F64> =
-            std::collections::BinaryHeap::new();
-        let mut scanned = 0u32;
-        for &q in &by_node_cost {
-            if heap.len() == suite.k {
-                let kth = heap.peek().expect("heap is full").0;
-                if node_cost[q] >= kth {
-                    break; // every remaining edge is at least this expensive
-                }
-            }
-            let c = oracle.edge_cost(t, q)?;
-            scanned += 1;
-            if heap.len() < suite.k {
-                heap.push(ordered::F64(c));
-            } else if c < heap.peek().expect("heap is full").0 {
-                heap.pop();
-                heap.push(ordered::F64(c));
-            }
-        }
-        let pruned = adj.len() as u32 - scanned;
-        fw.telemetry.add(Counter::EdgesPruned, pruned as u64);
-        fw.telemetry.event(|| Event::GraphProbe {
-            target: t as u32,
-            scanned,
-            pruned,
-        });
-        Ok(())
-    })?;
-    let (edges, optimizer_calls) = oracle.into_edges();
-    Ok(BipartiteGraph {
-        targets: suite.targets.clone(),
-        k: suite.k,
-        node_cost,
-        adjacency,
-        edges,
-        generated_for,
-        optimizer_calls,
-    })
+    Ok(build(fw, suite, pruned_scan, None)?.0)
+}
+
+/// [`build_graph`] under a failure policy: with a quarantine, a target
+/// whose edge computation panics, times out or exhausts a budget is
+/// quarantined and dropped together with its dedicated queries, rather
+/// than aborting the campaign. Returns the suite the graph indexes —
+/// `suite` itself unless targets were dropped.
+pub fn build_graph_with(
+    fw: &Framework,
+    suite: TestSuite,
+    quarantine: Option<&mut Quarantine>,
+) -> Result<(TestSuite, BipartiteGraph)> {
+    let (graph, shrunk) = build(fw, &suite, eager_scan, quarantine)?;
+    Ok((shrunk.unwrap_or(suite), graph))
 }
 
 mod ordered {

@@ -10,12 +10,13 @@ pub mod graph;
 
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
+use crate::supervise::{run_stage, ItemName, Quarantine, SITE_SUITE};
 use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
-use ruletest_common::{par_map, try_par_map, wire_record, Error, Json, Result, RuleId};
+use ruletest_common::{wire_record, Error, Json, Result, RuleId};
 use ruletest_logical::LogicalTree;
 use std::collections::BTreeSet;
 
-pub use graph::{build_graph, build_graph_pruned, BipartiteGraph, EdgeOracle};
+pub use graph::{build_graph, build_graph_pruned, build_graph_with, BipartiteGraph, EdgeOracle};
 
 /// What a test-suite slot validates: a single rule or a rule pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,6 +37,15 @@ impl RuleTarget {
     /// True iff a query with this `RuleSet` exercises the target.
     pub fn covered_by(&self, rule_set: &BTreeSet<RuleId>) -> bool {
         self.rules().iter().all(|r| rule_set.contains(r))
+    }
+
+    /// Names of [`RuleTarget::rules`] — the rule mask as bug reports,
+    /// quarantine entries and repro bundles record it.
+    pub fn rule_names(&self, optimizer: &ruletest_optimizer::Optimizer) -> Vec<String> {
+        self.rules()
+            .iter()
+            .map(|&r| optimizer.rule(r).name.to_string())
+            .collect()
     }
 
     /// Human-readable label.
@@ -128,10 +138,64 @@ impl TestSuite {
     }
 }
 
+/// The one suite collector: `work(ti, target)` finds one target's queries
+/// (`Ok(None)` = could not be filled, the target is handed back in the
+/// second list), fanned out through [`run_stage`] under the caller's
+/// failure policy. Each target is an independent generation problem whose
+/// seed stream depends only on `(seed, ti)`, and `ti` is always the
+/// target's index in `targets`, so the queries of every kept target are
+/// byte-identical at any thread count and whichever neighbours a
+/// quarantine drops. Kept targets are numbered in target order and their
+/// queries retagged to match.
+fn collect_suite(
+    fw: &Framework,
+    targets: Vec<RuleTarget>,
+    k: usize,
+    seed: u64,
+    quarantine: Option<&mut Quarantine>,
+    work: impl Fn(usize, RuleTarget) -> Result<Option<Vec<SuiteQuery>>> + Sync,
+) -> Result<(TestSuite, Vec<RuleTarget>)> {
+    let per_target = run_stage(
+        fw,
+        SITE_SUITE,
+        &targets,
+        |&t| ItemName::of_target(fw, t),
+        |ti, &t| work(ti, t),
+        quarantine,
+    )?;
+    let mut suite = TestSuite {
+        targets: Vec::new(),
+        k,
+        queries: Vec::new(),
+        seed,
+    };
+    let mut unfilled = Vec::new();
+    for (target, found) in targets.into_iter().zip(per_target) {
+        match found {
+            Some(Some(mini)) => {
+                let slot = suite.targets.len();
+                suite.targets.push(target);
+                suite.queries.extend(mini.into_iter().map(|mut q| {
+                    q.generated_for = slot;
+                    q
+                }));
+            }
+            Some(None) => unfilled.push(target),
+            // Quarantined, before this run or just now: dropped.
+            None => {}
+        }
+    }
+    Ok((suite, unfilled))
+}
+
 /// Generates a test suite, dropping targets for which `k` distinct
 /// untruncated queries cannot be found within the attempt budget. Returns
 /// the suite plus the skipped targets — the lenient entry point used by
 /// sweep harnesses where one pathological target must not stall the run.
+///
+/// Unlike [`generate_suite`], every target draws from seed stream 0
+/// whatever its position; `tests/golden/search_digest.txt` and the
+/// perfbench result digests pin the queries that produces.
 pub fn generate_suite_lenient(
     fw: &Framework,
     targets: Vec<RuleTarget>,
@@ -139,41 +203,14 @@ pub fn generate_suite_lenient(
     strategy: Strategy,
     cfg: &GenConfig,
 ) -> Result<(TestSuite, Vec<RuleTarget>)> {
-    // Each target is an independent generation problem with its own seed
-    // stream, so the fan-out is embarrassingly parallel; merging in target
-    // order keeps the output identical to the sequential build.
-    let per_target = par_map(fw.parallelism.threads, &targets, |_, target| {
-        queries_for_target(fw, *target, 0, k, strategy, cfg)
-    });
-    let mut kept = Vec::new();
-    let mut queries = Vec::new();
-    let mut skipped = Vec::new();
-    for (target, result) in targets.into_iter().zip(per_target) {
-        match result {
-            Ok(mini) => {
-                let ti = kept.len();
-                kept.push(target);
-                queries.extend(mini.into_iter().map(|mut q| {
-                    q.generated_for = ti;
-                    q
-                }));
-            }
-            Err(_) => skipped.push(target),
-        }
-    }
-    Ok((
-        TestSuite {
-            targets: kept,
-            k,
-            queries,
-            seed: cfg.seed,
-        },
-        skipped,
-    ))
+    collect_suite(fw, targets, k, cfg.seed, None, |_, target| {
+        Ok(queries_for_target(fw, target, 0, k, strategy, cfg).ok())
+    })
 }
 
 /// Generates a test suite: for each target, `k` distinct queries that
-/// exercise it (§2.3's `TS = ∪ TS_i`).
+/// exercise it (§2.3's `TS = ∪ TS_i`). A target that cannot be filled is
+/// an error.
 pub fn generate_suite(
     fw: &Framework,
     targets: Vec<RuleTarget>,
@@ -181,27 +218,30 @@ pub fn generate_suite(
     strategy: Strategy,
     cfg: &GenConfig,
 ) -> Result<TestSuite> {
-    // Per-target seed streams depend only on (cfg.seed, target index), and
-    // distinctness is checked within a target, so targets can be generated
-    // concurrently; collecting in target order makes the suite
-    // byte-identical at any thread count.
-    let per_target = try_par_map(
-        fw.parallelism.threads,
-        &targets.iter().copied().enumerate().collect::<Vec<_>>(),
-        |_, &(ti, target)| queries_for_target(fw, target, ti, k, strategy, cfg),
-    )?;
-    Ok(TestSuite {
-        targets,
-        k,
-        queries: per_target.into_iter().flatten().collect(),
-        seed: cfg.seed,
-    })
+    generate_suite_with(fw, targets, k, strategy, cfg, None)
+}
+
+/// [`generate_suite`] under a failure policy: with a quarantine, a target
+/// whose generation panics, times out or exhausts a budget is quarantined
+/// and dropped, and an already-quarantined target is skipped without
+/// touching the optimizer. An unfillable target is a generation outcome,
+/// not a crash, and stays an error under both policies.
+pub fn generate_suite_with(
+    fw: &Framework,
+    targets: Vec<RuleTarget>,
+    k: usize,
+    strategy: Strategy,
+    cfg: &GenConfig,
+    quarantine: Option<&mut Quarantine>,
+) -> Result<TestSuite> {
+    let strict = |ti, target| queries_for_target(fw, target, ti, k, strategy, cfg).map(Some);
+    Ok(collect_suite(fw, targets, k, cfg.seed, quarantine, strict)?.0)
 }
 
 /// Finds `k` distinct untruncated queries for one target — the unit of
-/// work the suite builders fan out over. `ti` feeds both the seed stream
+/// work [`collect_suite`] fans out over. `ti` feeds both the seed stream
 /// and the `generated_for` tags of the returned queries.
-pub(crate) fn queries_for_target(
+fn queries_for_target(
     fw: &Framework,
     target: RuleTarget,
     ti: usize,

@@ -1,35 +1,37 @@
-//! Campaign-level supervision: quarantine, supervised stage drivers, and
-//! crash repro bundles.
+//! Campaign-level supervision: the quarantine, the one stage runner every
+//! campaign stage fans out through, and crash repro bundles.
 //!
 //! `ruletest_common::supervise` provides the mechanism (panic sandbox,
 //! deadlines, the [`Failure`] taxonomy); this module provides the policy.
-//! Each campaign stage gets a supervised twin that fans the same work out
-//! through `par_map_supervised`, catches per-item failures instead of
-//! letting them abort the campaign, and records every poisoned input in a
-//! [`Quarantine`] keyed by a *stable fingerprint* of `(site, input)`. The
-//! quarantine persists in campaign checkpoints, so a `--resume` skips
+//! A stage is written once, on top of [`run_stage`], and what happens when
+//! one of its items fails is the caller's choice of policy: without a
+//! quarantine the failure propagates (first error by item order, a panic
+//! resumes on the caller); with one, the failure is absorbed — the
+//! poisoned input is recorded in the [`Quarantine`] under a *stable
+//! fingerprint* of `(site, input)` and the stage carries on without it.
+//! The quarantine persists in campaign checkpoints, so a `--resume` skips
 //! known-poisoned inputs instead of re-hitting the crash; crash inputs
 //! that carry SQL are fed to the triage minimizer's shrink lattice and
 //! emitted as [`ReproBundle`]s.
 //!
 //! **Determinism contract:** on a clean run (no failures, empty
-//! quarantine) every supervised driver performs exactly the same
-//! optimizer/executor calls, opens the same telemetry spans, and bumps
-//! the same counters as its unsupervised twin — the deterministic report
-//! slice is byte-identical with supervision on or off, at any thread
-//! count. All supervision counters are environmental (excluded from the
-//! deterministic slice), so absorbed faults never perturb it either.
+//! quarantine) a stage performs exactly the same optimizer/executor
+//! calls, opens the same telemetry spans, and bumps the same counters
+//! under either policy — the deterministic report slice is byte-identical
+//! with supervision on or off, at any thread count. All supervision
+//! counters are environmental (excluded from the deterministic slice), so
+//! absorbed faults never perturb it either.
 
 use crate::framework::Framework;
-use crate::generate::{GenConfig, Strategy};
-use crate::suite::{queries_for_target, BipartiteGraph, RuleTarget, TestSuite};
+use crate::suite::RuleTarget;
 use crate::triage::{bundle::BUNDLE_VERSION, minimize, ReproBundle, TriageConfig};
-use ruletest_common::{fnv1a, par_map_supervised, sandbox, wire_record, Failure, Result, RuleId};
+use ruletest_common::{
+    fnv1a, par_map, sandbox, try_par_map, wire_record, Failure, FailureKind, Result, RuleId,
+};
 use ruletest_executor::execute_with;
 use ruletest_logical::LogicalTree;
 use ruletest_optimizer::OptimizerConfig;
-use ruletest_telemetry::{Counter, Event, Stage};
-use std::collections::{BTreeSet, HashMap};
+use ruletest_telemetry::{Counter, Event};
 
 /// Supervision site labels (stable: they feed quarantine fingerprints).
 pub const SITE_SUITE: &str = "suite.generate";
@@ -57,8 +59,8 @@ pub fn input_fingerprint(site: &str, input: &str) -> String {
 pub struct QuarantineEntry {
     /// [`input_fingerprint`] of `(site, input)` — the dedup/skip key.
     pub fingerprint: String,
-    /// Failure kind tag (`panic` / `timeout` / `budget`).
-    pub kind: String,
+    /// Failure kind (`panic` / `timeout` / `budget` on the wire).
+    pub kind: FailureKind,
     /// Supervision site (`suite.generate`, `graph.edges`, `exec.base`,
     /// `exec.pair`).
     pub site: String,
@@ -139,11 +141,25 @@ impl Quarantine {
     }
 }
 
-fn failure_counter(kind: &str) -> Counter {
-    match kind {
-        "panic" => Counter::SupervisePanics,
-        "timeout" => Counter::SuperviseTimeouts,
-        _ => Counter::SuperviseBudget,
+/// How a stage names one of its items to the quarantine.
+pub(crate) struct ItemName {
+    /// The input's identity at this site; with the site label it makes
+    /// the fingerprint.
+    pub label: String,
+    /// The item's SQL, when it has one (see [`QuarantineEntry::sql`]).
+    pub sql: Option<String>,
+    /// Names of the rules masked while the item runs.
+    pub rule_mask: Vec<String>,
+}
+
+impl ItemName {
+    /// The name of a per-target item (suite generation, graph edges).
+    pub(crate) fn of_target(fw: &Framework, target: RuleTarget) -> Self {
+        ItemName {
+            label: target.label(&fw.optimizer),
+            sql: None,
+            rule_mask: target.rule_names(&fw.optimizer),
+        }
     }
 }
 
@@ -151,293 +167,83 @@ fn failure_counter(kind: &str) -> Counter {
 /// emits the `supervised` event, and quarantines the input (bumping the
 /// quarantine counter only for *new* entries — a resume re-absorbing a
 /// known input is not a new quarantine).
-pub(crate) fn absorb(
+fn absorb(
     fw: &Framework,
     quarantine: &mut Quarantine,
     site: &str,
-    label: &str,
-    sql: Option<String>,
-    rule_mask: Vec<String>,
+    name: ItemName,
     failure: &Failure,
 ) {
-    let fp = fingerprint_u64(site, label);
-    fw.telemetry.incr(failure_counter(failure.kind()));
-    let site_owned = site.to_string();
+    let fp = fingerprint_u64(site, &name.label);
     let kind = failure.kind();
+    fw.telemetry.incr(match kind {
+        FailureKind::Panic => Counter::SupervisePanics,
+        FailureKind::Timeout => Counter::SuperviseTimeouts,
+        FailureKind::Budget => Counter::SuperviseBudget,
+    });
     fw.telemetry.event(|| Event::Supervised {
-        kind,
-        site: site_owned.clone(),
+        kind: kind.name(),
+        site: site.to_string(),
         fingerprint: fp,
     });
     let new = quarantine.add(QuarantineEntry {
         fingerprint: format!("{fp:016x}"),
-        kind: kind.to_string(),
+        kind,
         site: site.to_string(),
         message: failure.message().to_string(),
-        label: label.to_string(),
-        sql,
-        rule_mask,
+        label: name.label,
+        sql: name.sql,
+        rule_mask: name.rule_mask,
     });
     if new {
         fw.telemetry.incr(Counter::SuperviseQuarantined);
     }
 }
 
-// ---------------------------------------------------------------------
-// Supervised stage drivers.
-
-/// Supervised twin of [`crate::suite::generate_suite`]: per-target
-/// panics, timeouts, and budget exhaustions are quarantined and the
-/// target dropped; already-quarantined targets are skipped without
-/// touching the optimizer. Ordinary generation errors (an unfillable
-/// target) propagate exactly as in the unsupervised builder. Each target
-/// keeps its *original* index as the seed-stream key, so the queries of
-/// surviving targets are byte-identical to an unsupervised run.
-pub fn generate_suite_supervised(
-    fw: &Framework,
-    targets: Vec<RuleTarget>,
-    k: usize,
-    strategy: Strategy,
-    cfg: &GenConfig,
-    quarantine: &mut Quarantine,
-) -> Result<TestSuite> {
-    let labeled: Vec<(usize, RuleTarget, String)> = targets
-        .into_iter()
-        .enumerate()
-        .map(|(ti, t)| {
-            let label = t.label(&fw.optimizer);
-            (ti, t, label)
-        })
-        .collect();
-    let pending: Vec<&(usize, RuleTarget, String)> = labeled
-        .iter()
-        .filter(|(_, _, label)| !quarantine.contains_input(SITE_SUITE, label))
-        .collect();
-    let results = par_map_supervised(fw.parallelism.threads, &pending, SITE_SUITE, |_, item| {
-        let (ti, target, _) = **item;
-        queries_for_target(fw, target, ti, k, strategy, cfg)
-    });
-    let mut kept = Vec::new();
-    let mut queries = Vec::new();
-    for (item, result) in pending.into_iter().zip(results) {
-        let (_, target, ref label) = *item;
-        let mask = || {
-            target
-                .rules()
-                .iter()
-                .map(|&r| fw.optimizer.rule(r).name.to_string())
-                .collect()
-        };
-        match result {
-            Ok(Ok(mini)) => {
-                let slot = kept.len();
-                kept.push(target);
-                queries.extend(mini.into_iter().map(|mut q| {
-                    q.generated_for = slot;
-                    q
-                }));
-            }
-            Ok(Err(e)) => match Failure::from_error(&e) {
-                Some(failure) => absorb(fw, quarantine, SITE_SUITE, label, None, mask(), &failure),
-                // An unfillable target is a generation outcome, not a
-                // crash: same abort semantics as the strict builder.
-                None => return Err(e),
-            },
-            Err(failure) => absorb(fw, quarantine, SITE_SUITE, label, None, mask(), &failure),
-        }
-    }
-    Ok(TestSuite {
-        targets: kept,
-        k,
-        queries,
-        seed: cfg.seed,
-    })
-}
-
-/// Drops the targets at `drop` (sorted set of indices) from `suite`,
-/// discarding their dedicated queries and retagging the survivors.
-/// Returns the shrunk suite plus the query remap (`old -> Some(new)`).
-fn drop_targets(suite: &TestSuite, drop: &BTreeSet<usize>) -> (TestSuite, Vec<Option<usize>>) {
-    let mut target_remap: Vec<Option<usize>> = Vec::with_capacity(suite.targets.len());
-    let mut targets = Vec::new();
-    for (t, &target) in suite.targets.iter().enumerate() {
-        if drop.contains(&t) {
-            target_remap.push(None);
-        } else {
-            target_remap.push(Some(targets.len()));
-            targets.push(target);
-        }
-    }
-    let mut query_remap: Vec<Option<usize>> = Vec::with_capacity(suite.queries.len());
-    let mut queries = Vec::new();
-    for q in &suite.queries {
-        match target_remap[q.generated_for] {
-            Some(nt) => {
-                query_remap.push(Some(queries.len()));
-                let mut q = q.clone();
-                q.generated_for = nt;
-                queries.push(q);
-            }
-            None => query_remap.push(None),
-        }
-    }
-    (
-        TestSuite {
-            targets,
-            k: suite.k,
-            queries,
-            seed: suite.seed,
-        },
-        query_remap,
-    )
-}
-
-/// Supervised twin of [`crate::suite::build_graph`]: edge costs are
-/// computed per target inside the sandbox; a target whose edge
-/// computation fails is quarantined and dropped *together with its
-/// dedicated queries* (the suite shrinks), rather than aborting the
-/// campaign. Returns the (possibly shrunk) suite the graph indexes.
+/// Runs one campaign stage: `work` over every item on the campaign pool,
+/// one slot per item, in item order. Every stage driver fans out through
+/// here, and `quarantine` is its failure policy (DESIGN §15.1 has the
+/// table). Under both, `work` gets the item's index in `items` and an
+/// ordinary error returns as the lowest failing item's `Err`.
 ///
-/// Clean path: one `par_map_supervised` pass with the same per-target
-/// spans, oracle-call counters, and edge costs as the eager builder —
-/// the deterministic slice is byte-identical.
-pub fn build_graph_supervised(
+/// * `None` propagates: this is [`try_par_map`] — a timeout or budget
+///   error returns like any other, a panic resumes on the caller.
+/// * `Some(q)` absorbs: an item already in `q` (same site, same
+///   [`ItemName::label`]) is skipped before `work` is ever called for it;
+///   the rest run inside [`sandbox`], the one place that decides whether
+///   an outcome is a [`Failure`]. A panic, timeout or exhausted budget is
+///   recorded in `q` and the stage carries on. Skipped and failed items
+///   have `None` in their slot.
+pub(crate) fn run_stage<T: Sync, R: Send>(
     fw: &Framework,
-    suite: &TestSuite,
-    quarantine: &mut Quarantine,
-) -> Result<(TestSuite, BipartiteGraph)> {
-    let labels: Vec<String> = suite
-        .targets
-        .iter()
-        .map(|t| t.label(&fw.optimizer))
-        .collect();
-    let pre_drop: BTreeSet<usize> = (0..suite.targets.len())
-        .filter(|&t| quarantine.contains_input(SITE_GRAPH, &labels[t]))
-        .collect();
-    let (base, _) = drop_targets(suite, &pre_drop);
-    let base_labels: Vec<String> = base
-        .targets
-        .iter()
-        .map(|t| t.label(&fw.optimizer))
-        .collect();
-
-    let adjacency: Vec<Vec<usize>> = (0..base.targets.len()).map(|t| base.covering(t)).collect();
-    let indexed: Vec<usize> = (0..base.targets.len()).collect();
-    let results = par_map_supervised(fw.parallelism.threads, &indexed, SITE_GRAPH, |_, &t| {
-        // Same leaf-closure span as the unsupervised builder: the span
-        // tree stays identical at any thread count, supervised or not.
-        let _span = fw.telemetry.span(Stage::Graph);
-        let rules = base.targets[t].rules();
-        let mut edges = Vec::with_capacity(adjacency[t].len());
-        for &q in &adjacency[t] {
-            let res = fw
-                .optimizer
-                .optimize_with_cached(&base.queries[q].tree, &OptimizerConfig::disabling(&rules))?;
-            fw.telemetry.incr(Counter::OracleCalls);
-            edges.push((q, res.cost));
-        }
-        Ok(edges)
-    });
-
-    let mut failed: BTreeSet<usize> = BTreeSet::new();
-    let mut per_target: Vec<Option<Vec<(usize, f64)>>> = Vec::with_capacity(results.len());
-    for (t, result) in results.into_iter().enumerate() {
-        let mask: Vec<String> = base.targets[t]
-            .rules()
-            .iter()
-            .map(|&r| fw.optimizer.rule(r).name.to_string())
-            .collect();
-        match result {
-            Ok(Ok(edges)) => per_target.push(Some(edges)),
-            Ok(Err(e)) => match Failure::from_error(&e) {
-                Some(failure) => {
-                    absorb(
-                        fw,
-                        quarantine,
-                        SITE_GRAPH,
-                        &base_labels[t],
-                        None,
-                        mask,
-                        &failure,
-                    );
-                    failed.insert(t);
-                    per_target.push(None);
-                }
-                None => return Err(e),
-            },
-            Err(failure) => {
-                absorb(
-                    fw,
-                    quarantine,
-                    SITE_GRAPH,
-                    &base_labels[t],
-                    None,
-                    mask,
-                    &failure,
-                );
-                failed.insert(t);
-                per_target.push(None);
-            }
-        }
-    }
-
-    if failed.is_empty() {
-        // Fast path (and the clean-run determinism path): `base` is the
-        // graph's suite; assemble the graph directly from the per-target
-        // edge lists.
-        let mut edges: HashMap<(usize, usize), f64> = HashMap::new();
-        for (t, list) in per_target.iter().enumerate() {
-            for &(q, c) in list.as_ref().expect("no failed targets") {
-                edges.insert((t, q), c);
-            }
-        }
-        let optimizer_calls = edges.len() as u64;
-        let graph = BipartiteGraph {
-            targets: base.targets.clone(),
-            k: base.k,
-            node_cost: base.queries.iter().map(|q| q.cost).collect(),
-            adjacency,
-            edges,
-            generated_for: base.queries.iter().map(|q| q.generated_for).collect(),
-            optimizer_calls,
-        };
-        return Ok((base, graph));
-    }
-
-    // Some targets failed: shrink the suite again and remap the edge
-    // lists of the survivors onto the new indices.
-    let (final_suite, query_remap) = drop_targets(&base, &failed);
-    let adjacency: Vec<Vec<usize>> = (0..final_suite.targets.len())
-        .map(|t| final_suite.covering(t))
-        .collect();
-    let mut edges: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut nt = 0usize;
-    for list in &per_target {
-        let Some(list) = list else {
-            continue; // dropped target
-        };
-        for &(q, c) in list {
-            if let Some(nq) = query_remap[q] {
-                edges.insert((nt, nq), c);
-            }
-        }
-        nt += 1;
-    }
-    let optimizer_calls = edges.len() as u64;
-    let graph = BipartiteGraph {
-        targets: final_suite.targets.clone(),
-        k: final_suite.k,
-        node_cost: final_suite.queries.iter().map(|q| q.cost).collect(),
-        adjacency,
-        edges,
-        generated_for: final_suite
-            .queries
-            .iter()
-            .map(|q| q.generated_for)
-            .collect(),
-        optimizer_calls,
+    site: &str,
+    items: &[T],
+    name: impl Fn(&T) -> ItemName,
+    work: impl Fn(usize, &T) -> Result<R> + Sync,
+    quarantine: Option<&mut Quarantine>,
+) -> Result<Vec<Option<R>>> {
+    let threads = fw.parallelism.threads;
+    let Some(quarantine) = quarantine else {
+        let results = try_par_map(threads, items, work)?;
+        return Ok(results.into_iter().map(Some).collect());
     };
-    Ok((final_suite, graph))
+    let pending: Vec<(usize, ItemName)> = items
+        .iter()
+        .map(name)
+        .enumerate()
+        .filter(|(_, n)| !quarantine.contains_input(site, &n.label))
+        .collect();
+    let outcomes = par_map(threads, &pending, |_, &(i, _)| {
+        sandbox(site, || work(i, &items[i]))
+    });
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for ((i, name), outcome) in pending.into_iter().zip(outcomes) {
+        match outcome {
+            Ok(result) => slots[i] = Some(result?),
+            Err(failure) => absorb(fw, quarantine, site, name, &failure),
+        }
+    }
+    Ok(slots)
 }
 
 // ---------------------------------------------------------------------
@@ -546,11 +352,11 @@ pub fn quarantine_summary(q: &Quarantine) -> String {
     if q.is_empty() {
         return "quarantine: empty".to_string();
     }
-    let mut by_kind: Vec<(String, usize)> = Vec::new();
+    let mut by_kind: Vec<(FailureKind, usize)> = Vec::new();
     for e in q.entries() {
         match by_kind.iter_mut().find(|(k, _)| *k == e.kind) {
             Some((_, n)) => *n += 1,
-            None => by_kind.push((e.kind.clone(), 1)),
+            None => by_kind.push((e.kind, 1)),
         }
     }
     let detail: Vec<String> = by_kind
@@ -564,7 +370,10 @@ pub fn quarantine_summary(q: &Quarantine) -> String {
 mod tests {
     use super::*;
     use crate::framework::FrameworkConfig;
-    use ruletest_common::{Decode, Encode};
+    use crate::generate::{GenConfig, Strategy};
+    use crate::suite::{build_graph_with, generate_suite_with};
+    use ruletest_common::{Decode, Encode, Error};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fingerprints_are_stable_and_site_scoped() {
@@ -584,7 +393,7 @@ mod tests {
         let mut q = Quarantine::new();
         let entry = QuarantineEntry {
             fingerprint: input_fingerprint(SITE_EXEC_PAIR, "A|SELECT 1"),
-            kind: "panic".to_string(),
+            kind: FailureKind::Panic,
             site: SITE_EXEC_PAIR.to_string(),
             message: "chaos: injected panic at memo.insert (hit 3)".to_string(),
             label: "A|SELECT 1".to_string(),
@@ -595,7 +404,7 @@ mod tests {
         assert!(!q.add(entry.clone()), "same fingerprint must dedup");
         assert!(q.add(QuarantineEntry {
             fingerprint: input_fingerprint(SITE_SUITE, "B"),
-            kind: "timeout".to_string(),
+            kind: FailureKind::Timeout,
             site: SITE_SUITE.to_string(),
             message: "deadline".to_string(),
             label: "B".to_string(),
@@ -617,7 +426,7 @@ mod tests {
     fn merge_preserves_first_insertion_and_dedups() {
         let mk = |site: &str, label: &str| QuarantineEntry {
             fingerprint: input_fingerprint(site, label),
-            kind: "budget".to_string(),
+            kind: FailureKind::Budget,
             site: site.to_string(),
             message: "m".to_string(),
             label: label.to_string(),
@@ -640,13 +449,13 @@ mod tests {
         let mut q = Quarantine::new();
         assert_eq!(quarantine_summary(&q), "quarantine: empty");
         for (site, label, kind) in [
-            (SITE_SUITE, "a", "panic"),
-            (SITE_SUITE, "b", "panic"),
-            (SITE_GRAPH, "c", "timeout"),
+            (SITE_SUITE, "a", FailureKind::Panic),
+            (SITE_SUITE, "b", FailureKind::Panic),
+            (SITE_GRAPH, "c", FailureKind::Timeout),
         ] {
             q.add(QuarantineEntry {
                 fingerprint: input_fingerprint(site, label),
-                kind: kind.to_string(),
+                kind,
                 site: site.to_string(),
                 message: String::new(),
                 label: label.to_string(),
@@ -658,6 +467,131 @@ mod tests {
             quarantine_summary(&q),
             "quarantine: 3 entries (2 panic, 1 timeout)"
         );
+    }
+
+    fn fw_with(threads: usize) -> Framework {
+        let mut cfg = FrameworkConfig::default();
+        cfg.parallelism.threads = threads;
+        Framework::new(&cfg)
+            .unwrap()
+            .with_telemetry(ruletest_telemetry::Telemetry::metrics_only())
+    }
+
+    /// Stage work for the runner tests, keyed on the item's value and
+    /// counting its invocations per item: one item of each failing kind,
+    /// an ordinary error at `invalid_at`, squares elsewhere.
+    fn flaky(
+        calls: &[AtomicUsize],
+        invalid_at: Option<usize>,
+    ) -> impl Fn(usize, &usize) -> Result<usize> + Sync + '_ {
+        move |_, &v| {
+            calls[v].fetch_add(1, Ordering::Relaxed);
+            match v {
+                3 => panic!("item 3 exploded"),
+                7 => Err(Error::timeout("item 7 hung")),
+                11 => Err(Error::budget("item 11 grew")),
+                _ if invalid_at == Some(v) => Err(Error::invalid("item is malformed")),
+                _ => Ok(v * v),
+            }
+        }
+    }
+
+    fn item_name(v: &usize) -> ItemName {
+        ItemName {
+            label: format!("item{v}"),
+            sql: None,
+            rule_mask: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn run_stage_absorbs_failures_and_never_reruns_a_quarantined_item() {
+        const SITE: &str = "test.stage";
+        let items: Vec<usize> = (0..16).collect();
+        for threads in [1, 4] {
+            let fw = fw_with(threads);
+            let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let mut q = Quarantine::new();
+            let work = flaky(&calls, None);
+            let out = run_stage(&fw, SITE, &items, item_name, &work, Some(&mut q)).unwrap();
+            for (v, slot) in out.iter().enumerate() {
+                let expected = (![3, 7, 11].contains(&v)).then_some(v * v);
+                assert_eq!(*slot, expected, "slot {v} at {threads} threads");
+            }
+            let entries: Vec<(FailureKind, &str, String)> = q
+                .entries()
+                .iter()
+                .map(|e| (e.kind, e.message.as_str(), e.fingerprint.clone()))
+                .collect();
+            let fp = |label| input_fingerprint(SITE, label);
+            assert_eq!(
+                entries,
+                vec![
+                    (FailureKind::Panic, "item 3 exploded", fp("item3")),
+                    (FailureKind::Timeout, "item 7 hung", fp("item7")),
+                    (FailureKind::Budget, "item 11 grew", fp("item11")),
+                ]
+            );
+            for c in [
+                Counter::SupervisePanics,
+                Counter::SuperviseTimeouts,
+                Counter::SuperviseBudget,
+            ] {
+                assert_eq!(fw.telemetry.counter(c), 1, "{c:?}");
+            }
+            assert_eq!(fw.telemetry.counter(Counter::SuperviseQuarantined), 3);
+
+            // Same items again: the three poisoned ones are skipped before
+            // `work` is ever called for them.
+            let again = run_stage(&fw, SITE, &items, item_name, &work, Some(&mut q)).unwrap();
+            assert_eq!(again, out);
+            assert_eq!(q.len(), 3);
+            for (v, n) in calls.iter().enumerate() {
+                let expected = if [3, 7, 11].contains(&v) { 1 } else { 2 };
+                assert_eq!(n.load(Ordering::Relaxed), expected, "calls of item {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_stage_without_a_quarantine_propagates_the_lowest_failure() {
+        let items: Vec<usize> = (0..16).collect();
+        for threads in [1, 4] {
+            let fw = fw_with(threads);
+            let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let work = flaky(&calls, None);
+            // Lowest failing item is the panic: it resumes on the caller.
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_stage(&fw, "test.stage", &items, item_name, &work, None)
+            }))
+            .expect_err("the panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 3 exploded"));
+            // Past the panic, the lowest failing item is the timeout.
+            let err = run_stage(&fw, "test.stage", &items[4..], item_name, &work, None);
+            assert_eq!(err.unwrap_err(), Error::timeout("item 7 hung"));
+            // And a stage with no failing item is `try_par_map`.
+            let ok = run_stage(&fw, "test.stage", &items[12..], item_name, &work, None);
+            assert_eq!(
+                ok.unwrap(),
+                vec![Some(144), Some(169), Some(196), Some(225)]
+            );
+        }
+    }
+
+    #[test]
+    fn run_stage_returns_an_ordinary_error_under_both_policies() {
+        let items: Vec<usize> = (8..16).collect();
+        for threads in [1, 4] {
+            let fw = fw_with(threads);
+            let calls: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+            let work = flaky(&calls, Some(9));
+            let mut q = Quarantine::new();
+            for policy in [None, Some(&mut q)] {
+                let out = run_stage(&fw, "test.stage", &items, item_name, &work, policy);
+                assert_eq!(out.unwrap_err(), Error::invalid("item is malformed"));
+            }
+            assert!(q.is_empty(), "item 9 errs before item 11 is absorbed");
+        }
     }
 
     #[test]
@@ -674,13 +608,13 @@ mod tests {
         )
         .unwrap();
         let mut q = Quarantine::new();
-        let supervised = generate_suite_supervised(
+        let supervised = generate_suite_with(
             &fw,
             targets,
             2,
             Strategy::Pattern,
             &GenConfig::default(),
-            &mut q,
+            Some(&mut q),
         )
         .unwrap();
         assert!(q.is_empty());
@@ -702,7 +636,7 @@ mod tests {
             generate_suite(&fw, targets, 2, Strategy::Pattern, &GenConfig::default()).unwrap();
         let eager = build_graph(&fw, &suite).unwrap();
         let mut q = Quarantine::new();
-        let (sup_suite, sup) = build_graph_supervised(&fw, &suite, &mut q).unwrap();
+        let (sup_suite, sup) = build_graph_with(&fw, suite.clone(), Some(&mut q)).unwrap();
         assert!(q.is_empty());
         assert_eq!(sup_suite.targets, suite.targets);
         assert_eq!(sup.adjacency, eager.adjacency);
@@ -722,20 +656,20 @@ mod tests {
         let mut q = Quarantine::new();
         q.add(QuarantineEntry {
             fingerprint: input_fingerprint(SITE_SUITE, &labels[1]),
-            kind: "panic".to_string(),
+            kind: FailureKind::Panic,
             site: SITE_SUITE.to_string(),
             message: "previously crashed".to_string(),
             label: labels[1].clone(),
             sql: None,
             rule_mask: vec![],
         });
-        let suite = generate_suite_supervised(
+        let suite = generate_suite_with(
             &fw,
             targets.clone(),
             2,
             Strategy::Pattern,
             &GenConfig::default(),
-            &mut q,
+            Some(&mut q),
         )
         .unwrap();
         assert_eq!(suite.targets.len(), 3, "poisoned target dropped");
@@ -762,14 +696,14 @@ mod tests {
         // Graph stage: pre-poison one more target at the graph site.
         q.add(QuarantineEntry {
             fingerprint: input_fingerprint(SITE_GRAPH, &labels[2]),
-            kind: "timeout".to_string(),
+            kind: FailureKind::Timeout,
             site: SITE_GRAPH.to_string(),
             message: "previously hung".to_string(),
             label: labels[2].clone(),
             sql: None,
             rule_mask: vec![],
         });
-        let (g_suite, graph) = build_graph_supervised(&fw, &suite, &mut q).unwrap();
+        let (g_suite, graph) = build_graph_with(&fw, suite.clone(), Some(&mut q)).unwrap();
         assert_eq!(g_suite.targets.len(), 2);
         assert!(!g_suite.targets.contains(&targets[2]));
         assert_eq!(graph.targets, g_suite.targets);

@@ -36,7 +36,7 @@
 use ruletest::cli::{self, Opts};
 use ruletest::common::Decode;
 use ruletest::core::compress::{baseline, smc, topk, Instance};
-use ruletest::core::correctness::execute_solution;
+use ruletest::core::correctness::{execute_solution, execute_solution_with};
 use ruletest::core::generate::dependency::find_dependency_query;
 use ruletest::core::generate::relevant::find_relevant_query;
 use ruletest::core::{
@@ -440,10 +440,7 @@ fn run_impact(fw: &Framework, opts: &Opts) -> Result<(), String> {
 
 fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
     use ruletest::common::chaos;
-    use ruletest::core::{
-        crash_bundles, execute_solution_supervised, quarantine_summary,
-        run_checkpointed_campaign_supervised, Quarantine,
-    };
+    use ruletest::core::{crash_bundles, quarantine_summary, Quarantine};
     let supervised = !opts.no_supervise;
     println!(
         "auditing {} rules with k={} queries each{}...",
@@ -470,19 +467,17 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
             if opts.resume { " (resume)" } else { "" }
         );
     }
+    // One pipeline, two failure policies: absorb into the quarantine, or
+    // (`--no-supervise`) propagate the first failure.
     let mut quarantine = Quarantine::new();
-    let run = if supervised {
-        run_checkpointed_campaign_supervised(
-            fw,
-            &params,
-            cache_dir,
-            opts.resume,
-            None,
-            &mut quarantine,
-        )
-    } else {
-        run_checkpointed_campaign(fw, &params, cache_dir, opts.resume, None)
-    }
+    let run = run_checkpointed_campaign(
+        fw,
+        &params,
+        cache_dir,
+        opts.resume,
+        None,
+        supervised.then_some(&mut quarantine),
+    )
     .map_err(|e| e.to_string())?
     .expect("campaign ran without a stop hook");
     if !run.resumed.is_empty() {
@@ -510,12 +505,9 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
         deadline: ruletest::common::Deadline::after_ms(opts.deadline_ms),
         ..ExecConfig::default()
     };
-    let report = if supervised {
-        execute_solution_supervised(fw, suite, &inst, &t, &exec_cfg, &mut quarantine)
-    } else {
-        execute_solution(fw, suite, &inst, &t, &exec_cfg)
-    }
-    .map_err(|e| e.to_string())?;
+    let policy = supervised.then_some(&mut quarantine);
+    let report =
+        execute_solution_with(fw, suite, &t, &exec_cfg, policy).map_err(|e| e.to_string())?;
     // Persist the final quarantine (now including execution-stage
     // entries) so a later --resume skips every poisoned input.
     if let Some(store) = &run.store {

@@ -9,10 +9,11 @@
 //! only a sequential run gives those counts a deterministic order.
 
 use ruletest_common::chaos::{self, ChaosPlan};
+use ruletest_common::FailureKind;
 use ruletest_core::compress::topk;
 use ruletest_core::{
-    crash_bundles, execute_solution_supervised, run_checkpointed_campaign_supervised,
-    CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Quarantine,
+    crash_bundles, execute_solution_with, run_checkpointed_campaign, CampaignParams, Framework,
+    FrameworkConfig, GenConfig, Instance, Quarantine,
 };
 use ruletest_core::{CorrectnessReport, TriageConfig};
 use ruletest_executor::ExecConfig;
@@ -55,19 +56,17 @@ fn params() -> CampaignParams {
 /// outcome.
 fn supervised_run(fw: &Framework) -> (RunReport, Quarantine, CorrectnessReport) {
     let mut quarantine = Quarantine::new();
-    let run =
-        run_checkpointed_campaign_supervised(fw, &params(), None, false, None, &mut quarantine)
-            .expect("supervised campaign must absorb chaos, not abort")
-            .expect("no stop hook");
+    let run = run_checkpointed_campaign(fw, &params(), None, false, None, Some(&mut quarantine))
+        .expect("supervised campaign must absorb chaos, not abort")
+        .expect("no stop hook");
     let inst = Instance::from_graph(&run.graph);
     let sol = topk(&inst).unwrap();
-    let report = execute_solution_supervised(
+    let report = execute_solution_with(
         fw,
         &run.suite,
-        &inst,
         &sol,
         &ExecConfig::default(),
-        &mut quarantine,
+        Some(&mut quarantine),
     )
     .expect("supervised execution must absorb chaos, not abort");
     (fw.run_report(), quarantine, report)
@@ -90,8 +89,7 @@ fn campaign_survives_panic_stall_and_budget_storm() {
         ChaosPlan::parse("memo.insert:panic@35#1,memo.insert:budget@1000000000000").unwrap(),
     );
     let mut q = Quarantine::new();
-    run_checkpointed_campaign_supervised(&fw(), &params(), None, false, Some("suite"), &mut q)
-        .unwrap();
+    run_checkpointed_campaign(&fw(), &params(), None, false, Some("suite"), Some(&mut q)).unwrap();
     let gen_hits = chaos::site_hits("memo.insert");
     assert!(
         gen_hits > 35,
@@ -116,7 +114,11 @@ fn campaign_survives_panic_stall_and_budget_storm() {
         (1, 1, 1),
         "every bounded rule must have spent its injection budget: {stats:?}"
     );
-    for kind in ["panic", "budget", "timeout"] {
+    for kind in [
+        FailureKind::Panic,
+        FailureKind::Budget,
+        FailureKind::Timeout,
+    ] {
         assert!(
             quarantine.entries().iter().any(|e| e.kind == kind),
             "no {kind} entry in quarantine: {:?}",
@@ -183,7 +185,7 @@ fn cache_io_chaos_degrades_to_cold_start() {
     // Seed the cache with a clean checkpointed campaign.
     let clean_fw = fw();
     let mut q = Quarantine::new();
-    run_checkpointed_campaign_supervised(&clean_fw, &params(), Some(&dir), false, None, &mut q)
+    run_checkpointed_campaign(&clean_fw, &params(), Some(&dir), false, None, Some(&mut q))
         .unwrap()
         .unwrap();
     ruletest_core::final_persist(&clean_fw).unwrap();
@@ -195,13 +197,13 @@ fn cache_io_chaos_degrades_to_cold_start() {
     chaos::install(ChaosPlan::parse("cache.load:stall@1,cache.save:budget@1").unwrap());
     let chaotic_fw = fw();
     let mut q = Quarantine::new();
-    let run = run_checkpointed_campaign_supervised(
+    let run = run_checkpointed_campaign(
         &chaotic_fw,
         &params(),
         Some(&dir),
         false,
         None,
-        &mut q,
+        Some(&mut q),
     )
     .unwrap()
     .unwrap();

@@ -45,7 +45,7 @@ fn full_campaign(
     cache_dir: Option<&Path>,
     resume: bool,
 ) -> (Vec<&'static str>, RunReport) {
-    let run = run_checkpointed_campaign(fw, &params(), cache_dir, resume, None)
+    let run = run_checkpointed_campaign(fw, &params(), cache_dir, resume, None, None)
         .unwrap()
         .expect("no stop hook: campaign runs to completion");
     let inst = Instance::from_graph(&run.graph);
@@ -101,9 +101,15 @@ fn resume_after_kill_matches_uninterrupted_run() {
         // the Framework is dropped without any further persistence, like
         // a SIGKILL between stages.
         let killed = fw();
-        let out =
-            run_checkpointed_campaign(&killed, &params(), Some(&dir), false, Some(stop_after))
-                .unwrap();
+        let out = run_checkpointed_campaign(
+            &killed,
+            &params(),
+            Some(&dir),
+            false,
+            Some(stop_after),
+            None,
+        )
+        .unwrap();
         assert!(out.is_none(), "stop hook must report the simulated kill");
         drop(killed);
 
@@ -134,8 +140,15 @@ fn telemetry_mode_switch_invalidates_checkpoints() {
     let dir = temp_dir("mode-switch");
 
     let unobserved = Framework::new(&FrameworkConfig::default()).unwrap();
-    let out = run_checkpointed_campaign(&unobserved, &params(), Some(&dir), false, Some("graph"))
-        .unwrap();
+    let out = run_checkpointed_campaign(
+        &unobserved,
+        &params(),
+        Some(&dir),
+        false,
+        Some("graph"),
+        None,
+    )
+    .unwrap();
     assert!(out.is_none());
     drop(unobserved);
 
@@ -174,13 +187,13 @@ fn corrupted_checkpoints_recompute_instead_of_crashing() {
 
     let resumed_fw = fw();
     let mut quarantine = ruletest_core::Quarantine::new();
-    let run = ruletest_core::run_checkpointed_campaign_supervised(
+    let run = run_checkpointed_campaign(
         &resumed_fw,
         &params(),
         Some(&dir),
         true,
         None,
-        &mut quarantine,
+        Some(&mut quarantine),
     )
     .unwrap()
     .expect("no stop hook");
@@ -204,6 +217,43 @@ fn corrupted_checkpoints_recompute_instead_of_crashing() {
         report.deterministic_json(),
         "recomputation after corruption diverged from the clean run"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A quarantine entry's failure kind is a closed set. A stamped
+/// `quarantine.json` from outside the program with a kind that is none of
+/// panic / timeout / budget is a decode error naming the field — the
+/// `corrupted (…)` warning path — and loads as an empty quarantine, never
+/// as an entry counted under some other kind.
+#[test]
+fn unknown_quarantine_kind_is_corruption_not_an_entry() {
+    use ruletest_common::{Decode, FailureKind, Json};
+    use ruletest_core::{input_fingerprint, CampaignStore, Quarantine, QuarantineEntry};
+    let dir = temp_dir("unknown-kind");
+    let store = CampaignStore::open(&dir, 7, &params(), false).unwrap();
+    let mut quarantine = Quarantine::new();
+    quarantine.add(QuarantineEntry {
+        fingerprint: input_fingerprint("suite.generate", "SelectMerge"),
+        kind: FailureKind::Panic,
+        site: "suite.generate".to_string(),
+        message: "boom".to_string(),
+        label: "SelectMerge".to_string(),
+        sql: None,
+        rule_mask: vec!["SelectMerge".to_string()],
+    });
+    store.save_quarantine(&quarantine).unwrap();
+    assert_eq!(store.load_quarantine(), quarantine);
+
+    let path = dir.join("checkpoint").join("quarantine.json");
+    let stamped = std::fs::read_to_string(&path).unwrap();
+    let foreign = stamped.replace("\"kind\":\"panic\"", "\"kind\":\"oom\"");
+    assert_ne!(foreign, stamped);
+    let doc = Json::parse(&foreign).unwrap();
+    let err = Quarantine::decode(doc.get("quarantine").unwrap()).unwrap_err();
+    assert!(err.to_string().contains("entries[0].kind"), "{err}");
+    std::fs::write(&path, foreign).unwrap();
+    assert!(store.load_quarantine().is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,12 +6,13 @@
 //! run; (3) the quarantine persists in campaign checkpoints, so a
 //! `--resume` skips poisoned inputs instead of re-hitting them.
 
+use ruletest_common::FailureKind;
 use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::supervise::SITE_SUITE;
 use ruletest_core::{
-    execute_solution_supervised, run_checkpointed_campaign, run_checkpointed_campaign_supervised,
-    CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Quarantine, QuarantineEntry,
+    execute_solution_with, run_checkpointed_campaign, CampaignParams, Framework, FrameworkConfig,
+    GenConfig, Instance, Quarantine, QuarantineEntry,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_telemetry::{Counter, RunReport, Telemetry};
@@ -44,7 +45,7 @@ fn params() -> CampaignParams {
 
 /// Full campaign, unsupervised.
 fn strict_campaign(fw: &Framework) -> RunReport {
-    let run = run_checkpointed_campaign(fw, &params(), None, false, None)
+    let run = run_checkpointed_campaign(fw, &params(), None, false, None, None)
         .unwrap()
         .expect("no stop hook");
     let inst = Instance::from_graph(&run.graph);
@@ -55,18 +56,17 @@ fn strict_campaign(fw: &Framework) -> RunReport {
 
 /// Full campaign, supervised; returns the final quarantine too.
 fn supervised_campaign(fw: &Framework, quarantine: &mut Quarantine) -> RunReport {
-    let run = run_checkpointed_campaign_supervised(fw, &params(), None, false, None, quarantine)
+    let run = run_checkpointed_campaign(fw, &params(), None, false, None, Some(&mut *quarantine))
         .unwrap()
         .expect("no stop hook");
     let inst = Instance::from_graph(&run.graph);
     let sol = topk(&inst).unwrap();
-    execute_solution_supervised(
+    execute_solution_with(
         fw,
         &run.suite,
-        &inst,
         &sol,
         &ExecConfig::default(),
-        quarantine,
+        Some(quarantine),
     )
     .unwrap();
     fw.run_report()
@@ -103,7 +103,7 @@ fn clean_supervised_slice_matches_unsupervised_at_any_thread_count() {
 #[test]
 fn quarantined_targets_are_skipped_and_survivors_unchanged() {
     let strict_fw = fw(2);
-    let strict_run = run_checkpointed_campaign(&strict_fw, &params(), None, false, None)
+    let strict_run = run_checkpointed_campaign(&strict_fw, &params(), None, false, None, None)
         .unwrap()
         .unwrap();
     let poisoned_label = strict_run.suite.targets[1].label(&strict_fw.optimizer);
@@ -112,23 +112,17 @@ fn quarantined_targets_are_skipped_and_survivors_unchanged() {
     let mut quarantine = Quarantine::new();
     quarantine.add(QuarantineEntry {
         fingerprint: ruletest_core::input_fingerprint(SITE_SUITE, &poisoned_label),
-        kind: "panic".to_string(),
+        kind: FailureKind::Panic,
         site: SITE_SUITE.to_string(),
         message: "injected by test".to_string(),
         label: poisoned_label.clone(),
         sql: None,
         rule_mask: vec![poisoned_label.clone()],
     });
-    let sup_run = run_checkpointed_campaign_supervised(
-        &sup_fw,
-        &params(),
-        None,
-        false,
-        None,
-        &mut quarantine,
-    )
-    .unwrap()
-    .unwrap();
+    let sup_run =
+        run_checkpointed_campaign(&sup_fw, &params(), None, false, None, Some(&mut quarantine))
+            .unwrap()
+            .unwrap();
     assert_eq!(
         sup_run.suite.targets.len(),
         strict_run.suite.targets.len() - 1,
@@ -171,7 +165,7 @@ fn resume_skips_quarantined_inputs() {
     let first_params = params();
     let label = {
         // Learn a real target label from a throwaway strict run.
-        let probe = run_checkpointed_campaign(&fw(1), &first_params, None, false, None)
+        let probe = run_checkpointed_campaign(&fw(1), &first_params, None, false, None, None)
             .unwrap()
             .unwrap();
         probe.suite.targets[0].label(&fw(1).optimizer)
@@ -179,20 +173,20 @@ fn resume_skips_quarantined_inputs() {
     let mut quarantine = Quarantine::new();
     quarantine.add(QuarantineEntry {
         fingerprint: ruletest_core::input_fingerprint(SITE_SUITE, &label),
-        kind: "timeout".to_string(),
+        kind: FailureKind::Timeout,
         site: SITE_SUITE.to_string(),
         message: "injected by test".to_string(),
         label: label.clone(),
         sql: None,
         rule_mask: vec![label.clone()],
     });
-    let first_run = run_checkpointed_campaign_supervised(
+    let first_run = run_checkpointed_campaign(
         &first_fw,
         &first_params,
         Some(&dir),
         false,
         None,
-        &mut quarantine,
+        Some(&mut quarantine),
     )
     .unwrap()
     .unwrap();
@@ -214,13 +208,13 @@ fn resume_skips_quarantined_inputs() {
     // is reused as-is.
     let resumed_fw = fw(2);
     let mut resumed_quarantine = Quarantine::new();
-    let resumed = run_checkpointed_campaign_supervised(
+    let resumed = run_checkpointed_campaign(
         &resumed_fw,
         &first_params,
         Some(&dir),
         true,
         None,
-        &mut resumed_quarantine,
+        Some(&mut resumed_quarantine),
     )
     .unwrap()
     .unwrap();
