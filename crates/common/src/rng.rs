@@ -86,12 +86,26 @@ impl Rng {
 
     /// Samples `n` distinct indices from `[0, bound)` (n <= bound),
     /// returned in random order.
+    ///
+    /// The whole range is shuffled, so the scratch vector is `bound` long
+    /// (the scale-256 database asks for 19.7 M): it holds `u32`s when the
+    /// indices fit, which halves it. The draws depend on the length alone,
+    /// so both widths return the same sample.
     pub fn sample_indices(&mut self, bound: usize, n: usize) -> Vec<usize> {
         assert!(n <= bound, "sample_indices: n > bound");
-        let mut all: Vec<usize> = (0..bound).collect();
-        self.shuffle(&mut all);
-        all.truncate(n);
-        all
+        match u32::try_from(bound) {
+            Ok(bound) => {
+                let mut all: Vec<u32> = (0..bound).collect();
+                self.shuffle(&mut all);
+                all[..n].iter().map(|&i| i as usize).collect()
+            }
+            Err(_) => {
+                let mut all: Vec<usize> = (0..bound).collect();
+                self.shuffle(&mut all);
+                all.truncate(n);
+                all
+            }
+        }
     }
 }
 
@@ -171,6 +185,35 @@ mod tests {
         d.sort_unstable();
         d.dedup();
         assert_eq!(d.len(), 6);
+    }
+
+    /// Written out from the all-`usize` implementation: the narrower scratch
+    /// vector must not change a sample (or the generator's state after it),
+    /// or every generated database and query would change with it.
+    #[test]
+    fn sample_indices_output_is_pinned() {
+        let pins: [(u64, usize, usize, &[usize], u64); 3] = [
+            (6, 10, 6, &[3, 7, 0, 6, 2, 8], 1966555846863684499),
+            (
+                0xC0FFEE,
+                1000,
+                5,
+                &[368, 956, 894, 271, 76],
+                15728902394346339365,
+            ),
+            (
+                42,
+                70_000,
+                4,
+                &[10524, 4110, 17471, 26104],
+                1059497302502820090,
+            ),
+        ];
+        for (seed, bound, n, sample, next) in pins {
+            let mut r = Rng::new(seed);
+            assert_eq!(r.sample_indices(bound, n), sample, "({seed}, {bound}, {n})");
+            assert_eq!(r.next_u64(), next, "state after ({seed}, {bound}, {n})");
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Execution driver, resolution helpers, and the work budget.
 
 use ruletest_common::{ColId, Error, Result, Row, Value};
+use ruletest_expr::Expr;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use ruletest_storage::Database;
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Execution limits. Random queries can contain cross products; the budget
@@ -36,36 +39,61 @@ pub const BATCH_UNITS: u64 = 1024;
 /// An executed result: rows positionally aligned with the plan's schema.
 pub type ResultSet = Vec<Row>;
 
+/// A row in flight between operators: borrowed from the [`Database`] for as
+/// long as no operator had to build it (scans, filters, distinct, sorts,
+/// semi/anti joins pass the handle through), owned once one did (compute,
+/// concat, the concatenated rows of a join, aggregate output).
+pub(crate) type RowRef<'a> = Cow<'a, [Value]>;
+
+/// An opened operator: pulling it runs the subtree one row at a time.
+pub(crate) type RowIter<'a> = Box<dyn Iterator<Item = Result<RowRef<'a>>> + 'a>;
+
+/// Column-id -> position map for a plan node's output.
+pub(crate) type PosMap = HashMap<ColId, usize>;
+
+/// Per-execution state shared by every opened operator of one plan; the
+/// counters sit in `Cell`s because nested iterators all hold `&Ctx`.
 pub(crate) struct Ctx<'a> {
     pub db: &'a Database,
-    pub remaining: u64,
-    pub deadline: ruletest_common::Deadline,
+    remaining: Cell<u64>,
+    deadline: ruletest_common::Deadline,
     /// Work units charged since the last batch-boundary check.
-    since_check: u64,
+    since_check: Cell<u64>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    pub fn new(db: &'a Database, work_budget: u64, deadline: ruletest_common::Deadline) -> Self {
+        Ctx {
+            db,
+            remaining: Cell::new(work_budget),
+            deadline,
+            since_check: Cell::new(0),
+        }
+    }
+
     /// Charges `n` work units, failing when the budget runs out. Every
     /// [`BATCH_UNITS`] charged units this also probes the `exec.batch`
     /// chaos site and checks the cooperative deadline, so a pathological
     /// plan is abandoned with [`Error::Timeout`] instead of hanging.
-    pub fn charge(&mut self, n: u64) -> Result<()> {
-        if self.remaining < n {
+    pub fn charge(&self, n: u64) -> Result<()> {
+        let remaining = self.remaining.get();
+        if remaining < n {
             return Err(Error::budget("execution work budget exceeded"));
         }
-        self.remaining -= n;
-        self.since_check += n;
-        if self.since_check >= BATCH_UNITS {
-            self.since_check = 0;
+        self.remaining.set(remaining - n);
+        let since_check = self.since_check.get() + n;
+        if since_check >= BATCH_UNITS {
+            self.since_check.set(0);
             ruletest_common::chaos::point("exec.batch")?;
             self.deadline.check("executor batch")?;
+        } else {
+            self.since_check.set(since_check);
         }
         Ok(())
     }
 }
 
-/// Column-id -> position map for a plan node's output.
-pub(crate) fn position_map(plan: &PhysicalPlan) -> HashMap<ColId, usize> {
+pub(crate) fn position_map(plan: &PhysicalPlan) -> PosMap {
     plan.schema
         .iter()
         .enumerate()
@@ -74,11 +102,7 @@ pub(crate) fn position_map(plan: &PhysicalPlan) -> HashMap<ColId, usize> {
 }
 
 /// Evaluates an expression against a row resolved through a position map.
-pub(crate) fn eval_row(
-    expr: &ruletest_expr::Expr,
-    map: &HashMap<ColId, usize>,
-    row: &Row,
-) -> Value {
+pub(crate) fn eval_row(expr: &Expr, map: &PosMap, row: &[Value]) -> Value {
     ruletest_expr::eval(expr, &mut |c| {
         row[*map
             .get(&c)
@@ -88,11 +112,7 @@ pub(crate) fn eval_row(
 }
 
 /// Predicate evaluation with SQL filter semantics (UNKNOWN rejects).
-pub(crate) fn eval_pred(
-    expr: &ruletest_expr::Expr,
-    map: &HashMap<ColId, usize>,
-    row: &Row,
-) -> bool {
+pub(crate) fn eval_pred(expr: &Expr, map: &PosMap, row: &[Value]) -> bool {
     matches!(eval_row(expr, map, row), Value::Bool(true))
 }
 
@@ -103,16 +123,14 @@ pub fn execute(db: &Database, plan: &PhysicalPlan) -> Result<ResultSet> {
 
 /// Executes a plan under an explicit budget.
 pub fn execute_with(db: &Database, plan: &PhysicalPlan, config: &ExecConfig) -> Result<ResultSet> {
-    let mut ctx = Ctx {
-        db,
-        remaining: config.work_budget,
-        // Re-arm per execution: a deadline parsed from the CLI at
-        // process start becomes a budget for *this* run, not a fuse
-        // that burned down during earlier campaign stages.
-        deadline: config.deadline.rearm(),
-        since_check: 0,
-    };
-    let rows = exec_node(&mut ctx, plan)?;
+    // Re-arm per execution: a deadline parsed from the CLI at process
+    // start becomes a budget for *this* run, not a fuse that burned down
+    // during earlier campaign stages.
+    let ctx = Ctx::new(db, config.work_budget, config.deadline.rearm());
+    // The only place a borrowed row is copied: the rows actually returned.
+    let rows: ResultSet = open(&ctx, plan)?
+        .map(|row| row.map(Cow::into_owned))
+        .collect::<Result<_>>()?;
     debug_assert!(
         rows.iter().all(|r| r.len() == plan.schema.len()),
         "executor produced rows not matching the plan schema"
@@ -133,19 +151,36 @@ pub fn execute_profiled(
     execute_with(db, plan, config)
 }
 
-pub(crate) fn exec_node(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<ResultSet> {
+/// Opens the operator tree under `plan`. Children are opened left then
+/// right; an operator that must see all of an input before it can emit
+/// (join build side, merge join, sort, top-n, aggregation) drains that
+/// input here, everything else is pulled row by row by the caller.
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
     match &plan.op {
-        PhysOp::SeqScan { .. } | PhysOp::IndexSeek { .. } => crate::ops_scan::exec(ctx, plan),
-        PhysOp::Filter { .. } | PhysOp::Compute { .. } => crate::ops_misc::exec_unary(ctx, plan),
-        PhysOp::NLJoin { .. } | PhysOp::HashJoin { .. } | PhysOp::MergeJoin { .. } => {
-            crate::ops_join::exec(ctx, plan)
-        }
-        PhysOp::HashAgg { .. } | PhysOp::StreamAgg { .. } => crate::ops_agg::exec(ctx, plan),
-        PhysOp::Concat { .. }
+        PhysOp::SeqScan { .. } | PhysOp::IndexSeek { .. } => crate::ops_scan::open(ctx, plan),
+        PhysOp::Filter { .. }
+        | PhysOp::Compute { .. }
+        | PhysOp::Concat { .. }
         | PhysOp::HashDistinct
         | PhysOp::SortOp { .. }
-        | PhysOp::TopN { .. } => crate::ops_misc::exec_other(ctx, plan),
+        | PhysOp::TopN { .. } => crate::ops_misc::open(ctx, plan),
+        PhysOp::NLJoin { .. } | PhysOp::HashJoin { .. } | PhysOp::MergeJoin { .. } => {
+            crate::ops_join::open(ctx, plan)
+        }
+        PhysOp::HashAgg { .. } | PhysOp::StreamAgg { .. } => crate::ops_agg::open(ctx, plan),
     }
+}
+
+/// `child`, charging one work unit per row pulled from it.
+pub(crate) fn charged<'a>(
+    ctx: &'a Ctx<'a>,
+    child: RowIter<'a>,
+) -> impl Iterator<Item = Result<RowRef<'a>>> + 'a {
+    child.map(move |row| {
+        let row = row?;
+        ctx.charge(1)?;
+        Ok(row)
+    })
 }
 
 #[cfg(test)]
@@ -285,12 +320,7 @@ mod tests {
         while !deadline.expired() {
             std::thread::yield_now();
         }
-        let mut ctx = Ctx {
-            db: &db,
-            remaining: u64::MAX,
-            deadline,
-            since_check: 0,
-        };
+        let ctx = Ctx::new(&db, u64::MAX, deadline);
         // Under a full batch no check fires; crossing the boundary does.
         assert!(ctx.charge(BATCH_UNITS - 1).is_ok());
         let err = ctx.charge(BATCH_UNITS);
@@ -302,17 +332,165 @@ mod tests {
         let db = tiny_db();
         let plan = ruletest_common::chaos::ChaosPlan::parse("exec.batch:stall@1").unwrap();
         ruletest_common::chaos::install(plan);
-        let mut ctx = Ctx {
-            db: &db,
-            remaining: u64::MAX,
-            deadline: ruletest_common::Deadline::none(),
-            since_check: 0,
-        };
+        let ctx = Ctx::new(&db, u64::MAX, ruletest_common::Deadline::none());
         let err = ctx.charge(BATCH_UNITS);
         ruletest_common::chaos::clear();
         match err {
             Err(Error::Timeout(m)) => assert!(m.contains("chaos"), "unexpected message: {m}"),
             other => panic!("expected injected stall, got {other:?}"),
+        }
+    }
+
+    /// One plan per operator with the work units it charges on `tiny_db`
+    /// (3 + 3 rows), counted by hand from the accounting rules in DESIGN
+    /// §16: the budget is exact, one unit less fails.
+    #[test]
+    fn each_operator_charges_exactly_its_minimum_budget() {
+        use ruletest_common::{ColId, TableId};
+        use ruletest_expr::{AggCall, AggFunc, Expr};
+        use ruletest_logical::{JoinKind, SortKey};
+
+        let eq = || Expr::eq(Expr::col(ColId(0)), Expr::col(ColId(2)));
+        let joined = || vec![int_col(0), str_col(1), int_col(2), int_col(3)];
+        let unary = |op: PhysOp| plan(op, vec![scan_t1()], vec![int_col(2), int_col(3)]);
+        let count = || vec![AggCall::new(AggFunc::CountStar, None, ColId(10))];
+        let cases: Vec<(PhysicalPlan, u64)> = vec![
+            (scan_t0(), 3),
+            (
+                plan(
+                    PhysOp::IndexSeek {
+                        table: TableId(0),
+                        cols: vec![ColId(0), ColId(1)],
+                        key: Value::Int(2),
+                        residual: Expr::true_lit(),
+                    },
+                    vec![],
+                    vec![int_col(0), str_col(1)],
+                ),
+                1,
+            ),
+            // scan 3, open 1, 3 rows pulled
+            (
+                unary(PhysOp::Filter {
+                    predicate: Expr::lit(false),
+                }),
+                7,
+            ),
+            (
+                plan(
+                    PhysOp::Compute {
+                        outputs: vec![(ColId(10), Expr::col(ColId(2)))],
+                    },
+                    vec![scan_t1()],
+                    vec![int_col(10)],
+                ),
+                7,
+            ),
+            // scans 6, open 1, 6 rows pulled
+            (
+                plan(
+                    PhysOp::Concat {
+                        outputs: vec![ColId(20)],
+                        left_cols: vec![ColId(0)],
+                        right_cols: vec![ColId(3)],
+                    },
+                    vec![scan_t0(), scan_t1()],
+                    vec![int_col(20)],
+                ),
+                13,
+            ),
+            (unary(PhysOp::HashDistinct), 7),
+            (
+                unary(PhysOp::SortOp {
+                    keys: vec![SortKey::asc(ColId(3))],
+                }),
+                7,
+            ),
+            (
+                unary(PhysOp::TopN {
+                    n: 1,
+                    keys: vec![SortKey::asc(ColId(2))],
+                }),
+                7,
+            ),
+            // scans 6, (3 + 1) per left row, 2 rows out
+            (
+                plan(
+                    PhysOp::NLJoin {
+                        kind: JoinKind::Inner,
+                        predicate: eq(),
+                    },
+                    vec![scan_t0(), scan_t1()],
+                    joined(),
+                ),
+                20,
+            ),
+            // scans 6, build 3, 3 left rows + 2 key matches, 2 rows out
+            (
+                plan(
+                    PhysOp::HashJoin {
+                        kind: JoinKind::Inner,
+                        left_keys: vec![ColId(0)],
+                        right_keys: vec![ColId(2)],
+                        residual: Expr::true_lit(),
+                    },
+                    vec![scan_t0(), scan_t1()],
+                    joined(),
+                ),
+                16,
+            ),
+            // scans 6, sort 6, 3 merge steps + 2 run crossings, 2 rows out
+            (
+                plan(
+                    PhysOp::MergeJoin {
+                        left_key: ColId(0),
+                        right_key: ColId(2),
+                        residual: Expr::true_lit(),
+                    },
+                    vec![scan_t0(), scan_t1()],
+                    joined(),
+                ),
+                19,
+            ),
+            // scan 3, open 1, 3 rows pulled, 3 groups out
+            (
+                plan(
+                    PhysOp::HashAgg {
+                        group_by: vec![ColId(3)],
+                        aggs: count(),
+                    },
+                    vec![scan_t1()],
+                    vec![int_col(3), int_col(10)],
+                ),
+                10,
+            ),
+            (
+                plan(
+                    PhysOp::StreamAgg {
+                        group_by: vec![ColId(3)],
+                        aggs: count(),
+                    },
+                    vec![scan_t1()],
+                    vec![int_col(3), int_col(10)],
+                ),
+                10,
+            ),
+        ];
+        let db = tiny_db();
+        for (plan, min) in cases {
+            let run = |work_budget| {
+                let config = ExecConfig {
+                    work_budget,
+                    ..Default::default()
+                };
+                execute_with(&db, &plan, &config)
+            };
+            let name = plan.op.name();
+            assert!(run(min).is_ok(), "{name} fails under {min}");
+            assert!(
+                matches!(run(min - 1), Err(Error::Budget(_))),
+                "{name} does not charge {min}"
+            );
         }
     }
 

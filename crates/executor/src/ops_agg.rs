@@ -3,14 +3,26 @@
 //! SQL grouping semantics: NULL group keys compare equal (one NULL group);
 //! a *scalar* aggregate (no GROUP BY) emits exactly one row even over empty
 //! input; a grouped aggregate over empty input emits nothing.
+//!
+//! Hash and scalar aggregation fold their input as it is pulled; stream
+//! aggregation sorts it first and so materialises the row handles.
 
-use crate::context::{exec_node, position_map, Ctx};
-use ruletest_common::{Error, Result, Row, Value};
-use ruletest_expr::{AggAccumulator, AggCall};
+use crate::context::{charged, open as open_child, position_map, Ctx, RowIter, RowRef};
+use ruletest_common::{Error, Result, Row, Value, WordBuild, WordHasher};
+use ruletest_expr::AggAccumulator;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-pub(crate) fn exec(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
+/// One group: its key values and one accumulator per aggregate call.
+struct Group {
+    key: Vec<Value>,
+    accs: Vec<AggAccumulator>,
+}
+
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
     let (group_by, aggs, sort_based) = match &plan.op {
         PhysOp::HashAgg { group_by, aggs } => (group_by, aggs, false),
         PhysOp::StreamAgg { group_by, aggs } => (group_by, aggs, true),
@@ -21,90 +33,84 @@ pub(crate) fn exec(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
             )))
         }
     };
-    let mut input = exec_node(ctx, &plan.children[0])?;
+    let input = charged(ctx, open_child(ctx, &plan.children[0])?);
     let map = position_map(&plan.children[0]);
+    ctx.charge(1)?;
     let key_positions: Vec<usize> = group_by.iter().map(|c| map[c]).collect();
-    ctx.charge(input.len() as u64 + 1)?;
+    let arg_positions: Vec<Option<usize>> = aggs.iter().map(|a| a.arg.map(|c| map[&c])).collect();
 
-    if sort_based {
-        // Stream aggregation sorts its input by the grouping key first —
-        // the cost model charges it for exactly this sort.
-        input.sort_by(|a, b| {
-            for &p in &key_positions {
-                let c = a[p].total_cmp(&b[p]);
-                if c != std::cmp::Ordering::Equal {
-                    return c;
-                }
+    let fresh = |key: Vec<Value>| Group {
+        key,
+        accs: aggs.iter().map(|a| AggAccumulator::new(a.func)).collect(),
+    };
+    let key_of = |row: &[Value]| key_positions.iter().map(|&p| row[p].clone()).collect();
+    // SQL GROUP BY treats NULLs as equal — Value's Eq does too.
+    let same_key = |key: &[Value], row: &[Value]| {
+        let of_row = key_positions.iter().map(|&p| &row[p]);
+        of_row.eq(key)
+    };
+    let feed = |group: &mut Group, row: &[Value]| {
+        for ((acc, call), arg) in group.accs.iter_mut().zip(aggs).zip(&arg_positions) {
+            match arg {
+                Some(p) => acc.update(call.func, &row[*p]),
+                None => acc.update(call.func, &Value::Bool(true)), // COUNT(*): any non-null marker
             }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    let feed = |accs: &mut Vec<AggAccumulator>, aggs: &[AggCall], row: &Row| {
-        for (acc, call) in accs.iter_mut().zip(aggs) {
-            let v = match call.arg {
-                Some(c) => row[map[&c]].clone(),
-                None => Value::Bool(true), // COUNT(*): any non-null marker
-            };
-            acc.update(call.func, &v);
         }
     };
-    let finish = |key: Vec<Value>, accs: Vec<AggAccumulator>| -> Row {
-        let mut row = key;
-        row.extend(accs.into_iter().map(AggAccumulator::finish));
-        row
-    };
-    let fresh = |aggs: &[AggCall]| -> Vec<AggAccumulator> {
-        aggs.iter().map(|a| AggAccumulator::new(a.func)).collect()
-    };
 
-    let mut out = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     if group_by.is_empty() {
         // Scalar aggregation: exactly one output row, always.
-        let mut accs = fresh(aggs);
-        for row in &input {
-            feed(&mut accs, aggs, row);
+        let mut group = fresh(vec![]);
+        for row in input {
+            feed(&mut group, &row?);
         }
-        out.push(finish(vec![], accs));
+        groups.push(group);
     } else if sort_based {
-        let mut i = 0usize;
-        while i < input.len() {
-            let start = i;
-            let same_group = |a: &Row, b: &Row| {
-                key_positions
-                    .iter()
-                    .all(|&p| a[p].total_cmp(&b[p]) == std::cmp::Ordering::Equal)
-            };
-            let mut accs = fresh(aggs);
-            while i < input.len() && same_group(&input[start], &input[i]) {
-                feed(&mut accs, aggs, &input[i]);
-                i += 1;
-            }
-            let key: Vec<Value> = key_positions
+        // Stream aggregation sorts its input by the grouping key first —
+        // the cost model charges it for exactly this sort.
+        let mut rows: Vec<RowRef<'a>> = input.collect::<Result<_>>()?;
+        rows.sort_by(|a, b| {
+            key_positions
                 .iter()
-                .map(|&p| input[start][p].clone())
-                .collect();
-            out.push(finish(key, accs));
+                .map(|&p| a[p].total_cmp(&b[p]))
+                .find(|c| c.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        for row in &rows {
+            match groups.last_mut() {
+                Some(group) if same_key(&group.key, row) => feed(group, row),
+                _ => {
+                    let mut group = fresh(key_of(row));
+                    feed(&mut group, row);
+                    groups.push(group);
+                }
+            }
         }
     } else {
-        // Hash aggregation; insertion order preserved for determinism of
-        // intermediate traces (final comparison is multiset-based anyway).
-        let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut states: Vec<(Vec<Value>, Vec<AggAccumulator>)> = Vec::new();
-        for row in &input {
-            let key: Vec<Value> = key_positions.iter().map(|&p| row[p].clone()).collect();
-            let idx = *groups.entry(key.clone()).or_insert_with(|| {
-                states.push((key, fresh(aggs)));
-                states.len() - 1
+        // Hash aggregation; groups are emitted in first-occurrence order.
+        // The table maps a key hash to the groups that hash alike.
+        let mut table: HashMap<u64, Vec<usize>, WordBuild> = HashMap::default();
+        for row in input {
+            let row = row?;
+            let mut h = WordHasher::default();
+            key_positions.iter().for_each(|&p| row[p].hash(&mut h));
+            let alike = table.entry(h.finish()).or_default();
+            let found = alike.iter().find(|&&g| same_key(&groups[g].key, &row));
+            let g = found.copied().unwrap_or_else(|| {
+                alike.push(groups.len());
+                groups.push(fresh(key_of(&row)));
+                groups.len() - 1
             });
-            feed(&mut states[idx].1, aggs, row);
-        }
-        for (key, accs) in states {
-            out.push(finish(key, accs));
+            feed(&mut groups[g], &row);
         }
     }
-    ctx.charge(out.len() as u64)?;
-    Ok(out)
+    Ok(Box::new(groups.into_iter().map(move |group| {
+        ctx.charge(1)?;
+        let mut row: Row = group.key;
+        row.extend(group.accs.into_iter().map(AggAccumulator::finish));
+        Ok(Cow::Owned(row))
+    })))
 }
 
 #[cfg(test)]

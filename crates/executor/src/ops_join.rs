@@ -4,298 +4,480 @@
 //! All three implement identical join *semantics* — only the algorithm
 //! differs — which is precisely what correctness testing of implementation
 //! rules verifies. The shared semantics: a pair matches iff the full ON
-//! predicate evaluates to TRUE over the concatenated row; outer kinds pad
-//! unmatched preserved rows with NULLs; semi/anti emit the bare left row.
+//! predicate evaluates to TRUE over the pair; outer kinds pad unmatched
+//! preserved rows with NULLs; semi/anti emit the bare left row.
+//!
+//! The predicate is evaluated over the two rows where they lie; the
+//! concatenated row is built only for a pair that is emitted.
 
-use crate::context::{eval_pred, exec_node, position_map, Ctx};
-use ruletest_common::{ColId, Error, Result, Row, Value};
+use crate::context::{charged, open as open_child, position_map, Ctx, PosMap, RowIter, RowRef};
+use ruletest_common::{ColId, Error, Result, Row, Value, WordBuild, WordHasher};
 use ruletest_expr::Expr;
 use ruletest_logical::JoinKind;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-pub(crate) fn exec(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
-    let left_rows = exec_node(ctx, &plan.children[0])?;
-    let right_rows = exec_node(ctx, &plan.children[1])?;
-    // Combined resolver: left columns at their positions, right columns
-    // shifted by the left arity.
-    let lmap = position_map(&plan.children[0]);
-    let rmap = position_map(&plan.children[1]);
-    let lwidth = plan.children[0].schema.len();
-    let mut combined: HashMap<ColId, usize> = lmap.clone();
-    for (c, i) in &rmap {
-        combined.insert(*c, i + lwidth);
-    }
-
-    match &plan.op {
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
+    let (lplan, rplan) = (&plan.children[0], &plan.children[1]);
+    let left = open_child(ctx, lplan)?;
+    let right = open_child(ctx, rplan)?;
+    let (lmap, rmap) = (position_map(lplan), position_map(rplan));
+    let pair = PairPredicate::new(lplan, rplan, &lmap, &rmap);
+    let (kind, predicate, right, index) = match &plan.op {
         PhysOp::NLJoin { kind, predicate } => {
-            let right_width = plan.children[1].schema.len();
-            nl_join(
-                ctx,
-                *kind,
-                predicate,
-                &left_rows,
-                &right_rows,
-                &combined,
-                lwidth,
-                right_width,
-            )
+            let right: Vec<RowRef<'a>> = right.collect::<Result<_>>()?;
+            (*kind, predicate, right, None)
         }
         PhysOp::HashJoin {
             kind,
             left_keys,
             right_keys,
             residual,
-        } => hash_join(
-            ctx,
-            *kind,
-            left_keys,
-            right_keys,
-            residual,
-            &left_rows,
-            &right_rows,
-            &lmap,
-            &rmap,
-            &combined,
-            lwidth,
-        ),
+        } => {
+            let right: Vec<RowRef<'a>> = charged(ctx, right).collect::<Result<_>>()?;
+            let index = HashIndex::build(
+                &right,
+                left_keys.iter().map(|c| lmap[c]).collect(),
+                right_keys.iter().map(|c| rmap[c]).collect(),
+            );
+            (*kind, residual, right, Some(index))
+        }
         PhysOp::MergeJoin {
             left_key,
             right_key,
             residual,
-        } => merge_join(
-            ctx, *left_key, *right_key, residual, left_rows, right_rows, &lmap, &rmap, &combined,
-            lwidth,
-        ),
-        other => Err(Error::internal(format!(
-            "join executor got {}",
-            other.name()
-        ))),
-    }
-}
-
-fn pad_left(out: &mut Vec<Row>, left: &Row, right_width: usize) {
-    let mut row = left.clone();
-    row.extend(std::iter::repeat_n(Value::Null, right_width));
-    out.push(row);
-}
-
-fn pad_right(out: &mut Vec<Row>, left_width: usize, right: &Row) {
-    let mut row: Row = std::iter::repeat_n(Value::Null, left_width).collect();
-    row.extend(right.iter().cloned());
-    out.push(row);
-}
-
-/// Post-match bookkeeping shared by NL and hash join: what to emit for a
-/// left row given its match count, and (at the end) unmatched right rows.
-fn finish_left_row(
-    out: &mut Vec<Row>,
-    kind: JoinKind,
-    left: &Row,
-    matches: usize,
-    right_width: usize,
-) {
-    match kind {
-        JoinKind::LeftOuter | JoinKind::FullOuter if matches == 0 => {
-            pad_left(out, left, right_width)
+        } => {
+            let (li, ri) = (lmap[left_key], rmap[right_key]);
+            // NULL keys never join (inner): drop them before sorting.
+            let non_null = |rows: RowIter<'a>, key: usize| -> Result<Vec<RowRef<'a>>> {
+                rows.filter(|row| !matches!(row, Ok(row) if row[key].is_null()))
+                    .collect()
+            };
+            let mut left = non_null(left, li)?;
+            let mut right = non_null(right, ri)?;
+            ctx.charge((left.len() + right.len()) as u64)?;
+            left.sort_by(|a, b| a[li].total_cmp(&b[li]));
+            right.sort_by(|a, b| a[ri].total_cmp(&b[ri]));
+            return Ok(Box::new(Merge {
+                ctx,
+                predicate: residual,
+                pair,
+                left,
+                right,
+                li,
+                ri,
+                i: 0,
+                j: 0,
+                run: None,
+            }));
         }
-        JoinKind::LeftAnti if matches == 0 => out.push(left.clone()),
-        _ => {}
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nl_join(
-    ctx: &mut Ctx,
-    kind: JoinKind,
-    predicate: &Expr,
-    left_rows: &[Row],
-    right_rows: &[Row],
-    combined: &HashMap<ColId, usize>,
-    lwidth: usize,
-    right_width: usize,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    let mut right_matched = vec![false; right_rows.len()];
-    for left in left_rows {
-        ctx.charge(right_rows.len() as u64 + 1)?;
-        let mut matches = 0usize;
-        for (ri, right) in right_rows.iter().enumerate() {
-            let mut full = left.clone();
-            full.extend(right.iter().cloned());
-            if eval_pred(predicate, combined, &full) {
-                matches += 1;
-                right_matched[ri] = true;
-                match kind {
-                    JoinKind::LeftSemi => {
-                        out.push(left.clone());
-                        break; // semi: one match suffices
-                    }
-                    JoinKind::LeftAnti => {
-                        break; // anti: any match disqualifies
-                    }
-                    _ => out.push(full),
-                }
-            }
+        other => {
+            return Err(Error::internal(format!(
+                "join executor got {}",
+                other.name()
+            )))
         }
-        finish_left_row(&mut out, kind, left, matches, right_width);
-    }
-    if kind.preserves_right() {
-        for (ri, right) in right_rows.iter().enumerate() {
-            if !right_matched[ri] {
-                pad_right(&mut out, lwidth, right);
-            }
-        }
-    }
-    ctx.charge(out.len() as u64)?;
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    ctx: &mut Ctx,
-    kind: JoinKind,
-    left_keys: &[ColId],
-    right_keys: &[ColId],
-    residual: &Expr,
-    left_rows: &[Row],
-    right_rows: &[Row],
-    lmap: &HashMap<ColId, usize>,
-    rmap: &HashMap<ColId, usize>,
-    combined: &HashMap<ColId, usize>,
-    lwidth: usize,
-) -> Result<Vec<Row>> {
-    let right_width = rmap.len();
-    let key_of = |row: &Row, keys: &[ColId], map: &HashMap<ColId, usize>| -> Option<Vec<Value>> {
-        let mut k = Vec::with_capacity(keys.len());
-        for c in keys {
-            let v = row[map[c]].clone();
-            if v.is_null() {
-                return None; // SQL equality: NULL keys never match
-            }
-            k.push(v);
-        }
-        Some(k)
     };
-
-    // Build side: right.
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (ri, right) in right_rows.iter().enumerate() {
-        ctx.charge(1)?;
-        if let Some(k) = key_of(right, right_keys, rmap) {
-            table.entry(k).or_default().push(ri);
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut right_matched = vec![false; right_rows.len()];
-    for left in left_rows {
-        ctx.charge(1)?;
-        let mut matches = 0usize;
-        if let Some(k) = key_of(left, left_keys, lmap) {
-            if let Some(candidates) = table.get(&k) {
-                for &ri in candidates {
-                    ctx.charge(1)?;
-                    let right = &right_rows[ri];
-                    let mut full = left.clone();
-                    full.extend(right.iter().cloned());
-                    if residual.is_true_lit() || eval_pred(residual, combined, &full) {
-                        matches += 1;
-                        right_matched[ri] = true;
-                        match kind {
-                            JoinKind::LeftSemi => {
-                                out.push(left.clone());
-                                break;
-                            }
-                            JoinKind::LeftAnti => break,
-                            _ => out.push(full),
-                        }
-                    }
-                }
-            }
-        }
-        finish_left_row(&mut out, kind, left, matches, right_width);
-    }
-    if kind.preserves_right() {
-        for (ri, right) in right_rows.iter().enumerate() {
-            if !right_matched[ri] {
-                pad_right(&mut out, lwidth, right);
-            }
-        }
-    }
-    ctx.charge(out.len() as u64)?;
-    Ok(out)
+    Ok(Box::new(Probe {
+        ctx,
+        kind,
+        predicate,
+        pair,
+        left,
+        right_matched: vec![false; right.len()],
+        right,
+        index,
+        current: None,
+        unmatched_from: 0,
+    }))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn merge_join(
-    ctx: &mut Ctx,
-    left_key: ColId,
-    right_key: ColId,
-    residual: &Expr,
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    lmap: &HashMap<ColId, usize>,
-    rmap: &HashMap<ColId, usize>,
-    combined: &HashMap<ColId, usize>,
-    _lwidth: usize,
-) -> Result<Vec<Row>> {
-    let li = lmap[&left_key];
-    let ri = rmap[&right_key];
-    // NULL keys never join (inner): drop them before sorting.
-    let mut left: Vec<Row> = left_rows.into_iter().filter(|r| !r[li].is_null()).collect();
-    let mut right: Vec<Row> = right_rows
-        .into_iter()
-        .filter(|r| !r[ri].is_null())
-        .collect();
-    ctx.charge((left.len() + right.len()) as u64)?;
-    left.sort_by(|a, b| a[li].total_cmp(&b[li]));
-    right.sort_by(|a, b| a[ri].total_cmp(&b[ri]));
+/// The ON/residual predicate over a `(left, right)` pair of rows: left
+/// columns resolve into the left row, right columns into the right one, so
+/// a candidate pair is judged without being concatenated first.
+struct PairPredicate {
+    /// Left columns at their positions, right columns shifted by the left
+    /// arity.
+    combined: PosMap,
+    lwidth: usize,
+    rwidth: usize,
+}
 
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        ctx.charge(1)?;
-        match left[i][li].total_cmp(&right[j][ri]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Find the equal runs and cross them.
-                let key = left[i][li].clone();
-                let istart = i;
-                while i < left.len() && left[i][li] == key {
-                    i += 1;
+impl PairPredicate {
+    fn new(lplan: &PhysicalPlan, rplan: &PhysicalPlan, lmap: &PosMap, rmap: &PosMap) -> Self {
+        let lwidth = lplan.schema.len();
+        let mut combined = lmap.clone();
+        for (c, i) in rmap {
+            combined.insert(*c, i + lwidth);
+        }
+        PairPredicate {
+            combined,
+            lwidth,
+            rwidth: rplan.schema.len(),
+        }
+    }
+
+    fn accepts(&self, predicate: &Expr, left: &[Value], right: &[Value]) -> bool {
+        if predicate.is_true_lit() {
+            return true;
+        }
+        let resolve = &mut |c: ColId| {
+            let p = *self
+                .combined
+                .get(&c)
+                .unwrap_or_else(|| panic!("unresolved column {c}"));
+            match p.checked_sub(self.lwidth) {
+                None => left[p].clone(),
+                Some(p) => right[p].clone(),
+            }
+        };
+        ruletest_expr::eval::eval_predicate(predicate, resolve)
+    }
+
+    fn concat<'a>(&self, left: &[Value], right: &[Value]) -> RowRef<'a> {
+        let mut row = Row::with_capacity(self.lwidth + self.rwidth);
+        row.extend_from_slice(left);
+        row.extend_from_slice(right);
+        Cow::Owned(row)
+    }
+
+    fn pad_left<'a>(&self, left: &[Value]) -> RowRef<'a> {
+        let mut row = Row::with_capacity(self.lwidth + self.rwidth);
+        row.extend_from_slice(left);
+        row.resize(self.lwidth + self.rwidth, Value::Null);
+        Cow::Owned(row)
+    }
+
+    fn pad_right<'a>(&self, right: &[Value]) -> RowRef<'a> {
+        let mut row = vec![Value::Null; self.lwidth];
+        row.extend_from_slice(right);
+        Cow::Owned(row)
+    }
+}
+
+const NONE: usize = usize::MAX;
+
+/// Hash join's build side: right-row indices chained per key hash in
+/// insertion order, so candidates come out in right-input order. Rows with
+/// a NULL key are in no chain (SQL equality: NULL keys never match).
+struct HashIndex {
+    /// Key hash -> (first, last) right row of its chain.
+    chains: HashMap<u64, (usize, usize), WordBuild>,
+    /// Next right row of the same chain, or [`NONE`].
+    next: Vec<usize>,
+    lpos: Vec<usize>,
+    rpos: Vec<usize>,
+}
+
+/// Hash of the key values of `row`, `None` when one is NULL.
+fn key_hash(row: &[Value], positions: &[usize]) -> Option<u64> {
+    let mut h = WordHasher::default();
+    for &p in positions {
+        if row[p].is_null() {
+            return None;
+        }
+        row[p].hash(&mut h);
+    }
+    Some(h.finish())
+}
+
+impl HashIndex {
+    fn build(right: &[RowRef], lpos: Vec<usize>, rpos: Vec<usize>) -> Self {
+        let mut chains: HashMap<u64, (usize, usize), WordBuild> = HashMap::default();
+        let mut next = vec![NONE; right.len()];
+        for (ri, row) in right.iter().enumerate() {
+            if let Some(h) = key_hash(row, &rpos) {
+                chains
+                    .entry(h)
+                    .and_modify(|(_, last)| {
+                        next[*last] = ri;
+                        *last = ri;
+                    })
+                    .or_insert((ri, ri));
+            }
+        }
+        HashIndex {
+            chains,
+            next,
+            lpos,
+            rpos,
+        }
+    }
+
+    /// The first right row at or after `ri` in its chain whose key equals
+    /// `left`'s (a chain holds every key that hashes alike).
+    fn matching(&self, right: &[RowRef], left: &[Value], mut ri: usize) -> usize {
+        while ri != NONE {
+            let row = &right[ri];
+            if self
+                .lpos
+                .iter()
+                .zip(&self.rpos)
+                .all(|(&l, &r)| left[l] == row[r])
+            {
+                break;
+            }
+            ri = self.next[ri];
+        }
+        ri
+    }
+
+    fn first(&self, right: &[RowRef], left: &[Value]) -> usize {
+        let head = key_hash(left, &self.lpos).and_then(|h| self.chains.get(&h));
+        head.map_or(NONE, |&(first, _)| self.matching(right, left, first))
+    }
+
+    fn after(&self, right: &[RowRef], left: &[Value], ri: usize) -> usize {
+        self.matching(right, left, self.next[ri])
+    }
+}
+
+/// The left row being probed and where its scan of the right side stands.
+struct Current<'a> {
+    left: RowRef<'a>,
+    /// Next right row to examine, or [`NONE`].
+    candidate: usize,
+    matched: bool,
+}
+
+/// The probe phase of nested-loops and hash join: pulls left rows one at a
+/// time against the materialised right side. With an `index` the candidates
+/// of a left row are its key matches, without one every right row.
+struct Probe<'a> {
+    ctx: &'a Ctx<'a>,
+    kind: JoinKind,
+    predicate: &'a Expr,
+    pair: PairPredicate,
+    left: RowIter<'a>,
+    right: Vec<RowRef<'a>>,
+    index: Option<HashIndex>,
+    right_matched: Vec<bool>,
+    current: Option<Current<'a>>,
+    /// Once the left side is exhausted: the next right row to consider for
+    /// null-padded emission (right/full outer).
+    unmatched_from: usize,
+}
+
+impl<'a> Probe<'a> {
+    /// Pulls the next left row and charges for its probe: nested loops
+    /// pays for the whole right side up front, hash join per candidate.
+    fn next_left(&mut self) -> Result<Option<Current<'a>>> {
+        let Some(left) = self.left.next().transpose()? else {
+            return Ok(None);
+        };
+        let candidate = match &self.index {
+            None => {
+                self.ctx.charge(self.right.len() as u64 + 1)?;
+                if self.right.is_empty() {
+                    NONE
+                } else {
+                    0
                 }
-                let jstart = j;
-                while j < right.len() && right[j][ri] == key {
-                    j += 1;
-                }
-                for l in &left[istart..i] {
-                    ctx.charge((j - jstart) as u64)?;
-                    for r in &right[jstart..j] {
-                        let mut full = l.clone();
-                        full.extend(r.iter().cloned());
-                        if residual.is_true_lit() || eval_pred(residual, combined, &full) {
-                            out.push(full);
-                        }
+            }
+            Some(index) => {
+                self.ctx.charge(1)?;
+                index.first(&self.right, &left)
+            }
+        };
+        Ok(Some(Current {
+            left,
+            candidate,
+            matched: false,
+        }))
+    }
+
+    /// One step of the probe: pull a left row, examine one candidate, settle
+    /// a left row whose candidates are exhausted, or (left side exhausted)
+    /// find the next unmatched right row.
+    fn step(&mut self) -> Result<Step<'a>> {
+        let Some(cur) = &mut self.current else {
+            self.current = self.next_left()?;
+            if self.current.is_some() {
+                return Ok(Step::Continue);
+            }
+            // Left side exhausted: unmatched right rows, in right order.
+            if self.kind.preserves_right() {
+                while self.unmatched_from < self.right.len() {
+                    let ri = self.unmatched_from;
+                    self.unmatched_from += 1;
+                    if !self.right_matched[ri] {
+                        return Ok(Step::Emit(self.pair.pad_right(&self.right[ri])));
                     }
                 }
             }
+            return Ok(Step::Done);
+        };
+        if cur.candidate == NONE {
+            // Right side scanned: what an unmatched left row is owed.
+            let cur = self.current.take().expect("checked above");
+            return Ok(match self.kind {
+                JoinKind::LeftOuter | JoinKind::FullOuter if !cur.matched => {
+                    Step::Emit(self.pair.pad_left(&cur.left))
+                }
+                JoinKind::LeftAnti if !cur.matched => Step::Emit(cur.left),
+                _ => Step::Continue,
+            });
+        }
+        let ri = cur.candidate;
+        if self.index.is_some() {
+            self.ctx.charge(1)?; // per key match examined
+        }
+        let accepted = self
+            .pair
+            .accepts(self.predicate, &cur.left, &self.right[ri]);
+        if accepted {
+            self.right_matched[ri] = true;
+            match self.kind {
+                // Semi: one match suffices; the left handle goes out as it came.
+                JoinKind::LeftSemi => {
+                    let cur = self.current.take().expect("checked above");
+                    return Ok(Step::Emit(cur.left));
+                }
+                // Anti: any match disqualifies.
+                JoinKind::LeftAnti => {
+                    self.current = None;
+                    return Ok(Step::Continue);
+                }
+                _ => cur.matched = true,
+            }
+        }
+        cur.candidate = match &self.index {
+            None if ri + 1 < self.right.len() => ri + 1,
+            None => NONE,
+            Some(index) => index.after(&self.right, &cur.left, ri),
+        };
+        Ok(if accepted {
+            Step::Emit(self.pair.concat(&cur.left, &self.right[ri]))
+        } else {
+            Step::Continue
+        })
+    }
+}
+
+/// What one step of a join's state machine did.
+enum Step<'a> {
+    Emit(RowRef<'a>),
+    Continue,
+    Done,
+}
+
+/// Steps a join until it emits (one unit charged per emitted row) or ends.
+fn pull<'a>(
+    ctx: &Ctx<'_>,
+    mut step: impl FnMut() -> Result<Step<'a>>,
+) -> Option<Result<RowRef<'a>>> {
+    loop {
+        match step() {
+            Ok(Step::Emit(row)) => return Some(ctx.charge(1).map(|()| row)),
+            Ok(Step::Continue) => {}
+            Ok(Step::Done) => return None,
+            Err(e) => return Some(Err(e)),
         }
     }
-    ctx.charge(out.len() as u64)?;
-    Ok(out)
+}
+
+impl<'a> Iterator for Probe<'a> {
+    type Item = Result<RowRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        pull(self.ctx, || self.step())
+    }
+}
+
+/// An equal-key run on both sides of a merge join being crossed:
+/// `left[l]` against `right[r..jend]`, then the next left row of the run.
+struct Run {
+    iend: usize,
+    jstart: usize,
+    jend: usize,
+    l: usize,
+    r: usize,
+}
+
+/// Sort-merge join over both inputs sorted by their key.
+struct Merge<'a> {
+    ctx: &'a Ctx<'a>,
+    predicate: &'a Expr,
+    pair: PairPredicate,
+    left: Vec<RowRef<'a>>,
+    right: Vec<RowRef<'a>>,
+    li: usize,
+    ri: usize,
+    i: usize,
+    j: usize,
+    run: Option<Run>,
+}
+
+impl<'a> Merge<'a> {
+    fn step(&mut self) -> Result<Step<'a>> {
+        let (left, right, li, ri) = (&self.left, &self.right, self.li, self.ri);
+        if let Some(run) = &mut self.run {
+            if run.l == run.iend {
+                self.run = None;
+                return Ok(Step::Continue);
+            }
+            if run.r == run.jstart {
+                self.ctx.charge((run.jend - run.jstart) as u64)?;
+            }
+            let (l, r) = (run.l, run.r);
+            run.r += 1;
+            if run.r == run.jend {
+                run.l += 1;
+                run.r = run.jstart;
+            }
+            return Ok(if self.pair.accepts(self.predicate, &left[l], &right[r]) {
+                Step::Emit(self.pair.concat(&left[l], &right[r]))
+            } else {
+                Step::Continue
+            });
+        }
+        if self.i >= left.len() || self.j >= right.len() {
+            return Ok(Step::Done);
+        }
+        self.ctx.charge(1)?;
+        match left[self.i][li].total_cmp(&right[self.j][ri]) {
+            Ordering::Less => self.i += 1,
+            Ordering::Greater => self.j += 1,
+            Ordering::Equal => {
+                // Find the equal runs; the steps above cross them.
+                let key = &left[self.i][li];
+                let (istart, jstart) = (self.i, self.j);
+                while self.i < left.len() && left[self.i][li] == *key {
+                    self.i += 1;
+                }
+                while self.j < right.len() && right[self.j][ri] == *key {
+                    self.j += 1;
+                }
+                self.run = Some(Run {
+                    iend: self.i,
+                    jstart,
+                    jend: self.j,
+                    l: istart,
+                    r: jstart,
+                });
+            }
+        }
+        Ok(Step::Continue)
+    }
+}
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = Result<RowRef<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        pull(self.ctx, || self.step())
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::context::execute;
     use crate::context::testkit::*;
     use ruletest_common::multisets_equal;
-    use ruletest_common::{ColId, Value};
-    use ruletest_expr::Expr;
-    use ruletest_logical::JoinKind;
-    use ruletest_optimizer::PhysOp;
 
     fn join_schema() -> Vec<ruletest_logical::ColumnInfo> {
         vec![int_col(0), str_col(1), int_col(2), int_col(3)]
@@ -409,6 +591,147 @@ mod tests {
             assert_eq!(anti_rows[0][0], Value::Int(3));
             assert_eq!(semi_rows[0].len(), 2, "semi emits only left columns");
         }
+    }
+
+    /// t1 twice over (column ids 20, 21): every x value occurs twice.
+    fn doubled_t1() -> PhysicalPlan {
+        plan(
+            PhysOp::Concat {
+                outputs: vec![ColId(20), ColId(21)],
+                left_cols: vec![ColId(2), ColId(3)],
+                right_cols: vec![ColId(2), ColId(3)],
+            },
+            vec![scan_t1(), scan_t1()],
+            vec![int_col(20), int_col(21)],
+        )
+    }
+
+    fn pull_all<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Vec<RowRef<'a>> {
+        crate::context::open(ctx, plan)
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap()
+    }
+
+    #[test]
+    fn semi_and_anti_emit_each_left_handle_once_and_untouched() {
+        let db = tiny_db();
+        let stored = &db.table(ruletest_common::TableId(0)).unwrap().rows;
+        let on = Expr::eq(Expr::col(ColId(0)), Expr::col(ColId(20)));
+        let join = |hash: bool, kind| {
+            let op = if hash {
+                PhysOp::HashJoin {
+                    kind,
+                    left_keys: vec![ColId(0)],
+                    right_keys: vec![ColId(20)],
+                    residual: Expr::true_lit(),
+                }
+            } else {
+                PhysOp::NLJoin {
+                    kind,
+                    predicate: on.clone(),
+                }
+            };
+            plan(
+                op,
+                vec![scan_t0(), doubled_t1()],
+                vec![int_col(0), str_col(1)],
+            )
+        };
+        // a∈{1,2} each match two right rows, a=3 none.
+        for hash in [false, true] {
+            for (kind, expected) in [
+                (JoinKind::LeftSemi, &stored[..2]),
+                (JoinKind::LeftAnti, &stored[2..]),
+            ] {
+                let p = join(hash, kind);
+                let ctx = Ctx::new(&db, u64::MAX, ruletest_common::Deadline::none());
+                let rows = pull_all(&ctx, &p);
+                assert_eq!(rows.len(), expected.len(), "{kind:?} hash={hash}");
+                for (row, stored) in rows.iter().zip(expected) {
+                    // The scan's own handle: no row was built for it, let
+                    // alone a concatenated one.
+                    assert!(
+                        matches!(row, Cow::Borrowed(r) if std::ptr::eq(*r, stored.as_slice())),
+                        "{kind:?} hash={hash}: {row:?} is not the stored row itself"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unmatched_right_rows_follow_the_whole_left_side() {
+        let db = tiny_db();
+        let null = Value::Null;
+        let one = vec![1.into(), "one".into(), 1.into(), 10.into()];
+        let two = vec![2.into(), null.clone(), 2.into(), null.clone()];
+        let three = vec![3.into(), "three".into(), null.clone(), null.clone()];
+        let four = vec![null.clone(), null.clone(), 4.into(), 40.into()];
+        for (kind, expected) in [
+            (
+                JoinKind::RightOuter,
+                vec![one.clone(), two.clone(), four.clone()],
+            ),
+            (JoinKind::FullOuter, vec![one, two, three, four]),
+        ] {
+            assert_eq!(execute(&db, &nl(kind)).unwrap(), expected, "NL {kind:?}");
+            assert_eq!(
+                execute(&db, &hash(kind)).unwrap(),
+                expected,
+                "hash {kind:?}"
+            );
+        }
+    }
+
+    /// The padding width is the child's schema width, not its number of
+    /// distinct column ids: a right child that repeats a column must pad
+    /// the same under both algorithms.
+    #[test]
+    fn outer_padding_counts_a_repeated_right_column_twice() {
+        let db = tiny_db();
+        let repeated = plan(
+            PhysOp::Compute {
+                outputs: vec![
+                    (ColId(2), Expr::col(ColId(2))),
+                    (ColId(3), Expr::col(ColId(3))),
+                    (ColId(2), Expr::col(ColId(2))),
+                ],
+            },
+            vec![scan_t1()],
+            vec![int_col(2), int_col(3), int_col(2)],
+        );
+        let schema = vec![int_col(0), str_col(1), int_col(2), int_col(3), int_col(2)];
+        let nl = plan(
+            PhysOp::NLJoin {
+                kind: JoinKind::LeftOuter,
+                predicate: eq_pred(),
+            },
+            vec![scan_t0(), repeated.clone()],
+            schema.clone(),
+        );
+        let hash = plan(
+            PhysOp::HashJoin {
+                kind: JoinKind::LeftOuter,
+                left_keys: vec![ColId(0)],
+                right_keys: vec![ColId(2)],
+                residual: Expr::true_lit(),
+            },
+            vec![scan_t0(), repeated],
+            schema,
+        );
+        let nl_rows = execute(&db, &nl).unwrap();
+        assert_eq!(nl_rows, execute(&db, &hash).unwrap());
+        assert_eq!(
+            nl_rows[2],
+            vec![
+                Value::Int(3),
+                "three".into(),
+                Value::Null,
+                Value::Null,
+                Value::Null
+            ]
+        );
     }
 
     #[test]

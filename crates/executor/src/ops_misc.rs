@@ -1,113 +1,78 @@
 //! Filter, compute, concat, distinct, sort, and top-n operators.
+//!
+//! Filter and distinct pass the row handle they pulled through untouched;
+//! sort and top-n materialise handles, not rows; compute and concat build
+//! the rows they emit.
 
-use crate::context::{eval_pred, eval_row, exec_node, position_map, Ctx};
-use ruletest_common::{Error, Result, Row};
+use crate::context::{
+    charged, eval_pred, eval_row, open as open_child, position_map, Ctx, RowIter, RowRef,
+};
+use ruletest_common::{Error, Result, WordBuild};
+use ruletest_logical::SortKey;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 
-pub(crate) fn exec_unary(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
-    let input = exec_node(ctx, &plan.children[0])?;
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
+    let input = charged(ctx, open_child(ctx, &plan.children[0])?);
     let map = position_map(&plan.children[0]);
-    ctx.charge(input.len() as u64 + 1)?;
+    ctx.charge(1)?;
     match &plan.op {
-        PhysOp::Filter { predicate } => Ok(input
-            .into_iter()
-            .filter(|row| eval_pred(predicate, &map, row))
-            .collect()),
-        PhysOp::Compute { outputs } => Ok(input
-            .iter()
-            .map(|row| {
-                outputs
-                    .iter()
-                    .map(|(_, e)| eval_row(e, &map, row))
-                    .collect()
-            })
-            .collect()),
-        other => Err(Error::internal(format!(
-            "unary executor got {}",
-            other.name()
-        ))),
-    }
-}
-
-pub(crate) fn exec_other(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
-    match &plan.op {
+        PhysOp::Filter { predicate } => Ok(Box::new(input.filter(move |row| match row {
+            Ok(row) => eval_pred(predicate, &map, row),
+            Err(_) => true,
+        }))),
+        PhysOp::Compute { outputs } => Ok(Box::new(input.map(move |row| {
+            let row = row?;
+            let computed = outputs.iter().map(|(_, e)| eval_row(e, &map, &row));
+            Ok(Cow::Owned(computed.collect()))
+        }))),
         PhysOp::Concat {
             left_cols,
             right_cols,
             ..
         } => {
-            let left = exec_node(ctx, &plan.children[0])?;
-            let right = exec_node(ctx, &plan.children[1])?;
-            let lmap = position_map(&plan.children[0]);
+            let right = charged(ctx, open_child(ctx, &plan.children[1])?);
             let rmap = position_map(&plan.children[1]);
-            ctx.charge((left.len() + right.len()) as u64 + 1)?;
-            let lpos: Vec<usize> = left_cols.iter().map(|c| lmap[c]).collect();
-            let rpos: Vec<usize> = right_cols.iter().map(|c| rmap[c]).collect();
-            let mut out = Vec::with_capacity(left.len() + right.len());
-            for row in &left {
-                out.push(lpos.iter().map(|&p| row[p].clone()).collect());
-            }
-            for row in &right {
-                out.push(rpos.iter().map(|&p| row[p].clone()).collect());
-            }
-            Ok(out)
+            let lpos = left_cols.iter().map(|c| map[c]).collect();
+            let rpos = right_cols.iter().map(|c| rmap[c]).collect();
+            Ok(Box::new(remap(input, lpos).chain(remap(right, rpos))))
         }
         PhysOp::HashDistinct => {
-            let input = exec_node(ctx, &plan.children[0])?;
-            ctx.charge(input.len() as u64 + 1)?;
-            let mut seen = std::collections::HashSet::new();
             // SQL DISTINCT treats NULLs as equal — Value's Eq does too.
-            Ok(input
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            let mut seen: HashSet<RowRef<'a>, WordBuild> = HashSet::default();
+            Ok(Box::new(input.filter(move |row| match row {
+                Ok(row) => !seen.contains(row) && seen.insert(row.clone()),
+                Err(_) => true,
+            })))
         }
         PhysOp::SortOp { keys } => {
-            let mut input = exec_node(ctx, &plan.children[0])?;
-            let map = position_map(&plan.children[0]);
-            ctx.charge(input.len() as u64 + 1)?;
-            let key_pos: Vec<(usize, bool)> =
-                keys.iter().map(|k| (map[&k.col], k.descending)).collect();
-            input.sort_by(|a, b| {
-                for &(p, desc) in &key_pos {
-                    let c = a[p].total_cmp(&b[p]);
-                    if c != std::cmp::Ordering::Equal {
-                        return if desc { c.reverse() } else { c };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(input)
+            let mut rows: Vec<RowRef<'a>> = input.collect::<Result<_>>()?;
+            let key_pos = key_positions(keys, &map);
+            rows.sort_by(|a, b| cmp_keys(&key_pos, a, b));
+            Ok(Box::new(rows.into_iter().map(Ok)))
         }
         PhysOp::TopN { n, keys } => {
-            let mut input = exec_node(ctx, &plan.children[0])?;
-            let map = position_map(&plan.children[0]);
-            ctx.charge(input.len() as u64 + 1)?;
-            let key_pos: Vec<(usize, bool)> =
-                keys.iter().map(|k| (map[&k.col], k.descending)).collect();
+            let mut rows: Vec<RowRef<'a>> = input.collect::<Result<_>>()?;
+            let key_pos = key_positions(keys, &map);
             // Tie-break on the full row with columns in ascending id order —
             // a total, *plan-independent* order, so TopN is a deterministic
             // function of the input multiset (see crate docs).
             let mut tie_pos: Vec<(ruletest_common::ColId, usize)> =
                 map.iter().map(|(c, p)| (*c, *p)).collect();
             tie_pos.sort_by_key(|(c, _)| *c);
-            input.sort_by(|a, b| {
-                for &(p, desc) in &key_pos {
-                    let c = a[p].total_cmp(&b[p]);
-                    if c != std::cmp::Ordering::Equal {
-                        return if desc { c.reverse() } else { c };
-                    }
-                }
-                for &(_, p) in &tie_pos {
-                    let c = a[p].total_cmp(&b[p]);
-                    if c != std::cmp::Ordering::Equal {
-                        return c;
-                    }
-                }
-                std::cmp::Ordering::Equal
+            rows.sort_by(|a, b| {
+                cmp_keys(&key_pos, a, b).then_with(|| {
+                    tie_pos
+                        .iter()
+                        .map(|&(_, p)| a[p].total_cmp(&b[p]))
+                        .find(|c| c.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                })
             });
-            input.truncate(*n as usize);
-            Ok(input)
+            rows.truncate(*n as usize);
+            Ok(Box::new(rows.into_iter().map(Ok)))
         }
         other => Err(Error::internal(format!(
             "misc executor got {}",
@@ -116,8 +81,41 @@ pub(crate) fn exec_other(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>>
     }
 }
 
+/// One side of a concat: each row re-mapped to the output's column order.
+fn remap<'a>(
+    input: impl Iterator<Item = Result<RowRef<'a>>> + 'a,
+    positions: Vec<usize>,
+) -> impl Iterator<Item = Result<RowRef<'a>>> + 'a {
+    input.map(move |row| {
+        let row = row?;
+        Ok(Cow::Owned(
+            positions.iter().map(|&p| row[p].clone()).collect(),
+        ))
+    })
+}
+
+fn key_positions(keys: &[SortKey], map: &crate::context::PosMap) -> Vec<(usize, bool)> {
+    keys.iter().map(|k| (map[&k.col], k.descending)).collect()
+}
+
+fn cmp_keys(key_pos: &[(usize, bool)], a: &RowRef, b: &RowRef) -> Ordering {
+    key_pos
+        .iter()
+        .map(|&(p, desc)| {
+            let c = a[p].total_cmp(&b[p]);
+            if desc {
+                c.reverse()
+            } else {
+                c
+            }
+        })
+        .find(|c| c.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::context::execute;
     use crate::context::testkit::*;
     use ruletest_common::{ColId, Value};
@@ -139,6 +137,32 @@ mod tests {
         let rows = execute(&db, &p).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(1));
+    }
+
+    #[test]
+    fn filter_hands_on_the_rows_the_scan_borrowed_from_storage() {
+        let db = tiny_db();
+        // a >= 2 keeps the last two rows of t0.
+        let p = plan(
+            PhysOp::Filter {
+                predicate: Expr::bin(BinOp::Ge, Expr::col(ColId(0)), Expr::lit(2i64)),
+            },
+            vec![scan_t0()],
+            vec![int_col(0), str_col(1)],
+        );
+        let ctx = Ctx::new(&db, u64::MAX, ruletest_common::Deadline::none());
+        let rows: Vec<RowRef> = crate::context::open(&ctx, &p)
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap();
+        let stored = &db.table(ruletest_common::TableId(0)).unwrap().rows;
+        assert_eq!(rows.len(), 2);
+        for (row, stored) in rows.iter().zip(&stored[1..]) {
+            assert!(
+                matches!(row, Cow::Borrowed(r) if std::ptr::eq(*r, stored.as_slice())),
+                "{row:?} is not the stored row itself"
+            );
+        }
     }
 
     #[test]

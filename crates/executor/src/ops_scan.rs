@@ -1,15 +1,19 @@
 //! Base-table access operators: sequential scan and primary-key index seek.
+//! Both hand out rows borrowed from the table; neither copies one.
 
-use crate::context::{eval_pred, position_map, Ctx};
-use ruletest_common::{Error, Result, Row};
+use crate::context::{eval_pred, position_map, Ctx, RowIter};
+use ruletest_common::{Error, Result};
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
+use std::borrow::Cow;
 
-pub(crate) fn exec(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
     match &plan.op {
         PhysOp::SeqScan { table, .. } => {
             let t = ctx.db.table(*table)?;
             ctx.charge(t.rows.len() as u64)?;
-            Ok(t.rows.clone())
+            Ok(Box::new(
+                t.rows.iter().map(|row| Ok(Cow::Borrowed(row.as_slice()))),
+            ))
         }
         PhysOp::IndexSeek {
             table,
@@ -19,15 +23,14 @@ pub(crate) fn exec(ctx: &mut Ctx, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         } => {
             let t = ctx.db.table(*table)?;
             let map = position_map(plan);
-            let mut out = Vec::new();
-            for &off in t.pk_lookup(std::slice::from_ref(key)) {
-                ctx.charge(1)?;
-                let row = &t.rows[off];
-                if eval_pred(residual, &map, row) {
-                    out.push(row.clone());
+            let hits = t.pk_lookup(std::slice::from_ref(key)).iter();
+            Ok(Box::new(hits.filter_map(move |&off| {
+                if let Err(e) = ctx.charge(1) {
+                    return Some(Err(e));
                 }
-            }
-            Ok(out)
+                let row = t.rows[off].as_slice();
+                eval_pred(residual, &map, row).then_some(Ok(Cow::Borrowed(row)))
+            })))
         }
         other => Err(Error::internal(format!(
             "scan executor got {}",
