@@ -6,15 +6,18 @@
 //! written under a different campaign fingerprint is rejected, never
 //! served.
 
+use ruletest_common::Parallelism;
 use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    final_persist, run_checkpointed_campaign, CampaignParams, Framework, FrameworkConfig,
-    GenConfig, Instance,
+    build_graph_with, final_persist, generate_suite_with, run_checkpointed_campaign,
+    singleton_targets, CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Strategy,
 };
 use ruletest_executor::ExecConfig;
+use ruletest_optimizer::SnapshotStore;
 use ruletest_telemetry::{Counter, RunReport, Telemetry};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ruletest_resume_{tag}_{}", std::process::id()));
@@ -57,6 +60,34 @@ fn full_campaign(
     (run.resumed, report)
 }
 
+/// The process that gets killed: runs the stages through `boundary` on a
+/// framework with the warm store attached, saving the invocation cache
+/// after each completed stage as the campaign driver does, then vanishes —
+/// no execute stage, no final save, like a SIGKILL between stages. Built
+/// from the public stage functions, so no production code carries a kill
+/// hook. Returns the optimizations it computed, all of them persisted.
+fn killed_at(dir: &Path, boundary: &str) -> u64 {
+    let fw = fw().with_parallelism(Parallelism::single());
+    let store = SnapshotStore::open(dir, fw.campaign_fingerprint(), None).unwrap();
+    fw.optimizer.attach_snapshot_store(Arc::new(store));
+    let p = params();
+    let suite = generate_suite_with(
+        &fw,
+        singleton_targets(&fw, p.rules),
+        p.k,
+        Strategy::Pattern,
+        &p.gen_config(),
+        None,
+    )
+    .unwrap();
+    fw.optimizer.persist_cache().unwrap();
+    if boundary == "graph" {
+        build_graph_with(&fw, suite, None).unwrap();
+        fw.optimizer.persist_cache().unwrap();
+    }
+    fw.optimizer.invocation_count()
+}
+
 /// A warm start recomputes nothing and reproduces the cold deterministic
 /// slice exactly.
 #[test]
@@ -85,6 +116,46 @@ fn warm_start_is_deterministic_with_zero_recomputation() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The invocation cache alone carries a killed campaign: a plain rerun on
+/// the same cache dir (no `--resume`, no stage file read) yields the
+/// uninterrupted run's deterministic slice and computes exactly the
+/// optimizations the killed process had not persisted. One worker, so no
+/// two workers race to compute the same key and the counts are exact.
+#[test]
+fn warm_rerun_after_kill_matches_uninterrupted_run() {
+    let single = || fw().with_parallelism(Parallelism::single());
+    let baseline_dir = temp_dir("rerun-baseline");
+    let uninterrupted_fw = single();
+    let (_, uninterrupted) = full_campaign(&uninterrupted_fw, Some(&baseline_dir), false);
+    let total = uninterrupted_fw.optimizer.invocation_count();
+
+    for boundary in ["suite", "graph"] {
+        let dir = temp_dir(&format!("rerun-{boundary}"));
+        let persisted = killed_at(&dir, boundary);
+        assert!(persisted > 0, "{boundary}: the killed process did no work");
+
+        let rerun_fw = single();
+        let (_, report) = full_campaign(&rerun_fw, Some(&dir), false);
+        assert_eq!(
+            report.deterministic_json(),
+            uninterrupted.deterministic_json(),
+            "{boundary}: rerun slice diverged from the uninterrupted run"
+        );
+        assert_eq!(
+            rerun_fw.optimizer.invocation_count(),
+            total - persisted,
+            "{boundary}: the rerun computes what the killed process had not saved"
+        );
+        if boundary == "graph" {
+            // Every Plan(q, ¬R) the execute stage needs is an edge cost
+            // the graph stage already computed.
+            assert_eq!(persisted, total);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&baseline_dir);
 }
 
 /// Killing the campaign at a stage boundary and resuming yields the same
