@@ -63,13 +63,6 @@ pub mod poolstats {
         ENABLED.load(Ordering::Relaxed)
     }
 
-    /// Zeroes every counter (the enable flag is left alone).
-    pub fn reset() {
-        for c in [&PAR_CALLS, &TASKS, &WORKERS, &STEALS, &BUSY_NS, &IDLE_NS] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     pub fn snapshot() -> PoolSnapshot {
         PoolSnapshot {
             par_calls: PAR_CALLS.load(Ordering::Relaxed),

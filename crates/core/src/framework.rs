@@ -5,7 +5,7 @@ use crate::generate::pairs::compose_patterns;
 use crate::generate::pattern::{instantiate_pattern, pad_above};
 use crate::generate::random::random_tree;
 use crate::generate::{GenConfig, GenOutcome, Strategy};
-use ruletest_common::{par_map, poolstats, Error, Parallelism, Result, Rng, RuleId};
+use ruletest_common::{poolstats, Error, Parallelism, Result, Rng, RuleId};
 use ruletest_logical::{IdGen, LogicalTree};
 use ruletest_optimizer::{Optimizer, PatternTree};
 use ruletest_sql::to_sql;
@@ -13,7 +13,7 @@ use ruletest_storage::{tpch_database, Database, TpchConfig};
 use ruletest_telemetry::{
     CacheSection, Counter, Event, Hist, PoolSection, RunReport, Stage, Telemetry,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Framework construction parameters.
@@ -61,11 +61,6 @@ pub struct Framework {
     pub telemetry: Telemetry,
     /// Provenance of `db`; see [`DbProfile`].
     pub db_profile: DbProfile,
-    /// Checkpointed report absorbed on `--resume`: the report snapshot the
-    /// interrupted campaign saved at its last completed stage boundary.
-    /// [`Framework::run_report`] merges it in so a resumed campaign's
-    /// aggregate report equals an uninterrupted run's.
-    report_base: Mutex<Option<RunReport>>,
 }
 
 impl Framework {
@@ -82,7 +77,6 @@ impl Framework {
                 db_seed: config.db.seed,
                 scale: config.db.scale_factor(),
             },
-            report_base: Mutex::new(None),
         }
         .with_telemetry(config.telemetry.clone()))
     }
@@ -96,7 +90,6 @@ impl Framework {
             parallelism: Parallelism::default(),
             telemetry: Telemetry::disabled(),
             db_profile: DbProfile::default(),
-            report_base: Mutex::new(None),
         }
     }
 
@@ -111,7 +104,6 @@ impl Framework {
             parallelism: Parallelism::default(),
             telemetry: Telemetry::disabled(),
             db_profile: DbProfile::default(),
-            report_base: Mutex::new(None),
         }
     }
 
@@ -161,16 +153,9 @@ impl Framework {
         )
     }
 
-    /// Installs the checkpointed report snapshot a `--resume` run starts
-    /// from; subsequent [`Framework::run_report`] calls absorb it.
-    pub fn set_report_base(&self, base: RunReport) {
-        *self.report_base.lock().expect("report base poisoned") = Some(base);
-    }
-
     /// Rolls the campaign so far into one aggregate [`RunReport`]: the
     /// telemetry registry plus the cache, pool, and trace sections this
-    /// framework owns, merged over any checkpointed base report installed
-    /// by `--resume`. `wall_seconds` is left 0 for the caller to fill.
+    /// framework owns. `wall_seconds` is left 0 for the caller to fill.
     pub fn run_report(&self) -> RunReport {
         let mut report = self.telemetry.run_report(&self.rule_names());
         let cs = self.optimizer.cache_stats();
@@ -188,16 +173,6 @@ impl Framework {
             busy_ns: ps.busy_ns,
             idle_ns: ps.idle_ns,
         };
-        if let Some(base) = self
-            .report_base
-            .lock()
-            .expect("report base poisoned")
-            .as_ref()
-        {
-            let mut merged = base.clone();
-            merged.absorb(&report);
-            return merged;
-        }
         report
     }
 
@@ -341,27 +316,6 @@ impl Framework {
             cfg.max_trials,
             strategy.name()
         )))
-    }
-
-    /// Per-rule generation fanned out across the worker pool: one
-    /// generation problem per target rule, each with an independent RNG
-    /// stream derived from `(cfg.seed, rule index)` so the output is
-    /// byte-identical at any thread count. Results come back in rule
-    /// order; per-rule failures stay per-rule instead of aborting the
-    /// whole campaign.
-    pub fn find_queries_for_rules(
-        &self,
-        rules: &[RuleId],
-        strategy: Strategy,
-        cfg: &GenConfig,
-    ) -> Vec<Result<GenOutcome>> {
-        par_map(self.parallelism.threads, rules, |i, rule| {
-            let sub = GenConfig {
-                seed: cfg.seed.wrapping_add((i as u64) << 32),
-                ..cfg.clone()
-            };
-            self.find_query_for_rule(*rule, strategy, &sub)
-        })
     }
 
     /// Convenience: optimize a tree with all rules enabled.

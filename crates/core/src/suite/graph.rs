@@ -8,7 +8,7 @@
 use super::{RuleTarget, SuiteQuery, TestSuite};
 use crate::framework::Framework;
 use crate::supervise::{run_stage, ItemName, Quarantine, SITE_GRAPH};
-use ruletest_common::{wire_record, Result};
+use ruletest_common::Result;
 use ruletest_optimizer::OptimizerConfig;
 use ruletest_telemetry::{Counter, Event, Stage};
 use std::collections::HashMap;
@@ -31,44 +31,6 @@ pub struct BipartiteGraph {
     pub generated_for: Vec<usize>,
     /// Optimizer invocations spent computing edge costs.
     pub optimizer_calls: u64,
-}
-
-wire_record!(BipartiteGraph {
-    "targets" => targets,
-    "k" => k,
-    "node_cost" => node_cost,
-    "adjacency" => adjacency,
-    "edges" => edges via sorted_edges,
-    "generated_for" => generated_for,
-    "optimizer_calls" => optimizer_calls,
-});
-
-/// `via sorted_edges`: the edge map as an array of `{"t", "q", "c"}`
-/// objects sorted by `(target, query)`, so the checkpoint bytes are
-/// deterministic whatever the map's iteration order.
-mod sorted_edges {
-    use ruletest_common::wire::{Decode, DecodeError, Encode};
-    use ruletest_common::{wire_record, Json};
-    use std::collections::HashMap;
-
-    struct Edge {
-        t: usize,
-        q: usize,
-        c: f64,
-    }
-
-    wire_record!(Edge { "t" => t, "q" => q, "c" => c });
-
-    pub fn encode(edges: &HashMap<(usize, usize), f64>) -> Json {
-        let mut sorted: Vec<Edge> = edges.iter().map(|(&(t, q), &c)| Edge { t, q, c }).collect();
-        sorted.sort_unstable_by_key(|e| (e.t, e.q));
-        sorted.encode()
-    }
-
-    pub fn decode(j: &Json) -> Result<HashMap<(usize, usize), f64>, DecodeError> {
-        let edges = Vec::<Edge>::decode(j)?;
-        Ok(edges.into_iter().map(|e| ((e.t, e.q), e.c)).collect())
-    }
 }
 
 /// Demand-driven edge-cost computation with caching and invocation

@@ -11,8 +11,7 @@ pub mod graph;
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
 use crate::supervise::{run_stage, ItemName, Quarantine, SITE_SUITE};
-use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
-use ruletest_common::{wire_record, Error, Json, Result, RuleId};
+use ruletest_common::{Error, Result, RuleId};
 use ruletest_logical::LogicalTree;
 use std::collections::BTreeSet;
 
@@ -59,29 +58,6 @@ impl RuleTarget {
     }
 }
 
-/// Tagged by which member is present: `{"s": rule}` or `{"p": [a, b]}`.
-impl Encode for RuleTarget {
-    fn encode(&self) -> Json {
-        match self {
-            RuleTarget::Single(r) => Json::obj(vec![("s", r.encode())]),
-            RuleTarget::Pair(a, b) => Json::obj(vec![("p", (*a, *b).encode())]),
-        }
-    }
-}
-
-impl Decode for RuleTarget {
-    fn decode(j: &Json) -> std::result::Result<Self, DecodeError> {
-        let m = object(j)?;
-        if m.contains_key("s") {
-            required(m, "s", Decode::decode).map(RuleTarget::Single)
-        } else if m.contains_key("p") {
-            required(m, "p", Decode::decode).map(|(a, b)| RuleTarget::Pair(a, b))
-        } else {
-            Err(DecodeError::expected("a rule target"))
-        }
-    }
-}
-
 /// One generated query in a suite.
 #[derive(Debug, Clone)]
 pub struct SuiteQuery {
@@ -96,16 +72,6 @@ pub struct SuiteQuery {
     pub generated_for: usize,
 }
 
-// Costs are hex bit patterns for the same reason as in the optimizer
-// snapshot: they must survive a checkpoint bit-exactly.
-wire_record!(SuiteQuery {
-    "tree" => tree,
-    "sql" => sql,
-    "rule_set" => rule_set,
-    "cost" => cost,
-    "generated_for" => generated_for,
-});
-
 /// A complete test suite: `k` dedicated queries per target, plus the
 /// cross-coverage information compression exploits.
 #[derive(Debug, Clone)]
@@ -117,13 +83,6 @@ pub struct TestSuite {
     /// recorded so bug reports are reproducible.
     pub seed: u64,
 }
-
-wire_record!(TestSuite {
-    "targets" => targets,
-    "k" => k,
-    "seed" => seed,
-    "queries" => queries,
-});
 
 impl TestSuite {
     /// Queries that cover target `t` (the adjacency of the bipartite

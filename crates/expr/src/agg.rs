@@ -6,7 +6,6 @@
 //! division would introduce cross-plan rounding divergence in correctness
 //! validation (see DESIGN.md).
 
-use crate::expr::Expr;
 use ruletest_common::{wire_names, wire_record, ColId, DataType, Value};
 
 /// An aggregate function.
@@ -88,11 +87,6 @@ impl AggCall {
             AggFunc::CountStar => "COUNT(*)".to_string(),
             f => format!("{}({})", f.sql_name(), arg_sql),
         }
-    }
-
-    /// The argument as an expression (COUNT(*) has none).
-    pub fn arg_expr(&self) -> Option<Expr> {
-        self.arg.map(Expr::Col)
     }
 }
 

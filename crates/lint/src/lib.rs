@@ -15,12 +15,8 @@
 //! tree and flags actions that fire where their exported pattern does not
 //! match.
 //!
-//! Two entry points:
-//! * [`lint_rules`] — the offline `ruletest lint` audit over a whole
-//!   optimizer rule catalog, producing a [`LintReport`].
-//! * [`OnlineAuditor`] — a [`SubstituteAuditor`] installed on an
-//!   [`Optimizer`] in debug/CI runs, auditing real substitutes as the
-//!   explore loop produces them and feeding violations into telemetry.
+//! The entry point is [`lint_rules`] — the offline `ruletest lint` audit
+//! over a whole optimizer rule catalog, producing a [`LintReport`].
 
 pub mod audit;
 pub mod derive;
@@ -38,10 +34,7 @@ pub use prove::{ProofViolation, ProveReport, ProveVerdict, RuleProof};
 pub use report::LintReport;
 pub use violation::{dedup_violations, LintPass, LintViolation, Severity};
 
-use ruletest_optimizer::{Bound, Memo, NewTree, Optimizer, Rule, SubstituteAuditor};
-use ruletest_storage::Database;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use ruletest_optimizer::{Optimizer, Rule};
 
 /// Runs the full static audit over an optimizer's rule catalog.
 pub fn lint_rules(opt: &Optimizer) -> ruletest_common::Result<LintReport> {
@@ -106,58 +99,4 @@ pub fn lint_rules_focused(opt: &Optimizer, rule_name: &str) -> ruletest_common::
             .filter(|v| v.rule.as_deref() == Some(rule_name) || v.rule.is_none())
             .collect(),
     })
-}
-
-/// Online auditor for debug-mode optimization runs: audits every
-/// exploration substitute in place and accumulates the violations.
-/// Install with [`Optimizer::set_substitute_auditor`].
-#[derive(Default)]
-pub struct OnlineAuditor {
-    violations: Mutex<Vec<LintViolation>>,
-}
-
-impl OnlineAuditor {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drains everything collected so far, deduplicated.
-    pub fn take_violations(&self) -> Vec<LintViolation> {
-        let mut guard = self.violations.lock().expect("auditor poisoned");
-        dedup_violations(std::mem::take(&mut *guard))
-    }
-}
-
-impl SubstituteAuditor for OnlineAuditor {
-    fn audit(
-        &self,
-        db: &Database,
-        memo: &Memo,
-        bound: &Bound,
-        rule_name: &str,
-        substitute: &NewTree,
-    ) -> usize {
-        // Online matches carry no corpus, so concrete shapes come from the
-        // bound input itself: any group the substitute references that the
-        // input match covers resolves to its concrete subtree.
-        let mut resolve = HashMap::new();
-        AuditNode::from_bound(bound, &HashMap::new()).index_by_group(&mut resolve);
-        let found = audit::audit_substitute(db, memo, bound, &resolve, rule_name, substitute);
-        let n = found.len();
-        if n > 0 {
-            self.violations
-                .lock()
-                .expect("auditor poisoned")
-                .extend(found);
-        }
-        n
-    }
-}
-
-/// Convenience used by tests and the CLI: the exploration-action arity of
-/// a rule (explore rules return logical substitutes the auditor can
-/// check; implementation rules only participate in pattern validation and
-/// the necessity probe).
-pub fn is_explorable(rule: &Rule) -> bool {
-    rule.action.is_explore()
 }

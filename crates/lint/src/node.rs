@@ -16,7 +16,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub enum AuditNode {
     /// An opaque memo group whose defining expression is unknown to the
-    /// auditor (a pattern placeholder in an online match).
+    /// auditor (an unresolved pattern placeholder).
     Group(GroupId),
     /// A concrete operator, tagged with its memo group when known.
     Op {
@@ -28,8 +28,8 @@ pub enum AuditNode {
 
 impl AuditNode {
     /// Converts a bound pattern match. `resolve` maps group ids to known
-    /// concrete subtrees (corpus nodes, or nothing for online matches);
-    /// unresolved placeholder groups stay opaque.
+    /// concrete subtrees (corpus nodes); unresolved placeholder groups
+    /// stay opaque.
     pub fn from_bound(b: &Bound, resolve: &HashMap<GroupId, AuditNode>) -> AuditNode {
         AuditNode::Op {
             op: b.op.clone(),
@@ -69,22 +69,6 @@ impl AuditNode {
         match self {
             AuditNode::Group(g) => Some(*g),
             AuditNode::Op { gid, .. } => *gid,
-        }
-    }
-
-    /// Indexes every group-tagged node of this tree by its group id, so
-    /// substitutes referencing those groups resolve to concrete shapes.
-    pub fn index_by_group(&self, map: &mut HashMap<GroupId, AuditNode>) {
-        match self {
-            AuditNode::Group(_) => {}
-            AuditNode::Op { gid, children, .. } => {
-                if let Some(g) = gid {
-                    map.entry(*g).or_insert_with(|| self.clone());
-                }
-                for c in children {
-                    c.index_by_group(map);
-                }
-            }
         }
     }
 }

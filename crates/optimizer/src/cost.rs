@@ -150,77 +150,6 @@ fn log2(x: f64) -> f64 {
     x.max(2.0).log2()
 }
 
-/// Estimated output rows of a physical operator (mirrors the logical
-/// estimates so a plan's estimates depend only on the plan tree).
-pub fn phys_rows(db: &Database, op: &PhysOp, child_schemas: &[&Schema], child_rows: &[f64]) -> f64 {
-    match op {
-        PhysOp::SeqScan { table, .. } => db
-            .stats(*table)
-            .map(|s| s.row_count as f64)
-            .unwrap_or(1000.0),
-        PhysOp::IndexSeek { residual, .. } => (selectivity(residual) * 2.0).max(1.0),
-        PhysOp::Filter { predicate } => (child_rows[0] * selectivity(predicate)).max(1.0),
-        PhysOp::Compute { .. } => child_rows[0],
-        PhysOp::NLJoin { kind, predicate } => join_rows(
-            *kind,
-            predicate,
-            child_schemas[0],
-            child_schemas[1],
-            child_rows[0],
-            child_rows[1],
-        ),
-        PhysOp::HashJoin {
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            // Reconstruct the logical predicate estimate from keys+residual.
-            let mut pred = residual.clone();
-            for (l, r) in left_keys.iter().zip(right_keys) {
-                pred = Expr::and(pred, Expr::eq(Expr::col(*l), Expr::col(*r)));
-            }
-            join_rows(
-                *kind,
-                &pred,
-                child_schemas[0],
-                child_schemas[1],
-                child_rows[0],
-                child_rows[1],
-            )
-        }
-        PhysOp::MergeJoin {
-            left_key,
-            right_key,
-            residual,
-        } => {
-            let pred = Expr::and(
-                residual.clone(),
-                Expr::eq(Expr::col(*left_key), Expr::col(*right_key)),
-            );
-            join_rows(
-                JoinKind::Inner,
-                &pred,
-                child_schemas[0],
-                child_schemas[1],
-                child_rows[0],
-                child_rows[1],
-            )
-        }
-        PhysOp::HashAgg { group_by, .. } | PhysOp::StreamAgg { group_by, .. } => {
-            if group_by.is_empty() {
-                1.0
-            } else {
-                child_rows[0].powf(0.75).max(1.0)
-            }
-        }
-        PhysOp::Concat { .. } => child_rows[0] + child_rows[1],
-        PhysOp::HashDistinct => (child_rows[0] * 0.6).max(1.0),
-        PhysOp::SortOp { .. } => child_rows[0],
-        PhysOp::TopN { n, .. } => (*n as f64).min(child_rows[0]).max(1.0),
-    }
-}
-
 /// Total cost of a physical node given its children's total costs.
 ///
 /// Nested-loops re-scans its inner side once per outer row — the classic

@@ -30,9 +30,7 @@ pub mod rules_impl;
 pub use cache::{CacheKey, CacheStats, OptCache};
 pub use mask::RuleMask;
 pub use memo::{GroupId, Memo};
-pub use optimizer::{
-    match_bindings, OptimizeResult, Optimizer, OptimizerConfig, Search, SubstituteAuditor,
-};
+pub use optimizer::{match_bindings, OptimizeResult, Optimizer, OptimizerConfig, Search};
 pub use pattern::{OpMatcher, PatternTree};
 pub use persist::{campaign_fingerprint, SnapshotStore, WarmHit};
 pub use physical::{PhysOp, PhysicalPlan};

@@ -22,9 +22,8 @@ use ruletest_telemetry::{Counter, Event, Hist, ProfileSample, RulePhase, Telemet
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Search budgets and the rule mask for one optimization.
@@ -144,16 +143,6 @@ pub struct Optimizer {
     /// Disk-backed warm store (`--cache-dir`), attached once like
     /// telemetry; never attached → the cached path never touches disk.
     store: OnceLock<Arc<SnapshotStore>>,
-    /// Injected sink for memo dumps; `None` (the default) means no dumps.
-    memo_sink: Mutex<Option<Box<dyn Write + Send>>>,
-    /// Debug-mode static auditor run on every exploration substitute
-    /// before it is inserted into the memo (see the `ruletest-lint`
-    /// crate); `None` (the default) costs one branch per rule firing.
-    auditor: Mutex<Option<Arc<dyn SubstituteAuditor>>>,
-    /// Whether `memo_sink` / `auditor` hold anything, so an invocation
-    /// takes their locks only when they do.
-    has_memo_sink: AtomicBool,
-    has_auditor: AtomicBool,
 }
 
 const ALL_KINDS: [OpKind; 9] = [
@@ -167,23 +156,6 @@ const ALL_KINDS: [OpKind; 9] = [
     OpKind::Sort,
     OpKind::Top,
 ];
-
-/// Hook for statically auditing rule substitutes as they are produced,
-/// before memo insertion. Implemented by the lint crate's online auditor;
-/// kept as a trait here so the optimizer does not depend on it.
-pub trait SubstituteAuditor: Send + Sync {
-    /// Inspects one substitute `rule_name` produced for the match `bound`
-    /// and returns the number of violations found (zero when clean); the
-    /// optimizer feeds the count into telemetry.
-    fn audit(
-        &self,
-        db: &Database,
-        memo: &Memo,
-        bound: &Bound,
-        rule_name: &str,
-        substitute: &crate::rule::NewTree,
-    ) -> usize;
-}
 
 /// Tree-only fingerprint used to correlate trace events (cache lookups
 /// and invocations on the same query share it; the mask does not feed it).
@@ -253,10 +225,6 @@ impl Optimizer {
             cache: OptCache::default(),
             telemetry: OnceLock::new(),
             store: OnceLock::new(),
-            memo_sink: Mutex::new(None),
-            auditor: Mutex::new(None),
-            has_memo_sink: AtomicBool::new(false),
-            has_auditor: AtomicBool::new(false),
         }
     }
 
@@ -298,23 +266,6 @@ impl Optimizer {
         let persisted = store.save()?;
         self.telemetry().add(Counter::CachePersisted, persisted);
         Ok(persisted)
-    }
-
-    /// Installs a sink that receives a memo dump after every optimization.
-    /// Pass `None` to uninstall.
-    pub fn set_memo_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        let mut slot = self.memo_sink.lock().expect("memo sink poisoned");
-        self.has_memo_sink.store(sink.is_some(), Ordering::SeqCst);
-        *slot = sink;
-    }
-
-    /// Installs a debug-mode substitute auditor, invoked on every
-    /// exploration substitute before memo insertion. Takes `&self` so it
-    /// works through an `Arc<Optimizer>`; pass `None` to uninstall.
-    pub fn set_substitute_auditor(&self, auditor: Option<Arc<dyn SubstituteAuditor>>) {
-        let mut slot = self.auditor.lock().expect("auditor poisoned");
-        self.has_auditor.store(auditor.is_some(), Ordering::SeqCst);
-        *slot = auditor;
     }
 
     pub fn database(&self) -> &Arc<Database> {
@@ -400,13 +351,11 @@ impl Optimizer {
         });
         // Disk warm path: a persisted entry stands in for the compute —
         // including its profile sample, so warm telemetry replays the
-        // cold run's exactly. Entries absorbed from a checkpoint report
-        // (`counted_in_base`) are already in the base aggregates and must
-        // not re-record.
+        // cold run's exactly.
         if let Some(store) = self.store.get() {
             if let Some(warm) = store.peek_warm(&key) {
                 tel.incr(Counter::CacheWarmHits);
-                if self.cache.insert(key, Arc::clone(&warm.result)) && !warm.counted_in_base {
+                if self.cache.insert(key, Arc::clone(&warm.result)) {
                     self.record_result(&warm.result, warm.sample);
                 }
                 return Ok(warm.result);
@@ -501,7 +450,6 @@ impl Optimizer {
         let fingerprint = tel.tracing().then(|| tree_fingerprint(tree));
 
         let mut search = self.explore(tree, config)?;
-        self.maybe_dump_memo(&search.memo);
         let plan = self.extract(&mut search, config)?;
         let Search {
             memo,
@@ -569,11 +517,6 @@ impl Optimizer {
         let mut memo = Memo::new();
         let (root, _) = memo.insert(&self.db, newtree_from_logical(tree), None, true)?;
         let ids = RefCell::new(IdGen::above(tree));
-        let auditor = if self.has_auditor.load(Ordering::SeqCst) {
-            self.auditor.lock().expect("auditor poisoned").clone()
-        } else {
-            None
-        };
         let mut exercised: BTreeSet<RuleId> = BTreeSet::new();
         let mut rule_dependencies: BTreeSet<(RuleId, RuleId)> = BTreeSet::new();
         let mut truncated = false;
@@ -701,16 +644,6 @@ impl Optimizer {
                                     produced,
                                 });
                             }
-                            if let Some(aud) = &auditor {
-                                for nt in &results {
-                                    let violations =
-                                        aud.audit(&self.db, &memo, &bound, rule.name, nt);
-                                    if violations > 0 {
-                                        tel.add(Counter::LintViolations, violations as u64);
-                                        tel.event(|| Event::LintViolation { rule: rid.0 });
-                                    }
-                                }
-                            }
                             let organic = !rule.mints_fresh_ids && memo.is_organic(gid, ei);
                             for nt in results {
                                 ruletest_common::chaos::point("memo.insert")?;
@@ -779,17 +712,6 @@ impl Optimizer {
         }
         Ok(extractor.assemble(search.root))
     }
-
-    /// Writes a memo dump to the injected sink, if any (see
-    /// [`Optimizer::set_memo_sink`]).
-    fn maybe_dump_memo(&self, memo: &Memo) {
-        if !self.has_memo_sink.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(w) = self.memo_sink.lock().expect("memo sink poisoned").as_mut() {
-            let _ = write_memo_dump(memo, w.as_mut());
-        }
-    }
 }
 
 /// One query's search state: what exploration hands to extraction and to
@@ -804,27 +726,6 @@ pub struct Search {
     truncated: bool,
     /// The invocation's profile buffer (`None` when telemetry is disabled).
     sample: Option<ProfileSample>,
-}
-
-/// Renders every memo group and expression (organic expressions unstarred,
-/// derived ones starred) to `out`.
-fn write_memo_dump(memo: &Memo, out: &mut dyn Write) -> std::io::Result<()> {
-    for g in 0..memo.num_groups() {
-        let gid = GroupId(g as u32);
-        let group = memo.group(gid);
-        writeln!(out, "group g{g} (rows={:.1}):", group.est_rows)?;
-        for (i, e) in group.exprs.iter().enumerate() {
-            let kids: Vec<String> = e.children.iter().map(|c| c.to_string()).collect();
-            writeln!(
-                out,
-                "  [{i}]{} {} ({})",
-                if group.organic[i] { "" } else { "*" },
-                e.op.label(),
-                kids.join(", ")
-            )?;
-        }
-    }
-    Ok(())
 }
 
 /// The pattern binder and its reusable buffers. Bindings are enumerated
@@ -1424,38 +1325,6 @@ mod tests {
         let _ = opt.optimize(&tree).unwrap();
         let _ = opt.optimize(&tree).unwrap();
         assert_eq!(opt.telemetry().counter(Counter::OptInvocations), 2);
-    }
-
-    #[test]
-    fn memo_sink_receives_the_dump() {
-        use std::sync::{Arc as SArc, Mutex as SMutex};
-
-        #[derive(Clone)]
-        struct Buf(SArc<SMutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let opt = optimizer();
-        let buf = Buf(SArc::new(SMutex::new(Vec::new())));
-        opt.set_memo_sink(Some(Box::new(buf.clone())));
-        let tree = simple_join(&opt);
-        let _ = opt.optimize(&tree).unwrap();
-        let dump = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(dump.contains("group g0"), "dump: {dump:?}");
-        assert!(dump.contains("JOIN"), "dump: {dump:?}");
-
-        // Uninstalling stops the dumps.
-        opt.set_memo_sink(None);
-        buf.0.lock().unwrap().clear();
-        let _ = opt.optimize(&tree).unwrap();
-        assert!(buf.0.lock().unwrap().is_empty());
     }
 
     #[test]

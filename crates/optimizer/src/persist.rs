@@ -23,8 +23,8 @@
 //!   `DefaultHasher` is documented as unstable and never touches disk.
 //! * **Atomicity.** Every file is written to a temp sibling and renamed
 //!   into place, so a `kill -9` mid-save leaves the previous snapshot
-//!   intact. Shards serialize independently and load lazily on first
-//!   probe.
+//!   intact. Shards serialize independently, load lazily on first probe,
+//!   and are rewritten only when their entries differ from the file.
 
 use crate::cache::CacheKey;
 use crate::optimizer::OptimizeResult;
@@ -33,10 +33,9 @@ use ruletest_common::wire::{object, optional, required, Decode, DecodeError, Enc
 use ruletest_common::{fnv1a, wire_record, Fnv64, Json};
 use ruletest_storage::Catalog;
 use ruletest_telemetry::ProfileSample;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Snapshot layout version; bump on breaking serialization changes. A
@@ -94,7 +93,7 @@ pub fn canonical_key(key: &CacheKey) -> String {
 
 /// Atomic write: temp sibling + rename. A crash mid-write leaves the old
 /// file (or no file), never a torn one. Shared by every file the campaign
-/// persists (shards, manifest, stage checkpoints, quarantine).
+/// persists (shards, manifest, quarantine).
 pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, contents)?;
@@ -126,31 +125,32 @@ pub struct WarmHit {
     /// The profile sample the original compute produced, replayed by the
     /// warm hit so cold and warm span trees match exactly.
     pub sample: Option<ProfileSample>,
-    /// True when the entry's telemetry is already included in an absorbed
-    /// checkpoint report (`--resume`): the warm hit must NOT re-record it.
-    pub counted_in_base: bool,
 }
-
-/// Boundary stamp meaning "recorded outside any checkpointed campaign" —
-/// such entries are never considered part of a resumed base report.
-const NO_BOUNDARY: u64 = u64::MAX;
 
 struct StoredEntry {
     result: Arc<OptimizeResult>,
     sample: Option<ProfileSample>,
-    /// Checkpoint boundary whose report snapshot first covers this
-    /// entry's telemetry (see [`SnapshotStore::set_boundary`]).
-    boundary: u64,
 }
 
-type Shard = Mutex<Option<HashMap<String, StoredEntry>>>;
+/// One disk shard once loaded: its entries by canonical key, and whether
+/// they differ from the shard's file.
+struct LoadedShard {
+    entries: HashMap<String, StoredEntry>,
+    /// The next [`SnapshotStore::save`] must rewrite the file: an entry
+    /// was recorded since the load, the load dropped corrupt lines (the
+    /// rewrite heals the torn file), or there is no accepted snapshot on
+    /// disk at all.
+    dirty: bool,
+}
+
+type Shard = Mutex<Option<LoadedShard>>;
 
 /// Disk-backed warm store for the invocation cache.
 ///
 /// Layout under `<dir>/cache/`: `MANIFEST.json` (format version +
 /// campaign fingerprint) and `shard-<i>.jsonl` files (one entry per
 /// line, sorted by canonical key). Shards load lazily on the first probe
-/// that maps to them; `save` writes every shard atomically.
+/// that maps to them; `save` atomically rewrites the shards that changed.
 pub struct SnapshotStore {
     dir: PathBuf,
     fingerprint: u64,
@@ -159,25 +159,20 @@ pub struct SnapshotStore {
     rejected: bool,
     /// A matching snapshot exists on disk to load shards from.
     has_snapshot: bool,
-    /// Resume mode: entries stamped with a boundary `<=` this value are
-    /// already counted in the absorbed base report.
-    counted_through: Option<u64>,
-    /// Stamp applied to freshly recorded entries (the checkpoint boundary
-    /// whose snapshot will cover them).
-    boundary: AtomicU64,
     shards: Vec<Shard>,
 }
 
 impl SnapshotStore {
-    /// Opens (or initializes) the store under `dir`. `counted_through`
-    /// is resume mode: disk entries stamped with a checkpoint boundary
-    /// `<=` the value are already counted in the absorbed base report and
-    /// must not re-record on a warm hit. Never fails on a *stale*
-    /// snapshot — that sets [`SnapshotStore::rejected`] and starts cold.
+    /// Opens (or initializes) the store under `dir`. Never fails on a
+    /// *stale* snapshot — that sets [`SnapshotStore::rejected`] and starts
+    /// cold. The third parameter is ignored: it selected the retired
+    /// checkpoint-resume mode, and is kept only because the benchmark's
+    /// two call sites (`perfbench/src/workloads.rs`) pass `None` and may
+    /// not be edited here; a benchmark PR drops it.
     pub fn open(
         dir: &Path,
         fingerprint: u64,
-        counted_through: Option<u64>,
+        _counted_through: Option<u64>,
     ) -> std::io::Result<Self> {
         let dir = dir.join("cache");
         fs::create_dir_all(&dir)?;
@@ -198,20 +193,8 @@ impl SnapshotStore {
             fingerprint,
             rejected,
             has_snapshot,
-            counted_through,
-            boundary: AtomicU64::new(NO_BOUNDARY),
             shards: (0..DISK_SHARDS).map(|_| Mutex::new(None)).collect(),
         })
-    }
-
-    /// Sets the checkpoint boundary stamped onto subsequently recorded
-    /// entries. A checkpointed campaign calls this when entering stage
-    /// `b`, then snapshots its report after saving — so a later
-    /// `--resume` from boundary `b` knows exactly which disk entries that
-    /// snapshot already counted. Never called → entries are stamped as
-    /// boundary-less and never treated as part of a resumed base.
-    pub fn set_boundary(&self, b: u64) {
-        self.boundary.store(b, Ordering::Relaxed);
     }
 
     /// True when a snapshot was found but discarded (stale fingerprint or
@@ -224,23 +207,29 @@ impl SnapshotStore {
         self.dir.join(format!("shard-{idx}.jsonl"))
     }
 
-    fn load_shard(&self, idx: usize) -> HashMap<String, StoredEntry> {
-        let mut map = HashMap::new();
+    fn load_shard(&self, idx: usize) -> LoadedShard {
+        // Without an accepted snapshot the next save writes every shard.
+        // Over one, a shard starts clean even when its file cannot be
+        // read: the file is left for a process that can.
+        let mut shard = LoadedShard {
+            entries: HashMap::new(),
+            dirty: !self.has_snapshot,
+        };
         if !self.has_snapshot {
-            return map;
+            return shard;
         }
         // Chaos site: an injected cache-I/O fault degrades this shard to
         // a cold start — exactly the graceful path a real read error takes.
         if let Err(e) = ruletest_common::chaos::point("cache.load") {
             eprintln!("warning: cache shard {idx} load failed ({e}); starting cold");
-            return map;
+            return shard;
         }
         let text = match fs::read_to_string(self.shard_path(idx)) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return map,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return shard,
             Err(e) => {
                 eprintln!("warning: cache shard {idx} unreadable ({e}); starting cold");
-                return map;
+                return shard;
             }
         };
         let mut corrupted = 0usize;
@@ -252,19 +241,20 @@ impl SnapshotStore {
                 corrupted += 1;
                 continue;
             };
-            map.insert(key_str, entry);
+            shard.entries.insert(key_str, entry);
         }
         if corrupted > 0 {
             eprintln!(
                 "warning: cache shard {idx}: skipped {corrupted} corrupted entr{} (kept {})",
                 if corrupted == 1 { "y" } else { "ies" },
-                map.len()
+                shard.entries.len()
             );
+            shard.dirty = true;
         }
-        map
+        shard
     }
 
-    fn locked_shard(&self, idx: usize) -> MutexGuard<'_, Option<HashMap<String, StoredEntry>>> {
+    fn locked_shard(&self, idx: usize) -> MutexGuard<'_, Option<LoadedShard>> {
         let mut guard = self.shards[idx].lock().expect("snapshot shard poisoned");
         if guard.is_none() {
             *guard = Some(self.load_shard(idx));
@@ -284,11 +274,10 @@ impl SnapshotStore {
         let key_str = canonical_key(key);
         let idx = Self::shard_index(&key_str);
         let guard = self.locked_shard(idx);
-        let map = guard.as_ref().expect("shard loaded above");
-        map.get(&key_str).map(|e| WarmHit {
+        let shard = guard.as_ref().expect("shard loaded above");
+        shard.entries.get(&key_str).map(|e| WarmHit {
             result: Arc::clone(&e.result),
             sample: e.sample.clone(),
-            counted_in_base: self.counted_through.is_some_and(|ct| e.boundary <= ct),
         })
     }
 
@@ -304,17 +293,20 @@ impl SnapshotStore {
         let key_str = canonical_key(key);
         let idx = Self::shard_index(&key_str);
         let mut guard = self.locked_shard(idx);
-        let map = guard.as_mut().expect("shard loaded above");
-        map.entry(key_str).or_insert_with(|| StoredEntry {
-            result: Arc::clone(result),
-            sample: sample.cloned(),
-            boundary: self.boundary.load(Ordering::Relaxed),
-        });
+        let shard = guard.as_mut().expect("shard loaded above");
+        if let Entry::Vacant(slot) = shard.entries.entry(key_str) {
+            slot.insert(StoredEntry {
+                result: Arc::clone(result),
+                sample: sample.cloned(),
+            });
+            shard.dirty = true;
+        }
     }
 
-    /// Writes the manifest and every shard (disk entries merged with
-    /// fresh ones, sorted by key) via atomic renames. Returns the number
-    /// of entries persisted.
+    /// Loads every shard and writes, via atomic renames, the manifest and
+    /// each shard whose entries differ from its file (disk entries merged
+    /// with fresh ones, sorted by key). Returns the number of entries
+    /// the snapshot now holds, rewritten or not.
     pub fn save(&self) -> std::io::Result<u64> {
         // Chaos site: an injected fault skips the save — the previous
         // snapshot stays intact (same guarantee a failed atomic rename
@@ -325,18 +317,21 @@ impl SnapshotStore {
         }
         let mut persisted = 0u64;
         for idx in 0..DISK_SHARDS {
-            let guard = self.locked_shard(idx);
-            let map = guard.as_ref().expect("shard loaded above");
-            let mut keys: Vec<&String> = map.keys().collect();
+            let mut guard = self.locked_shard(idx);
+            let shard = guard.as_mut().expect("shard loaded above");
+            persisted += shard.entries.len() as u64;
+            if !shard.dirty {
+                continue;
+            }
+            let mut keys: Vec<&String> = shard.entries.keys().collect();
             keys.sort_unstable();
             let mut out = String::new();
             for key_str in keys {
-                let e = &map[key_str];
-                out.push_str(&entry_line(key_str, e));
+                out.push_str(&entry_line(key_str, &shard.entries[key_str]));
                 out.push('\n');
-                persisted += 1;
             }
             write_atomic(&self.shard_path(idx), &out)?;
+            shard.dirty = false;
         }
         write_atomic(
             &self.dir.join("MANIFEST.json"),
@@ -353,7 +348,7 @@ impl SnapshotStore {
                 s.lock()
                     .expect("snapshot shard poisoned")
                     .as_ref()
-                    .map_or(0, HashMap::len)
+                    .map_or(0, |shard| shard.entries.len())
             })
             .sum()
     }
@@ -362,31 +357,27 @@ impl SnapshotStore {
 /// One shard line. Hand-written, not an `Encode` impl: the key is spliced
 /// in as the raw canonical JSON it was addressed by (not re-built from a
 /// decoded tree), and the members keep their historical order — `key`,
-/// `result`, `sample`, then `b` only for entries that carry a boundary.
+/// `result`, `sample`.
 fn entry_line(key_str: &str, e: &StoredEntry) -> String {
     // Parsing the line and compact-printing the "key" member reproduces
     // `key_str` exactly, because compact printing with sorted keys is
     // canonical.
-    let boundary = if e.boundary == NO_BOUNDARY {
-        String::new()
-    } else {
-        format!(",\"b\":{}", e.boundary.encode().to_string_compact())
-    };
     format!(
-        "{{\"key\":{key_str},\"result\":{},\"sample\":{}{boundary}}}",
+        "{{\"key\":{key_str},\"result\":{},\"sample\":{}}}",
         e.result.encode().to_string_compact(),
         e.sample.encode().to_string_compact(),
     )
 }
 
 /// Inverse of [`entry_line`]; the key is never decoded, only re-printed.
+/// Members it does not name are ignored, which is how a line written with
+/// the retired stage-boundary stamp (`"b":N`) still loads.
 fn parse_entry_line(line: &str) -> Result<(String, StoredEntry), DecodeError> {
     let doc = Json::parse(line).map_err(DecodeError::new)?;
     let m = object(&doc)?;
     let entry = StoredEntry {
         result: Arc::new(required(m, "result", Decode::decode)?),
         sample: optional(m, "sample", Decode::decode)?,
-        boundary: optional(m, "b", Decode::decode)?.unwrap_or(NO_BOUNDARY),
     };
     Ok((required(m, "key", |k| Ok(k.to_string_compact()))?, entry))
 }
@@ -486,7 +477,6 @@ mod tests {
         assert!(!store.rejected());
         let hit = store.peek_warm(&key).expect("warm hit after reopen");
         assert_eq!(hit.result.cost.to_bits(), 5.5f64.to_bits());
-        assert!(!hit.counted_in_base);
         // Peek leaves the entry in place.
         assert!(store.peek_warm(&key).is_some());
         let _ = fs::remove_dir_all(&dir);
@@ -513,28 +503,121 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn resume_mode_marks_disk_entries_counted() {
-        let dir = temp_dir("resume");
-        let key = CacheKey::new(&leaf(7), &OptimizerConfig::default());
-        let key2 = CacheKey::new(&leaf(8), &OptimizerConfig::default());
-        {
-            let store = SnapshotStore::open(&dir, 9, None).unwrap();
-            store.set_boundary(1);
-            store.record_fresh(&key, &dummy_result(1.0), None);
-            store.set_boundary(2);
-            store.record_fresh(&key2, &dummy_result(2.0), None);
-            store.save().unwrap();
+    /// A saved eight-key snapshot whose shard files are all backdated, so
+    /// a later rewrite shows as a changed mtime whatever the clock's
+    /// granularity.
+    fn backdated_snapshot(tag: &str) -> (PathBuf, Vec<CacheKey>) {
+        let dir = temp_dir(tag);
+        let keys: Vec<CacheKey> = (0..8)
+            .map(|i| CacheKey::new(&leaf(i), &OptimizerConfig::default()))
+            .collect();
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        for k in &keys {
+            store.record_fresh(k, &dummy_result(3.0), None);
         }
-        // Resuming from the stage-1 checkpoint: the stage-1 entry is
-        // already counted in the base report; the stage-2 entry is not.
-        let store = SnapshotStore::open(&dir, 9, Some(1)).unwrap();
-        assert!(store.peek_warm(&key).unwrap().counted_in_base);
-        assert!(!store.peek_warm(&key2).unwrap().counted_in_base);
-        // A cold open counts nothing as already reported.
-        let cold = SnapshotStore::open(&dir, 9, None).unwrap();
-        assert!(!cold.peek_warm(&key).unwrap().counted_in_base);
+        assert_eq!(store.save().unwrap(), 8);
+        (0..DISK_SHARDS).for_each(|i| backdate(&dir, i));
+        (dir, keys)
+    }
+
+    const BACKDATED: std::time::SystemTime = std::time::UNIX_EPOCH;
+
+    fn shard_file(dir: &Path, idx: usize) -> PathBuf {
+        dir.join("cache").join(format!("shard-{idx}.jsonl"))
+    }
+
+    fn backdate(dir: &Path, idx: usize) {
+        let file = fs::File::options().write(true).open(shard_file(dir, idx));
+        file.unwrap().set_modified(BACKDATED).unwrap();
+    }
+
+    /// Indexes of the shard files rewritten since [`backdated_snapshot`].
+    fn rewritten(dir: &Path) -> Vec<usize> {
+        (0..DISK_SHARDS)
+            .filter(|&i| {
+                fs::metadata(shard_file(dir, i))
+                    .unwrap()
+                    .modified()
+                    .unwrap()
+                    != BACKDATED
+            })
+            .collect()
+    }
+
+    #[test]
+    fn save_with_nothing_recorded_rewrites_no_shard() {
+        let (dir, keys) = backdated_snapshot("clean-save");
+        let bytes = |dir: &Path| -> Vec<Vec<u8>> {
+            (0..DISK_SHARDS)
+                .map(|i| fs::read(shard_file(dir, i)).unwrap())
+                .collect()
+        };
+        let before = bytes(&dir);
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        // Re-recording a key the snapshot holds changes nothing either.
+        store.record_fresh(&keys[0], &dummy_result(3.0), None);
+        assert_eq!(store.save().unwrap(), 8);
+        assert_eq!(rewritten(&dir), Vec::<usize>::new());
+        assert_eq!(bytes(&dir), before);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_fresh_entry_rewrites_exactly_its_shard() {
+        let (dir, _) = backdated_snapshot("one-fresh");
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        let fresh = CacheKey::new(&leaf(100), &OptimizerConfig::default());
+        store.record_fresh(&fresh, &dummy_result(4.0), None);
+        assert_eq!(store.save().unwrap(), 9);
+        let home = SnapshotStore::shard_index(&canonical_key(&fresh));
+        assert_eq!(rewritten(&dir), [home]);
+        // The shard is clean again: a further save leaves it alone.
+        backdate(&dir, home);
+        assert_eq!(store.save().unwrap(), 9);
+        assert_eq!(rewritten(&dir), Vec::<usize>::new());
+        let reopened = SnapshotStore::open(&dir, 5, None).unwrap();
+        assert!(reopened.peek_warm(&fresh).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_line_is_healed_by_the_next_save() {
+        let (dir, keys) = backdated_snapshot("heal");
+        let torn = SnapshotStore::shard_index(&canonical_key(&keys[0]));
+        let intact = fs::read_to_string(shard_file(&dir, torn)).unwrap();
+        fs::write(shard_file(&dir, torn), format!("{intact}{{\"key\":tru")).unwrap();
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        assert_eq!(store.save().unwrap(), 8);
+        assert_eq!(fs::read_to_string(shard_file(&dir, torn)).unwrap(), intact);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_shard_is_left_alone() {
+        let (dir, keys) = backdated_snapshot("unreadable");
+        let bad = SnapshotStore::shard_index(&canonical_key(&keys[0]));
+        // Not UTF-8, so `read_to_string` fails the way an I/O error does.
+        let garbage = [0xff, 0xfe, b'\n'];
+        fs::write(shard_file(&dir, bad), garbage).unwrap();
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        assert!(store.peek_warm(&keys[0]).is_none(), "the shard starts cold");
+        assert!(store.save().unwrap() < 8);
+        assert_eq!(fs::read(shard_file(&dir, bad)).unwrap(), garbage);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_boundary_member_is_ignored_on_read() {
+        let key_str = canonical_key(&CacheKey::new(&leaf(7), &OptimizerConfig::default()));
+        let entry = StoredEntry {
+            result: dummy_result(1.5),
+            sample: Some(ProfileSample::default()),
+        };
+        let line = entry_line(&key_str, &entry);
+        let stamped = format!("{},\"b\":2}}", line.strip_suffix('}').unwrap());
+        let (key, decoded) = parse_entry_line(&stamped).unwrap();
+        assert_eq!(key, key_str);
+        assert_eq!(entry_line(&key, &decoded), line);
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub enum Counter {
     MinimizationSteps,
     /// Findings collapsed into an existing bug signature by triage dedup.
     DuplicatesCollapsed,
-    /// Static lint violations flagged by the debug-mode substitute auditor.
+    /// Static lint violations flagged during search. Reserved: nothing
+    /// increments it, the name only keeps its place in the report schema.
     LintViolations,
     /// Mutants killed by the mutation campaign (statically or dynamically,
     /// per their expected verdict).

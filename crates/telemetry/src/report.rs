@@ -12,8 +12,8 @@
 //!   and trace-ring occupancy, which legitimately vary run to run.
 
 use crate::json::Json;
-use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot, HIST_BUCKETS};
-use crate::span::{ProfileSection, SpanRow};
+use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot};
+use crate::span::ProfileSection;
 use ruletest_common::wire::{decimal, Decode, Encode};
 use ruletest_common::wire_record;
 use std::collections::BTreeMap;
@@ -244,75 +244,6 @@ impl RunReport {
     /// (`profile.spans[3].wall_ns: expected a non-negative integer`).
     pub fn from_json(text: &str) -> Result<RunReport, String> {
         Ok(RunReport::decode(&Json::parse(text)?)?)
-    }
-
-    /// Merges another report's accumulations into this one, summing
-    /// counters, rule firings, histograms, sections, and the profile
-    /// tree (span rows by path, rule costs by name). `--resume` absorbs
-    /// the checkpointed report snapshot into the resumed process's
-    /// report so the combined deterministic slice matches an
-    /// uninterrupted run.
-    pub fn absorb(&mut self, other: &RunReport) {
-        for (name, &v) in &other.rule_firings {
-            *self.rule_firings.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, &v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, hist) in &other.histograms {
-            let slot = self
-                .histograms
-                .entry(name.clone())
-                .or_insert_with(|| HistogramSnapshot {
-                    buckets: [0; HIST_BUCKETS],
-                    count: 0,
-                    sum: 0,
-                });
-            for (i, &b) in hist.buckets.iter().enumerate() {
-                slot.buckets[i] += b;
-            }
-            slot.count += hist.count;
-            slot.sum += hist.sum;
-        }
-        self.cache.hits += other.cache.hits;
-        self.cache.misses += other.cache.misses;
-        self.cache.evictions += other.cache.evictions;
-        self.pool.par_calls += other.pool.par_calls;
-        self.pool.tasks += other.pool.tasks;
-        self.pool.workers += other.pool.workers;
-        self.pool.steals += other.pool.steals;
-        self.pool.busy_ns += other.pool.busy_ns;
-        self.pool.idle_ns += other.pool.idle_ns;
-        self.trace.recorded += other.trace.recorded;
-        self.trace.dropped += other.trace.dropped;
-        self.wall_seconds += other.wall_seconds;
-        if !other.profile.is_empty() {
-            let mut spans: BTreeMap<String, SpanRow> = self
-                .profile
-                .spans
-                .drain(..)
-                .map(|r| (r.path.clone(), r))
-                .collect();
-            for row in &other.profile.spans {
-                let slot = spans.entry(row.path.clone()).or_insert_with(|| SpanRow {
-                    path: row.path.clone(),
-                    count: 0,
-                    wall_ns: 0,
-                    child_ns: 0,
-                });
-                slot.count += row.count;
-                slot.wall_ns += row.wall_ns;
-                slot.child_ns += row.child_ns;
-            }
-            self.profile.spans = spans.into_values().collect();
-            for (name, cost) in &other.profile.rules {
-                let slot = self.profile.rules.entry(name.clone()).or_default();
-                slot.binds += cost.binds;
-                slot.fires += cost.fires;
-                slot.bind_ns += cost.bind_ns;
-                slot.subst_ns += cost.subst_ns;
-            }
-        }
     }
 
     /// Smoke-guard used by CI: errors if the instrumentation silently

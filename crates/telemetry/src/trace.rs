@@ -70,7 +70,8 @@ pub enum Event {
         query: u32,
         outcome: &'static str,
     },
-    /// The debug-mode substitute auditor flagged a rule firing.
+    /// A static audit flagged a rule firing. Reserved: nothing emits it,
+    /// the name only keeps its place in the trace schema.
     LintViolation { rule: u16 },
     /// The supervisor sandbox absorbed a failed invocation. `kind` is the
     /// failure taxonomy name ("panic" / "timeout" / "budget"); `site` says

@@ -28,7 +28,7 @@
 //!
 //! `audit` runs supervised by default: every optimizer invocation and
 //! executor run is sandboxed, failures land in a crash quarantine
-//! (persisted alongside `--cache-dir` checkpoints, skipped on
+//! (persisted under `--cache-dir`, inherited and skipped on
 //! `--resume`), and quarantined inputs with SQL witnesses are minimized
 //! into crash repro bundles. `--chaos-seed` / `--chaos-plan` install a
 //! deterministic fault-injection plan to exercise exactly that path.
@@ -451,7 +451,7 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
     // The audit pipeline's generation parameters: `pad_ops: 2` pads each
     // pattern query a little so plans are non-trivial. They feed the
     // checkpoint identity, so an audit with different parameters never
-    // resumes from this one's checkpoints.
+    // inherits this one's quarantine.
     let params = CampaignParams {
         rules: opts.rules,
         k: opts.k,
@@ -475,14 +475,9 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
         &params,
         cache_dir,
         opts.resume,
-        None,
         supervised.then_some(&mut quarantine),
     )
-    .map_err(|e| e.to_string())?
-    .expect("campaign ran without a stop hook");
-    if !run.resumed.is_empty() {
-        println!("resumed from checkpoint: {}", run.resumed.join("+"));
-    }
+    .map_err(|e| e.to_string())?;
     let (suite, graph) = (&run.suite, &run.graph);
     let inst = Instance::from_graph(graph);
     println!(
@@ -517,8 +512,8 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
                 .map_err(|e| format!("saving quarantine: {e}"))?;
         }
     }
-    // Final cache save (no stage file): later runs with the same
-    // cache-dir warm-start from everything this campaign computed.
+    // Final cache save: later runs with the same cache-dir warm-start
+    // from everything this campaign computed.
     let persisted = final_persist(fw).map_err(|e| e.to_string())?;
     if cache_dir.is_some() {
         println!("cache: {persisted} invocation entries persisted");

@@ -50,10 +50,10 @@ pub struct Opts {
     /// timing/cache comparisons, in whole percent (default 10).
     pub threshold_pct: Option<u32>,
     /// `ruletest audit --cache-dir DIR`: persist the invocation cache and
-    /// stage checkpoints under DIR; a later run warm-starts from them.
+    /// the quarantine under DIR; a later run warm-starts from the cache.
     pub cache_dir: Option<String>,
-    /// `ruletest audit --cache-dir DIR --resume`: resume an interrupted
-    /// campaign from its last completed stage checkpoint.
+    /// `ruletest audit --cache-dir DIR --resume`: rerun an interrupted
+    /// campaign warm, inheriting its quarantine instead of clearing it.
     pub resume: bool,
     /// `ruletest prove --rule NAME`: prove only the named rule.
     pub rule: Option<String>,

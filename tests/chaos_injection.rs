@@ -12,8 +12,9 @@ use ruletest_common::chaos::{self, ChaosPlan};
 use ruletest_common::FailureKind;
 use ruletest_core::compress::topk;
 use ruletest_core::{
-    crash_bundles, execute_solution_with, run_checkpointed_campaign, CampaignParams, Framework,
-    FrameworkConfig, GenConfig, Instance, Quarantine,
+    crash_bundles, execute_solution_with, generate_suite_with, run_checkpointed_campaign,
+    singleton_targets, CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Quarantine,
+    Strategy,
 };
 use ruletest_core::{CorrectnessReport, TriageConfig};
 use ruletest_executor::ExecConfig;
@@ -56,9 +57,8 @@ fn params() -> CampaignParams {
 /// outcome.
 fn supervised_run(fw: &Framework) -> (RunReport, Quarantine, CorrectnessReport) {
     let mut quarantine = Quarantine::new();
-    let run = run_checkpointed_campaign(fw, &params(), None, false, None, Some(&mut quarantine))
-        .expect("supervised campaign must absorb chaos, not abort")
-        .expect("no stop hook");
+    let run = run_checkpointed_campaign(fw, &params(), None, false, Some(&mut quarantine))
+        .expect("supervised campaign must absorb chaos, not abort");
     let inst = Instance::from_graph(&run.graph);
     let sol = topk(&inst).unwrap();
     let report = execute_solution_with(
@@ -82,14 +82,22 @@ fn campaign_survives_panic_stall_and_budget_storm() {
     // Generation retries optimizer errors as discarded trials, so a
     // budget fault only quarantines when it lands in the graph stage.
     // Calibration pass: same panic rule, a never-firing budget sentinel,
-    // stop after suite generation — `site_hits` then tells us exactly how
-    // many memo inserts generation consumes, and the real run (identical
-    // seed, one worker) aims the budget fault one hit past them.
+    // suite generation only — `site_hits` then tells us exactly how many
+    // memo inserts generation consumes, and the real run (identical seed,
+    // one worker) aims the budget fault one hit past them.
     chaos::install(
         ChaosPlan::parse("memo.insert:panic@35#1,memo.insert:budget@1000000000000").unwrap(),
     );
-    let mut q = Quarantine::new();
-    run_checkpointed_campaign(&fw(), &params(), None, false, Some("suite"), Some(&mut q)).unwrap();
+    let (calibration_fw, p) = (fw(), params());
+    generate_suite_with(
+        &calibration_fw,
+        singleton_targets(&calibration_fw, p.rules),
+        p.k,
+        Strategy::Pattern,
+        &p.gen_config(),
+        Some(&mut Quarantine::new()),
+    )
+    .unwrap();
     let gen_hits = chaos::site_hits("memo.insert");
     assert!(
         gen_hits > 35,
@@ -185,9 +193,7 @@ fn cache_io_chaos_degrades_to_cold_start() {
     // Seed the cache with a clean checkpointed campaign.
     let clean_fw = fw();
     let mut q = Quarantine::new();
-    run_checkpointed_campaign(&clean_fw, &params(), Some(&dir), false, None, Some(&mut q))
-        .unwrap()
-        .unwrap();
+    run_checkpointed_campaign(&clean_fw, &params(), Some(&dir), false, Some(&mut q)).unwrap();
     ruletest_core::final_persist(&clean_fw).unwrap();
     let clean_slice = clean_fw.run_report().deterministic_json();
 
@@ -197,16 +203,8 @@ fn cache_io_chaos_degrades_to_cold_start() {
     chaos::install(ChaosPlan::parse("cache.load:stall@1,cache.save:budget@1").unwrap());
     let chaotic_fw = fw();
     let mut q = Quarantine::new();
-    let run = run_checkpointed_campaign(
-        &chaotic_fw,
-        &params(),
-        Some(&dir),
-        false,
-        None,
-        Some(&mut q),
-    )
-    .unwrap()
-    .unwrap();
+    let run =
+        run_checkpointed_campaign(&chaotic_fw, &params(), Some(&dir), false, Some(&mut q)).unwrap();
     ruletest_core::final_persist(&chaotic_fw).unwrap();
     let stats = chaos::stats();
     chaos::clear();

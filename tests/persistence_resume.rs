@@ -1,10 +1,10 @@
-//! Persistent invocation cache + campaign checkpoint/resume invariants:
-//! (1) a warm start answers every unchanged invocation from disk and
-//! reproduces the cold run's deterministic report slice byte for byte,
-//! (2) a campaign killed at a stage boundary resumes to the identical
-//! deterministic slice an uninterrupted run produces, and (3) a snapshot
-//! written under a different campaign fingerprint is rejected, never
-//! served.
+//! Persistent invocation cache + campaign resume invariants: (1) a warm
+//! start answers every unchanged invocation from disk and reproduces the
+//! cold run's deterministic report slice byte for byte, (2) a campaign
+//! killed at a stage boundary reruns — with or without `--resume` — to the
+//! identical deterministic slice an uninterrupted run produces, computing
+//! only what the killed process had not saved, and (3) a snapshot written
+//! under a different campaign fingerprint is rejected, never served.
 
 use ruletest_common::Parallelism;
 use ruletest_core::compress::topk;
@@ -42,22 +42,16 @@ fn params() -> CampaignParams {
 }
 
 /// Runs the full campaign (generation → graph → compression → execution →
-/// final cache save) and returns the resumed-stage list and final report.
-fn full_campaign(
-    fw: &Framework,
-    cache_dir: Option<&Path>,
-    resume: bool,
-) -> (Vec<&'static str>, RunReport) {
-    let run = run_checkpointed_campaign(fw, &params(), cache_dir, resume, None, None)
-        .unwrap()
-        .expect("no stop hook: campaign runs to completion");
+/// final cache save) and returns the final report.
+fn full_campaign(fw: &Framework, cache_dir: Option<&Path>, resume: bool) -> RunReport {
+    let run = run_checkpointed_campaign(fw, &params(), cache_dir, resume, None).unwrap();
     let inst = Instance::from_graph(&run.graph);
     let sol = topk(&inst).unwrap();
     execute_solution(fw, &run.suite, &inst, &sol, &ExecConfig::default()).unwrap();
     final_persist(fw).unwrap();
     let report = fw.run_report();
     report.check().unwrap();
-    (run.resumed, report)
+    report
 }
 
 /// The process that gets killed: runs the stages through `boundary` on a
@@ -95,14 +89,13 @@ fn warm_start_is_deterministic_with_zero_recomputation() {
     let dir = temp_dir("warm");
 
     let cold_fw = fw();
-    let (resumed, cold) = full_campaign(&cold_fw, Some(&dir), false);
-    assert!(resumed.is_empty(), "nothing to resume on a cold start");
+    let cold = full_campaign(&cold_fw, Some(&dir), false);
     assert!(cold_fw.optimizer.invocation_count() > 0);
     assert!(cold.counter(Counter::CachePersisted) > 0);
     assert_eq!(cold.counter(Counter::CacheWarmHits), 0);
 
     let warm_fw = fw();
-    let (_, warm) = full_campaign(&warm_fw, Some(&dir), false);
+    let warm = full_campaign(&warm_fw, Some(&dir), false);
     assert_eq!(
         warm_fw.optimizer.invocation_count(),
         0,
@@ -128,7 +121,7 @@ fn warm_rerun_after_kill_matches_uninterrupted_run() {
     let single = || fw().with_parallelism(Parallelism::single());
     let baseline_dir = temp_dir("rerun-baseline");
     let uninterrupted_fw = single();
-    let (_, uninterrupted) = full_campaign(&uninterrupted_fw, Some(&baseline_dir), false);
+    let uninterrupted = full_campaign(&uninterrupted_fw, Some(&baseline_dir), false);
     let total = uninterrupted_fw.optimizer.invocation_count();
 
     for boundary in ["suite", "graph"] {
@@ -137,7 +130,7 @@ fn warm_rerun_after_kill_matches_uninterrupted_run() {
         assert!(persisted > 0, "{boundary}: the killed process did no work");
 
         let rerun_fw = single();
-        let (_, report) = full_campaign(&rerun_fw, Some(&dir), false);
+        let report = full_campaign(&rerun_fw, Some(&dir), false);
         assert_eq!(
             report.deterministic_json(),
             uninterrupted.deterministic_json(),
@@ -162,38 +155,17 @@ fn warm_rerun_after_kill_matches_uninterrupted_run() {
 /// deterministic slice as never having been killed.
 #[test]
 fn resume_after_kill_matches_uninterrupted_run() {
-    for (tag, stop_after, expect_resumed) in [
-        ("kill-suite", "suite", vec!["suite"]),
-        ("kill-graph", "graph", vec!["suite", "graph"]),
-    ] {
-        let dir = temp_dir(tag);
+    for boundary in ["suite", "graph"] {
+        let dir = temp_dir(&format!("kill-{boundary}"));
+        killed_at(&dir, boundary);
+        let report = full_campaign(&fw(), Some(&dir), true);
 
-        // The "killed" process: runs up to the boundary, then vanishes —
-        // the Framework is dropped without any further persistence, like
-        // a SIGKILL between stages.
-        let killed = fw();
-        let out = run_checkpointed_campaign(
-            &killed,
-            &params(),
-            Some(&dir),
-            false,
-            Some(stop_after),
-            None,
-        )
-        .unwrap();
-        assert!(out.is_none(), "stop hook must report the simulated kill");
-        drop(killed);
-
-        let resumed_fw = fw();
-        let (resumed, report) = full_campaign(&resumed_fw, Some(&dir), true);
-        assert_eq!(resumed, expect_resumed, "{tag}");
-
-        let baseline_dir = temp_dir(&format!("{tag}-baseline"));
-        let (_, uninterrupted) = full_campaign(&fw(), Some(&baseline_dir), false);
+        let baseline_dir = temp_dir(&format!("kill-{boundary}-baseline"));
+        let uninterrupted = full_campaign(&fw(), Some(&baseline_dir), false);
         assert_eq!(
             report.deterministic_json(),
             uninterrupted.deterministic_json(),
-            "{tag}: resumed slice diverged from the uninterrupted run"
+            "{boundary}: resumed slice diverged from the uninterrupted run"
         );
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -201,55 +173,42 @@ fn resume_after_kill_matches_uninterrupted_run() {
     }
 }
 
-/// A checkpoint written by an unobserved (telemetry-disabled) campaign
-/// must not serve as the report base of a metrics-enabled resume: the
-/// empty base would make the merged report claim zero invocations for
-/// stages that ran, tripping `RunReport::check`. A telemetry-mode switch
-/// recomputes the stages instead.
+/// A metrics-enabled rerun over the snapshot of an unobserved
+/// (telemetry-disabled) run reports the invocations its warm hits stand
+/// for: the entries carry no profile sample, but each hit still counts as
+/// the optimization it replays, so `RunReport::check` passes without
+/// recomputing anything.
 #[test]
-fn telemetry_mode_switch_invalidates_checkpoints() {
+fn metrics_rerun_over_an_unobserved_snapshot_reports_its_invocations() {
     let dir = temp_dir("mode-switch");
 
     let unobserved = Framework::new(&FrameworkConfig::default()).unwrap();
-    let out = run_checkpointed_campaign(
-        &unobserved,
-        &params(),
-        Some(&dir),
-        false,
-        Some("graph"),
-        None,
-    )
-    .unwrap();
-    assert!(out.is_none());
+    let run = run_checkpointed_campaign(&unobserved, &params(), Some(&dir), false, None).unwrap();
+    assert!(!run.suite.queries.is_empty());
     drop(unobserved);
 
     // full_campaign's fw() enables metrics, and the helper runs
     // `report.check()` — which would fail on a zero-invocation report.
-    let (resumed, report) = full_campaign(&fw(), Some(&dir), true);
-    assert!(
-        resumed.is_empty(),
-        "unobserved checkpoints must not resume an observed campaign"
-    );
+    let observed = fw();
+    let report = full_campaign(&observed, Some(&dir), true);
+    assert_eq!(observed.optimizer.invocation_count(), 0);
     assert!(report.counter(Counter::OptInvocations) > 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Corrupted or truncated checkpoint files degrade to recomputation, not
-/// a crash: garbage in a stage checkpoint, a truncated cache shard, or a
-/// mangled quarantine file each warn and cold-start, and the recomputed
-/// campaign reproduces the clean deterministic slice.
+/// Corrupted or truncated persisted files degrade to recomputation, not a
+/// crash: a truncated cache shard or a mangled quarantine file each warn
+/// and cold-start, and the recomputed campaign reproduces the clean
+/// deterministic slice.
 #[test]
 fn corrupted_checkpoints_recompute_instead_of_crashing() {
     let dir = temp_dir("corrupt");
-    let (_, clean) = full_campaign(&fw(), Some(&dir), false);
+    let clean = full_campaign(&fw(), Some(&dir), false);
 
-    // Corrupt every persisted artifact class at once: stage checkpoints
-    // (truncated JSON), one cache shard (binary garbage), and the
-    // quarantine file (not JSON at all).
+    // Corrupt both persisted artifact classes at once: one cache shard
+    // (truncated JSON) and the quarantine file (not JSON at all).
     let checkpoint = dir.join("checkpoint");
-    std::fs::write(checkpoint.join("stage-suite.json"), "{\"format\":1,\"trunc").unwrap();
-    std::fs::write(checkpoint.join("stage-graph.json"), "\0\0garbage\0").unwrap();
     std::fs::write(checkpoint.join("quarantine.json"), "not json either").unwrap();
     let shard = dir.join("cache").join("shard-0.jsonl");
     if shard.exists() {
@@ -263,16 +222,9 @@ fn corrupted_checkpoints_recompute_instead_of_crashing() {
         &params(),
         Some(&dir),
         true,
-        None,
         Some(&mut quarantine),
     )
-    .unwrap()
-    .expect("no stop hook");
-    assert!(
-        run.resumed.is_empty(),
-        "corrupted checkpoints must not resume: {:?}",
-        run.resumed
-    );
+    .unwrap();
     assert!(
         quarantine.is_empty(),
         "a corrupted quarantine file loads as empty, not as an error"
@@ -302,7 +254,7 @@ fn unknown_quarantine_kind_is_corruption_not_an_entry() {
     use ruletest_common::{Decode, FailureKind, Json};
     use ruletest_core::{input_fingerprint, CampaignStore, Quarantine, QuarantineEntry};
     let dir = temp_dir("unknown-kind");
-    let store = CampaignStore::open(&dir, 7, &params(), false).unwrap();
+    let store = CampaignStore::open(&dir, 7, &params()).unwrap();
     let mut quarantine = Quarantine::new();
     quarantine.add(QuarantineEntry {
         fingerprint: input_fingerprint("suite.generate", "SelectMerge"),
@@ -342,11 +294,7 @@ fn fingerprint_mismatch_rejects_snapshot_and_checkpoints() {
     let other_fw = Framework::new(&other_cfg)
         .unwrap()
         .with_telemetry(Telemetry::metrics_only());
-    let (resumed, report) = full_campaign(&other_fw, Some(&dir), true);
-    assert!(
-        resumed.is_empty(),
-        "checkpoints from a different fingerprint must not resume"
-    );
+    let report = full_campaign(&other_fw, Some(&dir), true);
     assert_eq!(
         report.counter(Counter::CacheFingerprintRejected),
         1,

@@ -3,8 +3,8 @@
 //! unsupervised campaign's, at one worker and at four; (2) a
 //! pre-quarantined target is skipped without ever reaching the optimizer
 //! and the surviving targets' queries stay byte-identical to a strict
-//! run; (3) the quarantine persists in campaign checkpoints, so a
-//! `--resume` skips poisoned inputs instead of re-hitting them.
+//! run; (3) the quarantine persists in the campaign's checkpoint dir, so
+//! a `--resume` skips poisoned inputs instead of re-hitting them.
 
 use ruletest_common::FailureKind;
 use ruletest_core::compress::topk;
@@ -45,9 +45,7 @@ fn params() -> CampaignParams {
 
 /// Full campaign, unsupervised.
 fn strict_campaign(fw: &Framework) -> RunReport {
-    let run = run_checkpointed_campaign(fw, &params(), None, false, None, None)
-        .unwrap()
-        .expect("no stop hook");
+    let run = run_checkpointed_campaign(fw, &params(), None, false, None).unwrap();
     let inst = Instance::from_graph(&run.graph);
     let sol = topk(&inst).unwrap();
     execute_solution(fw, &run.suite, &inst, &sol, &ExecConfig::default()).unwrap();
@@ -56,9 +54,8 @@ fn strict_campaign(fw: &Framework) -> RunReport {
 
 /// Full campaign, supervised; returns the final quarantine too.
 fn supervised_campaign(fw: &Framework, quarantine: &mut Quarantine) -> RunReport {
-    let run = run_checkpointed_campaign(fw, &params(), None, false, None, Some(&mut *quarantine))
-        .unwrap()
-        .expect("no stop hook");
+    let run =
+        run_checkpointed_campaign(fw, &params(), None, false, Some(&mut *quarantine)).unwrap();
     let inst = Instance::from_graph(&run.graph);
     let sol = topk(&inst).unwrap();
     execute_solution_with(
@@ -103,9 +100,7 @@ fn clean_supervised_slice_matches_unsupervised_at_any_thread_count() {
 #[test]
 fn quarantined_targets_are_skipped_and_survivors_unchanged() {
     let strict_fw = fw(2);
-    let strict_run = run_checkpointed_campaign(&strict_fw, &params(), None, false, None, None)
-        .unwrap()
-        .unwrap();
+    let strict_run = run_checkpointed_campaign(&strict_fw, &params(), None, false, None).unwrap();
     let poisoned_label = strict_run.suite.targets[1].label(&strict_fw.optimizer);
 
     let sup_fw = fw(2);
@@ -120,9 +115,7 @@ fn quarantined_targets_are_skipped_and_survivors_unchanged() {
         rule_mask: vec![poisoned_label.clone()],
     });
     let sup_run =
-        run_checkpointed_campaign(&sup_fw, &params(), None, false, None, Some(&mut quarantine))
-            .unwrap()
-            .unwrap();
+        run_checkpointed_campaign(&sup_fw, &params(), None, false, Some(&mut quarantine)).unwrap();
     assert_eq!(
         sup_run.suite.targets.len(),
         strict_run.suite.targets.len() - 1,
@@ -165,9 +158,7 @@ fn resume_skips_quarantined_inputs() {
     let first_params = params();
     let label = {
         // Learn a real target label from a throwaway strict run.
-        let probe = run_checkpointed_campaign(&fw(1), &first_params, None, false, None, None)
-            .unwrap()
-            .unwrap();
+        let probe = run_checkpointed_campaign(&fw(1), &first_params, None, false, None).unwrap();
         probe.suite.targets[0].label(&fw(1).optimizer)
     };
     let mut quarantine = Quarantine::new();
@@ -185,10 +176,8 @@ fn resume_skips_quarantined_inputs() {
         &first_params,
         Some(&dir),
         false,
-        None,
         Some(&mut quarantine),
     )
-    .unwrap()
     .unwrap();
     first_run
         .store
@@ -204,8 +193,8 @@ fn resume_skips_quarantined_inputs() {
         .collect();
 
     // A fresh process resumes: the quarantine is loaded from disk, the
-    // poisoned target stays dropped, and the checkpointed (shrunk) suite
-    // is reused as-is.
+    // poisoned target stays dropped, and the warm rerun regenerates the
+    // same (shrunk) suite without optimizing anything again.
     let resumed_fw = fw(2);
     let mut resumed_quarantine = Quarantine::new();
     let resumed = run_checkpointed_campaign(
@@ -213,15 +202,13 @@ fn resume_skips_quarantined_inputs() {
         &first_params,
         Some(&dir),
         true,
-        None,
         Some(&mut resumed_quarantine),
     )
-    .unwrap()
     .unwrap();
     assert_eq!(
-        resumed.resumed,
-        vec!["suite", "graph"],
-        "both stages must resume from checkpoints"
+        resumed_fw.optimizer.invocation_count(),
+        0,
+        "both stages must be answered from the persisted cache"
     );
     assert!(
         resumed_quarantine.contains_input(SITE_SUITE, &label),
