@@ -9,14 +9,23 @@
 //! regeneration switch: a change that is *meant* to alter the search
 //! regenerates the file by checking out its parent commit and copying the
 //! `actual` text this test prints on mismatch.
+//!
+//! The digests deduplicate: a binding applied twice yields the same memo,
+//! and one missed may be re-derived another way. `search_fires.txt`
+//! therefore pins, over the same optimizations, how many rule applications
+//! returned a substitute, per rule and phase (generated before ISSUE 19
+//! changed how the explore loop decides what to apply). `binds` is left
+//! out on purpose: it counts `bind()` calls, which a change may save.
 
 use ruletest_core::{
     generate_suite_lenient, pair_targets, Framework, FrameworkConfig, GenConfig, RuleTarget,
-    Strategy,
+    Strategy, TestSuite,
 };
-use ruletest_optimizer::{Fnv64, OptimizeResult, OptimizerConfig, PhysicalPlan};
+use ruletest_optimizer::{Fnv64, OptimizeResult, Optimizer, OptimizerConfig, PhysicalPlan};
+use ruletest_telemetry::Telemetry;
 
 const GOLDEN: &str = include_str!("golden/search_digest.txt");
+const GOLDEN_FIRES: &str = include_str!("golden/search_fires.txt");
 
 fn hash_plan(h: &mut Fnv64, plan: &PhysicalPlan) {
     h.write_str(&format!("{:?}", plan.op))
@@ -55,57 +64,98 @@ fn digest(sql: &str, res: &ruletest_common::Result<OptimizeResult>) -> u64 {
     h.finish()
 }
 
-#[test]
-fn search_is_identical_to_the_golden_digests() {
-    let fw = Framework::new(&FrameworkConfig::default()).unwrap();
-    let opt = &fw.optimizer;
+/// The golden suite and the targets generation dropped.
+fn golden_suite(fw: &Framework) -> (TestSuite, Vec<RuleTarget>) {
     let cfg = GenConfig {
         seed: 0x5EA2C4,
         pad_ops: 1,
         ..Default::default()
     };
-    let mut targets: Vec<RuleTarget> = opt
+    let mut targets: Vec<RuleTarget> = fw
+        .optimizer
         .exploration_rule_ids()
         .into_iter()
         .map(RuleTarget::Single)
         .collect();
-    targets.extend(pair_targets(&fw, 6));
-    let (suite, dropped) =
-        generate_suite_lenient(&fw, targets, 2, Strategy::Pattern, &cfg).unwrap();
+    targets.extend(pair_targets(fw, 6));
+    generate_suite_lenient(fw, targets, 2, Strategy::Pattern, &cfg).unwrap()
+}
+
+/// Optimizes every query of `suite` with all rules enabled and then once
+/// per exercised rule with that rule disabled, handing each outcome to
+/// `each` as `(query index, disabled rule's name or "-", result)`.
+fn optimize_all(
+    opt: &Optimizer,
+    suite: &TestSuite,
+    mut each: impl FnMut(usize, &str, &ruletest_common::Result<OptimizeResult>),
+) {
+    for (qi, q) in suite.queries.iter().enumerate() {
+        let base = opt.optimize(&q.tree);
+        each(qi, "-", &base);
+        for rid in base.map(|r| r.rule_set).unwrap_or_default() {
+            let masked = opt.optimize_with(&q.tree, &OptimizerConfig::disabling(&[rid]));
+            each(qi, opt.rule(rid).name, &masked);
+        }
+    }
+}
+
+fn assert_matches_golden(actual: &str, golden: &str, file: &str) {
+    if actual != golden {
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "actual differs from tests/golden/{file} \
+             ({} actual vs {} golden lines, first difference at line {}):\n\
+             actual: {:?}\ngolden: {:?}\n--- actual ---\n{actual}",
+            actual.lines().count(),
+            golden.lines().count(),
+            first + 1,
+            actual.lines().nth(first),
+            golden.lines().nth(first),
+        );
+    }
+}
+
+#[test]
+fn search_is_identical_to_the_golden_digests() {
+    let fw = Framework::new(&FrameworkConfig::default()).unwrap();
+    let opt = &fw.optimizer;
+    let (suite, dropped) = golden_suite(&fw);
 
     let mut actual = String::new();
     for t in &dropped {
         actual.push_str(&format!("dropped {}\n", t.label(opt)));
     }
-    for (qi, q) in suite.queries.iter().enumerate() {
-        let base = opt.optimize(&q.tree);
-        actual.push_str(&format!("q{qi:03} - {:016x}\n", digest(&q.sql, &base)));
-        let rule_set = base.map(|r| r.rule_set).unwrap_or_default();
-        for rid in rule_set {
-            let masked = opt.optimize_with(&q.tree, &OptimizerConfig::disabling(&[rid]));
-            actual.push_str(&format!(
-                "q{qi:03} {} {:016x}\n",
-                opt.rule(rid).name,
-                digest(&q.sql, &masked)
-            ));
-        }
-    }
+    optimize_all(opt, &suite, |qi, mask, res| {
+        let sql = &suite.queries[qi].sql;
+        actual.push_str(&format!("q{qi:03} {mask} {:016x}\n", digest(sql, res)));
+    });
+    assert_matches_golden(&actual, GOLDEN, "search_digest.txt");
+}
 
-    if actual != GOLDEN {
-        let first = actual
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, g)| a != g)
-            .unwrap_or_else(|| actual.lines().count().min(GOLDEN.lines().count()));
-        panic!(
-            "search digests differ from tests/golden/search_digest.txt \
-             ({} actual vs {} golden lines, first difference at line {}):\n\
-             actual: {:?}\ngolden: {:?}\n--- actual ---\n{actual}",
-            actual.lines().count(),
-            GOLDEN.lines().count(),
-            first + 1,
-            actual.lines().nth(first),
-            GOLDEN.lines().nth(first),
-        );
+/// The same optimizations on a second optimizer whose telemetry saw
+/// nothing else (suite generation optimizes too): per rule and phase, the
+/// number of applications that returned a substitute.
+#[test]
+fn rule_fires_are_identical_to_the_golden_counts() {
+    let fw = Framework::new(&FrameworkConfig::default()).unwrap();
+    let (suite, _) = golden_suite(&fw);
+    let opt = Optimizer::new(fw.optimizer.database().clone());
+    opt.attach_telemetry(Telemetry::metrics_only());
+    let mut optimizations = 0usize;
+    optimize_all(&opt, &suite, |_, _, _| optimizations += 1);
+
+    // Both optimizers hold the one catalog, so `fw` names this one's rules.
+    let mut actual = format!("optimizations {optimizations}\n");
+    let mut binds = 0;
+    for (rule, row) in &opt.telemetry().profile_section(&fw.rule_names()).rules {
+        actual.push_str(&format!("{rule} {}\n", row.fires));
+        binds += row.binds;
     }
+    // Not pinned; `--nocapture` shows it for a before/after comparison.
+    println!("binds over the golden optimizations: {binds}");
+    assert_matches_golden(&actual, GOLDEN_FIRES, "search_fires.txt");
 }
