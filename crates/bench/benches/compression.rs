@@ -17,11 +17,11 @@ fn synth(targets: usize, k: usize, seed: u64) -> Instance {
     let mut adjacency = vec![Vec::new(); targets];
     let mut edge_cost = HashMap::new();
     let mut generated_for = vec![0usize; nq];
-    for t in 0..targets {
+    for (t, covering) in adjacency.iter_mut().enumerate() {
         for slot in 0..k {
             let q = t * k + slot;
             generated_for[q] = t;
-            adjacency[t].push(q);
+            covering.push(q);
             edge_cost.insert(
                 (t, q),
                 node_cost[q] * (1.0 + rng.gen_below(300) as f64 / 100.0),
@@ -30,9 +30,9 @@ fn synth(targets: usize, k: usize, seed: u64) -> Instance {
     }
     // Cross coverage: each query additionally covers ~25% of other targets.
     for q in 0..nq {
-        for t in 0..targets {
+        for (t, covering) in adjacency.iter_mut().enumerate() {
             if generated_for[q] != t && rng.gen_bool(0.25) {
-                adjacency[t].push(q);
+                covering.push(q);
                 edge_cost.insert(
                     (t, q),
                     node_cost[q] * (1.0 + rng.gen_below(300) as f64 / 100.0),

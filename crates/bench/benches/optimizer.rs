@@ -1,7 +1,9 @@
 //! Microbenchmarks for the optimizer substrate: full optimization of
-//! representative query shapes, with and without rule masks, and one rung
-//! for each inner loop of the search (memo insert, pattern bind, plan
-//! extraction). Runs on the dependency-free std::time harness.
+//! representative query shapes, with and without rule masks, one rung for
+//! each half of an optimization (exploration to the fixpoint and to the
+//! budget, plan extraction) and one for each inner loop of the search
+//! (memo insert, pattern bind, re-bind after growth). Runs on the
+//! dependency-free std::time harness.
 
 use ruletest_bench::harness;
 use ruletest_expr::{AggCall, AggFunc, Expr};
@@ -72,12 +74,26 @@ fn main() {
             .cost
     });
 
-    // ---- The three inner loops, on the saturated memo of a 4-join ----
+    // ---- Exploration alone: to the fixpoint, and to the budget ----
+    // Three joins are the largest star that saturates under the default
+    // budget; four stop at `max_exprs` (their fixpoint is 115,605
+    // expressions), the shape that is half a campaign's search time.
     let config = OptimizerConfig::default();
+    let q3 = star_query(&opt, 3);
     let q4 = star_query(&opt, 4);
+    let exprs = |q: &LogicalTree| opt.explore(q, &config).expect("explores").memo.num_exprs();
+    assert!(
+        exprs(&q3) <= config.max_exprs,
+        "3-join reaches its fixpoint"
+    );
+    assert!(exprs(&q4) > config.max_exprs, "4-join stops at the budget");
+    group.bench("explore_saturated_3join", || exprs(&q3));
+    group.bench("explore_capped", || exprs(&q4));
+
+    // ---- The inner loops, on the memo of the 4-join ----
     let mut search = opt.explore(&q4, &config).expect("4-join explores");
     println!(
-        "saturated 4-join memo: {} groups, {} expressions",
+        "4-join memo at the budget: {} groups, {} expressions",
         search.memo.num_groups(),
         search.memo.num_exprs()
     );
@@ -144,6 +160,44 @@ fn main() {
     group.bench("bind_assoc_on_fat_group", || {
         match_bindings(memo, pattern, g, ei).len()
     });
+
+    // Re-bind after growth: the left input gains one join no rule derives
+    // (so one new binding), then the pattern is matched against all of
+    // them again — what every growth of a child group costs its parents.
+    // The memo grows with every call, so each sample starts a fresh one.
+    // (The search is deterministic: every fresh memo numbers its groups
+    // and expressions like this one.)
+    let left = memo.group(g).exprs[ei].children[0];
+    let join = (memo.group(left).exprs.iter())
+        .find(|e| e.op.join_kind() == Some(JoinKind::Inner))
+        .expect("the left input of an assoc binding holds a join");
+    let Operator::Join { predicate, .. } = &join.op else {
+        unreachable!("join_kind is Some");
+    };
+    group.bench_batched(
+        "rebind_after_growth",
+        32,
+        || {
+            (
+                opt.explore(&q4, &config).expect("4-join explores").memo,
+                0i64,
+            )
+        },
+        |(memo, grown)| {
+            *grown += 1;
+            let tag = Expr::eq(Expr::lit(*grown), Expr::lit(*grown));
+            let op = Operator::Join {
+                kind: JoinKind::Inner,
+                predicate: Expr::and(predicate.clone(), tag),
+            };
+            let inputs = join.children.iter().map(|&c| NewChild::Group(c)).collect();
+            let (_, fresh) = memo
+                .insert(&db, NewTree::new(op, inputs), Some(left), false)
+                .expect("tagged join inserts");
+            assert!(fresh);
+            match_bindings(memo, pattern, g, ei).len()
+        },
+    );
 
     group.bench("extract_saturated_4join", || {
         opt.extract(&mut search, &config)

@@ -58,10 +58,8 @@ fn composition_ablation(fw: &Framework) -> FigureTable {
         "Ablation: pair-composition candidate schemes (total trials, 66 pairs, capped at 150)",
         &["scheme", "total trials", "pairs found", "pairs capped"],
     );
-    let schemes: Vec<(
-        &str,
-        Box<dyn Fn(&PatternTree, &PatternTree) -> Vec<PatternTree>>,
-    )> = vec![
+    type Scheme = Box<dyn Fn(&PatternTree, &PatternTree) -> Vec<PatternTree>>;
+    let schemes: Vec<(&str, Scheme)> = vec![
         ("singles only", Box::new(|a, b| vec![a.clone(), b.clone()])),
         (
             "root composition only",

@@ -71,6 +71,33 @@ impl BenchGroup {
             }
             samples.push(t.elapsed() / iters as u32);
         }
+        self.report(id, samples, iters);
+    }
+
+    /// Like [`BenchGroup::bench`] for a routine that consumes its input:
+    /// each sample builds a fresh state with `setup`, untimed, and times
+    /// `iters` calls of `routine` on it.
+    pub fn bench_batched<S, R>(
+        &mut self,
+        id: &str,
+        iters: u64,
+        mut setup: impl FnMut() -> S,
+        mut routine: impl FnMut(&mut S) -> R,
+    ) {
+        let samples = (0..self.sample_size)
+            .map(|_| {
+                let mut state = setup();
+                let t = Instant::now();
+                for _ in 0..iters {
+                    black_box(routine(&mut state));
+                }
+                t.elapsed() / iters as u32
+            })
+            .collect();
+        self.report(id, samples, iters);
+    }
+
+    fn report(&self, id: &str, mut samples: Vec<Duration>, iters: u64) {
         samples.sort();
         let min = samples[0];
         let median = samples[samples.len() / 2];

@@ -124,39 +124,6 @@ pub struct Detection {
 /// mutant never executed" from "it executed and the results still
 /// matched" — the difference between a vacuous and a meaningful
 /// survival).
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timeouts_classify_as_hangs_and_everything_else_as_crashes() {
-        use ruletest_common::Error;
-        assert_eq!(failure_kind(&Error::timeout("deadline")), KillKind::Hang);
-        assert_eq!(failure_kind(&Error::internal("boom")), KillKind::Crash);
-        assert_eq!(failure_kind(&Error::unsupported("nope")), KillKind::Crash);
-        assert_eq!(failure_kind(&Error::budget("rows")), KillKind::Crash);
-    }
-
-    #[test]
-    fn kill_kind_names_are_stable_and_crashed_covers_both_failures() {
-        assert_eq!(KillKind::Diff.name(), "diff");
-        assert_eq!(KillKind::Crash.name(), "crash");
-        assert_eq!(KillKind::Hang.name(), "hang");
-        for (kind, crashed) in [
-            (KillKind::Diff, false),
-            (KillKind::Crash, true),
-            (KillKind::Hang, true),
-        ] {
-            let kill = DynamicKill {
-                seed: 1,
-                trials: 1,
-                kind,
-            };
-            assert_eq!(kill.crashed(), crashed, "{}", kind.name());
-        }
-    }
-}
-
 pub fn detect_with_methodology(
     opt: &Arc<Optimizer>,
     rule_name: &str,
@@ -255,4 +222,37 @@ pub fn detect_with_methodology(
         }
     }
     Ok(det)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timeouts_classify_as_hangs_and_everything_else_as_crashes() {
+        use ruletest_common::Error;
+        assert_eq!(failure_kind(&Error::timeout("deadline")), KillKind::Hang);
+        assert_eq!(failure_kind(&Error::internal("boom")), KillKind::Crash);
+        assert_eq!(failure_kind(&Error::unsupported("nope")), KillKind::Crash);
+        assert_eq!(failure_kind(&Error::budget("rows")), KillKind::Crash);
+    }
+
+    #[test]
+    fn kill_kind_names_are_stable_and_crashed_covers_both_failures() {
+        assert_eq!(KillKind::Diff.name(), "diff");
+        assert_eq!(KillKind::Crash.name(), "crash");
+        assert_eq!(KillKind::Hang.name(), "hang");
+        for (kind, crashed) in [
+            (KillKind::Diff, false),
+            (KillKind::Crash, true),
+            (KillKind::Hang, true),
+        ] {
+            let kill = DynamicKill {
+                seed: 1,
+                trials: 1,
+                kind,
+            };
+            assert_eq!(kill.crashed(), crashed, "{}", kind.name());
+        }
+    }
 }

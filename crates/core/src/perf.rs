@@ -134,14 +134,14 @@ mod tests {
             cost_enabled,
             cost_disabled,
         };
-        let mut v = vec![mk(0, 1.0, 2.0), mk(1, 1.0, f64::NAN), mk(2, 1.0, 1.5)];
+        let mut v = [mk(0, 1.0, 2.0), mk(1, 1.0, f64::NAN), mk(2, 1.0, 1.5)];
         v.sort_by(super::by_inflation_desc);
         let order: Vec<u16> = v.iter().map(|r| r.rule.0).collect();
         // NaN (descending total_cmp) sorts first; the finite entries keep
         // their descending-inflation order. What matters is: no panic, and
         // the same order every time.
         assert_eq!(order, vec![1, 0, 2]);
-        let mut again = vec![mk(2, 1.0, 1.5), mk(1, 1.0, f64::NAN), mk(0, 1.0, 2.0)];
+        let mut again = [mk(2, 1.0, 1.5), mk(1, 1.0, f64::NAN), mk(0, 1.0, 2.0)];
         again.sort_by(super::by_inflation_desc);
         let order2: Vec<u16> = again.iter().map(|r| r.rule.0).collect();
         assert_eq!(order, order2);

@@ -321,7 +321,7 @@ mod tests {
         assert_eq!(heap.pop().unwrap().0, 2.0);
         assert_eq!(heap.pop().unwrap().0, 1.0);
 
-        let mut costs = vec![2.0, f64::NAN, 1.0];
+        let mut costs = [2.0, f64::NAN, 1.0];
         costs.sort_by(f64::total_cmp);
         assert_eq!(costs[0], 1.0);
         assert_eq!(costs[1], 2.0);

@@ -3,6 +3,7 @@
 use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
 use ruletest_common::{wire_names, ColId, Json, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Binary operators. Comparison and logical operators produce BOOL;
 /// arithmetic operators produce INT.
@@ -72,7 +73,9 @@ impl BinOp {
     }
 }
 
-/// A scalar expression over column ids.
+/// A scalar expression over column ids. Subtrees are shared, never
+/// mutated: cloning an expression (every rule that moves a predicate into
+/// a substitute does) bumps reference counts instead of copying the tree.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Reference to a column instance by id.
@@ -82,13 +85,13 @@ pub enum Expr {
     /// Binary operation.
     Bin {
         op: BinOp,
-        left: Box<Expr>,
-        right: Box<Expr>,
+        left: Arc<Expr>,
+        right: Arc<Expr>,
     },
     /// Logical negation (Kleene NOT).
-    Not(Box<Expr>),
+    Not(Arc<Expr>),
     /// `expr IS NULL` — total (never returns NULL itself).
-    IsNull(Box<Expr>),
+    IsNull(Arc<Expr>),
 }
 
 impl Expr {
@@ -103,8 +106,8 @@ impl Expr {
     pub fn bin(op: BinOp, left: Expr, right: Expr) -> Expr {
         Expr::Bin {
             op,
-            left: Box::new(left),
-            right: Box::new(right),
+            left: Arc::new(left),
+            right: Arc::new(right),
         }
     }
 
@@ -124,11 +127,11 @@ impl Expr {
     // no receiver, so it cannot shadow the operator trait.
     #[allow(clippy::should_implement_trait)]
     pub fn not(inner: Expr) -> Expr {
-        Expr::Not(Box::new(inner))
+        Expr::Not(Arc::new(inner))
     }
 
     pub fn is_null(inner: Expr) -> Expr {
-        Expr::IsNull(Box::new(inner))
+        Expr::IsNull(Arc::new(inner))
     }
 
     /// The constant TRUE predicate.

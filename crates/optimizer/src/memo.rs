@@ -48,6 +48,12 @@ pub struct Group {
     /// backs the §7 "rule r2 exercised on an expression obtained as a
     /// result of exercising rule r1" interaction tracking.
     pub created_by: Vec<Option<RuleId>>,
+    /// Insertion stamps, aligned with `exprs`: the memo's expression count
+    /// just before each push, so strictly increasing within the group
+    /// (groups are append-only). An expression shared into a second group
+    /// carries the stamp of that later push there. The explore loop reads
+    /// "what is new since a rule last matched" off these.
+    pub stamp: Vec<u32>,
     pub schema: Schema,
     /// Column ids of `schema`, for the rules' "predicate within this
     /// input" checks.
@@ -224,6 +230,7 @@ impl Memo {
                         exprs: Vec::new(),
                         organic: Vec::new(),
                         created_by: Vec::new(),
+                        stamp: Vec::new(),
                         cols: schema.iter().map(|c| c.id).collect(),
                         schema,
                         est_rows,
@@ -239,6 +246,7 @@ impl Memo {
         group.exprs.push(shared);
         group.organic.push(organic);
         group.created_by.push(creator);
+        group.stamp.push(self.num_exprs as u32);
         self.num_exprs += 1;
         Ok((gid, true))
     }
@@ -339,7 +347,9 @@ mod tests {
 
     /// The O(1) count agrees with the groups, every index entry points at
     /// an equal expression, and every expression is indexed exactly once
-    /// per group that holds it.
+    /// per group that holds it. The stamps number the pushes: strictly
+    /// increasing within a group, and along an expression's homes in the
+    /// order it reached them.
     fn assert_index_consistent(memo: &Memo) {
         let total: usize = memo.groups.iter().map(|g| g.exprs.len()).sum();
         assert_eq!(memo.num_exprs(), total);
@@ -350,8 +360,21 @@ mod tests {
                 assert!(held[..i].iter().all(|&(earlier, _)| earlier != g));
                 indexed += 1;
             }
+            let stamps: Vec<u32> = held
+                .iter()
+                .map(|&(g, pos)| memo.group(g).stamp[pos as usize])
+                .collect();
+            assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{stamps:?}");
         }
         assert_eq!(indexed, total);
+        let mut stamps: Vec<u32> = Vec::new();
+        for group in &memo.groups {
+            assert_eq!(group.stamp.len(), group.exprs.len());
+            assert!(group.stamp.windows(2).all(|w| w[0] < w[1]));
+            stamps.extend(&group.stamp);
+        }
+        stamps.sort_unstable();
+        assert!(stamps.iter().copied().eq(0..total as u32), "one per push");
     }
 
     #[test]
@@ -405,6 +428,9 @@ mod tests {
             memo.index[&memo.group(home).exprs[0]],
             vec![(home, 0), (root, copy as u32)]
         );
+        // The second home carries the stamp of its own, later push.
+        assert_eq!(memo.group(home).stamp[0], 3);
+        assert_eq!(memo.group(root).stamp[copy], 4);
         assert_index_consistent(&memo);
 
         // An organic re-derivation is a no-op apart from the flag at the

@@ -132,6 +132,10 @@ pub struct Optimizer {
     explore_by_kind: [Vec<usize>; ALL_KINDS.len()],
     /// Same for implementation rules.
     implement_by_kind: [Vec<usize>; ALL_KINDS.len()],
+    /// Per rule: the pattern is one concrete node over placeholders, so an
+    /// expression has at most one binding of it, whatever its child groups
+    /// hold.
+    root_only: Vec<bool>,
     invocations: AtomicU64,
     /// Invocation cache for the `optimize*_cached` entry points; shared
     /// across every campaign phase that goes through this optimizer.
@@ -215,12 +219,17 @@ impl Optimizer {
                 }
             }
         }
+        let root_only = rules
+            .iter()
+            .map(|r| r.pattern.concrete_ops() == 1)
+            .collect();
         Self {
             db,
             rules,
             by_name,
             explore_by_kind,
             implement_by_kind,
+            root_only,
             invocations: AtomicU64::new(0),
             cache: OptCache::default(),
             telemetry: OnceLock::new(),
@@ -479,12 +488,17 @@ impl Optimizer {
             });
         }
 
+        let n_rules = self.rules.len();
+        let rule = |r: usize| RuleId(r as u16);
         Ok((
             OptimizeResult {
                 cost: plan.est_cost,
                 plan,
-                rule_set: exercised,
-                rule_dependencies,
+                rule_set: (0..n_rules).filter(|&r| exercised[r]).map(rule).collect(),
+                rule_dependencies: (0..n_rules * n_rules)
+                    .filter(|&i| rule_dependencies[i])
+                    .map(|i| (rule(i / n_rules), rule(i % n_rules)))
+                    .collect(),
                 groups: memo.num_groups(),
                 exprs: memo.num_exprs(),
                 truncated,
@@ -517,8 +531,9 @@ impl Optimizer {
         let mut memo = Memo::new();
         let (root, _) = memo.insert(&self.db, newtree_from_logical(tree), None, true)?;
         let ids = RefCell::new(IdGen::above(tree));
-        let mut exercised: BTreeSet<RuleId> = BTreeSet::new();
-        let mut rule_dependencies: BTreeSet<(RuleId, RuleId)> = BTreeSet::new();
+        let n_rules = self.rules.len();
+        let mut exercised = vec![false; n_rules];
+        let mut rule_dependencies = vec![false; n_rules * n_rules];
         let mut truncated = false;
         // Per-rule bind/substitute timing, buffered until the caller's
         // dedup decision (`Some` exactly when telemetry is enabled).
@@ -534,17 +549,23 @@ impl Optimizer {
         // derivation, hence independent of the rule mask — which preserves
         // cost monotonicity under masking.
         //
-        // `applied` holds `[rule, binding signature..]` of the applied
-        // bindings that have nested picks; a binding of the root alone is
-        // applied the first time its rule matches the expression.
+        // Per group, at `expr * stride + position of the rule among the
+        // expression kind's rules`: `UNMATCHED`, or the memo's expression
+        // count when the rule last bound the expression. Read against the
+        // insertion stamps ([`Group::stamp`]) the mark says whether a child
+        // group grew since (re-binding is pointless until one does) and
+        // which bindings are new: those with a nested pick stamped at or
+        // after the mark. Every older binding was enumerated by that last
+        // bind and applied then.
+        let mut marks: Vec<Vec<u32>> = Vec::new();
+        const UNMATCHED: u32 = u32::MAX;
+        let stride = self.explore_by_kind.iter().map(Vec::len).max().unwrap_or(0);
+        // A minting rule skips a binding with a non-organic pick *without*
+        // applying it, and the pick may turn organic later, so for these
+        // rules alone an old binding is not an applied one: theirs are
+        // remembered here, as `[rule, binding signature..]`.
         let mut applied: HashSet<Box<[u32]>, WordBuild> = HashSet::default();
         let mut key: Vec<u32> = Vec::new();
-        // Per group, at `expr * rules + rule`: the sum of child group sizes
-        // when the rule last matched the expression; re-matching is
-        // pointless until some child group grows.
-        let mut match_watermark: Vec<Vec<u32>> = Vec::new();
-        const UNMATCHED: u32 = u32::MAX;
-        let n_rules = self.rules.len();
         let mut binder = Binder::default();
 
         'passes: for pass in 0..config.max_passes {
@@ -556,11 +577,19 @@ impl Optimizer {
                 // Task-expansion boundary: a runaway rule is abandoned
                 // within one group's worth of work.
                 config.deadline.check("memo task expansion")?;
-                match_watermark.resize_with(memo.num_groups(), Vec::new);
+                marks.resize_with(memo.num_groups(), Vec::new);
                 let mut ei = 0usize;
                 while ei < memo.group(gid).exprs.len() {
                     let kind = memo.group(gid).exprs[ei].op.kind();
-                    for &ri in &self.explore_by_kind[kind as usize] {
+                    if marks[g].len() < (ei + 1) * stride {
+                        marks[g].resize((ei + 1) * stride, UNMATCHED);
+                    }
+                    let marks = &mut marks[g][ei * stride..][..stride];
+                    // The newest stamp in a child group, as of `newest_at`
+                    // expressions. Applying a rule here can grow a child
+                    // group only if that child is this expression's own.
+                    let (mut newest, mut newest_at) = (0, 0);
+                    for (slot, &ri) in self.explore_by_kind[kind as usize].iter().enumerate() {
                         let rule = &self.rules[ri];
                         let rid = RuleId(ri as u16);
                         if config.mask.is_disabled(rid) {
@@ -569,48 +598,56 @@ impl Optimizer {
                         if rule.mints_fresh_ids && !memo.is_organic(gid, ei) {
                             continue;
                         }
-                        // Child-growth watermark: bindings only change when
-                        // a child group gains expressions.
-                        let child_sum = memo.group(gid).exprs[ei]
-                            .children
-                            .iter()
-                            .map(|&c| memo.group(c).exprs.len() as u32)
-                            .sum::<u32>();
-                        let marks = &mut match_watermark[g];
-                        if marks.len() < (ei + 1) * n_rules {
-                            marks.resize((ei + 1) * n_rules, UNMATCHED);
+                        let mark = marks[slot];
+                        if mark != UNMATCHED {
+                            // Its one binding was applied.
+                            if self.root_only[ri] {
+                                continue;
+                            }
+                            if newest_at != memo.num_exprs() {
+                                newest_at = memo.num_exprs();
+                                newest = memo.group(gid).exprs[ei]
+                                    .children
+                                    .iter()
+                                    .filter_map(|&c| memo.group(c).stamp.last().copied())
+                                    .max()
+                                    .unwrap_or(0);
+                            }
+                            if newest < mark {
+                                continue;
+                            }
                         }
-                        let mark = std::mem::replace(&mut marks[ei * n_rules + ri], child_sum);
-                        if mark == child_sum {
-                            continue;
-                        }
+                        marks[slot] = memo.num_exprs() as u32;
                         let bind_started = sample.is_some().then(Instant::now);
                         binder.sigs.clear();
                         let bindings = binder.bind(&memo, &rule.pattern, gid, ei);
                         if let (Some(s), Some(t)) = (sample.as_mut(), bind_started) {
                             s.record_bind(rid.0, RulePhase::Explore, t.elapsed().as_nanos() as u64);
                         }
-                        let stride = binder.sigs.len() / bindings.max(1);
-                        for sig in (0..bindings).map(|b| &binder.sigs[b * stride..][..stride]) {
-                            if rule.mints_fresh_ids
-                                && !sig
+                        let nodes = binder.sigs.len() / bindings.max(1);
+                        for sig in (0..bindings).map(|b| &binder.sigs[b * nodes..][..nodes]) {
+                            if rule.mints_fresh_ids {
+                                if !sig
                                     .iter()
                                     .all(|&(g, e)| memo.is_organic(GroupId(g), e as usize))
+                                {
+                                    continue;
+                                }
+                                if nodes > 1 {
+                                    key.clear();
+                                    key.push(ri as u32);
+                                    key.extend(sig.iter().flat_map(|&(g, e)| [g, e]));
+                                    if applied.contains(key.as_slice()) {
+                                        continue;
+                                    }
+                                    applied.insert(key.as_slice().into());
+                                }
+                            } else if mark != UNMATCHED
+                                && sig[1..]
+                                    .iter()
+                                    .all(|&(g, e)| memo.group(GroupId(g)).stamp[e as usize] < mark)
                             {
                                 continue;
-                            }
-                            if sig.len() == 1 {
-                                if mark != UNMATCHED {
-                                    continue;
-                                }
-                            } else {
-                                key.clear();
-                                key.push(ri as u32);
-                                key.extend(sig.iter().flat_map(|&(g, e)| [g, e]));
-                                if applied.contains(key.as_slice()) {
-                                    continue;
-                                }
-                                applied.insert(key.as_slice().into());
                             }
                             let apply_started = sample.is_some().then(Instant::now);
                             let mut picks = sig.iter().copied();
@@ -633,9 +670,9 @@ impl Optimizer {
                                 );
                             }
                             if !results.is_empty() {
-                                exercised.insert(rid);
+                                exercised[ri] = true;
                                 if let Some(creator) = memo.created_by(gid, ei) {
-                                    rule_dependencies.insert((creator, rid));
+                                    rule_dependencies[creator.0 as usize * n_rules + ri] = true;
                                 }
                                 let produced = results.len() as u32;
                                 tel.event(|| Event::RuleFire {
@@ -721,8 +758,11 @@ pub struct Search {
     /// The group of the (order-pinned) query root.
     pub root: GroupId,
     ids: RefCell<IdGen>,
-    exercised: BTreeSet<RuleId>,
-    rule_dependencies: BTreeSet<(RuleId, RuleId)>,
+    /// Per rule: some application of it returned a substitute or a
+    /// candidate (`RuleSet(q)` as flags).
+    exercised: Vec<bool>,
+    /// At `r1 * rules + r2`: r2 fired on an expression r1 had created.
+    rule_dependencies: Vec<bool>,
     truncated: bool,
     /// The invocation's profile buffer (`None` when telemetry is disabled).
     sample: Option<ProfileSample>,
@@ -944,7 +984,7 @@ struct Extractor<'a> {
     /// winner, so parents may cost against it.
     winners: Vec<Option<Option<Winner>>>,
     binder: Binder<'a>,
-    exercised: &'a mut BTreeSet<RuleId>,
+    exercised: &'a mut [bool],
     /// The invocation's profile buffer (implementation-phase bind/apply
     /// timings land here, `None` when telemetry is disabled).
     sample: &'a mut Option<ProfileSample>,
@@ -1004,7 +1044,7 @@ impl Extractor<'_> {
                         );
                     }
                     if !candidates.is_empty() {
-                        self.exercised.insert(rid);
+                        self.exercised[ri] = true;
                         let produced = candidates.len() as u32;
                         self.optimizer.telemetry().event(|| Event::RuleFire {
                             rule: rid.0,
@@ -1081,6 +1121,7 @@ impl Extractor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruletest_expr::{AggCall, AggFunc, BinOp};
     use ruletest_storage::{tpch_database, TpchConfig};
 
     fn optimizer() -> Optimizer {
@@ -1094,6 +1135,263 @@ mod tests {
         let r = LogicalTree::get(cat.table_by_name("region").unwrap(), &mut ids);
         let pred = Expr::eq(Expr::col(l.output_col(2)), Expr::col(r.output_col(0)));
         LogicalTree::join(JoinKind::Inner, l, r, pred)
+    }
+
+    /// `lineitem ⋈ orders ⋈ part ⋈ …` (`joins` inner joins on first
+    /// columns) under a global `COUNT(*)`.
+    fn star_query(opt: &Optimizer, joins: usize) -> LogicalTree {
+        let cat = &opt.db.catalog;
+        let mut ids = IdGen::new();
+        let mut tree = LogicalTree::get(cat.table_by_name("lineitem").unwrap(), &mut ids);
+        let mut left_key = tree.output_col(0);
+        for t in ["orders", "part", "supplier", "customer"]
+            .iter()
+            .take(joins)
+        {
+            let right = LogicalTree::get(cat.table_by_name(t).unwrap(), &mut ids);
+            let right_key = right.output_col(0);
+            let pred = Expr::eq(Expr::col(left_key), Expr::col(right_key));
+            tree = LogicalTree::join(JoinKind::Inner, tree, right, pred);
+            left_key = right_key;
+        }
+        let count = AggCall::new(AggFunc::CountStar, None, ids.fresh());
+        LogicalTree::gbagg(tree, vec![], vec![count])
+    }
+
+    /// `σ(s_key = 1 ∧ r_name IS NULL)((supplier ⋈ nation) ⟕ region)`: the
+    /// outer-join and selection rules bind.
+    fn outer_join_query(opt: &Optimizer) -> LogicalTree {
+        let cat = &opt.db.catalog;
+        let mut ids = IdGen::new();
+        let s = LogicalTree::get(cat.table_by_name("supplier").unwrap(), &mut ids);
+        let n = LogicalTree::get(cat.table_by_name("nation").unwrap(), &mut ids);
+        let r = LogicalTree::get(cat.table_by_name("region").unwrap(), &mut ids);
+        let filter = Expr::and(
+            Expr::eq(Expr::col(s.output_col(0)), Expr::lit(1i64)),
+            Expr::is_null(Expr::col(r.output_col(1))),
+        );
+        let sn = Expr::eq(Expr::col(s.output_col(3)), Expr::col(n.output_col(0)));
+        let nr = Expr::eq(Expr::col(n.output_col(2)), Expr::col(r.output_col(0)));
+        let inner = LogicalTree::join(JoinKind::Inner, s, n, sn);
+        LogicalTree::select(LogicalTree::join(JoinKind::LeftOuter, inner, r, nr), filter)
+    }
+
+    /// `GROUP BY` over `(region ∪ region) ∪ region`, projected: every
+    /// fresh-id rule over unions and aggregates binds.
+    fn union_query(opt: &Optimizer) -> LogicalTree {
+        let region = opt.db.catalog.table_by_name("region").unwrap();
+        let mut ids = IdGen::new();
+        let scan = |ids: &mut IdGen| {
+            let table = LogicalTree::get(region, ids);
+            let key = table.output_col(0);
+            (table, key)
+        };
+        let ((a, ak), (b, bk), (c, ck)) = (scan(&mut ids), scan(&mut ids), scan(&mut ids));
+        let (abk, key) = (ids.fresh(), ids.fresh());
+        let ab = LogicalTree::union_all(a, b, vec![abk], vec![ak], vec![bk]);
+        let abc = LogicalTree::union_all(ab, c, vec![key], vec![abk], vec![ck]);
+        let projected = LogicalTree::project(abc, vec![(key, Expr::col(key))]);
+        let count = AggCall::new(AggFunc::CountStar, None, ids.fresh());
+        LogicalTree::gbagg(projected, vec![key], vec![count])
+    }
+
+    /// `σ(π(π(σ(part))))`. With `SelectPullAboveProject` disabled, a child
+    /// group's first new expression is the very next push after its
+    /// parent's bind: the boundary case of "stamped at or after the mark".
+    fn select_project_query(opt: &Optimizer) -> LogicalTree {
+        let mut ids = IdGen::new();
+        let part = LogicalTree::get(opt.db.catalog.table_by_name("part").unwrap(), &mut ids);
+        let col = |i| Expr::col(part.output_col(i));
+        let named = Expr::or(Expr::eq(col(1), col(2)), Expr::eq(col(1), Expr::lit("A")));
+        let inner_cols = [col(2), col(0), col(3), col(4)];
+        let sum = Expr::bin(BinOp::Add, col(0), Expr::lit(4i64));
+        let inner_ids = ids.fresh_n(5);
+        let inner = LogicalTree::project(
+            LogicalTree::select(part, named),
+            inner_ids
+                .iter()
+                .copied()
+                .zip(inner_cols.into_iter().chain([sum]))
+                .collect(),
+        );
+        let outer_ids = ids.fresh_n(4);
+        let sum2 = outer_ids[2];
+        let outer = LogicalTree::project(
+            inner,
+            outer_ids
+                .into_iter()
+                .zip([0, 2, 4, 1].map(|i| Expr::col(inner_ids[i])))
+                .collect(),
+        );
+        LogicalTree::select(
+            outer,
+            Expr::bin(BinOp::Lt, Expr::col(sum2), Expr::lit(15i64)),
+        )
+    }
+
+    /// A binding as the integers that identify it: per concrete node its
+    /// group and its operator's address (memo expressions never move), per
+    /// placeholder the group it stands for.
+    fn binding_key(bound: &Bound, out: &mut Vec<usize>) {
+        out.extend([bound.group.0 as usize, bound.op as *const Operator as usize]);
+        for child in &bound.children {
+            match child {
+                BoundChild::Leaf(g) => out.push(g.0 as usize),
+                BoundChild::Nested(b) => binding_key(b, out),
+            }
+        }
+    }
+
+    type Applications = Arc<std::sync::Mutex<Vec<(&'static str, Vec<usize>)>>>;
+
+    /// The catalog with each exploration rule `wrap` selects replaced by a
+    /// closure that logs the binding it is applied to and delegates.
+    fn recording_optimizer(wrap: impl Fn(&Rule) -> bool) -> (Optimizer, Applications) {
+        let log = Applications::default();
+        let overrides = exploration_rules()
+            .into_iter()
+            .filter(|r| wrap(r))
+            .map(|rule| {
+                let RuleAction::Explore(action) = rule.action else {
+                    unreachable!("catalog exploration rules are fn pointers");
+                };
+                let (name, log) = (rule.name, Arc::clone(&log));
+                Rule {
+                    action: RuleAction::ExploreDyn(Arc::new(move |ctx, bound| {
+                        let mut key = Vec::new();
+                        binding_key(bound, &mut key);
+                        log.lock().unwrap().push((name, key));
+                        action(ctx, bound)
+                    })),
+                    ..rule
+                }
+            })
+            .collect();
+        let db = Arc::new(tpch_database(&TpchConfig::default()).unwrap());
+        (Optimizer::new_with_overrides(db, overrides), log)
+    }
+
+    /// An oracle that shares nothing with the marks and stamps: whatever
+    /// `explore` decided to apply, at the fixpoint every binding of every
+    /// rule must have been handed to the rule's action exactly once.
+    #[test]
+    fn every_binding_at_the_fixpoint_was_applied_exactly_once() {
+        let (opt, log) = recording_optimizer(|_| true);
+        let all = OptimizerConfig::default();
+        let no_pull = opt.rule_id("SelectPullAboveProject").unwrap();
+        let queries = [
+            (star_query(&opt, 3), all.clone()),
+            (outer_join_query(&opt), all.clone()),
+            (union_query(&opt), all),
+            (
+                select_project_query(&opt),
+                OptimizerConfig::disabling(&[no_pull]),
+            ),
+        ];
+        let mut applied_rules = BTreeSet::new();
+        for (tree, config) in &queries {
+            log.lock().unwrap().clear();
+            let search = opt.explore(tree, config).unwrap();
+            assert!(!search.truncated, "a fixpoint, not a budget");
+            let mut recorded = std::mem::take(&mut *log.lock().unwrap());
+            recorded.sort();
+            for pair in recorded.windows(2) {
+                assert_ne!(pair[0], pair[1], "applied twice");
+            }
+
+            let memo = &search.memo;
+            let mut expected = Vec::new();
+            for g in (0..memo.num_groups() as u32).map(GroupId) {
+                for ei in 0..memo.group(g).exprs.len() {
+                    for rid in opt.exploration_rule_ids() {
+                        if config.mask.is_disabled(rid) {
+                            continue;
+                        }
+                        let rule = opt.rule(rid);
+                        for bound in match_bindings(memo, &rule.pattern, g, ei) {
+                            let mut key = Vec::new();
+                            binding_key(&bound, &mut key);
+                            if !rule.mints_fresh_ids || all_picks_organic(memo, &bound) {
+                                expected.push((rule.name, key));
+                            }
+                        }
+                    }
+                }
+            }
+            expected.sort();
+            assert!(expected.len() > 10, "{} bindings", expected.len());
+            assert_eq!(recorded, expected);
+            applied_rules.extend(recorded.iter().map(|&(rule, _)| rule));
+        }
+        // The rules that keep the applied set were all in play.
+        for rule in opt.rules.iter().filter(|r| r.mints_fresh_ids) {
+            assert!(
+                applied_rules.contains(rule.name),
+                "{} never bound",
+                rule.name
+            );
+        }
+    }
+
+    fn all_picks_organic(memo: &Memo, bound: &Bound) -> bool {
+        let group = memo.group(bound.group);
+        let at = group
+            .exprs
+            .iter()
+            .position(|e| std::ptr::eq(&e.op, bound.op))
+            .expect("a bound operator lives in its group");
+        group.organic[at]
+            && bound.children.iter().all(|c| match c {
+                BoundChild::Leaf(_) => true,
+                BoundChild::Nested(b) => all_picks_organic(memo, b),
+            })
+    }
+
+    #[test]
+    fn a_root_only_rule_is_applied_once_per_expression_it_matches() {
+        let (opt, log) = recording_optimizer(|r| r.name == "InnerJoinCommute");
+        // The largest star that reaches its fixpoint under the default
+        // budget (four joins saturate at 115,605 expressions).
+        let search = opt
+            .explore(&star_query(&opt, 3), &OptimizerConfig::default())
+            .unwrap();
+        assert!(!search.truncated);
+        let memo = &search.memo;
+        let joins = (0..memo.num_groups() as u32)
+            .flat_map(|g| &memo.group(GroupId(g)).exprs)
+            .filter(|e| e.op.join_kind() == Some(JoinKind::Inner))
+            .count();
+        let mut calls = std::mem::take(&mut *log.lock().unwrap());
+        assert_eq!(calls.len(), joins);
+        assert!(joins > 100, "{joins} joins");
+        calls.sort();
+        calls.dedup();
+        assert_eq!(calls.len(), joins, "each on its own expression");
+    }
+
+    #[test]
+    fn exactly_the_single_node_patterns_are_root_only() {
+        let opt = optimizer();
+        let root_only: Vec<&str> = opt
+            .exploration_rule_ids()
+            .into_iter()
+            .filter(|r| opt.root_only[r.0 as usize])
+            .map(|r| opt.rule(r).name)
+            .collect();
+        assert_eq!(
+            root_only,
+            [
+                "InnerJoinCommute",
+                "LojCommute",
+                "RojCommute",
+                "FojCommute",
+                "AntiJoinToLojFilter",
+                "SelectSplit",
+                "DistinctToGbAgg",
+                "GbAggSplitLocalGlobal",
+                "UnionAllCommute",
+            ]
+        );
     }
 
     #[test]
