@@ -187,31 +187,90 @@ mod tests {
         assert_eq!(d.len(), 6);
     }
 
-    /// Written out from the all-`usize` implementation: the narrower scratch
-    /// vector must not change a sample (or the generator's state after it),
-    /// or every generated database and query would change with it.
+    /// Written out from the implementation that shuffled `0..bound`: another
+    /// way of finding the sample must not change it (or the generator's
+    /// state after it), or every generated database and query would change
+    /// with it. Long samples are pinned by an `Fnv64` over their indices.
     #[test]
     fn sample_indices_output_is_pinned() {
-        let pins: [(u64, usize, usize, &[usize], u64); 3] = [
-            (6, 10, 6, &[3, 7, 0, 6, 2, 8], 1966555846863684499),
+        #[derive(Debug, PartialEq)]
+        enum Pin {
+            Exact(Vec<usize>),
+            Digest(u64),
+        }
+        let exact = |s: &[usize]| Pin::Exact(s.to_vec());
+        let pins: Vec<(u64, usize, usize, Pin, u64)> = vec![
+            (6, 10, 6, exact(&[3, 7, 0, 6, 2, 8]), 1966555846863684499),
             (
                 0xC0FFEE,
                 1000,
                 5,
-                &[368, 956, 894, 271, 76],
+                exact(&[368, 956, 894, 271, 76]),
                 15728902394346339365,
             ),
             (
                 42,
                 70_000,
                 4,
-                &[10524, 4110, 17471, 26104],
+                exact(&[10524, 4110, 17471, 26104]),
                 1059497302502820090,
             ),
+            // The scale-256 database's partsupp draw.
+            (
+                1,
+                19_660_800,
+                15_360,
+                Pin::Digest(5595930889090598405),
+                5549750712474618567,
+            ),
+            // n == bound, n == bound - 1, n == 1, n == 0.
+            (
+                3,
+                8,
+                8,
+                exact(&[7, 2, 5, 4, 0, 1, 3, 6]),
+                10538070327042380923,
+            ),
+            (3, 8, 7, exact(&[7, 2, 5, 4, 0, 1, 3]), 10538070327042380923),
+            (
+                9,
+                1000,
+                1000,
+                Pin::Digest(17658379670030522757),
+                6153393305520615115,
+            ),
+            (
+                9,
+                1000,
+                999,
+                Pin::Digest(11207342123320052361),
+                6153393305520615115,
+            ),
+            (5, 70_000, 1, exact(&[33609]), 10483873731666838422),
+            (5, 70_000, 0, exact(&[]), 10483873731666838422),
+            // Bounds 0, 1 and 2.
+            (5, 0, 0, exact(&[]), 7425169861924250732),
+            (5, 1, 0, exact(&[]), 7425169861924250732),
+            (5, 1, 1, exact(&[0]), 7425169861924250732),
+            (5, 2, 0, exact(&[]), 9963077368425047696),
+            (5, 2, 1, exact(&[1]), 9963077368425047696),
+            (5, 2, 2, exact(&[1, 0]), 9963077368425047696),
         ];
-        for (seed, bound, n, sample, next) in pins {
+        for (seed, bound, n, pin, next) in pins {
             let mut r = Rng::new(seed);
-            assert_eq!(r.sample_indices(bound, n), sample, "({seed}, {bound}, {n})");
+            let sample = r.sample_indices(bound, n);
+            assert_eq!(sample.len(), n, "({seed}, {bound}, {n})");
+            let actual = match pin {
+                Pin::Exact(_) => Pin::Exact(sample),
+                Pin::Digest(_) => {
+                    let mut h = crate::Fnv64::new();
+                    for &i in &sample {
+                        h.write_u64(i as u64);
+                    }
+                    Pin::Digest(h.finish())
+                }
+            };
+            assert_eq!(actual, pin, "({seed}, {bound}, {n})");
             assert_eq!(r.next_u64(), next, "state after ({seed}, {bound}, {n})");
         }
     }

@@ -162,6 +162,36 @@ mod tests {
     }
 
     #[test]
+    fn rows_with_a_null_key_component_are_not_indexed() {
+        let mut cat = Catalog::new();
+        cat.add_table(TableDef {
+            id: TableId(0),
+            name: "t".into(),
+            columns: vec![
+                ColumnDef::new("a", DataType::Int, true),
+                ColumnDef::new("b", DataType::Int, true),
+            ],
+            primary_key: vec![0, 1],
+            unique_keys: vec![],
+            foreign_keys: vec![],
+        })
+        .unwrap();
+        let rows = vec![
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Null, Value::Int(2)],
+            vec![Value::Null, Value::Null],
+        ];
+        let t = Table::from_rows(&cat, TableId(0), rows.clone()).unwrap();
+        assert_eq!(t.pk_lookup(&[Value::Int(1), Value::Int(2)]), &[1]);
+        for (off, row) in rows.iter().enumerate() {
+            if off != 1 {
+                assert!(t.pk_lookup(row).is_empty(), "row {off} is indexed");
+            }
+        }
+    }
+
+    #[test]
     fn missing_table_data_errors() {
         let db = db_with_one_table();
         assert!(db.table(TableId(0)).is_err());

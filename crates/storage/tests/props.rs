@@ -4,8 +4,8 @@
 //! in-repo `check` harness.
 
 use ruletest_common::check::{gen, CheckConfig};
-use ruletest_common::{ensure, ensure_eq, forall, Value};
-use ruletest_storage::{tpch_database, TpchConfig};
+use ruletest_common::{ensure, ensure_eq, forall, DataType, TableId, Value};
+use ruletest_storage::{tpch_database, Catalog, ColumnDef, Database, TableDef, TpchConfig};
 use std::collections::HashSet;
 
 fn config(seed: u64, factor: usize, null_p: f64) -> TpchConfig {
@@ -105,23 +105,84 @@ fn generation_is_pure() {
     });
 }
 
-/// The PK hash index answers point lookups consistently with a scan.
+/// The primary-key index answers point lookups as a scan does, on every
+/// table (the composite keys of `lineitem` and `partsupp` included): a key
+/// taken from a row, a random key, an absent one, one containing NULL and
+/// ones of the wrong arity.
 #[test]
 fn pk_index_matches_scan() {
-    forall!(CheckConfig::cases(24); seed in gen::u64s(), probe in gen::i64s(0..50) => {
+    forall!(CheckConfig::cases(24);
+            seed in gen::u64s(),
+            pick in gen::usizes(0..10_000),
+            probe in gen::pairs(gen::i64s(0..50), gen::i64s(0..9)) => {
         let db = tpch_database(&config(seed, 1, 0.1)).unwrap();
-        let def = db.catalog.table_by_name("orders").unwrap().clone();
-        let t = db.table(def.id).unwrap();
-        let key = vec![Value::Int(probe)];
-        let via_index: HashSet<usize> = t.pk_lookup(&key).iter().copied().collect();
-        let via_scan: HashSet<usize> = t
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r[0] == Value::Int(probe))
-            .map(|(i, _)| i)
-            .collect();
-        ensure_eq!(via_index, via_scan);
+        for def in db.catalog.tables() {
+            let t = db.table(def.id).unwrap();
+            let key_of = |row: &[Value]| -> Vec<Value> {
+                def.primary_key.iter().map(|&c| row[c].clone()).collect()
+            };
+            let scan = |key: &[Value]| -> Vec<usize> {
+                (0..t.rows.len()).filter(|&i| key_of(&t.rows[i]) == key).collect()
+            };
+            let arity = def.primary_key.len();
+
+            let present = key_of(&t.rows[pick % t.rows.len()]);
+            ensure_eq!(t.pk_lookup(&present), [pick % t.rows.len()], "{}", def.name);
+            let random = [Value::Int(probe.0), Value::Int(probe.1)][..arity].to_vec();
+            ensure_eq!(t.pk_lookup(&random), scan(&random), "{}: {random:?}", def.name);
+
+            let mut absent = present.clone();
+            absent[arity - 1] = Value::Int(-1);
+            ensure!(t.pk_lookup(&absent).is_empty(), "{}: absent key", def.name);
+            let mut with_null = present.clone();
+            with_null[arity - 1] = Value::Null;
+            ensure!(t.pk_lookup(&with_null).is_empty(), "{}: NULL in key", def.name);
+            let mut longer = present.clone();
+            longer.push(Value::Int(0));
+            ensure!(t.pk_lookup(&longer).is_empty(), "{}: key too long", def.name);
+            ensure!(t.pk_lookup(&present[..arity - 1]).is_empty(), "{}: key too short", def.name);
+        }
         Ok(())
     });
+}
+
+/// A table may hold a key more than once (nothing enforces uniqueness on
+/// user-supplied rows): every offset comes back, ascending.
+#[test]
+fn duplicated_keys_come_back_ascending() {
+    let mut catalog = Catalog::new();
+    let id = catalog
+        .add_table(TableDef {
+            id: TableId(0),
+            name: "dup".into(),
+            columns: vec![
+                ColumnDef::new("a", DataType::Int, true),
+                ColumnDef::new("b", DataType::Str, true),
+            ],
+            primary_key: vec![0, 1],
+            unique_keys: vec![],
+            foreign_keys: vec![],
+        })
+        .unwrap();
+    let key = |a: i64, b: &str| vec![Value::Int(a), Value::from(b)];
+    let mut db = Database::new(catalog);
+    db.load_table(
+        id,
+        vec![
+            key(2, "x"),
+            key(1, "y"),
+            key(2, "x"),
+            vec![Value::Int(2), Value::Null],
+            key(2, "w"),
+            key(1, "y"),
+            key(2, "x"),
+        ],
+    )
+    .unwrap();
+    let t = db.table(id).unwrap();
+    assert_eq!(t.pk_lookup(&key(2, "x")), [0, 2, 6]);
+    assert_eq!(t.pk_lookup(&key(1, "y")), [1, 5]);
+    assert_eq!(t.pk_lookup(&key(2, "w")), [4]);
+    assert!(t.pk_lookup(&key(1, "x")).is_empty());
+    assert!(t.pk_lookup(&[Value::Int(2), Value::Null]).is_empty());
 }
