@@ -5,6 +5,9 @@
 //! regeneration reproducible run-to-run and machine-to-machine, which the
 //! paper's trial-count comparisons (Figures 8–10) depend on.
 
+use crate::hash::WordBuild;
+use std::collections::HashMap;
+
 /// A small, fast, deterministic PRNG (xorshift64* seeded via splitmix64).
 ///
 /// Not cryptographic; statistical quality is ample for workload generation.
@@ -35,12 +38,8 @@ impl Rng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.state = step(self.state);
+        output(self.state)
     }
 
     /// Uniform integer in `[0, bound)`. Panics if `bound == 0`.
@@ -48,7 +47,7 @@ impl Rng {
         assert!(bound > 0, "gen_below(0)");
         // Multiply-shift rejection-free mapping; bias is negligible for the
         // small bounds used here (< 2^32), and determinism matters more.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+        below(self.next_u64(), bound)
     }
 
     /// Uniform integer in `[lo, hi]` inclusive. Panics if `lo > hi`.
@@ -85,28 +84,92 @@ impl Rng {
     }
 
     /// Samples `n` distinct indices from `[0, bound)` (n <= bound),
-    /// returned in random order.
+    /// returned in random order: the first `n` elements of `0..bound` after
+    /// [`Rng::shuffle`], and the generator is left where that shuffle would
+    /// leave it — but only the `n` elements are held, not the range.
     ///
-    /// The whole range is shuffled, so the scratch vector is `bound` long
-    /// (the scale-256 database asks for 19.7 M): it holds `u32`s when the
-    /// indices fit, which halves it. The draws depend on the length alone,
-    /// so both widths return the same sample.
+    /// The shuffle draws `j = gen_index(i + 1)` and swaps `i` with `j` for
+    /// `i = bound - 1 ..= 1`. Because the array starts as the identity, the
+    /// value that ends at position `p` is where `p` stands after the swaps
+    /// are undone last to first (`i = 1, 2, ..`): a tracked position at `i`
+    /// moves to `j`, one at `j` moves to `i`. That needs the draws in the
+    /// reverse of the order they are generated, so the generator is advanced
+    /// to its final state first and then stepped backwards ([`unstep`]).
     pub fn sample_indices(&mut self, bound: usize, n: usize) -> Vec<usize> {
         assert!(n <= bound, "sample_indices: n > bound");
-        match u32::try_from(bound) {
-            Ok(bound) => {
-                let mut all: Vec<u32> = (0..bound).collect();
-                self.shuffle(&mut all);
-                all[..n].iter().map(|&i| i as usize).collect()
+        for _ in 1..bound {
+            self.state = step(self.state);
+        }
+        // `sample[k]` is where result position `k` stands and `slot_at` is
+        // its inverse. Nearly every swap touches no tracked position (at the
+        // scale-256 database's draw, 19.5 M of 19.66 M), so a bit per
+        // position answers that before the map is probed.
+        let mut sample: Vec<usize> = (0..n).collect();
+        let mut slot_at: HashMap<usize, usize, WordBuild> = (0..n).map(|k| (k, k)).collect();
+        let mut tracked = vec![0u64; bound / 64 + 1];
+        let bit = |p: usize| 1u64 << (p % 64);
+        for k in 0..n {
+            tracked[k / 64] |= bit(k);
+        }
+        let mut state = self.state;
+        for i in 1..bound {
+            let j = below(output(state), i as u64 + 1) as usize;
+            state = unstep(state);
+            if j == i || (tracked[i / 64] & bit(i)) | (tracked[j / 64] & bit(j)) == 0 {
+                continue;
             }
-            Err(_) => {
-                let mut all: Vec<usize> = (0..bound).collect();
-                self.shuffle(&mut all);
-                all.truncate(n);
-                all
+            let (at_i, at_j) = (slot_at.remove(&i), slot_at.remove(&j));
+            for (slot, to) in [(at_i, j), (at_j, i)] {
+                match slot {
+                    Some(k) => {
+                        sample[k] = to;
+                        slot_at.insert(to, k);
+                        tracked[to / 64] |= bit(to);
+                    }
+                    None => tracked[to / 64] &= !bit(to),
+                }
             }
         }
+        sample
     }
+}
+
+/// One xorshift64 state transition.
+#[inline]
+fn step(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// The inverse of [`step`]. Each `x ^= x << k` is the linear map `1 + L^k`
+/// on 64 bits, whose inverse is `1 + L^k + L^2k + ..` (a finite sum, since
+/// `L^64 = 0`): `(1 + L^k)(1 + L^2k)(1 + L^4k)..` until the shift passes 64.
+#[inline]
+fn unstep(mut x: u64) -> u64 {
+    x ^= x << 17;
+    x ^= x << 34;
+    x ^= x >> 7;
+    x ^= x >> 14;
+    x ^= x >> 28;
+    x ^= x >> 56;
+    x ^= x << 13;
+    x ^= x << 26;
+    x ^= x << 52;
+    x
+}
+
+/// The value a state yields (xorshift64*'s output scramble).
+#[inline]
+fn output(state: u64) -> u64 {
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Maps a raw word to `[0, bound)` by multiply-shift.
+#[inline]
+fn below(word: u64, bound: u64) -> u64 {
+    ((word as u128 * bound as u128) >> 64) as u64
 }
 
 #[cfg(test)]
@@ -174,6 +237,40 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn unstep_inverts_step() {
+        let mut r = Rng::new(77);
+        for _ in 0..1000 {
+            let before = r.state;
+            r.next_u64();
+            assert_eq!(unstep(r.state), before);
+        }
+        for x in [1, u64::MAX, 1 << 63, 0x1234_5678_9ABC_DEF0] {
+            assert_eq!(unstep(step(x)), x);
+            assert_eq!(step(unstep(x)), x);
+        }
+    }
+
+    /// The definition: the head of a shuffled `0..bound`, same state after.
+    #[test]
+    fn sample_indices_is_the_head_of_a_shuffle() {
+        for (seed, bound) in [(1, 1), (2, 2), (3, 3), (4, 17), (5, 64), (6, 1000)] {
+            let mut shuffled: Vec<usize> = (0..).take(bound).collect();
+            let mut reference = Rng::new(seed);
+            reference.shuffle(&mut shuffled);
+            let after = reference.next_u64();
+            for n in [0, 1, bound / 2, bound.saturating_sub(1), bound] {
+                let mut r = Rng::new(seed);
+                assert_eq!(
+                    r.sample_indices(bound, n),
+                    shuffled[..n],
+                    "({seed}, {bound}, {n})"
+                );
+                assert_eq!(r.next_u64(), after, "state after ({seed}, {bound}, {n})");
+            }
+        }
     }
 
     #[test]

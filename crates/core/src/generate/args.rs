@@ -121,7 +121,7 @@ impl<'a> ArgGen<'a> {
                     Value::Int(rng.gen_range_i64(0, 10_000))
                 }
             }
-            DataType::Str => Value::Str(rng.pick(STR_POOL).to_string()),
+            DataType::Str => Value::from(*rng.pick(STR_POOL)),
             DataType::Bool => Value::Bool(rng.gen_bool(0.5)),
         }
     }

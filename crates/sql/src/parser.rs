@@ -783,7 +783,7 @@ impl Parser<'_> {
     fn parse_primary(&mut self) -> Result<Ast> {
         match self.bump() {
             Token::Number(n) => Ok(Ast::Lit(Value::Int(n))),
-            Token::Str(s) => Ok(Ast::Lit(Value::Str(s))),
+            Token::Str(s) => Ok(Ast::Lit(Value::Str(s.into()))),
             Token::Symbol("-") => match self.bump() {
                 Token::Number(n) => Ok(Ast::Lit(Value::Int(-n))),
                 other => Err(Error::parse(format!("bad negative literal {other:?}"))),

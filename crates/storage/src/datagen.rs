@@ -24,6 +24,12 @@ const PRIORITIES: &[&str] = &["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED
 const BRANDS: &[&str] = &["Brand#11", "Brand#12", "Brand#21", "Brand#22", "Brand#31"];
 const FLAGS: &[&str] = &["A", "N", "R"];
 
+/// One shared value per word, so that each row drawing a word clones a
+/// pointer instead of allocating the string again.
+pub(crate) fn vocabulary(words: &[&str]) -> Vec<Value> {
+    words.iter().map(|&w| w.into()).collect()
+}
+
 fn maybe_null(rng: &mut Rng, p: f64, v: Value) -> Value {
     if rng.gen_bool(p) {
         Value::Null
@@ -36,13 +42,19 @@ fn maybe_null(rng: &mut Rng, p: f64, v: Value) -> Value {
 pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
     let mut rng = Rng::new(config.seed);
     let p = config.null_probability;
+    let region_names = vocabulary(REGION_NAMES);
+    let segments = vocabulary(SEGMENTS);
+    let statuses = vocabulary(STATUSES);
+    let priorities = vocabulary(PRIORITIES);
+    let brands = vocabulary(BRANDS);
+    let flags = vocabulary(FLAGS);
 
     // region
     let rows: Vec<Row> = (0..config.regions)
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(REGION_NAMES[i % REGION_NAMES.len()].to_string()),
+                region_names[i % region_names.len()].clone(),
             ]
         })
         .collect();
@@ -54,7 +66,7 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("NATION_{i:02}")),
+                format!("NATION_{i:02}").into(),
                 Value::Int(r.gen_index(config.regions) as i64),
             ]
         })
@@ -67,7 +79,7 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("Supplier#{i:04}")),
+                format!("Supplier#{i:04}").into(),
                 Value::Int(r.gen_index(config.nations) as i64),
                 {
                     let v = Value::Int(r.gen_range_i64(-999, 9999));
@@ -84,8 +96,8 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("part_{i:04}")),
-                Value::Str(BRANDS[r.gen_index(BRANDS.len())].to_string()),
+                format!("part_{i:04}").into(),
+                r.pick(&brands).clone(),
                 Value::Int(r.gen_range_i64(1, 50)),
                 {
                     let v = Value::Int(r.gen_range_i64(100, 2000));
@@ -124,13 +136,13 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(format!("Customer#{i:05}")),
+                format!("Customer#{i:05}").into(),
                 Value::Int(r.gen_index(config.nations) as i64),
                 {
                     let v = Value::Int(r.gen_range_i64(-999, 9999));
                     maybe_null(&mut r, p, v)
                 },
-                Value::Str(SEGMENTS[r.gen_index(SEGMENTS.len())].to_string()),
+                r.pick(&segments).clone(),
             ]
         })
         .collect();
@@ -143,11 +155,11 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
             vec![
                 Value::Int(i as i64),
                 Value::Int(r.gen_index(config.customers) as i64),
-                Value::Str(STATUSES[r.gen_index(STATUSES.len())].to_string()),
+                r.pick(&statuses).clone(),
                 Value::Int(r.gen_range_i64(1000, 500_000)),
                 Value::Int(r.gen_range_i64(8000, 10_000)),
                 {
-                    let v = Value::Str(PRIORITIES[r.gen_index(PRIORITIES.len())].to_string());
+                    let v = r.pick(&priorities).clone();
                     maybe_null(&mut r, p, v)
                 },
             ]
@@ -173,7 +185,7 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
             Value::Int(r.gen_range_i64(1, 50)),
             Value::Int(r.gen_range_i64(100, 100_000)),
             Value::Int(r.gen_range_i64(0, 10)),
-            Value::Str(FLAGS[r.gen_index(FLAGS.len())].to_string()),
+            r.pick(&flags).clone(),
             {
                 let v = Value::Int(r.gen_range_i64(8000, 10_000));
                 maybe_null(&mut r, p, v)
@@ -189,12 +201,12 @@ pub fn populate_tpch(db: &mut Database, config: &TpchConfig) -> Result<()> {
     // of the order counter: dedup by renumbering collisions.
     let mut seen = std::collections::HashSet::new();
     for row in &mut rows {
-        let mut key = (row[0].clone(), row[1].clone());
-        while !seen.insert(key.clone()) {
-            let ln = key.1.as_int().expect("linenumber is non-null int") + 1;
-            row[1] = Value::Int(ln);
-            key = (row[0].clone(), row[1].clone());
+        let order = row[0].as_int().expect("orderkey is a non-null int");
+        let mut line = row[1].as_int().expect("linenumber is a non-null int");
+        while !seen.insert((order, line)) {
+            line += 1;
         }
+        row[1] = Value::Int(line);
     }
     db.load_table(LINEITEM, rows)?;
 

@@ -8,6 +8,7 @@
 //! every framework component runs against it unchanged.
 
 use crate::catalog::{Catalog, ColumnDef, ForeignKey, TableDef};
+use crate::datagen::vocabulary;
 use crate::table::Database;
 use ruletest_common::{DataType, Result, Rng, Row, Value};
 
@@ -162,6 +163,11 @@ pub fn ssb_database(config: &SsbConfig) -> Result<Database> {
     let mut rng = Rng::new(config.seed);
     let p = config.null_probability;
     use table_ids::*;
+    let cities = vocabulary(CITIES);
+    let regions = vocabulary(REGIONS);
+    let categories = vocabulary(CATEGORIES);
+    let colors = vocabulary(COLORS);
+    let weekdays = vocabulary(WEEKDAYS);
 
     let rows: Vec<Row> = (0..config.dates)
         .map(|i| {
@@ -169,7 +175,7 @@ pub fn ssb_database(config: &SsbConfig) -> Result<Database> {
                 Value::Int(19_920_101 + i as i64),
                 Value::Int(1 + (i as i64 % 12)),
                 Value::Int(1992 + (i as i64 / 12)),
-                Value::Str(WEEKDAYS[i % WEEKDAYS.len()].to_string()),
+                weekdays[i % weekdays.len()].clone(),
             ]
         })
         .collect();
@@ -180,8 +186,8 @@ pub fn ssb_database(config: &SsbConfig) -> Result<Database> {
         .map(|i| {
             vec![
                 Value::Int(i as i64),
-                Value::Str(CITIES[r.gen_index(CITIES.len())].to_string()),
-                Value::Str(REGIONS[r.gen_index(REGIONS.len())].to_string()),
+                r.pick(&cities).clone(),
+                r.pick(&regions).clone(),
             ]
         })
         .collect();
@@ -189,12 +195,7 @@ pub fn ssb_database(config: &SsbConfig) -> Result<Database> {
 
     let mut r = rng.fork(2);
     let rows: Vec<Row> = (0..config.suppliers)
-        .map(|i| {
-            vec![
-                Value::Int(i as i64),
-                Value::Str(CITIES[r.gen_index(CITIES.len())].to_string()),
-            ]
-        })
+        .map(|i| vec![Value::Int(i as i64), r.pick(&cities).clone()])
         .collect();
     db.load_table(SUPPLIER, rows)?;
 
@@ -204,13 +205,9 @@ pub fn ssb_database(config: &SsbConfig) -> Result<Database> {
             let color = if r.gen_bool(p) {
                 Value::Null
             } else {
-                Value::Str(COLORS[r.gen_index(COLORS.len())].to_string())
+                r.pick(&colors).clone()
             };
-            vec![
-                Value::Int(i as i64),
-                Value::Str(CATEGORIES[r.gen_index(CATEGORIES.len())].to_string()),
-                color,
-            ]
+            vec![Value::Int(i as i64), r.pick(&categories).clone(), color]
         })
         .collect();
     db.load_table(PART, rows)?;

@@ -3,20 +3,23 @@
 use crate::catalog::Catalog;
 use crate::stats::TableStats;
 use ruletest_common::{Error, Result, Row, TableId, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// A materialized base table: its rows plus precomputed statistics and a
-/// hash index over the primary key (used by the `IndexSeek` physical
-/// operator).
+/// A materialized base table: its rows plus precomputed statistics and an
+/// index over the primary key (used by the `IndexSeek` physical operator).
 #[derive(Debug, Clone)]
 pub struct Table {
     pub id: TableId,
     pub rows: Vec<Row>,
     pub stats: TableStats,
-    /// Primary-key hash index: PK value tuple -> row offsets. Keys with any
-    /// NULL component are not indexed (our shipped schemas have non-null
-    /// keys; the guard is for user-supplied data).
-    pk_index: HashMap<Vec<Value>, Vec<usize>>,
+    /// The primary key's column ordinals.
+    primary_key: Vec<usize>,
+    /// Primary-key index: the offsets of the rows whose key has no NULL
+    /// component, sorted by key under `Value::total_cmp` and then by offset
+    /// (our shipped schemas have non-null keys; the guard is for
+    /// user-supplied data).
+    pk_index: Vec<usize>,
 }
 
 impl Table {
@@ -34,30 +37,55 @@ impl Table {
             }
         }
         let stats = TableStats::compute(def, &rows);
-        let mut pk_index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (off, row) in rows.iter().enumerate() {
-            let key: Vec<Value> = def.primary_key.iter().map(|&o| row[o].clone()).collect();
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            pk_index.entry(key).or_default().push(off);
-        }
+        let primary_key = def.primary_key.clone();
+        let mut pk_index: Vec<usize> = (0..rows.len())
+            .filter(|&off| primary_key.iter().all(|&c| !rows[off][c].is_null()))
+            .collect();
+        // Stable, so equal keys keep their ascending offsets.
+        pk_index.sort_by(|&a, &b| {
+            let key = primary_key.iter().map(|&c| &rows[b][c]);
+            cmp_key(&primary_key, &rows[a], key)
+        });
         Ok(Table {
             id,
             rows,
             stats,
+            primary_key,
             pk_index,
         })
     }
 
-    /// Looks up row offsets by primary-key value tuple.
+    /// Looks up row offsets by primary-key value tuple, ascending. A key
+    /// with a NULL component or of another arity than the primary key's
+    /// matches nothing.
     pub fn pk_lookup(&self, key: &[Value]) -> &[usize] {
-        self.pk_index.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+        if key.len() != self.primary_key.len() {
+            return &[];
+        }
+        let cmp = |off: usize| cmp_key(&self.primary_key, &self.rows[off], key.iter());
+        let lo = self.pk_index.partition_point(|&off| cmp(off).is_lt());
+        // The caller visits every match anyway, and a key is usually unique:
+        // walking to the end of the run beats a second search over cold rows.
+        let matches = self.pk_index[lo..]
+            .iter()
+            .take_while(|&&off| cmp(off).is_eq())
+            .count();
+        &self.pk_index[lo..lo + matches]
     }
 
     pub fn row_count(&self) -> usize {
         self.rows.len()
     }
+}
+
+/// Orders `row`'s primary-key columns against `key`, column by column.
+fn cmp_key<'a>(primary_key: &[usize], row: &Row, key: impl Iterator<Item = &'a Value>) -> Ordering {
+    primary_key
+        .iter()
+        .zip(key)
+        .map(|(&c, v)| row[c].total_cmp(v))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 /// A catalog plus materialized tables — the "given test database" of §2.3.

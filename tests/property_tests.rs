@@ -173,7 +173,7 @@ fn value_gen() -> impl check::Gen<Value = Value> {
             let s: String = (0..len)
                 .map(|_| char::from(b'a' + rng.gen_index(3) as u8))
                 .collect();
-            Value::Str(s)
+            Value::Str(s.into())
         }
     })
 }
