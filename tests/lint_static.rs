@@ -2,12 +2,18 @@
 //! the three original `--fault` mutants is caught *without executing a
 //! single query*, and the pattern-necessity audit holds for every exported
 //! rule pattern.
+//!
+//! The clean catalog's report — corpus trees, bindings and substitutes
+//! audited — is pinned by `tests/golden/lint_clean.json`, generated before
+//! ISSUE 25 re-expressed the join rules. There is no regeneration switch.
 
 use ruletest_core::{mutant_optimizer, Mutant};
 use ruletest_lint::{lint_rules, LintPass};
 use ruletest_optimizer::Optimizer;
 use ruletest_storage::{tpch_database, TpchConfig};
 use std::sync::Arc;
+
+const GOLDEN_CLEAN: &str = include_str!("golden/lint_clean.json");
 
 fn db() -> Arc<ruletest_storage::Database> {
     // The audit is purely static — only the catalog matters — so the
@@ -30,6 +36,12 @@ fn clean_catalog_has_no_violations() {
     assert!(report.stats.corpus_trees > 50);
     assert!(report.stats.substitutes_audited > 100);
     assert!(report.stats.necessity_probes > 500);
+
+    let actual = report.to_json().to_string_pretty();
+    assert!(
+        actual == GOLDEN_CLEAN,
+        "report differs from tests/golden/lint_clean.json\n--- actual ---\n{actual}"
+    );
 }
 
 #[test]

@@ -2,11 +2,18 @@
 //! end-to-end, every expected-detectable mutant killed per its verdict,
 //! every benign mutant reported as a non-bug, and the lint-escape
 //! matrix non-trivial.
+//!
+//! The campaign's deterministic JSON is pinned by
+//! `tests/golden/mutation_report.json` (every mutant's static catch,
+//! kill seed, trials and kind), generated before ISSUE 25 re-expressed
+//! the join rules and their mutants. There is no regeneration switch.
 
 use ruletest_core::mutate::{BugClass, Mutant, MutationConfig, Verdict};
 use ruletest_storage::{tpch_database, TpchConfig};
 use ruletest_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
+
+const GOLDEN_REPORT: &str = include_str!("golden/mutation_report.json");
 
 /// The hand-written bugs that predate the catalog; `--fault` and repro
 /// bundles name them by these ids.
@@ -106,6 +113,12 @@ fn full_catalog_campaign_meets_the_acceptance_bar() {
     );
     assert_eq!(tel.counter(Counter::LintEscapes), escapes.len() as u64);
     assert!(!report.failed());
+
+    let actual = report.to_json().to_string_pretty();
+    assert!(
+        actual == GOLDEN_REPORT,
+        "report differs from tests/golden/mutation_report.json\n--- actual ---\n{actual}"
+    );
 }
 
 #[test]

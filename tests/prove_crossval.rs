@@ -8,9 +8,61 @@
 //!   prover unsoundness);
 //! * no cost-only (benign) mutant is proved inequivalent (that would be
 //!   a false alarm).
+//!
+//! Two goldens, generated before ISSUE 25 re-expressed the join rules and
+//! their mutants, pin the prover's output exactly (no regeneration
+//! switch): `tests/golden/prove_mutants.txt` holds one line per mutant —
+//! id, verdict, substitutes examined, violation components — and
+//! `tests/golden/prove_clean.json` the clean catalog's report.
 
-use ruletest_core::mutate::{crossval_prove, BugClass};
-use ruletest_lint::prove::ProveVerdict;
+use ruletest_core::mutate::{crossval_prove, mutant_optimizer, BugClass, Mutant};
+use ruletest_lint::prove::{self, ProveVerdict};
+use ruletest_optimizer::Optimizer;
+use ruletest_telemetry::Telemetry;
+use std::sync::Arc;
+
+const GOLDEN_MUTANTS: &str = include_str!("golden/prove_mutants.txt");
+const GOLDEN_CLEAN: &str = include_str!("golden/prove_clean.json");
+
+#[test]
+fn mutant_proofs_match_the_golden_lines() {
+    let db = Arc::new(prove::symbolic_database());
+    let mut actual = String::new();
+    for m in Mutant::all() {
+        let opt = mutant_optimizer(db.clone(), m);
+        let report = prove::prove_rules_focused(&opt, m.rule_name, &Telemetry::disabled()).unwrap();
+        let proof = &report.rules[0];
+        let components: Vec<&str> = proof
+            .violations
+            .iter()
+            .map(|v| v.component.as_str())
+            .collect();
+        actual.push_str(&format!(
+            "{} {} substitutes={} violations=[{}]\n",
+            m.id,
+            proof.verdict,
+            proof.substitutes,
+            components.join(",")
+        ));
+    }
+    assert!(
+        actual == GOLDEN_MUTANTS,
+        "proofs differ from tests/golden/prove_mutants.txt\n--- actual ---\n{actual}"
+    );
+}
+
+#[test]
+fn clean_catalog_proof_matches_the_golden_report() {
+    let opt = Optimizer::new(Arc::new(prove::symbolic_database()));
+    let actual = prove::prove_rules(&opt, &Telemetry::disabled())
+        .unwrap()
+        .to_json()
+        .to_string_pretty();
+    assert!(
+        actual == GOLDEN_CLEAN,
+        "report differs from tests/golden/prove_clean.json\n--- actual ---\n{actual}"
+    );
+}
 
 const TARGET_CLASSES: [BugClass; 4] = [
     BugClass::DroppedPrecondition,
