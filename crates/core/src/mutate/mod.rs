@@ -137,9 +137,9 @@ pub struct Mutant {
     pub expected: Verdict,
     /// One-line statement of the seeded bug.
     pub note: &'static str,
-    /// Builds the sabotaged rule (same name as the real rule, so
+    /// Derives the sabotaged rule from the real one (keeping its name, so
     /// [`Optimizer::new_with_overrides`] swaps it in).
-    pub(crate) build: fn() -> Rule,
+    pub(crate) build: fn(Rule) -> Rule,
 }
 
 impl Mutant {
@@ -161,7 +161,7 @@ impl Mutant {
 
     /// The sabotaged rule.
     pub fn rule(&self) -> Rule {
-        (self.build)()
+        (self.build)(catalog::real(self.rule_name))
     }
 }
 

@@ -23,6 +23,7 @@ pub mod optimizer;
 pub mod pattern;
 pub mod persist;
 pub mod physical;
+pub mod rewrite;
 pub mod rule;
 pub mod rules;
 pub mod rules_impl;
@@ -34,6 +35,7 @@ pub use optimizer::{match_bindings, OptimizeResult, Optimizer, OptimizerConfig, 
 pub use pattern::{OpMatcher, PatternTree};
 pub use persist::{campaign_fingerprint, SnapshotStore, WarmHit};
 pub use physical::{PhysOp, PhysicalPlan};
+pub use rewrite::Rewrite;
 pub use rule::{
     Bound, BoundChild, NewChild, NewTree, PhysCandidate, Rule, RuleAction, RuleCtx, RuleKind,
 };

@@ -1244,27 +1244,21 @@ mod tests {
 
     type Applications = Arc<std::sync::Mutex<Vec<(&'static str, Vec<usize>)>>>;
 
-    /// The catalog with each exploration rule `wrap` selects replaced by a
-    /// closure that logs the binding it is applied to and delegates.
+    /// The catalog with each exploration rule `wrap` selects wrapped to
+    /// log the binding it is applied to.
     fn recording_optimizer(wrap: impl Fn(&Rule) -> bool) -> (Optimizer, Applications) {
         let log = Applications::default();
         let overrides = exploration_rules()
             .into_iter()
             .filter(|r| wrap(r))
             .map(|rule| {
-                let RuleAction::Explore(action) = rule.action else {
-                    unreachable!("catalog exploration rules are fn pointers");
-                };
                 let (name, log) = (rule.name, Arc::clone(&log));
-                Rule {
-                    action: RuleAction::ExploreDyn(Arc::new(move |ctx, bound| {
-                        let mut key = Vec::new();
-                        binding_key(bound, &mut key);
-                        log.lock().unwrap().push((name, key));
-                        action(ctx, bound)
-                    })),
-                    ..rule
-                }
+                rule.wrap_explore(move |bound, substitutes| {
+                    let mut key = Vec::new();
+                    binding_key(bound, &mut key);
+                    log.lock().unwrap().push((name, key));
+                    substitutes
+                })
             })
             .collect();
         let db = Arc::new(tpch_database(&TpchConfig::default()).unwrap());

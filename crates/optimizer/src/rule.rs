@@ -4,9 +4,11 @@
 use crate::memo::{GroupId, Memo};
 use crate::pattern::PatternTree;
 use crate::physical::PhysOp;
+use crate::rewrite::Rewrite;
 use ruletest_logical::{LogicalTree, Operator};
 use ruletest_storage::Database;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Exploration (logical) vs implementation (physical) rules — §2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,20 +112,16 @@ impl<'a> RuleCtx<'a> {
     }
 }
 
-/// A boxed exploration substitute, shared by [`RuleAction::ExploreDyn`]
-/// and [`Rule::explore_dyn`].
-pub type DynExplore = std::sync::Arc<dyn Fn(&RuleCtx, &Bound) -> Vec<NewTree> + Send + Sync>;
+/// An exploration substitute written as code.
+pub type ExploreFn = Arc<dyn Fn(&RuleCtx, &Bound) -> Vec<NewTree> + Send + Sync>;
 
-/// The substitution function of a rule.
+/// The substitution of a rule.
 pub enum RuleAction {
-    /// Produces zero or more equivalent logical substitutes.
-    Explore(fn(&RuleCtx, &Bound) -> Vec<NewTree>),
-    /// An exploration substitute carried as a closure. The catalog proper
-    /// uses plain fn pointers; this variant exists so derived rules (the
-    /// mutation engine's buggy variants) can wrap a real rule's action
-    /// with a transformation without a named top-level function per
-    /// mutant.
-    ExploreDyn(DynExplore),
+    /// Logical substitutes from the rule IR's interpreter.
+    Rewrite(Rewrite),
+    /// Logical substitutes from code: the rules the IR cannot express, and
+    /// rules derived by wrapping another's action.
+    Explore(ExploreFn),
     /// Produces zero or more physical alternatives.
     Implement(fn(&RuleCtx, &Bound) -> Vec<PhysCandidate>),
 }
@@ -137,8 +135,8 @@ impl RuleAction {
     /// Runs the exploration substitute, if this is an exploration action.
     pub fn apply_explore(&self, ctx: &RuleCtx, bound: &Bound) -> Option<Vec<NewTree>> {
         match self {
+            RuleAction::Rewrite(rewrite) => Some(rewrite.apply(ctx, bound)),
             RuleAction::Explore(f) => Some(f(ctx, bound)),
-            RuleAction::ExploreDyn(f) => Some(f(ctx, bound)),
             RuleAction::Implement(_) => None,
         }
     }
@@ -162,37 +160,52 @@ pub struct Rule {
 }
 
 impl Rule {
-    pub fn explore(
+    /// An exploration rule in the IR.
+    pub fn rewrite(
         name: &'static str,
         pattern: PatternTree,
         precondition: &'static str,
-        f: fn(&RuleCtx, &Bound) -> Vec<NewTree>,
+        rewrite: Rewrite,
     ) -> Rule {
         Rule {
             name,
             kind: RuleKind::Exploration,
             pattern,
             precondition,
-            action: RuleAction::Explore(f),
+            action: RuleAction::Rewrite(rewrite),
             mints_fresh_ids: false,
         }
     }
 
-    /// Like [`Rule::explore`], but the substitute is a closure. Used by
-    /// derived (mutated) rule variants; catalog rules stay fn pointers.
-    pub fn explore_dyn(
+    /// An exploration rule whose substitution is code.
+    pub fn explore(
         name: &'static str,
         pattern: PatternTree,
         precondition: &'static str,
-        f: DynExplore,
+        f: impl Fn(&RuleCtx, &Bound) -> Vec<NewTree> + Send + Sync + 'static,
     ) -> Rule {
         Rule {
             name,
             kind: RuleKind::Exploration,
             pattern,
             precondition,
-            action: RuleAction::ExploreDyn(f),
+            action: RuleAction::Explore(Arc::new(f)),
             mints_fresh_ids: false,
+        }
+    }
+
+    /// This exploration rule with `wrap` applied to every binding and the
+    /// substitutes the rule's own action returns for it.
+    pub fn wrap_explore(
+        self,
+        wrap: impl Fn(&Bound, Vec<NewTree>) -> Vec<NewTree> + Send + Sync + 'static,
+    ) -> Rule {
+        let action = self.action;
+        Rule {
+            action: RuleAction::Explore(Arc::new(move |ctx, bound| {
+                wrap(bound, action.apply_explore(ctx, bound).unwrap_or_default())
+            })),
+            ..self
         }
     }
 

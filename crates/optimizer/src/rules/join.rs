@@ -4,188 +4,35 @@
 //! left outer join — `R JOIN (S LOJ T) = (R JOIN S) LOJ T` when the join
 //! predicate references only R and S — whose firing *enables* inner-join
 //! commutativity on the new `(R JOIN S)` expression (a rule dependency).
+//!
+//! Every rule but the two union distributions is a [`Rewrite`]; each comment
+//! names its pattern's nodes in pre-order (see [`crate::rewrite::Node`]).
 
 use super::util::*;
 use crate::pattern::PatternTree;
+use crate::rewrite::{Guard, Pred, Rewrite, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_expr::{conjoin, try_col_eq_col, Expr};
+use ruletest_common::ColId;
+use ruletest_expr::Expr;
 use ruletest_logical::{JoinKind, OpKind, Operator};
 
-fn any() -> PatternTree {
-    PatternTree::Any
-}
+const ANY: PatternTree = PatternTree::Any;
 
 fn join_op(kind: JoinKind, predicate: Expr) -> Operator {
     Operator::Join { kind, predicate }
 }
 
-/// `A JOIN B -> B JOIN A` (inner joins; output columns are a set, so no
-/// projection is needed).
-fn inner_join_commute(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate, .. } = &b.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        join_op(JoinKind::Inner, predicate.clone()),
-        vec![gref(&b.children[1]), gref(&b.children[0])],
-    )]
-}
-
-/// `(A JOIN B) JOIN C -> A JOIN (B JOIN C)`, redistributing the combined
-/// conjuncts: the new lower join receives those over B∪C, the upper join
-/// the rest.
-fn inner_join_assoc_left(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate: p, .. } = &b.op else {
-        return vec![];
-    };
-    let Some(lower) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: q, .. } = &lower.op else {
-        return vec![];
-    };
-    let (a, bb) = (&lower.children[0], &lower.children[1]);
-    let c = &b.children[1];
-    let mut all = ruletest_expr::conjuncts(p);
-    all.extend(ruletest_expr::conjuncts(q));
-    let (lower_parts, upper_parts): (Vec<Expr>, Vec<Expr>) = all
-        .into_iter()
-        .partition(|e| pred_within_groups(ctx, e, bb.group(), c.group()));
-    vec![NewTree::new(
-        join_op(JoinKind::Inner, conjoin(upper_parts)),
-        vec![
-            gref(a),
-            NewChild::Tree(NewTree::new(
-                join_op(JoinKind::Inner, conjoin(lower_parts)),
-                vec![gref(bb), gref(c)],
-            )),
-        ],
-    )]
-}
-
-/// `A JOIN (B JOIN C) -> (A JOIN B) JOIN C` — mirror of the above.
-fn inner_join_assoc_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate: p, .. } = &b.op else {
-        return vec![];
-    };
-    let Some(lower) = b.children[1].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: q, .. } = &lower.op else {
-        return vec![];
-    };
-    let a = &b.children[0];
-    let (bb, c) = (&lower.children[0], &lower.children[1]);
-    let mut all = ruletest_expr::conjuncts(p);
-    all.extend(ruletest_expr::conjuncts(q));
-    let (lower_parts, upper_parts): (Vec<Expr>, Vec<Expr>) = all
-        .into_iter()
-        .partition(|e| pred_within_groups(ctx, e, a.group(), bb.group()));
-    vec![NewTree::new(
-        join_op(JoinKind::Inner, conjoin(upper_parts)),
-        vec![
-            NewChild::Tree(NewTree::new(
-                join_op(JoinKind::Inner, conjoin(lower_parts)),
-                vec![gref(a), gref(bb)],
-            )),
-            gref(c),
-        ],
-    )]
-}
-
-/// `A LOJ B -> B ROJ A`.
-fn loj_commute(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate, .. } = &b.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        join_op(JoinKind::RightOuter, predicate.clone()),
-        vec![gref(&b.children[1]), gref(&b.children[0])],
-    )]
-}
-
-/// `A ROJ B -> B LOJ A`.
-fn roj_commute(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate, .. } = &b.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        join_op(JoinKind::LeftOuter, predicate.clone()),
-        vec![gref(&b.children[1]), gref(&b.children[0])],
-    )]
-}
-
-/// `A FOJ B -> B FOJ A`.
-fn foj_commute(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate, .. } = &b.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        join_op(JoinKind::FullOuter, predicate.clone()),
-        vec![gref(&b.children[1]), gref(&b.children[0])],
-    )]
-}
-
-/// The paper's §3 example: `R JOIN (S LOJ T) -> (R JOIN S) LOJ T`, valid
-/// when the inner-join predicate references only R and S.
-fn join_loj_assoc(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate: p, .. } = &b.op else {
-        return vec![];
-    };
-    let r = &b.children[0];
-    let Some(loj) = b.children[1].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: q, .. } = &loj.op else {
-        return vec![];
-    };
-    let (s, t) = (&loj.children[0], &loj.children[1]);
-    if !pred_within_groups(ctx, p, r.group(), s.group()) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        join_op(JoinKind::LeftOuter, q.clone()),
-        vec![
-            NewChild::Tree(NewTree::new(
-                join_op(JoinKind::Inner, p.clone()),
-                vec![gref(r), gref(s)],
-            )),
-            gref(t),
-        ],
-    )]
-}
-
-/// Inverse of the above: `(R JOIN S) LOJ T -> R JOIN (S LOJ T)`, valid when
-/// the outer-join predicate references only S and T.
-fn join_loj_assoc_inv(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate: q, .. } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: p, .. } = &inner.op else {
-        return vec![];
-    };
-    let (r, s) = (&inner.children[0], &inner.children[1]);
-    let t = &b.children[1];
-    if !pred_within_groups(ctx, q, s.group(), t.group()) {
-        return vec![];
-    }
-    // The inner predicate must also avoid T (guaranteed: it was validated
-    // over R∪S), and must reference only R∪S so it can move up — it already
-    // does. The rotated form re-checks p over R∪(S LOJ T) which is a
-    // superset, so it stays valid.
-    vec![NewTree::new(
-        join_op(JoinKind::Inner, p.clone()),
-        vec![
-            gref(r),
-            NewChild::Tree(NewTree::new(
-                join_op(JoinKind::LeftOuter, q.clone()),
-                vec![gref(s), gref(t)],
-            )),
-        ],
-    )]
+/// The predicate as it reads over a union's left and right inputs.
+fn remap_to_sides(
+    predicate: &Expr,
+    outputs: &[ColId],
+    left: &[ColId],
+    right: &[ColId],
+) -> [Expr; 2] {
+    [left, right].map(|side| {
+        let map = outputs.iter().copied().zip(side.iter().copied()).collect();
+        ruletest_expr::remap_columns(predicate, &map)
+    })
 }
 
 /// Distributes a left-row-driven join over a union on its left input:
@@ -195,12 +42,6 @@ fn join_distribute_union_left(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Join { kind, predicate } = &b.op else {
         return vec![];
     };
-    if !matches!(
-        kind,
-        JoinKind::Inner | JoinKind::LeftOuter | JoinKind::LeftSemi | JoinKind::LeftAnti
-    ) {
-        return vec![];
-    }
     let Some(union) = b.children[0].nested() else {
         return vec![];
     };
@@ -212,22 +53,16 @@ fn join_distribute_union_left(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     else {
         return vec![];
     };
-    let (ua, ub) = (&union.children[0], &union.children[1]);
     let c = &b.children[1];
-    let to_left: std::collections::HashMap<_, _> = outputs
-        .iter()
-        .copied()
-        .zip(left_cols.iter().copied())
-        .collect();
-    let to_right: std::collections::HashMap<_, _> = outputs
-        .iter()
-        .copied()
-        .zip(right_cols.iter().copied())
-        .collect();
-    let pred_a = ruletest_expr::remap_columns(predicate, &to_left);
-    let pred_b = ruletest_expr::remap_columns(predicate, &to_right);
-    let join_a = NewTree::new(join_op(*kind, pred_a), vec![gref(ua), gref(c)]);
-    let join_b = NewTree::new(join_op(*kind, pred_b), vec![gref(ub), gref(c)]);
+    let [pred_a, pred_b] = remap_to_sides(predicate, outputs, left_cols, right_cols);
+    let join_a = NewTree::new(
+        join_op(*kind, pred_a),
+        vec![gref(&union.children[0]), gref(c)],
+    );
+    let join_b = NewTree::new(
+        join_op(*kind, pred_b),
+        vec![gref(&union.children[1]), gref(c)],
+    );
     // The new union's outputs must equal this group's schema: the original
     // union outputs plus (for both-sides kinds) C's columns mapped to
     // themselves.
@@ -258,9 +93,6 @@ fn join_distribute_union_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Join { kind, predicate } = &b.op else {
         return vec![];
     };
-    if !matches!(kind, JoinKind::Inner | JoinKind::RightOuter) {
-        return vec![];
-    }
     let c = &b.children[0];
     let Some(union) = b.children[1].nested() else {
         return vec![];
@@ -273,21 +105,15 @@ fn join_distribute_union_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     else {
         return vec![];
     };
-    let (ua, ub) = (&union.children[0], &union.children[1]);
-    let to_left: std::collections::HashMap<_, _> = outputs
-        .iter()
-        .copied()
-        .zip(left_cols.iter().copied())
-        .collect();
-    let to_right: std::collections::HashMap<_, _> = outputs
-        .iter()
-        .copied()
-        .zip(right_cols.iter().copied())
-        .collect();
-    let pred_a = ruletest_expr::remap_columns(predicate, &to_left);
-    let pred_b = ruletest_expr::remap_columns(predicate, &to_right);
-    let join_a = NewTree::new(join_op(*kind, pred_a), vec![gref(c), gref(ua)]);
-    let join_b = NewTree::new(join_op(*kind, pred_b), vec![gref(c), gref(ub)]);
+    let [pred_a, pred_b] = remap_to_sides(predicate, outputs, left_cols, right_cols);
+    let join_a = NewTree::new(
+        join_op(*kind, pred_a),
+        vec![gref(c), gref(&union.children[0])],
+    );
+    let join_b = NewTree::new(
+        join_op(*kind, pred_b),
+        vec![gref(c), gref(&union.children[1])],
+    );
     let c_ids: Vec<_> = ctx.schema(c.group()).iter().map(|ci| ci.id).collect();
     let mut new_outputs = c_ids.clone();
     let mut new_left = c_ids.clone();
@@ -305,169 +131,107 @@ fn join_distribute_union_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
-/// `A SEMI B -> project_A(A JOIN B)` when the probe side is a base table
-/// and some equi conjunct hits one of its single-column unique keys (each
-/// left row then matches at most one right row, so the inner join cannot
-/// duplicate). A schema-dependent rule in the sense of §7.
-fn semi_join_to_inner_on_key(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate, .. } = &b.op else {
-        return vec![];
-    };
-    let Some(get) = b.children[1].nested() else {
-        return vec![];
-    };
-    let Operator::Get { table, cols } = &get.op else {
-        return vec![];
-    };
-    let Ok(def) = ctx.db.catalog.table(*table) else {
-        return vec![];
-    };
-    // One side of the equality must be a unique column of the probe table
-    // and the other side must come from elsewhere (a genuine cross-side
-    // conjunct) — otherwise uniqueness does not bound the match count.
-    let ord_of = |col| cols.iter().position(|&g| g == col);
-    let unique_hit = ruletest_expr::conjuncts(predicate).iter().any(|c| {
-        try_col_eq_col(c).is_some_and(|(a, bcol)| match (ord_of(a), ord_of(bcol)) {
-            (Some(ord), None) | (None, Some(ord)) => def.is_unique_column(ord),
-            _ => false,
-        })
-    });
-    if !unique_hit {
-        return vec![];
-    }
-    let left_schema = ctx.schema(b.children[0].group());
-    let outputs: Vec<_> = left_schema
-        .iter()
-        .map(|ci| (ci.id, Expr::col(ci.id)))
-        .collect();
-    vec![NewTree::new(
-        Operator::Project { outputs },
-        vec![NewChild::Tree(NewTree::new(
-            join_op(JoinKind::Inner, predicate.clone()),
-            vec![gref(&b.children[0]), gref(&b.children[1])],
-        ))],
-    )]
-}
-
-/// `A ANTI B -> project_A(filter[b IS NULL](A LOJ B))` where `b` is a right
-/// column appearing in an equi conjunct (so matched rows always have it
-/// non-null).
-fn anti_join_to_loj_filter(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { predicate, .. } = &b.op else {
-        return vec![];
-    };
-    let right_cols = ctx.cols(b.children[1].group());
-    let probe = ruletest_expr::conjuncts(predicate).iter().find_map(|c| {
-        try_col_eq_col(c).and_then(|(x, y)| {
-            if right_cols.contains(&x) {
-                Some(x)
-            } else if right_cols.contains(&y) {
-                Some(y)
-            } else {
-                None
-            }
-        })
-    });
-    let Some(probe_col) = probe else {
-        return vec![];
-    };
-    let left_schema = ctx.schema(b.children[0].group());
-    let outputs: Vec<_> = left_schema
-        .iter()
-        .map(|ci| (ci.id, Expr::col(ci.id)))
-        .collect();
-    vec![NewTree::new(
-        Operator::Project { outputs },
-        vec![NewChild::Tree(NewTree::new(
-            Operator::Select {
-                predicate: Expr::is_null(Expr::col(probe_col)),
-            },
-            vec![NewChild::Tree(NewTree::new(
-                join_op(JoinKind::LeftOuter, predicate.clone()),
-                vec![gref(&b.children[0]), gref(&b.children[1])],
-            ))],
-        ))],
-    )]
-}
-
 /// The join rule set, in registration order.
 pub(super) fn rules() -> Vec<Rule> {
+    use JoinKind::{FullOuter, Inner, LeftAnti, LeftOuter, LeftSemi, RightOuter};
+    use Target::Group;
+    let join = |kind, left, right| PatternTree::join(vec![kind], left, right);
+    // 0 the join, 1 its left input, 2 its right: `1 op 2 -> 2 op' 1`.
+    let commute = |name, from, to| {
+        Rule::rewrite(
+            name,
+            join(from, ANY, ANY),
+            "always applicable",
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::join(to, Pred::Of(0), Group(2), Group(1))],
+            },
+        )
+    };
     vec![
-        Rule::explore(
-            "InnerJoinCommute",
-            PatternTree::join(vec![JoinKind::Inner], any(), any()),
-            "always applicable",
-            inner_join_commute,
-        ),
-        Rule::explore(
+        // Output columns are a set, so no projection is needed.
+        commute("InnerJoinCommute", Inner, Inner),
+        // `(2 ⋈ 3) ⋈ 4 -> 2 ⋈ (3 ⋈ 4)`: the new lower join receives the
+        // combined conjuncts over 3 ∪ 4, the upper join the rest.
+        Rule::rewrite(
             "InnerJoinAssocLeft",
-            PatternTree::join(
-                vec![JoinKind::Inner],
-                PatternTree::join(vec![JoinKind::Inner], any(), any()),
-                any(),
-            ),
+            join(Inner, join(Inner, ANY, ANY), ANY),
             "always applicable (conjuncts redistribute; lower join may become a cross product)",
-            inner_join_assoc_left,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::join(
+                    Inner,
+                    Pred::Rest(3, 4),
+                    Group(2),
+                    Target::join(Inner, Pred::Inside(3, 4), Group(3), Group(4)),
+                )],
+            },
         ),
-        Rule::explore(
+        // `1 ⋈ (3 ⋈ 4) -> (1 ⋈ 3) ⋈ 4` — mirror of the above.
+        Rule::rewrite(
             "InnerJoinAssocRight",
-            PatternTree::join(
-                vec![JoinKind::Inner],
-                any(),
-                PatternTree::join(vec![JoinKind::Inner], any(), any()),
-            ),
+            join(Inner, ANY, join(Inner, ANY, ANY)),
             "always applicable",
-            inner_join_assoc_right,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::join(
+                    Inner,
+                    Pred::Rest(1, 3),
+                    Target::join(Inner, Pred::Inside(1, 3), Group(1), Group(3)),
+                    Group(4),
+                )],
+            },
         ),
-        Rule::explore(
-            "LojCommute",
-            PatternTree::join(vec![JoinKind::LeftOuter], any(), any()),
-            "always applicable",
-            loj_commute,
-        ),
-        Rule::explore(
-            "RojCommute",
-            PatternTree::join(vec![JoinKind::RightOuter], any(), any()),
-            "always applicable",
-            roj_commute,
-        ),
-        Rule::explore(
-            "FojCommute",
-            PatternTree::join(vec![JoinKind::FullOuter], any(), any()),
-            "always applicable",
-            foj_commute,
-        ),
-        Rule::explore(
+        commute("LojCommute", LeftOuter, RightOuter),
+        commute("RojCommute", RightOuter, LeftOuter),
+        commute("FojCommute", FullOuter, FullOuter),
+        // The paper's §3 example: `R JOIN (S LOJ T) -> (R JOIN S) LOJ T`
+        // (R = 1, S = 3, T = 4).
+        Rule::rewrite(
             "JoinLojAssoc",
-            PatternTree::join(
-                vec![JoinKind::Inner],
-                any(),
-                PatternTree::join(vec![JoinKind::LeftOuter], any(), any()),
-            ),
+            join(Inner, ANY, join(LeftOuter, ANY, ANY)),
             "inner-join predicate references only R and S",
-            join_loj_assoc,
+            Rewrite {
+                guards: vec![Guard::Scope {
+                    pred: 0,
+                    a: 1,
+                    b: 3,
+                }],
+                targets: vec![Target::join(
+                    LeftOuter,
+                    Pred::Of(2),
+                    Target::join(Inner, Pred::Of(0), Group(1), Group(3)),
+                    Group(4),
+                )],
+            },
         ),
-        Rule::explore(
+        // Its inverse: `(R JOIN S) LOJ T -> R JOIN (S LOJ T)` (R = 2, S = 3,
+        // T = 4). The inner predicate already references only R ∪ S, a
+        // subset of what it sees after the rotation.
+        Rule::rewrite(
             "JoinLojAssocInv",
-            PatternTree::join(
-                vec![JoinKind::LeftOuter],
-                PatternTree::join(vec![JoinKind::Inner], any(), any()),
-                any(),
-            ),
+            join(LeftOuter, join(Inner, ANY, ANY), ANY),
             "outer-join predicate references only S and T",
-            join_loj_assoc_inv,
+            Rewrite {
+                guards: vec![Guard::Scope {
+                    pred: 0,
+                    a: 3,
+                    b: 4,
+                }],
+                targets: vec![Target::join(
+                    Inner,
+                    Pred::Of(1),
+                    Group(2),
+                    Target::join(LeftOuter, Pred::Of(0), Group(3), Group(4)),
+                )],
+            },
         ),
         Rule::explore(
             "JoinDistributeUnionLeft",
             PatternTree::join(
-                vec![
-                    JoinKind::Inner,
-                    JoinKind::LeftOuter,
-                    JoinKind::LeftSemi,
-                    JoinKind::LeftAnti,
-                ],
-                PatternTree::kind(OpKind::UnionAll, vec![any(), any()]),
-                any(),
+                vec![Inner, LeftOuter, LeftSemi, LeftAnti],
+                PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY]),
+                ANY,
             ),
             "join kind is left-row-driven",
             join_distribute_union_left,
@@ -475,28 +239,50 @@ pub(super) fn rules() -> Vec<Rule> {
         Rule::explore(
             "JoinDistributeUnionRight",
             PatternTree::join(
-                vec![JoinKind::Inner, JoinKind::RightOuter],
-                any(),
-                PatternTree::kind(OpKind::UnionAll, vec![any(), any()]),
+                vec![Inner, RightOuter],
+                ANY,
+                PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY]),
             ),
             "join kind is right-row-driven",
             join_distribute_union_right,
         ),
-        Rule::explore(
+        // `1 SEMI 2 -> project_1(1 JOIN 2)` when the probe side 2 is a base
+        // table and an equi conjunct hits one of its single-column unique
+        // keys (each left row then matches at most one right row, so the
+        // inner join cannot duplicate). A schema-dependent rule in the
+        // sense of §7.
+        Rule::rewrite(
             "SemiJoinToInnerOnKey",
-            PatternTree::join(
-                vec![JoinKind::LeftSemi],
-                any(),
-                PatternTree::kind(OpKind::Get, vec![]),
-            ),
+            join(LeftSemi, ANY, PatternTree::kind(OpKind::Get, vec![])),
             "an equi conjunct hits a single-column unique key of the probe-side base table",
-            semi_join_to_inner_on_key,
+            Rewrite {
+                guards: vec![Guard::UniqueKey { pred: 0, get: 2 }],
+                targets: vec![Target::project(
+                    1,
+                    Target::join(Inner, Pred::Of(0), Group(1), Group(2)),
+                )],
+            },
         ),
-        Rule::explore(
+        // `1 ANTI 2 -> project_1(filter[b IS NULL](1 LOJ 2))` where `b` is
+        // a column of 2 in an equi conjunct (so matched rows always have it
+        // non-null).
+        Rule::rewrite(
             "AntiJoinToLojFilter",
-            PatternTree::join(vec![JoinKind::LeftAnti], any(), any()),
+            join(LeftAnti, ANY, ANY),
             "an equi conjunct provides a right-side probe column",
-            anti_join_to_loj_filter,
+            Rewrite {
+                guards: vec![Guard::Probe {
+                    side: 2,
+                    equi: Some(0),
+                }],
+                targets: vec![Target::project(
+                    1,
+                    Target::select(
+                        Pred::ProbeIsNull,
+                        Target::join(LeftOuter, Pred::Of(0), Group(1), Group(2)),
+                    ),
+                )],
+            },
         ),
     ]
 }

@@ -3,8 +3,10 @@
 //! Every rule is correct by construction: the substitution preserves the
 //! result multiset of the matched expression under SQL semantics (NULLs,
 //! bags, three-valued logic). Preconditions that the pattern cannot express
-//! are checked inside the substitution functions — this is exactly why a
-//! pattern is a *necessary but not sufficient* firing condition (§3.1).
+//! are IR guards ([`crate::rewrite::Guard`]), or checked inside the
+//! escape-hatch functions of the rules the IR does not cover — this is
+//! exactly why a pattern is a *necessary but not sufficient* firing
+//! condition (§3.1).
 
 mod agg;
 mod join;

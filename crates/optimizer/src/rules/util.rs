@@ -1,7 +1,6 @@
 //! Shared helpers for rule substitution functions.
 
-use crate::memo::GroupId;
-use crate::rule::{BoundChild, NewChild, RuleCtx};
+use crate::rule::{BoundChild, NewChild};
 use ruletest_common::ColId;
 use ruletest_expr::Expr;
 use std::collections::BTreeSet;
@@ -30,12 +29,4 @@ pub(crate) fn partition_conjuncts(pred: &Expr, cols: &BTreeSet<ColId>) -> (Vec<E
 /// True iff every column of `pred` is in `cols`.
 pub(crate) fn pred_within(pred: &Expr, cols: &BTreeSet<ColId>) -> bool {
     ruletest_expr::columns_of(pred).is_subset(cols)
-}
-
-/// True iff every column of `pred` is an output of group `a` or group `b`.
-pub(crate) fn pred_within_groups(ctx: &RuleCtx, pred: &Expr, a: GroupId, b: GroupId) -> bool {
-    let (a, b) = (ctx.cols(a), ctx.cols(b));
-    ruletest_expr::columns_of(pred)
-        .iter()
-        .all(|c| a.contains(c) || b.contains(c))
 }
