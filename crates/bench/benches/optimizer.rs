@@ -1,16 +1,17 @@
 //! Microbenchmarks for the optimizer substrate: full optimization of
 //! representative query shapes, with and without rule masks, one rung for
 //! each half of an optimization (exploration to the fixpoint and to the
-//! budget, plan extraction) and one for each inner loop of the search
-//! (memo insert, pattern bind, re-bind after growth). Runs on the
-//! dependency-free std::time harness.
+//! budget, plan extraction), a capped search with and without its plan,
+//! and one rung for each inner loop of the search (memo insert, pattern
+//! bind, re-bind after growth). Runs on the dependency-free std::time
+//! harness.
 
 use ruletest_bench::harness;
 use ruletest_expr::{AggCall, AggFunc, Expr};
 use ruletest_logical::{IdGen, JoinKind, LogicalTree, OpKind, Operator};
 use ruletest_optimizer::rule::newtree_from_logical;
 use ruletest_optimizer::{
-    match_bindings, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig,
+    match_bindings, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig, Searched,
 };
 use ruletest_storage::{tpch_database, TpchConfig};
 use std::sync::Arc;
@@ -89,6 +90,27 @@ fn main() {
     assert!(exprs(&q4) > config.max_exprs, "4-join stops at the budget");
     group.bench("explore_saturated_3join", || exprs(&q3));
     group.bench("explore_capped", || exprs(&q4));
+
+    // ---- The capped 4-join on a fresh optimizer, plan or no plan ----
+    // What a generation trial pays for a search it will reject: with the
+    // plan, and stopping at the cap; the difference is the extraction.
+    let new_optimizer = || Optimizer::new(db.clone());
+    group.bench_batched("optimize_truncating_star/plan", 1, new_optimizer, |opt| {
+        opt.optimize_cached(&q4)
+            .expect("capped star optimizes")
+            .cost
+    });
+    group.bench_batched(
+        "optimize_truncating_star/fixpoint",
+        1,
+        new_optimizer,
+        |opt| {
+            let searched = opt
+                .optimize_fixpoint_cached(&q4)
+                .expect("capped star explores");
+            assert!(matches!(searched, Searched::Truncated(_)));
+        },
+    );
 
     // ---- The inner loops, on the memo of the 4-join ----
     let mut search = opt.explore(&q4, &config).expect("4-join explores");

@@ -7,12 +7,13 @@ use crate::generate::random::random_tree;
 use crate::generate::{GenConfig, GenOutcome, Strategy};
 use ruletest_common::{poolstats, Error, Parallelism, Result, Rng, RuleId};
 use ruletest_logical::{IdGen, LogicalTree};
-use ruletest_optimizer::{Optimizer, PatternTree};
+use ruletest_optimizer::{Optimizer, PatternTree, RuleKind, Searched};
 use ruletest_sql::to_sql;
 use ruletest_storage::{tpch_database, Database, TpchConfig};
 use ruletest_telemetry::{
     CacheSection, Counter, Event, Hist, PoolSection, RunReport, Stage, Telemetry,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -261,6 +262,14 @@ impl Framework {
             )));
         }
 
+        // Every suite rejects a truncated search (§5.2), so when the hit
+        // test reads only exploration rules the search stops at the memo
+        // cap without extracting a plan. Implementation rules are
+        // exercised only by extraction: their targets search in full.
+        let explore_only = targets
+            .iter()
+            .all(|&t| self.optimizer.rule(t).kind == RuleKind::Exploration);
+        let covers = |rules: &BTreeSet<RuleId>| targets.iter().all(|t| rules.contains(t));
         let tel = &self.telemetry;
         for trial in 1..=cfg.max_trials {
             tel.incr(Counter::GenTrials);
@@ -277,28 +286,36 @@ impl Framework {
             let Some(built) = built else {
                 continue; // counted as a trial: an instantiation attempt failed
             };
-            let Ok(res) = self.optimizer.optimize_cached(&built.tree) else {
+            let hit = if explore_only {
+                let searched = self.optimizer.optimize_fixpoint_cached(&built.tree);
+                searched.ok().filter(|s| covers(s.rule_set()))
+            } else {
+                let res = self.optimizer.optimize_cached(&built.tree);
+                res.ok()
+                    .filter(|r| covers(&r.rule_set))
+                    .map(|r| Searched::of(r, &self.optimizer))
+            };
+            let Some(searched) = hit else {
                 continue;
             };
-            if targets.iter().all(|t| res.rule_set.contains(t)) {
-                let sql = to_sql(&self.db.catalog, &built.tree)?;
-                let ops = built.tree.op_count();
-                tel.incr(Counter::GenHits);
-                tel.observe(Hist::GenTrialsToHit, trial as u64);
-                tel.event(|| Event::GenOutcome {
-                    rule: targets[0].0,
-                    trials: trial as u64,
-                    ops: ops as u32,
-                    found: true,
-                });
-                return Ok(GenOutcome {
-                    query: built.tree,
-                    sql,
-                    trials: trial,
-                    elapsed: start.elapsed(),
-                    ops,
-                });
-            }
+            let sql = to_sql(&self.db.catalog, &built.tree)?;
+            let ops = built.tree.op_count();
+            tel.incr(Counter::GenHits);
+            tel.observe(Hist::GenTrialsToHit, trial as u64);
+            tel.event(|| Event::GenOutcome {
+                rule: targets[0].0,
+                trials: trial as u64,
+                ops: ops as u32,
+                found: true,
+            });
+            return Ok(GenOutcome {
+                query: built.tree,
+                sql,
+                trials: trial,
+                elapsed: start.elapsed(),
+                ops,
+                searched,
+            });
         }
         tel.incr(Counter::GenFailures);
         tel.event(|| Event::GenOutcome {

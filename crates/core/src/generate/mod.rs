@@ -18,6 +18,7 @@ pub mod random;
 pub mod relevant;
 
 use ruletest_logical::LogicalTree;
+use ruletest_optimizer::Searched;
 
 /// Which query-generation method to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,4 +78,7 @@ pub struct GenOutcome {
     pub elapsed: std::time::Duration,
     /// Operators in the query.
     pub ops: usize,
+    /// The hit trial's search of `query` (all rules enabled): its full
+    /// result, or — when it stopped at the memo cap — only its rules.
+    pub searched: Searched,
 }

@@ -28,7 +28,7 @@ pub fn find_relevant_query(
         };
         let mut out = fw.find_query_for_rule(rule, strategy, &sub_cfg)?;
         trials_used += out.trials;
-        let base = fw.optimizer.optimize(&out.query)?;
+        let base = fw.optimizer.optimize_cached(&out.query)?;
         let masked = fw
             .optimizer
             .optimize_with(&out.query, &OptimizerConfig::disabling(&[rule]))?;

@@ -154,7 +154,9 @@ pub fn detect_with_methodology(
         if let Ok(out) = fw.find_query_for_rule(rule, Strategy::Pattern, &cfg) {
             trials += out.trials as u64;
             det.fired = true;
-            let base = opt.optimize(&out.query)?;
+            // The trial optimized this tree through the same cache: a hit,
+            // unless its search stopped at the memo cap without a plan.
+            let base = opt.optimize_cached(&out.query)?;
             let masked = opt.optimize_with(&out.query, &OptimizerConfig::disabling(&[rule]))?;
             if !base.plan.same_shape(&masked.plan) {
                 det.plans_diverged = true;

@@ -13,6 +13,8 @@ use crate::generate::{GenConfig, Strategy};
 use crate::supervise::{run_stage, ItemName, Quarantine, SITE_SUITE};
 use ruletest_common::{Error, Result, RuleId};
 use ruletest_logical::LogicalTree;
+use ruletest_optimizer::Searched;
+use ruletest_telemetry::Counter;
 use std::collections::BTreeSet;
 
 pub use graph::{build_graph, build_graph_pruned, build_graph_with, BipartiteGraph, EdgeOracle};
@@ -236,18 +238,15 @@ fn queries_for_target(
         if queries.iter().any(|q| q.sql == out.sql) {
             continue;
         }
-        // The generation trial already optimized this exact tree, so the
-        // re-check below is a guaranteed cache hit rather than a repeat
-        // invocation.
-        let res = fw.optimizer.optimize_cached(&out.query)?;
         // A truncated search is not "well behaved": Cost(q) <= Cost(q, ¬R)
         // — the §5.2/§5.3.1 invariant — only holds when exploration
         // reaches its fixpoint. Reject such queries (the paper's
         // substrate prunes heuristically too, but its invariant
         // discussion assumes well-behaved costing).
-        if res.truncated {
+        let Searched::Fixpoint(res) = out.searched else {
+            fw.telemetry.incr(Counter::GenRejectedTruncated);
             continue;
-        }
+        };
         queries.push(SuiteQuery {
             tree: out.query,
             sql: out.sql,

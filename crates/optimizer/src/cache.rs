@@ -18,11 +18,16 @@
 //! deterministic; the determinism suite asserts cached ≡ uncached), only
 //! the invocation count — which is exactly the §5.3.1 / Figure 14 cost
 //! metric the campaign tries to minimize.
+//!
+//! An entry is a full result, or — for a caller that rejects truncated
+//! searches — a search that stopped at the memo cap, kept without the
+//! plan nobody would read ([`Cached::Truncated`]). A caller that needs the
+//! plan treats the latter as a miss, and its full result replaces it.
 
-use crate::optimizer::{OptimizeResult, OptimizerConfig};
+use crate::optimizer::{Explored, OptimizeResult, OptimizerConfig};
 use ruletest_common::RuleId;
 use ruletest_logical::LogicalTree;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +78,34 @@ impl CacheKey {
     }
 }
 
+/// What the cache holds for a key.
+#[derive(Debug, Clone)]
+pub enum Cached {
+    /// The whole optimization: plan, cost and rule set, truncated or not.
+    Full(Arc<OptimizeResult>),
+    /// A search that stopped at the memo cap, without a plan.
+    Truncated(Arc<Explored>),
+}
+
+impl Cached {
+    /// Whether `self` takes the place of `held` under one key: only a full
+    /// result replaces, and only a truncated outcome.
+    pub(crate) fn upgrades(&self, held: &Cached) -> bool {
+        matches!((held, self), (Cached::Truncated(_), Cached::Full(_)))
+    }
+}
+
+/// What [`OptCache::insert`] found under its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inserted {
+    /// Nothing: the value was stored.
+    New,
+    /// A truncated outcome, which the full result replaced.
+    Upgraded,
+    /// A value at least as complete, which was kept.
+    Present,
+}
+
 /// Cache observability counters (monotonic totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -97,7 +130,7 @@ impl CacheStats {
 /// The sharded cache. Cheap to share via the owning [`crate::Optimizer`];
 /// all methods take `&self`.
 pub struct OptCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Arc<OptimizeResult>>>>,
+    shards: Vec<Mutex<HashMap<CacheKey, Cached>>>,
     /// Entries per shard before the shard is flushed wholesale. Epoch
     /// flushing keeps the hot path branch-free; eviction only affects
     /// future hit rates, never results.
@@ -126,17 +159,19 @@ impl OptCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Arc<OptimizeResult>>> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Cached>> {
         &self.shards[(key.fingerprint() % self.shards.len() as u64) as usize]
     }
 
-    /// Returns the cached result for `key`, counting a hit or miss.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<OptimizeResult>> {
+    /// Returns the cached value for `key`, counting a hit or miss. With
+    /// `needs_plan`, a truncated outcome is a miss and is not returned.
+    pub fn lookup(&self, key: &CacheKey, needs_plan: bool) -> Option<Cached> {
         let found = self
             .shard(key)
             .lock()
             .expect("cache shard poisoned")
             .get(key)
+            .filter(|v| !needs_plan || matches!(v, Cached::Full(_)))
             .cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -145,18 +180,29 @@ impl OptCache {
         found
     }
 
-    /// Inserts a computed result. Concurrent inserts of the same key are
-    /// fine: optimization is deterministic, so both values are identical.
-    /// Returns `true` when the key was not already present — the caller
-    /// that "wins" a racing duplicate compute, which is what telemetry
-    /// uses to count each unique optimization exactly once.
-    pub fn insert(&self, key: CacheKey, value: Arc<OptimizeResult>) -> bool {
+    /// Inserts a computed value; a full result replaces a truncated
+    /// outcome, anything else already present is kept. Concurrent inserts
+    /// of the same key are fine: optimization is deterministic, so both
+    /// values agree. The answer tells the caller what its value added —
+    /// which is what telemetry uses to count each unique optimization
+    /// exactly once, whichever caller reached it first.
+    pub fn insert(&self, key: CacheKey, value: Cached) -> Inserted {
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if shard.len() >= self.shard_capacity {
             shard.clear();
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        shard.insert(key, value).is_none()
+        match shard.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                Inserted::New
+            }
+            Entry::Occupied(mut slot) if value.upgrades(slot.get()) => {
+                slot.insert(value);
+                Inserted::Upgraded
+            }
+            Entry::Occupied(_) => Inserted::Present,
+        }
     }
 
     /// Total entries currently cached.
@@ -192,8 +238,8 @@ mod tests {
     use super::*;
     use crate::mask::RuleMask;
 
-    fn dummy_result() -> Arc<OptimizeResult> {
-        Arc::new(OptimizeResult {
+    fn dummy_result() -> Cached {
+        Cached::Full(Arc::new(OptimizeResult {
             plan: crate::physical::PhysicalPlan {
                 op: crate::physical::PhysOp::HashDistinct,
                 children: vec![],
@@ -207,7 +253,15 @@ mod tests {
             groups: 0,
             exprs: 0,
             truncated: false,
-        })
+        }))
+    }
+
+    fn truncated_outcome() -> Cached {
+        Cached::Truncated(Arc::new(Explored {
+            rule_set: Default::default(),
+            groups: 0,
+            exprs: 0,
+        }))
     }
 
     fn leaf(tag: u32) -> LogicalTree {
@@ -281,9 +335,9 @@ mod tests {
     fn lookup_insert_roundtrip_and_stats() {
         let cache = OptCache::new(4, 64);
         let key = CacheKey::new(&leaf(1), &OptimizerConfig::default());
-        assert!(cache.lookup(&key).is_none());
+        assert!(cache.lookup(&key, false).is_none());
         cache.insert(key.clone(), dummy_result());
-        assert!(cache.lookup(&key).is_some());
+        assert!(cache.lookup(&key, true).is_some());
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -294,11 +348,40 @@ mod tests {
     fn insert_reports_first_insertion() {
         let cache = OptCache::new(4, 64);
         let key = CacheKey::new(&leaf(9), &OptimizerConfig::default());
-        assert!(
-            cache.insert(key.clone(), dummy_result()),
-            "first insert wins"
+        assert_eq!(cache.insert(key.clone(), dummy_result()), Inserted::New);
+        assert_eq!(cache.insert(key, dummy_result()), Inserted::Present);
+    }
+
+    #[test]
+    fn a_full_result_replaces_a_truncated_outcome_and_nothing_else() {
+        let cache = OptCache::new(4, 64);
+        let key = CacheKey::new(&leaf(3), &OptimizerConfig::default());
+        assert_eq!(
+            cache.insert(key.clone(), truncated_outcome()),
+            Inserted::New
         );
-        assert!(!cache.insert(key, dummy_result()), "duplicate loses");
+        assert!(cache.lookup(&key, true).is_none(), "no plan: a miss");
+        assert!(matches!(
+            cache.lookup(&key, false),
+            Some(Cached::Truncated(_))
+        ));
+        assert_eq!(
+            cache.insert(key.clone(), truncated_outcome()),
+            Inserted::Present
+        );
+        assert_eq!(
+            cache.insert(key.clone(), dummy_result()),
+            Inserted::Upgraded
+        );
+        assert!(matches!(cache.lookup(&key, true), Some(Cached::Full(_))));
+        assert_eq!(
+            cache.insert(key.clone(), truncated_outcome()),
+            Inserted::Present,
+            "a truncated outcome never replaces a plan"
+        );
+        assert!(matches!(cache.lookup(&key, false), Some(Cached::Full(_))));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, cache.len()), (3, 1, 1));
     }
 
     #[test]
@@ -321,7 +404,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..200u32 {
                         let key = CacheKey::new(&leaf(i % 50), &OptimizerConfig::default());
-                        if cache.lookup(&key).is_none() {
+                        if cache.lookup(&key, true).is_none() {
                             cache.insert(key, dummy_result());
                         }
                         let _ = t;

@@ -28,10 +28,12 @@ pub mod rule;
 pub mod rules;
 pub mod rules_impl;
 
-pub use cache::{CacheKey, CacheStats, OptCache};
+pub use cache::{CacheKey, CacheStats, Cached, OptCache};
 pub use mask::RuleMask;
 pub use memo::{GroupId, Memo};
-pub use optimizer::{match_bindings, OptimizeResult, Optimizer, OptimizerConfig, Search};
+pub use optimizer::{
+    match_bindings, Explored, OptimizeResult, Optimizer, OptimizerConfig, Search, Searched,
+};
 pub use pattern::{OpMatcher, PatternTree};
 pub use persist::{campaign_fingerprint, SnapshotStore, WarmHit};
 pub use physical::{PhysOp, PhysicalPlan};

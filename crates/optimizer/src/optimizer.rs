@@ -2,7 +2,7 @@
 //! plan extraction — with the three testing extensions (rule tracing, rule
 //! masking, pattern export) the framework requires (§2.3).
 
-use crate::cache::{CacheKey, CacheStats, OptCache};
+use crate::cache::{CacheKey, CacheStats, Cached, Inserted, OptCache};
 use crate::cost::phys_cost;
 use crate::mask::RuleMask;
 use crate::memo::{GroupExpr, GroupId, Memo};
@@ -118,6 +118,53 @@ impl OptimizeResult {
             .copied()
             .filter(|&r| optimizer.rule(r).kind == RuleKind::Exploration)
             .collect()
+    }
+}
+
+/// A search that stopped at the memo cap, kept without extracting a plan:
+/// the exploration rules it exercised (all a hit test on exploration
+/// targets reads) and the memo size telemetry books for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Explored {
+    /// Exploration rules exercised before the cap.
+    pub rule_set: BTreeSet<RuleId>,
+    pub groups: usize,
+    pub exprs: usize,
+}
+
+ruletest_common::wire_record!(Explored {
+    "rule_set" => rule_set,
+    "groups" => groups,
+    "exprs" => exprs,
+});
+
+/// What [`Optimizer::optimize_fixpoint_cached`] answers.
+#[derive(Debug, Clone)]
+pub enum Searched {
+    /// The exploration reached its fixpoint: the full result.
+    Fixpoint(Arc<OptimizeResult>),
+    /// The search stopped at the memo cap: the exploration rules it
+    /// exercised.
+    Truncated(Arc<BTreeSet<RuleId>>),
+}
+
+impl Searched {
+    /// The full result's rule set, or the exploration rules of a
+    /// truncated search.
+    pub fn rule_set(&self) -> &BTreeSet<RuleId> {
+        match self {
+            Searched::Fixpoint(result) => &result.rule_set,
+            Searched::Truncated(rules) => rules,
+        }
+    }
+
+    /// A full result as a caller that rejects truncation sees it.
+    pub fn of(result: Arc<OptimizeResult>, optimizer: &Optimizer) -> Searched {
+        if result.truncated {
+            Searched::Truncated(Arc::new(result.exercised(optimizer)))
+        } else {
+            Searched::Fixpoint(result)
+        }
     }
 }
 
@@ -345,44 +392,80 @@ impl Optimizer {
         tree: &LogicalTree,
         config: &OptimizerConfig,
     ) -> Result<Arc<OptimizeResult>> {
+        match self.cached(tree, config, true)? {
+            Cached::Full(result) => Ok(result),
+            Cached::Truncated(_) => unreachable!("a plan was asked for"),
+        }
+    }
+
+    /// Cached entry point for a caller that rejects truncated searches
+    /// (all rules enabled): a search that reaches the memo cap returns
+    /// there, without extracting the plan, as the exploration rules it
+    /// exercised. A full result already cached answers too — a truncated
+    /// one by its exploration rules — so the answer does not depend on
+    /// which caller reached the tree first.
+    pub fn optimize_fixpoint_cached(&self, tree: &LogicalTree) -> Result<Searched> {
+        Ok(
+            match self.cached(tree, &OptimizerConfig::default(), false)? {
+                Cached::Full(result) => Searched::of(result, self),
+                Cached::Truncated(explored) => {
+                    Searched::Truncated(Arc::new(explored.rule_set.clone()))
+                }
+            },
+        )
+    }
+
+    /// The cached path: memory, then the disk warm store, then a compute.
+    /// Without `needs_plan` a cached truncated outcome answers, and a
+    /// compute stops at the memo cap; with it, a truncated outcome is a
+    /// miss whose full result replaces it.
+    fn cached(
+        &self,
+        tree: &LogicalTree,
+        config: &OptimizerConfig,
+        needs_plan: bool,
+    ) -> Result<Cached> {
         let key = CacheKey::new(tree, config);
         let tel = self.telemetry();
-        if let Some(hit) = self.cache.lookup(&key) {
-            tel.event(|| Event::CacheLookup {
-                fingerprint: tree_fingerprint(tree),
-                hit: true,
-            });
-            return Ok(hit);
-        }
+        let hit = self.cache.lookup(&key, needs_plan);
         tel.event(|| Event::CacheLookup {
             fingerprint: tree_fingerprint(tree),
-            hit: false,
+            hit: hit.is_some(),
         });
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
         // Disk warm path: a persisted entry stands in for the compute —
         // including its profile sample, so warm telemetry replays the
         // cold run's exactly.
         if let Some(store) = self.store.get() {
-            if let Some(warm) = store.peek_warm(&key) {
+            let warm = store.peek_warm(&key);
+            if let Some(warm) = warm.filter(|w| !needs_plan || matches!(w.value, Cached::Full(_))) {
                 tel.incr(Counter::CacheWarmHits);
-                if self.cache.insert(key, Arc::clone(&warm.result)) {
-                    self.record_result(&warm.result, warm.sample);
-                }
-                return Ok(warm.result);
+                self.remember(key, warm.value.clone(), warm.sample);
+                return Ok(warm.value);
             }
         }
-        let (result, sample) = self.compute(tree, config)?;
-        let result = Arc::new(result);
+        let (value, sample) = self.compute(tree, config, !needs_plan)?;
         if let Some(store) = self.store.get() {
-            store.record_fresh(&key, &result, sample.as_ref());
+            store.record_fresh(&key, &value, sample.as_ref());
         }
-        // Racing workers may compute the same key concurrently; only the
-        // insertion winner records the result (and flushes the profile
-        // sample), so telemetry aggregates count each unique optimization
-        // exactly once regardless of thread count or scheduling.
-        if self.cache.insert(key, Arc::clone(&result)) {
-            self.record_result(&result, sample);
+        self.remember(key, value.clone(), sample);
+        Ok(value)
+    }
+
+    /// Caches `value` and records what it added. Racing workers may
+    /// compute one key concurrently, and a key may be reached first by a
+    /// caller that stops at the memo cap and then by one that needs the
+    /// plan; recording only what the cache took keeps every aggregate
+    /// counting each unique optimization once, whatever the thread count
+    /// or the order its callers came in.
+    fn remember(&self, key: CacheKey, value: Cached, sample: Option<ProfileSample>) {
+        match self.cache.insert(key, value.clone()) {
+            Inserted::New => self.record(&value, sample, false),
+            Inserted::Upgraded => self.record(&value, sample, true),
+            Inserted::Present => {}
         }
-        Ok(result)
     }
 
     /// Hit/miss/eviction counters of the invocation cache.
@@ -402,53 +485,69 @@ impl Optimizer {
         tree: &LogicalTree,
         config: &OptimizerConfig,
     ) -> Result<OptimizeResult> {
-        let (result, sample) = self.compute(tree, config)?;
-        self.record_result(&result, sample);
-        Ok(result)
+        let (value, sample) = self.compute(tree, config, false)?;
+        self.record(&value, sample, false);
+        match value {
+            Cached::Full(result) => Ok(Arc::unwrap_or_clone(result)),
+            Cached::Truncated(_) => unreachable!("extraction runs unless told to stop at the cap"),
+        }
     }
 
-    /// Records a finished unique optimization into the telemetry registry
-    /// and books its profile sample under the caller's span stack.
-    /// Called once per *unique* `(tree, mask, budgets)` key on the cached
-    /// path (insertion winner) and once per direct [`Self::optimize_with`]
-    /// call, which keeps every aggregate thread-count-invariant.
-    fn record_result(&self, result: &OptimizeResult, sample: Option<ProfileSample>) {
+    /// Records an optimization into the telemetry registry and books its
+    /// profile sample under the caller's span stack. Called once per
+    /// *unique* `(tree, mask, budgets)` key on the cached path and once per
+    /// direct [`Self::optimize_with`] call, which keeps every aggregate
+    /// thread-count-invariant. `upgrade`: `value` is the full result of a
+    /// key recorded before as a truncated outcome, so only its
+    /// implementation half — the rules extraction exercised, and their
+    /// sample rows — is new.
+    fn record(&self, value: &Cached, sample: Option<ProfileSample>, upgrade: bool) {
         let tel = self.telemetry();
         if !tel.is_enabled() {
             return;
         }
-        if let Some(sample) = &sample {
-            tel.flush_profile(sample);
+        let (rule_set, groups, exprs, truncated) = match value {
+            Cached::Full(r) => (&r.rule_set, r.groups, r.exprs, r.truncated),
+            Cached::Truncated(e) => (&e.rule_set, e.groups, e.exprs, true),
+        };
+        if let Some(mut sample) = sample {
+            if upgrade {
+                sample.retain_phase(RulePhase::Implement);
+            }
+            tel.flush_profile(&sample, u64::from(!upgrade));
         }
-        tel.incr(Counter::OptInvocations);
-        if result.truncated {
-            tel.incr(Counter::OptTruncated);
+        let explores = |r: &RuleId| self.rule(*r).kind == RuleKind::Exploration;
+        let explore = rule_set.iter().filter(|r| explores(r)).count() as u64;
+        if !upgrade {
+            tel.incr(Counter::OptInvocations);
+            if truncated {
+                tel.incr(Counter::OptTruncated);
+            }
+            tel.observe(Hist::MemoGroups, groups as u64);
+            tel.observe(Hist::MemoExprs, exprs as u64);
+            tel.add(Counter::RuleFiresExplore, explore);
         }
-        tel.observe(Hist::MemoGroups, result.groups as u64);
-        tel.observe(Hist::MemoExprs, result.exprs as u64);
-        let explore = result
-            .rule_set
-            .iter()
-            .filter(|&&r| self.rule(r).kind == RuleKind::Exploration)
-            .count() as u64;
-        tel.add(Counter::RuleFiresExplore, explore);
-        tel.add(
-            Counter::RuleFiresImplement,
-            result.rule_set.len() as u64 - explore,
+        tel.add(Counter::RuleFiresImplement, rule_set.len() as u64 - explore);
+        tel.record_rule_set(
+            rule_set
+                .iter()
+                .filter(|r| !upgrade || !explores(r))
+                .map(|r| r.0),
         );
-        tel.record_rule_set(result.rule_set.iter().map(|r| r.0));
     }
 
     /// The actual optimization (uninstrumented entry point — callers are
-    /// responsible for [`Self::record_result`] so cached and uncached paths
-    /// agree on what counts as one invocation). Returns the profile sample
-    /// alongside the result so the caller can flush it only for
-    /// deduplicated winners.
+    /// responsible for [`Self::record`] so cached and uncached paths agree
+    /// on what counts as one invocation). With `stop_at_cap`, a search
+    /// that reaches the memo cap is returned as a truncated outcome
+    /// without extracting a plan. Returns the profile sample alongside the
+    /// value so the caller can flush it only for deduplicated winners.
     fn compute(
         &self,
         tree: &LogicalTree,
         config: &OptimizerConfig,
-    ) -> Result<(OptimizeResult, Option<ProfileSample>)> {
+        stop_at_cap: bool,
+    ) -> Result<(Cached, Option<ProfileSample>)> {
         self.invocations.fetch_add(1, Ordering::Relaxed);
         let tel = self.telemetry();
         // Timestamp only when enabled: `Instant::now` is a syscall on some
@@ -459,7 +558,11 @@ impl Optimizer {
         let fingerprint = tel.tracing().then(|| tree_fingerprint(tree));
 
         let mut search = self.explore(tree, config)?;
-        let plan = self.extract(&mut search, config)?;
+        let plan = if stop_at_cap && search.truncated {
+            None
+        } else {
+            Some(self.extract(&mut search, config)?)
+        };
         let Search {
             memo,
             exercised,
@@ -490,21 +593,29 @@ impl Optimizer {
 
         let n_rules = self.rules.len();
         let rule = |r: usize| RuleId(r as u16);
-        Ok((
-            OptimizeResult {
-                cost: plan.est_cost,
-                plan,
-                rule_set: (0..n_rules).filter(|&r| exercised[r]).map(rule).collect(),
-                rule_dependencies: (0..n_rules * n_rules)
-                    .filter(|&i| rule_dependencies[i])
-                    .map(|i| (rule(i / n_rules), rule(i % n_rules)))
-                    .collect(),
-                groups: memo.num_groups(),
-                exprs: memo.num_exprs(),
-                truncated,
-            },
-            sample,
-        ))
+        let rule_set = (0..n_rules).filter(|&r| exercised[r]).map(rule).collect();
+        let (groups, exprs) = (memo.num_groups(), memo.num_exprs());
+        let Some(plan) = plan else {
+            let explored = Explored {
+                rule_set,
+                groups,
+                exprs,
+            };
+            return Ok((Cached::Truncated(Arc::new(explored)), sample));
+        };
+        let result = OptimizeResult {
+            cost: plan.est_cost,
+            plan,
+            rule_set,
+            rule_dependencies: (0..n_rules * n_rules)
+                .filter(|&i| rule_dependencies[i])
+                .map(|i| (rule(i / n_rules), rule(i % n_rules)))
+                .collect(),
+            groups,
+            exprs,
+            truncated,
+        };
+        Ok((Cached::Full(Arc::new(result)), sample))
     }
 
     /// The first phase of an optimization: seeds a memo with `tree` and
@@ -1617,6 +1728,56 @@ mod tests {
         let _ = opt.optimize(&tree).unwrap();
         let _ = opt.optimize(&tree).unwrap();
         assert_eq!(opt.telemetry().counter(Counter::OptInvocations), 2);
+    }
+
+    fn same_result(a: &OptimizeResult, b: &OptimizeResult) -> bool {
+        a.plan.same_shape(&b.plan)
+            && a.cost.to_bits() == b.cost.to_bits()
+            && a.rule_set == b.rule_set
+            && a.rule_dependencies == b.rule_dependencies
+            && (a.groups, a.exprs, a.truncated) == (b.groups, b.exprs, b.truncated)
+    }
+
+    /// A caller that rejects truncation and one that needs the plan ask
+    /// for one truncating tree, in both orders: the answers and what
+    /// telemetry recorded must not depend on who came first.
+    #[test]
+    fn a_truncating_tree_answers_and_records_the_same_in_either_order() {
+        let run = |fixpoint_first: bool| {
+            let opt = optimizer();
+            opt.attach_telemetry(Telemetry::metrics_only());
+            // Four joins saturate at 115,605 expressions: capped at 3,000.
+            let tree = star_query(&opt, 4);
+            let (searched, full) = if fixpoint_first {
+                let searched = opt.optimize_fixpoint_cached(&tree).unwrap();
+                (searched, opt.optimize_cached(&tree).unwrap())
+            } else {
+                let full = opt.optimize_cached(&tree).unwrap();
+                (opt.optimize_fixpoint_cached(&tree).unwrap(), full)
+            };
+            let names: Vec<String> = (0..opt.num_rules())
+                .map(|i| opt.rule(RuleId(i as u16)).name.to_string())
+                .collect();
+            let tel = opt.telemetry();
+            tel.profile_section(&names).validate().unwrap();
+            assert_eq!(tel.counter(Counter::OptInvocations), 1);
+            let report = tel.run_report(&names).deterministic_json();
+            let Searched::Truncated(rules) = searched else {
+                panic!("the 4-join star stops at the default cap");
+            };
+            assert_eq!(*rules, full.exercised(&opt));
+            (rules, full, report, opt)
+        };
+        let (rules, full, report, opt) = run(true);
+        let (rules_b, full_b, report_b, _) = run(false);
+        assert!(full.truncated);
+        assert_eq!(rules, rules_b);
+        assert!(same_result(&full, &full_b));
+        assert!(same_result(
+            &full_b,
+            &opt.optimize(&star_query(&opt, 4)).unwrap()
+        ));
+        assert_eq!(report, report_b);
     }
 
     #[test]

@@ -25,9 +25,13 @@
 //!   into place, so a `kill -9` mid-save leaves the previous snapshot
 //!   intact. Shards serialize independently, load lazily on first probe,
 //!   and are rewritten only when their entries differ from the file.
+//!
+//! An entry holds either form of [`Cached`] value: a full result
+//! (`"result"`), or a search kept without its plan because it stopped at
+//! the memo cap (`"explored"`: its exploration rules and memo size). A full
+//! result recorded for a key replaces a truncated outcome.
 
-use crate::cache::CacheKey;
-use crate::optimizer::OptimizeResult;
+use crate::cache::{CacheKey, Cached};
 use crate::rule::Rule;
 use ruletest_common::wire::{object, optional, required, Decode, DecodeError, Encode};
 use ruletest_common::{fnv1a, wire_record, Fnv64, Json};
@@ -121,14 +125,14 @@ impl Manifest {
 
 /// A warm entry handed back by [`SnapshotStore::peek_warm`].
 pub struct WarmHit {
-    pub result: Arc<OptimizeResult>,
+    pub value: Cached,
     /// The profile sample the original compute produced, replayed by the
     /// warm hit so cold and warm span trees match exactly.
     pub sample: Option<ProfileSample>,
 }
 
 struct StoredEntry {
-    result: Arc<OptimizeResult>,
+    value: Cached,
     sample: Option<ProfileSample>,
 }
 
@@ -276,31 +280,34 @@ impl SnapshotStore {
         let guard = self.locked_shard(idx);
         let shard = guard.as_ref().expect("shard loaded above");
         shard.entries.get(&key_str).map(|e| WarmHit {
-            result: Arc::clone(&e.result),
+            value: e.value.clone(),
             sample: e.sample.clone(),
         })
     }
 
-    /// Registers a freshly computed result (with the sample its compute
+    /// Registers a freshly computed value (with the sample its compute
     /// produced) for the next save. Idempotent: an existing entry for the
-    /// key is kept (optimization is deterministic, values are identical).
-    pub fn record_fresh(
-        &self,
-        key: &CacheKey,
-        result: &Arc<OptimizeResult>,
-        sample: Option<&ProfileSample>,
-    ) {
+    /// key is kept (optimization is deterministic, values agree), unless
+    /// it is a truncated outcome and `value` the full result.
+    pub fn record_fresh(&self, key: &CacheKey, value: &Cached, sample: Option<&ProfileSample>) {
         let key_str = canonical_key(key);
         let idx = Self::shard_index(&key_str);
         let mut guard = self.locked_shard(idx);
         let shard = guard.as_mut().expect("shard loaded above");
-        if let Entry::Vacant(slot) = shard.entries.entry(key_str) {
-            slot.insert(StoredEntry {
-                result: Arc::clone(result),
-                sample: sample.cloned(),
-            });
-            shard.dirty = true;
+        let fresh = || StoredEntry {
+            value: value.clone(),
+            sample: sample.cloned(),
+        };
+        match shard.entries.entry(key_str) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh());
+            }
+            Entry::Occupied(mut slot) if value.upgrades(&slot.get().value) => {
+                slot.insert(fresh());
+            }
+            Entry::Occupied(_) => return,
         }
+        shard.dirty = true;
     }
 
     /// Loads every shard and writes, via atomic renames, the manifest and
@@ -357,14 +364,18 @@ impl SnapshotStore {
 /// One shard line. Hand-written, not an `Encode` impl: the key is spliced
 /// in as the raw canonical JSON it was addressed by (not re-built from a
 /// decoded tree), and the members keep their historical order — `key`,
-/// `result`, `sample`.
+/// `result` (or `explored`), `sample`.
 fn entry_line(key_str: &str, e: &StoredEntry) -> String {
     // Parsing the line and compact-printing the "key" member reproduces
     // `key_str` exactly, because compact printing with sorted keys is
     // canonical.
+    let (member, value) = match &e.value {
+        Cached::Full(result) => ("result", result.encode()),
+        Cached::Truncated(explored) => ("explored", explored.encode()),
+    };
     format!(
-        "{{\"key\":{key_str},\"result\":{},\"sample\":{}}}",
-        e.result.encode().to_string_compact(),
+        "{{\"key\":{key_str},\"{member}\":{},\"sample\":{}}}",
+        value.to_string_compact(),
         e.sample.encode().to_string_compact(),
     )
 }
@@ -375,8 +386,12 @@ fn entry_line(key_str: &str, e: &StoredEntry) -> String {
 fn parse_entry_line(line: &str) -> Result<(String, StoredEntry), DecodeError> {
     let doc = Json::parse(line).map_err(DecodeError::new)?;
     let m = object(&doc)?;
+    let value = match optional(m, "result", Decode::decode)? {
+        Some(result) => Cached::Full(Arc::new(result)),
+        None => Cached::Truncated(Arc::new(required(m, "explored", Decode::decode)?)),
+    };
     let entry = StoredEntry {
-        result: Arc::new(required(m, "result", Decode::decode)?),
+        value,
         sample: optional(m, "sample", Decode::decode)?,
     };
     Ok((required(m, "key", |k| Ok(k.to_string_compact()))?, entry))
@@ -386,7 +401,7 @@ fn parse_entry_line(line: &str) -> Result<(String, StoredEntry), DecodeError> {
 mod tests {
     use super::*;
     use crate::mask::RuleMask;
-    use crate::optimizer::OptimizerConfig;
+    use crate::optimizer::{Explored, OptimizeResult, OptimizerConfig};
     use crate::physical::{PhysOp, PhysicalPlan};
     use ruletest_common::{ColId, DataType, Rng, RuleId, TableId};
     use ruletest_logical::{ColumnInfo, LogicalTree};
@@ -419,8 +434,8 @@ mod tests {
         assert_eq!(parsed.to_string_compact(), canonical_key(&a));
     }
 
-    fn dummy_result(cost: f64) -> Arc<OptimizeResult> {
-        Arc::new(OptimizeResult {
+    fn dummy_result(cost: f64) -> Cached {
+        Cached::Full(Arc::new(OptimizeResult {
             plan: PhysicalPlan {
                 op: PhysOp::SeqScan {
                     table: TableId(0),
@@ -448,7 +463,14 @@ mod tests {
             groups: 3,
             exprs: 9,
             truncated: false,
-        })
+        }))
+    }
+
+    fn cost(value: &Cached) -> f64 {
+        match value {
+            Cached::Full(result) => result.cost,
+            Cached::Truncated(_) => panic!("no plan"),
+        }
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -476,9 +498,41 @@ mod tests {
         let store = SnapshotStore::open(&dir, 42, None).unwrap();
         assert!(!store.rejected());
         let hit = store.peek_warm(&key).expect("warm hit after reopen");
-        assert_eq!(hit.result.cost.to_bits(), 5.5f64.to_bits());
+        assert_eq!(cost(&hit.value).to_bits(), 5.5f64.to_bits());
         // Peek leaves the entry in place.
         assert!(store.peek_warm(&key).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_result_replaces_a_truncated_outcome_on_disk() {
+        let dir = temp_dir("upgrade");
+        let key = CacheKey::new(&leaf(6), &OptimizerConfig::default());
+        let truncated = Cached::Truncated(Arc::new(Explored {
+            rule_set: [RuleId(2)].into_iter().collect(),
+            groups: 300,
+            exprs: 3001,
+        }));
+        {
+            let store = SnapshotStore::open(&dir, 42, None).unwrap();
+            store.record_fresh(&key, &truncated, Some(&ProfileSample::default()));
+            assert_eq!(store.save().unwrap(), 1);
+        }
+        let store = SnapshotStore::open(&dir, 42, None).unwrap();
+        let hit = store.peek_warm(&key).unwrap();
+        assert!(
+            matches!(&hit.value, Cached::Truncated(e) if **e == Explored {
+                rule_set: [RuleId(2)].into_iter().collect(),
+                groups: 300,
+                exprs: 3001,
+            })
+        );
+        assert_eq!(hit.sample, Some(ProfileSample::default()));
+        store.record_fresh(&key, &dummy_result(7.0), None);
+        store.record_fresh(&key, &truncated, None);
+        store.save().unwrap();
+        let reopened = SnapshotStore::open(&dir, 42, None).unwrap();
+        assert_eq!(cost(&reopened.peek_warm(&key).unwrap().value), 7.0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -610,7 +664,7 @@ mod tests {
     fn retired_boundary_member_is_ignored_on_read() {
         let key_str = canonical_key(&CacheKey::new(&leaf(7), &OptimizerConfig::default()));
         let entry = StoredEntry {
-            result: dummy_result(1.5),
+            value: dummy_result(1.5),
             sample: Some(ProfileSample::default()),
         };
         let line = entry_line(&key_str, &entry);

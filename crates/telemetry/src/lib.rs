@@ -225,11 +225,12 @@ impl Telemetry {
     }
 
     /// Books one optimizer invocation's profile under the current
-    /// thread's span stack.
+    /// thread's span stack, counting `invocations` (see
+    /// [`Profiler::flush_optimize`]).
     #[inline]
-    pub fn flush_profile(&self, sample: &ProfileSample) {
+    pub fn flush_profile(&self, sample: &ProfileSample, invocations: u64) {
         if let Some(i) = &self.inner {
-            i.profiler.flush_optimize(sample);
+            i.profiler.flush_optimize(sample, invocations);
         }
     }
 

@@ -34,6 +34,9 @@ pub enum Counter {
     GenHits,
     /// Generation problems exhausted without a hit.
     GenFailures,
+    /// Generation hits a suite dropped because their search stopped at the
+    /// memo cap (a suite keeps only fixpoint searches, §5.2).
+    GenRejectedTruncated,
     /// Edge-cost probes the §5.3.1 monotonicity bound skipped.
     EdgesPruned,
     /// Edge-cost probes actually computed by the edge oracle.
@@ -105,7 +108,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 34;
 
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::OptInvocations,
@@ -115,6 +118,7 @@ impl Counter {
         Counter::GenTrials,
         Counter::GenHits,
         Counter::GenFailures,
+        Counter::GenRejectedTruncated,
         Counter::EdgesPruned,
         Counter::OracleCalls,
         Counter::Validations,
@@ -153,6 +157,7 @@ impl Counter {
             Counter::GenTrials => "gen.trials",
             Counter::GenHits => "gen.hits",
             Counter::GenFailures => "gen.failures",
+            Counter::GenRejectedTruncated => "gen.rejected_truncated",
             Counter::EdgesPruned => "graph.edges_pruned",
             Counter::OracleCalls => "graph.oracle_calls",
             Counter::Validations => "correctness.validations",

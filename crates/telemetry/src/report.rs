@@ -286,10 +286,11 @@ impl RunReport {
         );
         let _ = writeln!(
             out,
-            "  generation           {:>10} trials, {} hits, {} failures",
+            "  generation           {:>10} trials, {} hits, {} failures, {} truncated hits rejected",
             self.counter(Counter::GenTrials),
             self.counter(Counter::GenHits),
-            self.counter(Counter::GenFailures)
+            self.counter(Counter::GenFailures),
+            self.counter(Counter::GenRejectedTruncated)
         );
         let _ = writeln!(
             out,

@@ -229,11 +229,13 @@ impl Profiler {
 
     /// Books a finished optimizer invocation under the current thread's
     /// span stack: one `optimize` row (child time = total per-rule time)
-    /// plus one row per `(rule, phase)` the invocation touched, and the
-    /// flat rule table. The enclosing frame's child accumulator absorbs
-    /// the invocation's wall time so stage self/child accounting stays
-    /// exact.
-    pub fn flush_optimize(self: &Arc<Self>, sample: &ProfileSample) {
+    /// counting `invocations`, plus one row per `(rule, phase)` the
+    /// invocation touched, and the flat rule table. The enclosing frame's
+    /// child accumulator absorbs the invocation's wall time so stage
+    /// self/child accounting stays exact. `invocations` is 1, or 0 for a
+    /// sample that completes an invocation booked earlier (the extraction
+    /// of a search first kept without its plan).
+    pub fn flush_optimize(self: &Arc<Self>, sample: &ProfileSample, invocations: u64) {
         let ptr = Arc::as_ptr(self) as usize;
         let mut path: Vec<SpanKey> = STACKS.with(|s| {
             let mut map = s.borrow_mut();
@@ -249,7 +251,7 @@ impl Profiler {
         });
         path.push(SpanKey::Stage(Stage::Optimize));
         let rules_ns: u64 = sample.rules.values().map(|a| a.bind_ns + a.subst_ns).sum();
-        self.record_path(&path, 1, sample.elapsed_ns, rules_ns);
+        self.record_path(&path, invocations, sample.elapsed_ns, rules_ns);
         for (&(rule, phase), acc) in &sample.rules {
             path.push(SpanKey::Rule { rule, phase });
             self.record_path(&path, acc.binds, acc.bind_ns + acc.subst_ns, 0);
@@ -400,6 +402,11 @@ impl ProfileSample {
         if fired {
             acc.fires += 1;
         }
+    }
+
+    /// Drops the rows of every phase but `phase`.
+    pub fn retain_phase(&mut self, phase: RulePhase) {
+        self.rules.retain(|&(_, p), _| p == phase);
     }
 }
 
@@ -571,8 +578,10 @@ impl ProfileSection {
     }
 
     /// Structural self-check: unique paths, every non-root row's parent
-    /// present, `child_ns ≤ wall_ns` per row, and `child_ns` equal to
-    /// the exact sum of direct children's `wall_ns`.
+    /// present, a non-zero count on every row but an `optimize` one (which
+    /// may hold only the extraction of searches counted on another path),
+    /// `child_ns ≤ wall_ns` per row, and `child_ns` equal to the exact sum
+    /// of direct children's `wall_ns`.
     pub fn validate(&self) -> Result<(), String> {
         self.validate_with(true)
     }
@@ -590,7 +599,7 @@ impl ProfileSection {
             if row.path.is_empty() {
                 return Err("profile.spans: empty span path".to_string());
             }
-            if row.count == 0 {
+            if row.count == 0 && row.leaf() != Stage::Optimize.name() {
                 return Err(format!("profile span '{}': zero count", row.path));
             }
             if strict_timing && row.child_ns > row.wall_ns {
@@ -686,7 +695,7 @@ mod tests {
             s.record_bind(3, RulePhase::Implement, 10);
             s.record_apply(3, RulePhase::Implement, 20, false);
             s.elapsed_ns = 1000;
-            p.flush_optimize(&s);
+            p.flush_optimize(&s, 1);
         }
         let names = vec!["A".into(), "B".into(), "C".into(), "D".into()];
         let sec = p.section(&names);
@@ -714,13 +723,32 @@ mod tests {
     }
 
     #[test]
+    fn a_completing_flush_counts_no_invocation_and_still_validates() {
+        let p = Arc::new(Profiler::default());
+        let mut s = ProfileSample::default();
+        s.record_bind(2, RulePhase::Explore, 4);
+        s.record_bind(2, RulePhase::Implement, 6);
+        s.elapsed_ns = 50;
+        s.retain_phase(RulePhase::Implement);
+        {
+            let _stage = Profiler::enter(&p, SpanKey::Stage(Stage::Mutation));
+            p.flush_optimize(&s, 0);
+        }
+        let sec = p.section(&["A".into(), "B".into(), "C".into()]);
+        sec.validate().unwrap();
+        let opt = sec.spans.iter().find(|r| r.path == "mutation;optimize");
+        assert_eq!(opt.map(|r| (r.count, r.child_ns)), Some((0, 6)));
+        assert_eq!(sec.rules.keys().collect::<Vec<_>>(), ["C/implement"]);
+    }
+
+    #[test]
     fn flush_with_empty_stack_makes_a_root_optimize_row() {
         let p = Arc::new(Profiler::default());
         let s = ProfileSample {
             elapsed_ns: 7,
             ..Default::default()
         };
-        p.flush_optimize(&s);
+        p.flush_optimize(&s, 1);
         let sec = p.section(&[]);
         sec.validate().unwrap();
         assert_eq!(sec.spans.len(), 1);
@@ -739,7 +767,7 @@ mod tests {
                     let mut s = ProfileSample::default();
                     s.record_bind(1, RulePhase::Explore, 5);
                     s.elapsed_ns = 10;
-                    p.flush_optimize(&s);
+                    p.flush_optimize(&s, 1);
                 }
             };
             if threads <= 1 {
@@ -796,7 +824,7 @@ mod tests {
             let mut s = ProfileSample::default();
             s.record_bind(0, RulePhase::Explore, 3);
             s.elapsed_ns = 9;
-            p.flush_optimize(&s);
+            p.flush_optimize(&s, 1);
         }
         let sec = p.section(&["A".into()]);
         let back = ProfileSection::decode(&sec.encode()).unwrap();
