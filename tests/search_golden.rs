@@ -16,16 +16,43 @@
 //! returned a substitute, per rule and phase (generated before ISSUE 19
 //! changed how the explore loop decides what to apply). `binds` is left
 //! out on purpose: it counts `bind()` calls, which a change may save.
+//!
+//! Neither file sees a substitute that the memo already holds from another
+//! derivation. `select_substitutes.txt` pins, over the same optimizations,
+//! what each select-family rule returns: per rule the number of
+//! substitutes and a hash over every one, in application order (generated
+//! before the select family moved into the rule IR).
 
 use ruletest_core::{
     generate_suite_lenient, pair_targets, Framework, FrameworkConfig, GenConfig, RuleTarget,
     Strategy, TestSuite,
 };
+use ruletest_optimizer::rules::exploration_rules;
 use ruletest_optimizer::{Fnv64, OptimizeResult, Optimizer, OptimizerConfig, PhysicalPlan};
 use ruletest_telemetry::Telemetry;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = include_str!("golden/search_digest.txt");
 const GOLDEN_FIRES: &str = include_str!("golden/search_fires.txt");
+const GOLDEN_SELECT: &str = include_str!("golden/select_substitutes.txt");
+
+/// The select family, in registration order.
+const SELECT_FAMILY: [&str; 13] = [
+    "SelectMerge",
+    "SelectSplit",
+    "SelectPushBelowInnerJoin",
+    "SelectPushBelowOuterJoin",
+    "SelectPushBelowSemiJoin",
+    "SelectPushBelowProject",
+    "SelectPullAboveProject",
+    "SelectPushBelowUnionAll",
+    "SelectPushBelowGbAgg",
+    "SelectPushBelowSort",
+    "SelectPushBelowDistinct",
+    "SelectIntoInnerJoin",
+    "OuterJoinSimplify",
+];
 
 fn hash_plan(h: &mut Fnv64, plan: &PhysicalPlan) {
     h.write_str(&format!("{:?}", plan.op))
@@ -158,4 +185,41 @@ fn rule_fires_are_identical_to_the_golden_counts() {
     // Not pinned; `--nocapture` shows it for a before/after comparison.
     println!("binds over the golden optimizations: {binds}");
     assert_matches_golden(&actual, GOLDEN_FIRES, "search_fires.txt");
+}
+
+/// The same optimizations on an optimizer whose select-family rules log
+/// what they return: per rule, the number of substitutes and an FNV hash
+/// over each substitute's `Debug` text, in application order.
+#[test]
+fn select_substitutes_are_identical_to_the_golden_hashes() {
+    let fw = Framework::new(&FrameworkConfig::default()).unwrap();
+    let (suite, _) = golden_suite(&fw);
+    let log: Arc<Mutex<BTreeMap<&str, (u64, Fnv64)>>> = Arc::default();
+    let overrides = exploration_rules()
+        .into_iter()
+        .filter(|r| SELECT_FAMILY.contains(&r.name))
+        .map(|rule| {
+            let (name, log) = (rule.name, Arc::clone(&log));
+            rule.wrap_explore(move |_, substitutes| {
+                let mut log = log.lock().unwrap();
+                let (n, h) = log.entry(name).or_default();
+                for s in &substitutes {
+                    *n += 1;
+                    h.write_str(&format!("{s:?}"));
+                }
+                substitutes
+            })
+        })
+        .collect();
+    let opt = Optimizer::new_with_overrides(fw.optimizer.database().clone(), overrides);
+    let mut optimizations = 0usize;
+    optimize_all(&opt, &suite, |_, _, _| optimizations += 1);
+
+    let log = log.lock().unwrap();
+    let mut actual = format!("optimizations {optimizations}\n");
+    for name in SELECT_FAMILY {
+        let (n, h) = log.get(name).cloned().unwrap_or_default();
+        actual.push_str(&format!("{name} {n} {:016x}\n", h.finish()));
+    }
+    assert_matches_golden(&actual, GOLDEN_SELECT, "select_substitutes.txt");
 }
