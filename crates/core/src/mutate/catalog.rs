@@ -2,15 +2,15 @@
 //!
 //! Each mutant's `build` receives the real rule and changes one thing, in
 //! one of three ways:
-//! * *edited* mutants change one part of an IR rule's [`Rewrite`] —
-//!   delete a guard, change a target's join kind, un-swap its inputs,
-//!   reverse a predicate term, empty or repeat its targets;
-//! * *wrapped* mutants keep a hand-coded rule's substitution and edit
-//!   each substitute it returns (join-kind corruption, limit bumps);
-//! * *rewritten* mutants re-implement a hand-coded rule's substitution
-//!   with one check or step deleted (dropped preconditions, dropped
-//!   conjuncts) — the bug is inside the logic, so output transformation
-//!   cannot express it.
+//! * *edited* mutants (15) change one part of an IR rule's [`Rewrite`] —
+//!   delete a guard, change a target's join kind, connective or a split's
+//!   scope, un-swap its inputs, reverse a predicate term, empty or repeat
+//!   its targets, drop a residual;
+//! * *wrapped* mutants (1) keep a hand-coded rule's substitution and edit
+//!   each substitute it returns (a limit bump);
+//! * *rewritten* mutants (9) re-implement a hand-coded rule's substitution
+//!   with one check or step deleted — the bug is inside the logic, so
+//!   output transformation cannot express it.
 //!
 //! Every mutant keeps the real rule's name (so the optimizer override
 //! replaces it), pattern, and `mints_fresh_ids` flag; only the
@@ -18,9 +18,9 @@
 //! pattern, because that is its bug.
 
 use super::{BugClass, Mutant, Verdict};
-use ruletest_expr::{conjoin, conjuncts, AggCall, AggFunc, Expr};
+use ruletest_expr::{AggCall, AggFunc, BinOp, Expr};
 use ruletest_logical::{JoinKind, OpKind, Operator};
-use ruletest_optimizer::rewrite::{Guard, Pred, Target};
+use ruletest_optimizer::rewrite::{Guard, Pred, Scope, Target};
 use ruletest_optimizer::rule::RuleCtx;
 use ruletest_optimizer::{Bound, NewChild, NewTree, PatternTree, Rewrite, Rule, RuleAction};
 use std::collections::BTreeSet;
@@ -46,16 +46,32 @@ fn edited(mut rule: Rule, precondition: &'static str, edit: fn(&mut Rewrite)) ->
     }
 }
 
-/// The join at the root of a commute's one target: its kind, predicate
-/// term and inputs.
-fn root_join(rewrite: &mut Rewrite) -> (&mut JoinKind, &mut Pred, &mut [Target; 2]) {
-    match &mut rewrite.targets[..] {
-        [Target::Join {
-            kind,
-            pred,
-            children,
-        }] => (kind, pred, children),
-        _ => unreachable!("a commute has one join target"),
+/// The join at or under the selects atop a rewrite's first target: its
+/// kind, predicate term and inputs.
+fn first_join(rewrite: &mut Rewrite) -> (&mut JoinKind, &mut Pred, &mut [Target; 2]) {
+    fn walk(t: &mut Target) -> (&mut JoinKind, &mut Pred, &mut [Target; 2]) {
+        match t {
+            Target::Join {
+                kind,
+                pred,
+                children,
+            } => (kind, pred, children),
+            Target::Select { input, .. } | Target::SelectIfAny { input, .. } => walk(input),
+            _ => unreachable!("a join under selects"),
+        }
+    }
+    walk(&mut rewrite.targets[0])
+}
+
+/// The join kinds under which a join pushdown's split moves conjuncts
+/// below input `side`.
+fn input_kinds(rewrite: &mut Rewrite, side: usize) -> &mut Vec<JoinKind> {
+    match rewrite.guards.first_mut() {
+        Some(Guard::Split { scopes, .. }) => match &mut scopes[side] {
+            Scope::Input { kinds, .. } => kinds,
+            Scope::GroupBy(_) => unreachable!("a join pushdown splits by input"),
+        },
+        _ => unreachable!("a pushdown splits first"),
     }
 }
 
@@ -82,25 +98,6 @@ fn rewritten(
         action: RuleAction::Explore(Arc::new(f)),
         ..rule
     }
-}
-
-/// Rewrites the kind of the first `Join` operator found on the spine of
-/// a substitute (depth-first).
-fn corrupt_first_join_kind(tree: &mut NewTree, from: JoinKind, to: JoinKind) -> bool {
-    if let Operator::Join { kind, .. } = &mut tree.op {
-        if *kind == from {
-            *kind = to;
-            return true;
-        }
-    }
-    for c in &mut tree.children {
-        if let NewChild::Tree(t) = c {
-            if corrupt_first_join_kind(t, from, to) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -154,203 +151,6 @@ fn top_top_any_keys(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
             keys: keys.clone(),
         },
         vec![NewChild::Group(inner.children[0].group())],
-    )]
-}
-
-// ---------------------------------------------------------------------
-// Class 2: predicate misplacement.
-// ---------------------------------------------------------------------
-
-/// `SelectPushBelowOuterJoin` pushing conjuncts below the
-/// *null-supplying* side of a LOJ.
-fn push_below_null_side(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join {
-        kind,
-        predicate: jp,
-    } = &join.op
-    else {
-        return vec![];
-    };
-    if *kind != JoinKind::LeftOuter {
-        return vec![];
-    }
-    let right_cols = ctx.cols(join.children[1].group());
-    let (push, keep): (Vec<Expr>, Vec<Expr>) = conjuncts(predicate)
-        .into_iter()
-        .partition(|c| ruletest_expr::columns_of(c).is_subset(right_cols));
-    if push.is_empty() {
-        return vec![];
-    }
-    let pushed = NewTree::new(
-        Operator::Select {
-            predicate: conjoin(push),
-        },
-        vec![NewChild::Group(join.children[1].group())],
-    );
-    let new_join = NewTree::new(
-        Operator::Join {
-            kind: *kind,
-            predicate: jp.clone(),
-        },
-        vec![
-            NewChild::Group(join.children[0].group()),
-            NewChild::Tree(pushed),
-        ],
-    );
-    vec![if keep.is_empty() {
-        new_join
-    } else {
-        NewTree::new(
-            Operator::Select {
-                predicate: conjoin(keep),
-            },
-            vec![NewChild::Tree(new_join)],
-        )
-    }]
-}
-
-/// `SelectIntoInnerJoin` applied to a left outer join: filtered-out rows
-/// come back NULL-padded.
-fn select_into_outer_join(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join {
-        kind,
-        predicate: jp,
-    } = &join.op
-    else {
-        return vec![];
-    };
-    if *kind != JoinKind::LeftOuter {
-        return vec![];
-    }
-    let merged = if jp.is_true_lit() {
-        predicate.clone()
-    } else {
-        Expr::and(predicate.clone(), jp.clone())
-    };
-    vec![NewTree::new(
-        Operator::Join {
-            kind: *kind,
-            predicate: merged,
-        },
-        vec![
-            NewChild::Group(join.children[0].group()),
-            NewChild::Group(join.children[1].group()),
-        ],
-    )]
-}
-
-/// `SelectPushBelowInnerJoin` that pushes the single-side conjuncts
-/// correctly but silently drops the residual cross-input conjuncts
-/// instead of keeping them above the join. The buggy plan joins
-/// *smaller* (filtered) inputs, so the cost model prefers it — the
-/// mutation is reachable precisely because it looks like a win.
-fn select_push_drops_residual(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: jp, .. } = &join.op else {
-        return vec![];
-    };
-    let left_cols = ctx.cols(join.children[0].group());
-    let right_cols = ctx.cols(join.children[1].group());
-    let mut to_left = Vec::new();
-    let mut to_right = Vec::new();
-    let mut dropped = false;
-    for c in conjuncts(predicate) {
-        let cols = ruletest_expr::columns_of(&c);
-        if cols.is_subset(left_cols) {
-            to_left.push(c);
-        } else if cols.is_subset(right_cols) {
-            to_right.push(c);
-        } else {
-            dropped = true;
-        }
-    }
-    // Only fire in the buggy case, where a residual conjunct vanishes.
-    if !dropped {
-        return vec![];
-    }
-    let side = |push: Vec<Expr>, g: ruletest_optimizer::GroupId| {
-        if push.is_empty() {
-            NewChild::Group(g)
-        } else {
-            NewChild::Tree(NewTree::new(
-                Operator::Select {
-                    predicate: conjoin(push),
-                },
-                vec![NewChild::Group(g)],
-            ))
-        }
-    };
-    vec![NewTree::new(
-        Operator::Join {
-            kind: JoinKind::Inner,
-            predicate: jp.clone(),
-        },
-        vec![
-            side(to_left, join.children[0].group()),
-            side(to_right, join.children[1].group()),
-        ],
-    )]
-}
-
-/// `SelectMerge` joining the two predicates with OR instead of AND.
-fn select_merge_or(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate: p } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Select { predicate: q } = &inner.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::Select {
-            predicate: Expr::or(p.clone(), q.clone()),
-        },
-        vec![NewChild::Group(inner.children[0].group())],
-    )]
-}
-
-/// `SelectPushBelowGbAgg` pushing *every* conjunct below the aggregate,
-/// including those over aggregate outputs (unbound below).
-fn select_push_below_gbagg_all(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(agg) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::GbAgg { group_by, aggs } = &agg.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::GbAgg {
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        vec![NewChild::Tree(NewTree::new(
-            Operator::Select {
-                predicate: predicate.clone(),
-            },
-            vec![NewChild::Group(agg.children[0].group())],
-        ))],
     )]
 }
 
@@ -675,11 +475,12 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableStatic,
         note: "conjuncts pushed below the null-supplying side of a LOJ",
         build: |rule| {
-            rewritten(
-                rule,
-                "BUGGY: pushes below the null-supplying side",
-                push_below_null_side,
-            )
+            edited(rule, "BUGGY: pushes below the null-supplying side", |rw| {
+                // A left outer join's conjuncts move right; nothing moves
+                // below a right outer join.
+                *input_kinds(rw, 0) = vec![];
+                *input_kinds(rw, 1) = vec![JoinKind::LeftOuter];
+            })
         },
     },
     Mutant {
@@ -699,10 +500,10 @@ static CATALOG: &[Mutant] = &[
                     PatternTree::Any,
                 )],
             ),
-            ..rewritten(
+            ..edited(
                 rule,
                 "BUGGY: merges the filter into an outer join's ON clause",
-                select_into_outer_join,
+                |rw| *first_join(rw).0 = JoinKind::LeftOuter,
             )
         },
     },
@@ -713,10 +514,17 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableDynamic,
         note: "pushdown drops the residual cross-input conjuncts",
         build: |rule| {
-            rewritten(
+            edited(
                 rule,
                 "BUGGY: residual cross-input conjuncts dropped during pushdown",
-                select_push_drops_residual,
+                |rw| {
+                    // Fires only when there is a residual, and drops it.
+                    rw.guards[1] = Guard::NonEmpty(Pred::Remainder);
+                    let Some(Target::SelectIfAny { input, .. }) = rw.targets.pop() else {
+                        unreachable!("the residual selects over the join");
+                    };
+                    rw.targets.push(*input);
+                },
             )
         },
     },
@@ -727,11 +535,16 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableDynamic,
         note: "stacked filters merged with OR instead of AND",
         build: |rule| {
-            rewritten(
-                rule,
-                "BUGGY: merges stacked filters with OR",
-                select_merge_or,
-            )
+            edited(rule, "BUGGY: merges stacked filters with OR", |rw| {
+                let [Target::Select {
+                    pred: Pred::Bin { op, .. },
+                    ..
+                }] = &mut rw.targets[..]
+                else {
+                    unreachable!("a merge selects by a connective");
+                };
+                *op = BinOp::Or;
+            })
         },
     },
     Mutant {
@@ -741,10 +554,18 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableStatic,
         note: "aggregate-output conjuncts pushed below the aggregate (unbound)",
         build: |rule| {
-            rewritten(
+            edited(
                 rule,
                 "BUGGY: pushes aggregate-output conjuncts below the aggregate",
-                select_push_below_gbagg_all,
+                |rw| {
+                    // No split: the whole predicate moves, whatever it
+                    // references.
+                    rw.guards.clear();
+                    rw.targets = vec![Target::reemit(
+                        1,
+                        vec![Target::select(Pred::Of(0), Target::Group(2))],
+                    )];
+                },
             )
         },
     },
@@ -812,7 +633,7 @@ static CATALOG: &[Mutant] = &[
         note: "children swapped but the kind stays LeftOuter",
         build: |rule| {
             edited(rule, "BUGGY: kind not flipped with the children", |rw| {
-                *root_join(rw).0 = JoinKind::LeftOuter
+                *first_join(rw).0 = JoinKind::LeftOuter
             })
         },
     },
@@ -826,7 +647,7 @@ static CATALOG: &[Mutant] = &[
             edited(
                 rule,
                 "BUGGY: kind rewritten without swapping the children",
-                |rw| root_join(rw).2.swap(0, 1),
+                |rw| first_join(rw).2.swap(0, 1),
             )
         },
     },
@@ -838,7 +659,7 @@ static CATALOG: &[Mutant] = &[
         note: "full outer commuted into a left outer",
         build: |rule| {
             edited(rule, "BUGGY: full outer demoted to left outer", |rw| {
-                *root_join(rw).0 = JoinKind::LeftOuter
+                *first_join(rw).0 = JoinKind::LeftOuter
             })
         },
     },
@@ -849,12 +670,10 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableStatic,
         note: "rebuilt inner join comes back as a left outer join",
         build: |rule| {
-            wrapped(
+            edited(
                 rule,
                 "BUGGY: rebuilt join kind corrupted to left outer",
-                |t| {
-                    corrupt_first_join_kind(t, JoinKind::Inner, JoinKind::LeftOuter);
-                },
+                |rw| *first_join(rw).0 = JoinKind::LeftOuter,
             )
         },
     },
@@ -965,7 +784,7 @@ static CATALOG: &[Mutant] = &[
                 rule,
                 "BUGGY(benign): conjuncts reordered in the commuted predicate",
                 |rw| {
-                    let pred = root_join(rw).1;
+                    let pred = first_join(rw).1;
                     *pred = Pred::Reversed(Box::new(pred.clone()))
                 },
             )
@@ -1009,6 +828,24 @@ mod tests {
                 m.id
             );
         }
+    }
+
+    /// An edited mutant's rewrite is not its real rule's: an edit that
+    /// changed nothing would pass every golden as a silent no-op.
+    #[test]
+    fn edited_mutants_differ_from_their_real_rewrites() {
+        let mut edited = 0;
+        for m in Mutant::all() {
+            let RuleAction::Rewrite(mutated) = &m.rule().action else {
+                continue;
+            };
+            let RuleAction::Rewrite(real) = &real(m.rule_name).action else {
+                panic!("{}: an edit of a rule outside the IR", m.id);
+            };
+            assert_ne!(mutated, real, "{}", m.id);
+            edited += 1;
+        }
+        assert_eq!(edited, 15);
     }
 
     /// What `rule` substitutes for `region ⋈ nation` joined with `kind`,

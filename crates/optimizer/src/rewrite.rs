@@ -7,13 +7,14 @@
 //! [`Node`] number — pre-order over concrete nodes and placeholders alike,
 //! the order binding signatures list concrete picks in. The guard and term
 //! vocabularies are closed, so a rewrite can be inspected and edited
-//! (the mutant catalog deletes a guard or changes a join kind) without
-//! running it. DESIGN §18 lists the rules that stay hand-coded and why.
+//! (the mutant catalog deletes a guard, changes a join kind or a scope)
+//! without running it. DESIGN §18 lists the rules that stay hand-coded and
+//! why.
 
 use crate::memo::GroupId;
 use crate::rule::{Bound, BoundChild, NewChild, NewTree, RuleCtx};
 use ruletest_common::ColId;
-use ruletest_expr::{conjoin, conjuncts, try_col_eq_col, Expr};
+use ruletest_expr::{conjoin, conjuncts, try_col_eq_col, BinOp, Expr};
 use ruletest_logical::{JoinKind, Operator};
 use std::collections::BTreeSet;
 
@@ -36,6 +37,27 @@ pub enum Guard {
     /// `side` that an equi conjunct of node `equi`'s predicate mentions, or
     /// with no `equi`, the first column of `side`'s schema.
     Probe { side: Node, equi: Option<Node> },
+    /// Binds the terms [`Pred::Part`] and [`Pred::Remainder`]: each
+    /// conjunct of node `pred`'s predicate goes to the first of `scopes`
+    /// that holds every column it references, or to the remainder. Always
+    /// holds.
+    Split { pred: Node, scopes: Vec<Scope> },
+    /// The term has at least one conjunct.
+    NonEmpty(Pred),
+}
+
+/// Where a [`Guard::Split`] may move a conjunct.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Scope {
+    /// The outputs of input `side` of the join at node `join`, if the
+    /// join's kind is one of `kinds`; under any other kind, nothing.
+    Input {
+        join: Node,
+        side: usize,
+        kinds: Vec<JoinKind>,
+    },
+    /// The grouping columns of the `GbAgg` at node `n`.
+    GroupBy(Node),
 }
 
 /// A predicate term of a target.
@@ -52,6 +74,30 @@ pub enum Pred {
     ProbeIsNull,
     /// A term's conjuncts in reverse order.
     Reversed(Box<Pred>),
+    /// The conjuncts the bound [`Guard::Split`] put in its `i`-th scope,
+    /// conjoined.
+    Part(usize),
+    /// The conjuncts it put in no scope, conjoined.
+    Remainder,
+    /// `left op right`: the right side nests whole, where conjoining both
+    /// sides' conjuncts would fold left. With `drop_true`, a right side that
+    /// is the literal TRUE is left out and the term is the left side.
+    Bin {
+        op: BinOp,
+        args: Box<[Pred; 2]>,
+        drop_true: bool,
+    },
+}
+
+impl Pred {
+    /// `left AND right`.
+    pub fn and(left: Pred, right: Pred) -> Pred {
+        Pred::Bin {
+            op: BinOp::And,
+            args: Box::new([left, right]),
+            drop_true: false,
+        }
+    }
 }
 
 /// A target template: new operators over the groups the match bound.
@@ -68,10 +114,21 @@ pub enum Target {
         pred: Pred,
         input: Box<Target>,
     },
+    /// A `Select` over `input`, or `input` itself when the predicate has
+    /// no conjuncts.
+    SelectIfAny {
+        pred: Pred,
+        input: Box<Target>,
+    },
     /// The identity projection of node `of`'s schema.
     Project {
         of: Node,
         input: Box<Target>,
+    },
+    /// The operator matched at node `node`, over new inputs.
+    Reemit {
+        node: Node,
+        inputs: Vec<Target>,
     },
 }
 
@@ -91,11 +148,22 @@ impl Target {
         }
     }
 
+    pub fn select_if_any(pred: Pred, input: Target) -> Target {
+        Target::SelectIfAny {
+            pred,
+            input: Box::new(input),
+        }
+    }
+
     pub fn project(of: Node, input: Target) -> Target {
         Target::Project {
             of,
             input: Box::new(input),
         }
+    }
+
+    pub fn reemit(node: Node, inputs: Vec<Target>) -> Target {
+        Target::Reemit { node, inputs }
     }
 }
 
@@ -119,6 +187,8 @@ impl Rewrite {
             probe: None,
             split_of: None,
             sides: [None, None],
+            parts: vec![],
+            remainder: vec![],
         };
         if !self.guards.iter().all(|g| m.holds(g)) {
             return vec![];
@@ -152,21 +222,36 @@ fn number<'b, 'm>(b: &'b Bound<'m>, nodes: &mut [Slot<'b, 'm>], n: &mut usize) {
     }
 }
 
+/// True iff every column of `pred` is `inside` — the one test of whether a
+/// conjunct is within a scope. (A walk, not `columns_of`: a partition runs
+/// it once per conjunct of every associativity or pushdown applied, and a
+/// set per conjunct is most of its cost.)
+fn pred_within(pred: &Expr, inside: &impl Fn(&ColId) -> bool) -> bool {
+    match pred {
+        Expr::Col(c) => inside(c),
+        Expr::Lit(_) => true,
+        Expr::Bin { left, right, .. } => pred_within(left, inside) && pred_within(right, inside),
+        Expr::Not(e) | Expr::IsNull(e) => pred_within(e, inside),
+    }
+}
+
 /// True iff every column of `pred` is an output of group `a` or group `b`.
-/// (A walk, not `columns_of`: the partition runs once per conjunct of
-/// every associativity applied, and a set per conjunct is most of its
-/// cost.)
 fn pred_within_groups(ctx: &RuleCtx, pred: &Expr, a: GroupId, b: GroupId) -> bool {
     let (a, b) = (ctx.cols(a), ctx.cols(b));
-    fn within(e: &Expr, a: &BTreeSet<ColId>, b: &BTreeSet<ColId>) -> bool {
-        match e {
-            Expr::Col(c) => a.contains(c) || b.contains(c),
-            Expr::Lit(_) => true,
-            Expr::Bin { left, right, .. } => within(left, a, b) && within(right, a, b),
-            Expr::Not(e) | Expr::IsNull(e) => within(e, a, b),
-        }
+    pred_within(pred, &|c| a.contains(c) || b.contains(c))
+}
+
+/// True iff `pred` has a conjunct: a leaf of its `AND` tree that is not
+/// the literal TRUE.
+fn has_conjunct(pred: &Expr) -> bool {
+    match pred {
+        Expr::Bin {
+            op: BinOp::And,
+            left,
+            right,
+        } => has_conjunct(left) || has_conjunct(right),
+        e => !e.is_true_lit(),
     }
-    within(pred, a, b)
 }
 
 /// The predicate a matched operator carries, if it carries one.
@@ -198,6 +283,9 @@ struct Match<'c, 'b, 'm> {
     /// its sides not yet handed out.
     split_of: Option<(Node, Node)>,
     sides: [Option<Expr>; 2],
+    /// What [`Guard::Split`] bound: per scope its conjuncts, and the rest.
+    parts: Vec<Vec<Expr>>,
+    remainder: Vec<Expr>,
 }
 
 impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
@@ -262,6 +350,44 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 };
                 self.probe.is_some()
             }
+            Guard::Split { pred, ref scopes } => {
+                self.parts = vec![vec![]; scopes.len()];
+                self.remainder.clear();
+                let scopes: Vec<_> = scopes.iter().map(|s| self.scope(s)).collect();
+                for c in conjuncts(self.predicate(pred)) {
+                    let within = |s: &ScopeCols| match s {
+                        ScopeCols::Group(cols) => pred_within(&c, &|col| cols.contains(col)),
+                        ScopeCols::List(cols) => pred_within(&c, &|col| cols.contains(col)),
+                        ScopeCols::Nothing => false,
+                    };
+                    match scopes.iter().position(within) {
+                        Some(i) => self.parts[i].push(c),
+                        None => self.remainder.push(c),
+                    }
+                }
+                true
+            }
+            Guard::NonEmpty(ref term) => has_conjunct(&self.pred(term)),
+        }
+    }
+
+    /// The columns a scope holds for this match.
+    fn scope(&self, scope: &Scope) -> ScopeCols<'c, 'm> {
+        match *scope {
+            Scope::Input {
+                join,
+                side,
+                ref kinds,
+            } => match (self.nodes[join], self.op(join)) {
+                (Slot::Op(b), Operator::Join { kind, .. }) if kinds.contains(kind) => {
+                    ScopeCols::Group(self.ctx.cols(b.children[side].group()))
+                }
+                _ => ScopeCols::Nothing,
+            },
+            Scope::GroupBy(n) => match self.op(n) {
+                Operator::GbAgg { group_by, .. } => ScopeCols::List(group_by),
+                op => panic!("rewrite node {n} is a {}, not a GbAgg", op.label()),
+            },
         }
     }
 
@@ -277,6 +403,21 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 let mut parts = conjuncts(&self.pred(term));
                 parts.reverse();
                 conjoin(parts)
+            }
+            &Pred::Part(i) => conjoin(self.parts[i].clone()),
+            Pred::Remainder => conjoin(self.remainder.clone()),
+            Pred::Bin {
+                op,
+                args,
+                drop_true,
+            } => {
+                let left = self.pred(&args[0]);
+                let right = self.pred(&args[1]);
+                if *drop_true && right.is_true_lit() {
+                    left
+                } else {
+                    Expr::bin(*op, left, right)
+                }
             }
         }
     }
@@ -301,26 +442,37 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
     }
 
     fn tree(&mut self, target: &Target) -> NewTree {
-        match target {
-            Target::Group(n) => panic!("a target's root is an operator, not group node {n}"),
+        match self.child(target) {
+            NewChild::Tree(tree) => tree,
+            NewChild::Group(g) => panic!("a target's root is an operator, not group {g:?}"),
+        }
+    }
+
+    fn child(&mut self, target: &Target) -> NewChild {
+        let (op, inputs) = match target {
+            Target::Group(n) => return NewChild::Group(self.group(*n)),
             Target::Join {
                 kind,
                 pred,
                 children,
             } => {
                 let predicate = self.pred(pred);
-                let inputs = vec![self.child(&children[0]), self.child(&children[1])];
-                NewTree::new(
-                    Operator::Join {
-                        kind: *kind,
-                        predicate,
-                    },
-                    inputs,
-                )
+                let op = Operator::Join {
+                    kind: *kind,
+                    predicate,
+                };
+                (op, vec![self.child(&children[0]), self.child(&children[1])])
             }
             Target::Select { pred, input } => {
                 let predicate = self.pred(pred);
-                NewTree::new(Operator::Select { predicate }, vec![self.child(input)])
+                (Operator::Select { predicate }, vec![self.child(input)])
+            }
+            Target::SelectIfAny { pred, input } => {
+                let predicate = self.pred(pred);
+                if !has_conjunct(&predicate) {
+                    return self.child(input);
+                }
+                (Operator::Select { predicate }, vec![self.child(input)])
             }
             Target::Project { of, input } => {
                 let outputs = self
@@ -329,17 +481,22 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                     .iter()
                     .map(|ci| (ci.id, Expr::col(ci.id)))
                     .collect();
-                NewTree::new(Operator::Project { outputs }, vec![self.child(input)])
+                (Operator::Project { outputs }, vec![self.child(input)])
             }
-        }
+            Target::Reemit { node, inputs } => {
+                let op = self.op(*node).clone();
+                (op, inputs.iter().map(|t| self.child(t)).collect())
+            }
+        };
+        NewChild::Tree(NewTree::new(op, inputs))
     }
+}
 
-    fn child(&mut self, target: &Target) -> NewChild {
-        match target {
-            Target::Group(n) => NewChild::Group(self.group(*n)),
-            t => NewChild::Tree(self.tree(t)),
-        }
-    }
+/// The columns a [`Scope`] resolved to.
+enum ScopeCols<'c, 'm> {
+    Group(&'c BTreeSet<ColId>),
+    List(&'m [ColId]),
+    Nothing,
 }
 
 #[cfg(test)]
@@ -355,47 +512,100 @@ mod tests {
         Group,
         Operator,
         Predicate,
+        Join,
+        GbAgg,
     }
 
-    fn pred_uses(term: &Pred, out: &mut Vec<(Node, Use)>) {
-        match term {
-            Pred::Of(n) => out.push((*n, Use::Predicate)),
-            Pred::Inside(a, b) | Pred::Rest(a, b) => {
-                out.extend([(*a, Use::Group), (*b, Use::Group)])
+    /// What a rewrite asks of its nodes, and of the split its guards bound
+    /// (`parts`: the bound split's scope count, if any).
+    struct Uses {
+        nodes: Vec<(Node, Use)>,
+        parts: Option<usize>,
+        probe: bool,
+    }
+
+    impl Uses {
+        fn pred(&mut self, term: &Pred, rule: &str) {
+            match term {
+                Pred::Of(n) => self.nodes.push((*n, Use::Predicate)),
+                Pred::Inside(a, b) | Pred::Rest(a, b) => {
+                    self.nodes.extend([(*a, Use::Group), (*b, Use::Group)])
+                }
+                Pred::ProbeIsNull => assert!(self.probe, "{rule}: unbound probe"),
+                Pred::Reversed(term) => self.pred(term, rule),
+                Pred::Part(i) => {
+                    let parts = self.parts.expect("a part of an unbound split");
+                    assert!(*i < parts, "{rule}: part {i} of {parts} scopes");
+                }
+                Pred::Remainder => assert!(self.parts.is_some(), "{rule}: unbound remainder"),
+                Pred::Bin { args, .. } => args.iter().for_each(|t| self.pred(t, rule)),
             }
-            Pred::ProbeIsNull => {}
-            Pred::Reversed(term) => pred_uses(term, out),
         }
-    }
 
-    fn target_uses(target: &Target, out: &mut Vec<(Node, Use)>) {
-        match target {
-            Target::Group(n) => out.push((*n, Use::Group)),
-            Target::Join { pred, children, .. } => {
-                pred_uses(pred, out);
-                children.iter().for_each(|c| target_uses(c, out));
+        fn guard(&mut self, guard: &Guard, rule: &str) {
+            match guard {
+                &Guard::Scope { pred, a, b } => {
+                    self.nodes
+                        .extend([(pred, Use::Predicate), (a, Use::Group), (b, Use::Group)])
+                }
+                &Guard::UniqueKey { pred, get } => self
+                    .nodes
+                    .extend([(pred, Use::Predicate), (get, Use::Operator)]),
+                &Guard::Probe { side, equi } => {
+                    self.probe = true;
+                    self.nodes.push((side, Use::Group));
+                    self.nodes.extend(equi.map(|n| (n, Use::Predicate)));
+                }
+                Guard::Split { pred, scopes } => {
+                    self.nodes.push((*pred, Use::Predicate));
+                    for scope in scopes {
+                        self.nodes.push(match *scope {
+                            Scope::Input { join, side, .. } => {
+                                assert!(side < 2, "{rule}: join input {side}");
+                                (join, Use::Join)
+                            }
+                            Scope::GroupBy(n) => (n, Use::GbAgg),
+                        });
+                    }
+                    self.parts = Some(scopes.len());
+                }
+                Guard::NonEmpty(term) => self.pred(term, rule),
             }
-            Target::Select { pred, input } => {
-                pred_uses(pred, out);
-                target_uses(input, out);
-            }
-            Target::Project { of, input } => {
-                out.push((*of, Use::Group));
-                target_uses(input, out);
+        }
+
+        fn target(&mut self, target: &Target, rule: &str) {
+            match target {
+                Target::Group(n) => self.nodes.push((*n, Use::Group)),
+                Target::Join { pred, children, .. } => {
+                    self.pred(pred, rule);
+                    children.iter().for_each(|c| self.target(c, rule));
+                }
+                Target::Select { pred, input } | Target::SelectIfAny { pred, input } => {
+                    self.pred(pred, rule);
+                    self.target(input, rule);
+                }
+                Target::Project { of, input } => {
+                    self.nodes.push((*of, Use::Group));
+                    self.target(input, rule);
+                }
+                Target::Reemit { node, inputs } => {
+                    self.nodes.push((*node, Use::Operator));
+                    inputs.iter().for_each(|t| self.target(t, rule));
+                }
             }
         }
     }
 
     /// The pattern's nodes in pre-order: `None` for a placeholder, else
-    /// whether the operator carries a predicate.
-    fn pattern_nodes(pattern: &PatternTree, out: &mut Vec<Option<bool>>) {
+    /// the operator kinds the node matches.
+    fn pattern_nodes(pattern: &PatternTree, out: &mut Vec<Option<OpKind>>) {
         match pattern {
             PatternTree::Any => out.push(None),
             PatternTree::Op { matcher, children } => {
-                out.push(Some(matches!(
-                    matcher,
-                    OpMatcher::Join(_) | OpMatcher::Kind(OpKind::Join | OpKind::Select)
-                )));
+                out.push(Some(match matcher {
+                    OpMatcher::Join(_) => OpKind::Join,
+                    OpMatcher::Kind(k) => *k,
+                }));
                 children.iter().for_each(|c| pattern_nodes(c, out));
             }
         }
@@ -403,8 +613,9 @@ mod tests {
 
     /// What the interpreter would otherwise panic on mid-search: every
     /// catalog rewrite names only nodes its pattern has, asks predicates
-    /// only of operators that carry one, roots each target at an operator
-    /// and binds a probe before testing it.
+    /// only of operators that carry one and scopes only of the joins and
+    /// aggregates that have them, roots each target at an operator, and
+    /// binds a probe or a split before a term reads it.
     #[test]
     fn catalog_rewrites_fit_their_patterns() {
         let mut checked = 0;
@@ -415,40 +626,31 @@ mod tests {
             let mut nodes = Vec::new();
             pattern_nodes(&rule.pattern, &mut nodes);
             assert!(nodes.len() <= MAX_NODES, "{}", rule.name);
-            let mut uses = Vec::new();
-            let mut probe = false;
-            for guard in &rewrite.guards {
-                match *guard {
-                    Guard::Scope { pred, a, b } => {
-                        uses.extend([(pred, Use::Predicate), (a, Use::Group), (b, Use::Group)])
-                    }
-                    Guard::UniqueKey { pred, get } => {
-                        uses.extend([(pred, Use::Predicate), (get, Use::Operator)])
-                    }
-                    Guard::Probe { side, equi } => {
-                        probe = true;
-                        uses.push((side, Use::Group));
-                        uses.extend(equi.map(|n| (n, Use::Predicate)));
-                    }
-                }
-            }
+            let mut uses = Uses {
+                nodes: vec![],
+                parts: None,
+                probe: false,
+            };
+            rewrite.guards.iter().for_each(|g| uses.guard(g, rule.name));
             for target in &rewrite.targets {
                 assert!(!matches!(target, Target::Group(_)), "{}", rule.name);
-                target_uses(target, &mut uses);
+                uses.target(target, rule.name);
             }
-            for (n, used) in uses {
+            for (n, used) in uses.nodes {
                 let node = nodes.get(n).copied();
                 let fits = match used {
                     Use::Group => node.is_some(),
                     Use::Operator => matches!(node, Some(Some(_))),
-                    Use::Predicate => node == Some(Some(true)),
+                    Use::Predicate => {
+                        matches!(node, Some(Some(OpKind::Join | OpKind::Select)))
+                    }
+                    Use::Join => node == Some(Some(OpKind::Join)),
+                    Use::GbAgg => node == Some(Some(OpKind::GbAgg)),
                 };
                 assert!(fits, "{}: node {n} as {used:?}", rule.name);
             }
-            let tests_probe = format!("{:?}", rewrite.targets).contains("ProbeIsNull");
-            assert!(probe || !tests_probe, "{}: unbound probe", rule.name);
             checked += 1;
         }
-        assert_eq!(checked, 10);
+        assert_eq!(checked, 18);
     }
 }

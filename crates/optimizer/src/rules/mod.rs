@@ -7,6 +7,11 @@
 //! escape-hatch functions of the rules the IR does not cover — this is
 //! exactly why a pattern is a *necessary but not sufficient* firing
 //! condition (§3.1).
+//!
+//! The join and select families are mostly [`crate::rewrite::Rewrite`]s
+//! (ten of twelve join rules, eight of thirteen select rules); the
+//! aggregate and miscellaneous families are still code. Each family's
+//! module doc names the rules it keeps as code.
 
 mod agg;
 mod join;

@@ -1,40 +1,26 @@
 //! Selection (filter) transformation rules: merging, splitting, pushdown
 //! through every operator that admits it, and outer-join simplification.
+//!
+//! Eight rules are [`Rewrite`]s; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]). Five stay code, each needing a
+//! term no second rule uses (DESIGN §18): `SelectSplit` (a first conjunct
+//! and the rest), `SelectPushBelowProject` (substitution through the
+//! projection), `SelectPullAboveProject` (a pass-through remap),
+//! `SelectPushBelowUnionAll` (a remap per union branch) and
+//! `OuterJoinSimplify` (a null-rejection table of join kinds).
 
 use super::util::*;
 use crate::pattern::PatternTree;
+use crate::rewrite::{Guard, Pred, Rewrite, Scope, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_expr::{conjoin, conjuncts, is_null_rejecting, Expr};
+use ruletest_expr::{conjoin, conjuncts, is_null_rejecting, BinOp, Expr};
 use ruletest_logical::{JoinKind, OpKind, Operator};
 use std::collections::HashMap;
 
-fn any() -> PatternTree {
-    PatternTree::Any
-}
+const ANY: PatternTree = PatternTree::Any;
 
 fn select_op(predicate: Expr) -> Operator {
     Operator::Select { predicate }
-}
-
-fn sel_pattern(child: PatternTree) -> PatternTree {
-    PatternTree::kind(OpKind::Select, vec![child])
-}
-
-/// `σp(σq(x)) -> σ(p AND q)(x)`.
-fn select_merge(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate: p } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Select { predicate: q } = &inner.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        select_op(Expr::and(p.clone(), q.clone())),
-        vec![gref(&inner.children[0])],
-    )]
 }
 
 /// `σ(c1 AND rest)(x) -> σc1(σrest(x))` — inverse of merge; the memo's
@@ -55,150 +41,6 @@ fn select_split(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
             select_op(rest),
             vec![gref(&b.children[0])],
         ))],
-    )]
-}
-
-/// `σp(A JOIN B)`: conjuncts over only A go below the left input, over only
-/// B below the right, the remainder stays above (inner joins).
-fn select_push_below_inner_join(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join {
-        kind,
-        predicate: jp,
-    } = &join.op
-    else {
-        return vec![];
-    };
-    debug_assert_eq!(*kind, JoinKind::Inner);
-    let left_cols = ctx.cols(join.children[0].group());
-    let right_cols = ctx.cols(join.children[1].group());
-    let (to_left, rest) = partition_conjuncts(predicate, left_cols);
-    let (to_right, keep) = {
-        let (tr, kp): (Vec<Expr>, Vec<Expr>) =
-            rest.into_iter().partition(|c| pred_within(c, right_cols));
-        (tr, kp)
-    };
-    if to_left.is_empty() && to_right.is_empty() {
-        return vec![];
-    }
-    let left_child = if to_left.is_empty() {
-        gref(&join.children[0])
-    } else {
-        NewChild::Tree(NewTree::new(
-            select_op(conjoin(to_left)),
-            vec![gref(&join.children[0])],
-        ))
-    };
-    let right_child = if to_right.is_empty() {
-        gref(&join.children[1])
-    } else {
-        NewChild::Tree(NewTree::new(
-            select_op(conjoin(to_right)),
-            vec![gref(&join.children[1])],
-        ))
-    };
-    let new_join = NewTree::new(
-        Operator::Join {
-            kind: JoinKind::Inner,
-            predicate: jp.clone(),
-        },
-        vec![left_child, right_child],
-    );
-    let result = if keep.is_empty() {
-        // The whole filter was absorbed — but the substitute must stay
-        // schema-equivalent to the Select group, which it is (Select
-        // preserves schema). A filterless result is fine.
-        new_join
-    } else {
-        NewTree::new(select_op(conjoin(keep)), vec![NewChild::Tree(new_join)])
-    };
-    vec![result]
-}
-
-/// `σp(A LOJ/ROJ B)`: only conjuncts over the *preserved* side may move
-/// below (pushing a null-supplying-side conjunct below an outer join is the
-/// classic correctness bug this framework exists to catch).
-fn select_push_below_outer_join(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join {
-        kind,
-        predicate: jp,
-    } = &join.op
-    else {
-        return vec![];
-    };
-    let preserved_idx = match kind {
-        JoinKind::LeftOuter => 0,
-        JoinKind::RightOuter => 1,
-        _ => return vec![],
-    };
-    let preserved_cols = ctx.cols(join.children[preserved_idx].group());
-    let (push, keep) = partition_conjuncts(predicate, preserved_cols);
-    if push.is_empty() {
-        return vec![];
-    }
-    let pushed = NewTree::new(
-        select_op(conjoin(push)),
-        vec![gref(&join.children[preserved_idx])],
-    );
-    let mut join_children = vec![gref(&join.children[0]), gref(&join.children[1])];
-    join_children[preserved_idx] = NewChild::Tree(pushed);
-    let new_join = NewTree::new(
-        Operator::Join {
-            kind: *kind,
-            predicate: jp.clone(),
-        },
-        join_children,
-    );
-    let result = if keep.is_empty() {
-        new_join
-    } else {
-        NewTree::new(select_op(conjoin(keep)), vec![NewChild::Tree(new_join)])
-    };
-    vec![result]
-}
-
-/// `σp(A SEMI/ANTI B)`: the output is a subset of A's rows, so any conjunct
-/// (all reference A) commutes with the join.
-fn select_push_below_semi_join(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join {
-        kind,
-        predicate: jp,
-    } = &join.op
-    else {
-        return vec![];
-    };
-    if !matches!(kind, JoinKind::LeftSemi | JoinKind::LeftAnti) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Join {
-            kind: *kind,
-            predicate: jp.clone(),
-        },
-        vec![
-            NewChild::Tree(NewTree::new(
-                select_op(predicate.clone()),
-                vec![gref(&join.children[0])],
-            )),
-            gref(&join.children[1]),
-        ],
     )]
 }
 
@@ -304,107 +146,6 @@ fn select_push_below_union(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
-/// `σp(GbAgg(x))`: conjuncts referencing only grouping columns commute with
-/// the aggregation (the precondition the paper's §1 example alludes to).
-fn select_push_below_gbagg(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(agg) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::GbAgg { group_by, aggs } = &agg.op else {
-        return vec![];
-    };
-    let group_set: std::collections::BTreeSet<_> = group_by.iter().copied().collect();
-    let (push, keep) = partition_conjuncts(predicate, &group_set);
-    if push.is_empty() {
-        return vec![];
-    }
-    let inner = NewTree::new(
-        Operator::GbAgg {
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        vec![NewChild::Tree(NewTree::new(
-            select_op(conjoin(push)),
-            vec![gref(&agg.children[0])],
-        ))],
-    );
-    let result = if keep.is_empty() {
-        inner
-    } else {
-        NewTree::new(select_op(conjoin(keep)), vec![NewChild::Tree(inner)])
-    };
-    vec![result]
-}
-
-/// `σp(Sort(x)) -> Sort(σp(x))`.
-fn select_push_below_sort(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(sort) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Sort { keys } = &sort.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::Sort { keys: keys.clone() },
-        vec![NewChild::Tree(NewTree::new(
-            select_op(predicate.clone()),
-            vec![gref(&sort.children[0])],
-        ))],
-    )]
-}
-
-/// `σp(Distinct(x)) -> Distinct(σp(x))`.
-fn select_push_below_distinct(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(d) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(d.op, Operator::Distinct) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Distinct,
-        vec![NewChild::Tree(NewTree::new(
-            select_op(predicate.clone()),
-            vec![gref(&d.children[0])],
-        ))],
-    )]
-}
-
-/// `σp(A JOIN[Inner] B) -> A JOIN[p AND on] B` — merges the filter into the
-/// join predicate (subsumes cross-product-to-inner-join).
-fn select_into_inner_join(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: jp, .. } = &join.op else {
-        return vec![];
-    };
-    let merged = if jp.is_true_lit() {
-        predicate.clone()
-    } else {
-        Expr::and(predicate.clone(), jp.clone())
-    };
-    vec![NewTree::new(
-        Operator::Join {
-            kind: JoinKind::Inner,
-            predicate: merged,
-        },
-        vec![gref(&join.children[0]), gref(&join.children[1])],
-    )]
-}
-
 /// Outer-join simplification: a null-rejecting filter above an outer join
 /// on the null-supplying side's columns converts the join to a stricter
 /// kind (LOJ/ROJ -> INNER; FOJ -> LOJ/ROJ/INNER).
@@ -451,98 +192,177 @@ fn outer_join_simplify(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
+/// `σ0(2 op1 3)`: each conjunct of 0 that references only input 2 (or 3),
+/// while op's kind is in that input's `kinds`, moves below the input; the
+/// rest stay above `rejoin`. Nothing if no conjunct moves.
+fn push_below_join(
+    kinds: [Vec<JoinKind>; 2],
+    rejoin: impl FnOnce(Target, Target) -> Target,
+) -> Rewrite {
+    let [left, right] = kinds;
+    let input = |side, kinds| Scope::Input {
+        join: 1,
+        side,
+        kinds,
+    };
+    Rewrite {
+        guards: vec![
+            Guard::Split {
+                pred: 0,
+                scopes: vec![input(0, left), input(1, right)],
+            },
+            Guard::NonEmpty(Pred::and(Pred::Part(0), Pred::Part(1))),
+        ],
+        targets: vec![Target::select_if_any(
+            Pred::Remainder,
+            rejoin(
+                Target::select_if_any(Pred::Part(0), Target::Group(2)),
+                Target::select_if_any(Pred::Part(1), Target::Group(3)),
+            ),
+        )],
+    }
+}
+
+/// The select rule set, in registration order.
 pub(super) fn rules() -> Vec<Rule> {
-    vec![
-        Rule::explore(
-            "SelectMerge",
-            sel_pattern(sel_pattern(any())),
+    use JoinKind::{FullOuter, Inner, LeftAnti, LeftOuter, LeftSemi, RightOuter};
+    use Target::Group;
+    let sel = |child| PatternTree::kind(OpKind::Select, vec![child]);
+    // `σ0(1(2)) -> 1(σ0(2))` for the unary operator 1.
+    let push_below_unary = |name, kind| {
+        Rule::rewrite(
+            name,
+            sel(PatternTree::kind(kind, vec![ANY])),
             "always applicable",
-            select_merge,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::reemit(
+                    1,
+                    vec![Target::select(Pred::Of(0), Group(2))],
+                )],
+            },
+        )
+    };
+    vec![
+        // `σ0(σ1(2)) -> σ(0 AND 1)(2)`.
+        Rule::rewrite(
+            "SelectMerge",
+            sel(sel(ANY)),
+            "always applicable",
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::select(
+                    Pred::and(Pred::Of(0), Pred::Of(1)),
+                    Group(2),
+                )],
+            },
         ),
         Rule::explore(
             "SelectSplit",
-            sel_pattern(any()),
+            sel(ANY),
             "predicate has at least two conjuncts",
             select_split,
         ),
-        Rule::explore(
+        Rule::rewrite(
             "SelectPushBelowInnerJoin",
-            sel_pattern(PatternTree::join(vec![JoinKind::Inner], any(), any())),
+            sel(PatternTree::join(vec![Inner], ANY, ANY)),
             "some conjunct references only one join input",
-            select_push_below_inner_join,
+            push_below_join([vec![Inner], vec![Inner]], |l, r| {
+                Target::join(Inner, Pred::Of(1), l, r)
+            }),
         ),
-        Rule::explore(
+        // Only conjuncts over the *preserved* side may move below (pushing
+        // a null-supplying-side conjunct below an outer join is the classic
+        // correctness bug this framework exists to catch).
+        Rule::rewrite(
             "SelectPushBelowOuterJoin",
-            sel_pattern(PatternTree::join(
-                vec![JoinKind::LeftOuter, JoinKind::RightOuter],
-                any(),
-                any(),
-            )),
+            sel(PatternTree::join(vec![LeftOuter, RightOuter], ANY, ANY)),
             "some conjunct references only the preserved side",
-            select_push_below_outer_join,
+            push_below_join([vec![LeftOuter], vec![RightOuter]], |l, r| {
+                Target::reemit(1, vec![l, r])
+            }),
         ),
-        Rule::explore(
+        // `σ0(2 SEMI/ANTI1 3) -> σ0(2) SEMI/ANTI1 3`: the output is a subset
+        // of 2's rows, so every conjunct references 2 only.
+        Rule::rewrite(
             "SelectPushBelowSemiJoin",
-            sel_pattern(PatternTree::join(
-                vec![JoinKind::LeftSemi, JoinKind::LeftAnti],
-                any(),
-                any(),
-            )),
+            sel(PatternTree::join(vec![LeftSemi, LeftAnti], ANY, ANY)),
             "always applicable (semi/anti output is a subset of the left input)",
-            select_push_below_semi_join,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::reemit(
+                    1,
+                    vec![Target::select(Pred::Of(0), Group(2)), Group(3)],
+                )],
+            },
         ),
         Rule::explore(
             "SelectPushBelowProject",
-            sel_pattern(PatternTree::kind(OpKind::Project, vec![any()])),
+            sel(PatternTree::kind(OpKind::Project, vec![ANY])),
             "always applicable (predicate rewritten by substitution)",
             select_push_below_project,
         ),
         Rule::explore(
             "SelectPullAboveProject",
-            PatternTree::kind(OpKind::Project, vec![sel_pattern(any())]),
+            PatternTree::kind(OpKind::Project, vec![sel(ANY)]),
             "every predicate column survives the projection as a bare column",
             select_pull_above_project,
         ),
         Rule::explore(
             "SelectPushBelowUnionAll",
-            sel_pattern(PatternTree::kind(OpKind::UnionAll, vec![any(), any()])),
+            sel(PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY])),
             "always applicable",
             select_push_below_union,
         ),
-        Rule::explore(
+        // `σ0(GbAgg1(2))`: conjuncts over only the grouping columns commute
+        // with the aggregation (the precondition the paper's §1 example
+        // alludes to).
+        Rule::rewrite(
             "SelectPushBelowGbAgg",
-            sel_pattern(PatternTree::kind(OpKind::GbAgg, vec![any()])),
+            sel(PatternTree::kind(OpKind::GbAgg, vec![ANY])),
             "some conjunct references only grouping columns",
-            select_push_below_gbagg,
+            Rewrite {
+                guards: vec![
+                    Guard::Split {
+                        pred: 0,
+                        scopes: vec![Scope::GroupBy(1)],
+                    },
+                    Guard::NonEmpty(Pred::Part(0)),
+                ],
+                targets: vec![Target::select_if_any(
+                    Pred::Remainder,
+                    Target::reemit(1, vec![Target::select(Pred::Part(0), Group(2))]),
+                )],
+            },
         ),
-        Rule::explore(
-            "SelectPushBelowSort",
-            sel_pattern(PatternTree::kind(OpKind::Sort, vec![any()])),
-            "always applicable",
-            select_push_below_sort,
-        ),
-        Rule::explore(
-            "SelectPushBelowDistinct",
-            sel_pattern(PatternTree::kind(OpKind::Distinct, vec![any()])),
-            "always applicable",
-            select_push_below_distinct,
-        ),
-        Rule::explore(
+        push_below_unary("SelectPushBelowSort", OpKind::Sort),
+        push_below_unary("SelectPushBelowDistinct", OpKind::Distinct),
+        // `σ0(2 ⋈1 3) -> 2 ⋈[0 AND 1] 3`, leaving out a TRUE join predicate
+        // (subsumes cross-product-to-inner-join).
+        Rule::rewrite(
             "SelectIntoInnerJoin",
-            sel_pattern(PatternTree::join(vec![JoinKind::Inner], any(), any())),
+            sel(PatternTree::join(vec![Inner], ANY, ANY)),
             "always applicable",
-            select_into_inner_join,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::join(
+                    Inner,
+                    Pred::Bin {
+                        op: BinOp::And,
+                        args: Box::new([Pred::Of(0), Pred::Of(1)]),
+                        drop_true: true,
+                    },
+                    Group(2),
+                    Group(3),
+                )],
+            },
         ),
         Rule::explore(
             "OuterJoinSimplify",
-            sel_pattern(PatternTree::join(
-                vec![
-                    JoinKind::LeftOuter,
-                    JoinKind::RightOuter,
-                    JoinKind::FullOuter,
-                ],
-                any(),
-                any(),
+            sel(PatternTree::join(
+                vec![LeftOuter, RightOuter, FullOuter],
+                ANY,
+                ANY,
             )),
             "filter is null-rejecting on a null-supplying side",
             outer_join_simplify,
