@@ -21,7 +21,10 @@
 //! derivation. `select_substitutes.txt` pins, over the same optimizations,
 //! what each select-family rule returns: per rule the number of
 //! substitutes and a hash over every one, in application order (generated
-//! before the select family moved into the rule IR).
+//! before the select family moved into the rule IR). `explore_substitutes.txt`
+//! pins the same for every other exploration rule (the join, aggregate and
+//! misc families), written in the same pass (generated before expressions
+//! carried their hash and column rewrites shared unchanged subtrees).
 
 use ruletest_core::{
     generate_suite_lenient, pair_targets, Framework, FrameworkConfig, GenConfig, RuleTarget,
@@ -36,6 +39,7 @@ use std::sync::{Arc, Mutex};
 const GOLDEN: &str = include_str!("golden/search_digest.txt");
 const GOLDEN_FIRES: &str = include_str!("golden/search_fires.txt");
 const GOLDEN_SELECT: &str = include_str!("golden/select_substitutes.txt");
+const GOLDEN_EXPLORE: &str = include_str!("golden/explore_substitutes.txt");
 
 /// The select family, in registration order.
 const SELECT_FAMILY: [&str; 13] = [
@@ -187,17 +191,19 @@ fn rule_fires_are_identical_to_the_golden_counts() {
     assert_matches_golden(&actual, GOLDEN_FIRES, "search_fires.txt");
 }
 
-/// The same optimizations on an optimizer whose select-family rules log
+/// The same optimizations on an optimizer whose exploration rules log
 /// what they return: per rule, the number of substitutes and an FNV hash
-/// over each substitute's `Debug` text, in application order.
+/// over each substitute's `Debug` text, in application order. The select
+/// family goes to one file, every other exploration rule to a second.
 #[test]
 fn select_substitutes_are_identical_to_the_golden_hashes() {
     let fw = Framework::new(&FrameworkConfig::default()).unwrap();
     let (suite, _) = golden_suite(&fw);
     let log: Arc<Mutex<BTreeMap<&str, (u64, Fnv64)>>> = Arc::default();
-    let overrides = exploration_rules()
+    let rules = exploration_rules();
+    let names: Vec<&str> = rules.iter().map(|r| r.name).collect();
+    let overrides = rules
         .into_iter()
-        .filter(|r| SELECT_FAMILY.contains(&r.name))
         .map(|rule| {
             let (name, log) = (rule.name, Arc::clone(&log));
             rule.wrap_explore(move |_, substitutes| {
@@ -216,10 +222,17 @@ fn select_substitutes_are_identical_to_the_golden_hashes() {
     optimize_all(&opt, &suite, |_, _, _| optimizations += 1);
 
     let log = log.lock().unwrap();
-    let mut actual = format!("optimizations {optimizations}\n");
-    for name in SELECT_FAMILY {
+    let header = format!("optimizations {optimizations}\n");
+    let (mut select, mut explore) = (header.clone(), header);
+    for name in names {
         let (n, h) = log.get(name).cloned().unwrap_or_default();
-        actual.push_str(&format!("{name} {n} {:016x}\n", h.finish()));
+        let out = if SELECT_FAMILY.contains(&name) {
+            &mut select
+        } else {
+            &mut explore
+        };
+        out.push_str(&format!("{name} {n} {:016x}\n", h.finish()));
     }
-    assert_matches_golden(&actual, GOLDEN_SELECT, "select_substitutes.txt");
+    assert_matches_golden(&select, GOLDEN_SELECT, "select_substitutes.txt");
+    assert_matches_golden(&explore, GOLDEN_EXPLORE, "explore_substitutes.txt");
 }
