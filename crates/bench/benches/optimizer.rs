@@ -3,17 +3,19 @@
 //! each half of an optimization (exploration to the fixpoint and to the
 //! budget, plan extraction), a capped search with and without its plan,
 //! and one rung for each inner loop of the search (memo insert, pattern
-//! bind, re-bind after growth). Runs on the dependency-free std::time
-//! harness.
+//! bind, rule application, re-bind after growth). Runs on the
+//! dependency-free std::time harness.
 
 use ruletest_bench::harness;
-use ruletest_expr::{AggCall, AggFunc, Expr};
+use ruletest_expr::{conjoin, AggCall, AggFunc, Expr};
 use ruletest_logical::{IdGen, JoinKind, LogicalTree, OpKind, Operator};
 use ruletest_optimizer::rule::newtree_from_logical;
 use ruletest_optimizer::{
-    match_bindings, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig, Searched,
+    match_bindings, Bound, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig, Rule,
+    RuleCtx, Searched,
 };
-use ruletest_storage::{tpch_database, TpchConfig};
+use ruletest_storage::{tpch_database, Database, TpchConfig};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 fn star_query(opt: &Optimizer, joins: usize) -> LogicalTree {
@@ -54,6 +56,24 @@ fn rederivations(memo: &Memo) -> Vec<(NewTree, GroupId)> {
             })
         })
         .collect()
+}
+
+/// The substitutes `rule` returns for each of `bindings`, counted.
+fn apply_all(db: &Database, memo: &Memo, rule: &Rule, bindings: &[Bound]) -> usize {
+    // No rule applied here mints a column id.
+    let ids = RefCell::new(IdGen::new());
+    let ctx = RuleCtx {
+        db,
+        memo,
+        ids: &ids,
+    };
+    bindings
+        .iter()
+        .map(|b| {
+            let substitutes = rule.action.apply_explore(&ctx, b);
+            substitutes.expect("an exploration rule").len()
+        })
+        .sum()
 }
 
 fn main() {
@@ -161,6 +181,52 @@ fn main() {
     });
     assert_eq!(search.memo.num_exprs(), before, "duplicates added nothing");
 
+    // Duplicates of wide predicates: 64 selections over lineitem, each the
+    // conjunction of a tag and "not null" on every column.
+    let lineitem_def = db.catalog.table_by_name("lineitem").expect("TPC-H table");
+    let lineitem = LogicalTree::get(lineitem_def, &mut IdGen::new());
+    let lineitem_cols: Vec<_> = (0..lineitem_def.columns.len())
+        .map(|i| lineitem.output_col(i))
+        .collect();
+    let not_null: Vec<Expr> = (lineitem_cols.iter())
+        .map(|&c| Expr::not(Expr::is_null(Expr::col(c))))
+        .collect();
+    let wide_select = |tag: i64| {
+        let mut parts = vec![Expr::eq(Expr::lit(tag), Expr::lit(tag))];
+        parts.extend(not_null.iter().cloned());
+        LogicalTree::select(lineitem.clone(), conjoin(parts))
+    };
+    let mut wide = Memo::new();
+    for tag in 0..64 {
+        wide.insert(&db, newtree_from_logical(&wide_select(tag)), None, true)
+            .expect("wide selection inserts");
+    }
+    let duplicates = rederivations(&wide);
+    let before = wide.num_exprs();
+    group.bench("memo_insert_duplicate_wide_select", || {
+        for (nt, g) in &duplicates {
+            wide.insert(&db, nt.clone(), Some(*g), true)
+                .expect("re-derivation inserts");
+        }
+        wide.num_exprs()
+    });
+    assert_eq!(wide.num_exprs(), before, "wide duplicates added nothing");
+
+    // A selection pulled above the identity projection every search pins
+    // on its root: the predicate comes back unchanged.
+    let outputs = lineitem_cols.iter().map(|&c| (c, Expr::col(c))).collect();
+    let pinned = LogicalTree::project(wide_select(0), outputs);
+    let mut memo = Memo::new();
+    let (root, _) = memo
+        .insert(&db, newtree_from_logical(&pinned), None, true)
+        .expect("pinned selection inserts");
+    let pull = opt.rule(opt.rule_id("SelectPullAboveProject").expect("catalog rule"));
+    let bindings = match_bindings(&memo, &pull.pattern, root, 0);
+    assert_eq!(apply_all(&db, &memo, pull, &bindings), 1, "the pull fires");
+    group.bench("pull_above_pinned_project", || {
+        apply_all(&db, &memo, pull, &bindings)
+    });
+
     // Bind: the join whose left input group is the fattest.
     let assoc = opt.rule_id("InnerJoinAssocLeft").expect("catalog rule");
     let pattern = opt.rule_pattern(assoc);
@@ -181,6 +247,12 @@ fn main() {
     println!("bind target: {g} expression {ei}, left input of {fat} expressions");
     group.bench("bind_assoc_on_fat_group", || {
         match_bindings(memo, pattern, g, ei).len()
+    });
+    let bindings = match_bindings(memo, pattern, g, ei);
+    let substitutes = apply_all(&db, memo, opt.rule(assoc), &bindings);
+    assert_eq!(substitutes, bindings.len(), "one substitute per binding");
+    group.bench("apply_assoc_on_fat_group", || {
+        apply_all(&db, memo, opt.rule(assoc), &bindings)
     });
 
     // Re-bind after growth: the left input gains one join no rule derives

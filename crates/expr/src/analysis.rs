@@ -6,23 +6,29 @@
 //! whether a predicate rejects NULLs, whether a projection can absorb a
 //! predicate, and so on.
 
-use crate::expr::{BinOp, Expr};
+use crate::expr::{BinOp, Expr, SubExpr};
 use ruletest_common::ColId;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasher;
+
+/// True iff `f` holds for every column reference of `expr`, visited left
+/// to right; stops at the first that fails. The one column walk: no set is
+/// built.
+pub fn every_column(expr: &Expr, f: &mut impl FnMut(ColId) -> bool) -> bool {
+    match expr {
+        Expr::Col(c) => f(*c),
+        Expr::Lit(_) => true,
+        Expr::Bin { left, right, .. } => every_column(left, f) && every_column(right, f),
+        Expr::Not(e) | Expr::IsNull(e) => every_column(e, f),
+    }
+}
 
 /// Collects all column ids referenced by `expr` into `out`.
 pub fn collect_columns(expr: &Expr, out: &mut BTreeSet<ColId>) {
-    match expr {
-        Expr::Col(c) => {
-            out.insert(*c);
-        }
-        Expr::Lit(_) => {}
-        Expr::Bin { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
-        }
-        Expr::Not(e) | Expr::IsNull(e) => collect_columns(e, out),
-    }
+    every_column(expr, &mut |c| {
+        out.insert(c);
+        true
+    });
 }
 
 /// The set of column ids referenced by `expr`.
@@ -46,23 +52,26 @@ pub fn columns_of(expr: &Expr) -> BTreeSet<ColId> {
 /// assert!(conjuncts(&Expr::true_lit()).is_empty());
 /// ```
 pub fn conjuncts(expr: &Expr) -> Vec<Expr> {
-    fn walk(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::Bin {
-                op: BinOp::And,
-                left,
-                right,
-            } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            _ if e.is_true_lit() => {}
-            other => out.push(other.clone()),
-        }
-    }
     let mut out = Vec::new();
-    walk(expr, &mut out);
+    for_each_conjunct(expr, &mut |c| out.push(c.clone()));
     out
+}
+
+/// Hands `f` each conjunct [`conjuncts`] would list, in its order, without
+/// collecting them.
+pub fn for_each_conjunct(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+    match expr {
+        Expr::Bin {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            for_each_conjunct(left, f);
+            for_each_conjunct(right, f);
+        }
+        _ if expr.is_true_lit() => {}
+        other => f(other),
+    }
 }
 
 /// Reassembles conjuncts into a single predicate (empty list -> TRUE).
@@ -92,32 +101,48 @@ pub fn try_col_eq_col(expr: &Expr) -> Option<(ColId, ColId)> {
     None
 }
 
-/// Rewrites column references according to `map` (unmapped columns are left
-/// unchanged).
-pub fn remap_columns(expr: &Expr, map: &HashMap<ColId, ColId>) -> Expr {
+/// `expr` with each column reference `c` replaced by `to(c)`, or kept where
+/// that is `None`. Every subtree in which no column changed is the input's
+/// own: with nothing changed, the operands are pointer-equal to `expr`'s.
+pub fn rewrite_columns(expr: &Expr, to: &mut impl FnMut(ColId) -> Option<Expr>) -> Expr {
+    changed_columns(expr, to).unwrap_or_else(|| expr.clone())
+}
+
+/// What [`rewrite_columns`] makes of `expr`, or `None` where that is
+/// structurally `expr` itself.
+fn changed_columns(expr: &Expr, to: &mut impl FnMut(ColId) -> Option<Expr>) -> Option<Expr> {
     match expr {
-        Expr::Col(c) => Expr::Col(*map.get(c).unwrap_or(c)),
-        Expr::Lit(v) => Expr::Lit(v.clone()),
+        Expr::Col(c) => to(*c).filter(|e| *e != Expr::Col(*c)),
+        Expr::Lit(_) => None,
         Expr::Bin { op, left, right } => {
-            Expr::bin(*op, remap_columns(left, map), remap_columns(right, map))
+            let (l, r) = (changed_columns(left, to), changed_columns(right, to));
+            if l.is_none() && r.is_none() {
+                return None;
+            }
+            let operand =
+                |new: Option<Expr>, old: &SubExpr| new.map_or_else(|| old.clone(), SubExpr::new);
+            Some(Expr::Bin {
+                op: *op,
+                left: operand(l, left),
+                right: operand(r, right),
+            })
         }
-        Expr::Not(e) => Expr::not(remap_columns(e, map)),
-        Expr::IsNull(e) => Expr::is_null(remap_columns(e, map)),
+        Expr::Not(e) => changed_columns(e, to).map(Expr::not),
+        Expr::IsNull(e) => changed_columns(e, to).map(Expr::is_null),
     }
 }
 
+/// Rewrites column references according to `map` (unmapped columns are left
+/// unchanged), sharing what does not change (see [`rewrite_columns`]).
+pub fn remap_columns<S: BuildHasher>(expr: &Expr, map: &HashMap<ColId, ColId, S>) -> Expr {
+    rewrite_columns(expr, &mut |c| map.get(&c).map(|&to| Expr::Col(to)))
+}
+
 /// Substitutes whole expressions for column references (used to push a
-/// predicate through a computing projection, and to merge projections).
-pub fn substitute(expr: &Expr, map: &HashMap<ColId, Expr>) -> Expr {
-    match expr {
-        Expr::Col(c) => map.get(c).cloned().unwrap_or(Expr::Col(*c)),
-        Expr::Lit(v) => Expr::Lit(v.clone()),
-        Expr::Bin { op, left, right } => {
-            Expr::bin(*op, substitute(left, map), substitute(right, map))
-        }
-        Expr::Not(e) => Expr::not(substitute(e, map)),
-        Expr::IsNull(e) => Expr::is_null(substitute(e, map)),
-    }
+/// predicate through a computing projection, and to merge projections),
+/// sharing what does not change (see [`rewrite_columns`]).
+pub fn substitute<S: BuildHasher>(expr: &Expr, map: &HashMap<ColId, Expr, S>) -> Expr {
+    rewrite_columns(expr, &mut |c| map.get(&c).cloned())
 }
 
 /// True iff `expr` evaluates to NULL whenever column `col` is NULL

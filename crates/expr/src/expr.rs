@@ -1,8 +1,10 @@
 //! The scalar expression tree.
 
 use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
-use ruletest_common::{wire_names, ColId, Json, Value};
+use ruletest_common::{wire_names, ColId, Json, Value, WordBuild};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Binary operators. Comparison and logical operators produce BOOL;
@@ -76,6 +78,8 @@ impl BinOp {
 /// A scalar expression over column ids. Subtrees are shared, never
 /// mutated: cloning an expression (every rule that moves a predicate into
 /// a substitute does) bumps reference counts instead of copying the tree.
+/// Hashing one costs its own node: each [`SubExpr`] below it hashes as the
+/// word it stored when it was built.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Reference to a column instance by id.
@@ -85,13 +89,79 @@ pub enum Expr {
     /// Binary operation.
     Bin {
         op: BinOp,
-        left: Arc<Expr>,
-        right: Arc<Expr>,
+        left: SubExpr,
+        right: SubExpr,
     },
     /// Logical negation (Kleene NOT).
-    Not(Arc<Expr>),
+    Not(SubExpr),
     /// `expr IS NULL` — total (never returns NULL itself).
-    IsNull(Arc<Expr>),
+    IsNull(SubExpr),
+}
+
+/// A shared operand of [`Expr::Bin`], [`Expr::Not`] or [`Expr::IsNull`]:
+/// the expression and its structural hash, computed once with the
+/// [`WordHasher`](ruletest_common::WordHasher) when the node is built (not
+/// interned). `Hash` writes that word; two operands are equal when they are
+/// one allocation, or when their words and then their expressions agree.
+/// `Debug` and `Display` print the expression alone.
+#[derive(Clone)]
+pub struct SubExpr(Arc<Hashed>);
+
+struct Hashed {
+    hash: u64,
+    expr: Expr,
+}
+
+impl SubExpr {
+    pub(crate) fn new(expr: Expr) -> Self {
+        let hash = WordBuild::default().hash_one(&expr);
+        SubExpr(Arc::new(Hashed { hash, expr }))
+    }
+
+    /// True iff `a` and `b` are one allocation.
+    pub fn ptr_eq(a: &SubExpr, b: &SubExpr) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for SubExpr {
+    type Target = Expr;
+
+    fn deref(&self) -> &Expr {
+        &self.0.expr
+    }
+}
+
+impl AsRef<Expr> for SubExpr {
+    fn as_ref(&self) -> &Expr {
+        &self.0.expr
+    }
+}
+
+impl PartialEq for SubExpr {
+    fn eq(&self, other: &Self) -> bool {
+        SubExpr::ptr_eq(self, other) || (self.0.hash == other.0.hash && self.0.expr == other.0.expr)
+    }
+}
+
+impl Eq for SubExpr {}
+
+impl Hash for SubExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl fmt::Debug for SubExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0.expr, f)
+    }
+}
+
+impl fmt::Display for SubExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0.expr, f)
+    }
 }
 
 impl Expr {
@@ -106,8 +176,8 @@ impl Expr {
     pub fn bin(op: BinOp, left: Expr, right: Expr) -> Expr {
         Expr::Bin {
             op,
-            left: Arc::new(left),
-            right: Arc::new(right),
+            left: SubExpr::new(left),
+            right: SubExpr::new(right),
         }
     }
 
@@ -127,11 +197,11 @@ impl Expr {
     // no receiver, so it cannot shadow the operator trait.
     #[allow(clippy::should_implement_trait)]
     pub fn not(inner: Expr) -> Expr {
-        Expr::Not(Arc::new(inner))
+        Expr::Not(SubExpr::new(inner))
     }
 
     pub fn is_null(inner: Expr) -> Expr {
-        Expr::IsNull(Arc::new(inner))
+        Expr::IsNull(SubExpr::new(inner))
     }
 
     /// The constant TRUE predicate.
@@ -239,6 +309,35 @@ mod tests {
             Expr::not(Expr::is_null(Expr::col(ColId(2)))),
         );
         assert_eq!(e.to_string(), "((c1 = 5) AND (NOT (c2 IS NULL)))");
+    }
+
+    /// Every predicate is made of these: a field added to `Expr`, or to
+    /// what a shared operand holds beside it, grows all of them.
+    #[test]
+    fn node_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Expr>(), 32);
+        assert_eq!(std::mem::size_of::<Hashed>(), 40);
+        assert_eq!(std::mem::size_of::<SubExpr>(), 8);
+    }
+
+    #[test]
+    fn operands_print_and_compare_like_their_expressions() {
+        let e = Expr::and(
+            Expr::eq(Expr::col(ColId(1)), Expr::lit(5i64)),
+            Expr::not(Expr::is_null(Expr::col(ColId(2)))),
+        );
+        let Expr::Bin { left, right, .. } = &e else {
+            unreachable!("an AND is a Bin");
+        };
+        assert_eq!(format!("{left:?}"), format!("{:?}", **left));
+        assert_eq!(format!("{left:#?}"), format!("{:#?}", **left));
+        assert_eq!(right.to_string(), "(NOT (c2 IS NULL))");
+        let rebuilt = SubExpr::new((**left).clone());
+        assert!(!SubExpr::ptr_eq(left, &rebuilt));
+        assert_eq!(*left, rebuilt);
+        assert_ne!(*left, *right);
+        let hash = |s: &SubExpr| WordBuild::default().hash_one(s);
+        assert_eq!(hash(left), hash(&rebuilt));
     }
 
     #[test]

@@ -10,9 +10,9 @@ pub mod types;
 
 pub use agg::{AggAccumulator, AggCall, AggFunc};
 pub use analysis::{
-    collect_columns, columns_of, conjoin, conjuncts, is_null_rejecting, remap_columns, substitute,
-    try_col_eq_col,
+    collect_columns, columns_of, conjoin, conjuncts, every_column, for_each_conjunct,
+    is_null_rejecting, remap_columns, rewrite_columns, substitute, try_col_eq_col,
 };
 pub use eval::eval;
-pub use expr::{BinOp, Expr};
+pub use expr::{BinOp, Expr, SubExpr};
 pub use types::infer_type;

@@ -11,10 +11,11 @@ use ruletest_logical::{output_schema, Operator, Schema};
 use ruletest_storage::Database;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Index of a group in the memo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
 impl fmt::Display for GroupId {
@@ -28,7 +29,38 @@ impl fmt::Display for GroupId {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupExpr {
     pub op: Operator,
-    pub children: Vec<GroupId>,
+    pub children: Inputs,
+}
+
+/// A memo expression's input groups, held inline (no logical operator has
+/// more than two), so offering a substitute allocates no list for them.
+/// Derefs to the groups present; a slot not in use is always `g0`, which
+/// keeps the derived equality and hash those of the slice.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Inputs {
+    len: u8,
+    slots: [GroupId; 2],
+}
+
+impl Inputs {
+    fn push(&mut self, g: GroupId) {
+        self.slots[usize::from(self.len)] = g;
+        self.len += 1;
+    }
+}
+
+impl Deref for Inputs {
+    type Target = [GroupId];
+
+    fn deref(&self) -> &[GroupId] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Inputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// A set of logically equivalent expressions sharing an output schema and a
@@ -129,8 +161,12 @@ impl Memo {
         organic: bool,
         creator: Option<RuleId>,
     ) -> Result<(GroupId, bool)> {
+        if tree.children.len() > 2 {
+            let op = tree.op.label();
+            return Err(Error::internal(format!("{op} over more than two inputs")));
+        }
         let mut any_new = false;
-        let mut children = Vec::with_capacity(tree.children.len());
+        let mut children = Inputs::default();
         for c in tree.children {
             match c {
                 NewChild::Group(g) => {

@@ -933,7 +933,7 @@ impl<'p> Binder<'p> {
                 _ => continue,
             };
             self.partial.push((g.0, ei as u32));
-            for (p, &cg) in children.iter().zip(&expr.children).rev() {
+            for (p, &cg) in children.iter().zip(expr.children.iter()).rev() {
                 if matches!(p, PatternTree::Op { .. }) {
                     self.todo.push((p, cg, None));
                 }
@@ -961,7 +961,7 @@ fn bound_at<'m>(
     };
     let children = children
         .iter()
-        .zip(&expr.children)
+        .zip(expr.children.iter())
         .map(|(p, &cg)| match p {
             PatternTree::Any => BoundChild::Leaf(cg),
             PatternTree::Op { .. } => BoundChild::Nested(bound_at(memo, p, sig)),

@@ -14,7 +14,9 @@
 use crate::memo::GroupId;
 use crate::rule::{Bound, BoundChild, NewChild, NewTree, RuleCtx};
 use ruletest_common::ColId;
-use ruletest_expr::{conjoin, conjuncts, try_col_eq_col, BinOp, Expr};
+use ruletest_expr::{
+    conjoin, conjuncts, every_column, for_each_conjunct, try_col_eq_col, BinOp, Expr,
+};
 use ruletest_logical::{JoinKind, Operator};
 use std::collections::BTreeSet;
 
@@ -222,23 +224,10 @@ fn number<'b, 'm>(b: &'b Bound<'m>, nodes: &mut [Slot<'b, 'm>], n: &mut usize) {
     }
 }
 
-/// True iff every column of `pred` is `inside` — the one test of whether a
-/// conjunct is within a scope. (A walk, not `columns_of`: a partition runs
-/// it once per conjunct of every associativity or pushdown applied, and a
-/// set per conjunct is most of its cost.)
-fn pred_within(pred: &Expr, inside: &impl Fn(&ColId) -> bool) -> bool {
-    match pred {
-        Expr::Col(c) => inside(c),
-        Expr::Lit(_) => true,
-        Expr::Bin { left, right, .. } => pred_within(left, inside) && pred_within(right, inside),
-        Expr::Not(e) | Expr::IsNull(e) => pred_within(e, inside),
-    }
-}
-
 /// True iff every column of `pred` is an output of group `a` or group `b`.
 fn pred_within_groups(ctx: &RuleCtx, pred: &Expr, a: GroupId, b: GroupId) -> bool {
     let (a, b) = (ctx.cols(a), ctx.cols(b));
-    pred_within(pred, &|c| a.contains(c) || b.contains(c))
+    every_column(pred, &mut |c| a.contains(&c) || b.contains(&c))
 }
 
 /// True iff `pred` has a conjunct: a leaf of its `AND` tree that is not
@@ -262,15 +251,16 @@ fn predicate_of(op: &Operator) -> Option<&Expr> {
     }
 }
 
-/// The conjuncts of every predicate in a binding, in pre-order.
-fn all_conjuncts(b: &Bound) -> Vec<Expr> {
-    let mut all = predicate_of(b.op).map(conjuncts).unwrap_or_default();
+/// Hands `f` the conjuncts of every predicate in a binding, in pre-order.
+fn for_each_bound_conjunct(b: &Bound, f: &mut impl FnMut(&Expr)) {
+    if let Some(predicate) = predicate_of(b.op) {
+        for_each_conjunct(predicate, f);
+    }
     for c in &b.children {
         if let BoundChild::Nested(nested) = c {
-            all.extend(all_conjuncts(nested));
+            for_each_bound_conjunct(nested, f);
         }
     }
-    all
 }
 
 /// One binding and what the guards bound.
@@ -356,8 +346,8 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 let scopes: Vec<_> = scopes.iter().map(|s| self.scope(s)).collect();
                 for c in conjuncts(self.predicate(pred)) {
                     let within = |s: &ScopeCols| match s {
-                        ScopeCols::Group(cols) => pred_within(&c, &|col| cols.contains(col)),
-                        ScopeCols::List(cols) => pred_within(&c, &|col| cols.contains(col)),
+                        ScopeCols::Group(cols) => every_column(&c, &mut |col| cols.contains(&col)),
+                        ScopeCols::List(cols) => every_column(&c, &mut |col| cols.contains(&col)),
                         ScopeCols::Nothing => false,
                     };
                     match scopes.iter().position(within) {
@@ -424,8 +414,10 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
 
     /// Side 0 ([`Pred::Inside`]) or 1 ([`Pred::Rest`]) of the split of
     /// every matched conjunct by whether it references only `a` and `b`.
-    /// Both sides are made at once and each is handed out once; a side
-    /// asked for again is made again.
+    /// Both sides are made at once, in one walk that folds each conjunct
+    /// into its side as `conjoin` would (left-deep, in pre-order; no
+    /// conjunct is TRUE), and each is handed out once; a side asked for
+    /// again is made again.
     fn split(&mut self, a: Node, b: Node, side: usize) -> Expr {
         if self.split_of == Some((a, b)) {
             if let Some(part) = self.sides[side].take() {
@@ -433,11 +425,16 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
             }
         }
         let (ga, gb) = (self.group(a), self.group(b));
-        let (inside, rest): (Vec<Expr>, Vec<Expr>) = all_conjuncts(self.bound)
-            .into_iter()
-            .partition(|e| pred_within_groups(self.ctx, e, ga, gb));
+        let mut sides: [Option<Expr>; 2] = [None, None];
+        for_each_bound_conjunct(self.bound, &mut |c| {
+            let to = &mut sides[usize::from(!pred_within_groups(self.ctx, c, ga, gb))];
+            *to = Some(match to.take() {
+                None => c.clone(),
+                Some(folded) => Expr::and(folded, c.clone()),
+            });
+        });
         self.split_of = Some((a, b));
-        self.sides = [Some(conjoin(inside)), Some(conjoin(rest))];
+        self.sides = sides.map(|s| Some(s.unwrap_or_else(Expr::true_lit)));
         self.sides[side].take().expect("just made")
     }
 

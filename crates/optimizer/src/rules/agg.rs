@@ -7,7 +7,7 @@
 use super::util::*;
 use crate::pattern::PatternTree;
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_expr::{AggCall, AggFunc, Expr};
+use ruletest_expr::{every_column, AggCall, AggFunc, Expr};
 use ruletest_logical::{JoinKind, OpKind, Operator};
 use std::collections::BTreeSet;
 
@@ -115,11 +115,12 @@ fn eager_push(ctx: &RuleCtx, b: &Bound, side: usize) -> Vec<NewTree> {
         .copied()
         .filter(|c| side_cols.contains(c))
         .collect();
-    partial_keys.extend(
-        ruletest_expr::columns_of(predicate)
-            .into_iter()
-            .filter(|c| side_cols.contains(c)),
-    );
+    every_column(predicate, &mut |c| {
+        if side_cols.contains(&c) {
+            partial_keys.insert(c);
+        }
+        true
+    });
     let mut ids = ctx.ids.borrow_mut();
     let locals: Vec<AggCall> = aggs
         .iter()

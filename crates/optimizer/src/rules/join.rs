@@ -12,9 +12,10 @@ use super::util::*;
 use crate::pattern::PatternTree;
 use crate::rewrite::{Guard, Pred, Rewrite, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_common::ColId;
+use ruletest_common::{ColId, WordBuild};
 use ruletest_expr::Expr;
 use ruletest_logical::{JoinKind, OpKind, Operator};
+use std::collections::HashMap;
 
 const ANY: PatternTree = PatternTree::Any;
 
@@ -30,7 +31,8 @@ fn remap_to_sides(
     right: &[ColId],
 ) -> [Expr; 2] {
     [left, right].map(|side| {
-        let map = outputs.iter().copied().zip(side.iter().copied()).collect();
+        let map: HashMap<_, _, WordBuild> =
+            outputs.iter().copied().zip(side.iter().copied()).collect();
         ruletest_expr::remap_columns(predicate, &map)
     })
 }

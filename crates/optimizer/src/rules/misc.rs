@@ -3,6 +3,7 @@
 use super::util::*;
 use crate::pattern::PatternTree;
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
+use ruletest_common::WordBuild;
 use ruletest_logical::{OpKind, Operator};
 use std::collections::HashMap;
 
@@ -132,7 +133,7 @@ fn project_merge(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Project { outputs: o2 } = &inner.op else {
         return vec![];
     };
-    let map: HashMap<_, _> = o2.iter().cloned().collect();
+    let map: HashMap<_, _, WordBuild> = o2.iter().cloned().collect();
     let merged = o1
         .iter()
         .map(|(id, e)| (*id, ruletest_expr::substitute(e, &map)))
@@ -160,12 +161,12 @@ fn project_push_below_union(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     else {
         return vec![];
     };
-    let to_left: HashMap<_, _> = uouts
+    let to_left: HashMap<_, _, WordBuild> = uouts
         .iter()
         .copied()
         .zip(left_cols.iter().copied())
         .collect();
-    let to_right: HashMap<_, _> = uouts
+    let to_right: HashMap<_, _, WordBuild> = uouts
         .iter()
         .copied()
         .zip(right_cols.iter().copied())

@@ -13,7 +13,10 @@ use super::util::*;
 use crate::pattern::PatternTree;
 use crate::rewrite::{Guard, Pred, Rewrite, Scope, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_expr::{conjoin, conjuncts, is_null_rejecting, BinOp, Expr};
+use ruletest_common::{ColId, WordBuild};
+use ruletest_expr::{
+    conjoin, conjuncts, every_column, is_null_rejecting, rewrite_columns, BinOp, Expr,
+};
 use ruletest_logical::{JoinKind, OpKind, Operator};
 use std::collections::HashMap;
 
@@ -56,8 +59,13 @@ fn select_push_below_project(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Project { outputs } = &proj.op else {
         return vec![];
     };
-    let map: HashMap<_, _> = outputs.iter().cloned().collect();
-    let rewritten = ruletest_expr::substitute(predicate, &map);
+    // Output ids are unique (the memo rejects a schema that repeats one).
+    let rewritten = rewrite_columns(predicate, &mut |c| {
+        outputs
+            .iter()
+            .find(|(id, _)| *id == c)
+            .map(|(_, e)| e.clone())
+    });
     vec![NewTree::new(
         Operator::Project {
             outputs: outputs.clone(),
@@ -81,18 +89,17 @@ fn select_pull_above_project(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     let Operator::Select { predicate } = &sel.op else {
         return vec![];
     };
-    // Build input-column -> output-column map for passthrough columns.
-    let mut passthrough: HashMap<ruletest_common::ColId, ruletest_common::ColId> = HashMap::new();
-    for (out, e) in outputs {
-        if let Expr::Col(c) = e {
-            passthrough.entry(*c).or_insert(*out);
-        }
-    }
-    let pred_cols = ruletest_expr::columns_of(predicate);
-    if !pred_cols.iter().all(|c| passthrough.contains_key(c)) {
+    // The first output that passes input column `c` through as a bare
+    // reference.
+    let passthrough = |c: ColId| {
+        outputs
+            .iter()
+            .find_map(|(out, e)| matches!(e, Expr::Col(x) if *x == c).then_some(*out))
+    };
+    if !every_column(predicate, &mut |c| passthrough(c).is_some()) {
         return vec![];
     }
-    let rewritten = ruletest_expr::remap_columns(predicate, &passthrough);
+    let rewritten = rewrite_columns(predicate, &mut |c| passthrough(c).map(Expr::Col));
     vec![NewTree::new(
         select_op(rewritten),
         vec![NewChild::Tree(NewTree::new(
@@ -121,12 +128,12 @@ fn select_push_below_union(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     else {
         return vec![];
     };
-    let to_left: HashMap<_, _> = outputs
+    let to_left: HashMap<_, _, WordBuild> = outputs
         .iter()
         .copied()
         .zip(left_cols.iter().copied())
         .collect();
-    let to_right: HashMap<_, _> = outputs
+    let to_right: HashMap<_, _, WordBuild> = outputs
         .iter()
         .copied()
         .zip(right_cols.iter().copied())

@@ -3,17 +3,25 @@
 //!
 //! Trees are generated through the framework's own seeded generator (one
 //! `u64` seed is the property input), which keeps shrinking meaningful
-//! while exercising realistic query shapes.
+//! while exercising realistic query shapes; expressions through a local
+//! one over every node kind.
 
 use ruletest_common::check::{self, gen, CheckConfig};
 use ruletest_common::{diff_multisets, ensure, ensure_eq, ensure_ne, forall};
 use ruletest_common::{multisets_equal, Decode, Encode, Json, Rng, RuleId, Value};
+use ruletest_common::{ColId, WordBuild};
 use ruletest_core::generate::random::random_tree;
 use ruletest_core::{Framework, FrameworkConfig};
 use ruletest_executor::{execute_with, ExecConfig};
+use ruletest_expr::{
+    conjoin, conjuncts, every_column, remap_columns, substitute, BinOp, Expr, SubExpr,
+};
 use ruletest_logical::IdGen;
 use ruletest_optimizer::{OptimizerConfig, PhysicalPlan, RuleMask};
 use ruletest_sql::{parse_sql, to_sql};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 fn fw() -> &'static Framework {
@@ -163,8 +171,8 @@ fn multiset_laws() {
     });
 }
 
-fn value_gen() -> impl check::Gen<Value = Value> {
-    gen::from_fn(|rng: &mut Rng| match rng.gen_index(4) {
+fn random_value(rng: &mut Rng) -> Value {
+    match rng.gen_index(4) {
         0 => Value::Null,
         1 => Value::Bool(rng.gen_bool(0.5)),
         2 => Value::Int(rng.gen_range_i64(-50, 50)),
@@ -175,7 +183,11 @@ fn value_gen() -> impl check::Gen<Value = Value> {
                 .collect();
             Value::Str(s.into())
         }
-    })
+    }
+}
+
+fn value_gen() -> impl check::Gen<Value = Value> {
+    gen::from_fn(random_value)
 }
 
 /// `Value::total_cmp` is a total order (antisymmetric + transitive on
@@ -216,6 +228,142 @@ fn rule_mask_set_semantics() {
             cleared.enable(*r);
         }
         ensure!(cleared.is_empty());
+        Ok(())
+    });
+}
+
+const BIN_OPS: [BinOp; 11] = [
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::And,
+    BinOp::Or,
+];
+
+/// A random expression over columns c0..c5 with every node kind, at most
+/// `depth` operators deep; conjunctions and TRUE come often, for the
+/// conjunct paths. Types are not checked: nothing here evaluates it.
+fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
+    if depth == 0 || rng.gen_bool(0.25) {
+        return match rng.gen_index(4) {
+            0 | 1 => Expr::col(ColId(rng.gen_index(6) as u32)),
+            2 => Expr::Lit(random_value(rng)),
+            _ => Expr::true_lit(),
+        };
+    }
+    let sub = |rng: &mut Rng| random_expr(rng, depth - 1);
+    match rng.gen_index(5) {
+        0 => {
+            let op = BIN_OPS[rng.gen_index(BIN_OPS.len())];
+            Expr::bin(op, sub(rng), sub(rng))
+        }
+        1 | 2 => Expr::and(sub(rng), sub(rng)),
+        3 => Expr::not(sub(rng)),
+        _ => Expr::is_null(sub(rng)),
+    }
+}
+
+/// The reference column rewrite: every node rebuilt, nothing shared.
+fn rebuilt(e: &Expr, to: &impl Fn(ColId) -> Option<Expr>) -> Expr {
+    match e {
+        Expr::Col(c) => to(*c).unwrap_or(Expr::Col(*c)),
+        Expr::Lit(v) => Expr::Lit(v.clone()),
+        Expr::Bin { op, left, right } => Expr::bin(*op, rebuilt(left, to), rebuilt(right, to)),
+        Expr::Not(x) => Expr::not(rebuilt(x, to)),
+        Expr::IsNull(x) => Expr::is_null(rebuilt(x, to)),
+    }
+}
+
+fn hash_of(e: &Expr) -> u64 {
+    let mut h = DefaultHasher::new();
+    e.hash(&mut h);
+    h.finish()
+}
+
+/// Structurally equal expressions are equal and hash equal however they
+/// were built: rebuilt node by node, decoded from their wire form,
+/// re-conjoined from their conjuncts, remapped through an identity map.
+#[test]
+fn equal_expressions_hash_equal() {
+    forall!(CheckConfig::default(); seed in gen::u64s() => {
+        let e = random_expr(&mut Rng::new(seed), 4);
+        // Left-deep and free of TRUE, so its conjuncts re-conjoin to it.
+        let conjoined = conjoin(conjuncts(&e));
+        let identity: HashMap<ColId, ColId> = (0..6).map(|i| (ColId(i), ColId(i))).collect();
+        for (path, a, b) in [
+            ("rebuilt", e.clone(), rebuilt(&e, &|_| None)),
+            ("decoded", e.clone(), Expr::decode(&e.encode())?),
+            ("re-conjoined", conjoined.clone(), conjoin(conjuncts(&conjoined))),
+            ("remapped", e.clone(), remap_columns(&e, &identity)),
+        ] {
+            ensure_eq!(a, b, "{path}");
+            ensure_eq!(hash_of(&a), hash_of(&b), "{path}: {a}");
+        }
+        Ok(())
+    });
+}
+
+fn operands(e: &Expr) -> Vec<&SubExpr> {
+    match e {
+        Expr::Bin { left, right, .. } => vec![left, right],
+        Expr::Not(x) | Expr::IsNull(x) => vec![x],
+        Expr::Col(_) | Expr::Lit(_) => vec![],
+    }
+}
+
+/// True iff every operand of `out` that was built from an operand of
+/// `input` in which no column is `moved` is that operand itself.
+fn shares_unmoved(input: &Expr, out: &Expr, moved: &impl Fn(ColId) -> bool) -> bool {
+    operands(input)
+        .into_iter()
+        .zip(operands(out))
+        .all(|(x, y)| {
+            if every_column(x, &mut |c| !moved(c)) {
+                SubExpr::ptr_eq(x, y)
+            } else {
+                shares_unmoved(x, y, moved)
+            }
+        })
+}
+
+/// `remap_columns` and `substitute` build what rebuilding every node
+/// builds, and return the input's own operand wherever no column under it
+/// moved: with an identity map, every operand.
+#[test]
+fn column_rewrites_match_a_full_rebuild_and_share_the_rest() {
+    forall!(CheckConfig::default(); seed in gen::u64s() => {
+        let mut rng = Rng::new(seed);
+        let e = random_expr(&mut rng, 4);
+        // Each of c0..c5 unmapped, mapped to itself, or moved.
+        let mut remap: HashMap<ColId, ColId, WordBuild> = HashMap::default();
+        let mut subst: HashMap<ColId, Expr> = HashMap::new();
+        for c in (0..6).map(ColId) {
+            match rng.gen_index(3) {
+                0 => {}
+                1 => {
+                    remap.insert(c, c);
+                    subst.insert(c, Expr::col(c));
+                }
+                _ => {
+                    remap.insert(c, ColId(rng.gen_index(10) as u32));
+                    subst.insert(c, random_expr(&mut rng, 2));
+                }
+            }
+        }
+        let remapped = remap_columns(&e, &remap);
+        ensure_eq!(remapped, rebuilt(&e, &|c| remap.get(&c).map(|&to| Expr::col(to))));
+        ensure!(shares_unmoved(&e, &remapped, &|c| remap.get(&c).is_some_and(|&to| to != c)));
+        let substituted = substitute(&e, &subst);
+        ensure_eq!(substituted, rebuilt(&e, &|c| subst.get(&c).cloned()));
+        ensure!(shares_unmoved(&e, &substituted, &|c| {
+            subst.get(&c).is_some_and(|to| *to != Expr::col(c))
+        }));
         Ok(())
     });
 }
