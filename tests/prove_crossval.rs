@@ -14,15 +14,26 @@
 //! switch): `tests/golden/prove_mutants.txt` holds one line per mutant —
 //! id, verdict, substitutes examined, violation components — and
 //! `tests/golden/prove_clean.json` the clean catalog's report.
+//!
+//! A third golden, `tests/golden/corpus_substitutes.txt`, pins what the
+//! rules and the mutants the prover reads return over its corpus: per
+//! exploration rule and per mutant, the substitute count and a hash over
+//! every substitute (generated before the union, sort-elimination and
+//! aggregate-split rules moved into the rule IR; no regeneration switch).
 
 use ruletest_core::mutate::{crossval_prove, mutant_optimizer, BugClass, Mutant};
+use ruletest_lint::audit::build_corpus_extended;
 use ruletest_lint::prove::{self, ProveVerdict};
-use ruletest_optimizer::Optimizer;
+use ruletest_logical::IdGen;
+use ruletest_optimizer::rules::exploration_rules;
+use ruletest_optimizer::{match_bindings, Fnv64, Optimizer, Rule, RuleCtx};
 use ruletest_telemetry::Telemetry;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 const GOLDEN_MUTANTS: &str = include_str!("golden/prove_mutants.txt");
 const GOLDEN_CLEAN: &str = include_str!("golden/prove_clean.json");
+const GOLDEN_CORPUS: &str = include_str!("golden/corpus_substitutes.txt");
 
 #[test]
 fn mutant_proofs_match_the_golden_lines() {
@@ -61,6 +72,44 @@ fn clean_catalog_proof_matches_the_golden_report() {
     assert!(
         actual == GOLDEN_CLEAN,
         "report differs from tests/golden/prove_clean.json\n--- actual ---\n{actual}"
+    );
+}
+
+/// Per exploration rule, then per mutant: the substitute count and an FNV
+/// hash over each substitute's `Debug` text, in order, over every binding
+/// of every tree of the rule's extended corpus. Each binding gets its own
+/// fresh ids above the tree, as the lint audit hands them out.
+#[test]
+fn corpus_substitutes_match_the_golden_hashes() {
+    let db = prove::symbolic_database();
+    let line = |label: &str, rule: &Rule| {
+        let (mut n, mut h) = (0u64, Fnv64::new());
+        for ct in build_corpus_extended(&db, rule).unwrap() {
+            for bound in match_bindings(&ct.memo, &rule.pattern, ct.root, 0) {
+                let ids = RefCell::new(IdGen::above(&ct.tree));
+                let ctx = RuleCtx {
+                    db: &db,
+                    memo: &ct.memo,
+                    ids: &ids,
+                };
+                for s in rule.action.apply_explore(&ctx, &bound).unwrap() {
+                    n += 1;
+                    h.write_str(&format!("{s:?}"));
+                }
+            }
+        }
+        format!("{label} {n} {:016x}\n", h.finish())
+    };
+    let mut actual = String::new();
+    for rule in exploration_rules() {
+        actual.push_str(&line(rule.name, &rule));
+    }
+    for m in Mutant::all() {
+        actual.push_str(&line(m.id, &m.rule()));
+    }
+    assert!(
+        actual == GOLDEN_CORPUS,
+        "substitutes differ from tests/golden/corpus_substitutes.txt\n--- actual ---\n{actual}"
     );
 }
 
