@@ -2,15 +2,18 @@
 //!
 //! Each mutant's `build` receives the real rule and changes one thing, in
 //! one of three ways:
-//! * *edited* mutants (15) change one part of an IR rule's [`Rewrite`] —
+//! * *edited* mutants (18) change one part of an IR rule's [`Rewrite`] —
 //!   delete a guard, change a target's join kind, connective or a split's
 //!   scope, un-swap its inputs, reverse a predicate term, empty or repeat
-//!   its targets, drop a residual;
+//!   its targets, drop a residual or an outer operator, re-emit another
+//!   node, read one union branch twice;
 //! * *wrapped* mutants (1) keep a hand-coded rule's substitution and edit
 //!   each substitute it returns (a limit bump);
-//! * *rewritten* mutants (9) re-implement a hand-coded rule's substitution
+//! * *rewritten* mutants (6) re-implement a hand-coded rule's substitution
 //!   with one check or step deleted — the bug is inside the logic, so
-//!   output transformation cannot express it.
+//!   output transformation cannot express it. `EagerAggDropsJoinColumns`
+//!   is one though its rule is in the IR: its guard (a non-empty grouping)
+//!   is no edit of the rule's guards.
 //!
 //! Every mutant keeps the real rule's name (so the optimizer override
 //! replaces it), pattern, and `mints_fresh_ids` flag; only the
@@ -158,33 +161,6 @@ fn top_top_any_keys(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
 // Class 3: set/bag duplicate sensitivity.
 // ---------------------------------------------------------------------
 
-/// `DistinctPushBelowUnionAll` that drops the outer Distinct — the
-/// classic UNION-as-UNION-ALL bug: cross-branch duplicates survive.
-fn distinct_union_no_outer(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    if !matches!(b.op, Operator::Distinct) {
-        return vec![];
-    }
-    let Some(union) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(union.op, Operator::UnionAll { .. }) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        union.op.clone(),
-        vec![
-            NewChild::Tree(NewTree::new(
-                Operator::Distinct,
-                vec![NewChild::Group(union.children[0].group())],
-            )),
-            NewChild::Tree(NewTree::new(
-                Operator::Distinct,
-                vec![NewChild::Group(union.children[1].group())],
-            )),
-        ],
-    )]
-}
-
 /// `DistinctToGbAgg` grouping by only the first column: collapses rows
 /// that agree on it, and the output loses every other column.
 fn distinct_to_gbagg_first_col(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
@@ -205,28 +181,6 @@ fn distinct_to_gbagg_first_col(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
             aggs: vec![],
         },
         vec![NewChild::Group(b.children[0].group())],
-    )]
-}
-
-/// `UnionAllCommute` emitting the left child twice: one branch's rows
-/// doubled, the other's dropped.
-fn union_commute_left_twice(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::UnionAll {
-        outputs, left_cols, ..
-    } = &b.op
-    else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::UnionAll {
-            outputs: outputs.clone(),
-            left_cols: left_cols.clone(),
-            right_cols: left_cols.clone(),
-        },
-        vec![
-            NewChild::Group(b.children[0].group()),
-            NewChild::Group(b.children[0].group()),
-        ],
     )]
 }
 
@@ -386,27 +340,6 @@ fn eager_push_drops_join_cols(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
 // ---------------------------------------------------------------------
 // Class 6: cost-only / benign mutants (false-positive controls).
 // ---------------------------------------------------------------------
-
-/// `SortCollapse` keeping the *inner* sort's keys. Wrong order — but
-/// the §2.3 oracle compares result multisets, and ORDER BY is
-/// presentation-only, so this must not be reported as a bug.
-fn sort_collapse_keeps_inner(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    if !matches!(b.op, Operator::Sort { .. }) {
-        return vec![];
-    }
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Sort { keys: inner_keys } = &inner.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::Sort {
-            keys: inner_keys.clone(),
-        },
-        vec![NewChild::Group(inner.children[0].group())],
-    )]
-}
 
 /// The catalog, in stable declaration order (grouped by class).
 static CATALOG: &[Mutant] = &[
@@ -589,10 +522,15 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableStatic,
         note: "outer Distinct dropped; cross-branch duplicates survive",
         build: |rule| {
-            rewritten(
+            edited(
                 rule,
                 "BUGGY: outer Distinct dropped (UNION as UNION ALL)",
-                distinct_union_no_outer,
+                |rw| {
+                    let Some(Target::Reemit { mut inputs, .. }) = rw.targets.pop() else {
+                        unreachable!("the outer Distinct re-emits");
+                    };
+                    rw.targets.append(&mut inputs);
+                },
             )
         },
     },
@@ -617,11 +555,17 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableDynamic,
         note: "left branch unioned with itself; right branch's rows vanish",
         build: |rule| {
-            rewritten(
-                rule,
-                "BUGGY: emits the left child on both sides",
-                union_commute_left_twice,
-            )
+            edited(rule, "BUGGY: emits the left child on both sides", |rw| {
+                let [Target::Union {
+                    branches, inputs, ..
+                }] = &mut rw.targets[..]
+                else {
+                    unreachable!("a commute emits one union");
+                };
+                // Branch 0's list and input, twice.
+                *branches = [0, 0];
+                **inputs = [Target::Group(1), Target::Group(1)];
+            })
         },
     },
     // -- operand corruption -------------------------------------------
@@ -754,10 +698,15 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::Benign,
         note: "wrong sort keys win; order is presentation-only under the multiset oracle",
         build: |rule| {
-            rewritten(
+            edited(
                 rule,
                 "BUGGY(benign): inner sort keys win (order is presentation-only)",
-                sort_collapse_keeps_inner,
+                |rw| {
+                    let [Target::Reemit { node, .. }] = &mut rw.targets[..] else {
+                        unreachable!("a collapse re-emits one sort");
+                    };
+                    *node = 1;
+                },
             )
         },
     },
@@ -845,7 +794,7 @@ mod tests {
             assert_ne!(mutated, real, "{}", m.id);
             edited += 1;
         }
-        assert_eq!(edited, 15);
+        assert_eq!(edited, 18);
     }
 
     /// What `rule` substitutes for `region ⋈ nation` joined with `kind`,

@@ -15,7 +15,8 @@ use crate::memo::GroupId;
 use crate::rule::{Bound, BoundChild, NewChild, NewTree, RuleCtx};
 use ruletest_common::ColId;
 use ruletest_expr::{
-    conjoin, conjuncts, every_column, for_each_conjunct, try_col_eq_col, BinOp, Expr,
+    collect_columns, conjoin, conjuncts, every_column, for_each_conjunct, rewrite_columns,
+    try_col_eq_col, AggCall, AggFunc, BinOp, Expr,
 };
 use ruletest_logical::{JoinKind, Operator};
 use std::collections::BTreeSet;
@@ -46,6 +47,13 @@ pub enum Guard {
     Split { pred: Node, scopes: Vec<Scope> },
     /// The term has at least one conjunct.
     NonEmpty(Pred),
+    /// Every argument of the `GbAgg` at node `agg` is an output of node
+    /// `side` (`COUNT(*)` has none).
+    ArgsWithin { agg: Node, side: Node },
+    /// The `GbAgg` at the node groups by some column, or computes no
+    /// `COUNT`: a scalar global aggregate would turn COUNT's empty-input 0
+    /// into a SUM over nothing, NULL.
+    NoScalarCount(Node),
 }
 
 /// Where a [`Guard::Split`] may move a conjunct.
@@ -89,6 +97,13 @@ pub enum Pred {
         args: Box<[Pred; 2]>,
         drop_true: bool,
     },
+    /// The term as it reads over branch `side` of the union at node
+    /// `union`: each of the union's outputs becomes that branch's column.
+    Branch {
+        term: Box<Pred>,
+        union: Node,
+        side: usize,
+    },
 }
 
 impl Pred {
@@ -98,6 +113,15 @@ impl Pred {
             op: BinOp::And,
             args: Box::new([left, right]),
             drop_true: false,
+        }
+    }
+
+    /// [`Pred::Branch`].
+    pub fn branch(term: Pred, union: Node, side: usize) -> Pred {
+        Pred::Branch {
+            term: Box::new(term),
+            union,
+            side,
         }
     }
 }
@@ -127,11 +151,53 @@ pub enum Target {
         of: Node,
         input: Box<Target>,
     },
-    /// The operator matched at node `node`, over new inputs.
+    /// The operator matched at node `node`, over new inputs; with `pred`,
+    /// a join re-emitted with that predicate.
     Reemit {
         node: Node,
+        pred: Option<Pred>,
         inputs: Vec<Target>,
     },
+    /// A `UnionAll` with the column lists of the union at node `of`: its
+    /// outputs, and as input `i`'s list that union's branch `branches[i]`.
+    /// Every list gains, before or after the union's, the columns of node
+    /// `before` / `after` that node 0 outputs too, each as itself.
+    Union {
+        of: Node,
+        branches: [usize; 2],
+        before: Option<Node>,
+        after: Option<Node>,
+        inputs: Box<[Target; 2]>,
+    },
+    /// A `GbAgg` over `input`.
+    GbAgg {
+        keys: Keys,
+        aggs: Aggs,
+        input: Box<Target>,
+    },
+}
+
+/// The grouping columns of a target `GbAgg`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Keys {
+    /// Those of the `GbAgg` at the node, in its order.
+    Of(Node),
+    /// Eager aggregation's partial key, ascending: the grouping columns of
+    /// the `GbAgg` at `agg` and the columns of node `pred`'s predicate,
+    /// each kept if node `side` outputs it.
+    Partial { agg: Node, pred: Node, side: Node },
+}
+
+/// The aggregates of a target `GbAgg`, one per aggregate of the `GbAgg` at
+/// the node. The output ids `Local` mints are minted once per application,
+/// in aggregate order, and `Global` reads the same ones.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Aggs {
+    /// The aggregate over its own argument, into a fresh id.
+    Local(Node),
+    /// The aggregate's combining function over its local's output, into
+    /// the aggregate's own output.
+    Global(Node),
 }
 
 impl Target {
@@ -165,7 +231,19 @@ impl Target {
     }
 
     pub fn reemit(node: Node, inputs: Vec<Target>) -> Target {
-        Target::Reemit { node, inputs }
+        Target::Reemit {
+            node,
+            pred: None,
+            inputs,
+        }
+    }
+
+    pub fn gbagg(keys: Keys, aggs: Aggs, input: Target) -> Target {
+        Target::GbAgg {
+            keys,
+            aggs,
+            input: Box::new(input),
+        }
     }
 }
 
@@ -191,6 +269,7 @@ impl Rewrite {
             sides: [None, None],
             parts: vec![],
             remainder: vec![],
+            fresh: None,
         };
         if !self.guards.iter().all(|g| m.holds(g)) {
             return vec![];
@@ -276,6 +355,8 @@ struct Match<'c, 'b, 'm> {
     /// What [`Guard::Split`] bound: per scope its conjuncts, and the rest.
     parts: Vec<Vec<Expr>>,
     remainder: Vec<Expr>,
+    /// The output ids [`Aggs::Local`] minted, once minted.
+    fresh: Option<Vec<ColId>>,
 }
 
 impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
@@ -300,6 +381,44 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 "rewrite node {n} is a {}, which has no predicate",
                 op.label()
             )
+        })
+    }
+
+    /// The `GbAgg` at node `n`: its grouping columns and its aggregates.
+    fn gbagg(&self, n: Node) -> (&'m [ColId], &'m [AggCall]) {
+        match self.op(n) {
+            Operator::GbAgg { group_by, aggs } => (group_by, aggs),
+            op => panic!("rewrite node {n} is a {}, not a GbAgg", op.label()),
+        }
+    }
+
+    /// The union at node `n`: its outputs and its two branches' lists.
+    fn union(&self, n: Node) -> (&'m [ColId], [&'m [ColId]; 2]) {
+        match self.op(n) {
+            Operator::UnionAll {
+                outputs,
+                left_cols,
+                right_cols,
+            } => (outputs, [left_cols, right_cols]),
+            op => panic!("rewrite node {n} is a {}, not a UnionAll", op.label()),
+        }
+    }
+
+    /// The columns of node `n`, in its schema's order, that node 0
+    /// outputs too.
+    fn passed(&self, n: Option<Node>) -> Vec<ColId> {
+        let Some(n) = n else { return vec![] };
+        let root = self.ctx.cols(self.bound.group);
+        let schema = self.ctx.schema(self.group(n)).iter();
+        schema.map(|c| c.id).filter(|c| root.contains(c)).collect()
+    }
+
+    /// Fresh output ids for node `n`'s aggregates, minted on first use.
+    fn fresh(&mut self, n: Node) -> &[ColId] {
+        let (ctx, aggs) = (self.ctx, self.gbagg(n).1);
+        self.fresh.get_or_insert_with(|| {
+            let mut ids = ctx.ids.borrow_mut();
+            aggs.iter().map(|_| ids.fresh()).collect()
         })
     }
 
@@ -358,6 +477,18 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 true
             }
             Guard::NonEmpty(ref term) => has_conjunct(&self.pred(term)),
+            Guard::ArgsWithin { agg, side } => {
+                let side = ctx.cols(self.group(side));
+                let aggs = self.gbagg(agg).1;
+                aggs.iter().all(|a| a.arg.is_none_or(|c| side.contains(&c)))
+            }
+            Guard::NoScalarCount(n) => {
+                let (group_by, aggs) = self.gbagg(n);
+                !group_by.is_empty()
+                    || !aggs
+                        .iter()
+                        .any(|a| matches!(a.func, AggFunc::Count | AggFunc::CountStar))
+            }
         }
     }
 
@@ -374,10 +505,7 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 }
                 _ => ScopeCols::Nothing,
             },
-            Scope::GroupBy(n) => match self.op(n) {
-                Operator::GbAgg { group_by, .. } => ScopeCols::List(group_by),
-                op => panic!("rewrite node {n} is a {}, not a GbAgg", op.label()),
-            },
+            Scope::GroupBy(n) => ScopeCols::List(self.gbagg(n).0),
         }
     }
 
@@ -408,6 +536,19 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                 } else {
                     Expr::bin(*op, left, right)
                 }
+            }
+            &Pred::Branch {
+                ref term,
+                union,
+                side,
+            } => {
+                let (outputs, branches) = self.union(union);
+                let to = outputs.iter().zip(branches[side]);
+                rewrite_columns(&self.pred(term), &mut |c| {
+                    to.clone()
+                        .find(|(o, _)| **o == c)
+                        .map(|(_, b)| Expr::Col(*b))
+                })
             }
         }
     }
@@ -480,9 +621,59 @@ impl<'c, 'b, 'm> Match<'c, 'b, 'm> {
                     .collect();
                 (Operator::Project { outputs }, vec![self.child(input)])
             }
-            Target::Reemit { node, inputs } => {
-                let op = self.op(*node).clone();
+            Target::Reemit { node, pred, inputs } => {
+                let op = match (pred, self.op(*node)) {
+                    (None, op) => op.clone(),
+                    (Some(term), &Operator::Join { kind, .. }) => Operator::Join {
+                        kind,
+                        predicate: self.pred(term),
+                    },
+                    (Some(_), op) => panic!("a re-emitted {} has no predicate", op.label()),
+                };
                 (op, inputs.iter().map(|t| self.child(t)).collect())
+            }
+            Target::Union {
+                of,
+                branches,
+                before,
+                after,
+                inputs,
+            } => {
+                let (outputs, lists) = self.union(*of);
+                let (before, after) = (self.passed(*before), self.passed(*after));
+                let list = |mid: &[ColId]| [&before[..], mid, &after[..]].concat();
+                let op = Operator::UnionAll {
+                    outputs: list(outputs),
+                    left_cols: list(lists[branches[0]]),
+                    right_cols: list(lists[branches[1]]),
+                };
+                (op, vec![self.child(&inputs[0]), self.child(&inputs[1])])
+            }
+            Target::GbAgg { keys, aggs, input } => {
+                let group_by = match *keys {
+                    Keys::Of(n) => self.gbagg(n).0.to_vec(),
+                    Keys::Partial { agg, pred, side } => {
+                        let mut keys: BTreeSet<ColId> = self.gbagg(agg).0.iter().copied().collect();
+                        collect_columns(self.predicate(pred), &mut keys);
+                        let side = self.ctx.cols(self.group(side));
+                        keys.retain(|c| side.contains(c));
+                        keys.into_iter().collect()
+                    }
+                };
+                let (n, global) = match *aggs {
+                    Aggs::Local(n) => (n, false),
+                    Aggs::Global(n) => (n, true),
+                };
+                let of = self.gbagg(n).1;
+                let aggs = of.iter().zip(self.fresh(n)).map(|(a, &id)| {
+                    if global {
+                        AggCall::new(a.func.combining_func(), Some(id), a.output)
+                    } else {
+                        AggCall::new(a.func, a.arg, id)
+                    }
+                });
+                let aggs = aggs.collect();
+                (Operator::GbAgg { group_by, aggs }, vec![self.child(input)])
             }
         };
         NewChild::Tree(NewTree::new(op, inputs))
@@ -510,15 +701,19 @@ mod tests {
         Operator,
         Predicate,
         Join,
+        InnerJoin,
         GbAgg,
+        UnionAll,
     }
 
     /// What a rewrite asks of its nodes, and of the split its guards bound
-    /// (`parts`: the bound split's scope count, if any).
+    /// (`parts`: the bound split's scope count, if any; `mints`: the node
+    /// whose aggregates get fresh ids, if any).
     struct Uses {
         nodes: Vec<(Node, Use)>,
         parts: Option<usize>,
         probe: bool,
+        mints: Option<Node>,
     }
 
     impl Uses {
@@ -536,6 +731,15 @@ mod tests {
                 }
                 Pred::Remainder => assert!(self.parts.is_some(), "{rule}: unbound remainder"),
                 Pred::Bin { args, .. } => args.iter().for_each(|t| self.pred(t, rule)),
+                &Pred::Branch {
+                    ref term,
+                    union,
+                    side,
+                } => {
+                    assert!(side < 2, "{rule}: union branch {side}");
+                    self.nodes.push((union, Use::UnionAll));
+                    self.pred(term, rule);
+                }
             }
         }
 
@@ -567,6 +771,10 @@ mod tests {
                     self.parts = Some(scopes.len());
                 }
                 Guard::NonEmpty(term) => self.pred(term, rule),
+                &Guard::ArgsWithin { agg, side } => {
+                    self.nodes.extend([(agg, Use::GbAgg), (side, Use::Group)])
+                }
+                &Guard::NoScalarCount(n) => self.nodes.push((n, Use::GbAgg)),
             }
         }
 
@@ -585,24 +793,63 @@ mod tests {
                     self.nodes.push((*of, Use::Group));
                     self.target(input, rule);
                 }
-                Target::Reemit { node, inputs } => {
-                    self.nodes.push((*node, Use::Operator));
+                Target::Reemit { node, pred, inputs } => {
+                    let used = match pred {
+                        Some(term) => {
+                            self.pred(term, rule);
+                            Use::Join
+                        }
+                        None => Use::Operator,
+                    };
+                    self.nodes.push((*node, used));
                     inputs.iter().for_each(|t| self.target(t, rule));
+                }
+                Target::Union {
+                    of,
+                    branches,
+                    before,
+                    after,
+                    inputs,
+                } => {
+                    assert!(branches.iter().all(|&b| b < 2), "{rule}: {branches:?}");
+                    self.nodes.push((*of, Use::UnionAll));
+                    self.nodes.extend(
+                        [before, after]
+                            .into_iter()
+                            .flatten()
+                            .map(|&n| (n, Use::Group)),
+                    );
+                    inputs.iter().for_each(|t| self.target(t, rule));
+                }
+                Target::GbAgg { keys, aggs, input } => {
+                    match *keys {
+                        Keys::Of(n) => self.nodes.push((n, Use::GbAgg)),
+                        Keys::Partial { agg, pred, side } => self.nodes.extend([
+                            (agg, Use::GbAgg),
+                            (pred, Use::InnerJoin),
+                            (side, Use::Group),
+                        ]),
+                    }
+                    let (Aggs::Local(n) | Aggs::Global(n)) = *aggs;
+                    self.nodes.push((n, Use::GbAgg));
+                    assert_eq!(
+                        *self.mints.get_or_insert(n),
+                        n,
+                        "{rule}: mints for two nodes"
+                    );
+                    self.target(input, rule);
                 }
             }
         }
     }
 
     /// The pattern's nodes in pre-order: `None` for a placeholder, else
-    /// the operator kinds the node matches.
-    fn pattern_nodes(pattern: &PatternTree, out: &mut Vec<Option<OpKind>>) {
+    /// the node's matcher.
+    fn pattern_nodes<'p>(pattern: &'p PatternTree, out: &mut Vec<Option<&'p OpMatcher>>) {
         match pattern {
             PatternTree::Any => out.push(None),
             PatternTree::Op { matcher, children } => {
-                out.push(Some(match matcher {
-                    OpMatcher::Join(_) => OpKind::Join,
-                    OpMatcher::Kind(k) => *k,
-                }));
+                out.push(Some(matcher));
                 children.iter().for_each(|c| pattern_nodes(c, out));
             }
         }
@@ -610,9 +857,11 @@ mod tests {
 
     /// What the interpreter would otherwise panic on mid-search: every
     /// catalog rewrite names only nodes its pattern has, asks predicates
-    /// only of operators that carry one and scopes only of the joins and
-    /// aggregates that have them, roots each target at an operator, and
-    /// binds a probe or a split before a term reads it.
+    /// only of operators that carry one, scopes only of the joins and
+    /// aggregates that have them, branch lists only of a union and a
+    /// partial key only of an aggregate over an inner join, roots each
+    /// target at an operator, binds a probe or a split before a term reads
+    /// it, and mints fresh ids exactly when its rule says it does.
     #[test]
     fn catalog_rewrites_fit_their_patterns() {
         let mut checked = 0;
@@ -627,27 +876,33 @@ mod tests {
                 nodes: vec![],
                 parts: None,
                 probe: false,
+                mints: None,
             };
             rewrite.guards.iter().for_each(|g| uses.guard(g, rule.name));
             for target in &rewrite.targets {
                 assert!(!matches!(target, Target::Group(_)), "{}", rule.name);
                 uses.target(target, rule.name);
             }
+            assert_eq!(uses.mints.is_some(), rule.mints_fresh_ids, "{}", rule.name);
             for (n, used) in uses.nodes {
                 let node = nodes.get(n).copied();
+                let kind = node.flatten().map(|m| match m {
+                    OpMatcher::Join(_) => OpKind::Join,
+                    OpMatcher::Kind(k) => *k,
+                });
                 let fits = match used {
                     Use::Group => node.is_some(),
-                    Use::Operator => matches!(node, Some(Some(_))),
-                    Use::Predicate => {
-                        matches!(node, Some(Some(OpKind::Join | OpKind::Select)))
-                    }
-                    Use::Join => node == Some(Some(OpKind::Join)),
-                    Use::GbAgg => node == Some(Some(OpKind::GbAgg)),
+                    Use::Operator => kind.is_some(),
+                    Use::Predicate => matches!(kind, Some(OpKind::Join | OpKind::Select)),
+                    Use::Join => kind == Some(OpKind::Join),
+                    Use::InnerJoin => node == Some(Some(&OpMatcher::Join(vec![JoinKind::Inner]))),
+                    Use::GbAgg => kind == Some(OpKind::GbAgg),
+                    Use::UnionAll => kind == Some(OpKind::UnionAll),
                 };
                 assert!(fits, "{}: node {n} as {used:?}", rule.name);
             }
             checked += 1;
         }
-        assert_eq!(checked, 18);
+        assert_eq!(checked, 30);
     }
 }

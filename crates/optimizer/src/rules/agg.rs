@@ -3,17 +3,21 @@
 //! (§1 cites [3]; we implement the Yan–Larson *eager aggregation* form,
 //! which is unconditionally duplicate-correct because the join predicate's
 //! columns are added to the partial grouping key).
+//!
+//! Three rules are [`Rewrite`]s; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]). Two stay code, each needing a
+//! term no second rule uses (DESIGN §18): `DistinctToGbAgg` (grouping keys
+//! from a group's schema) and `GbAggEliminateOnKey` (a covering-key test
+//! and a projection per aggregate function).
 
 use super::util::*;
 use crate::pattern::PatternTree;
-use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_expr::{every_column, AggCall, AggFunc, Expr};
+use crate::rewrite::{Aggs, Guard, Keys, Node, Rewrite, Target};
+use crate::rule::{Bound, NewTree, Rule, RuleCtx};
+use ruletest_expr::{AggFunc, Expr};
 use ruletest_logical::{JoinKind, OpKind, Operator};
-use std::collections::BTreeSet;
 
-fn any() -> PatternTree {
-    PatternTree::Any
-}
+const ANY: PatternTree = PatternTree::Any;
 
 /// `Distinct(x) -> GbAgg[all columns of x; no aggregates](x)`.
 fn distinct_to_gbagg(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
@@ -32,137 +36,6 @@ fn distinct_to_gbagg(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
         },
         vec![gref(&b.children[0])],
     )]
-}
-
-/// `GbAgg[G; F](x) -> GbAgg[G; combine(F)](GbAgg[G; F](x))` — the
-/// local/global split. Well-defined for the whole supported aggregate set
-/// (COUNT combines via SUM; SUM/MIN/MAX are self-combining).
-fn gbagg_split_local_global(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::GbAgg { group_by, aggs } = &b.op else {
-        return vec![];
-    };
-    let mut ids = ctx.ids.borrow_mut();
-    let locals: Vec<AggCall> = aggs
-        .iter()
-        .map(|a| AggCall::new(a.func, a.arg, ids.fresh()))
-        .collect();
-    let globals: Vec<AggCall> = aggs
-        .iter()
-        .zip(&locals)
-        .map(|(orig, local)| {
-            AggCall::new(orig.func.combining_func(), Some(local.output), orig.output)
-        })
-        .collect();
-    vec![NewTree::new(
-        Operator::GbAgg {
-            group_by: group_by.clone(),
-            aggs: globals,
-        },
-        vec![NewChild::Tree(NewTree::new(
-            Operator::GbAgg {
-                group_by: group_by.clone(),
-                aggs: locals,
-            },
-            vec![gref(&b.children[0])],
-        ))],
-    )]
-}
-
-/// Shared implementation of eager aggregation for either join input.
-///
-/// `GbAgg[G; F](A JOIN_p B)` with every aggregate argument from side S
-/// becomes `GbAgg[G; combine(F)]( partial JOIN_p other )` where
-/// `partial = GbAgg[(G ∪ cols(p)) ∩ cols(S); F](S)`.
-///
-/// Correct for inner joins because collapsing S-rows that agree on the
-/// partial grouping key (which includes every join-predicate column of S)
-/// does not change which other-side rows each collapsed group joins with,
-/// and the global combine re-expands multiplicities exactly.
-fn eager_push(ctx: &RuleCtx, b: &Bound, side: usize) -> Vec<NewTree> {
-    let Operator::GbAgg { group_by, aggs } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join { kind, predicate } = &join.op else {
-        return vec![];
-    };
-    if *kind != JoinKind::Inner {
-        return vec![];
-    }
-    let side_cols = ctx.cols(join.children[side].group());
-    // Every aggregate argument must come from this side. COUNT(*) has no
-    // argument and is side-agnostic.
-    if !aggs
-        .iter()
-        .all(|a| a.arg.is_none_or(|c| side_cols.contains(&c)))
-    {
-        return vec![];
-    }
-    // A scalar global aggregate (empty G) turns COUNT's empty-input result
-    // from 0 into SUM-over-nothing = NULL; exclude that combination.
-    if group_by.is_empty()
-        && aggs
-            .iter()
-            .any(|a| matches!(a.func, AggFunc::Count | AggFunc::CountStar))
-    {
-        return vec![];
-    }
-    // Partial grouping key: grouping and join-predicate columns of this side.
-    let mut partial_keys: BTreeSet<_> = group_by
-        .iter()
-        .copied()
-        .filter(|c| side_cols.contains(c))
-        .collect();
-    every_column(predicate, &mut |c| {
-        if side_cols.contains(&c) {
-            partial_keys.insert(c);
-        }
-        true
-    });
-    let mut ids = ctx.ids.borrow_mut();
-    let locals: Vec<AggCall> = aggs
-        .iter()
-        .map(|a| AggCall::new(a.func, a.arg, ids.fresh()))
-        .collect();
-    let globals: Vec<AggCall> = aggs
-        .iter()
-        .zip(&locals)
-        .map(|(orig, local)| {
-            AggCall::new(orig.func.combining_func(), Some(local.output), orig.output)
-        })
-        .collect();
-    let partial = NewTree::new(
-        Operator::GbAgg {
-            group_by: partial_keys.into_iter().collect(),
-            aggs: locals,
-        },
-        vec![gref(&join.children[side])],
-    );
-    let mut join_children = vec![gref(&join.children[0]), gref(&join.children[1])];
-    join_children[side] = NewChild::Tree(partial);
-    vec![NewTree::new(
-        Operator::GbAgg {
-            group_by: group_by.clone(),
-            aggs: globals,
-        },
-        vec![NewChild::Tree(NewTree::new(
-            Operator::Join {
-                kind: JoinKind::Inner,
-                predicate: predicate.clone(),
-            },
-            join_children,
-        ))],
-    )]
-}
-
-fn eager_gbagg_push_left(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    eager_push(ctx, b, 0)
-}
-
-fn eager_gbagg_push_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    eager_push(ctx, b, 1)
 }
 
 /// `GbAgg[G; F](Get(T)) -> Project` when G covers a non-nullable unique key
@@ -223,44 +96,82 @@ fn gbagg_eliminate_on_key(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
+/// Eager aggregation below input `side` of the inner join 1 under
+/// `GbAgg0[G; F]`, whose inputs are 2 and 3: the partial aggregate
+/// `GbAgg[(G ∪ cols(1)) ∩ cols(side); F](side)` replaces the input, and
+/// `combine(F)` above the join re-expands multiplicities exactly.
+///
+/// Correct for inner joins because collapsing the side's rows that agree
+/// on the partial key (which includes every join-predicate column of the
+/// side) does not change which other-side rows each collapsed group joins
+/// with.
+fn eager_push(side: Node) -> Rewrite {
+    let mut inputs = vec![Target::Group(2), Target::Group(3)];
+    inputs[side - 2] = Target::gbagg(
+        Keys::Partial {
+            agg: 0,
+            pred: 1,
+            side,
+        },
+        Aggs::Local(0),
+        Target::Group(side),
+    );
+    Rewrite {
+        guards: vec![Guard::ArgsWithin { agg: 0, side }, Guard::NoScalarCount(0)],
+        targets: vec![Target::gbagg(
+            Keys::Of(0),
+            Aggs::Global(0),
+            Target::reemit(1, inputs),
+        )],
+    }
+}
+
+/// The aggregate rule set, in registration order.
 pub(super) fn rules() -> Vec<Rule> {
+    let gbagg = |child| PatternTree::kind(OpKind::GbAgg, vec![child]);
+    let over_join = || gbagg(PatternTree::join(vec![JoinKind::Inner], ANY, ANY));
     vec![
         Rule::explore(
             "DistinctToGbAgg",
-            PatternTree::kind(OpKind::Distinct, vec![any()]),
+            PatternTree::kind(OpKind::Distinct, vec![ANY]),
             "always applicable",
             distinct_to_gbagg,
         ),
-        Rule::explore(
+        // `GbAgg0[G; F](1) -> GbAgg[G; combine(F)](GbAgg[G; F](1))`, the
+        // local/global split. Well-defined for the whole supported
+        // aggregate set (COUNT combines via SUM; SUM/MIN/MAX are
+        // self-combining).
+        Rule::rewrite(
             "GbAggSplitLocalGlobal",
-            PatternTree::kind(OpKind::GbAgg, vec![any()]),
+            gbagg(ANY),
             "all aggregates decomposable (always true for the supported set)",
-            gbagg_split_local_global,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::gbagg(
+                    Keys::Of(0),
+                    Aggs::Global(0),
+                    Target::gbagg(Keys::Of(0), Aggs::Local(0), Target::Group(1)),
+                )],
+            },
         )
         .minting_fresh_ids(),
-        Rule::explore(
+        Rule::rewrite(
             "EagerGbAggPushBelowJoinLeft",
-            PatternTree::kind(
-                OpKind::GbAgg,
-                vec![PatternTree::join(vec![JoinKind::Inner], any(), any())],
-            ),
+            over_join(),
             "all aggregate arguments from the left input; no COUNT under a scalar aggregate",
-            eager_gbagg_push_left,
+            eager_push(2),
         )
         .minting_fresh_ids(),
-        Rule::explore(
+        Rule::rewrite(
             "EagerGbAggPushBelowJoinRight",
-            PatternTree::kind(
-                OpKind::GbAgg,
-                vec![PatternTree::join(vec![JoinKind::Inner], any(), any())],
-            ),
+            over_join(),
             "all aggregate arguments from the right input; no COUNT under a scalar aggregate",
-            eager_gbagg_push_right,
+            eager_push(3),
         )
         .minting_fresh_ids(),
         Rule::explore(
             "GbAggEliminateOnKey",
-            PatternTree::kind(OpKind::GbAgg, vec![PatternTree::kind(OpKind::Get, vec![])]),
+            gbagg(PatternTree::kind(OpKind::Get, vec![])),
             "grouping columns cover a non-nullable unique key; no COUNT(col) aggregate",
             gbagg_eliminate_on_key,
         ),

@@ -5,132 +5,49 @@
 //! predicate references only R and S — whose firing *enables* inner-join
 //! commutativity on the new `(R JOIN S)` expression (a rule dependency).
 //!
-//! Every rule but the two union distributions is a [`Rewrite`]; each comment
-//! names its pattern's nodes in pre-order (see [`crate::rewrite::Node`]).
+//! Every rule is a [`Rewrite`]; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]).
 
-use super::util::*;
 use crate::pattern::PatternTree;
-use crate::rewrite::{Guard, Pred, Rewrite, Target};
-use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_common::{ColId, WordBuild};
-use ruletest_expr::Expr;
-use ruletest_logical::{JoinKind, OpKind, Operator};
-use std::collections::HashMap;
+use crate::rewrite::{Guard, Node, Pred, Rewrite, Target};
+use crate::rule::Rule;
+use ruletest_logical::{JoinKind, OpKind};
 
 const ANY: PatternTree = PatternTree::Any;
 
-fn join_op(kind: JoinKind, predicate: Expr) -> Operator {
-    Operator::Join { kind, predicate }
+/// A join of one of `kinds` with a union at input `side`.
+fn join_union(kinds: Vec<JoinKind>, side: usize) -> PatternTree {
+    let mut inputs = [ANY, ANY];
+    inputs[side] = PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY]);
+    let [left, right] = inputs;
+    PatternTree::join(kinds, left, right)
 }
 
-/// The predicate as it reads over a union's left and right inputs.
-fn remap_to_sides(
-    predicate: &Expr,
-    outputs: &[ColId],
-    left: &[ColId],
-    right: &[ColId],
-) -> [Expr; 2] {
-    [left, right].map(|side| {
-        let map: HashMap<_, _, WordBuild> =
-            outputs.iter().copied().zip(side.iter().copied()).collect();
-        ruletest_expr::remap_columns(predicate, &map)
-    })
-}
-
-/// Distributes a left-row-driven join over a union on its left input:
-/// `(A UNION ALL B) op C -> (A op C) UNION ALL (B op C)` for
-/// op ∈ {JOIN, LOJ, SEMI, ANTI}.
-fn join_distribute_union_left(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { kind, predicate } = &b.op else {
-        return vec![];
+/// Distributes join 0 over the union at node `union`: per branch `i` the
+/// join re-emitted over `inputs[i]` with its predicate read over that
+/// branch, under a union whose lists gain the other join input's columns
+/// `before` or `after` the old ones.
+fn distribute(
+    union: Node,
+    inputs: [[Node; 2]; 2],
+    before: Option<Node>,
+    after: Option<Node>,
+) -> Rewrite {
+    let branch = |i: usize| Target::Reemit {
+        node: 0,
+        pred: Some(Pred::branch(Pred::Of(0), union, i)),
+        inputs: inputs[i].map(Target::Group).into(),
     };
-    let Some(union) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::UnionAll {
-        outputs,
-        left_cols,
-        right_cols,
-    } = &union.op
-    else {
-        return vec![];
-    };
-    let c = &b.children[1];
-    let [pred_a, pred_b] = remap_to_sides(predicate, outputs, left_cols, right_cols);
-    let join_a = NewTree::new(
-        join_op(*kind, pred_a),
-        vec![gref(&union.children[0]), gref(c)],
-    );
-    let join_b = NewTree::new(
-        join_op(*kind, pred_b),
-        vec![gref(&union.children[1]), gref(c)],
-    );
-    // The new union's outputs must equal this group's schema: the original
-    // union outputs plus (for both-sides kinds) C's columns mapped to
-    // themselves.
-    let mut new_outputs = outputs.clone();
-    let mut new_left = left_cols.clone();
-    let mut new_right = right_cols.clone();
-    if kind.emits_both_sides() {
-        for ci in ctx.schema(c.group()) {
-            new_outputs.push(ci.id);
-            new_left.push(ci.id);
-            new_right.push(ci.id);
-        }
+    Rewrite {
+        guards: vec![],
+        targets: vec![Target::Union {
+            of: union,
+            branches: [0, 1],
+            before,
+            after,
+            inputs: Box::new([branch(0), branch(1)]),
+        }],
     }
-    vec![NewTree::new(
-        Operator::UnionAll {
-            outputs: new_outputs,
-            left_cols: new_left,
-            right_cols: new_right,
-        },
-        vec![NewChild::Tree(join_a), NewChild::Tree(join_b)],
-    )]
-}
-
-/// Distributes a join over a union on its right input:
-/// `C op (A UNION ALL B) -> (C op A) UNION ALL (C op B)` for
-/// op ∈ {JOIN, ROJ}.
-fn join_distribute_union_right(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Join { kind, predicate } = &b.op else {
-        return vec![];
-    };
-    let c = &b.children[0];
-    let Some(union) = b.children[1].nested() else {
-        return vec![];
-    };
-    let Operator::UnionAll {
-        outputs,
-        left_cols,
-        right_cols,
-    } = &union.op
-    else {
-        return vec![];
-    };
-    let [pred_a, pred_b] = remap_to_sides(predicate, outputs, left_cols, right_cols);
-    let join_a = NewTree::new(
-        join_op(*kind, pred_a),
-        vec![gref(c), gref(&union.children[0])],
-    );
-    let join_b = NewTree::new(
-        join_op(*kind, pred_b),
-        vec![gref(c), gref(&union.children[1])],
-    );
-    let c_ids: Vec<_> = ctx.schema(c.group()).iter().map(|ci| ci.id).collect();
-    let mut new_outputs = c_ids.clone();
-    let mut new_left = c_ids.clone();
-    let mut new_right = c_ids;
-    new_outputs.extend(outputs.iter().copied());
-    new_left.extend(left_cols.iter().copied());
-    new_right.extend(right_cols.iter().copied());
-    vec![NewTree::new(
-        Operator::UnionAll {
-            outputs: new_outputs,
-            left_cols: new_left,
-            right_cols: new_right,
-        },
-        vec![NewChild::Tree(join_a), NewChild::Tree(join_b)],
-    )]
 }
 
 /// The join rule set, in registration order.
@@ -228,25 +145,23 @@ pub(super) fn rules() -> Vec<Rule> {
                 )],
             },
         ),
-        Rule::explore(
+        // `(2 ∪1 3) op0 4 -> (2 op 4) ∪ (3 op 4)` for a left-row-driven op:
+        // each branch joins with the predicate read over it, and the new
+        // union's lists carry 4's columns after the old ones, where op
+        // outputs them.
+        Rule::rewrite(
             "JoinDistributeUnionLeft",
-            PatternTree::join(
-                vec![Inner, LeftOuter, LeftSemi, LeftAnti],
-                PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY]),
-                ANY,
-            ),
+            join_union(vec![Inner, LeftOuter, LeftSemi, LeftAnti], 0),
             "join kind is left-row-driven",
-            join_distribute_union_left,
+            distribute(1, [[2, 4], [3, 4]], None, Some(4)),
         ),
-        Rule::explore(
+        // `1 op0 (3 ∪2 4) -> (1 op 3) ∪ (1 op 4)` for op ∈ {JOIN, ROJ}, 1's
+        // columns first.
+        Rule::rewrite(
             "JoinDistributeUnionRight",
-            PatternTree::join(
-                vec![Inner, RightOuter],
-                ANY,
-                PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY]),
-            ),
+            join_union(vec![Inner, RightOuter], 1),
             "join kind is right-row-driven",
-            join_distribute_union_right,
+            distribute(2, [[1, 3], [1, 4]], Some(1), None),
         ),
         // `1 SEMI 2 -> project_1(1 JOIN 2)` when the probe side 2 is a base
         // table and an equi conjunct hits one of its single-column unique

@@ -1,35 +1,22 @@
 //! Union, projection, sort, and top-n transformation rules.
+//!
+//! Six rules are [`Rewrite`]s; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]). Four stay code, each needing a
+//! term no second rule uses (DESIGN §18): `UnionAllAssoc` (fresh ids chased
+//! through the inner union's lists), `ProjectMerge` (composition by
+//! substitution), `ProjectPushBelowUnionAll` (a projection remapped per
+//! branch under fresh ids) and `TopTopCollapse` (the smaller of two limits,
+//! under equal keys).
 
 use super::util::*;
 use crate::pattern::PatternTree;
+use crate::rewrite::{Rewrite, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
 use ruletest_common::WordBuild;
 use ruletest_logical::{OpKind, Operator};
 use std::collections::HashMap;
 
-fn any() -> PatternTree {
-    PatternTree::Any
-}
-
-/// `A UNION ALL B -> B UNION ALL A` (side maps swap with the children).
-fn union_all_commute(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::UnionAll {
-        outputs,
-        left_cols,
-        right_cols,
-    } = &b.op
-    else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::UnionAll {
-            outputs: outputs.clone(),
-            left_cols: right_cols.clone(),
-            right_cols: left_cols.clone(),
-        },
-        vec![gref(&b.children[1]), gref(&b.children[0])],
-    )]
-}
+const ANY: PatternTree = PatternTree::Any;
 
 /// `(A UNION ALL B) UNION ALL C -> A UNION ALL (B UNION ALL C)`.
 fn union_all_assoc(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
@@ -89,36 +76,6 @@ fn union_all_assoc(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
                 vec![gref(bb), gref(c)],
             )),
         ],
-    )]
-}
-
-/// `Distinct(A UNION ALL B) -> Distinct(Distinct(A) UNION ALL Distinct(B))`
-/// — early duplicate elimination.
-fn distinct_push_below_union(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    if !matches!(b.op, Operator::Distinct) {
-        return vec![];
-    }
-    let Some(union) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(union.op, Operator::UnionAll { .. }) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Distinct,
-        vec![NewChild::Tree(NewTree::new(
-            union.op.clone(),
-            vec![
-                NewChild::Tree(NewTree::new(
-                    Operator::Distinct,
-                    vec![gref(&union.children[0])],
-                )),
-                NewChild::Tree(NewTree::new(
-                    Operator::Distinct,
-                    vec![gref(&union.children[1])],
-                )),
-            ],
-        ))],
     )]
 }
 
@@ -205,54 +162,6 @@ fn project_push_below_union(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
-/// `Sort1(Sort2(x)) -> Sort1(x)` — the outer sort wins.
-fn sort_collapse(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Sort { keys } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(inner.op, Operator::Sort { .. }) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Sort { keys: keys.clone() },
-        vec![gref(&inner.children[0])],
-    )]
-}
-
-/// `GbAgg(Sort(x)) -> GbAgg(x)` — aggregation is order-insensitive.
-fn sort_elim_below_gbagg(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::GbAgg { .. } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(inner.op, Operator::Sort { .. }) {
-        return vec![];
-    }
-    vec![NewTree::new(b.op.clone(), vec![gref(&inner.children[0])])]
-}
-
-/// `Distinct(Sort(x)) -> Distinct(x)`.
-fn sort_elim_below_distinct(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    if !matches!(b.op, Operator::Distinct) {
-        return vec![];
-    }
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(inner.op, Operator::Sort { .. }) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Distinct,
-        vec![gref(&inner.children[0])],
-    )]
-}
-
 /// `Top[n,k](Top[m,k](x)) -> Top[min(n,m),k](x)` when the sort keys are
 /// identical (same keys imply the same deterministic total order, so the
 /// compositions agree).
@@ -282,119 +191,98 @@ fn top_top_collapse(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
-/// `Top[n,k](Sort(x)) -> Top[n,k](x)` — Top imposes its own order.
-fn top_sort_absorb(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Top { n, keys } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    if !matches!(inner.op, Operator::Sort { .. }) {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Top {
-            n: *n,
-            keys: keys.clone(),
-        },
-        vec![gref(&inner.children[0])],
-    )]
-}
-
+/// The misc rule set, in registration order.
 pub(super) fn rules() -> Vec<Rule> {
+    use Target::Group;
+    let unary = |kind, child| PatternTree::kind(kind, vec![child]);
+    let union = || PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY]);
+    // `0(Sort1(2)) -> 0(2)`: the sort below operator 0 goes.
+    let drop_sort = |name, outer, precondition| {
+        Rule::rewrite(
+            name,
+            unary(outer, unary(OpKind::Sort, ANY)),
+            precondition,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::reemit(0, vec![Group(2)])],
+            },
+        )
+    };
     vec![
-        Rule::explore(
+        // `1 ∪0 2 -> 2 ∪ 1`, the branch lists swapped with the inputs.
+        Rule::rewrite(
             "UnionAllCommute",
-            PatternTree::kind(OpKind::UnionAll, vec![any(), any()]),
+            union(),
             "always applicable",
-            union_all_commute,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::Union {
+                    of: 0,
+                    branches: [1, 0],
+                    before: None,
+                    after: None,
+                    inputs: Box::new([Group(2), Group(1)]),
+                }],
+            },
         ),
         Rule::explore(
             "UnionAllAssoc",
-            PatternTree::kind(
-                OpKind::UnionAll,
-                vec![
-                    PatternTree::kind(OpKind::UnionAll, vec![any(), any()]),
-                    any(),
-                ],
-            ),
+            PatternTree::kind(OpKind::UnionAll, vec![union(), ANY]),
             "always applicable",
             union_all_assoc,
         )
         .minting_fresh_ids(),
-        Rule::explore(
+        // `Distinct0(2 ∪1 3) -> Distinct(Distinct(2) ∪ Distinct(3))`: early
+        // duplicate elimination.
+        Rule::rewrite(
             "DistinctPushBelowUnionAll",
-            PatternTree::kind(
-                OpKind::Distinct,
-                vec![PatternTree::kind(OpKind::UnionAll, vec![any(), any()])],
-            ),
+            unary(OpKind::Distinct, union()),
             "always applicable",
-            distinct_push_below_union,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::reemit(
+                    0,
+                    vec![Target::reemit(
+                        1,
+                        vec![
+                            Target::reemit(0, vec![Group(2)]),
+                            Target::reemit(0, vec![Group(3)]),
+                        ],
+                    )],
+                )],
+            },
         ),
         Rule::explore(
             "ProjectMerge",
-            PatternTree::kind(
-                OpKind::Project,
-                vec![PatternTree::kind(OpKind::Project, vec![any()])],
-            ),
+            unary(OpKind::Project, unary(OpKind::Project, ANY)),
             "always applicable (composition by substitution)",
             project_merge,
         ),
         Rule::explore(
             "ProjectPushBelowUnionAll",
-            PatternTree::kind(
-                OpKind::Project,
-                vec![PatternTree::kind(OpKind::UnionAll, vec![any(), any()])],
-            ),
+            unary(OpKind::Project, union()),
             "always applicable",
             project_push_below_union,
         )
         .minting_fresh_ids(),
-        Rule::explore(
+        drop_sort(
             "SortCollapse",
-            PatternTree::kind(
-                OpKind::Sort,
-                vec![PatternTree::kind(OpKind::Sort, vec![any()])],
-            ),
+            OpKind::Sort,
             "always applicable (outer order wins)",
-            sort_collapse,
         ),
-        Rule::explore(
-            "SortElimBelowGbAgg",
-            PatternTree::kind(
-                OpKind::GbAgg,
-                vec![PatternTree::kind(OpKind::Sort, vec![any()])],
-            ),
-            "always applicable",
-            sort_elim_below_gbagg,
-        ),
-        Rule::explore(
+        drop_sort("SortElimBelowGbAgg", OpKind::GbAgg, "always applicable"),
+        drop_sort(
             "SortElimBelowDistinct",
-            PatternTree::kind(
-                OpKind::Distinct,
-                vec![PatternTree::kind(OpKind::Sort, vec![any()])],
-            ),
+            OpKind::Distinct,
             "always applicable",
-            sort_elim_below_distinct,
         ),
         Rule::explore(
             "TopTopCollapse",
-            PatternTree::kind(
-                OpKind::Top,
-                vec![PatternTree::kind(OpKind::Top, vec![any()])],
-            ),
+            unary(OpKind::Top, unary(OpKind::Top, ANY)),
             "identical sort keys on both Top operators",
             top_top_collapse,
         ),
-        Rule::explore(
-            "TopSortAbsorb",
-            PatternTree::kind(
-                OpKind::Top,
-                vec![PatternTree::kind(OpKind::Sort, vec![any()])],
-            ),
-            "always applicable",
-            top_sort_absorb,
-        ),
+        // Top imposes its own order.
+        drop_sort("TopSortAbsorb", OpKind::Top, "always applicable"),
     ]
 }

@@ -1,24 +1,22 @@
 //! Selection (filter) transformation rules: merging, splitting, pushdown
 //! through every operator that admits it, and outer-join simplification.
 //!
-//! Eight rules are [`Rewrite`]s; each comment names its pattern's nodes in
-//! pre-order (see [`crate::rewrite::Node`]). Five stay code, each needing a
+//! Nine rules are [`Rewrite`]s; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]). Four stay code, each needing a
 //! term no second rule uses (DESIGN §18): `SelectSplit` (a first conjunct
 //! and the rest), `SelectPushBelowProject` (substitution through the
-//! projection), `SelectPullAboveProject` (a pass-through remap),
-//! `SelectPushBelowUnionAll` (a remap per union branch) and
+//! projection), `SelectPullAboveProject` (a pass-through remap) and
 //! `OuterJoinSimplify` (a null-rejection table of join kinds).
 
 use super::util::*;
 use crate::pattern::PatternTree;
 use crate::rewrite::{Guard, Pred, Rewrite, Scope, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
-use ruletest_common::{ColId, WordBuild};
+use ruletest_common::ColId;
 use ruletest_expr::{
     conjoin, conjuncts, every_column, is_null_rejecting, rewrite_columns, BinOp, Expr,
 };
 use ruletest_logical::{JoinKind, OpKind, Operator};
-use std::collections::HashMap;
 
 const ANY: PatternTree = PatternTree::Any;
 
@@ -108,48 +106,6 @@ fn select_pull_above_project(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
             },
             vec![gref(&sel.children[0])],
         ))],
-    )]
-}
-
-/// `σp(A UNION ALL B) -> σpa(A) UNION ALL σpb(B)` with the predicate
-/// remapped through each side's column map.
-fn select_push_below_union(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(union) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::UnionAll {
-        outputs,
-        left_cols,
-        right_cols,
-    } = &union.op
-    else {
-        return vec![];
-    };
-    let to_left: HashMap<_, _, WordBuild> = outputs
-        .iter()
-        .copied()
-        .zip(left_cols.iter().copied())
-        .collect();
-    let to_right: HashMap<_, _, WordBuild> = outputs
-        .iter()
-        .copied()
-        .zip(right_cols.iter().copied())
-        .collect();
-    vec![NewTree::new(
-        union.op.clone(),
-        vec![
-            NewChild::Tree(NewTree::new(
-                select_op(ruletest_expr::remap_columns(predicate, &to_left)),
-                vec![gref(&union.children[0])],
-            )),
-            NewChild::Tree(NewTree::new(
-                select_op(ruletest_expr::remap_columns(predicate, &to_right)),
-                vec![gref(&union.children[1])],
-            )),
-        ],
     )]
 }
 
@@ -315,11 +271,22 @@ pub(super) fn rules() -> Vec<Rule> {
             "every predicate column survives the projection as a bare column",
             select_pull_above_project,
         ),
-        Rule::explore(
+        // `σ0(2 ∪1 3) -> σ(2) ∪ σ(3)`, each with the predicate read over
+        // its branch.
+        Rule::rewrite(
             "SelectPushBelowUnionAll",
             sel(PatternTree::kind(OpKind::UnionAll, vec![ANY, ANY])),
             "always applicable",
-            select_push_below_union,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::reemit(
+                    1,
+                    vec![
+                        Target::select(Pred::branch(Pred::Of(0), 1, 0), Group(2)),
+                        Target::select(Pred::branch(Pred::Of(0), 1, 1), Group(3)),
+                    ],
+                )],
+            },
         ),
         // `σ0(GbAgg1(2))`: conjuncts over only the grouping columns commute
         // with the aggregation (the precondition the paper's §1 example
