@@ -151,8 +151,6 @@ fn main() {
     println!("campaign benchmark: {rules} rules, k={k}, seed={seed:#x}");
     let db = Arc::new(tpch_database(&FrameworkConfig::default().db).expect("tpch"));
 
-    // Telemetry-disabled runs first: they must not observe the globally
-    // enabled pool statistics the telemetry run switches on.
     let single = run(db.clone(), 1, rules, k, seed, Telemetry::disabled(), None);
     println!(
         "  1 thread           : {:.2}s ({} optimizer invocations, cache {}h/{}m)",

@@ -24,7 +24,7 @@ pub use hash::{fnv1a, Fnv64, WordBuild, WordHasher};
 pub use ids::{ColId, RuleId, TableId};
 pub use json::Json;
 pub use multiset::{diff_multisets, multisets_equal, ResultDiff};
-pub use pool::{par_map, poolstats, try_par_map, Parallelism};
+pub use pool::{par_map, Parallelism, PoolSection, PoolStats};
 pub use rng::Rng;
 pub use supervise::{sandbox, Deadline, Failure, FailureKind};
 pub use value::{DataType, Row, Value};

@@ -11,83 +11,87 @@
 //! [`Parallelism`]).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-/// Process-global worker-pool statistics, collected by [`par_map`] when
-/// enabled and read back into campaign run reports.
-///
-/// The collector lives here (not in the telemetry crate) so `common`
-/// keeps zero dependencies in either direction; it is a handful of
-/// atomics, costs one relaxed load per `par_map` call when disabled, and
-/// aggregates across every parallel stage in the process.
-pub mod poolstats {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+/// Worker-pool counters: [`par_map`] adds to the one it is handed. A
+/// campaign's telemetry owns one, so its run report's pool section
+/// counts that campaign's parallel stages and nothing else.
+#[derive(Debug, Default)]
+pub struct PoolStats {
+    par_calls: AtomicU64,
+    tasks: AtomicU64,
+    workers: AtomicU64,
+    steals: AtomicU64,
+    busy_ns: AtomicU64,
+    idle_ns: AtomicU64,
+}
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static PAR_CALLS: AtomicU64 = AtomicU64::new(0);
-    static TASKS: AtomicU64 = AtomicU64::new(0);
-    static WORKERS: AtomicU64 = AtomicU64::new(0);
-    static STEALS: AtomicU64 = AtomicU64::new(0);
-    static BUSY_NS: AtomicU64 = AtomicU64::new(0);
-    static IDLE_NS: AtomicU64 = AtomicU64::new(0);
+/// A point-in-time copy of [`PoolStats`]: the run report's pool section.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolSection {
+    /// `par_map` invocations that ran on more than one worker.
+    pub par_calls: u64,
+    /// Items executed across all calls (including sequential ones).
+    pub tasks: u64,
+    /// Workers launched across all calls.
+    pub workers: u64,
+    /// Items a worker claimed beyond its even share of a call — the
+    /// imbalance the stealing cursor absorbed.
+    pub steals: u64,
+    /// Worker time spent inside item closures.
+    pub busy_ns: u64,
+    /// Worker lifetime spent outside item closures (claiming, waiting).
+    pub idle_ns: u64,
+}
 
-    /// A point-in-time copy of the pool counters.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct PoolSnapshot {
-        /// `par_map` invocations that ran on more than one worker.
-        pub par_calls: u64,
-        /// Items executed across all calls (including sequential ones).
-        pub tasks: u64,
-        /// Workers launched across all calls.
-        pub workers: u64,
-        /// Items a worker claimed beyond its even share of a call — the
-        /// imbalance the stealing cursor absorbed.
-        pub steals: u64,
-        /// Worker time spent inside item closures.
-        pub busy_ns: u64,
-        /// Worker lifetime spent outside item closures.
-        pub idle_ns: u64,
+crate::wire_record!(PoolSection {
+    "par_calls" => par_calls,
+    "tasks" => tasks,
+    "workers" => workers,
+    "steals" => steals,
+    "busy_ns" => busy_ns,
+    "idle_ns" => idle_ns,
+} + { "utilization" => utilization });
+
+impl PoolSection {
+    /// Fraction of worker wall time spent doing work.
+    pub fn utilization(&self) -> f64 {
+        let total = self.busy_ns + self.idle_ns;
+        if total == 0 {
+            0.0
+        } else {
+            self.busy_ns as f64 / total as f64
+        }
     }
+}
 
-    pub fn enable() {
-        ENABLED.store(true, Ordering::Relaxed);
-    }
-
-    pub fn disable() {
-        ENABLED.store(false, Ordering::Relaxed);
-    }
-
-    pub(super) fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub fn snapshot() -> PoolSnapshot {
-        PoolSnapshot {
-            par_calls: PAR_CALLS.load(Ordering::Relaxed),
-            tasks: TASKS.load(Ordering::Relaxed),
-            workers: WORKERS.load(Ordering::Relaxed),
-            steals: STEALS.load(Ordering::Relaxed),
-            busy_ns: BUSY_NS.load(Ordering::Relaxed),
-            idle_ns: IDLE_NS.load(Ordering::Relaxed),
+impl PoolStats {
+    pub fn snapshot(&self) -> PoolSection {
+        let get = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        PoolSection {
+            par_calls: get(&self.par_calls),
+            tasks: get(&self.tasks),
+            workers: get(&self.workers),
+            steals: get(&self.steals),
+            busy_ns: get(&self.busy_ns),
+            idle_ns: get(&self.idle_ns),
         }
     }
 
-    pub(super) fn record_sequential(tasks: u64) {
-        TASKS.fetch_add(tasks, Ordering::Relaxed);
+    fn record_call(&self, workers: u64) {
+        self.par_calls.fetch_add(1, Ordering::Relaxed);
+        self.workers.fetch_add(workers, Ordering::Relaxed);
     }
 
-    pub(super) fn record_call(workers: u64) {
-        PAR_CALLS.fetch_add(1, Ordering::Relaxed);
-        WORKERS.fetch_add(workers, Ordering::Relaxed);
-    }
-
-    pub(super) fn record_worker(tasks: u64, fair_share: u64, busy_ns: u64, lifetime_ns: u64) {
-        TASKS.fetch_add(tasks, Ordering::Relaxed);
-        STEALS.fetch_add(tasks.saturating_sub(fair_share), Ordering::Relaxed);
-        BUSY_NS.fetch_add(busy_ns, Ordering::Relaxed);
-        IDLE_NS.fetch_add(lifetime_ns.saturating_sub(busy_ns), Ordering::Relaxed);
+    fn record_worker(&self, tasks: u64, fair_share: u64, busy_ns: u64, lifetime_ns: u64) {
+        self.tasks.fetch_add(tasks, Ordering::Relaxed);
+        self.steals
+            .fetch_add(tasks.saturating_sub(fair_share), Ordering::Relaxed);
+        self.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+        self.idle_ns
+            .fetch_add(lifetime_ns.saturating_sub(busy_ns), Ordering::Relaxed);
     }
 }
 
@@ -133,24 +137,23 @@ impl Parallelism {
 }
 
 /// Applies `f` to every item on up to `threads` workers and returns the
-/// results **in item order**.
+/// results **in item order**, recording into `stats` when given one.
 ///
 /// Work distribution is a shared atomic cursor (item-granularity
 /// stealing): an idle worker grabs the next unclaimed index, so uneven
 /// item costs balance automatically. If `f` panics on any item, all
 /// workers finish their in-flight items, and the panic resumes on the
 /// caller thread (lowest failing index wins — also deterministic).
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, F>(threads: usize, stats: Option<&PoolStats>, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
     let threads = threads.max(1).min(items.len());
-    let stats = poolstats::enabled();
     if threads <= 1 {
-        if stats {
-            poolstats::record_sequential(items.len() as u64);
+        if let Some(stats) = stats {
+            stats.tasks.fetch_add(items.len() as u64, Ordering::Relaxed);
         }
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
@@ -158,8 +161,8 @@ where
     let mut slots: Vec<Option<thread::Result<R>>> = Vec::new();
     slots.resize_with(items.len(), || None);
     let slots = Mutex::new(slots);
-    if stats {
-        poolstats::record_call(threads as u64);
+    if let Some(stats) = stats {
+        stats.record_call(threads as u64);
     }
     // Even share per worker; anything a worker executes beyond this is
     // imbalance the stealing cursor moved to it ("steals" in the stats).
@@ -168,7 +171,7 @@ where
     thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                let born = stats.then(std::time::Instant::now);
+                let born = stats.map(|_| std::time::Instant::now());
                 let mut tasks = 0u64;
                 let mut busy_ns = 0u64;
                 loop {
@@ -176,7 +179,7 @@ where
                     if i >= items.len() {
                         break;
                     }
-                    let t0 = stats.then(std::time::Instant::now);
+                    let t0 = born.map(|_| std::time::Instant::now());
                     let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
                     if let Some(t0) = t0 {
                         busy_ns += t0.elapsed().as_nanos() as u64;
@@ -184,9 +187,9 @@ where
                     }
                     slots.lock().expect("pool slots poisoned").as_mut_slice()[i] = Some(out);
                 }
-                if let Some(born) = born {
+                if let (Some(stats), Some(born)) = (stats, born) {
                     let lifetime_ns = born.elapsed().as_nanos() as u64;
-                    poolstats::record_worker(tasks, fair_share, busy_ns, lifetime_ns);
+                    stats.record_worker(tasks, fair_share, busy_ns, lifetime_ns);
                 }
             });
         }
@@ -203,23 +206,9 @@ where
     out
 }
 
-/// Like [`par_map`] but for fallible item functions: returns the first
-/// error by item order, or all results.
-pub fn try_par_map<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    let results = par_map(threads, items, f);
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -227,7 +216,7 @@ mod tests {
     fn par_map_preserves_item_order() {
         let items: Vec<u64> = (0..257).collect();
         for threads in [1, 2, 4, 8] {
-            let out = par_map(threads, &items, |i, &v| {
+            let out = par_map(threads, None, &items, |i, &v| {
                 assert_eq!(i as u64, v);
                 v * v
             });
@@ -239,8 +228,8 @@ mod tests {
     #[test]
     fn par_map_handles_empty_and_tiny_inputs() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map(8, &empty, |_, &v| v).is_empty());
-        assert_eq!(par_map(8, &[7u32], |_, &v| v + 1), vec![8]);
+        assert!(par_map(8, None, &empty, |_, &v| v).is_empty());
+        assert_eq!(par_map(8, None, &[7u32], |_, &v| v + 1), vec![8]);
     }
 
     #[test]
@@ -248,7 +237,7 @@ mod tests {
         let items: Vec<u32> = (0..64).collect();
         let concurrent = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        par_map(4, &items, |_, _| {
+        par_map(4, None, &items, |_, _| {
             let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             thread::sleep(Duration::from_millis(2));
@@ -266,7 +255,7 @@ mod tests {
         let executed = Arc::new(AtomicU64::new(0));
         let executed_in = Arc::clone(&executed);
         let result = std::panic::catch_unwind(move || {
-            par_map(4, &items, |i, _| {
+            par_map(4, None, &items, |i, _| {
                 executed_in.fetch_add(1, Ordering::Relaxed);
                 if i == 5 {
                     panic!("item 5 exploded");
@@ -285,39 +274,25 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_returns_first_error_by_index() {
-        let items: Vec<u32> = (0..100).collect();
-        let r: Result<Vec<u32>, String> = try_par_map(4, &items, |i, &v| {
-            if i == 41 || i == 97 {
-                Err(format!("bad {i}"))
-            } else {
-                Ok(v)
-            }
-        });
-        assert_eq!(r.unwrap_err(), "bad 41");
-    }
-
-    #[test]
-    fn poolstats_collects_when_enabled() {
-        // Global counters: other tests in this binary may run par_map
-        // concurrently, so assert growth, not exact totals.
-        poolstats::enable();
-        let before = poolstats::snapshot();
+    fn pool_stats_count_exactly_what_their_calls_ran() {
+        let stats = PoolStats::default();
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map(4, &items, |_, &v| {
+        let out = par_map(4, Some(&stats), &items, |_, &v| {
             thread::sleep(Duration::from_micros(200));
             v + 1
         });
         assert_eq!(out.len(), 64);
-        let after = poolstats::snapshot();
-        assert!(after.tasks >= before.tasks + 64, "tasks counted");
-        assert!(after.par_calls > before.par_calls, "call counted");
-        assert!(after.workers >= before.workers + 4, "workers counted");
-        assert!(after.busy_ns > before.busy_ns, "busy time accrues");
-        // Sequential path counts tasks too.
-        let seq_before = poolstats::snapshot();
-        par_map(1, &items, |_, &v| v);
-        assert!(poolstats::snapshot().tasks >= seq_before.tasks + 64);
+        let s = stats.snapshot();
+        assert_eq!((s.par_calls, s.workers, s.tasks), (1, 4, 64));
+        assert!(s.steals <= 64 - 16, "at most everything past one share");
+        assert!(s.busy_ns > 0, "busy time accrues");
+        // The sequential path counts its tasks and no call.
+        par_map(1, Some(&stats), &items, |_, &v| v);
+        let s = stats.snapshot();
+        assert_eq!((s.par_calls, s.workers, s.tasks), (1, 4, 128));
+        // A call handed no sink records nowhere.
+        par_map(4, None, &items, |_, &v| v);
+        assert_eq!(stats.snapshot(), s);
     }
 
     #[test]

@@ -113,6 +113,7 @@ pub fn execute_solution_with(
     mut quarantine: Option<&mut Quarantine>,
 ) -> Result<CorrectnessReport> {
     let start = Instant::now();
+    let exec_config = &fw.exec_config(exec_config);
     let mut report = CorrectnessReport::default();
     // Base results, one execution per distinct query (the node-cost-sharing
     // observation of §4.1). Each query is independent; results merge in

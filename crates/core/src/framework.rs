@@ -5,14 +5,14 @@ use crate::generate::pairs::compose_patterns;
 use crate::generate::pattern::{instantiate_pattern, pad_above};
 use crate::generate::random::random_tree;
 use crate::generate::{GenConfig, GenOutcome, Strategy};
-use ruletest_common::{poolstats, Error, Parallelism, Result, Rng, RuleId};
+use ruletest_common::chaos::Chaos;
+use ruletest_common::{Error, Parallelism, Result, Rng, RuleId};
+use ruletest_executor::ExecConfig;
 use ruletest_logical::{IdGen, LogicalTree};
 use ruletest_optimizer::{Optimizer, PatternTree, RuleKind, Searched};
 use ruletest_sql::to_sql;
 use ruletest_storage::{tpch_database, Database, TpchConfig};
-use ruletest_telemetry::{
-    CacheSection, Counter, Event, Hist, PoolSection, RunReport, Stage, Telemetry,
-};
+use ruletest_telemetry::{CacheSection, Counter, Event, Hist, RunReport, Stage, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,6 +30,11 @@ pub struct FrameworkConfig {
     /// near-no-ops and results stay byte-identical to an uninstrumented
     /// build).
     pub telemetry: Telemetry,
+    /// The campaign's fault injector (no plan by default). This is the one
+    /// place a campaign sets it: the framework hands it to its optimizer
+    /// and to every execution it runs, so the campaign's hits form one
+    /// sequence.
+    pub chaos: Chaos,
 }
 
 /// How the test database was generated — recorded so bug reports carry a
@@ -68,7 +73,7 @@ impl Framework {
     /// Builds the framework over a freshly generated TPC-H test database.
     pub fn new(config: &FrameworkConfig) -> Result<Framework> {
         let db = Arc::new(tpch_database(&config.db)?);
-        let optimizer = Arc::new(Optimizer::new(db.clone()));
+        let optimizer = Arc::new(Optimizer::new(db.clone()).with_chaos(config.chaos.clone()));
         Ok(Framework {
             db,
             optimizer,
@@ -123,12 +128,11 @@ impl Framework {
     }
 
     /// Installs campaign telemetry (builder style): the handle is shared
-    /// with the optimizer, and worker-pool statistics collection is turned
-    /// on when the handle is enabled.
+    /// with the optimizer, and the campaign's parallel stages record their
+    /// pool statistics into it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Framework {
         if telemetry.is_enabled() {
             self.optimizer.attach_telemetry(telemetry.clone());
-            poolstats::enable();
         }
         self.telemetry = telemetry;
         self
@@ -155,8 +159,8 @@ impl Framework {
     }
 
     /// Rolls the campaign so far into one aggregate [`RunReport`]: the
-    /// telemetry registry plus the cache, pool, and trace sections this
-    /// framework owns. `wall_seconds` is left 0 for the caller to fill.
+    /// telemetry's sections plus the cache section this framework's
+    /// optimizer owns. `wall_seconds` is left 0 for the caller to fill.
     pub fn run_report(&self) -> RunReport {
         let mut report = self.telemetry.run_report(&self.rule_names());
         let cs = self.optimizer.cache_stats();
@@ -165,16 +169,17 @@ impl Framework {
             misses: cs.misses,
             evictions: cs.evictions,
         };
-        let ps = poolstats::snapshot();
-        report.pool = PoolSection {
-            par_calls: ps.par_calls,
-            tasks: ps.tasks,
-            workers: ps.workers,
-            steals: ps.steals,
-            busy_ns: ps.busy_ns,
-            idle_ns: ps.idle_ns,
-        };
         report
+    }
+
+    /// `config` carrying the campaign's fault injector, for an execution
+    /// the framework runs: its `exec.batch` hits continue the sequence
+    /// the optimizer's sites count into.
+    pub(crate) fn exec_config(&self, config: &ExecConfig) -> ExecConfig {
+        ExecConfig {
+            chaos: self.optimizer.chaos().clone(),
+            ..config.clone()
+        }
     }
 
     /// Generates a SQL query that exercises `rule` (§3.1). The efficiency

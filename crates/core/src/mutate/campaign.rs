@@ -102,10 +102,12 @@ pub fn run_mutation_campaign(
 ) -> Result<MutationReport> {
     let selected = cfg.select();
     let budget = cfg.budget;
-    let outcomes: Vec<Result<MutantOutcome>> =
-        par_map(cfg.threads, &selected, move |_idx, m: &&'static Mutant| {
-            run_one(db.clone(), m, &budget, tel)
-        });
+    let outcomes: Vec<Result<MutantOutcome>> = par_map(
+        cfg.threads,
+        tel.pool_stats(),
+        &selected,
+        move |_idx, m: &&'static Mutant| run_one(db.clone(), m, &budget, tel),
+    );
     let outcomes: Vec<MutantOutcome> = outcomes.into_iter().collect::<Result<_>>()?;
     for o in &outcomes {
         if o.mutant.expected != Verdict::Benign {

@@ -25,10 +25,8 @@
 use crate::framework::Framework;
 use crate::suite::RuleTarget;
 use crate::triage::{bundle::BUNDLE_VERSION, minimize, ReproBundle, TriageConfig};
-use ruletest_common::{
-    fnv1a, par_map, sandbox, try_par_map, wire_record, Failure, FailureKind, Result, RuleId,
-};
-use ruletest_executor::execute_with;
+use ruletest_common::{fnv1a, par_map, sandbox, wire_record, Failure, FailureKind, Result, RuleId};
+use ruletest_executor::{execute_with, ExecConfig};
 use ruletest_logical::LogicalTree;
 use ruletest_optimizer::OptimizerConfig;
 use ruletest_telemetry::{Counter, Event};
@@ -206,8 +204,9 @@ fn absorb(
 /// table). Under both, `work` gets the item's index in `items` and an
 /// ordinary error returns as the lowest failing item's `Err`.
 ///
-/// * `None` propagates: this is [`try_par_map`] — a timeout or budget
-///   error returns like any other, a panic resumes on the caller.
+/// * `None` propagates: the lowest failing item's error returns — a
+///   timeout or budget error like any other — and a panic resumes on the
+///   caller.
 /// * `Some(q)` absorbs: an item already in `q` (same site, same
 ///   [`ItemName::label`]) is skipped before `work` is ever called for it;
 ///   the rest run inside [`sandbox`], the one place that decides whether
@@ -222,10 +221,11 @@ pub(crate) fn run_stage<T: Sync, R: Send>(
     work: impl Fn(usize, &T) -> Result<R> + Sync,
     quarantine: Option<&mut Quarantine>,
 ) -> Result<Vec<Option<R>>> {
-    let threads = fw.parallelism.threads;
+    let (threads, stats) = (fw.parallelism.threads, fw.telemetry.pool_stats());
     let Some(quarantine) = quarantine else {
-        let results = try_par_map(threads, items, work)?;
-        return Ok(results.into_iter().map(Some).collect());
+        return par_map(threads, stats, items, |i, item| work(i, item).map(Some))
+            .into_iter()
+            .collect();
     };
     let pending: Vec<(usize, ItemName)> = items
         .iter()
@@ -233,7 +233,7 @@ pub(crate) fn run_stage<T: Sync, R: Send>(
         .enumerate()
         .filter(|(_, n)| !quarantine.contains_input(site, &n.label))
         .collect();
-    let outcomes = par_map(threads, &pending, |_, &(i, _)| {
+    let outcomes = par_map(threads, stats, &pending, |_, &(i, _)| {
         sandbox(site, || work(i, &items[i]))
     });
     let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
@@ -255,15 +255,15 @@ fn crash_probe(
     fw: &Framework,
     tree: &LogicalTree,
     rules: &[RuleId],
-    cfg: &TriageConfig,
+    exec: &ExecConfig,
 ) -> Option<Failure> {
     let outcome = sandbox("crash.probe", || {
         let base = fw.optimizer.optimize_cached(tree)?;
         let masked = fw
             .optimizer
             .optimize_with_cached(tree, &OptimizerConfig::disabling(rules))?;
-        execute_with(&fw.db, &base.plan, &cfg.exec)?;
-        execute_with(&fw.db, &masked.plan, &cfg.exec)?;
+        execute_with(&fw.db, &base.plan, exec)?;
+        execute_with(&fw.db, &masked.plan, exec)?;
         Ok(())
     });
     outcome.err()
@@ -287,6 +287,7 @@ pub fn crash_bundles(
     quarantine: &Quarantine,
     cfg: &TriageConfig,
 ) -> Vec<ReproBundle> {
+    let exec = fw.exec_config(&cfg.exec);
     let mut out = Vec::new();
     let mut total_steps = 0u64;
     for entry in quarantine.entries() {
@@ -303,7 +304,7 @@ pub fn crash_bundles(
             .collect();
         let mut steps = 0usize;
         if rules.len() == entry.rule_mask.len()
-            && crash_probe(fw, &tree, &rules, cfg).is_some_and(|f| f.kind() == entry.kind)
+            && crash_probe(fw, &tree, &rules, &exec).is_some_and(|f| f.kind() == entry.kind)
         {
             // Greedy first-improvement descent, accepting any candidate
             // on which the same failure kind still reproduces.
@@ -312,7 +313,8 @@ pub fn crash_bundles(
                     if !minimize::is_valid(fw, &cand) {
                         continue;
                     }
-                    if crash_probe(fw, &cand, &rules, cfg).is_some_and(|f| f.kind() == entry.kind) {
+                    if crash_probe(fw, &cand, &rules, &exec).is_some_and(|f| f.kind() == entry.kind)
+                    {
                         tree = cand;
                         steps += 1;
                         continue 'shrink;
@@ -569,7 +571,7 @@ mod tests {
             // Past the panic, the lowest failing item is the timeout.
             let err = run_stage(&fw, "test.stage", &items[4..], item_name, &work, None);
             assert_eq!(err.unwrap_err(), Error::timeout("item 7 hung"));
-            // And a stage with no failing item is `try_par_map`.
+            // And a stage with no failing item returns every result.
             let ok = run_stage(&fw, "test.stage", &items[12..], item_name, &work, None);
             assert_eq!(
                 ok.unwrap(),

@@ -100,6 +100,7 @@ pub(crate) fn divergence(
     if base.plan.same_shape(&masked.plan) {
         return None;
     }
+    let exec = &fw.exec_config(exec);
     let expected = execute_profiled(&fw.db, &base.plan, exec, &fw.telemetry).ok()?;
     let actual = execute_profiled(&fw.db, &masked.plan, exec, &fw.telemetry).ok()?;
     let diff = diff_multisets(&expected, &actual);

@@ -1,5 +1,6 @@
 //! Execution driver, resolution helpers, and the work budget.
 
+use ruletest_common::chaos::Chaos;
 use ruletest_common::{ColId, Error, Result, Row, Value};
 use ruletest_expr::Expr;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
@@ -19,6 +20,10 @@ pub struct ExecConfig {
     /// Cooperative wall-clock deadline, checked at batch boundaries
     /// (every [`BATCH_UNITS`] work units). Unarmed by default.
     pub deadline: ruletest_common::Deadline,
+    /// The fault injector probed at the same batch boundaries
+    /// (`exec.batch`): a framework's executions carry its campaign's
+    /// handle. No plan by default.
+    pub chaos: Chaos,
 }
 
 impl Default for ExecConfig {
@@ -26,6 +31,7 @@ impl Default for ExecConfig {
         Self {
             work_budget: 20_000_000,
             deadline: ruletest_common::Deadline::none(),
+            chaos: Chaos::default(),
         }
     }
 }
@@ -57,16 +63,21 @@ pub(crate) struct Ctx<'a> {
     pub db: &'a Database,
     remaining: Cell<u64>,
     deadline: ruletest_common::Deadline,
+    chaos: &'a Chaos,
     /// Work units charged since the last batch-boundary check.
     since_check: Cell<u64>,
 }
 
 impl<'a> Ctx<'a> {
-    pub fn new(db: &'a Database, work_budget: u64, deadline: ruletest_common::Deadline) -> Self {
+    pub fn new(db: &'a Database, config: &'a ExecConfig) -> Self {
         Ctx {
             db,
-            remaining: Cell::new(work_budget),
-            deadline,
+            remaining: Cell::new(config.work_budget),
+            // Re-armed per execution: a deadline parsed from the CLI at
+            // process start becomes a budget for *this* run, not a fuse
+            // that burned down during earlier campaign stages.
+            deadline: config.deadline.rearm(),
+            chaos: &config.chaos,
             since_check: Cell::new(0),
         }
     }
@@ -84,7 +95,7 @@ impl<'a> Ctx<'a> {
         let since_check = self.since_check.get() + n;
         if since_check >= BATCH_UNITS {
             self.since_check.set(0);
-            ruletest_common::chaos::point("exec.batch")?;
+            self.chaos.point("exec.batch")?;
             self.deadline.check("executor batch")?;
         } else {
             self.since_check.set(since_check);
@@ -123,10 +134,7 @@ pub fn execute(db: &Database, plan: &PhysicalPlan) -> Result<ResultSet> {
 
 /// Executes a plan under an explicit budget.
 pub fn execute_with(db: &Database, plan: &PhysicalPlan, config: &ExecConfig) -> Result<ResultSet> {
-    // Re-arm per execution: a deadline parsed from the CLI at process
-    // start becomes a budget for *this* run, not a fuse that burned down
-    // during earlier campaign stages.
-    let ctx = Ctx::new(db, config.work_budget, config.deadline.rearm());
+    let ctx = Ctx::new(db, config);
     // The only place a borrowed row is copied: the rows actually returned.
     let rows: ResultSet = open(&ctx, plan)?
         .map(|row| row.map(Cow::into_owned))
@@ -316,11 +324,15 @@ mod tests {
     #[test]
     fn expired_deadline_abandons_execution_at_a_batch_boundary() {
         let db = tiny_db();
-        let deadline = ruletest_common::Deadline::after_ms(1);
-        while !deadline.expired() {
+        let config = ExecConfig {
+            work_budget: u64::MAX,
+            deadline: ruletest_common::Deadline::after_ms(1),
+            ..ExecConfig::default()
+        };
+        let ctx = Ctx::new(&db, &config);
+        while !ctx.deadline.expired() {
             std::thread::yield_now();
         }
-        let ctx = Ctx::new(&db, u64::MAX, deadline);
         // Under a full batch no check fires; crossing the boundary does.
         assert!(ctx.charge(BATCH_UNITS - 1).is_ok());
         let err = ctx.charge(BATCH_UNITS);
@@ -331,10 +343,14 @@ mod tests {
     fn chaos_stall_at_the_exec_batch_site_is_a_timeout_error() {
         let db = tiny_db();
         let plan = ruletest_common::chaos::ChaosPlan::parse("exec.batch:stall@1").unwrap();
-        ruletest_common::chaos::install(plan);
-        let ctx = Ctx::new(&db, u64::MAX, ruletest_common::Deadline::none());
+        let config = ExecConfig {
+            work_budget: u64::MAX,
+            chaos: Chaos::new(plan),
+            ..ExecConfig::default()
+        };
+        let ctx = Ctx::new(&db, &config);
         let err = ctx.charge(BATCH_UNITS);
-        ruletest_common::chaos::clear();
+        assert_eq!(config.chaos.stats().stalls, 1);
         match err {
             Err(Error::Timeout(m)) => assert!(m.contains("chaos"), "unexpected message: {m}"),
             other => panic!("expected injected stall, got {other:?}"),

@@ -645,7 +645,8 @@ mod tests {
                 (JoinKind::LeftAnti, &stored[2..]),
             ] {
                 let p = join(hash, kind);
-                let ctx = Ctx::new(&db, u64::MAX, ruletest_common::Deadline::none());
+                let config = crate::ExecConfig::default();
+                let ctx = Ctx::new(&db, &config);
                 let rows = pull_all(&ctx, &p);
                 assert_eq!(rows.len(), expected.len(), "{kind:?} hash={hash}");
                 for (row, stored) in rows.iter().zip(expected) {

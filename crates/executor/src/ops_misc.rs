@@ -150,7 +150,8 @@ mod tests {
             vec![scan_t0()],
             vec![int_col(0), str_col(1)],
         );
-        let ctx = Ctx::new(&db, u64::MAX, ruletest_common::Deadline::none());
+        let config = crate::ExecConfig::default();
+        let ctx = Ctx::new(&db, &config);
         let rows: Vec<RowRef> = crate::context::open(&ctx, &p)
             .unwrap()
             .collect::<Result<_>>()

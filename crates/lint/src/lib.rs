@@ -34,69 +34,73 @@ pub use prove::{ProofViolation, ProveReport, ProveVerdict, RuleProof};
 pub use report::LintReport;
 pub use violation::{dedup_violations, LintPass, LintViolation, Severity};
 
+use ruletest_common::{Error, Result, RuleId};
 use ruletest_optimizer::{Optimizer, Rule};
 
 /// Runs the full static audit over an optimizer's rule catalog.
-pub fn lint_rules(opt: &Optimizer) -> ruletest_common::Result<LintReport> {
+pub fn lint_rules(opt: &Optimizer) -> Result<LintReport> {
+    lint_selected(opt, None)
+}
+
+/// Audits only the named rule — used to focus a fault investigation: its
+/// pattern, its own corpus, and its necessity probe over every
+/// exploration rule's corpus, the only sources of a violation naming it.
+/// Fails if the name is not a rule of this optimizer.
+pub fn lint_rules_focused(opt: &Optimizer, rule_name: &str) -> Result<LintReport> {
+    let id = opt
+        .rule_id(rule_name)
+        .ok_or_else(|| Error::unsupported(format!("unknown rule '{rule_name}'")))?;
+    lint_selected(opt, Some(id))
+}
+
+fn lint_selected(opt: &Optimizer, only: Option<RuleId>) -> Result<LintReport> {
     let db = opt.database();
+    let selected = |id: RuleId| only.is_none_or(|o| o == id);
     let mut stats = AuditStats::default();
     let mut violations = Vec::new();
 
-    let all_ids: Vec<_> = opt
+    let audited: Vec<&Rule> = opt
         .exploration_rule_ids()
         .into_iter()
         .chain(opt.implementation_rule_ids())
+        .filter(|&id| selected(id))
+        .map(|id| opt.rule(id))
         .collect();
-    let all_rules: Vec<&Rule> = all_ids.iter().map(|&id| opt.rule(id)).collect();
 
-    // Static pattern satisfiability for every rule, exploration and
-    // implementation alike.
-    for rule in &all_rules {
+    // Static pattern satisfiability for every audited rule, exploration
+    // and implementation alike.
+    for rule in &audited {
         violations.extend(audit::validate_pattern(rule.name, &rule.pattern));
     }
 
-    // Corpus instantiation + substitute audit per exploration rule. The
-    // corpora double as the necessity-probe tree pool.
+    // Corpus instantiation + substitute audit per audited exploration
+    // rule. Every exploration rule's corpus joins the necessity-probe
+    // tree pool.
     let mut corpora = Vec::new();
-    for &id in &opt.exploration_rule_ids() {
+    for id in opt.exploration_rule_ids() {
         let rule = opt.rule(id);
         let corpus = audit::build_corpus(db, rule)?;
-        stats.corpus_trees += corpus.len();
-        for ct in &corpus {
-            // Self-check: corpus trees must themselves be well-formed, or
-            // the audit would chase bugs in its own inputs.
-            violations.extend(wellformed::check_tree(
-                &db.catalog,
-                &ct.tree,
-                &format!("corpus for {}", ct.origin),
-            ));
+        if selected(id) {
+            stats.corpus_trees += corpus.len();
+            for ct in &corpus {
+                // Self-check: corpus trees must themselves be well-formed,
+                // or the audit would chase bugs in its own inputs.
+                violations.extend(wellformed::check_tree(
+                    &db.catalog,
+                    &ct.tree,
+                    &format!("corpus for {}", ct.origin),
+                ));
+            }
+            violations.extend(audit::audit_rule(db, rule, &corpus, &mut stats));
         }
-        violations.extend(audit::audit_rule(db, rule, &corpus, &mut stats));
         corpora.extend(corpus);
     }
 
-    violations.extend(audit::necessity_probe(&all_rules, &corpora, &mut stats));
+    violations.extend(audit::necessity_probe(&audited, &corpora, &mut stats));
 
     Ok(LintReport {
-        rules_audited: all_rules.len(),
+        rules_audited: audited.len(),
         stats,
         violations: dedup_violations(violations),
-    })
-}
-
-/// Runs [`lint_rules`] with only the named rule's substitute audit — used
-/// to focus a fault investigation. Pattern validation and the necessity
-/// probe still cover the full catalog (they are cheap and a fault can
-/// perturb either).
-pub fn lint_rules_focused(opt: &Optimizer, rule_name: &str) -> ruletest_common::Result<LintReport> {
-    let report = lint_rules(opt)?;
-    Ok(LintReport {
-        rules_audited: report.rules_audited,
-        stats: report.stats,
-        violations: report
-            .violations
-            .into_iter()
-            .filter(|v| v.rule.as_deref() == Some(rule_name) || v.rule.is_none())
-            .collect(),
     })
 }

@@ -12,6 +12,7 @@ use crate::physical::{PhysOp, PhysicalPlan};
 use crate::rule::{newtree_from_logical, Bound, BoundChild, Rule, RuleAction, RuleCtx, RuleKind};
 use crate::rules::exploration_rules;
 use crate::rules_impl::implementation_rules;
+use ruletest_common::chaos::Chaos;
 use ruletest_common::{Error, Result, RuleId, WordBuild};
 use ruletest_expr::Expr;
 use ruletest_logical::{
@@ -42,11 +43,6 @@ pub struct OptimizerConfig {
     /// to turn a rule that floods the memo into a quarantinable
     /// `Failure::BudgetExhausted` rather than a silently weaker search.
     pub hard_max_exprs: Option<usize>,
-    /// Cooperative wall-clock deadline, checked at pass and
-    /// task-expansion boundaries. Unarmed by default. Deliberately **not**
-    /// part of [`CacheKey`]: wall-clock state must never address cached
-    /// results (a timed-out compute is an error and is never cached).
-    pub deadline: ruletest_common::Deadline,
 }
 
 impl Default for OptimizerConfig {
@@ -60,7 +56,6 @@ impl Default for OptimizerConfig {
             max_exprs: 3_000,
             max_passes: 64,
             hard_max_exprs: None,
-            deadline: ruletest_common::Deadline::none(),
         }
     }
 }
@@ -194,6 +189,10 @@ pub struct Optimizer {
     /// Disk-backed warm store (`--cache-dir`), attached once like
     /// telemetry; never attached → the cached path never touches disk.
     store: OnceLock<Arc<SnapshotStore>>,
+    /// The campaign's fault injector, probed at `memo.insert` and, through
+    /// the warm store, at `cache.load` / `cache.save`. No plan unless
+    /// built [`Optimizer::with_chaos`].
+    chaos: Chaos,
 }
 
 const ALL_KINDS: [OpKind; 9] = [
@@ -281,7 +280,20 @@ impl Optimizer {
             cache: OptCache::default(),
             telemetry: OnceLock::new(),
             store: OnceLock::new(),
+            chaos: Chaos::default(),
         }
+    }
+
+    /// The same optimizer probing `chaos`'s sites (builder style, before
+    /// the optimizer is shared).
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.chaos = chaos;
+        self
+    }
+
+    /// The fault injector this optimizer probes (no plan by default).
+    pub fn chaos(&self) -> &Chaos {
+        &self.chaos
     }
 
     /// Attaches campaign telemetry. The first attachment wins; later calls
@@ -319,7 +331,7 @@ impl Optimizer {
         let Some(store) = self.store.get() else {
             return Ok(0);
         };
-        let persisted = store.save()?;
+        let persisted = store.save_with(&self.chaos)?;
         self.telemetry().add(Counter::CachePersisted, persisted);
         Ok(persisted)
     }
@@ -439,7 +451,7 @@ impl Optimizer {
         // including its profile sample, so warm telemetry replays the
         // cold run's exactly.
         if let Some(store) = self.store.get() {
-            let warm = store.peek_warm(&key);
+            let warm = store.peek_warm(&key, &self.chaos);
             if let Some(warm) = warm.filter(|w| !needs_plan || matches!(w.value, Cached::Full(_))) {
                 tel.incr(Counter::CacheWarmHits);
                 self.remember(key, warm.value.clone(), warm.sample);
@@ -448,7 +460,7 @@ impl Optimizer {
         }
         let (value, sample) = self.compute(tree, config, !needs_plan)?;
         if let Some(store) = self.store.get() {
-            store.record_fresh(&key, &value, sample.as_ref());
+            store.record_fresh(&key, &value, sample.as_ref(), &self.chaos);
         }
         self.remember(key, value.clone(), sample);
         Ok(value)
@@ -680,14 +692,10 @@ impl Optimizer {
         let mut binder = Binder::default();
 
         'passes: for pass in 0..config.max_passes {
-            config.deadline.check("memo exploration pass")?;
             let mut changed = false;
             let mut g = 0usize;
             while g < memo.num_groups() {
                 let gid = GroupId(g as u32);
-                // Task-expansion boundary: a runaway rule is abandoned
-                // within one group's worth of work.
-                config.deadline.check("memo task expansion")?;
                 marks.resize_with(memo.num_groups(), Vec::new);
                 let mut ei = 0usize;
                 while ei < memo.group(gid).exprs.len() {
@@ -794,7 +802,7 @@ impl Optimizer {
                             }
                             let organic = !rule.mints_fresh_ids && memo.is_organic(gid, ei);
                             for nt in results {
-                                ruletest_common::chaos::point("memo.insert")?;
+                                self.chaos.point("memo.insert")?;
                                 let (_, fresh) = memo.insert_created_by(
                                     &self.db,
                                     nt,
@@ -1554,31 +1562,6 @@ mod tests {
         let whole = opt.optimize(&tree).unwrap();
         assert!(plan.same_shape(&whole.plan));
         assert_eq!(plan.est_cost.to_bits(), whole.cost.to_bits());
-    }
-
-    #[test]
-    fn expired_deadline_abandons_the_search_with_a_timeout() {
-        let opt = optimizer();
-        let tree = simple_join(&opt);
-        // A 1ms deadline that has certainly passed by the time the memo
-        // loop reaches its first cooperative check.
-        let deadline = ruletest_common::Deadline::after_ms(1);
-        while !deadline.expired() {
-            std::hint::spin_loop();
-        }
-        let err = opt
-            .optimize_with(
-                &tree,
-                &OptimizerConfig {
-                    deadline,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::Timeout(_)), "{err}");
-        // The same tree still optimizes fine without a deadline — the
-        // abandoned invocation left no poisoned state behind.
-        assert!(opt.optimize(&tree).is_ok());
     }
 
     #[test]

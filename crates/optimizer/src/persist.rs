@@ -33,6 +33,7 @@
 
 use crate::cache::{CacheKey, Cached};
 use crate::rule::Rule;
+use ruletest_common::chaos::Chaos;
 use ruletest_common::wire::{object, optional, required, Decode, DecodeError, Encode};
 use ruletest_common::{fnv1a, wire_record, Fnv64, Json};
 use ruletest_storage::Catalog;
@@ -211,7 +212,7 @@ impl SnapshotStore {
         self.dir.join(format!("shard-{idx}.jsonl"))
     }
 
-    fn load_shard(&self, idx: usize) -> LoadedShard {
+    fn load_shard(&self, idx: usize, chaos: &Chaos) -> LoadedShard {
         // Without an accepted snapshot the next save writes every shard.
         // Over one, a shard starts clean even when its file cannot be
         // read: the file is left for a process that can.
@@ -224,7 +225,7 @@ impl SnapshotStore {
         }
         // Chaos site: an injected cache-I/O fault degrades this shard to
         // a cold start — exactly the graceful path a real read error takes.
-        if let Err(e) = ruletest_common::chaos::point("cache.load") {
+        if let Err(e) = chaos.point("cache.load") {
             eprintln!("warning: cache shard {idx} load failed ({e}); starting cold");
             return shard;
         }
@@ -258,10 +259,10 @@ impl SnapshotStore {
         shard
     }
 
-    fn locked_shard(&self, idx: usize) -> MutexGuard<'_, Option<LoadedShard>> {
+    fn locked_shard(&self, idx: usize, chaos: &Chaos) -> MutexGuard<'_, Option<LoadedShard>> {
         let mut guard = self.shards[idx].lock().expect("snapshot shard poisoned");
         if guard.is_none() {
-            *guard = Some(self.load_shard(idx));
+            *guard = Some(self.load_shard(idx, chaos));
         }
         guard
     }
@@ -273,11 +274,12 @@ impl SnapshotStore {
     /// Returns the warm entry for `key`, leaving it in the store. Peek
     /// (rather than take) semantics keep racing probes consistent: both
     /// see the same entry, and the in-memory cache's first-insertion-wins
-    /// dedup decides who records telemetry.
-    pub fn peek_warm(&self, key: &CacheKey) -> Option<WarmHit> {
+    /// dedup decides who records telemetry. A shard loads on its first
+    /// probe, under `chaos`'s `cache.load` site.
+    pub fn peek_warm(&self, key: &CacheKey, chaos: &Chaos) -> Option<WarmHit> {
         let key_str = canonical_key(key);
         let idx = Self::shard_index(&key_str);
-        let guard = self.locked_shard(idx);
+        let guard = self.locked_shard(idx, chaos);
         let shard = guard.as_ref().expect("shard loaded above");
         shard.entries.get(&key_str).map(|e| WarmHit {
             value: e.value.clone(),
@@ -289,10 +291,16 @@ impl SnapshotStore {
     /// produced) for the next save. Idempotent: an existing entry for the
     /// key is kept (optimization is deterministic, values agree), unless
     /// it is a truncated outcome and `value` the full result.
-    pub fn record_fresh(&self, key: &CacheKey, value: &Cached, sample: Option<&ProfileSample>) {
+    pub fn record_fresh(
+        &self,
+        key: &CacheKey,
+        value: &Cached,
+        sample: Option<&ProfileSample>,
+        chaos: &Chaos,
+    ) {
         let key_str = canonical_key(key);
         let idx = Self::shard_index(&key_str);
-        let mut guard = self.locked_shard(idx);
+        let mut guard = self.locked_shard(idx, chaos);
         let shard = guard.as_mut().expect("shard loaded above");
         let fresh = || StoredEntry {
             value: value.clone(),
@@ -310,21 +318,28 @@ impl SnapshotStore {
         shard.dirty = true;
     }
 
+    /// [`Self::save_with`] outside any campaign: no fault plan.
+    pub fn save(&self) -> std::io::Result<u64> {
+        self.save_with(&Chaos::default())
+    }
+
     /// Loads every shard and writes, via atomic renames, the manifest and
     /// each shard whose entries differ from its file (disk entries merged
     /// with fresh ones, sorted by key). Returns the number of entries
-    /// the snapshot now holds, rewritten or not.
-    pub fn save(&self) -> std::io::Result<u64> {
+    /// the snapshot now holds, rewritten or not. Probes `chaos`'s
+    /// `cache.save` site first, and its `cache.load` site per shard it
+    /// loads.
+    pub fn save_with(&self, chaos: &Chaos) -> std::io::Result<u64> {
         // Chaos site: an injected fault skips the save — the previous
         // snapshot stays intact (same guarantee a failed atomic rename
         // gives), the process just loses this round of warmth.
-        if let Err(e) = ruletest_common::chaos::point("cache.save") {
+        if let Err(e) = chaos.point("cache.save") {
             eprintln!("warning: cache snapshot save skipped ({e})");
             return Ok(0);
         }
         let mut persisted = 0u64;
         for idx in 0..DISK_SHARDS {
-            let mut guard = self.locked_shard(idx);
+            let mut guard = self.locked_shard(idx, chaos);
             let shard = guard.as_mut().expect("shard loaded above");
             persisted += shard.entries.len() as u64;
             if !shard.dirty {
@@ -491,16 +506,21 @@ mod tests {
         {
             let store = SnapshotStore::open(&dir, 42, None).unwrap();
             assert!(!store.rejected());
-            assert!(store.peek_warm(&key).is_none(), "store starts cold");
-            store.record_fresh(&key, &dummy_result(5.5), None);
+            assert!(
+                store.peek_warm(&key, &Chaos::default()).is_none(),
+                "store starts cold"
+            );
+            store.record_fresh(&key, &dummy_result(5.5), None, &Chaos::default());
             assert_eq!(store.save().unwrap(), 1);
         }
         let store = SnapshotStore::open(&dir, 42, None).unwrap();
         assert!(!store.rejected());
-        let hit = store.peek_warm(&key).expect("warm hit after reopen");
+        let hit = store
+            .peek_warm(&key, &Chaos::default())
+            .expect("warm hit after reopen");
         assert_eq!(cost(&hit.value).to_bits(), 5.5f64.to_bits());
         // Peek leaves the entry in place.
-        assert!(store.peek_warm(&key).is_some());
+        assert!(store.peek_warm(&key, &Chaos::default()).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -515,11 +535,16 @@ mod tests {
         }));
         {
             let store = SnapshotStore::open(&dir, 42, None).unwrap();
-            store.record_fresh(&key, &truncated, Some(&ProfileSample::default()));
+            store.record_fresh(
+                &key,
+                &truncated,
+                Some(&ProfileSample::default()),
+                &Chaos::default(),
+            );
             assert_eq!(store.save().unwrap(), 1);
         }
         let store = SnapshotStore::open(&dir, 42, None).unwrap();
-        let hit = store.peek_warm(&key).unwrap();
+        let hit = store.peek_warm(&key, &Chaos::default()).unwrap();
         assert!(
             matches!(&hit.value, Cached::Truncated(e) if **e == Explored {
                 rule_set: [RuleId(2)].into_iter().collect(),
@@ -528,11 +553,14 @@ mod tests {
             })
         );
         assert_eq!(hit.sample, Some(ProfileSample::default()));
-        store.record_fresh(&key, &dummy_result(7.0), None);
-        store.record_fresh(&key, &truncated, None);
+        store.record_fresh(&key, &dummy_result(7.0), None, &Chaos::default());
+        store.record_fresh(&key, &truncated, None, &Chaos::default());
         store.save().unwrap();
         let reopened = SnapshotStore::open(&dir, 42, None).unwrap();
-        assert_eq!(cost(&reopened.peek_warm(&key).unwrap().value), 7.0);
+        assert_eq!(
+            cost(&reopened.peek_warm(&key, &Chaos::default()).unwrap().value),
+            7.0
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -542,18 +570,21 @@ mod tests {
         let key = CacheKey::new(&leaf(3), &OptimizerConfig::default());
         {
             let store = SnapshotStore::open(&dir, 1, None).unwrap();
-            store.record_fresh(&key, &dummy_result(1.0), None);
+            store.record_fresh(&key, &dummy_result(1.0), None, &Chaos::default());
             store.save().unwrap();
         }
         let store = SnapshotStore::open(&dir, 2, None).unwrap();
         assert!(store.rejected(), "stale fingerprint must be rejected");
-        assert!(store.peek_warm(&key).is_none(), "no poisoned entries");
+        assert!(
+            store.peek_warm(&key, &Chaos::default()).is_none(),
+            "no poisoned entries"
+        );
         // Saving under the new fingerprint replaces the stale snapshot.
-        store.record_fresh(&key, &dummy_result(2.0), None);
+        store.record_fresh(&key, &dummy_result(2.0), None, &Chaos::default());
         store.save().unwrap();
         let store = SnapshotStore::open(&dir, 2, None).unwrap();
         assert!(!store.rejected());
-        assert!(store.peek_warm(&key).is_some());
+        assert!(store.peek_warm(&key, &Chaos::default()).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -567,7 +598,7 @@ mod tests {
             .collect();
         let store = SnapshotStore::open(&dir, 5, None).unwrap();
         for k in &keys {
-            store.record_fresh(k, &dummy_result(3.0), None);
+            store.record_fresh(k, &dummy_result(3.0), None, &Chaos::default());
         }
         assert_eq!(store.save().unwrap(), 8);
         (0..DISK_SHARDS).for_each(|i| backdate(&dir, i));
@@ -609,7 +640,7 @@ mod tests {
         let before = bytes(&dir);
         let store = SnapshotStore::open(&dir, 5, None).unwrap();
         // Re-recording a key the snapshot holds changes nothing either.
-        store.record_fresh(&keys[0], &dummy_result(3.0), None);
+        store.record_fresh(&keys[0], &dummy_result(3.0), None, &Chaos::default());
         assert_eq!(store.save().unwrap(), 8);
         assert_eq!(rewritten(&dir), Vec::<usize>::new());
         assert_eq!(bytes(&dir), before);
@@ -621,7 +652,7 @@ mod tests {
         let (dir, _) = backdated_snapshot("one-fresh");
         let store = SnapshotStore::open(&dir, 5, None).unwrap();
         let fresh = CacheKey::new(&leaf(100), &OptimizerConfig::default());
-        store.record_fresh(&fresh, &dummy_result(4.0), None);
+        store.record_fresh(&fresh, &dummy_result(4.0), None, &Chaos::default());
         assert_eq!(store.save().unwrap(), 9);
         let home = SnapshotStore::shard_index(&canonical_key(&fresh));
         assert_eq!(rewritten(&dir), [home]);
@@ -630,7 +661,7 @@ mod tests {
         assert_eq!(store.save().unwrap(), 9);
         assert_eq!(rewritten(&dir), Vec::<usize>::new());
         let reopened = SnapshotStore::open(&dir, 5, None).unwrap();
-        assert!(reopened.peek_warm(&fresh).is_some());
+        assert!(reopened.peek_warm(&fresh, &Chaos::default()).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -654,7 +685,10 @@ mod tests {
         let garbage = [0xff, 0xfe, b'\n'];
         fs::write(shard_file(&dir, bad), garbage).unwrap();
         let store = SnapshotStore::open(&dir, 5, None).unwrap();
-        assert!(store.peek_warm(&keys[0]).is_none(), "the shard starts cold");
+        assert!(
+            store.peek_warm(&keys[0], &Chaos::default()).is_none(),
+            "the shard starts cold"
+        );
         assert!(store.save().unwrap() < 8);
         assert_eq!(fs::read(shard_file(&dir, bad)).unwrap(), garbage);
         let _ = fs::remove_dir_all(&dir);
@@ -683,7 +717,7 @@ mod tests {
         {
             let store = SnapshotStore::open(&dir, 5, None).unwrap();
             for k in &keys {
-                store.record_fresh(k, &dummy_result(3.0), None);
+                store.record_fresh(k, &dummy_result(3.0), None, &Chaos::default());
             }
             store.save().unwrap();
         }
@@ -704,17 +738,20 @@ mod tests {
         // still warm, only the torn records lost their warmth.
         let store = SnapshotStore::open(&dir, 5, None).unwrap();
         assert!(!store.rejected());
-        let warm = keys.iter().filter(|k| store.peek_warm(k).is_some()).count();
+        let warm = keys
+            .iter()
+            .filter(|k| store.peek_warm(k, &Chaos::default()).is_some())
+            .count();
         assert!(warm < keys.len(), "truncation must cost some warmth");
         // A fresh save repairs the snapshot.
         for k in &keys {
-            store.record_fresh(k, &dummy_result(3.0), None);
+            store.record_fresh(k, &dummy_result(3.0), None, &Chaos::default());
         }
         store.save().unwrap();
         let repaired = SnapshotStore::open(&dir, 5, None).unwrap();
         assert_eq!(
             keys.iter()
-                .filter(|k| repaired.peek_warm(k).is_some())
+                .filter(|k| repaired.peek_warm(k, &Chaos::default()).is_some())
                 .count(),
             keys.len()
         );
@@ -730,7 +767,7 @@ mod tests {
                 .map(|i| CacheKey::new(&leaf(i), &OptimizerConfig::default()))
                 .collect();
             for k in keys.iter() {
-                store.record_fresh(k, &dummy_result(1.0), None);
+                store.record_fresh(k, &dummy_result(1.0), None, &Chaos::default());
             }
             store.save().unwrap();
         };
@@ -740,7 +777,7 @@ mod tests {
                 .map(|i| CacheKey::new(&leaf(i), &OptimizerConfig::default()))
                 .collect();
             for k in keys.iter().rev() {
-                store.record_fresh(k, &dummy_result(1.0), None);
+                store.record_fresh(k, &dummy_result(1.0), None, &Chaos::default());
             }
             store.save().unwrap();
         };

@@ -14,7 +14,8 @@
 //!   with JSONL export ([`Event`]);
 //! * [`RunReport`] — one JSON document aggregating a whole campaign
 //!   (per-rule firing counts, trials-to-hit distributions, cache hit
-//!   ratio, edge counts, pool utilization, wall time).
+//!   ratio, edge counts, pool utilization, wall time); the handle owns
+//!   the worker-pool counters its campaign's parallel stages record into.
 //!
 //! Everything hangs off a cloneable [`Telemetry`] handle. A *disabled*
 //! handle holds no allocation at all — every recording method is a single
@@ -38,6 +39,7 @@ pub use ruletest_common::json::{self, Json};
 pub use span::{ProfileSample, ProfileSection, Profiler, RuleCostRow, SpanGuard, SpanRow, Stage};
 pub use trace::{Event, RulePhase, TraceStats, Tracer, DEFAULT_SHARD_CAPACITY};
 
+use ruletest_common::PoolStats;
 use std::io;
 use std::sync::Arc;
 
@@ -45,6 +47,7 @@ struct Inner {
     metrics: Metrics,
     tracer: Option<Tracer>,
     profiler: Arc<Profiler>,
+    pool: PoolStats,
 }
 
 /// Shared telemetry handle. Clones share one registry/tracer; a disabled
@@ -79,27 +82,26 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// Metrics registry only (no event tracer, no ring allocation).
-    pub fn metrics_only() -> Telemetry {
+    fn with(tracer: Option<Tracer>) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 metrics: Metrics::default(),
-                tracer: None,
+                tracer,
                 profiler: Arc::new(Profiler::default()),
+                pool: PoolStats::default(),
             })),
         }
+    }
+
+    /// Metrics registry only (no event tracer, no ring allocation).
+    pub fn metrics_only() -> Telemetry {
+        Telemetry::with(None)
     }
 
     /// Metrics registry plus an event tracer retaining up to
     /// `shard_capacity` events per shard (16 shards).
     pub fn with_tracing(shard_capacity: usize) -> Telemetry {
-        Telemetry {
-            inner: Some(Arc::new(Inner {
-                metrics: Metrics::default(),
-                tracer: Some(Tracer::new(shard_capacity)),
-                profiler: Arc::new(Profiler::default()),
-            })),
-        }
+        Telemetry::with(Some(Tracer::new(shard_capacity)))
     }
 
     /// Metrics plus a default-capacity tracer.
@@ -242,11 +244,22 @@ impl Telemetry {
             .map_or_else(ProfileSection::default, |i| i.profiler.section(rule_names))
     }
 
+    /// The worker-pool counters parallel stages record into (`None`
+    /// when disabled): hand it to `par_map`.
+    #[inline]
+    pub fn pool_stats(&self) -> Option<&PoolStats> {
+        self.inner.as_ref().map(|i| &i.pool)
+    }
+
     /// Builds the aggregate report from the current registry state,
-    /// including the trace and profile sections this handle owns; the
-    /// caller fills the cache/pool/wall sections it owns.
+    /// including the trace, profile and pool sections this handle owns;
+    /// the caller fills the cache and wall sections it owns.
     pub fn run_report(&self, rule_names: &[String]) -> RunReport {
         let mut report = RunReport::from_snapshot(&self.metrics_snapshot(), rule_names);
+        report.pool = self
+            .pool_stats()
+            .map(PoolStats::snapshot)
+            .unwrap_or_default();
         let stats = self.trace_stats();
         report.trace = TraceSection {
             recorded: stats.recorded,
@@ -314,5 +327,16 @@ mod tests {
         assert_eq!(r.invocations(), 4);
         assert_eq!(r.rule_firings.get("A"), Some(&2));
         assert_eq!(r.rule_firings.get("B"), Some(&1));
+    }
+
+    #[test]
+    fn run_report_pool_section_counts_this_handle_only() {
+        let (a, b) = (Telemetry::metrics_only(), Telemetry::metrics_only());
+        let items = [0u8; 8];
+        ruletest_common::par_map(2, a.pool_stats(), &items, |_, &v| v);
+        ruletest_common::par_map(1, b.pool_stats(), &items[..3], |_, &v| v);
+        assert_eq!(a.run_report(&[]).pool.tasks, 8);
+        assert_eq!(b.run_report(&[]).pool.tasks, 3);
+        assert!(Telemetry::disabled().pool_stats().is_none());
     }
 }

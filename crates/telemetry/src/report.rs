@@ -16,6 +16,7 @@ use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot};
 use crate::span::ProfileSection;
 use ruletest_common::wire::{decimal, Decode, Encode};
 use ruletest_common::wire_record;
+pub use ruletest_common::PoolSection;
 use std::collections::BTreeMap;
 
 /// Invocation-cache section (mirrors the optimizer's `CacheStats`).
@@ -39,45 +40,6 @@ impl CacheSection {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Worker-pool section (campaign `par_map` totals).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolSection {
-    /// Parallel stages executed.
-    pub par_calls: u64,
-    /// Items executed across all stages.
-    pub tasks: u64,
-    /// Workers launched across all stages.
-    pub workers: u64,
-    /// Items a worker absorbed beyond its even share (work imbalance the
-    /// stealing cursor balanced away).
-    pub steals: u64,
-    /// Total worker time spent inside item closures.
-    pub busy_ns: u64,
-    /// Total worker time spent outside item closures (claiming, waiting).
-    pub idle_ns: u64,
-}
-
-wire_record!(PoolSection {
-    "par_calls" => par_calls,
-    "tasks" => tasks,
-    "workers" => workers,
-    "steals" => steals,
-    "busy_ns" => busy_ns,
-    "idle_ns" => idle_ns,
-} + { "utilization" => utilization });
-
-impl PoolSection {
-    /// Fraction of worker wall time spent doing work.
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_ns + self.idle_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / total as f64
         }
     }
 }

@@ -70,9 +70,6 @@ pub enum Event {
         query: u32,
         outcome: &'static str,
     },
-    /// A static audit flagged a rule firing. Reserved: nothing emits it,
-    /// the name only keeps its place in the trace schema.
-    LintViolation { rule: u16 },
     /// The supervisor sandbox absorbed a failed invocation. `kind` is the
     /// failure taxonomy name ("panic" / "timeout" / "budget"); `site` says
     /// where it escaped; `fingerprint` is the quarantined input's stable
@@ -82,8 +79,6 @@ pub enum Event {
         site: String,
         fingerprint: u64,
     },
-    /// The chaos engine fired an injected fault at an instrumented site.
-    ChaosInjection { site: String, kind: &'static str },
 }
 
 impl Event {
@@ -95,9 +90,7 @@ impl Event {
             Event::GenOutcome { .. } => "gen_outcome",
             Event::GraphProbe { .. } => "graph_probe",
             Event::Validation { .. } => "validation",
-            Event::LintViolation { .. } => "lint_violation",
             Event::Supervised { .. } => "supervised",
-            Event::ChaosInjection { .. } => "chaos_injection",
         }
     }
 
@@ -162,7 +155,6 @@ impl Event {
                 ("query", Json::count(*query as u64)),
                 ("outcome", Json::str(*outcome)),
             ],
-            Event::LintViolation { rule } => vec![("rule", Json::count(*rule as u64))],
             Event::Supervised {
                 kind,
                 site,
@@ -171,10 +163,6 @@ impl Event {
                 ("kind", Json::str(*kind)),
                 ("site", Json::str(site.clone())),
                 ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-            ],
-            Event::ChaosInjection { site, kind } => vec![
-                ("site", Json::str(site.clone())),
-                ("kind", Json::str(*kind)),
             ],
         }
     }

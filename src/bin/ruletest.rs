@@ -30,10 +30,13 @@
 //! executor run is sandboxed, failures land in a crash quarantine
 //! (persisted under `--cache-dir`, inherited and skipped on
 //! `--resume`), and quarantined inputs with SQL witnesses are minimized
-//! into crash repro bundles. `--chaos-seed` / `--chaos-plan` install a
-//! deterministic fault-injection plan to exercise exactly that path.
+//! into crash repro bundles. `--chaos-seed` / `--chaos-plan` give the
+//! campaign a deterministic fault-injection plan to exercise exactly that
+//! path; `triage`, `mutate`, `lint`, `prove`, `report` and `diff` reject
+//! them.
 
 use ruletest::cli::{self, Opts};
+use ruletest::common::chaos::{Chaos, ChaosPlan};
 use ruletest::common::Decode;
 use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::{execute_solution, execute_solution_with};
@@ -63,13 +66,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Chaos plans are process-global and must be in place before any
-    // instrumented subsystem runs. `--chaos-plan` (explicit schedule)
-    // wins over `--chaos-seed` (derived schedule).
-    if let Err(e) = install_chaos_plan(&opts) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
     if cmd == "report" {
         // Pure file analysis: no framework (or test database) needed.
         return match run_report_cmd(&opts) {
@@ -151,10 +147,18 @@ fn main() -> ExitCode {
     } else {
         Telemetry::disabled()
     };
+    let chaos = match chaos_from(&opts) {
+        Ok(chaos) => chaos,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let started = Instant::now();
     let fw = match Framework::new(&FrameworkConfig {
         parallelism,
         telemetry,
+        chaos,
         ..Default::default()
     }) {
         Ok(fw) => fw,
@@ -295,18 +299,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// Installs the `--chaos-plan` / `--chaos-seed` fault schedule, logging
-/// the effective plan in replayable spec syntax.
-fn install_chaos_plan(opts: &Opts) -> Result<(), String> {
-    use ruletest::common::chaos;
+/// The `--chaos-plan` / `--chaos-seed` fault injector, logging the
+/// effective plan in replayable spec syntax. `--chaos-plan` (explicit
+/// schedule) wins over `--chaos-seed` (derived schedule).
+fn chaos_from(opts: &Opts) -> Result<Chaos, String> {
     let plan = match (&opts.chaos_plan, opts.chaos_seed) {
-        (Some(spec), _) => chaos::ChaosPlan::parse(spec).map_err(|e| e.to_string())?,
-        (None, Some(seed)) => chaos::ChaosPlan::seeded(seed),
-        (None, None) => return Ok(()),
+        (Some(spec), _) => ChaosPlan::parse(spec).map_err(|e| e.to_string())?,
+        (None, Some(seed)) => ChaosPlan::seeded(seed),
+        (None, None) => return Ok(Chaos::default()),
     };
     eprintln!("chaos: installed plan {}", plan.to_spec());
-    chaos::install(plan);
-    Ok(())
+    Ok(Chaos::new(plan))
 }
 
 /// Writes the `--metrics-json` run report and the `--trace-out` JSONL
@@ -439,7 +442,6 @@ fn run_impact(fw: &Framework, opts: &Opts) -> Result<(), String> {
 }
 
 fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
-    use ruletest::common::chaos;
     use ruletest::core::{crash_bundles, quarantine_summary, Quarantine};
     let supervised = !opts.no_supervise;
     println!(
@@ -548,8 +550,9 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
             println!("wrote {} crash repro bundle(s) to {path}", bundles.len());
         }
     }
-    if chaos::enabled() {
-        let s = chaos::stats();
+    let chaos = fw.optimizer.chaos();
+    if chaos.plan().is_some() {
+        let s = chaos.stats();
         fw.telemetry
             .add(ruletest::telemetry::Counter::ChaosInjected, s.total());
         println!(

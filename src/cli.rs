@@ -63,11 +63,13 @@ pub struct Opts {
     /// `ruletest audit --no-supervise`: disable the invocation sandbox
     /// and crash quarantine (supervision is on by default for `audit`).
     pub no_supervise: bool,
-    /// `ruletest audit --chaos-seed N`: install a seeded chaos-injection
-    /// plan before the campaign runs.
+    /// `ruletest audit --chaos-seed N`: run the campaign under a seeded
+    /// chaos-injection plan (commands without a shared framework reject
+    /// it).
     pub chaos_seed: Option<u64>,
-    /// `ruletest audit --chaos-plan SPEC`: install an explicit chaos
-    /// plan (`site:kind@every[#times],...`); overrides `--chaos-seed`.
+    /// `ruletest audit --chaos-plan SPEC`: run the campaign under an
+    /// explicit chaos plan (`site:kind@every[#times],...`); overrides
+    /// `--chaos-seed`.
     pub chaos_plan: Option<String>,
     /// `ruletest audit --deadline-ms N`: cooperative per-execution
     /// deadline for executor batch loops (0 = unarmed).
@@ -167,6 +169,13 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, Opts), S
             }
             other => opts.positional.push(other.to_string()),
         }
+    }
+    // A fault plan reaches only the campaign framework the other commands
+    // share; these build none and would silently ignore one.
+    if ["report", "diff", "triage", "mutate", "lint", "prove"].contains(&cmd.as_str())
+        && (opts.chaos_seed.is_some() || opts.chaos_plan.is_some())
+    {
+        return Err(format!("`{cmd}` takes no --chaos-seed / --chaos-plan"));
     }
     Ok((cmd, opts))
 }
@@ -415,6 +424,13 @@ mod tests {
         assert!(parse(argv(&["audit", "--chaos-seed", "entropy"])).is_err());
         assert!(parse(argv(&["audit", "--chaos-plan"])).is_err());
         assert!(parse(argv(&["audit", "--deadline-ms", "soon"])).is_err());
+        // Commands without the shared campaign framework refuse a plan.
+        for cmd in ["report", "diff", "triage", "mutate", "lint", "prove"] {
+            let err = parse(argv(&[cmd, "--chaos-seed", "7"])).unwrap_err();
+            assert!(err.contains("--chaos-seed"), "{err}");
+            assert!(parse(argv(&[cmd, "--chaos-plan", "memo.insert:panic@3"])).is_err());
+        }
+        assert!(parse(argv(&["gen", "SelectMerge", "--chaos-seed", "7"])).is_ok());
     }
 
     #[test]
