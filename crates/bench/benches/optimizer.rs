@@ -3,19 +3,24 @@
 //! each half of an optimization (exploration to the fixpoint and to the
 //! budget, plan extraction), a capped search with and without its plan,
 //! and one rung for each inner loop of the search (memo insert, pattern
-//! bind, rule application, re-bind after growth). Runs on the
-//! dependency-free std::time harness.
+//! bind, rule application, re-bind after growth), then the warm store's
+//! codec (snapshot load, canonical cache key, one plan line's parse). Runs
+//! on the dependency-free std::time harness.
 
 use ruletest_bench::harness;
+use ruletest_common::chaos::Chaos;
+use ruletest_common::{Json, RuleId};
 use ruletest_expr::{conjoin, AggCall, AggFunc, Expr};
 use ruletest_logical::{IdGen, JoinKind, LogicalTree, OpKind, Operator};
+use ruletest_optimizer::persist::canonical_key;
 use ruletest_optimizer::rule::newtree_from_logical;
 use ruletest_optimizer::{
-    match_bindings, Bound, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig, Rule,
-    RuleCtx, Searched,
+    match_bindings, Bound, CacheKey, GroupId, Memo, NewChild, NewTree, Optimizer, OptimizerConfig,
+    Rule, RuleCtx, Searched, SnapshotStore,
 };
 use ruletest_storage::{tpch_database, Database, TpchConfig};
 use std::cell::RefCell;
+use std::path::Path;
 use std::sync::Arc;
 
 fn star_query(opt: &Optimizer, joins: usize) -> LogicalTree {
@@ -298,5 +303,57 @@ fn main() {
             .expect("saturated memo has a plan")
             .est_cost
     });
+
+    // ---- The warm store's codec ----
+    // A snapshot of the optimizer's own results: the 1- and 2-join stars
+    // under every single-rule mask that leaves a plan, saved through a
+    // cold optimizer.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bench-snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || SnapshotStore::open(&dir, 1, None).expect("snapshot directory opens");
+    let cold = Optimizer::new(db.clone());
+    cold.attach_snapshot_store(Arc::new(open()));
+    let mut keys = Vec::new();
+    for joins in [1, 2] {
+        let q = star_query(&cold, joins);
+        for rule in 0..cold.num_rules() {
+            let masked = OptimizerConfig::disabling(&[RuleId(rule as u16)]);
+            // A mask that leaves no physical plan is an error, not cached.
+            if cold.optimize_with_cached(&q, &masked).is_ok() {
+                keys.push(CacheKey::new(&q, &masked));
+            }
+        }
+    }
+    let saved = cold.persist_cache().expect("snapshot saves");
+    assert_eq!(saved, keys.len() as u64, "one entry per key");
+    let shards: Vec<String> = (std::fs::read_dir(dir.join("cache")).expect("snapshot files"))
+        .map(|f| f.expect("a snapshot file").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
+        .map(|p| std::fs::read_to_string(p).expect("a shard"))
+        .collect();
+    let lines: Vec<&str> = shards.iter().flat_map(|text| text.lines()).collect();
+    let bytes: usize = lines.iter().map(|l| l.len() + 1).sum();
+    let plan_line = *(lines.iter().max_by_key(|l| l.len())).expect("a shard line");
+    println!(
+        "snapshot: {} entries, {bytes} bytes in shard lines, longest line {} bytes",
+        keys.len(),
+        plan_line.len()
+    );
+    // Open the store and answer every key from disk: all 16 shards load.
+    group.bench("snapshot_load", || {
+        let store = open();
+        let warm = (keys.iter())
+            .filter(|k| store.peek_warm(k, &Chaos::default()).is_some())
+            .count();
+        assert_eq!(warm, keys.len(), "every key is warm");
+        warm
+    });
+    group.bench("canonical_key", || {
+        keys.iter().map(|k| canonical_key(k).len()).sum::<usize>()
+    });
+    group.bench("json_parse_plan_line", || {
+        Json::parse(plan_line).expect("a shard line is JSON")
+    });
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }

@@ -22,7 +22,7 @@ pub mod wire;
 pub use error::{Error, Result};
 pub use hash::{fnv1a, Fnv64, WordBuild, WordHasher};
 pub use ids::{ColId, RuleId, TableId};
-pub use json::Json;
+pub use json::{Json, Members};
 pub use multiset::{diff_multisets, multisets_equal, ResultDiff};
 pub use pool::{par_map, Parallelism, PoolSection, PoolStats};
 pub use rng::Rng;

@@ -19,7 +19,7 @@
 //! only while a failure propagates outwards — the success path does no
 //! formatting.
 
-use crate::json::Json;
+use crate::json::{Json, Members};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -90,13 +90,13 @@ impl From<DecodeError> for String {
 }
 
 /// The members of an object value.
-pub fn object(j: &Json) -> Result<&BTreeMap<String, Json>, DecodeError> {
+pub fn object(j: &Json) -> Result<&Members, DecodeError> {
     j.as_obj().ok_or_else(|| DecodeError::expected("an object"))
 }
 
 /// Decodes member `key`, which must be present.
 pub fn required<'a, T>(
-    members: &'a BTreeMap<String, Json>,
+    members: &'a Members,
     key: &str,
     decode: impl FnOnce(&'a Json) -> Result<T, DecodeError>,
 ) -> Result<T, DecodeError> {
@@ -108,7 +108,7 @@ pub fn required<'a, T>(
 
 /// Decodes member `key` when it is present and not `null`.
 pub fn optional<'a, T>(
-    members: &'a BTreeMap<String, Json>,
+    members: &'a Members,
     key: &str,
     decode: impl FnOnce(&'a Json) -> Result<T, DecodeError>,
 ) -> Result<Option<T>, DecodeError> {
@@ -350,7 +350,7 @@ macro_rules! wire_record {
     } $(+ { $($derived_wire:literal => $derived:ident),+ $(,)? })?) => {
         impl $crate::wire::Encode for $ty {
             fn encode(&self) -> $crate::json::Json {
-                let mut members = ::std::collections::BTreeMap::new();
+                let mut members = $crate::json::Members::new();
                 $($crate::wire_put!(members, $wire, &self.$field, [$($codec)?], [$($rule)?]);)+
                 $($(members.insert(
                     $derived_wire.to_string(),
@@ -393,7 +393,7 @@ macro_rules! wire_enum {
     }) => {
         impl $crate::wire::Encode for $ty {
             fn encode(&self) -> $crate::json::Json {
-                let mut members = ::std::collections::BTreeMap::new();
+                let mut members = $crate::json::Members::new();
                 match self {
                     $($ty::$variant { $($field),* } => {
                         members.insert($tag.to_string(), $crate::json::Json::str($name));

@@ -11,7 +11,9 @@
 //!
 //! * **Content addressing.** Entries are keyed by the *exact* serialized
 //!   [`CacheKey`] (canonical compact JSON, sorted object keys), never by a
-//!   lossy fingerprint, so a collision can't serve a wrong plan. The
+//!   lossy fingerprint, so a collision can't serve a wrong plan. A shard
+//!   line opens with its key, and a load takes the key's bytes as written
+//!   (they are neither decoded nor printed again). The
 //!   snapshot as a whole is guarded by a campaign fingerprint (catalog
 //!   hash, rule-catalog hash, seed, scale): if the rule catalog changed,
 //!   the whole snapshot is rejected rather than risking poisoned entries.
@@ -34,8 +36,8 @@
 use crate::cache::{CacheKey, Cached};
 use crate::rule::Rule;
 use ruletest_common::chaos::Chaos;
-use ruletest_common::wire::{object, optional, required, Decode, DecodeError, Encode};
-use ruletest_common::{fnv1a, wire_record, Fnv64, Json};
+use ruletest_common::wire::{optional, required, Decode, DecodeError, Encode};
+use ruletest_common::{fnv1a, wire_record, Fnv64, Json, Members};
 use ruletest_storage::Catalog;
 use ruletest_telemetry::ProfileSample;
 use std::collections::hash_map::{Entry, HashMap};
@@ -323,9 +325,10 @@ impl SnapshotStore {
         self.save_with(&Chaos::default())
     }
 
-    /// Loads every shard and writes, via atomic renames, the manifest and
-    /// each shard whose entries differ from its file (disk entries merged
-    /// with fresh ones, sorted by key). Returns the number of entries
+    /// Loads every shard and writes, via atomic renames, each shard whose
+    /// entries differ from its file (disk entries merged with fresh ones,
+    /// sorted by key), and the manifest unless the snapshot was accepted at
+    /// open and no shard was rewritten. Returns the number of entries
     /// the snapshot now holds, rewritten or not. Probes `chaos`'s
     /// `cache.save` site first, and its `cache.load` site per shard it
     /// loads.
@@ -337,7 +340,7 @@ impl SnapshotStore {
             eprintln!("warning: cache snapshot save skipped ({e})");
             return Ok(0);
         }
-        let mut persisted = 0u64;
+        let (mut persisted, mut rewrote) = (0u64, false);
         for idx in 0..DISK_SHARDS {
             let mut guard = self.locked_shard(idx, chaos);
             let shard = guard.as_mut().expect("shard loaded above");
@@ -354,11 +357,16 @@ impl SnapshotStore {
             }
             write_atomic(&self.shard_path(idx), &out)?;
             shard.dirty = false;
+            rewrote = true;
         }
-        write_atomic(
-            &self.dir.join("MANIFEST.json"),
-            Manifest::of(self.fingerprint).encode().to_string_pretty(),
-        )?;
+        // A snapshot accepted at open that no shard changed is on disk as
+        // it stands: its manifest already says what this one would.
+        if rewrote || !self.has_snapshot {
+            write_atomic(
+                &self.dir.join("MANIFEST.json"),
+                Manifest::of(self.fingerprint).encode().to_string_pretty(),
+            )?;
+        }
         Ok(persisted)
     }
 
@@ -376,31 +384,38 @@ impl SnapshotStore {
     }
 }
 
+/// How every shard line opens: its key member comes first, so a reader can
+/// take the key's bytes as written.
+const KEY_MEMBER: &str = "{\"key\":";
+
 /// One shard line. Hand-written, not an `Encode` impl: the key is spliced
 /// in as the raw canonical JSON it was addressed by (not re-built from a
 /// decoded tree), and the members keep their historical order — `key`,
 /// `result` (or `explored`), `sample`.
 fn entry_line(key_str: &str, e: &StoredEntry) -> String {
-    // Parsing the line and compact-printing the "key" member reproduces
-    // `key_str` exactly, because compact printing with sorted keys is
-    // canonical.
     let (member, value) = match &e.value {
         Cached::Full(result) => ("result", result.encode()),
         Cached::Truncated(explored) => ("explored", explored.encode()),
     };
     format!(
-        "{{\"key\":{key_str},\"{member}\":{},\"sample\":{}}}",
+        "{KEY_MEMBER}{key_str},\"{member}\":{},\"sample\":{}}}",
         value.to_string_compact(),
         e.sample.encode().to_string_compact(),
     )
 }
 
-/// Inverse of [`entry_line`]; the key is never decoded, only re-printed.
-/// Members it does not name are ignored, which is how a line written with
-/// the retired stage-boundary stamp (`"b":N`) still loads.
+/// Inverse of [`entry_line`]. The key is taken as written: the parser only
+/// finds where it ends, and it is neither built nor printed again, so a key
+/// whose bytes are not canonical matches no probe (a miss, never a wrong
+/// plan). A line that does not open with its key is corrupt. Members it
+/// does not name are ignored, which is how a line written with the retired
+/// stage-boundary stamp (`"b":N`) still loads.
 fn parse_entry_line(line: &str) -> Result<(String, StoredEntry), DecodeError> {
-    let doc = Json::parse(line).map_err(DecodeError::new)?;
-    let m = object(&doc)?;
+    let after = line
+        .strip_prefix(KEY_MEMBER)
+        .ok_or_else(|| DecodeError::new("a shard line opens with its key"))?;
+    let (key, rest) = after.split_at(Json::value_end(after).map_err(DecodeError::new)?);
+    let m = &Members::parse_rest(rest).map_err(DecodeError::new)?;
     let value = match optional(m, "result", Decode::decode)? {
         Some(result) => Cached::Full(Arc::new(result)),
         None => Cached::Truncated(Arc::new(required(m, "explored", Decode::decode)?)),
@@ -409,7 +424,7 @@ fn parse_entry_line(line: &str) -> Result<(String, StoredEntry), DecodeError> {
         value,
         sample: optional(m, "sample", Decode::decode)?,
     };
-    Ok((required(m, "key", |k| Ok(k.to_string_compact()))?, entry))
+    Ok((key.to_string(), entry))
 }
 
 #[cfg(test)]
@@ -674,6 +689,90 @@ mod tests {
         let store = SnapshotStore::open(&dir, 5, None).unwrap();
         assert_eq!(store.save().unwrap(), 8);
         assert_eq!(fs::read_to_string(shard_file(&dir, torn)).unwrap(), intact);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_save_of_an_unchanged_snapshot_writes_no_file() {
+        use std::os::unix::fs::MetadataExt;
+        let (dir, keys) = backdated_snapshot("noop-save");
+        let manifest = dir.join("cache").join("MANIFEST.json");
+        let inode = || fs::metadata(&manifest).unwrap().ino();
+        let before = inode();
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        assert!(store.peek_warm(&keys[0], &Chaos::default()).is_some());
+        assert_eq!(store.save().unwrap(), 8);
+        assert_eq!(inode(), before, "the manifest was rewritten");
+        assert_eq!(rewritten(&dir), Vec::<usize>::new());
+        // A save that rewrites a shard writes the manifest too.
+        let fresh = CacheKey::new(&leaf(100), &OptimizerConfig::default());
+        store.record_fresh(&fresh, &dummy_result(4.0), None, &Chaos::default());
+        assert_eq!(store.save().unwrap(), 9);
+        assert_ne!(inode(), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_that_does_not_open_with_its_key_is_corrupt_and_healed() {
+        let (dir, keys) = backdated_snapshot("reordered");
+        let home = SnapshotStore::shard_index(&canonical_key(&keys[0]));
+        let intact = fs::read_to_string(shard_file(&dir, home)).unwrap();
+        // A well-formed entry for another key, its members out of order.
+        let other = CacheKey::new(&leaf(100), &OptimizerConfig::default());
+        let line = entry_line(
+            &canonical_key(&other),
+            &StoredEntry {
+                value: dummy_result(2.0),
+                sample: None,
+            },
+        );
+        let (key_member, rest) = line.split_at(line.find(",\"result\":").unwrap());
+        let reordered = format!("{{{},{}}}", &rest[1..rest.len() - 1], &key_member[1..]);
+        assert!(Json::parse(&reordered).is_ok() && parse_entry_line(&reordered).is_err());
+        fs::write(shard_file(&dir, home), format!("{intact}{reordered}\n")).unwrap();
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        assert!(store.peek_warm(&other, &Chaos::default()).is_none());
+        assert!(store.peek_warm(&keys[0], &Chaos::default()).is_some());
+        assert_eq!(store.save().unwrap(), 8);
+        assert_eq!(fs::read_to_string(shard_file(&dir, home)).unwrap(), intact);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_key_whose_bytes_are_not_canonical_is_a_miss() {
+        let (dir, keys) = backdated_snapshot("noncanonical");
+        let canonical = canonical_key(&keys[0]);
+        let home = SnapshotStore::shard_index(&canonical);
+        // The same key with its members in reverse order: equal as JSON,
+        // different as bytes.
+        let members = Json::parse(&canonical).unwrap();
+        let reversed: Vec<String> = members
+            .as_obj()
+            .unwrap()
+            .iter()
+            .rev()
+            .map(|(k, v)| {
+                format!(
+                    "{}:{}",
+                    Json::str(k.as_str()).to_string_compact(),
+                    v.to_string_compact()
+                )
+            })
+            .collect();
+        let written = format!("{{{}}}", reversed.join(","));
+        assert_eq!(Json::parse(&written).unwrap(), members);
+        let text = fs::read_to_string(shard_file(&dir, home)).unwrap();
+        let needle = format!("{KEY_MEMBER}{canonical},");
+        assert!(text.contains(&needle));
+        let text = text.replace(&needle, &format!("{KEY_MEMBER}{written},"));
+        fs::write(shard_file(&dir, home), &text).unwrap();
+        let store = SnapshotStore::open(&dir, 5, None).unwrap();
+        assert!(store.peek_warm(&keys[0], &Chaos::default()).is_none());
+        // The line is not corrupt: it loads under the bytes it was written
+        // with, and a save leaves the shard as it is.
+        assert_eq!(store.save().unwrap(), 8);
+        assert_eq!(fs::read_to_string(shard_file(&dir, home)).unwrap(), text);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -11,7 +11,7 @@
 //! * **environmental** — wall times, pool utilization, cache hit split,
 //!   and trace-ring occupancy, which legitimately vary run to run.
 
-use crate::json::Json;
+use crate::json::{Json, Members};
 use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot};
 use crate::span::ProfileSection;
 use ruletest_common::wire::{decimal, Decode, Encode};
@@ -162,7 +162,7 @@ impl RunReport {
     /// campaigns with the same seed must produce byte-identical output
     /// here regardless of thread count.
     pub fn deterministic_json(&self) -> String {
-        let det_hists: BTreeMap<String, Json> = self
+        let det_hists: Members = self
             .histograms
             .iter()
             .filter(|(name, _)| {
@@ -174,7 +174,7 @@ impl RunReport {
             .collect();
         // Counters that track disk-state effects (cold vs warm cache)
         // are environmental and excluded, same as wall-clock histograms.
-        let det_counters: BTreeMap<String, Json> = self
+        let det_counters: Members = self
             .counters
             .iter()
             .filter(|(name, _)| {
