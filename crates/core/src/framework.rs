@@ -175,7 +175,7 @@ impl Framework {
     /// `config` carrying the campaign's fault injector, for an execution
     /// the framework runs: its `exec.batch` hits continue the sequence
     /// the optimizer's sites count into.
-    pub(crate) fn exec_config(&self, config: &ExecConfig) -> ExecConfig {
+    pub fn exec_config(&self, config: &ExecConfig) -> ExecConfig {
         ExecConfig {
             chaos: self.optimizer.chaos().clone(),
             ..config.clone()

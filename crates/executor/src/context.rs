@@ -7,7 +7,7 @@ use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use ruletest_storage::Database;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Execution limits. Random queries can contain cross products; the budget
 /// turns pathological plans into a clean error instead of an effective hang
@@ -48,14 +48,21 @@ pub type ResultSet = Vec<Row>;
 /// A row in flight between operators: borrowed from the [`Database`] for as
 /// long as no operator had to build it (scans, filters, distinct, sorts,
 /// semi/anti joins pass the handle through), owned once one did (compute,
-/// concat, the concatenated rows of a join, aggregate output).
+/// concat, the rows of a join, aggregate output).
 pub(crate) type RowRef<'a> = Cow<'a, [Value]>;
 
 /// An opened operator: pulling it runs the subtree one row at a time.
 pub(crate) type RowIter<'a> = Box<dyn Iterator<Item = Result<RowRef<'a>>> + 'a>;
 
-/// Column-id -> position map for a plan node's output.
-pub(crate) type PosMap = HashMap<ColId, usize>;
+/// The columns a parent reads from an operator's output.
+pub(crate) type Need = BTreeSet<ColId>;
+
+/// The column at each position of the rows an opened operator emits: its
+/// whole schema, or (an inner or outer join) the needed part of it.
+pub(crate) type Layout = Vec<ColId>;
+
+/// An opened operator and the layout of its rows.
+pub(crate) type Opened<'a> = (RowIter<'a>, Layout);
 
 /// Per-execution state shared by every opened operator of one plan; the
 /// counters sit in `Cell`s because nested iterators all hold `&Ctx`.
@@ -104,27 +111,40 @@ impl<'a> Ctx<'a> {
     }
 }
 
-pub(crate) fn position_map(plan: &PhysicalPlan) -> PosMap {
-    plan.schema
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.id, i))
-        .collect()
+/// The end of a chain of row or group indices.
+pub(crate) const NONE: usize = usize::MAX;
+
+/// The column ids of `plan`'s schema, in order.
+pub(crate) fn schema_ids(plan: &PhysicalPlan) -> Layout {
+    plan.schema.iter().map(|c| c.id).collect()
 }
 
-/// Evaluates an expression against a row resolved through a position map.
-pub(crate) fn eval_row(expr: &Expr, map: &PosMap, row: &[Value]) -> Value {
-    ruletest_expr::eval(expr, &mut |c| {
-        row[*map
-            .get(&c)
-            .unwrap_or_else(|| panic!("unresolved column {c}"))]
-        .clone()
+/// The position of `c` in `layout` (its last one, should a column repeat:
+/// a repeated column holds the same value at every position).
+pub(crate) fn position(layout: &[ColId], c: ColId) -> usize {
+    layout
+        .iter()
+        .rposition(|&x| x == c)
+        .unwrap_or_else(|| panic!("unresolved column {c}"))
+}
+
+/// `expr` with each column reference replaced by the column's position in
+/// `layout` (as a `ColId`), for [`eval_at`]: resolved once, at open.
+pub(crate) fn bind(expr: &Expr, layout: &[ColId]) -> Expr {
+    ruletest_expr::rewrite_columns(expr, &mut |c| {
+        Some(Expr::col(ColId(position(layout, c) as u32)))
     })
 }
 
+/// Evaluates a [`bind`]-positional expression over `row`, reading each
+/// column where it lies.
+pub(crate) fn eval_at<'v>(expr: &'v Expr, row: &'v [Value]) -> Cow<'v, Value> {
+    ruletest_expr::eval_in(expr, &mut |c| Cow::Borrowed(&row[c.0 as usize]))
+}
+
 /// Predicate evaluation with SQL filter semantics (UNKNOWN rejects).
-pub(crate) fn eval_pred(expr: &Expr, map: &PosMap, row: &[Value]) -> bool {
-    matches!(eval_row(expr, map, row), Value::Bool(true))
+pub(crate) fn is_true(v: &Value) -> bool {
+    matches!(v, Value::Bool(true))
 }
 
 /// Executes a plan with the default budget.
@@ -135,8 +155,11 @@ pub fn execute(db: &Database, plan: &PhysicalPlan) -> Result<ResultSet> {
 /// Executes a plan under an explicit budget.
 pub fn execute_with(db: &Database, plan: &PhysicalPlan, config: &ExecConfig) -> Result<ResultSet> {
     let ctx = Ctx::new(db, config);
+    let schema = schema_ids(plan);
+    let (rows, layout) = open(&ctx, plan, &schema.iter().copied().collect())?;
+    assert_eq!(layout, schema, "the root's rows must be its whole schema");
     // The only place a borrowed row is copied: the rows actually returned.
-    let rows: ResultSet = open(&ctx, plan)?
+    let rows: ResultSet = rows
         .map(|row| row.map(Cow::into_owned))
         .collect::<Result<_>>()?;
     debug_assert!(
@@ -159,11 +182,17 @@ pub fn execute_profiled(
     execute_with(db, plan, config)
 }
 
-/// Opens the operator tree under `plan`. Children are opened left then
-/// right; an operator that must see all of an input before it can emit
-/// (join build side, merge join, sort, top-n, aggregation) drains that
-/// input here, everything else is pulled row by row by the caller.
-pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
+/// Opens the operator tree under `plan`, whose parent reads the columns in
+/// `need`, and binds it: every column an operator reads is resolved to a
+/// position here, once. Children are opened left then right; an operator
+/// that must see all of an input before it can emit (join build side,
+/// merge join, sort, top-n, aggregation) drains that input here,
+/// everything else is pulled row by row by the caller.
+pub(crate) fn open<'a>(
+    ctx: &'a Ctx<'a>,
+    plan: &'a PhysicalPlan,
+    need: &Need,
+) -> Result<Opened<'a>> {
     match &plan.op {
         PhysOp::SeqScan { .. } | PhysOp::IndexSeek { .. } => crate::ops_scan::open(ctx, plan),
         PhysOp::Filter { .. }
@@ -171,9 +200,9 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
         | PhysOp::Concat { .. }
         | PhysOp::HashDistinct
         | PhysOp::SortOp { .. }
-        | PhysOp::TopN { .. } => crate::ops_misc::open(ctx, plan),
+        | PhysOp::TopN { .. } => crate::ops_misc::open(ctx, plan, need),
         PhysOp::NLJoin { .. } | PhysOp::HashJoin { .. } | PhysOp::MergeJoin { .. } => {
-            crate::ops_join::open(ctx, plan)
+            crate::ops_join::open(ctx, plan, need)
         }
         PhysOp::HashAgg { .. } | PhysOp::StreamAgg { .. } => crate::ops_agg::open(ctx, plan),
     }

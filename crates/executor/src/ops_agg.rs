@@ -7,7 +7,9 @@
 //! Hash and scalar aggregation fold their input as it is pulled; stream
 //! aggregation sorts it first and so materialises the row handles.
 
-use crate::context::{charged, open as open_child, position_map, Ctx, RowIter, RowRef};
+use crate::context::{
+    charged, open as open_child, position, schema_ids, Ctx, Need, Opened, RowRef, NONE,
+};
 use ruletest_common::{Error, Result, Row, Value, WordBuild, WordHasher};
 use ruletest_expr::AggAccumulator;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
@@ -22,7 +24,9 @@ struct Group {
     accs: Vec<AggAccumulator>,
 }
 
-pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
+/// Opens an aggregate, asking its input for the grouping and argument
+/// columns only.
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<Opened<'a>> {
     let (group_by, aggs, sort_based) = match &plan.op {
         PhysOp::HashAgg { group_by, aggs } => (group_by, aggs, false),
         PhysOp::StreamAgg { group_by, aggs } => (group_by, aggs, true),
@@ -33,11 +37,19 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
             )))
         }
     };
-    let input = charged(ctx, open_child(ctx, &plan.children[0])?);
-    let map = position_map(&plan.children[0]);
+    let reads: Need = group_by
+        .iter()
+        .copied()
+        .chain(aggs.iter().filter_map(|a| a.arg))
+        .collect();
+    let (input, layout) = open_child(ctx, &plan.children[0], &reads)?;
+    let input = charged(ctx, input);
     ctx.charge(1)?;
-    let key_positions: Vec<usize> = group_by.iter().map(|c| map[c]).collect();
-    let arg_positions: Vec<Option<usize>> = aggs.iter().map(|a| a.arg.map(|c| map[&c])).collect();
+    let key_positions: Vec<usize> = group_by.iter().map(|&c| position(&layout, c)).collect();
+    let arg_positions: Vec<Option<usize>> = aggs
+        .iter()
+        .map(|a| a.arg.map(|c| position(&layout, c)))
+        .collect();
 
     let fresh = |key: Vec<Value>| Group {
         key,
@@ -89,28 +101,35 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
         }
     } else {
         // Hash aggregation; groups are emitted in first-occurrence order.
-        // The table maps a key hash to the groups that hash alike.
-        let mut table: HashMap<u64, Vec<usize>, WordBuild> = HashMap::default();
+        // Groups whose keys hash alike are chained: `heads` holds the
+        // newest group per key hash, `next[g]` the one before `g`.
+        let mut heads: HashMap<u64, usize, WordBuild> = HashMap::default();
+        let mut next: Vec<usize> = Vec::new();
         for row in input {
             let row = row?;
             let mut h = WordHasher::default();
             key_positions.iter().for_each(|&p| row[p].hash(&mut h));
-            let alike = table.entry(h.finish()).or_default();
-            let found = alike.iter().find(|&&g| same_key(&groups[g].key, &row));
-            let g = found.copied().unwrap_or_else(|| {
-                alike.push(groups.len());
+            let head = heads.entry(h.finish()).or_insert(NONE);
+            let mut g = *head;
+            while g != NONE && !same_key(&groups[g].key, &row) {
+                g = next[g];
+            }
+            if g == NONE {
+                g = groups.len();
+                next.push(*head);
+                *head = g;
                 groups.push(fresh(key_of(&row)));
-                groups.len() - 1
-            });
+            }
             feed(&mut groups[g], &row);
         }
     }
-    Ok(Box::new(groups.into_iter().map(move |group| {
+    let rows = groups.into_iter().map(move |group| {
         ctx.charge(1)?;
         let mut row: Row = group.key;
         row.extend(group.accs.into_iter().map(AggAccumulator::finish));
         Ok(Cow::Owned(row))
-    })))
+    });
+    Ok((Box::new(rows), schema_ids(plan)))
 }
 
 #[cfg(test)]

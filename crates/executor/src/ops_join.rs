@@ -7,12 +7,16 @@
 //! predicate evaluates to TRUE over the pair; outer kinds pad unmatched
 //! preserved rows with NULLs; semi/anti emit the bare left row.
 //!
-//! The predicate is evaluated over the two rows where they lie; the
-//! concatenated row is built only for a pair that is emitted.
+//! The predicate is evaluated over the two rows where they lie; a row is
+//! built only for a pair that is emitted, and only from the columns the
+//! join's parent reads.
 
-use crate::context::{charged, open as open_child, position_map, Ctx, PosMap, RowIter, RowRef};
-use ruletest_common::{ColId, Error, Result, Row, Value, WordBuild, WordHasher};
-use ruletest_expr::Expr;
+use crate::context::{
+    bind, charged, is_true, open as open_child, position, schema_ids, Ctx, Layout, Need, Opened,
+    RowIter, RowRef, NONE,
+};
+use ruletest_common::{Error, Result, Value, WordBuild, WordHasher};
+use ruletest_expr::{collect_columns, eval_in, Expr};
 use ruletest_logical::JoinKind;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use std::borrow::Cow;
@@ -20,37 +24,72 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
+/// Opens a join. Both inputs are asked for what the parent reads plus
+/// what the ON predicate and keys read. An inner or outer join emits
+/// only the needed columns of its schema, in schema order; a semi or anti
+/// join emits its left input's handles, in their layout.
+pub(crate) fn open<'a>(
+    ctx: &'a Ctx<'a>,
+    plan: &'a PhysicalPlan,
+    need: &Need,
+) -> Result<Opened<'a>> {
     let (lplan, rplan) = (&plan.children[0], &plan.children[1]);
-    let left = open_child(ctx, lplan)?;
-    let right = open_child(ctx, rplan)?;
-    let (lmap, rmap) = (position_map(lplan), position_map(rplan));
-    let pair = PairPredicate::new(lplan, rplan, &lmap, &rmap);
-    let (kind, predicate, right, index) = match &plan.op {
-        PhysOp::NLJoin { kind, predicate } => {
-            let right: Vec<RowRef<'a>> = right.collect::<Result<_>>()?;
-            (*kind, predicate, right, None)
-        }
+    let (kind, predicate, keys) = match &plan.op {
+        PhysOp::NLJoin { kind, predicate } => (*kind, predicate, vec![]),
         PhysOp::HashJoin {
             kind,
             left_keys,
             right_keys,
             residual,
-        } => {
-            let right: Vec<RowRef<'a>> = charged(ctx, right).collect::<Result<_>>()?;
-            let index = HashIndex::build(
-                &right,
-                left_keys.iter().map(|c| lmap[c]).collect(),
-                right_keys.iter().map(|c| rmap[c]).collect(),
-            );
-            (*kind, residual, right, Some(index))
-        }
+        } => (*kind, residual, [&left_keys[..], right_keys].concat()),
         PhysOp::MergeJoin {
             left_key,
             right_key,
             residual,
+        } => (JoinKind::Inner, residual, vec![*left_key, *right_key]),
+        other => {
+            return Err(Error::internal(format!(
+                "join executor got {}",
+                other.name()
+            )))
+        }
+    };
+    let mut reads = need.clone();
+    reads.extend(keys);
+    collect_columns(predicate, &mut reads);
+    let (left, llayout) = open_child(ctx, lplan, &reads)?;
+    let (right, rlayout) = open_child(ctx, rplan, &reads)?;
+    let layout: Layout = if kind.emits_both_sides() {
+        let mut ids = schema_ids(plan);
+        ids.retain(|c| need.contains(c));
+        ids
+    } else {
+        llayout.clone()
+    };
+    let pair = JoinPair::new(predicate, &llayout, &rlayout, &layout);
+    let (right, index) = match &plan.op {
+        PhysOp::HashJoin {
+            left_keys,
+            right_keys,
+            ..
         } => {
-            let (li, ri) = (lmap[left_key], rmap[right_key]);
+            let right: Vec<RowRef<'a>> = charged(ctx, right).collect::<Result<_>>()?;
+            let index = HashIndex::build(
+                &right,
+                left_keys.iter().map(|&c| position(&llayout, c)).collect(),
+                right_keys.iter().map(|&c| position(&rlayout, c)).collect(),
+            );
+            (right, Some(index))
+        }
+        PhysOp::MergeJoin {
+            left_key,
+            right_key,
+            ..
+        } => {
+            let (li, ri) = (
+                position(&llayout, *left_key),
+                position(&rlayout, *right_key),
+            );
             // NULL keys never join (inner): drop them before sorting.
             let non_null = |rows: RowIter<'a>, key: usize| -> Result<Vec<RowRef<'a>>> {
                 rows.filter(|row| !matches!(row, Ok(row) if row[key].is_null()))
@@ -61,9 +100,8 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
             ctx.charge((left.len() + right.len()) as u64)?;
             left.sort_by(|a, b| a[li].total_cmp(&b[li]));
             right.sort_by(|a, b| a[ri].total_cmp(&b[ri]));
-            return Ok(Box::new(Merge {
+            let merge = Merge {
                 ctx,
-                predicate: residual,
                 pair,
                 left,
                 right,
@@ -72,19 +110,14 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
                 i: 0,
                 j: 0,
                 run: None,
-            }));
+            };
+            return Ok((Box::new(merge), layout));
         }
-        other => {
-            return Err(Error::internal(format!(
-                "join executor got {}",
-                other.name()
-            )))
-        }
+        _ => (right.collect::<Result<Vec<_>>>()?, None),
     };
-    Ok(Box::new(Probe {
+    let probe = Probe {
         ctx,
         kind,
-        predicate,
         pair,
         left,
         right_matched: vec![false; right.len()],
@@ -92,73 +125,60 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
         index,
         current: None,
         unmatched_from: 0,
-    }))
+    };
+    Ok((Box::new(probe), layout))
 }
 
-/// The ON/residual predicate over a `(left, right)` pair of rows: left
-/// columns resolve into the left row, right columns into the right one, so
-/// a candidate pair is judged without being concatenated first.
-struct PairPredicate {
-    /// Left columns at their positions, right columns shifted by the left
-    /// arity.
-    combined: PosMap,
+/// A join bound to its inputs' layouts side by side: a position below
+/// `lwidth` is in the left row, any other in the right row, shifted by
+/// `lwidth`. It judges a candidate pair where its two rows lie, and builds
+/// the row of an emitted pair, or of a preserved row padded with NULLs,
+/// from the output layout's columns only.
+struct JoinPair {
+    /// The ON/residual predicate.
+    predicate: Expr,
+    /// The position of each output column.
+    out: Vec<usize>,
     lwidth: usize,
-    rwidth: usize,
 }
 
-impl PairPredicate {
-    fn new(lplan: &PhysicalPlan, rplan: &PhysicalPlan, lmap: &PosMap, rmap: &PosMap) -> Self {
-        let lwidth = lplan.schema.len();
-        let mut combined = lmap.clone();
-        for (c, i) in rmap {
-            combined.insert(*c, i + lwidth);
-        }
-        PairPredicate {
-            combined,
-            lwidth,
-            rwidth: rplan.schema.len(),
+impl JoinPair {
+    fn new(predicate: &Expr, llayout: &Layout, rlayout: &Layout, out: &Layout) -> Self {
+        let both: Layout = llayout.iter().chain(rlayout).copied().collect();
+        JoinPair {
+            predicate: bind(predicate, &both),
+            out: out.iter().map(|&c| position(&both, c)).collect(),
+            lwidth: llayout.len(),
         }
     }
 
-    fn accepts(&self, predicate: &Expr, left: &[Value], right: &[Value]) -> bool {
-        if predicate.is_true_lit() {
+    fn accepts(&self, left: &[Value], right: &[Value]) -> bool {
+        if self.predicate.is_true_lit() {
             return true;
         }
-        let resolve = &mut |c: ColId| {
-            let p = *self
-                .combined
-                .get(&c)
-                .unwrap_or_else(|| panic!("unresolved column {c}"));
-            match p.checked_sub(self.lwidth) {
-                None => left[p].clone(),
-                Some(p) => right[p].clone(),
-            }
+        let value = eval_in(&self.predicate, &mut |c| {
+            let p = c.0 as usize;
+            Cow::Borrowed(match p.checked_sub(self.lwidth) {
+                None => &left[p],
+                Some(p) => &right[p],
+            })
+        });
+        is_true(&value)
+    }
+
+    /// The output row of `left` and `right`, NULL for the side that is
+    /// `None`.
+    fn build<'a>(&self, left: Option<&[Value]>, right: Option<&[Value]>) -> RowRef<'a> {
+        let value = |&p: &usize| {
+            let (side, p) = match p.checked_sub(self.lwidth) {
+                None => (left, p),
+                Some(p) => (right, p),
+            };
+            side.map_or(Value::Null, |row| row[p].clone())
         };
-        ruletest_expr::eval::eval_predicate(predicate, resolve)
-    }
-
-    fn concat<'a>(&self, left: &[Value], right: &[Value]) -> RowRef<'a> {
-        let mut row = Row::with_capacity(self.lwidth + self.rwidth);
-        row.extend_from_slice(left);
-        row.extend_from_slice(right);
-        Cow::Owned(row)
-    }
-
-    fn pad_left<'a>(&self, left: &[Value]) -> RowRef<'a> {
-        let mut row = Row::with_capacity(self.lwidth + self.rwidth);
-        row.extend_from_slice(left);
-        row.resize(self.lwidth + self.rwidth, Value::Null);
-        Cow::Owned(row)
-    }
-
-    fn pad_right<'a>(&self, right: &[Value]) -> RowRef<'a> {
-        let mut row = vec![Value::Null; self.lwidth];
-        row.extend_from_slice(right);
-        Cow::Owned(row)
+        Cow::Owned(self.out.iter().map(value).collect())
     }
 }
-
-const NONE: usize = usize::MAX;
 
 /// Hash join's build side: right-row indices chained per key hash in
 /// insertion order, so candidates come out in right-input order. Rows with
@@ -249,8 +269,7 @@ struct Current<'a> {
 struct Probe<'a> {
     ctx: &'a Ctx<'a>,
     kind: JoinKind,
-    predicate: &'a Expr,
-    pair: PairPredicate,
+    pair: JoinPair,
     left: RowIter<'a>,
     right: Vec<RowRef<'a>>,
     index: Option<HashIndex>,
@@ -304,7 +323,7 @@ impl<'a> Probe<'a> {
                     let ri = self.unmatched_from;
                     self.unmatched_from += 1;
                     if !self.right_matched[ri] {
-                        return Ok(Step::Emit(self.pair.pad_right(&self.right[ri])));
+                        return Ok(Step::Emit(self.pair.build(None, Some(&self.right[ri]))));
                     }
                 }
             }
@@ -315,7 +334,7 @@ impl<'a> Probe<'a> {
             let cur = self.current.take().expect("checked above");
             return Ok(match self.kind {
                 JoinKind::LeftOuter | JoinKind::FullOuter if !cur.matched => {
-                    Step::Emit(self.pair.pad_left(&cur.left))
+                    Step::Emit(self.pair.build(Some(&cur.left), None))
                 }
                 JoinKind::LeftAnti if !cur.matched => Step::Emit(cur.left),
                 _ => Step::Continue,
@@ -325,9 +344,7 @@ impl<'a> Probe<'a> {
         if self.index.is_some() {
             self.ctx.charge(1)?; // per key match examined
         }
-        let accepted = self
-            .pair
-            .accepts(self.predicate, &cur.left, &self.right[ri]);
+        let accepted = self.pair.accepts(&cur.left, &self.right[ri]);
         if accepted {
             self.right_matched[ri] = true;
             match self.kind {
@@ -350,7 +367,7 @@ impl<'a> Probe<'a> {
             Some(index) => index.after(&self.right, &cur.left, ri),
         };
         Ok(if accepted {
-            Step::Emit(self.pair.concat(&cur.left, &self.right[ri]))
+            Step::Emit(self.pair.build(Some(&cur.left), Some(&self.right[ri])))
         } else {
             Step::Continue
         })
@@ -400,8 +417,7 @@ struct Run {
 /// Sort-merge join over both inputs sorted by their key.
 struct Merge<'a> {
     ctx: &'a Ctx<'a>,
-    predicate: &'a Expr,
-    pair: PairPredicate,
+    pair: JoinPair,
     left: Vec<RowRef<'a>>,
     right: Vec<RowRef<'a>>,
     li: usize,
@@ -428,8 +444,8 @@ impl<'a> Merge<'a> {
                 run.l += 1;
                 run.r = run.jstart;
             }
-            return Ok(if self.pair.accepts(self.predicate, &left[l], &right[r]) {
-                Step::Emit(self.pair.concat(&left[l], &right[r]))
+            return Ok(if self.pair.accepts(&left[l], &right[r]) {
+                Step::Emit(self.pair.build(Some(&left[l]), Some(&right[r])))
             } else {
                 Step::Continue
             });
@@ -477,7 +493,7 @@ mod tests {
     use super::*;
     use crate::context::execute;
     use crate::context::testkit::*;
-    use ruletest_common::multisets_equal;
+    use ruletest_common::{multisets_equal, ColId};
 
     fn join_schema() -> Vec<ruletest_logical::ColumnInfo> {
         vec![int_col(0), str_col(1), int_col(2), int_col(3)]
@@ -607,8 +623,10 @@ mod tests {
     }
 
     fn pull_all<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Vec<RowRef<'a>> {
-        crate::context::open(ctx, plan)
+        let need = crate::context::schema_ids(plan).into_iter().collect();
+        crate::context::open(ctx, plan, &need)
             .unwrap()
+            .0
             .collect::<Result<_>>()
             .unwrap()
     }

@@ -5,74 +5,105 @@
 //! the rows they emit.
 
 use crate::context::{
-    charged, eval_pred, eval_row, open as open_child, position_map, Ctx, RowIter, RowRef,
+    bind, charged, eval_at, is_true, open as open_child, position, schema_ids, Ctx, Layout, Need,
+    Opened, RowRef,
 };
-use ruletest_common::{Error, Result, WordBuild};
+use ruletest_common::{ColId, Error, Result, WordBuild};
+use ruletest_expr::columns_of;
 use ruletest_logical::SortKey;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
-    let input = charged(ctx, open_child(ctx, &plan.children[0])?);
-    let map = position_map(&plan.children[0]);
+/// Opens a unary operator or a concat. Filter and sort emit their input's
+/// handles and so its layout (asking it for what they read besides their
+/// parent); distinct and top-n read whole rows, so they ask for the
+/// input's whole schema; compute and concat build rows of their own
+/// schema.
+pub(crate) fn open<'a>(
+    ctx: &'a Ctx<'a>,
+    plan: &'a PhysicalPlan,
+    need: &Need,
+) -> Result<Opened<'a>> {
+    let child = &plan.children[0];
+    let child_need: Need = match &plan.op {
+        PhysOp::Filter { predicate } => need | &columns_of(predicate),
+        PhysOp::SortOp { keys } => need | &keys.iter().map(|k| k.col).collect(),
+        PhysOp::Compute { outputs } => outputs.iter().flat_map(|(_, e)| columns_of(e)).collect(),
+        PhysOp::Concat { left_cols, .. } => left_cols.iter().copied().collect(),
+        _ => schema_ids(child).into_iter().collect(),
+    };
+    let (input, layout) = open_child(ctx, child, &child_need)?;
+    let input = charged(ctx, input);
     ctx.charge(1)?;
     match &plan.op {
-        PhysOp::Filter { predicate } => Ok(Box::new(input.filter(move |row| match row {
-            Ok(row) => eval_pred(predicate, &map, row),
-            Err(_) => true,
-        }))),
-        PhysOp::Compute { outputs } => Ok(Box::new(input.map(move |row| {
-            let row = row?;
-            let computed = outputs.iter().map(|(_, e)| eval_row(e, &map, &row));
-            Ok(Cow::Owned(computed.collect()))
-        }))),
+        PhysOp::Filter { predicate } => {
+            let predicate = bind(predicate, &layout);
+            let rows = input.filter(move |row| match row {
+                Ok(row) => is_true(&eval_at(&predicate, row)),
+                Err(_) => true,
+            });
+            Ok((Box::new(rows), layout))
+        }
+        PhysOp::Compute { outputs } => {
+            let outputs: Vec<_> = outputs.iter().map(|(_, e)| bind(e, &layout)).collect();
+            let rows = input.map(move |row| {
+                let row = row?;
+                let computed = outputs.iter().map(|e| eval_at(e, &row).into_owned());
+                Ok(Cow::Owned(computed.collect()))
+            });
+            Ok((Box::new(rows), schema_ids(plan)))
+        }
         PhysOp::Concat {
             left_cols,
             right_cols,
             ..
         } => {
-            let right = charged(ctx, open_child(ctx, &plan.children[1])?);
-            let rmap = position_map(&plan.children[1]);
-            let lpos = left_cols.iter().map(|c| map[c]).collect();
-            let rpos = right_cols.iter().map(|c| rmap[c]).collect();
-            Ok(Box::new(remap(input, lpos).chain(remap(right, rpos))))
+            let rchild = &plan.children[1];
+            let (right, rlayout) = open_child(ctx, rchild, &right_cols.iter().copied().collect())?;
+            let right = charged(ctx, right);
+            let lpos = left_cols.iter().map(|&c| position(&layout, c)).collect();
+            let rpos = right_cols.iter().map(|&c| position(&rlayout, c)).collect();
+            let rows = remap(input, lpos).chain(remap(right, rpos));
+            Ok((Box::new(rows), schema_ids(plan)))
         }
         PhysOp::HashDistinct => {
             // SQL DISTINCT treats NULLs as equal — Value's Eq does too.
             let mut seen: HashSet<RowRef<'a>, WordBuild> = HashSet::default();
-            Ok(Box::new(input.filter(move |row| match row {
+            let rows = input.filter(move |row| match row {
                 Ok(row) => !seen.contains(row) && seen.insert(row.clone()),
                 Err(_) => true,
-            })))
+            });
+            Ok((Box::new(rows), layout))
         }
         PhysOp::SortOp { keys } => {
             let mut rows: Vec<RowRef<'a>> = input.collect::<Result<_>>()?;
-            let key_pos = key_positions(keys, &map);
+            let key_pos = key_positions(keys, &layout);
             rows.sort_by(|a, b| cmp_keys(&key_pos, a, b));
-            Ok(Box::new(rows.into_iter().map(Ok)))
+            Ok((Box::new(rows.into_iter().map(Ok)), layout))
         }
         PhysOp::TopN { n, keys } => {
             let mut rows: Vec<RowRef<'a>> = input.collect::<Result<_>>()?;
-            let key_pos = key_positions(keys, &map);
+            let key_pos = key_positions(keys, &layout);
             // Tie-break on the full row with columns in ascending id order —
             // a total, *plan-independent* order, so TopN is a deterministic
             // function of the input multiset (see crate docs).
-            let mut tie_pos: Vec<(ruletest_common::ColId, usize)> =
-                map.iter().map(|(c, p)| (*c, *p)).collect();
-            tie_pos.sort_by_key(|(c, _)| *c);
+            let mut tie_cols: Vec<ColId> = layout.clone();
+            tie_cols.sort_unstable();
+            tie_cols.dedup();
+            let tie_pos: Vec<usize> = tie_cols.iter().map(|&c| position(&layout, c)).collect();
             rows.sort_by(|a, b| {
                 cmp_keys(&key_pos, a, b).then_with(|| {
                     tie_pos
                         .iter()
-                        .map(|&(_, p)| a[p].total_cmp(&b[p]))
+                        .map(|&p| a[p].total_cmp(&b[p]))
                         .find(|c| c.is_ne())
                         .unwrap_or(Ordering::Equal)
                 })
             });
             rows.truncate(*n as usize);
-            Ok(Box::new(rows.into_iter().map(Ok)))
+            Ok((Box::new(rows.into_iter().map(Ok)), layout))
         }
         other => Err(Error::internal(format!(
             "misc executor got {}",
@@ -94,8 +125,10 @@ fn remap<'a>(
     })
 }
 
-fn key_positions(keys: &[SortKey], map: &crate::context::PosMap) -> Vec<(usize, bool)> {
-    keys.iter().map(|k| (map[&k.col], k.descending)).collect()
+fn key_positions(keys: &[SortKey], layout: &Layout) -> Vec<(usize, bool)> {
+    keys.iter()
+        .map(|k| (position(layout, k.col), k.descending))
+        .collect()
 }
 
 fn cmp_keys(key_pos: &[(usize, bool)], a: &RowRef, b: &RowRef) -> Ordering {
@@ -152,8 +185,10 @@ mod tests {
         );
         let config = crate::ExecConfig::default();
         let ctx = Ctx::new(&db, &config);
-        let rows: Vec<RowRef> = crate::context::open(&ctx, &p)
+        let need = crate::context::schema_ids(&p).into_iter().collect();
+        let rows: Vec<RowRef> = crate::context::open(&ctx, &p, &need)
             .unwrap()
+            .0
             .collect::<Result<_>>()
             .unwrap();
         let stored = &db.table(ruletest_common::TableId(0)).unwrap().rows;
@@ -164,6 +199,30 @@ mod tests {
                 "{row:?} is not the stored row itself"
             );
         }
+    }
+
+    /// Columns are resolved when the operator opens, so a column its
+    /// input lacks fails there, even when no row would reach it.
+    #[test]
+    #[should_panic(expected = "unresolved column c99")]
+    fn unresolved_column_panics_at_open() {
+        let db = tiny_db();
+        let schema = || vec![int_col(0), str_col(1)];
+        let empty = plan(
+            PhysOp::Filter {
+                predicate: Expr::lit(false),
+            },
+            vec![scan_t0()],
+            schema(),
+        );
+        let p = plan(
+            PhysOp::Filter {
+                predicate: Expr::eq(Expr::col(ColId(99)), Expr::lit(1i64)),
+            },
+            vec![empty],
+            schema(),
+        );
+        let _ = execute(&db, &p);
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! Base-table access operators: sequential scan and primary-key index seek.
 //! Both hand out rows borrowed from the table; neither copies one.
 
-use crate::context::{eval_pred, position_map, Ctx, RowIter};
+use crate::context::{bind, eval_at, is_true, schema_ids, Ctx, Opened};
 use ruletest_common::{Error, Result};
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use std::borrow::Cow;
 
-pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIter<'a>> {
+/// Opens a scan; its rows are the stored rows, so its layout is its whole
+/// schema whatever the parent reads.
+pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<Opened<'a>> {
+    let layout = schema_ids(plan);
     match &plan.op {
         PhysOp::SeqScan { table, .. } => {
             let t = ctx.db.table(*table)?;
             ctx.charge(t.rows.len() as u64)?;
-            Ok(Box::new(
-                t.rows.iter().map(|row| Ok(Cow::Borrowed(row.as_slice()))),
-            ))
+            let rows = t.rows.iter().map(|row| Ok(Cow::Borrowed(row.as_slice())));
+            Ok((Box::new(rows), layout))
         }
         PhysOp::IndexSeek {
             table,
@@ -22,15 +24,16 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<RowIt
             ..
         } => {
             let t = ctx.db.table(*table)?;
-            let map = position_map(plan);
+            let residual = bind(residual, &layout);
             let hits = t.pk_lookup(std::slice::from_ref(key)).iter();
-            Ok(Box::new(hits.filter_map(move |&off| {
+            let rows = hits.filter_map(move |&off| {
                 if let Err(e) = ctx.charge(1) {
                     return Some(Err(e));
                 }
                 let row = t.rows[off].as_slice();
-                eval_pred(residual, &map, row).then_some(Ok(Cow::Borrowed(row)))
-            })))
+                is_true(&eval_at(&residual, row)).then_some(Ok(Cow::Borrowed(row)))
+            });
+            Ok((Box::new(rows), layout))
         }
         other => Err(Error::internal(format!(
             "scan executor got {}",

@@ -8,33 +8,42 @@
 
 use crate::expr::{BinOp, Expr};
 use ruletest_common::{ColId, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Evaluates `expr`, resolving column references through `get`.
 pub fn eval(expr: &Expr, get: &mut impl FnMut(ColId) -> Value) -> Value {
+    eval_in(expr, &mut |c| Cow::Owned(get(c))).into_owned()
+}
+
+/// Evaluates `expr` over borrowed operands: `get` hands out a column's
+/// value where it lies, and a comparison reads its operands in place, so
+/// only a computed value is ever built.
+pub fn eval_in<'v>(
+    expr: &'v Expr,
+    get: &mut impl FnMut(ColId) -> Cow<'v, Value>,
+) -> Cow<'v, Value> {
     match expr {
         Expr::Col(c) => get(*c),
-        Expr::Lit(v) => v.clone(),
-        Expr::Not(e) => match eval(e, get) {
+        Expr::Lit(v) => Cow::Borrowed(v),
+        Expr::Not(e) => Cow::Owned(match eval_in(e, get).as_ref() {
             Value::Null => Value::Null,
             Value::Bool(b) => Value::Bool(!b),
             other => panic!("type error: NOT over {other:?}"),
-        },
-        Expr::IsNull(e) => Value::Bool(eval(e, get).is_null()),
+        }),
+        Expr::IsNull(e) => Cow::Owned(Value::Bool(eval_in(e, get).is_null())),
         Expr::Bin { op, left, right } => {
+            let l = eval_in(left, get);
+            let r = eval_in(right, get);
             // Kleene AND/OR need non-strict handling (short-circuit on the
             // dominating value even when the other side is NULL).
             if *op == BinOp::And || *op == BinOp::Or {
-                let l = eval(left, get);
-                let r = eval(right, get);
-                return eval_logical(*op, l, r);
+                return Cow::Owned(eval_logical(*op, &l, &r));
             }
-            let l = eval(left, get);
-            let r = eval(right, get);
             if l.is_null() || r.is_null() {
-                return Value::Null;
+                return Cow::Owned(Value::Null);
             }
-            if op.is_comparison() {
+            Cow::Owned(if op.is_comparison() {
                 let ord = l.sql_cmp(&r).expect("non-null operands");
                 Value::Bool(match op {
                     BinOp::Eq => ord == Ordering::Equal,
@@ -54,18 +63,18 @@ pub fn eval(expr: &Expr, get: &mut impl FnMut(ColId) -> Value) -> Value {
                     BinOp::Mul => a.wrapping_mul(b),
                     _ => unreachable!(),
                 })
-            }
+            })
         }
     }
 }
 
-fn eval_logical(op: BinOp, l: Value, r: Value) -> Value {
-    let lb = match &l {
+fn eval_logical(op: BinOp, l: &Value, r: &Value) -> Value {
+    let lb = match l {
         Value::Null => None,
         Value::Bool(b) => Some(*b),
         other => panic!("type error: logical op over {other:?}"),
     };
-    let rb = match &r {
+    let rb = match r {
         Value::Null => None,
         Value::Bool(b) => Some(*b),
         other => panic!("type error: logical op over {other:?}"),

@@ -13,6 +13,6 @@ pub use analysis::{
     collect_columns, columns_of, conjoin, conjuncts, every_column, for_each_conjunct,
     is_null_rejecting, remap_columns, rewrite_columns, substitute, try_col_eq_col,
 };
-pub use eval::eval;
+pub use eval::{eval, eval_in};
 pub use expr::{BinOp, Expr, SubExpr};
 pub use types::infer_type;

@@ -48,7 +48,7 @@ use ruletest::core::{
     CampaignParams, DbProfile, Framework, FrameworkConfig, GenConfig, Mutant, RuleTarget, Strategy,
     TriageConfig,
 };
-use ruletest::executor::{execute, ExecConfig};
+use ruletest::executor::{execute_with, ExecConfig};
 use ruletest::optimizer::{Optimizer, RuleKind};
 use ruletest::sql::parse_sql;
 use ruletest::storage::{tpch_database, TpchConfig};
@@ -403,7 +403,8 @@ fn run_sql(fw: &Framework, text: &str) -> Result<(), String> {
         .map(|r| fw.optimizer.rule(*r).name)
         .collect();
     println!("-- rules exercised: {}", fired.join(", "));
-    let rows = execute(&fw.db, &res.plan).map_err(|e| e.to_string())?;
+    let exec = fw.exec_config(&ExecConfig::default());
+    let rows = execute_with(&fw.db, &res.plan, &exec).map_err(|e| e.to_string())?;
     println!("-- {} rows --", rows.len());
     for row in rows.iter().take(20) {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();

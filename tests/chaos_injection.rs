@@ -302,3 +302,35 @@ fn two_campaigns_with_different_plans_run_side_by_side() {
         assert_eq!(alone, beside);
     }
 }
+
+/// `ruletest sql` executes under the command line's chaos plan: an
+/// `exec.batch` stall aborts the query with the injected error, and the
+/// same query runs clean without a plan. The join charges a few thousand
+/// units; a bare scan of the default 300-row `lineitem` would charge fewer
+/// than one batch and never reach the site.
+#[test]
+fn sql_command_executes_under_the_chaos_plan() {
+    let sql = "SELECT COUNT(*) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey";
+    let run = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ruletest"))
+            .arg("sql")
+            .arg(sql)
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let stalled = run(&["--chaos-plan", "exec.batch:stall@1"]);
+    let stderr = String::from_utf8_lossy(&stalled.stderr);
+    assert!(!stalled.status.success(), "stall ignored; stderr: {stderr}");
+    assert!(
+        stderr.contains("chaos: injected stall at exec.batch (hit 1)"),
+        "stderr: {stderr}"
+    );
+    let clean = run(&[]);
+    assert!(
+        clean.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&clean.stderr)
+    );
+    assert!(String::from_utf8_lossy(&clean.stdout).contains("-- 1 rows --"));
+}
