@@ -7,6 +7,7 @@
 //! one over every node kind.
 
 use ruletest_common::check::{self, gen, CheckConfig};
+use ruletest_common::multiset::row_total_cmp;
 use ruletest_common::{diff_multisets, ensure, ensure_eq, ensure_ne, forall};
 use ruletest_common::{multisets_equal, Decode, Encode, Json, Rng, RuleId, Value};
 use ruletest_common::{ColId, WordBuild};
@@ -167,6 +168,76 @@ fn multiset_laws() {
             ensure!(!d.is_empty());
             ensure!(d.only_right.is_empty());
         }
+        Ok(())
+    });
+}
+
+/// A value from a domain small enough that rows repeat: NULL, both
+/// booleans, three integers and two strings.
+fn small_value(rng: &mut Rng) -> Value {
+    match rng.gen_index(4) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::Int(rng.gen_range_i64(-1, 2)),
+        _ => Value::Str(["a", "ab"][rng.gen_index(2)].into()),
+    }
+}
+
+/// `diff_multisets` against an independent counting oracle: every row's
+/// multiplicity on the left minus on the right, kept in a `HashMap`. The
+/// right side is the left one permuted (or not), then given up to three
+/// edits: a cell changed, a row dropped, a row duplicated or a row added.
+/// Emptiness and both surplus lists, in `row_total_cmp` order, must match.
+#[test]
+fn diff_multisets_matches_a_counting_oracle() {
+    let rows_gen = gen::vecs(gen::vecs(gen::from_fn(small_value), 1..3), 0..16);
+    forall!(CheckConfig::cases(256); left in rows_gen, edit in gen::u64s() => {
+        let mut rng = Rng::new(edit);
+        let mut right = left.clone();
+        if rng.gen_bool(0.75) {
+            rng.shuffle(&mut right);
+        }
+        for _ in 0..rng.gen_index(4) {
+            match (rng.gen_index(4), right.len()) {
+                (0, n) if n > 0 => {
+                    let row = &mut right[rng.gen_index(n)];
+                    let cell = rng.gen_index(row.len());
+                    row[cell] = small_value(&mut rng);
+                }
+                (1, n) if n > 0 => {
+                    right.remove(rng.gen_index(n));
+                }
+                (2, n) if n > 0 => {
+                    let row = right[rng.gen_index(n)].clone();
+                    right.insert(rng.gen_index(n + 1), row);
+                }
+                _ => right.push(vec![small_value(&mut rng), small_value(&mut rng)]),
+            }
+        }
+
+        let mut counts: HashMap<Vec<Value>, isize> = HashMap::new();
+        for row in &left {
+            *counts.entry(row.clone()).or_default() += 1;
+        }
+        for row in &right {
+            *counts.entry(row.clone()).or_default() -= 1;
+        }
+        let surplus = |sign: isize| {
+            let mut side: Vec<(Vec<Value>, usize)> = counts
+                .iter()
+                .filter(|(_, &n)| n * sign > 0)
+                .map(|(row, &n)| (row.clone(), (n * sign) as usize))
+                .collect();
+            side.sort_by(|a, b| row_total_cmp(&a.0, &b.0));
+            side
+        };
+        let d = diff_multisets(&left, &right);
+        ensure_eq!(d.only_left, surplus(1));
+        ensure_eq!(d.only_right, surplus(-1));
+        ensure_eq!((d.left_rows, d.right_rows), (left.len(), right.len()));
+        let equal = counts.values().all(|&n| n == 0);
+        ensure_eq!(d.is_empty(), equal);
+        ensure_eq!(multisets_equal(&left, &right), equal);
         Ok(())
     });
 }
