@@ -7,7 +7,7 @@
 //! harness.
 
 use ruletest_bench::harness;
-use ruletest_common::{diff_multisets, Value};
+use ruletest_common::{diff_multisets, Rng, Value};
 use ruletest_executor::execute;
 use ruletest_expr::{AggCall, AggFunc, BinOp, Expr};
 use ruletest_logical::{IdGen, JoinKind, LogicalTree};
@@ -121,18 +121,25 @@ fn main() {
         execute(&db, &agg).unwrap().len()
     });
 
-    // diff/same-order and diff/reversed: the full-width join's rows
-    // against a copy in the same order (the common case between two
-    // equivalent plans) and reversed (every row must be sorted).
+    // diff/same-order, diff/reversed and diff/permuted: the full-width
+    // join's rows against a copy in the same order (the common case
+    // between two equivalent plans), reversed and shuffled with a fixed
+    // seed (every row must be sorted).
     let same = rows.clone();
     let reversed: Vec<_> = rows.iter().rev().cloned().collect();
-    assert!(diff_multisets(&rows, &same).is_empty());
-    assert!(diff_multisets(&rows, &reversed).is_empty());
+    let mut permuted = rows.clone();
+    Rng::new(7).shuffle(&mut permuted);
+    for other in [&same, &reversed, &permuted] {
+        assert!(diff_multisets(&rows, other).is_empty());
+    }
     group.bench("diff/same-order", || {
         diff_multisets(&rows, &same).is_empty()
     });
     group.bench("diff/reversed", || {
         diff_multisets(&rows, &reversed).is_empty()
+    });
+    group.bench("diff/permuted", || {
+        diff_multisets(&rows, &permuted).is_empty()
     });
 
     // join/nl-only-plan: the count over nested loops, on scale 4.

@@ -1,9 +1,13 @@
 //! Microbenchmarks for query generation (the machinery behind Figures
 //! 8–10): pattern instantiation vs. stochastic search, singletons and
-//! pairs. Runs on the dependency-free std::time harness.
+//! pairs; then one surviving mutant's detection sweep and focused lint.
+//! Runs on the dependency-free std::time harness.
 
 use ruletest_bench::harness;
-use ruletest_core::{Framework, FrameworkConfig, GenConfig, Strategy};
+use ruletest_core::mutate::{detect_with_methodology, MutationBudget};
+use ruletest_core::{mutant_optimizer, Framework, FrameworkConfig, GenConfig, Mutant, Strategy};
+use ruletest_lint::{lint_rules_focused, LintCorpora};
+use std::sync::Arc;
 
 fn main() {
     let fw = Framework::new(&FrameworkConfig::default()).unwrap();
@@ -58,6 +62,33 @@ fn main() {
         )
         .expect("pair generation")
         .trials
+    });
+
+    // detect/benign-sweep: the full default detection budget, which every
+    // surviving mutant pays, on a benign mutant's fresh optimizer (empty
+    // invocation cache) each iteration.
+    let db = fw.optimizer.database().clone();
+    let benign = Mutant::by_id("InnerJoinCommuteDuplicated").unwrap();
+    let budget = MutationBudget::default();
+    group.bench("detect/benign-sweep", || {
+        let opt = Arc::new(mutant_optimizer(db.clone(), benign));
+        let det = detect_with_methodology(&opt, benign.rule_name, &budget).unwrap();
+        assert!(det.dynamic.is_none(), "benign mutant killed");
+        det.plans_diverged
+    });
+
+    // lint/focused: one mutant's focused lint over the campaign's shared
+    // corpora, which only rebuilds the mutated rule's corpus.
+    let corpora = LintCorpora::build(&fw.optimizer).unwrap();
+    let opt = mutant_optimizer(db.clone(), benign);
+    assert!(lint_rules_focused(&opt, benign.rule_name, &corpora)
+        .unwrap()
+        .is_clean());
+    group.bench("lint/focused", || {
+        lint_rules_focused(&opt, benign.rule_name, &corpora)
+            .unwrap()
+            .stats
+            .necessity_probes
     });
     group.finish();
 }

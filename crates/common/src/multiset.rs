@@ -4,10 +4,14 @@
 //! `Plan(q, ¬{r})` and checks that "the results of the query are identical".
 //! SQL results without a top-level ORDER BY are *bags*, so two equivalent
 //! plans may emit rows in different orders; we therefore compare results as
-//! multisets under the total value order from [`crate::value::Value::total_cmp`].
+//! multisets: both sides are sorted by a row hash, equal rows are told
+//! apart under the total value order from [`crate::value::Value::total_cmp`],
+//! and the differing rows are reported in that order.
 
 use crate::value::{Row, Value};
+use crate::WordHasher;
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 /// Total order over rows: lexicographic under `Value::total_cmp`, shorter
 /// rows first (row lengths only differ when schemas differ, which is itself
@@ -66,13 +70,28 @@ impl ResultDiff {
     }
 }
 
-fn normalize(rows: &[Row]) -> Vec<&Row> {
-    let mut v: Vec<&Row> = rows.iter().collect();
-    // Stable on purpose: results come in long sorted or reversed runs,
-    // which the stable sort merges as runs (an unstable sort took twice as
-    // long on the `diff/reversed` bench rung).
-    v.sort_by(|a, b| row_total_cmp(a, b));
+/// A row's position in the normalised order: its hash first, then
+/// `row_total_cmp` among rows that share one (equal rows, or a collision).
+fn keyed_cmp((ka, a): &(u64, &Row), (kb, b): &(u64, &Row)) -> Ordering {
+    ka.cmp(kb).then_with(|| row_total_cmp(a, b))
+}
+
+/// The rows in keyed order, which puts equal rows next to each other. A
+/// `u64` compare settles almost every step of the sort, where
+/// `row_total_cmp` walks cells; equal rows hash equal because `Value`'s
+/// derived `Hash`/`Eq` agree with `total_cmp` (it has no floats). The sort
+/// need not be stable: rows that tie are equal. No input order is cheaper
+/// to sort than another, since the keys follow the hash, not the rows.
+fn normalize(rows: &[Row], key: impl Fn(&Row) -> u64) -> Vec<(u64, &Row)> {
+    let mut v: Vec<(u64, &Row)> = rows.iter().map(|r| (key(r), r)).collect();
+    v.sort_unstable_by(keyed_cmp);
     v
+}
+
+fn row_hash(row: &Row) -> u64 {
+    let mut h = WordHasher::default();
+    row.hash(&mut h);
+    h.finish()
 }
 
 /// Compares two results as multisets and reports the difference.
@@ -81,74 +100,51 @@ fn normalize(rows: &[Row]) -> Vec<&Row> {
 /// sorting: equivalent plans often emit their rows in the same order (22 of
 /// the 23 comparisons of a `sql_differential` pass do).
 pub fn diff_multisets(left: &[Row], right: &[Row]) -> ResultDiff {
+    diff_keyed(left, right, row_hash)
+}
+
+/// [`diff_multisets`] under a given sort key. Only the order of the merge
+/// walk depends on the key; rows are told apart by `row_total_cmp`, and
+/// the surplus lists are sorted by it at the end, so any key gives the same
+/// diff.
+fn diff_keyed(left: &[Row], right: &[Row], key: impl Fn(&Row) -> u64) -> ResultDiff {
     let (l, r) = if left == right {
         (Vec::new(), Vec::new())
     } else {
-        (normalize(left), normalize(right))
+        (normalize(left, &key), normalize(right, &key))
     };
     let mut only_left: Vec<(Row, usize)> = Vec::new();
     let mut only_right: Vec<(Row, usize)> = Vec::new();
+    // Length of the run of rows equal to `rows[at]`. A row is not compared
+    // with itself: equal hashes make that a walk over every cell.
+    let run = |rows: &[(u64, &Row)], at: usize| {
+        1 + rows[at + 1..]
+            .iter()
+            .take_while(|e| keyed_cmp(e, &rows[at]) == Ordering::Equal)
+            .count()
+    };
 
     let (mut i, mut j) = (0usize, 0usize);
-    // Merge-walk the two sorted row lists, grouping equal runs.
+    // Merge-walk the two keyed row lists, one run of equal rows at a time.
     while i < l.len() || j < r.len() {
-        if i < l.len() && j < r.len() {
-            match row_total_cmp(l[i], r[j]) {
-                Ordering::Equal => {
-                    let row = l[i];
-                    let mut li = 0;
-                    while i < l.len() && row_total_cmp(l[i], row) == Ordering::Equal {
-                        li += 1;
-                        i += 1;
-                    }
-                    let mut rj = 0;
-                    while j < r.len() && row_total_cmp(r[j], row) == Ordering::Equal {
-                        rj += 1;
-                        j += 1;
-                    }
-                    match li.cmp(&rj) {
-                        Ordering::Greater => only_left.push((row.clone(), li - rj)),
-                        Ordering::Less => only_right.push((row.clone(), rj - li)),
-                        Ordering::Equal => {}
-                    }
-                }
-                Ordering::Less => {
-                    let row = l[i];
-                    let mut n = 0;
-                    while i < l.len() && row_total_cmp(l[i], row) == Ordering::Equal {
-                        n += 1;
-                        i += 1;
-                    }
-                    only_left.push((row.clone(), n));
-                }
-                Ordering::Greater => {
-                    let row = r[j];
-                    let mut n = 0;
-                    while j < r.len() && row_total_cmp(r[j], row) == Ordering::Equal {
-                        n += 1;
-                        j += 1;
-                    }
-                    only_right.push((row.clone(), n));
-                }
-            }
-        } else if i < l.len() {
-            let row = l[i];
-            let mut n = 0;
-            while i < l.len() && row_total_cmp(l[i], row) == Ordering::Equal {
-                n += 1;
-                i += 1;
-            }
-            only_left.push((row.clone(), n));
-        } else {
-            let row = r[j];
-            let mut n = 0;
-            while j < r.len() && row_total_cmp(r[j], row) == Ordering::Equal {
-                n += 1;
-                j += 1;
-            }
-            only_right.push((row.clone(), n));
+        let order = match (l.get(i), r.get(j)) {
+            (Some(a), Some(b)) => keyed_cmp(a, b),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        let li = if order.is_le() { run(&l, i) } else { 0 };
+        let rj = if order.is_ge() { run(&r, j) } else { 0 };
+        let row = if order.is_le() { l[i].1 } else { r[j].1 };
+        match li.cmp(&rj) {
+            Ordering::Greater => only_left.push((row.clone(), li - rj)),
+            Ordering::Less => only_right.push((row.clone(), rj - li)),
+            Ordering::Equal => {}
         }
+        i += li;
+        j += rj;
     }
+    only_left.sort_unstable_by(|a, b| row_total_cmp(&a.0, &b.0));
+    only_right.sort_unstable_by(|a, b| row_total_cmp(&a.0, &b.0));
 
     ResultDiff {
         only_left,
@@ -280,6 +276,36 @@ mod tests {
         ];
         for (name, left, right, expected) in cases {
             assert_eq!(diff_multisets(&left, &right), expected, "{name}");
+        }
+    }
+
+    /// A key under which every row collides leaves the sort and the merge
+    /// walk to `row_total_cmp` alone: equality and the diff stay exact.
+    #[test]
+    fn colliding_keys_still_give_the_exact_diff() {
+        let s = |v: &str| Value::Str(v.into());
+        let left = vec![
+            vec![s("b"), Value::Null],
+            r(&[3, 1]),
+            vec![s("a"), Value::Bool(true)],
+            r(&[3, 1]),
+            vec![Value::Null, Value::Null],
+            r(&[2]),
+        ];
+        let mut right = left.clone();
+        right.reverse();
+        for key in [row_hash as fn(&Row) -> u64, |_: &Row| 7] {
+            assert!(diff_keyed(&left, &right, key).is_empty());
+            let mut edited = right.clone();
+            edited[0] = r(&[3, 1]);
+            edited.push(vec![s("a"), Value::Bool(false)]);
+            let d = diff_keyed(&left, &edited, key);
+            assert_eq!(d, diff_multisets(&left, &edited));
+            assert_eq!(d.only_left, vec![(r(&[2]), 1)]);
+            assert_eq!(
+                d.only_right,
+                vec![(r(&[3, 1]), 1), (vec![s("a"), Value::Bool(false)], 1)]
+            );
         }
     }
 

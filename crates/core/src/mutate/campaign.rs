@@ -3,7 +3,8 @@
 //!
 //! Each mutant gets its own optimizer (the sabotaged rule swapped in
 //! for the real one via `Optimizer::new_with_overrides`), a focused
-//! static lint pass, and a [`detect_with_methodology`] sweep. Mutants
+//! static lint pass over lint corpora the campaign builds once, and a
+//! [`detect_with_methodology`] sweep. The sweeps
 //! run in parallel via the deterministic `par_map` pool; outcomes come
 //! back in catalog order and telemetry is merged afterwards, so the
 //! report is byte-identical at any thread count.
@@ -12,6 +13,8 @@ use super::detect::{detect_with_methodology, Detection, DynamicKill, MutationBud
 use super::report::MutationReport;
 use super::{mutant_optimizer, BugClass, Mutant, Verdict};
 use ruletest_common::{par_map, Result};
+use ruletest_lint::{lint_rules_focused, LintCorpora};
+use ruletest_optimizer::Optimizer;
 use ruletest_storage::Database;
 use ruletest_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
@@ -102,11 +105,24 @@ pub fn run_mutation_campaign(
 ) -> Result<MutationReport> {
     let selected = cfg.select();
     let budget = cfg.budget;
+    let static_caught = lint_each(db, &selected)?;
     let outcomes: Vec<Result<MutantOutcome>> = par_map(
         cfg.threads,
         tel.pool_stats(),
         &selected,
-        move |_idx, m: &&'static Mutant| run_one(db.clone(), m, &budget, tel),
+        |idx, m: &&'static Mutant| {
+            let opt = Arc::new(mutant_optimizer(db.clone(), m));
+            // Attach the campaign telemetry so the detection sweep's spans
+            // and per-rule optimize costs are attributed under `mutation`.
+            if tel.is_enabled() {
+                opt.attach_telemetry(tel.clone());
+            }
+            Ok(MutantOutcome {
+                mutant: m,
+                static_caught: static_caught[idx],
+                detection: detect_with_methodology(&opt, m.rule_name, &budget)?,
+            })
+        },
     );
     let outcomes: Vec<MutantOutcome> = outcomes.into_iter().collect::<Result<_>>()?;
     for o in &outcomes {
@@ -124,24 +140,17 @@ pub fn run_mutation_campaign(
     Ok(MutationReport::from_outcomes(outcomes, &budget))
 }
 
-fn run_one(
-    db: Arc<Database>,
-    mutant: &'static Mutant,
-    budget: &MutationBudget,
-    tel: &Telemetry,
-) -> Result<MutantOutcome> {
-    let opt = Arc::new(mutant_optimizer(db, mutant));
-    // Attach the campaign telemetry so the detection sweep's spans and
-    // per-rule optimize costs are attributed under `mutation`.
-    if tel.is_enabled() {
-        opt.attach_telemetry(tel.clone());
-    }
-    let lint = ruletest_lint::lint_rules_focused(&opt, mutant.rule_name)?;
-    let static_caught = lint.flagged_rules().iter().any(|r| r == mutant.rule_name);
-    let detection = detect_with_methodology(&opt, mutant.rule_name, budget)?;
-    Ok(MutantOutcome {
-        mutant,
-        static_caught,
-        detection,
-    })
+/// Whether each mutant's focused lint flags its rule. A mutant replaces
+/// one rule, so every other rule's lint corpus is the real catalog's: built
+/// once here, and dropped before the detection sweeps start.
+fn lint_each(db: &Arc<Database>, selected: &[&'static Mutant]) -> Result<Vec<bool>> {
+    let corpora = LintCorpora::build(&Optimizer::new(db.clone()))?;
+    selected
+        .iter()
+        .map(|m| {
+            let opt = mutant_optimizer(db.clone(), m);
+            let lint = lint_rules_focused(&opt, m.rule_name, &corpora)?;
+            Ok(lint.flagged_rules().iter().any(|r| r == m.rule_name))
+        })
+        .collect()
 }

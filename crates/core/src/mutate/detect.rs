@@ -96,12 +96,21 @@ impl DynamicKill {
     }
 }
 
-/// Classifies an asymmetric execution failure: a cooperative-deadline
-/// expiry is a hang, anything else a crash.
-fn failure_kind(e: &ruletest_common::Error) -> KillKind {
-    match e {
-        ruletest_common::Error::Timeout(_) => KillKind::Hang,
-        _ => KillKind::Crash,
+/// Classifies one differential pair — two optimizations or two
+/// executions of the same query, with and without the mutant. Exactly one
+/// side failing implicates the mutant: a cooperative-deadline expiry is a
+/// hang, any other error a crash. Both succeeding or both failing is not a
+/// kill here.
+fn asymmetric<A, B>(
+    base: &ruletest_common::Result<A>,
+    masked: &ruletest_common::Result<B>,
+) -> Option<KillKind> {
+    match (base, masked) {
+        (Ok(_), Err(e)) | (Err(e), Ok(_)) => Some(match e {
+            ruletest_common::Error::Timeout(_) => KillKind::Hang,
+            _ => KillKind::Crash,
+        }),
+        _ => None,
     }
 }
 
@@ -140,6 +149,8 @@ pub fn detect_with_methodology(
     let _span = tel.span(ruletest_telemetry::Stage::Mutation);
     let db = opt.database();
     let fw = Framework::with_optimizer(opt.clone());
+    let masked_config = OptimizerConfig::disabling(&[rule]);
+    let pattern = opt.rule_pattern(rule).clone();
     let mut det = Detection::default();
     let mut trials = 0u64;
     for seed in 0..budget.seeds {
@@ -156,38 +167,28 @@ pub fn detect_with_methodology(
             det.fired = true;
             // The trial optimized this tree through the same cache: a hit,
             // unless its search stopped at the memo cap without a plan.
-            let base = opt.optimize_cached(&out.query)?;
-            let masked = opt.optimize_with(&out.query, &OptimizerConfig::disabling(&[rule]))?;
-            if !base.plan.same_shape(&masked.plan) {
-                det.plans_diverged = true;
-                let exec = ExecConfig {
-                    deadline: ruletest_common::Deadline::after_ms(budget.exec_deadline_ms),
-                    ..ExecConfig::default()
-                };
-                match (
-                    execute_profiled(db, &base.plan, &exec, &tel),
-                    execute_profiled(db, &masked.plan, &exec, &tel),
-                ) {
-                    (Ok(a), Ok(b)) => {
-                        if !multisets_equal(&a, &b) {
-                            det.dynamic = Some(DynamicKill {
-                                seed,
-                                trials,
-                                kind: KillKind::Diff,
-                            });
-                            return Ok(det);
-                        }
+            let base = opt.optimize_cached(&out.query);
+            let masked = opt.optimize_with_cached(&out.query, &masked_config);
+            let kill = match (&base, &masked) {
+                (Ok(base), Ok(masked)) if !base.plan.same_shape(&masked.plan) => {
+                    det.plans_diverged = true;
+                    let exec = ExecConfig {
+                        deadline: ruletest_common::Deadline::after_ms(budget.exec_deadline_ms),
+                        ..ExecConfig::default()
+                    };
+                    let a = execute_profiled(db, &base.plan, &exec, &tel);
+                    let b = execute_profiled(db, &masked.plan, &exec, &tel);
+                    match (&a, &b) {
+                        (Ok(a), Ok(b)) if !multisets_equal(a, b) => Some(KillKind::Diff),
+                        _ => asymmetric(&a, &b),
                     }
-                    (Ok(_), Err(e)) | (Err(e), Ok(_)) => {
-                        det.dynamic = Some(DynamicKill {
-                            seed,
-                            trials,
-                            kind: failure_kind(&e),
-                        });
-                        return Ok(det);
-                    }
-                    (Err(_), Err(_)) => {}
                 }
+                _ => asymmetric(&base, &masked),
+            };
+            if let Some(kind) = kill {
+                det.plans_diverged = true;
+                det.dynamic = Some(DynamicKill { seed, trials, kind });
+                return Ok(det);
             }
         } else {
             trials += budget.max_trials as u64;
@@ -199,27 +200,24 @@ pub fn detect_with_methodology(
         // this seed's candidates: if the mutant-enabled optimizer errors
         // on a pattern-matching query the masked optimizer handles fine,
         // the mutant is implicated — a plan-time differential crash.
-        let pattern = opt.rule_pattern(rule).clone();
         let mut rng = Rng::new(seed);
         for _ in 0..budget.max_trials {
             let mut ids = IdGen::new();
             let Some(built) = instantiate_pattern(db, &mut rng, &mut ids, &pattern) else {
                 continue;
             };
-            if let Err(e) = opt.optimize(&built.tree) {
-                if opt
-                    .optimize_with(&built.tree, &OptimizerConfig::disabling(&[rule]))
-                    .is_ok()
-                {
-                    det.fired = true;
-                    det.plans_diverged = true;
-                    det.dynamic = Some(DynamicKill {
-                        seed,
-                        trials,
-                        kind: failure_kind(&e),
-                    });
-                    return Ok(det);
-                }
+            // Generation searched most of these trees already: the cache
+            // answers them, and errors (never cached) are recomputed.
+            let base = opt.optimize_cached(&built.tree);
+            if base.is_ok() {
+                continue;
+            }
+            let masked = opt.optimize_with_cached(&built.tree, &masked_config);
+            if let Some(kind) = asymmetric(&base, &masked) {
+                det.fired = true;
+                det.plans_diverged = true;
+                det.dynamic = Some(DynamicKill { seed, trials, kind });
+                return Ok(det);
             }
         }
     }
@@ -230,13 +228,62 @@ pub fn detect_with_methodology(
 mod tests {
     use super::*;
 
+    /// The one classifier every differential site uses: exactly one
+    /// failing side is a kill, a timeout a hang and any other error a
+    /// crash, whichever side failed; agreement is never a kill.
     #[test]
-    fn timeouts_classify_as_hangs_and_everything_else_as_crashes() {
-        use ruletest_common::Error;
-        assert_eq!(failure_kind(&Error::timeout("deadline")), KillKind::Hang);
-        assert_eq!(failure_kind(&Error::internal("boom")), KillKind::Crash);
-        assert_eq!(failure_kind(&Error::unsupported("nope")), KillKind::Crash);
-        assert_eq!(failure_kind(&Error::budget("rows")), KillKind::Crash);
+    fn only_one_failing_side_is_a_kill() {
+        use ruletest_common::{Error, Result};
+        let ok = || -> Result<()> { Ok(()) };
+        let cases = [
+            ("both ok", ok(), ok(), None),
+            (
+                "both fail",
+                Err(Error::internal("a")),
+                Err(Error::timeout("b")),
+                None,
+            ),
+            (
+                "base crashes",
+                Err(Error::internal("boom")),
+                ok(),
+                Some(KillKind::Crash),
+            ),
+            (
+                "masked crashes",
+                ok(),
+                Err(Error::unsupported("nope")),
+                Some(KillKind::Crash),
+            ),
+            (
+                "base over budget",
+                Err(Error::budget("rows")),
+                ok(),
+                Some(KillKind::Crash),
+            ),
+            (
+                "base hangs",
+                Err(Error::timeout("deadline")),
+                ok(),
+                Some(KillKind::Hang),
+            ),
+            (
+                "masked hangs",
+                ok(),
+                Err(Error::timeout("deadline")),
+                Some(KillKind::Hang),
+            ),
+        ];
+        for (name, base, masked, expected) in cases {
+            assert_eq!(asymmetric(&base, &masked), expected, "{name}");
+        }
+        // The two sides may carry different success types (a plan and a
+        // result set).
+        let rows: Result<Vec<u8>> = Ok(vec![]);
+        assert_eq!(
+            asymmetric(&Err::<(), _>(Error::internal("x")), &rows),
+            Some(KillKind::Crash)
+        );
     }
 
     #[test]

@@ -650,11 +650,11 @@ pub fn audit_rule(
 /// queries target firings that can never happen.
 pub fn necessity_probe(
     rules: &[&Rule],
-    corpora: &[CorpusTree],
+    corpora: &[&[CorpusTree]],
     stats: &mut AuditStats,
 ) -> Vec<LintViolation> {
     let mut out = Vec::new();
-    for ct in corpora {
+    for ct in corpora.iter().copied().flatten() {
         for rule in rules {
             if matches!(rule.pattern, PatternTree::Any) {
                 // A bare placeholder binds nothing a rule could use; the
