@@ -35,8 +35,8 @@ use ruletest_optimizer::{
     SnapshotStore,
 };
 use ruletest_telemetry::{
-    CacheSection, HistogramSnapshot, Json, PoolSection, ProfileSample, ProfileSection, RuleCostRow,
-    RulePhase, RunReport, SpanRow, TraceSection, HIST_BUCKETS,
+    diff_reports, CacheSection, Event, HistogramSnapshot, Json, PoolSection, ProfileSample,
+    ProfileSection, RuleCostRow, RulePhase, RunReport, SpanRow, TraceSection, Tracer, HIST_BUCKETS,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -764,6 +764,83 @@ fn run_report_document() {
     let back = RunReport::from_json(&golden("run_report.json")).unwrap();
     assert_eq!(back, run_report());
     assert_golden(&back.to_json().to_string_pretty(), "run_report.json");
+}
+
+/// The deterministic slice `ruletest` compares across thread counts.
+#[test]
+fn run_report_deterministic_slice() {
+    let actual = run_report().deterministic_json() + "\n";
+    assert_golden(&actual, "run_report_deterministic.json");
+}
+
+/// `ruletest diff --json`: a current report that moved a deterministic
+/// counter and a rule firing, dropped a span and gained a counter and a
+/// histogram, so the document carries both regressions and notes.
+#[test]
+fn diff_report_document() {
+    let base = run_report();
+    let mut cur = run_report();
+    cur.counters.insert("generate.trials".to_string(), 41);
+    cur.counters.insert("graph.edges_pruned".to_string(), 3);
+    cur.rule_firings.insert("Rule \"C\"".to_string(), 2);
+    cur.histograms
+        .insert("graph.probes".to_string(), histogram(&[(2, 1)], 1, 3));
+    cur.profile.spans.pop();
+    let diff = diff_reports(&base, &cur, 25);
+    assert!(!diff.regressions.is_empty() && !diff.notes.is_empty());
+    assert_golden(&diff.to_json().to_string_pretty(), "diff_report.json");
+}
+
+/// The JSONL trace: one line per `Event` variant, with a fingerprint and a
+/// count above 2^53 and a `site` that needs escapes.
+#[test]
+fn trace_lines() {
+    let tracer = Tracer::new(64);
+    for event in [
+        Event::Invocation {
+            fingerprint: u64::MAX - 1,
+            masked_rules: 3,
+            groups: 12,
+            exprs: 40,
+            truncated: true,
+            elapsed_us: (1 << 53) + 1,
+        },
+        Event::CacheLookup {
+            fingerprint: 1 << 53,
+            hit: false,
+        },
+        Event::RuleFire {
+            rule: 7,
+            phase: RulePhase::Implement,
+            produced: 2,
+        },
+        Event::GenOutcome {
+            rule: 3,
+            trials: 400,
+            ops: 5,
+            found: true,
+        },
+        Event::GraphProbe {
+            target: 2,
+            scanned: 9,
+            pruned: 4,
+        },
+        Event::Validation {
+            target: 1,
+            query: 6,
+            outcome: "bug",
+        },
+        Event::Supervised {
+            kind: "panic",
+            site: "exec.pair \"q\\7\"\n\t\u{1}".to_string(),
+            fingerprint: 0xdead_beef_0bad_f00d,
+        },
+    ] {
+        tracer.record(event);
+    }
+    let mut buf = Vec::new();
+    tracer.export_jsonl(&mut buf).unwrap();
+    assert_golden(std::str::from_utf8(&buf).unwrap(), "trace.jsonl");
 }
 
 // ---------------------------------------------------------------------
