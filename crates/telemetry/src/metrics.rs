@@ -60,9 +60,6 @@ pub enum Counter {
     MinimizationSteps,
     /// Findings collapsed into an existing bug signature by triage dedup.
     DuplicatesCollapsed,
-    /// Static lint violations flagged during search. Reserved: nothing
-    /// increments it, the name only keeps its place in the report schema.
-    LintViolations,
     /// Mutants killed by the mutation campaign (statically or dynamically,
     /// per their expected verdict).
     MutantsKilled,
@@ -108,7 +105,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 33;
 
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::OptInvocations,
@@ -130,7 +127,6 @@ impl Counter {
         Counter::BugsMinimized,
         Counter::MinimizationSteps,
         Counter::DuplicatesCollapsed,
-        Counter::LintViolations,
         Counter::MutantsKilled,
         Counter::MutantsSurvived,
         Counter::LintEscapes,
@@ -169,7 +165,6 @@ impl Counter {
             Counter::BugsMinimized => "triage.bugs_minimized",
             Counter::MinimizationSteps => "triage.minimization_steps",
             Counter::DuplicatesCollapsed => "triage.duplicates_collapsed",
-            Counter::LintViolations => "lint.violations",
             Counter::MutantsKilled => "mutate.killed",
             Counter::MutantsSurvived => "mutate.survived",
             Counter::LintEscapes => "mutate.lint_escapes",
