@@ -19,7 +19,7 @@
 //! warm-cache gate asserts it drops. The 1-vs-N determinism runs never
 //! touch the store, so the speedup/overhead numbers stay cold-for-cold.
 
-use ruletest_common::Parallelism;
+use ruletest_common::{to_pretty, JsonWriter, Parallelism};
 use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
@@ -29,7 +29,7 @@ use ruletest_core::{
 use ruletest_executor::ExecConfig;
 use ruletest_optimizer::SnapshotStore;
 use ruletest_storage::tpch_database;
-use ruletest_telemetry::{Json, RunReport, Telemetry};
+use ruletest_telemetry::{RunReport, Telemetry};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -223,32 +223,37 @@ fn main() {
         .check()
         .expect("telemetry run report failed its self-check");
 
-    let doc = Json::obj(vec![
-        ("bench", Json::str("campaign")),
-        ("threads", Json::count(threads as u64)),
-        ("rules", Json::count(rules as u64)),
-        ("k", Json::count(k as u64)),
-        ("seed", Json::count(seed)),
-        ("single_thread_s", Json::num(single.elapsed_s)),
-        ("multi_thread_s", Json::num(multi.elapsed_s)),
-        ("telemetry_s", Json::num(traced.elapsed_s)),
-        ("speedup", Json::num(speedup)),
-        ("telemetry_overhead_pct", Json::num(overhead_pct)),
-        ("invocations", Json::count(multi.invocations)),
+    let mut doc = String::new();
+    fn number(w: &mut JsonWriter<'_>, key: &str, n: f64) {
+        w.key(key);
+        w.num(n);
+    }
+    JsonWriter::pretty(&mut doc).object(|w| {
+        w.member("bench", "campaign");
+        w.member("cache_hits", &multi.cache_hits);
+        w.member("cache_misses", &multi.cache_misses);
+        w.member("invocations", &multi.invocations);
+        w.member("k", &k);
+        number(w, "multi_thread_s", multi.elapsed_s);
+        w.member("rules", &rules);
+        w.member("run_report", &traced.run_report);
+        w.member("seed", &seed);
+        number(w, "single_thread_s", single.elapsed_s);
+        number(w, "speedup", speedup);
         // Physical computes in the telemetry run — with --cache-dir this
         // is what the disk cache could not answer (the warm-cache CI gate
         // asserts it collapses on a second run).
-        ("telemetry_invocations", Json::count(traced.invocations)),
-        ("cache_hits", Json::count(multi.cache_hits)),
-        ("cache_misses", Json::count(multi.cache_misses)),
-        ("run_report", traced.run_report.to_json()),
-    ]);
-    std::fs::write("BENCH_campaign.json", doc.to_string_pretty()).expect("writing bench json");
+        w.member("telemetry_invocations", &traced.invocations);
+        number(w, "telemetry_overhead_pct", overhead_pct);
+        number(w, "telemetry_s", traced.elapsed_s);
+        w.member("threads", &threads);
+    });
+    doc.push('\n');
+    std::fs::write("BENCH_campaign.json", doc).expect("writing bench json");
     println!("  wrote BENCH_campaign.json");
     if let Some(path) = metrics_json {
         // A plain RunReport document, consumable by `ruletest report`.
-        std::fs::write(&path, traced.run_report.to_json().to_string_pretty())
-            .expect("writing metrics json");
+        std::fs::write(&path, to_pretty(&traced.run_report)).expect("writing metrics json");
         println!("  wrote {path}");
     }
     if let Some(path) = trace_out {

@@ -41,29 +41,8 @@ pub enum FaultKind {
     Budget,
 }
 
-impl FaultKind {
-    pub const ALL: [FaultKind; 3] = [FaultKind::Panic, FaultKind::Stall, FaultKind::Budget];
-
-    /// Stable name used in plan specs and telemetry.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::Stall => "stall",
-            FaultKind::Budget => "budget",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Result<FaultKind> {
-        FaultKind::ALL
-            .into_iter()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| {
-                Error::unsupported(format!(
-                    "unknown chaos fault kind '{name}' (known: panic, stall, budget)"
-                ))
-            })
-    }
-}
+// Stable names used in plan specs and telemetry.
+crate::wire_names!(FaultKind { Panic => "panic", Stall => "stall", Budget => "budget" });
 
 /// One schedule entry: inject `kind` at `site` on every `every`-th hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +99,11 @@ impl ChaosPlan {
             })?;
             rules.push(SiteRule {
                 site: site.to_string(),
-                kind: FaultKind::from_name(kind)?,
+                kind: FaultKind::from_name(kind).ok_or_else(|| {
+                    Error::unsupported(format!(
+                        "unknown chaos fault kind '{kind}' (known: panic, stall, budget)"
+                    ))
+                })?,
                 every,
                 times,
             });

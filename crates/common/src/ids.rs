@@ -1,6 +1,6 @@
 //! Identifier newtypes used across the workspace.
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::wire::{Decode, DecodeError, Encode};
 use std::fmt;
 
@@ -46,8 +46,8 @@ impl fmt::Display for RuleId {
 macro_rules! id_wire {
     ($($ty:ident),+) => {$(
         impl Encode for $ty {
-            fn encode(&self) -> Json {
-                self.0.encode()
+            fn encode(&self, w: &mut JsonWriter<'_>) {
+                self.0.encode(w);
             }
         }
 

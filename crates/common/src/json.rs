@@ -1,15 +1,25 @@
-//! Minimal JSON value model, serializer, and parser.
+//! Minimal JSON: one writer, and a value model with its parser.
 //!
 //! The workspace builds fully offline with zero external dependencies, so
 //! it carries its own JSON support: enough of RFC 8259 to write and read
 //! back every persisted document (cache shards, checkpoints, bundles, run
-//! reports) and JSONL trace events. Numbers are `f64`, exact for integers
-//! up to 2^53; [`Json::count`] writes larger `u64`s as decimal strings.
-//! An object is a [`Members`] vector kept sorted by key, so serialization
-//! is canonical, which is what lets tests compare reports as strings and
-//! lets a compact-printed cache key address its shard entry. The typed
-//! layer over this value model is [`crate::wire`].
+//! reports) and JSONL trace events. Writing and reading are separate:
+//!
+//! * [`JsonWriter`] prints a document as it is visited, compact or pretty.
+//!   Every [`Encode`] writes into one; no write path builds a tree. An
+//!   object's members are written in ascending key order, so compact text
+//!   is canonical, which is what lets tests compare reports as strings and
+//!   lets a compact-printed cache key address its shard entry.
+//! * [`Json`] is what [`Json::parse`] returns and what
+//!   [`Decode`](crate::wire::Decode) reads. An object is a [`Members`]
+//!   vector kept sorted by key. A parsed value prints through the same
+//!   writer.
+//!
+//! Numbers are `f64`, exact for integers up to 2^53;
+//! [`JsonWriter::count`] writes larger `u64`s as decimal strings. The typed
+//! layer over both is [`crate::wire`].
 
+use crate::wire::Encode;
 use std::fmt::{self, Write as _};
 use std::ops::Index;
 
@@ -39,10 +49,6 @@ pub type MembersIter<'a> =
     std::iter::Map<std::slice::Iter<'a, (String, Json)>, fn(&(String, Json)) -> (&String, &Json)>;
 
 impl Members {
-    pub fn new() -> Self {
-        Members(Vec::new())
-    }
-
     #[inline]
     fn find(&self, key: &str) -> Result<usize, usize> {
         self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
@@ -63,21 +69,6 @@ impl Members {
         self.get(key).is_some()
     }
 
-    /// Sets member `key`, returning the value it replaces.
-    pub fn insert(&mut self, key: String, value: Json) -> Option<Json> {
-        match self.find(&key) {
-            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
-            Err(i) => {
-                self.0.insert(i, (key, value));
-                None
-            }
-        }
-    }
-
-    pub fn remove(&mut self, key: &str) -> Option<Json> {
-        self.find(key).ok().map(|i| self.0.remove(i).1)
-    }
-
     pub fn iter(&self) -> MembersIter<'_> {
         fn pair((k, v): &(String, Json)) -> (&String, &Json) {
             (k, v)
@@ -89,10 +80,6 @@ impl Members {
 
     pub fn keys(&self) -> impl Iterator<Item = &String> {
         self.0.iter().map(|(k, _)| k)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -143,29 +130,6 @@ impl fmt::Debug for Members {
 const MAX_EXACT_INT: u64 = 1 << 53;
 
 impl Json {
-    /// Convenience: an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// A `u64`: a number up to 2^53 (every integer below is exact in an
-    /// `f64`), a decimal string above, so no value rounds on the way out.
-    pub fn count(n: u64) -> Json {
-        if n <= MAX_EXACT_INT {
-            Json::Num(n as f64)
-        } else {
-            Json::Str(n.to_string())
-        }
-    }
-
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
     pub fn as_obj(&self) -> Option<&Members> {
         match self {
             Json::Obj(m) => Some(m),
@@ -188,7 +152,7 @@ impl Json {
     }
 
     /// A non-negative integral number no larger than 2^53. Anything above
-    /// is not exactly representable (and [`Json::count`] never writes it),
+    /// is not exactly representable (and [`JsonWriter::count`] never writes it),
     /// so a corrupt `1e300` is rejected instead of saturating to `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -220,77 +184,13 @@ impl Json {
 
     /// Canonical single-line serialization (sorted keys, no whitespace).
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
-    /// Pretty serialization with two-space indentation.
-    pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    item.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
+        crate::wire::to_compact(self)
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut pos = 0usize;
-        let value = parse_value::<true>(text, &mut pos)?;
+        let value = parse_value::<true>(text, &mut pos, 0)?;
         at_end(text, pos)?;
         Ok(value)
     }
@@ -300,7 +200,7 @@ impl Json {
     /// [`Json::parse`] but not built, and what follows it is not read.
     pub fn value_end(text: &str) -> Result<usize, String> {
         let mut pos = 0usize;
-        parse_value::<false>(text, &mut pos)?;
+        parse_value::<false>(text, &mut pos, 0)?;
         Ok(pos)
     }
 }
@@ -316,11 +216,11 @@ impl Members {
         let members = match b.get(pos) {
             Some(b'}') => {
                 pos += 1;
-                Members::new()
+                Members::default()
             }
             Some(b',') => {
                 pos += 1;
-                parse_members::<true>(text, &mut pos)?
+                parse_members::<true>(text, &mut pos, 1)?
             }
             _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
         };
@@ -329,33 +229,233 @@ impl Members {
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        // JSON has no Infinity/NaN; null is the conventional stand-in.
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
+/// The one JSON printer: a document is written into `out` as it is
+/// visited, compact or pretty (two-space indentation, `": "` after a key).
+/// [`Encode`] writes into it; a parsed [`Json`] prints through it too.
+///
+/// An object's members are written in strictly ascending key order, the
+/// order a parse keeps, so compact text is canonical. Debug builds assert
+/// it for every object written.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container has no element yet.
+    empty: bool,
+    /// A key was written; its value comes next.
+    after_key: bool,
+    /// Per open container, the last key written in it.
+    #[cfg(debug_assertions)]
+    keys: Vec<Option<String>>,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// Appends single-line text (no whitespace) to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Self::new(out, false)
+    }
+
+    /// Appends indented text to `out`, with no final newline.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Self::new(out, true)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> Self {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            empty: true,
+            after_key: false,
+            #[cfg(debug_assertions)]
+            keys: Vec::new(),
+        }
+    }
+
+    /// The separator and indentation a new element of the open container
+    /// takes (none for a key's value).
+    fn element(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if self.depth > 0 {
+            if !self.empty {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+        self.empty = false;
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    pub fn null(&mut self) {
+        self.element();
+        self.out.push_str("null");
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.element();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A finite number as the shortest decimal that reads back exactly
+    /// (integral ones without a fraction); NaN and infinities as `null`.
+    pub fn num(&mut self, n: f64) {
+        self.element();
+        if !n.is_finite() {
+            // JSON has no Infinity/NaN; null is the conventional stand-in.
+            self.out.push_str("null");
+        } else if n.fract() == 0.0 && n.abs() < 9e15 {
+            let _ = write!(self.out, "{}", n as i64);
+        } else {
+            let _ = write!(self.out, "{n}");
+        }
+    }
+
+    /// A `u64`: a number up to 2^53 (every integer below is exact in an
+    /// `f64`), a decimal string above, so no value rounds on the way out.
+    pub fn count(&mut self, n: u64) {
+        self.element();
+        if n <= MAX_EXACT_INT {
+            write_u64(self.out, n);
+        } else {
+            self.out.push('"');
+            write_u64(self.out, n);
+            self.out.push('"');
+        }
+    }
+
+    pub fn str(&mut self, s: &str) {
+        self.element();
+        write_escaped(self.out, s);
+    }
+
+    /// An object; `members` writes each member with [`Self::member`] (or
+    /// [`Self::key`] and a value), keys ascending.
+    pub fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        self.open('{');
+        members(self);
+        self.close('}');
+    }
+
+    /// An array; `items` writes each element.
+    pub fn array(&mut self, items: impl FnOnce(&mut Self)) {
+        self.open('[');
+        items(self);
+        self.close(']');
+    }
+
+    /// Member `key` of the open object; the value written next is its.
+    pub fn key(&mut self, key: &str) {
+        #[cfg(debug_assertions)]
+        {
+            let last = self.keys.last_mut().expect("a key outside an object");
+            if let Some(prev) = last.as_deref() {
+                assert!(
+                    prev < key,
+                    "object keys out of order: {prev:?} before {key:?}"
+                );
+            }
+            *last = Some(key.to_string());
+        }
+        self.element();
+        write_escaped(self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    /// Member `key` of the open object, with `value`'s wire form.
+    pub fn member<T: Encode + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.encode(self);
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.element();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+        #[cfg(debug_assertions)]
+        self.keys.push(None);
+    }
+
+    fn close(&mut self, bracket: char) {
+        debug_assert!(!self.after_key, "a key without a value");
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+        #[cfg(debug_assertions)]
+        self.keys.pop();
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A parsed value prints through the writer: an object's members are
+/// already sorted.
+impl Encode for Json {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.num(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.array(|w| items.iter().for_each(|v| v.encode(w))),
+            Json::Obj(members) => w.object(|w| members.iter().for_each(|(k, v)| w.member(k, v))),
         }
     }
+}
+
+/// `s` as a JSON string. The runs between characters that need an escape
+/// (a quote, a backslash, a control character; all ASCII, so a run ends
+/// on a character boundary) are copied in one piece.
+fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// The decimal digits of `n`, without the formatting machinery.
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -382,12 +482,22 @@ fn at_end(text: &str, mut pos: usize) -> Result<(), String> {
     }
 }
 
-// The parser. With `BUILD` false it walks the same grammar without
-// building: strings are not copied, containers stay empty.
+/// How deep arrays and objects may nest. The parser recurses per level, so
+/// without a limit a corrupt line of `[`s overflows the stack. The deepest
+/// document the campaign writes nests 22 (a 30-target, k = 10 snapshot's
+/// shard line; the goldens reach 17), so the limit leaves a margin over 10×.
+pub const MAX_DEPTH: usize = 256;
 
-fn parse_value<const BUILD: bool>(s: &str, pos: &mut usize) -> Result<Json, String> {
+// The parser. With `BUILD` false it walks the same grammar without
+// building: strings are not copied, containers stay empty. `depth` counts
+// the containers around the value being read.
+
+fn parse_value<const BUILD: bool>(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let b = s.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -403,7 +513,7 @@ fn parse_value<const BUILD: bool>(s: &str, pos: &mut usize) -> Result<Json, Stri
                 return Ok(Json::Arr(items));
             }
             loop {
-                let item = parse_value::<BUILD>(s, pos)?;
+                let item = parse_value::<BUILD>(s, pos, depth + 1)?;
                 if BUILD {
                     items.push(item);
                 }
@@ -423,9 +533,9 @@ fn parse_value<const BUILD: bool>(s: &str, pos: &mut usize) -> Result<Json, Stri
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b'}') {
                 *pos += 1;
-                return Ok(Json::Obj(Members::new()));
+                return Ok(Json::Obj(Members::default()));
             }
-            parse_members::<BUILD>(s, pos).map(Json::Obj)
+            parse_members::<BUILD>(s, pos, depth + 1).map(Json::Obj)
         }
         Some(_) => parse_number(b, pos).map(Json::Num),
     }
@@ -433,7 +543,11 @@ fn parse_value<const BUILD: bool>(s: &str, pos: &mut usize) -> Result<Json, Stri
 
 /// An object's members from the first key through the closing brace. They
 /// are pushed as read and sorted only if they came out of order.
-fn parse_members<const BUILD: bool>(s: &str, pos: &mut usize) -> Result<Members, String> {
+fn parse_members<const BUILD: bool>(
+    s: &str,
+    pos: &mut usize,
+    depth: usize,
+) -> Result<Members, String> {
     let b = s.as_bytes();
     let mut members: Vec<(String, Json)> = Vec::new();
     let mut sorted = true;
@@ -442,7 +556,7 @@ fn parse_members<const BUILD: bool>(s: &str, pos: &mut usize) -> Result<Members,
         let key = parse_string::<BUILD>(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, ":")?;
-        let value = parse_value::<BUILD>(s, pos)?;
+        let value = parse_value::<BUILD>(s, pos, depth)?;
         if BUILD {
             sorted &= members.last().is_none_or(|(last, _)| *last < key);
             members.push((key, value));
@@ -557,47 +671,70 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
 mod tests {
     use super::*;
 
+    use crate::wire::{to_compact, to_pretty};
+
+    const DOC: &str =
+        r#"{"a":42,"b":[null,true,1.5],"c":"quote \" backslash \\ newline \n","d":{}}"#;
+
     #[test]
     fn roundtrip_compact() {
-        let doc = Json::obj(vec![
-            ("a", Json::count(42)),
-            (
-                "b",
-                Json::Arr(vec![Json::Null, Json::Bool(true), Json::num(1.5)]),
-            ),
-            ("c", Json::str("quote \" backslash \\ newline \n")),
-            ("d", Json::Obj(Members::new())),
-        ]);
-        let text = doc.to_string_compact();
-        assert_eq!(Json::parse(&text).unwrap(), doc);
-        // Canonical: re-serializing the parse is identical.
-        assert_eq!(Json::parse(&text).unwrap().to_string_compact(), text);
+        // Canonical: printing the parse is the text, and re-parses equal.
+        let doc = Json::parse(DOC).unwrap();
+        assert_eq!(doc.to_string_compact(), DOC);
+        assert_eq!(Json::parse(&doc.to_string_compact()).unwrap(), doc);
+        // Members are printed sorted, whatever order they were read in.
+        let shuffled = Json::parse(
+            r#"{ "d" : {}, "b":[null, true ,1.5],"a":42,
+            "c":"quote \" backslash \\ newline \u000a"}"#,
+        );
+        assert_eq!(shuffled.unwrap().to_string_compact(), DOC);
     }
 
     #[test]
     fn roundtrip_pretty() {
-        let doc = Json::obj(vec![
-            (
-                "nested",
-                Json::obj(vec![("k", Json::Arr(vec![Json::count(1)]))]),
-            ),
-            ("z", Json::num(0.25)),
-        ]);
-        assert_eq!(Json::parse(&doc.to_string_pretty()).unwrap(), doc);
+        let doc = Json::parse(r#"{"nested":{"k":[1],"e":[]},"z":0.25}"#).unwrap();
+        let pretty = to_pretty(&doc);
+        assert_eq!(
+            pretty,
+            "{\n  \"nested\": {\n    \"e\": [],\n    \"k\": [\n      1\n    ]\n  },\n  \"z\": 0.25\n}\n"
+        );
+        assert_eq!(Json::parse(&pretty).unwrap(), doc);
+    }
+
+    #[test]
+    fn the_writer_prints_values_as_they_are_visited() {
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.object(|w| {
+            w.key("a");
+            w.array(|w| {
+                w.count(1 << 60);
+                w.num(f64::NAN);
+                w.str("\u{1}");
+            });
+            w.member("b", &Json::parse("{}").unwrap());
+            w.key("c");
+            w.bool(false);
+        });
+        assert_eq!(
+            out,
+            r#"{"a":["1152921504606846976",null,"\u0001"],"b":{},"c":false}"#
+        );
+        // Pretty mode lays the same document out, and it reads back equal.
+        let doc = Json::parse(&out).unwrap();
+        assert_eq!(Json::parse(&to_pretty(&doc)).unwrap(), doc);
+        assert_eq!(to_compact(&doc), out);
     }
 
     #[test]
     fn large_counters_stay_exact() {
         for n in [(1u64 << 53) - 1, 1 << 53] {
-            let text = Json::count(n).to_string_compact();
+            let text = to_compact(&n);
             assert_eq!(text, n.to_string());
             assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n));
         }
         // Above 2^53 the number form would round: a string is written.
-        assert_eq!(
-            Json::count((1 << 53) + 1).to_string_compact(),
-            "\"9007199254740993\""
-        );
+        assert_eq!(to_compact(&((1u64 << 53) + 1)), "\"9007199254740993\"");
     }
 
     #[test]
@@ -659,29 +796,23 @@ mod tests {
     }
 
     #[test]
-    fn members_stay_sorted_whatever_the_insertion_order() {
-        let mut m = Members::new();
-        for (i, key) in ["m", "b", "z", "a", "q"].into_iter().enumerate() {
-            assert_eq!(m.insert(key.to_string(), Json::count(i as u64)), None);
-        }
-        assert_eq!(m.insert("b".to_string(), Json::Null), Some(Json::count(1)));
+    fn members_stay_sorted_whatever_the_input_order() {
+        let doc = Json::parse(r#"{"m":0,"b":1,"z":2,"a":3,"q":4,"b":null}"#).unwrap();
         assert_eq!(
-            Json::Obj(m.clone()).to_string_compact(),
+            doc.to_string_compact(),
             r#"{"a":3,"b":null,"m":0,"q":4,"z":2}"#
         );
+        let m = doc.as_obj().unwrap();
         assert_eq!(m.keys().collect::<Vec<_>>(), ["a", "b", "m", "q", "z"]);
-        assert_eq!(m.remove("m"), Some(Json::count(0)));
-        assert_eq!(m.remove("m"), None);
-        assert_eq!(m.keys().collect::<Vec<_>>(), ["a", "b", "q", "z"]);
-        assert_eq!((m.get("m"), m.get("q")), (None, Some(&Json::count(4))));
-        assert_eq!(m["z"], Json::count(2));
+        assert_eq!((m.get("n"), m.get("q")), (None, Some(&Json::Num(4.0))));
+        assert_eq!(m["z"], Json::Num(2.0));
         // Past the scan size, lookups binary-search.
         let wide: Members = (0..40u64)
             .rev()
-            .map(|i| (format!("k{i}"), Json::count(i)))
+            .map(|i| (format!("k{i}"), Json::Num(i as f64)))
             .collect();
         for i in 0..40u64 {
-            assert_eq!(wide[format!("k{i}").as_str()], Json::count(i));
+            assert_eq!(wide[format!("k{i}").as_str()], Json::Num(i as f64));
         }
         assert!(!wide.contains_key("k40") && wide.contains_key("k39"));
     }
@@ -691,7 +822,7 @@ mod tests {
         let pairs = [("c", 1), ("a", 2), ("c", 3), ("b", 4), ("a", 5), ("c", 6)];
         let m: Members = pairs
             .into_iter()
-            .map(|(k, v)| (k.to_string(), Json::count(v)))
+            .map(|(k, v)| (k.to_string(), Json::Num(v as f64)))
             .collect();
         assert_eq!(Json::Obj(m).to_string_compact(), r#"{"a":5,"b":4,"c":6}"#);
         // The parser agrees, and builds the same value either way.
@@ -711,7 +842,7 @@ mod tests {
         assert_eq!(&after[..end], r#"{"b":[1,"]"],"a":"}"}"#);
         let rest = Members::parse_rest(&after[end..]).unwrap();
         assert_eq!(rest.keys().collect::<Vec<_>>(), ["y", "z"]);
-        assert_eq!(Members::parse_rest(" } ").unwrap(), Members::new());
+        assert_eq!(Members::parse_rest(" } ").unwrap(), Members::default());
         for bad in ["", ",}", ",\"z\":1", "} x", "x"] {
             assert!(Members::parse_rest(bad).is_err(), "{bad}");
         }
@@ -735,5 +866,33 @@ mod tests {
             let got = Json::parse(text).unwrap().as_f64().unwrap();
             assert_eq!(got.to_bits(), want.to_bits(), "{text}");
         }
+    }
+
+    /// A million `[` (or `{"k":`) would overflow any thread's stack if the
+    /// parser recursed into each; it stops at the limit and names the byte.
+    /// Run on a spawned thread, whose stack is smaller than the main one.
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        std::thread::spawn(|| {
+            let arrays = "[".repeat(1_000_000);
+            let objects = "{\"k\":".repeat(1_000_000);
+            for (deep, step) in [(&arrays, 1), (&objects, 5)] {
+                let at = MAX_DEPTH * step;
+                let want = format!("nesting deeper than {MAX_DEPTH} at byte {at}");
+                assert_eq!(Json::parse(deep).unwrap_err(), want);
+                assert_eq!(Json::value_end(deep).unwrap_err(), want);
+                // The rest of a shard line: its object is one level.
+                let rest = format!(",\"z\":{deep}");
+                let want = format!("nesting deeper than {MAX_DEPTH} at byte {}", at - step + 5);
+                assert_eq!(Members::parse_rest(&rest).unwrap_err(), want);
+            }
+            // The limit itself is reached, not exceeded.
+            let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            assert!(Json::value_end(&nested(MAX_DEPTH)).is_ok());
+            assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        })
+        .join()
+        .unwrap();
     }
 }

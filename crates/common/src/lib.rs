@@ -22,10 +22,10 @@ pub mod wire;
 pub use error::{Error, Result};
 pub use hash::{fnv1a, Fnv64, WordBuild, WordHasher};
 pub use ids::{ColId, RuleId, TableId};
-pub use json::{Json, Members};
+pub use json::{Json, JsonWriter, Members};
 pub use multiset::{diff_multisets, multisets_equal, ResultDiff};
 pub use pool::{par_map, Parallelism, PoolSection, PoolStats};
 pub use rng::Rng;
 pub use supervise::{sandbox, Deadline, Failure, FailureKind};
 pub use value::{DataType, Row, Value};
-pub use wire::{Decode, DecodeError, Encode};
+pub use wire::{to_compact, to_pretty, Decode, DecodeError, Encode};

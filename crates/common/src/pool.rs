@@ -47,13 +47,14 @@ pub struct PoolSection {
 }
 
 crate::wire_record!(PoolSection {
-    "par_calls" => par_calls,
-    "tasks" => tasks,
-    "workers" => workers,
-    "steals" => steals,
     "busy_ns" => busy_ns,
     "idle_ns" => idle_ns,
-} + { "utilization" => utilization });
+    "par_calls" => par_calls,
+    "steals" => steals,
+    "tasks" => tasks,
+    "utilization" => utilization(),
+    "workers" => workers,
+});
 
 impl PoolSection {
     /// Fraction of worker wall time spent doing work.

@@ -7,7 +7,7 @@
 //! plans always produce bit-identical results (no rounding divergence in
 //! correctness validation).
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::wire::{Decode, DecodeError, Encode};
 use std::cmp::Ordering;
 use std::fmt;
@@ -173,12 +173,12 @@ impl From<String> for Value {
 /// "<decimal>"}` (a string, because an `i64` exceeds the 2^53 a JSON number
 /// holds exactly) or `{"str": "..."}`.
 impl Encode for Value {
-    fn encode(&self) -> Json {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Value::Null => Json::Null,
-            Value::Bool(b) => Json::Bool(*b),
-            Value::Int(i) => Json::obj(vec![("int", Json::str(i.to_string()))]),
-            Value::Str(s) => Json::obj(vec![("str", Json::str(&**s))]),
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(i) => w.object(|w| w.member("int", &i.to_string())),
+            Value::Str(s) => w.object(|w| w.member("str", &**s)),
         }
     }
 }

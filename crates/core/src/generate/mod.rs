@@ -29,14 +29,7 @@ pub enum Strategy {
     Pattern,
 }
 
-impl Strategy {
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Random => "RANDOM",
-            Strategy::Pattern => "PATTERN",
-        }
-    }
-}
+ruletest_common::wire_names!(Strategy { Random => "RANDOM", Pattern => "PATTERN" });
 
 /// Generation parameters.
 #[derive(Debug, Clone)]

@@ -11,7 +11,7 @@
 use crate::framework::Framework;
 use crate::generate::pattern::instantiate_pattern;
 use crate::generate::{GenConfig, Strategy};
-use ruletest_common::{multisets_equal, Rng};
+use ruletest_common::{multisets_equal, wire_names, wire_record, Rng};
 use ruletest_executor::{execute_profiled, ExecConfig};
 use ruletest_logical::IdGen;
 use ruletest_optimizer::{Optimizer, OptimizerConfig};
@@ -35,6 +35,13 @@ pub struct MutationBudget {
     /// [`KillKind::Hang`] instead of stalling the whole campaign.
     pub exec_deadline_ms: u64,
 }
+
+wire_record!(MutationBudget {
+    "exec_deadline_ms" => exec_deadline_ms,
+    "max_trials" => max_trials,
+    "pad_ops" => pad_ops,
+    "seeds" => seeds,
+});
 
 impl Default for MutationBudget {
     fn default() -> Self {
@@ -64,16 +71,8 @@ pub enum KillKind {
     Hang,
 }
 
-impl KillKind {
-    /// Stable name used in `MUTATION_REPORT.json` and the text report.
-    pub fn name(self) -> &'static str {
-        match self {
-            KillKind::Diff => "diff",
-            KillKind::Crash => "crash",
-            KillKind::Hang => "hang",
-        }
-    }
-}
+// Stable names used in `MUTATION_REPORT.json` and the text report.
+wire_names!(KillKind { Diff => "diff", Crash => "crash", Hang => "hang" });
 
 /// A successful dynamic detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -61,40 +61,26 @@ pub enum BugClass {
     CostOnly,
 }
 
+// Stable names used in CLI flags and `MUTATION_REPORT.json`.
+ruletest_common::wire_names!(BugClass {
+    DroppedPrecondition => "dropped-precondition",
+    PredicateMisplacement => "predicate-misplacement",
+    DuplicateSensitivity => "duplicate-sensitivity",
+    OperandCorruption => "operand-corruption",
+    BoundaryBug => "boundary-bug",
+    CostOnly => "cost-only",
+});
+
 impl BugClass {
-    pub const ALL: [BugClass; 6] = [
-        BugClass::DroppedPrecondition,
-        BugClass::PredicateMisplacement,
-        BugClass::DuplicateSensitivity,
-        BugClass::OperandCorruption,
-        BugClass::BoundaryBug,
-        BugClass::CostOnly,
-    ];
-
-    /// Stable name used in CLI flags and `MUTATION_REPORT.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            BugClass::DroppedPrecondition => "dropped-precondition",
-            BugClass::PredicateMisplacement => "predicate-misplacement",
-            BugClass::DuplicateSensitivity => "duplicate-sensitivity",
-            BugClass::OperandCorruption => "operand-corruption",
-            BugClass::BoundaryBug => "boundary-bug",
-            BugClass::CostOnly => "cost-only",
-        }
-    }
-
-    /// Inverse of [`BugClass::name`]; fails with the offending name and
-    /// the known classes.
-    pub fn from_name(name: &str) -> Result<BugClass> {
-        BugClass::ALL
-            .into_iter()
-            .find(|c| c.name() == name)
-            .ok_or_else(|| {
-                Error::unsupported(format!(
-                    "unknown bug class '{name}' (known: {})",
-                    BugClass::ALL.map(|c| c.name()).join(", ")
-                ))
-            })
+    /// [`BugClass::from_name`], failing with the offending name and the
+    /// known classes.
+    pub fn parse(name: &str) -> Result<BugClass> {
+        BugClass::from_name(name).ok_or_else(|| {
+            Error::unsupported(format!(
+                "unknown bug class '{name}' (known: {})",
+                BugClass::ALL.map(|c| c.name()).join(", ")
+            ))
+        })
     }
 }
 
@@ -117,15 +103,11 @@ pub enum Verdict {
     Benign,
 }
 
-impl Verdict {
-    pub fn name(self) -> &'static str {
-        match self {
-            Verdict::DetectableDynamic => "detectable-dynamic",
-            Verdict::DetectableStatic => "detectable-static",
-            Verdict::Benign => "benign",
-        }
-    }
-}
+ruletest_common::wire_names!(Verdict {
+    DetectableDynamic => "detectable-dynamic",
+    DetectableStatic => "detectable-static",
+    Benign => "benign",
+});
 
 /// One derived buggy rule variant.
 pub struct Mutant {
@@ -226,7 +208,7 @@ mod tests {
     fn unknown_ids_fail_with_the_offending_name() {
         let err = Mutant::by_id("NoSuchMutant").unwrap_err();
         assert!(err.to_string().contains("NoSuchMutant"), "{err}");
-        let err = BugClass::from_name("no-such-class").unwrap_err();
+        let err = BugClass::parse("no-such-class").unwrap_err();
         assert!(err.to_string().contains("no-such-class"), "{err}");
         assert!(err.to_string().contains("boundary-bug"), "{err}");
     }

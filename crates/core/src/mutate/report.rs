@@ -7,6 +7,8 @@
 use super::campaign::MutantOutcome;
 use super::detect::MutationBudget;
 use super::{BugClass, Verdict};
+use ruletest_common::wire::{to_compact, Encode};
+use ruletest_common::JsonWriter;
 use ruletest_telemetry::Json;
 
 /// Aggregates for one bug class.
@@ -128,106 +130,14 @@ impl MutationReport {
         !self.failures().is_empty()
     }
 
-    /// Deterministic JSON (no wall-clock, catalog order).
+    /// The report document as a parsed tree. Kept only because the
+    /// benchmark (`perfbench/src/workloads.rs`) calls
+    /// `.to_json().to_string_compact()` and may not be edited here;
+    /// everything else writes the report with
+    /// [`to_pretty`](ruletest_common::to_pretty). A benchmark
+    /// PR drops it.
     pub fn to_json(&self) -> Json {
-        let mutants = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let (seed, trials, kind) = match o.dynamic() {
-                    Some(k) => (
-                        Json::count(k.seed),
-                        Json::count(k.trials),
-                        Json::str(k.kind.name()),
-                    ),
-                    None => (Json::Null, Json::Null, Json::Null),
-                };
-                Json::obj(vec![
-                    ("id", Json::str(o.mutant.id)),
-                    ("class", Json::str(o.mutant.class.name())),
-                    ("rule", Json::str(o.mutant.rule_name)),
-                    ("note", Json::str(o.mutant.note)),
-                    ("expected", Json::str(o.mutant.expected.name())),
-                    ("static_caught", Json::Bool(o.static_caught)),
-                    ("dynamic_caught", Json::Bool(o.dynamic().is_some())),
-                    ("fired", Json::Bool(o.detection.fired)),
-                    ("plans_diverged", Json::Bool(o.detection.plans_diverged)),
-                    ("kill_seed", seed),
-                    ("kill_trials", trials),
-                    ("kill_kind", kind),
-                    ("pass", Json::Bool(o.passes_expectation())),
-                ])
-            })
-            .collect();
-        let classes = self
-            .class_stats()
-            .iter()
-            .map(|s| {
-                let mean = match s.mean_trials_to_kill {
-                    Some(m) => Json::num(m),
-                    None => Json::Null,
-                };
-                Json::obj(vec![
-                    ("class", Json::str(s.class.name())),
-                    ("total", Json::count(s.total as u64)),
-                    ("killed", Json::count(s.killed as u64)),
-                    ("survived", Json::count(s.survived as u64)),
-                    ("benign_ok", Json::count(s.benign_ok as u64)),
-                    ("false_positives", Json::count(s.false_positives as u64)),
-                    ("detection_rate", Json::num(s.detection_rate())),
-                    ("mean_trials_to_kill", mean),
-                ])
-            })
-            .collect();
-        let (killed, survived) = self.kill_counts();
-        let kill_kinds = self.kill_kind_counts();
-        Json::obj(vec![
-            (
-                "budget",
-                Json::obj(vec![
-                    ("seeds", Json::count(self.budget.seeds)),
-                    ("max_trials", Json::count(self.budget.max_trials as u64)),
-                    ("pad_ops", Json::count(self.budget.pad_ops as u64)),
-                    (
-                        "exec_deadline_ms",
-                        Json::count(self.budget.exec_deadline_ms),
-                    ),
-                ]),
-            ),
-            ("mutants", Json::Arr(mutants)),
-            ("classes", Json::Arr(classes)),
-            (
-                "lint_escapes",
-                Json::Arr(
-                    self.lint_escapes()
-                        .iter()
-                        .map(|&id| Json::str(id))
-                        .collect(),
-                ),
-            ),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("total", Json::count(self.outcomes.len() as u64)),
-                    ("killed", Json::count(killed)),
-                    ("survived", Json::count(survived)),
-                    (
-                        "kill_kinds",
-                        Json::obj(vec![
-                            ("diff", Json::count(kill_kinds.0)),
-                            ("crash", Json::count(kill_kinds.1)),
-                            ("hang", Json::count(kill_kinds.2)),
-                        ]),
-                    ),
-                    (
-                        "lint_escapes",
-                        Json::count(self.lint_escapes().len() as u64),
-                    ),
-                    ("failures", Json::count(self.failures().len() as u64)),
-                    ("pass", Json::Bool(!self.failed())),
-                ]),
-            ),
-        ])
+        Json::parse(&to_compact(self)).expect("a written report parses")
     }
 
     /// `(diff, crash, hang)` counts over the dynamic kills.
@@ -330,12 +240,81 @@ impl MutationReport {
     }
 }
 
+/// Deterministic JSON (no wall-clock, catalog order).
+impl Encode for MutationReport {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        let (killed, survived) = self.kill_counts();
+        let (diff, crash, hang) = self.kill_kind_counts();
+        let escapes = self.lint_escapes();
+        w.object(|w| {
+            w.member("budget", &self.budget);
+            w.key("classes");
+            w.array(|w| self.class_stats().iter().for_each(|s| class_row(s, w)));
+            w.member("lint_escapes", &escapes);
+            w.key("mutants");
+            w.array(|w| self.outcomes.iter().for_each(|o| mutant_row(o, w)));
+            w.key("summary");
+            w.object(|w| {
+                w.member("failures", &self.failures().len());
+                w.key("kill_kinds");
+                w.object(|w| {
+                    w.member("crash", &crash);
+                    w.member("diff", &diff);
+                    w.member("hang", &hang);
+                });
+                w.member("killed", &killed);
+                w.member("lint_escapes", &escapes.len());
+                w.member("pass", &!self.failed());
+                w.member("survived", &survived);
+                w.member("total", &self.outcomes.len());
+            });
+        });
+    }
+}
+
+fn class_row(s: &ClassStats, w: &mut JsonWriter<'_>) {
+    w.object(|w| {
+        w.member("benign_ok", &s.benign_ok);
+        w.member("class", s.class.name());
+        w.key("detection_rate");
+        w.num(s.detection_rate());
+        w.member("false_positives", &s.false_positives);
+        w.member("killed", &s.killed);
+        w.key("mean_trials_to_kill");
+        match s.mean_trials_to_kill {
+            Some(m) => w.num(m),
+            None => w.null(),
+        }
+        w.member("survived", &s.survived);
+        w.member("total", &s.total);
+    });
+}
+
+fn mutant_row(o: &MutantOutcome, w: &mut JsonWriter<'_>) {
+    let kill = o.dynamic();
+    w.object(|w| {
+        w.member("class", o.mutant.class.name());
+        w.member("dynamic_caught", &kill.is_some());
+        w.member("expected", &o.mutant.expected);
+        w.member("fired", &o.detection.fired);
+        w.member("id", o.mutant.id);
+        w.member("kill_kind", &kill.map(|k| k.kind));
+        w.member("kill_seed", &kill.map(|k| k.seed));
+        w.member("kill_trials", &kill.map(|k| k.trials));
+        w.member("note", o.mutant.note);
+        w.member("pass", &o.passes_expectation());
+        w.member("plans_diverged", &o.detection.plans_diverged);
+        w.member("rule", o.mutant.rule_name);
+        w.member("static_caught", &o.static_caught);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::campaign::MutantOutcome;
     use super::super::detect::{Detection, DynamicKill, KillKind, MutationBudget};
     use super::super::Mutant;
-    use super::MutationReport;
+    use super::{to_compact, Json, MutationReport};
 
     fn outcome(mutant: &'static Mutant, kind: KillKind) -> MutantOutcome {
         MutantOutcome {
@@ -363,11 +342,11 @@ mod tests {
         ];
         let report = MutationReport::from_outcomes(outcomes, &MutationBudget::default());
 
-        let json = report.to_json().to_string_compact();
+        let json = to_compact(&report);
         assert!(json.contains("\"kill_kind\":\"diff\""), "{json}");
         assert!(json.contains("\"kill_kind\":\"crash\""), "{json}");
         assert!(json.contains("\"kill_kind\":\"hang\""), "{json}");
-        let kinds = report.to_json();
+        let kinds = Json::parse(&json).unwrap();
         let kinds = kinds.get("summary").and_then(|s| s.get("kill_kinds"));
         let count = |k: &str| kinds.and_then(|v| v.get(k)).and_then(|v| v.as_u64());
         assert_eq!(count("diff"), Some(1), "{json}");

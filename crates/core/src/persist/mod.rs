@@ -24,8 +24,8 @@ use crate::suite::{
     build_graph_with, generate_suite_with, singleton_targets, BipartiteGraph, TestSuite,
 };
 use crate::supervise::Quarantine;
-use ruletest_common::wire::{object, required};
-use ruletest_common::{wire_record, Decode, Encode, Error, Json, Result};
+use ruletest_common::wire::{object, required, to_compact};
+use ruletest_common::{wire_record, Decode, Encode, Error, Json, JsonWriter, Result};
 use ruletest_optimizer::persist::write_atomic;
 use ruletest_optimizer::SnapshotStore;
 use ruletest_telemetry::Stage;
@@ -76,11 +76,11 @@ impl CampaignParams {
 }
 
 wire_record!(CampaignParams {
-    "rules" => rules,
     "k" => k,
-    "seed" => seed,
-    "pad_ops" => pad_ops,
     "max_trials" => max_trials,
+    "pad_ops" => pad_ops,
+    "rules" => rules,
+    "seed" => seed,
 });
 
 // ---------------------------------------------------------------------
@@ -102,15 +102,29 @@ struct Identity {
     format: u64,
     /// The campaign fingerprint, as 16 hex digits.
     fingerprint: String,
-    /// Wire form of the [`CampaignParams`].
-    params: Json,
+    params: CampaignParams,
 }
 
 wire_record!(Identity {
-    "format" => format,
     "fingerprint" => fingerprint,
+    "format" => format,
     "params" => params,
 });
+
+/// `quarantine.json`: a campaign's stamp and, after it, its quarantine.
+struct QuarantineFile<'a>(&'a Identity, &'a Quarantine);
+
+impl Encode for QuarantineFile<'_> {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        let QuarantineFile(stamp, quarantine) = self;
+        w.object(|w| {
+            w.member("fingerprint", &stamp.fingerprint);
+            w.member("format", &stamp.format);
+            w.member("params", &stamp.params);
+            w.member("quarantine", quarantine);
+        });
+    }
+}
 
 impl CampaignStore {
     /// Opens (creating if needed) the checkpoint directory for a campaign
@@ -121,7 +135,7 @@ impl CampaignStore {
         let identity = Identity {
             format: CHECKPOINT_FORMAT,
             fingerprint: format!("{fingerprint:016x}"),
-            params: params.encode(),
+            params: params.clone(),
         };
         Ok(CampaignStore { dir, identity })
     }
@@ -134,11 +148,8 @@ impl CampaignStore {
     /// stamp followed by a `quarantine` member (quarantine fingerprints are
     /// only meaningful for the campaign that wrote them).
     pub fn save_quarantine(&self, quarantine: &Quarantine) -> io::Result<()> {
-        let mut doc = self.identity.encode();
-        if let Json::Obj(members) = &mut doc {
-            members.insert("quarantine".to_string(), quarantine.encode());
-        }
-        write_atomic(&self.quarantine_path(), doc.to_string_compact())
+        let file = QuarantineFile(&self.identity, quarantine);
+        write_atomic(&self.quarantine_path(), to_compact(&file))
     }
 
     /// Loads the persisted quarantine. Empty when the file is absent,

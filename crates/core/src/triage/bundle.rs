@@ -13,7 +13,9 @@
 
 use crate::mutate::{mutant_optimizer, Mutant};
 use ruletest_common::wire::{object, required};
-use ruletest_common::{diff_multisets, wire_record, Decode, Encode, Error, Json, Result, RuleId};
+use ruletest_common::{
+    diff_multisets, to_compact, wire_record, Decode, Error, Json, Result, RuleId,
+};
 use ruletest_executor::{execute_with, ExecConfig};
 use ruletest_optimizer::{Optimizer, OptimizerConfig};
 use ruletest_sql::parse_sql;
@@ -57,26 +59,26 @@ pub struct ReproBundle {
 }
 
 wire_record!(ReproBundle {
-    "version" => version,
-    "target" => target_label,
-    "rule_mask" => rule_mask,
-    "fault" => fault: omit_none,
-    "seed" => seed,
-    "db_seed" => db_seed,
-    "scale" => scale,
-    "sql" => sql,
-    "ops" => ops,
-    "signature" => signature,
-    "duplicates" => duplicates,
-    "diff_summary" => diff_summary,
     "base_plan" => base_plan,
+    "db_seed" => db_seed,
+    "diff_summary" => diff_summary,
+    "duplicates" => duplicates,
+    "fault" => fault: omit_none,
     "masked_plan" => masked_plan,
+    "ops" => ops,
+    "rule_mask" => rule_mask,
+    "scale" => scale,
+    "seed" => seed,
+    "signature" => signature,
+    "sql" => sql,
+    "target" => target_label,
+    "version" => version,
 });
 
 /// Writes bundles as JSONL, one per line.
 pub fn write_bundles<W: Write>(w: &mut W, bundles: &[ReproBundle]) -> std::io::Result<()> {
     for b in bundles {
-        writeln!(w, "{}", b.encode().to_string_compact())?;
+        writeln!(w, "{}", to_compact(b))?;
     }
     Ok(())
 }

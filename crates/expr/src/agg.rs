@@ -73,7 +73,7 @@ pub struct AggCall {
     pub output: ColId,
 }
 
-wire_record!(AggCall { "func" => func, "arg" => arg, "out" => output });
+wire_record!(AggCall { "arg" => arg, "func" => func, "out" => output });
 
 impl AggCall {
     pub fn new(func: AggFunc, arg: Option<ColId>, output: ColId) -> Self {

@@ -1,7 +1,7 @@
 //! The scalar expression tree.
 
 use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
-use ruletest_common::{wire_names, ColId, Json, Value, WordBuild};
+use ruletest_common::{wire_names, ColId, Json, JsonWriter, Value, WordBuild};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Deref;
@@ -228,18 +228,18 @@ impl Expr {
 /// `{"lit": value}`, `{"bin": op, "l": e, "r": e}`, `{"not": e}`,
 /// `{"is_null": e}` — so an expression carries no tag member.
 impl Encode for Expr {
-    fn encode(&self) -> Json {
-        match self {
-            Expr::Col(c) => Json::obj(vec![("col", c.encode())]),
-            Expr::Lit(v) => Json::obj(vec![("lit", v.encode())]),
-            Expr::Bin { op, left, right } => Json::obj(vec![
-                ("bin", op.encode()),
-                ("l", left.encode()),
-                ("r", right.encode()),
-            ]),
-            Expr::Not(x) => Json::obj(vec![("not", x.encode())]),
-            Expr::IsNull(x) => Json::obj(vec![("is_null", x.encode())]),
-        }
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            Expr::Col(c) => w.member("col", c),
+            Expr::Lit(v) => w.member("lit", v),
+            Expr::Bin { op, left, right } => {
+                w.member("bin", op);
+                w.member("l", &**left);
+                w.member("r", &**right);
+            }
+            Expr::Not(x) => w.member("not", &**x),
+            Expr::IsNull(x) => w.member("is_null", &**x),
+        });
     }
 }
 

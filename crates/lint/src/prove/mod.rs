@@ -29,10 +29,10 @@
 pub mod normalize;
 pub mod verdict;
 
-use ruletest_common::{DataType, Result, TableId};
+use ruletest_common::{wire_names, wire_record, DataType, Result, TableId};
 use ruletest_optimizer::Optimizer;
 use ruletest_storage::{Catalog, ColumnDef, Database, TableDef};
-use ruletest_telemetry::{Counter, Json, Stage, Telemetry};
+use ruletest_telemetry::{Counter, Stage, Telemetry};
 
 /// Three-valued proof outcome for one rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,15 +42,11 @@ pub enum ProveVerdict {
     Unknown,
 }
 
-impl ProveVerdict {
-    pub fn name(self) -> &'static str {
-        match self {
-            ProveVerdict::Equivalent => "equivalent",
-            ProveVerdict::Inequivalent => "inequivalent",
-            ProveVerdict::Unknown => "unknown",
-        }
-    }
-}
+wire_names!(ProveVerdict {
+    Equivalent => "equivalent",
+    Inequivalent => "inequivalent",
+    Unknown => "unknown",
+});
 
 impl std::fmt::Display for ProveVerdict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -67,6 +63,8 @@ pub struct ProofViolation {
     pub detail: String,
 }
 
+wire_record!(ProofViolation { "component" => component, "detail" => detail });
+
 /// The proof outcome for one rule.
 #[derive(Debug, Clone)]
 pub struct RuleProof {
@@ -79,6 +77,14 @@ pub struct RuleProof {
     pub substitutes: usize,
 }
 
+wire_record!(RuleProof {
+    "reason" => reason,
+    "rule" => rule,
+    "substitutes" => substitutes,
+    "verdict" => verdict,
+    "violations" => violations,
+});
+
 /// Whole-catalog proof report.
 #[derive(Debug, Clone)]
 pub struct ProveReport {
@@ -90,7 +96,16 @@ pub struct ProveReport {
     pub unknown: u64,
 }
 
-/// Bumped on breaking changes to [`ProveReport::to_json`].
+// `ruletest prove --json`'s document.
+wire_record!(ProveReport {
+    "equivalent" => equivalent,
+    "inequivalent" => inequivalent,
+    "rules" => rules,
+    "schema_version" => schema_version,
+    "unknown" => unknown,
+});
+
+/// Bumped on breaking changes to [`ProveReport`]'s wire form.
 pub const PROVE_SCHEMA_VERSION: u32 = 1;
 
 impl ProveReport {
@@ -103,45 +118,6 @@ impl ProveReport {
 
     pub fn has_inequivalent(&self) -> bool {
         self.inequivalent > 0
-    }
-
-    pub fn to_json(&self) -> Json {
-        let rules: Vec<Json> = self
-            .rules
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("rule", Json::str(r.rule.clone())),
-                    ("verdict", Json::str(r.verdict.name())),
-                    (
-                        "reason",
-                        r.reason.clone().map(Json::str).unwrap_or(Json::Null),
-                    ),
-                    ("substitutes", Json::count(r.substitutes as u64)),
-                    (
-                        "violations",
-                        Json::Arr(
-                            r.violations
-                                .iter()
-                                .map(|v| {
-                                    Json::obj(vec![
-                                        ("component", Json::str(v.component.clone())),
-                                        ("detail", Json::str(v.detail.clone())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("schema_version", Json::count(self.schema_version as u64)),
-            ("equivalent", Json::count(self.equivalent)),
-            ("inequivalent", Json::count(self.inequivalent)),
-            ("unknown", Json::count(self.unknown)),
-            ("rules", Json::Arr(rules)),
-        ])
     }
 
     pub fn render_text(&self) -> String {
@@ -290,7 +266,7 @@ mod tests {
             inequivalent: 0,
             unknown: 1,
         };
-        let text = report.to_json().to_string_pretty();
+        let text = ruletest_common::to_pretty(&report);
         assert!(text.contains("\"unknown\": 1"));
         assert!(text.contains("\"verdict\": \"unknown\""));
     }

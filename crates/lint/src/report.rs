@@ -1,10 +1,11 @@
 //! The lint report: per-pass violation counts, audit coverage stats, and
-//! a canonical JSON rendering (reusing the telemetry crate's zero-dep
-//! JSON model) for CI artifacts.
+//! a canonical JSON rendering (the workspace's wire codec) for CI
+//! artifacts.
 
 use crate::audit::AuditStats;
 use crate::violation::{LintPass, LintViolation};
-use ruletest_telemetry::Json;
+use ruletest_common::{Encode, JsonWriter};
+use std::collections::BTreeMap;
 
 /// Result of one full static lint run over an optimizer's rule catalog.
 #[derive(Debug)]
@@ -36,63 +37,6 @@ impl LintReport {
         rules
     }
 
-    pub fn to_json(&self) -> Json {
-        const PASSES: [LintPass; 5] = [
-            LintPass::WellFormed,
-            LintPass::SchemaEquivalence,
-            LintPass::RowProvenance,
-            LintPass::DuplicateSensitivity,
-            LintPass::PatternNecessity,
-        ];
-        let by_pass = PASSES
-            .iter()
-            .map(|p| (p.name().to_string(), Json::count(self.count_for(*p) as u64)))
-            .collect();
-        Json::obj(vec![
-            ("schema_version", Json::count(1)),
-            ("rules_audited", Json::count(self.rules_audited as u64)),
-            (
-                "coverage",
-                Json::obj(vec![
-                    ("corpus_trees", Json::count(self.stats.corpus_trees as u64)),
-                    (
-                        "bindings_audited",
-                        Json::count(self.stats.bindings_audited as u64),
-                    ),
-                    (
-                        "substitutes_audited",
-                        Json::count(self.stats.substitutes_audited as u64),
-                    ),
-                    (
-                        "necessity_probes",
-                        Json::count(self.stats.necessity_probes as u64),
-                    ),
-                ]),
-            ),
-            ("clean", Json::Bool(self.is_clean())),
-            ("violations_by_pass", Json::Obj(by_pass)),
-            (
-                "violations",
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| {
-                            Json::obj(vec![
-                                ("pass", Json::str(v.pass.name())),
-                                ("severity", Json::str(v.severity.name())),
-                                (
-                                    "rule",
-                                    v.rule.as_deref().map(Json::str).unwrap_or(Json::Null),
-                                ),
-                                ("detail", Json::str(v.detail.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
     /// Human-readable summary for terminal output.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -115,10 +59,35 @@ impl LintReport {
     }
 }
 
+/// `ruletest lint --json`'s document.
+impl Encode for LintReport {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        let by_pass: BTreeMap<String, usize> = LintPass::ALL
+            .iter()
+            .map(|p| (p.name().to_string(), self.count_for(*p)))
+            .collect();
+        w.object(|w| {
+            w.member("clean", &self.is_clean());
+            w.key("coverage");
+            w.object(|w| {
+                w.member("bindings_audited", &self.stats.bindings_audited);
+                w.member("corpus_trees", &self.stats.corpus_trees);
+                w.member("necessity_probes", &self.stats.necessity_probes);
+                w.member("substitutes_audited", &self.stats.substitutes_audited);
+            });
+            w.member("rules_audited", &self.rules_audited);
+            w.member("schema_version", &1u64);
+            w.member("violations", &self.violations);
+            w.member("violations_by_pass", &by_pass);
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::violation::Severity;
+    use ruletest_common::{to_compact, to_pretty, Json};
 
     fn report(violations: Vec<LintViolation>) -> LintReport {
         LintReport {
@@ -138,13 +107,13 @@ mod tests {
     fn clean_report_json_shape() {
         let r = report(vec![]);
         assert!(r.is_clean());
-        let j = r.to_json();
+        let j = Json::parse(&to_compact(&r)).unwrap();
         let obj = j.as_obj().unwrap();
         assert_eq!(obj["clean"], Json::Bool(true));
         assert_eq!(obj["rules_audited"].as_u64(), Some(3));
         assert_eq!(obj["violations"].as_arr().unwrap().len(), 0);
         // Canonical round trip through the shared parser.
-        let text = j.to_string_pretty();
+        let text = to_pretty(&j);
         assert_eq!(Json::parse(&text).unwrap(), j);
     }
 

@@ -4,6 +4,7 @@
 //! string; violations deduplicate on `(pass, rule)` so one broken rule
 //! yields one signature no matter how many corpus trees expose it.
 
+use ruletest_common::{wire_names, wire_record};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -27,17 +28,13 @@ pub enum LintPass {
     PatternNecessity,
 }
 
-impl LintPass {
-    pub fn name(self) -> &'static str {
-        match self {
-            LintPass::WellFormed => "well_formed",
-            LintPass::SchemaEquivalence => "schema_equivalence",
-            LintPass::RowProvenance => "row_provenance",
-            LintPass::DuplicateSensitivity => "duplicate_sensitivity",
-            LintPass::PatternNecessity => "pattern_necessity",
-        }
-    }
-}
+wire_names!(LintPass {
+    WellFormed => "well_formed",
+    SchemaEquivalence => "schema_equivalence",
+    RowProvenance => "row_provenance",
+    DuplicateSensitivity => "duplicate_sensitivity",
+    PatternNecessity => "pattern_necessity",
+});
 
 impl fmt::Display for LintPass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -54,14 +51,7 @@ pub enum Severity {
     Error,
 }
 
-impl Severity {
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+wire_names!(Severity { Warning => "warning", Error => "error" });
 
 /// One statically detected problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +64,13 @@ pub struct LintViolation {
     /// corpus shape.
     pub detail: String,
 }
+
+wire_record!(LintViolation {
+    "detail" => detail,
+    "pass" => pass,
+    "rule" => rule,
+    "severity" => severity,
+});
 
 impl LintViolation {
     pub fn new(

@@ -109,7 +109,7 @@ fn report_json_round_trips_the_greppable_counts() {
     let db = Arc::new(prove::symbolic_database());
     let opt = Optimizer::new(db);
     let report = prove::prove_rules(&opt, &Telemetry::disabled()).unwrap();
-    let text = report.to_json().to_string_pretty();
+    let text = ruletest_common::to_pretty(&report);
     // The CI gate greps these exact shapes; keep them stable.
     assert!(text.contains("\"schema_version\": 1"));
     assert!(text.contains("\"inequivalent\": 0"));

@@ -162,33 +162,38 @@ pub enum Operator {
 }
 
 wire_enum!(Operator tagged "op" {
-    "get" => Get { "table" => table, "cols" => cols },
+    "get" => Get { "cols" => cols, "table" => table },
     "select" => Select { "pred" => predicate },
     "project" => Project { "outputs" => outputs via projections },
     "join" => Join { "kind" => kind, "pred" => predicate },
-    "gbagg" => GbAgg { "group_by" => group_by, "aggs" => aggs },
+    "gbagg" => GbAgg { "aggs" => aggs, "group_by" => group_by },
     "union_all" => UnionAll {
-        "outputs" => outputs,
         "left_cols" => left_cols,
+        "outputs" => outputs,
         "right_cols" => right_cols,
     },
     "distinct" => Distinct {},
     "sort" => Sort { "keys" => keys },
-    "top" => Top { "n" => n, "keys" => keys },
+    "top" => Top { "keys" => keys, "n" => n },
 });
 
 /// `via projections`: a computing projection's `(output id, expression)`
 /// list as `[{"col": id, "expr": e}, ..]`. Hand-written because the element
 /// is a tuple, whose own wire form is a two-element array.
 pub mod projections {
-    use ruletest_common::wire::{array, object, required, Decode, DecodeError, Encode};
-    use ruletest_common::{ColId, Json};
+    use ruletest_common::wire::{array, object, required, Decode, DecodeError};
+    use ruletest_common::{ColId, Json, JsonWriter};
     use ruletest_expr::Expr;
 
-    pub fn encode(outputs: &[(ColId, Expr)]) -> Json {
-        let entry =
-            |(c, e): &(ColId, Expr)| Json::obj(vec![("col", c.encode()), ("expr", e.encode())]);
-        Json::Arr(outputs.iter().map(entry).collect())
+    pub fn encode(outputs: &[(ColId, Expr)], w: &mut JsonWriter<'_>) {
+        w.array(|w| {
+            for (c, e) in outputs {
+                w.object(|w| {
+                    w.member("col", c);
+                    w.member("expr", e);
+                });
+            }
+        });
     }
 
     pub fn decode(j: &Json) -> Result<Vec<(ColId, Expr)>, DecodeError> {

@@ -21,7 +21,7 @@ pub struct ColumnInfo {
     pub nullable: bool,
 }
 
-wire_record!(ColumnInfo { "id" => id, "type" => data_type, "nullable" => nullable });
+wire_record!(ColumnInfo { "id" => id, "nullable" => nullable, "type" => data_type });
 
 /// An ordered output schema.
 pub type Schema = Vec<ColumnInfo>;

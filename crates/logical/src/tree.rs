@@ -65,7 +65,7 @@ pub struct LogicalTree {
 // Column ids and all: SQL text is deliberately *not* the wire form —
 // re-parsing renumbers column ids, and a cache key that round-trips
 // inexactly would never match again.
-wire_record!(LogicalTree { "o" => op, "c" => children });
+wire_record!(LogicalTree { "c" => children, "o" => op });
 
 impl LogicalTree {
     pub fn new(op: Operator, children: Vec<LogicalTree>) -> Self {

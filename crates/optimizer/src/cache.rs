@@ -51,11 +51,11 @@ pub struct CacheKey {
 // `hard_max_exprs` is left out when unset so default-config keys keep the
 // exact canonical bytes older snapshots were addressed by.
 ruletest_common::wire_record!(CacheKey {
-    "tree" => tree,
     "disabled" => disabled,
+    "hard_max_exprs" => hard_max_exprs: omit_none,
     "max_exprs" => max_exprs,
     "max_passes" => max_passes,
-    "hard_max_exprs" => hard_max_exprs: omit_none,
+    "tree" => tree,
 });
 
 impl CacheKey {

@@ -96,12 +96,12 @@ pub struct OptimizeResult {
 }
 
 ruletest_common::wire_record!(OptimizeResult {
-    "plan" => plan,
     "cost" => cost,
-    "rule_set" => rule_set,
-    "rule_deps" => rule_dependencies,
-    "groups" => groups,
     "exprs" => exprs,
+    "groups" => groups,
+    "plan" => plan,
+    "rule_deps" => rule_dependencies,
+    "rule_set" => rule_set,
     "truncated" => truncated,
 });
 
@@ -128,9 +128,9 @@ pub struct Explored {
 }
 
 ruletest_common::wire_record!(Explored {
-    "rule_set" => rule_set,
-    "groups" => groups,
     "exprs" => exprs,
+    "groups" => groups,
+    "rule_set" => rule_set,
 });
 
 /// What [`Optimizer::optimize_fixpoint_cached`] answers.

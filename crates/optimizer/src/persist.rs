@@ -36,8 +36,10 @@
 use crate::cache::{CacheKey, Cached};
 use crate::rule::Rule;
 use ruletest_common::chaos::Chaos;
-use ruletest_common::wire::{optional, required, Decode, DecodeError, Encode};
-use ruletest_common::{fnv1a, wire_record, Fnv64, Json, Members};
+use ruletest_common::wire::{
+    optional, required, to_compact, to_pretty, Decode, DecodeError, Encode,
+};
+use ruletest_common::{fnv1a, wire_record, Fnv64, Json, JsonWriter, Members};
 use ruletest_storage::Catalog;
 use ruletest_telemetry::ProfileSample;
 use std::collections::hash_map::{Entry, HashMap};
@@ -88,11 +90,11 @@ pub fn campaign_fingerprint<'a>(
     h.finish()
 }
 
-/// Canonical byte form of a cache key: its wire form, compact-printed
-/// (sorted object keys). Content-addresses the snapshot entries — no lossy
-/// hashing, so a collision can't serve a wrong plan.
+/// Canonical byte form of a cache key: its wire form, written compact (keys
+/// ascending) straight into one buffer. Content-addresses the snapshot
+/// entries — no lossy hashing, so a collision can't serve a wrong plan.
 pub fn canonical_key(key: &CacheKey) -> String {
-    key.encode().to_string_compact()
+    to_compact(key)
 }
 
 // ---------------------------------------------------------------------
@@ -115,7 +117,7 @@ struct Manifest {
     fingerprint: String,
 }
 
-wire_record!(Manifest { "format" => format, "fingerprint" => fingerprint });
+wire_record!(Manifest { "fingerprint" => fingerprint, "format" => format });
 
 impl Manifest {
     fn of(fingerprint: u64) -> Self {
@@ -352,7 +354,7 @@ impl SnapshotStore {
             keys.sort_unstable();
             let mut out = String::new();
             for key_str in keys {
-                out.push_str(&entry_line(key_str, &shard.entries[key_str]));
+                write_entry_line(&mut out, key_str, &shard.entries[key_str]);
                 out.push('\n');
             }
             write_atomic(&self.shard_path(idx), &out)?;
@@ -364,7 +366,7 @@ impl SnapshotStore {
         if rewrote || !self.has_snapshot {
             write_atomic(
                 &self.dir.join("MANIFEST.json"),
-                Manifest::of(self.fingerprint).encode().to_string_pretty(),
+                to_pretty(&Manifest::of(self.fingerprint)),
             )?;
         }
         Ok(persisted)
@@ -388,23 +390,26 @@ impl SnapshotStore {
 /// take the key's bytes as written.
 const KEY_MEMBER: &str = "{\"key\":";
 
-/// One shard line. Hand-written, not an `Encode` impl: the key is spliced
-/// in as the raw canonical JSON it was addressed by (not re-built from a
-/// decoded tree), and the members keep their historical order — `key`,
-/// `result` (or `explored`), `sample`.
-fn entry_line(key_str: &str, e: &StoredEntry) -> String {
-    let (member, value) = match &e.value {
-        Cached::Full(result) => ("result", result.encode()),
-        Cached::Truncated(explored) => ("explored", explored.encode()),
+/// Appends one shard line to `out`. Hand-written, not an `Encode` impl: the
+/// key is spliced in as the raw canonical JSON it was addressed by (not
+/// re-encoded from a decoded key), and the members keep their historical
+/// order — `key`, `result` (or `explored`), `sample` — which is not sorted
+/// when the value is `explored`. Each value goes through the writer.
+fn write_entry_line(out: &mut String, key_str: &str, e: &StoredEntry) {
+    let (member, value): (&str, &dyn Encode) = match &e.value {
+        Cached::Full(result) => (",\"result\":", &**result),
+        Cached::Truncated(explored) => (",\"explored\":", &**explored),
     };
-    format!(
-        "{KEY_MEMBER}{key_str},\"{member}\":{},\"sample\":{}}}",
-        value.to_string_compact(),
-        e.sample.encode().to_string_compact(),
-    )
+    out.push_str(KEY_MEMBER);
+    out.push_str(key_str);
+    out.push_str(member);
+    value.encode(&mut JsonWriter::compact(out));
+    out.push_str(",\"sample\":");
+    e.sample.encode(&mut JsonWriter::compact(out));
+    out.push('}');
 }
 
-/// Inverse of [`entry_line`]. The key is taken as written: the parser only
+/// Inverse of [`write_entry_line`]. The key is taken as written: the parser only
 /// finds where it ends, and it is neither built nor printed again, so a key
 /// whose bytes are not canonical matches no probe (a miss, never a wrong
 /// plan). A line that does not open with its key is corrupt. Members it
@@ -435,6 +440,12 @@ mod tests {
     use crate::physical::{PhysOp, PhysicalPlan};
     use ruletest_common::{ColId, DataType, Rng, RuleId, TableId};
     use ruletest_logical::{ColumnInfo, LogicalTree};
+
+    fn entry_line(key_str: &str, e: &StoredEntry) -> String {
+        let mut line = String::new();
+        write_entry_line(&mut line, key_str, e);
+        line
+    }
 
     fn leaf(tag: u32) -> LogicalTree {
         LogicalTree::get_with_cols(TableId(tag), vec![ColId(tag), ColId(tag + 1)])
@@ -692,6 +703,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Keys a million arrays or objects deep are two more corrupt lines,
+    /// loaded on a spawned thread: the parser stops at its nesting limit
+    /// instead of overflowing the stack.
+    #[test]
+    fn a_hostile_line_is_skipped_not_a_stack_overflow() {
+        let (dir, keys) = backdated_snapshot("hostile");
+        let home = SnapshotStore::shard_index(&canonical_key(&keys[0]));
+        let intact = fs::read_to_string(shard_file(&dir, home)).unwrap();
+        let arrays = format!("{KEY_MEMBER}{}", "[".repeat(1_000_000));
+        let objects = format!("{KEY_MEMBER}{}", "{\"k\":".repeat(1_000_000));
+        let hostile = format!("{intact}{arrays}\n{objects}\n");
+        fs::write(shard_file(&dir, home), hostile).unwrap();
+        let loaded = dir.clone();
+        std::thread::spawn(move || {
+            let store = SnapshotStore::open(&loaded, 5, None).unwrap();
+            assert!(store.peek_warm(&keys[0], &Chaos::default()).is_some());
+            assert_eq!(store.save().unwrap(), 8);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(fs::read_to_string(shard_file(&dir, home)).unwrap(), intact);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[cfg(unix)]
     #[test]
     fn a_save_of_an_unchanged_snapshot_writes_no_file() {
@@ -752,13 +787,7 @@ mod tests {
             .unwrap()
             .iter()
             .rev()
-            .map(|(k, v)| {
-                format!(
-                    "{}:{}",
-                    Json::str(k.as_str()).to_string_compact(),
-                    v.to_string_compact()
-                )
-            })
+            .map(|(k, v)| format!("{}:{}", to_compact(k.as_str()), v.to_string_compact()))
             .collect();
         let written = format!("{{{}}}", reversed.join(","));
         assert_eq!(Json::parse(&written).unwrap(), members);

@@ -69,12 +69,12 @@ pub enum PhysOp {
 }
 
 wire_enum!(PhysOp tagged "op" {
-    "seq_scan" => SeqScan { "table" => table, "cols" => cols },
+    "seq_scan" => SeqScan { "cols" => cols, "table" => table },
     "index_seek" => IndexSeek {
-        "table" => table,
         "cols" => cols,
         "key" => key,
         "residual" => residual,
+        "table" => table,
     },
     "filter" => Filter { "pred" => predicate },
     "compute" => Compute { "outputs" => outputs via projections },
@@ -82,24 +82,24 @@ wire_enum!(PhysOp tagged "op" {
     "hash_join" => HashJoin {
         "kind" => kind,
         "left_keys" => left_keys,
-        "right_keys" => right_keys,
         "residual" => residual,
+        "right_keys" => right_keys,
     },
     "merge_join" => MergeJoin {
         "left_key" => left_key,
-        "right_key" => right_key,
         "residual" => residual,
+        "right_key" => right_key,
     },
-    "hash_agg" => HashAgg { "group_by" => group_by, "aggs" => aggs },
-    "stream_agg" => StreamAgg { "group_by" => group_by, "aggs" => aggs },
+    "hash_agg" => HashAgg { "aggs" => aggs, "group_by" => group_by },
+    "stream_agg" => StreamAgg { "aggs" => aggs, "group_by" => group_by },
     "concat" => Concat {
-        "outputs" => outputs,
         "left_cols" => left_cols,
+        "outputs" => outputs,
         "right_cols" => right_cols,
     },
     "hash_distinct" => HashDistinct {},
     "sort" => SortOp { "keys" => keys },
-    "top_n" => TopN { "n" => n, "keys" => keys },
+    "top_n" => TopN { "keys" => keys, "n" => n },
 });
 
 impl PhysOp {
@@ -138,11 +138,11 @@ pub struct PhysicalPlan {
 }
 
 wire_record!(PhysicalPlan {
-    "o" => op,
     "c" => children,
-    "schema" => schema,
-    "est_rows" => est_rows,
     "est_cost" => est_cost,
+    "est_rows" => est_rows,
+    "o" => op,
+    "schema" => schema,
 });
 
 impl PhysicalPlan {

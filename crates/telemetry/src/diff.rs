@@ -16,9 +16,11 @@
 //! * wall-clock-only noise (`optimizer.invocation_micros`, span
 //!   durations below stage roots, per-rule nanoseconds) is ignored.
 
-use crate::json::Json;
+use crate::json::JsonWriter;
 use crate::metrics::{Counter, Hist};
 use crate::report::RunReport;
+use ruletest_common::wire::Encode;
+use ruletest_common::wire_record;
 use std::collections::BTreeSet;
 
 /// Ignore timing deltas smaller than this (ns) regardless of percentage.
@@ -50,16 +52,14 @@ impl DiffItem {
             detail: detail.into(),
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("field", Json::str(self.field.clone())),
-            ("baseline", Json::str(self.baseline.clone())),
-            ("current", Json::str(self.current.clone())),
-            ("detail", Json::str(self.detail.clone())),
-        ])
-    }
 }
+
+wire_record!(DiffItem {
+    "baseline" => baseline,
+    "current" => current,
+    "detail" => detail,
+    "field" => field,
+});
 
 /// The outcome of one baseline/current comparison.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -74,21 +74,6 @@ pub struct DiffReport {
 impl DiffReport {
     pub fn regressed(&self) -> bool {
         !self.regressions.is_empty()
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("threshold_pct", Json::count(self.threshold_pct as u64)),
-            ("regressed", Json::Bool(self.regressed())),
-            (
-                "regressions",
-                Json::Arr(self.regressions.iter().map(DiffItem::to_json).collect()),
-            ),
-            (
-                "notes",
-                Json::Arr(self.notes.iter().map(DiffItem::to_json).collect()),
-            ),
-        ])
     }
 
     /// Human-readable rendering for the CLI.
@@ -129,6 +114,18 @@ impl DiffReport {
             );
         }
         out
+    }
+}
+
+/// `ruletest diff --json`'s document.
+impl Encode for DiffReport {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.member("notes", &self.notes);
+            w.member("regressed", &self.regressed());
+            w.member("regressions", &self.regressions);
+            w.member("threshold_pct", &self.threshold_pct);
+        });
     }
 }
 
@@ -201,11 +198,8 @@ pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold_pct: u32) -> Di
     // nonzero warm_hits by design), so like wall-clock histograms they
     // are excluded from the exact comparison — `ruletest diff` must be
     // able to gate a warm run against a cold baseline.
-    let environmental_counter = |name: &str| {
-        Counter::ALL
-            .iter()
-            .any(|c| c.name() == name && !c.deterministic())
-    };
+    let environmental_counter =
+        |name: &str| Counter::from_name(name).is_some_and(|c| !c.deterministic());
     diff_exact_maps(
         &mut out,
         "counters",
@@ -246,11 +240,7 @@ pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold_pct: u32) -> Di
 
     // Deterministic histograms compare exactly, bucket by bucket;
     // wall-clock histograms are pure noise and are skipped.
-    let environmental = |name: &str| {
-        Hist::ALL
-            .iter()
-            .any(|h| h.name() == name && !h.deterministic())
-    };
+    let environmental = |name: &str| Hist::from_name(name).is_some_and(|h| !h.deterministic());
     let base_hists: BTreeSet<&String> = base.histograms.keys().collect();
     for (name, b) in &base.histograms {
         if environmental(name) {
@@ -381,9 +371,11 @@ pub fn diff_reports(base: &RunReport, cur: &RunReport, threshold_pct: u32) -> Di
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::metrics::{Counter, Metrics};
     use crate::report::CacheSection;
     use crate::span::{ProfileSection, SpanRow};
+    use ruletest_common::wire::to_compact;
 
     fn report() -> RunReport {
         let m = Metrics::default();
@@ -584,7 +576,7 @@ mod tests {
         let mut cur = report();
         *cur.counters.get_mut(Counter::GenTrials.name()).unwrap() += 1;
         let d = diff_reports(&base, &cur, 10);
-        let j = d.to_json();
+        let j = Json::parse(&to_compact(&d)).unwrap();
         assert_eq!(j.get("regressed").and_then(Json::as_bool), Some(true));
         assert_eq!(j.get("threshold_pct").and_then(Json::as_u64), Some(10));
         let regs = j.get("regressions").and_then(Json::as_arr).unwrap();

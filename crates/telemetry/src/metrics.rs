@@ -6,7 +6,7 @@
 //! fixed atomic array indexed by `RuleId` so the fire site is a single
 //! relaxed add too.
 
-use ruletest_common::wire_record;
+use ruletest_common::{wire_names, wire_record};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters tracked by the registry.
@@ -104,83 +104,44 @@ pub enum Counter {
     ChaosInjected,
 }
 
+wire_names!(Counter {
+    OptInvocations => "optimizer.invocations",
+    OptTruncated => "optimizer.truncated",
+    RuleFiresExplore => "rules.explore_fires",
+    RuleFiresImplement => "rules.implement_fires",
+    GenTrials => "gen.trials",
+    GenHits => "gen.hits",
+    GenFailures => "gen.failures",
+    GenRejectedTruncated => "gen.rejected_truncated",
+    EdgesPruned => "graph.edges_pruned",
+    OracleCalls => "graph.oracle_calls",
+    Validations => "correctness.validations",
+    Executions => "correctness.executions",
+    SkippedIdentical => "correctness.skipped_identical",
+    SkippedExpensive => "correctness.skipped_expensive",
+    SkippedUnsupported => "correctness.skipped_unsupported",
+    CorrectnessBugs => "correctness.bugs",
+    BugsMinimized => "triage.bugs_minimized",
+    MinimizationSteps => "triage.minimization_steps",
+    DuplicatesCollapsed => "triage.duplicates_collapsed",
+    MutantsKilled => "mutate.killed",
+    MutantsSurvived => "mutate.survived",
+    LintEscapes => "mutate.lint_escapes",
+    CachePersisted => "cache.persisted",
+    CacheWarmHits => "cache.warm_hits",
+    CacheFingerprintRejected => "cache.fingerprint_rejected",
+    ProveEquivalent => "prove.equivalent",
+    ProveInequivalent => "prove.inequivalent",
+    ProveUnknown => "prove.unknown",
+    SupervisePanics => "supervise.panics",
+    SuperviseTimeouts => "supervise.timeouts",
+    SuperviseBudget => "supervise.budget",
+    SuperviseQuarantined => "supervise.quarantined",
+    ChaosInjected => "chaos.injected",
+});
+
 impl Counter {
-    pub const COUNT: usize = 33;
-
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::OptInvocations,
-        Counter::OptTruncated,
-        Counter::RuleFiresExplore,
-        Counter::RuleFiresImplement,
-        Counter::GenTrials,
-        Counter::GenHits,
-        Counter::GenFailures,
-        Counter::GenRejectedTruncated,
-        Counter::EdgesPruned,
-        Counter::OracleCalls,
-        Counter::Validations,
-        Counter::Executions,
-        Counter::SkippedIdentical,
-        Counter::SkippedExpensive,
-        Counter::SkippedUnsupported,
-        Counter::CorrectnessBugs,
-        Counter::BugsMinimized,
-        Counter::MinimizationSteps,
-        Counter::DuplicatesCollapsed,
-        Counter::MutantsKilled,
-        Counter::MutantsSurvived,
-        Counter::LintEscapes,
-        Counter::CachePersisted,
-        Counter::CacheWarmHits,
-        Counter::CacheFingerprintRejected,
-        Counter::ProveEquivalent,
-        Counter::ProveInequivalent,
-        Counter::ProveUnknown,
-        Counter::SupervisePanics,
-        Counter::SuperviseTimeouts,
-        Counter::SuperviseBudget,
-        Counter::SuperviseQuarantined,
-        Counter::ChaosInjected,
-    ];
-
-    /// Stable dotted name used in reports and traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::OptInvocations => "optimizer.invocations",
-            Counter::OptTruncated => "optimizer.truncated",
-            Counter::RuleFiresExplore => "rules.explore_fires",
-            Counter::RuleFiresImplement => "rules.implement_fires",
-            Counter::GenTrials => "gen.trials",
-            Counter::GenHits => "gen.hits",
-            Counter::GenFailures => "gen.failures",
-            Counter::GenRejectedTruncated => "gen.rejected_truncated",
-            Counter::EdgesPruned => "graph.edges_pruned",
-            Counter::OracleCalls => "graph.oracle_calls",
-            Counter::Validations => "correctness.validations",
-            Counter::Executions => "correctness.executions",
-            Counter::SkippedIdentical => "correctness.skipped_identical",
-            Counter::SkippedExpensive => "correctness.skipped_expensive",
-            Counter::SkippedUnsupported => "correctness.skipped_unsupported",
-            Counter::CorrectnessBugs => "correctness.bugs",
-            Counter::BugsMinimized => "triage.bugs_minimized",
-            Counter::MinimizationSteps => "triage.minimization_steps",
-            Counter::DuplicatesCollapsed => "triage.duplicates_collapsed",
-            Counter::MutantsKilled => "mutate.killed",
-            Counter::MutantsSurvived => "mutate.survived",
-            Counter::LintEscapes => "mutate.lint_escapes",
-            Counter::CachePersisted => "cache.persisted",
-            Counter::CacheWarmHits => "cache.warm_hits",
-            Counter::CacheFingerprintRejected => "cache.fingerprint_rejected",
-            Counter::ProveEquivalent => "prove.equivalent",
-            Counter::ProveInequivalent => "prove.inequivalent",
-            Counter::ProveUnknown => "prove.unknown",
-            Counter::SupervisePanics => "supervise.panics",
-            Counter::SuperviseTimeouts => "supervise.timeouts",
-            Counter::SuperviseBudget => "supervise.budget",
-            Counter::SuperviseQuarantined => "supervise.quarantined",
-            Counter::ChaosInjected => "chaos.injected",
-        }
-    }
+    pub const COUNT: usize = Counter::ALL.len();
 
     /// Supervision crash counters: any *increase* in one of these between
     /// a baseline and a candidate run is a regression in `ruletest diff`,
@@ -230,24 +191,15 @@ pub enum Hist {
     InvocationMicros,
 }
 
+wire_names!(Hist {
+    GenTrialsToHit => "gen.trials_to_hit",
+    MemoGroups => "optimizer.memo_groups",
+    MemoExprs => "optimizer.memo_exprs",
+    InvocationMicros => "optimizer.invocation_micros",
+});
+
 impl Hist {
-    pub const COUNT: usize = 4;
-
-    pub const ALL: [Hist; Hist::COUNT] = [
-        Hist::GenTrialsToHit,
-        Hist::MemoGroups,
-        Hist::MemoExprs,
-        Hist::InvocationMicros,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::GenTrialsToHit => "gen.trials_to_hit",
-            Hist::MemoGroups => "optimizer.memo_groups",
-            Hist::MemoExprs => "optimizer.memo_exprs",
-            Hist::InvocationMicros => "optimizer.invocation_micros",
-        }
-    }
+    pub const COUNT: usize = Hist::ALL.len();
 
     /// Whether bucket contents are a pure function of seed + inputs.
     pub fn deterministic(self) -> bool {
@@ -353,9 +305,9 @@ impl HistogramSnapshot {
 }
 
 wire_record!(HistogramSnapshot {
+    "buckets" => buckets via trimmed_buckets,
     "count" => count,
     "sum" => sum,
-    "buckets" => buckets via trimmed_buckets,
 });
 
 /// `via trimmed_buckets`: the fixed bucket array with its trailing empty
@@ -363,11 +315,11 @@ wire_record!(HistogramSnapshot {
 mod trimmed_buckets {
     use super::HIST_BUCKETS;
     use ruletest_common::wire::{Decode, DecodeError, Encode};
-    use ruletest_common::Json;
+    use ruletest_common::{Json, JsonWriter};
 
-    pub fn encode(buckets: &[u64; HIST_BUCKETS]) -> Json {
+    pub fn encode(buckets: &[u64; HIST_BUCKETS], w: &mut JsonWriter<'_>) {
         let used = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-        buckets[..used].encode()
+        buckets[..used].encode(w);
     }
 
     pub fn decode(j: &Json) -> Result<[u64; HIST_BUCKETS], DecodeError> {
@@ -480,7 +432,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruletest_common::{Decode, Encode};
+    use ruletest_common::{to_compact, Decode, Json};
 
     #[test]
     fn counters_accumulate() {
@@ -515,7 +467,7 @@ mod tests {
         assert_eq!(snap.count, 6);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
         assert_eq!(snap.sum, 207 + (1 << 40));
-        let rt = HistogramSnapshot::decode(&snap.encode()).unwrap();
+        let rt = HistogramSnapshot::decode(&Json::parse(&to_compact(&snap)).unwrap()).unwrap();
         assert_eq!(rt, snap);
     }
 
@@ -548,9 +500,11 @@ mod tests {
         assert!(p95 >= 1024.0 && p99 <= 4096.0, "{p95} {p99}");
         // Empty histogram: defined, zero.
         assert_eq!(
-            HistogramSnapshot::decode(&Histogram::default().snapshot().encode())
-                .unwrap()
-                .percentile(50.0),
+            HistogramSnapshot::decode(
+                &Json::parse(&to_compact(&Histogram::default().snapshot())).unwrap()
+            )
+            .unwrap()
+            .percentile(50.0),
             0.0
         );
     }

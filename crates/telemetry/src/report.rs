@@ -11,10 +11,10 @@
 //! * **environmental** — wall times, pool utilization, cache hit split,
 //!   and trace-ring occupancy, which legitimately vary run to run.
 
-use crate::json::{Json, Members};
+use crate::json::{Json, JsonWriter};
 use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot};
 use crate::span::ProfileSection;
-use ruletest_common::wire::{decimal, Decode, Encode};
+use ruletest_common::wire::{decimal, to_compact, Decode};
 use ruletest_common::wire_record;
 pub use ruletest_common::PoolSection;
 use std::collections::BTreeMap;
@@ -28,10 +28,11 @@ pub struct CacheSection {
 }
 
 wire_record!(CacheSection {
+    "evictions" => evictions,
+    "hit_ratio" => hit_ratio(),
     "hits" => hits,
     "misses" => misses,
-    "evictions" => evictions,
-} + { "hit_ratio" => hit_ratio });
+});
 
 impl CacheSection {
     pub fn hit_ratio(&self) -> f64 {
@@ -51,7 +52,7 @@ pub struct TraceSection {
     pub dropped: u64,
 }
 
-wire_record!(TraceSection { "recorded" => recorded, "dropped" => dropped });
+wire_record!(TraceSection { "dropped" => dropped, "recorded" => recorded });
 
 /// Current report schema version (bump on breaking layout changes).
 pub const SCHEMA_VERSION: u64 = 1;
@@ -94,15 +95,15 @@ pub struct RunReport {
 // The sections and `wall_seconds` may be missing: reports that predate a
 // section (the profiler's, say) still load as diff baselines.
 wire_record!(RunReport {
-    "schema" => schema,
-    "wall_seconds" => wall_seconds via decimal: or_default,
-    "rule_firings" => rule_firings,
+    "cache" => cache: or_default,
     "counters" => counters,
     "histograms" => histograms,
-    "cache" => cache: or_default,
     "pool" => pool: or_default,
-    "trace" => trace: or_default,
     "profile" => profile: or_default,
+    "rule_firings" => rule_firings,
+    "schema" => schema,
+    "trace" => trace: or_default,
+    "wall_seconds" => wall_seconds via decimal: or_default,
 });
 
 impl RunReport {
@@ -152,9 +153,14 @@ impl RunReport {
         self.counter(Counter::OptInvocations)
     }
 
-    /// The report document (its wire form, [`Encode::encode`]).
+    /// The report document as a parsed tree. Kept only because the
+    /// benchmark (`perfbench/src/workloads.rs`, `perfbench/src/metrics.rs`)
+    /// calls `.to_json().to_string_compact()` and may not be edited here;
+    /// everything else writes the report with
+    /// [`to_pretty`](ruletest_common::to_pretty). A benchmark PR
+    /// drops it.
     pub fn to_json(&self) -> Json {
-        self.encode()
+        Json::parse(&to_compact(self)).expect("a written report parses")
     }
 
     /// Canonical serialization of the deterministic subset only: rule
@@ -162,44 +168,30 @@ impl RunReport {
     /// campaigns with the same seed must produce byte-identical output
     /// here regardless of thread count.
     pub fn deterministic_json(&self) -> String {
-        let det_hists: Members = self
-            .histograms
-            .iter()
-            .filter(|(name, _)| {
-                Hist::ALL
-                    .iter()
-                    .any(|h| h.name() == name.as_str() && h.deterministic())
-            })
-            .map(|(name, snap)| (name.clone(), snap.encode()))
-            .collect();
         // Counters that track disk-state effects (cold vs warm cache)
         // are environmental and excluded, same as wall-clock histograms.
-        let det_counters: Members = self
-            .counters
-            .iter()
-            .filter(|(name, _)| {
-                Counter::ALL
-                    .iter()
-                    .any(|c| c.name() == name.as_str() && c.deterministic())
-            })
-            .map(|(name, &v)| (name.clone(), Json::count(v)))
-            .collect();
-        Json::obj(vec![
-            ("schema", Json::count(self.schema)),
-            (
-                "rule_firings",
-                Json::Obj(
-                    self.rule_firings
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::count(v)))
-                        .collect(),
-                ),
-            ),
-            ("counters", Json::Obj(det_counters)),
-            ("histograms", Json::Obj(det_hists)),
-            ("profile", self.profile.deterministic_json()),
-        ])
-        .to_string_compact()
+        let counter = |name: &str| Counter::from_name(name).is_some_and(Counter::deterministic);
+        let hist = |name: &str| Hist::from_name(name).is_some_and(Hist::deterministic);
+        let mut out = String::new();
+        JsonWriter::compact(&mut out).object(|w| {
+            w.key("counters");
+            w.object(|w| {
+                for (name, v) in self.counters.iter().filter(|(name, _)| counter(name)) {
+                    w.member(name, v);
+                }
+            });
+            w.key("histograms");
+            w.object(|w| {
+                for (name, snap) in self.histograms.iter().filter(|(name, _)| hist(name)) {
+                    w.member(name, snap);
+                }
+            });
+            w.key("profile");
+            self.profile.write_deterministic(w);
+            w.member("rule_firings", &self.rule_firings);
+            w.member("schema", &self.schema);
+        });
+        out
     }
 
     /// Parses the text of a report document; a failure names the field
@@ -414,7 +406,9 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Members;
     use crate::metrics::Metrics;
+    use ruletest_common::wire::to_pretty;
 
     fn sample_report() -> RunReport {
         let m = Metrics::default();
@@ -458,7 +452,7 @@ mod tests {
     #[test]
     fn json_roundtrip_is_lossless() {
         let r = sample_report();
-        let text = r.to_json().to_string_pretty();
+        let text = to_pretty(&r);
         let back = RunReport::from_json(&text).unwrap();
         assert_eq!(back, r);
     }
@@ -561,24 +555,27 @@ mod tests {
     #[test]
     fn profile_section_survives_the_json_roundtrip() {
         let r = profiled_report();
-        let back = RunReport::from_json(&r.to_json().to_string_pretty()).unwrap();
+        let back = RunReport::from_json(&to_pretty(&r)).unwrap();
         assert_eq!(back, r);
         // Pre-profiler reports (no "profile" key) still parse.
         let mut legacy = sample_report();
         legacy.profile = ProfileSection::default();
-        let json = legacy.to_json();
-        let Json::Obj(mut fields) = json else {
-            panic!("report JSON is an object")
-        };
-        fields.remove("profile");
-        let back = RunReport::from_json(&Json::Obj(fields).to_string_pretty()).unwrap();
+        let json = Json::parse(&to_compact(&legacy)).unwrap();
+        let fields: Members = json
+            .as_obj()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| *k != "profile")
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        let back = RunReport::from_json(&to_pretty(&Json::Obj(fields))).unwrap();
         assert_eq!(back, legacy);
     }
 
     #[test]
     fn malformed_profile_fails_with_a_field_path() {
         let r = profiled_report();
-        let mut text = r.to_json().to_string_pretty();
+        let mut text = to_pretty(&r);
         text = text.replace("\"wall_ns\": 6000000", "\"wall_ns\": \"fast\"");
         let err = RunReport::from_json(&text).unwrap_err();
         assert!(err.contains("profile.spans[1].wall_ns"), "{err}");

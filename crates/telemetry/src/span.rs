@@ -6,7 +6,7 @@
 //! bind/fire counts are identical at any thread count (they follow the
 //! campaign's deterministic work assignment and the invocation cache's
 //! first-insertion-wins dedup), while the recorded durations naturally
-//! vary run to run. [`ProfileSection::deterministic_json`] exposes
+//! vary run to run. [`ProfileSection::write_deterministic`] exposes
 //! exactly the invariant slice; durations live only in the full report.
 //!
 //! Design constraints that shape the code:
@@ -28,11 +28,11 @@
 //!   `wall_ns - child_ns` with no drift. [`ProfileSection::validate`]
 //!   checks this.
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::metrics::MAX_RULES;
 use crate::trace::RulePhase;
 use ruletest_common::wire::{array, object, optional, required, Decode, DecodeError, Encode};
-use ruletest_common::wire_record;
+use ruletest_common::{wire_names, wire_record};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -67,33 +67,17 @@ pub enum Stage {
     Prove,
 }
 
-impl Stage {
-    pub const ALL: [Stage; 9] = [
-        Stage::Generation,
-        Stage::Graph,
-        Stage::Correctness,
-        Stage::Triage,
-        Stage::Mutation,
-        Stage::Optimize,
-        Stage::Execution,
-        Stage::Persist,
-        Stage::Prove,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Generation => "generation",
-            Stage::Graph => "graph",
-            Stage::Correctness => "correctness",
-            Stage::Triage => "triage",
-            Stage::Mutation => "mutation",
-            Stage::Optimize => "optimize",
-            Stage::Execution => "execution",
-            Stage::Persist => "persist",
-            Stage::Prove => "prove",
-        }
-    }
-}
+wire_names!(Stage {
+    Generation => "generation",
+    Graph => "graph",
+    Correctness => "correctness",
+    Triage => "triage",
+    Mutation => "mutation",
+    Optimize => "optimize",
+    Execution => "execution",
+    Persist => "persist",
+    Prove => "prove",
+});
 
 /// One attribution key in a span path: a campaign stage, or a rule
 /// working in a specific optimizer phase.
@@ -416,19 +400,23 @@ impl ProfileSample {
 /// Hand-written because the rows are a map keyed by a pair: each row is the
 /// cost record with the key's `rule` and `phase` as two more members.
 impl Encode for ProfileSample {
-    fn encode(&self) -> Json {
-        let row = |(&(rule, phase), cost): (&(u16, RulePhase), &RuleCostRow)| {
-            let mut row = cost.encode();
-            if let Json::Obj(members) = &mut row {
-                members.insert("rule".to_string(), rule.encode());
-                members.insert("phase".to_string(), phase.encode());
-            }
-            row
-        };
-        Json::obj(vec![
-            ("elapsed_ns", self.elapsed_ns.encode()),
-            ("rules", Json::Arr(self.rules.iter().map(row).collect())),
-        ])
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.member("elapsed_ns", &self.elapsed_ns);
+            w.key("rules");
+            w.array(|w| {
+                for (&(rule, phase), cost) in &self.rules {
+                    w.object(|w| {
+                        w.member("bind_ns", &cost.bind_ns);
+                        w.member("binds", &cost.binds);
+                        w.member("fires", &cost.fires);
+                        w.member("phase", &phase);
+                        w.member("rule", &rule);
+                        w.member("subst_ns", &cost.subst_ns);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -461,10 +449,10 @@ pub struct SpanRow {
 }
 
 wire_record!(SpanRow {
-    "path" => path,
-    "count" => count,
-    "wall_ns" => wall_ns,
     "child_ns" => child_ns,
+    "count" => count,
+    "path" => path,
+    "wall_ns" => wall_ns,
 });
 
 impl SpanRow {
@@ -501,9 +489,9 @@ pub struct RuleCostRow {
 }
 
 wire_record!(RuleCostRow {
+    "bind_ns" => bind_ns,
     "binds" => binds,
     "fires" => fires,
-    "bind_ns" => bind_ns,
     "subst_ns" => subst_ns,
 });
 
@@ -522,7 +510,7 @@ pub struct ProfileSection {
     pub rules: BTreeMap<String, RuleCostRow>,
 }
 
-wire_record!(ProfileSection { "spans" => spans: or_default, "rules" => rules: or_default });
+wire_record!(ProfileSection { "rules" => rules: or_default, "spans" => spans: or_default });
 
 impl ProfileSection {
     pub fn is_empty(&self) -> bool {
@@ -544,37 +532,31 @@ impl ProfileSection {
         self.spans.iter().map(SpanRow::self_ns).sum()
     }
 
-    /// The thread-count-invariant slice: span paths and counts plus
-    /// per-rule bind/fire counts. Durations are deliberately excluded —
-    /// they are real measurements and vary run to run.
-    pub fn deterministic_json(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("path", Json::str(r.path.clone())),
-                    ("count", Json::count(r.count)),
-                ])
-            })
-            .collect();
-        let rules = self
-            .rules
-            .iter()
-            .map(|(name, c)| {
-                (
-                    name.clone(),
-                    Json::obj(vec![
-                        ("binds", Json::count(c.binds)),
-                        ("fires", Json::count(c.fires)),
-                    ]),
-                )
-            })
-            .collect();
-        Json::obj(vec![
-            ("spans", Json::Arr(spans)),
-            ("rules", Json::Obj(rules)),
-        ])
+    /// Writes the thread-count-invariant slice: span paths and counts
+    /// plus per-rule bind/fire counts. Durations are deliberately excluded
+    /// — they are real measurements and vary run to run.
+    pub fn write_deterministic(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("rules");
+            w.object(|w| {
+                for (name, c) in &self.rules {
+                    w.key(name);
+                    w.object(|w| {
+                        w.member("binds", &c.binds);
+                        w.member("fires", &c.fires);
+                    });
+                }
+            });
+            w.key("spans");
+            w.array(|w| {
+                for r in &self.spans {
+                    w.object(|w| {
+                        w.member("count", &r.count);
+                        w.member("path", &r.path);
+                    });
+                }
+            });
+        });
     }
 
     /// Structural self-check: unique paths, every non-root row's parent
@@ -652,6 +634,7 @@ impl ProfileSection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruletest_common::wire::to_compact;
 
     fn busy() {
         // A few hundred ns of real work so spans get non-zero walls.
@@ -758,7 +741,7 @@ mod tests {
 
     #[test]
     fn span_tree_shape_is_identical_across_thread_counts() {
-        fn run(threads: usize) -> Json {
+        fn run(threads: usize) -> String {
             let p = Arc::new(Profiler::default());
             let work = |p: &Arc<Profiler>| {
                 for _ in 0..4 {
@@ -782,11 +765,14 @@ mod tests {
                     }
                 });
             }
-            p.section(&["R0".into(), "R1".into()]).deterministic_json()
+            let mut out = String::new();
+            p.section(&["R0".into(), "R1".into()])
+                .write_deterministic(&mut JsonWriter::compact(&mut out));
+            out
         }
         assert_eq!(
-            run(1).to_string_compact(),
-            run(3).to_string_compact(),
+            run(1),
+            run(3),
             "span tree shape must not depend on thread count"
         );
     }
@@ -827,16 +813,17 @@ mod tests {
             p.flush_optimize(&s, 1);
         }
         let sec = p.section(&["A".into()]);
-        let back = ProfileSection::decode(&sec.encode()).unwrap();
+        let back = ProfileSection::decode(&Json::parse(&to_compact(&sec)).unwrap()).unwrap();
         assert_eq!(back, sec);
 
-        let bad = Json::parse(r#"{"spans":[{"path":"triage","count":1,"wall_ns":-1}]}"#).unwrap();
+        let bad = r#"{"spans":[{"path":"triage","count":1,"wall_ns":-1,"child_ns":0}]}"#;
+        let bad = Json::parse(bad).unwrap();
         let err = ProfileSection::decode(&bad).unwrap_err().to_string();
         assert!(err.contains("spans[0].wall_ns"), "{err}");
-        let bad = Json::parse(r#"{"spans":[{"count":1}]}"#).unwrap();
+        let bad = Json::parse(r#"{"spans":[{"count":1,"child_ns":0}]}"#).unwrap();
         let err = ProfileSection::decode(&bad).unwrap_err().to_string();
         assert!(err.contains("spans[0].path"), "{err}");
-        let bad = Json::parse(r#"{"rules":{"A/explore":{"binds":1}}}"#).unwrap();
+        let bad = Json::parse(r#"{"rules":{"A/explore":{"bind_ns":0,"binds":1}}}"#).unwrap();
         let err = ProfileSection::decode(&bad).unwrap_err().to_string();
         assert!(err.contains("rules.A/explore.fires"), "{err}");
     }

@@ -11,7 +11,7 @@
 //! *oldest* events per shard and counts the drops — tracing can never
 //! abort or slow a run by reallocating without bound.
 
-use crate::json::Json;
+use crate::json::JsonWriter;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
@@ -82,22 +82,11 @@ pub enum Event {
 }
 
 impl Event {
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Invocation { .. } => "invocation",
-            Event::CacheLookup { .. } => "cache_lookup",
-            Event::RuleFire { .. } => "rule_fire",
-            Event::GenOutcome { .. } => "gen_outcome",
-            Event::GraphProbe { .. } => "graph_probe",
-            Event::Validation { .. } => "validation",
-            Event::Supervised { .. } => "supervised",
-        }
-    }
-
-    /// JSON object for one JSONL line (sequence number prepended by the
-    /// exporter).
-    fn payload(&self) -> Vec<(&'static str, Json)> {
-        match self {
+    /// One JSONL line: the event's fields with its sequence number and
+    /// kind (`seq`, `type`, which sorts last), members in key order.
+    fn write_line(&self, seq: u64, w: &mut JsonWriter<'_>) {
+        let hex = |fingerprint: &u64| format!("{fingerprint:016x}");
+        w.object(|w| match self {
             Event::Invocation {
                 fingerprint,
                 masked_rules,
@@ -105,72 +94,80 @@ impl Event {
                 exprs,
                 truncated,
                 elapsed_us,
-            } => vec![
-                ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-                ("masked_rules", Json::count(*masked_rules as u64)),
-                ("groups", Json::count(*groups as u64)),
-                ("exprs", Json::count(*exprs as u64)),
-                ("truncated", Json::Bool(*truncated)),
-                ("elapsed_us", Json::count(*elapsed_us)),
-            ],
-            Event::CacheLookup { fingerprint, hit } => vec![
-                ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-                ("hit", Json::Bool(*hit)),
-            ],
+            } => {
+                w.member("elapsed_us", elapsed_us);
+                w.member("exprs", exprs);
+                w.member("fingerprint", &hex(fingerprint));
+                w.member("groups", groups);
+                w.member("masked_rules", masked_rules);
+                w.member("seq", &seq);
+                w.member("truncated", truncated);
+                w.member("type", "invocation");
+            }
+            Event::CacheLookup { fingerprint, hit } => {
+                w.member("fingerprint", &hex(fingerprint));
+                w.member("hit", hit);
+                w.member("seq", &seq);
+                w.member("type", "cache_lookup");
+            }
             Event::RuleFire {
                 rule,
                 phase,
                 produced,
-            } => vec![
-                ("rule", Json::count(*rule as u64)),
-                ("phase", Json::str(phase.name())),
-                ("produced", Json::count(*produced as u64)),
-            ],
+            } => {
+                w.member("phase", phase);
+                w.member("produced", produced);
+                w.member("rule", rule);
+                w.member("seq", &seq);
+                w.member("type", "rule_fire");
+            }
             Event::GenOutcome {
                 rule,
                 trials,
                 ops,
                 found,
-            } => vec![
-                ("rule", Json::count(*rule as u64)),
-                ("trials", Json::count(*trials)),
-                ("ops", Json::count(*ops as u64)),
-                ("found", Json::Bool(*found)),
-            ],
+            } => {
+                w.member("found", found);
+                w.member("ops", ops);
+                w.member("rule", rule);
+                w.member("seq", &seq);
+                w.member("trials", trials);
+                w.member("type", "gen_outcome");
+            }
             Event::GraphProbe {
                 target,
                 scanned,
                 pruned,
-            } => vec![
-                ("target", Json::count(*target as u64)),
-                ("scanned", Json::count(*scanned as u64)),
-                ("pruned", Json::count(*pruned as u64)),
-            ],
+            } => {
+                w.member("pruned", pruned);
+                w.member("scanned", scanned);
+                w.member("seq", &seq);
+                w.member("target", target);
+                w.member("type", "graph_probe");
+            }
             Event::Validation {
                 target,
                 query,
                 outcome,
-            } => vec![
-                ("target", Json::count(*target as u64)),
-                ("query", Json::count(*query as u64)),
-                ("outcome", Json::str(*outcome)),
-            ],
+            } => {
+                w.member("outcome", *outcome);
+                w.member("query", query);
+                w.member("seq", &seq);
+                w.member("target", target);
+                w.member("type", "validation");
+            }
             Event::Supervised {
                 kind,
                 site,
                 fingerprint,
-            } => vec![
-                ("kind", Json::str(*kind)),
-                ("site", Json::str(site.clone())),
-                ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-            ],
-        }
-    }
-
-    fn to_json(&self, seq: u64) -> Json {
-        let mut fields = vec![("seq", Json::count(seq)), ("type", Json::str(self.kind()))];
-        fields.extend(self.payload());
-        Json::obj(fields)
+            } => {
+                w.member("fingerprint", &hex(fingerprint));
+                w.member("kind", *kind);
+                w.member("seq", &seq);
+                w.member("site", site);
+                w.member("type", "supervised");
+            }
+        });
     }
 }
 
@@ -270,8 +267,11 @@ impl Tracer {
 
     /// Writes the retained events as JSONL, one event object per line.
     pub fn export_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut line = String::new();
         for (seq, event) in self.collect() {
-            writeln!(w, "{}", event.to_json(seq).to_string_compact())?;
+            line.clear();
+            event.write_line(seq, &mut JsonWriter::compact(&mut line));
+            writeln!(w, "{line}")?;
         }
         Ok(())
     }
@@ -280,6 +280,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn fire(rule: u16) -> Event {
         Event::RuleFire {

@@ -37,6 +37,7 @@
 
 use ruletest::cli::{self, Opts};
 use ruletest::common::chaos::{Chaos, ChaosPlan};
+use ruletest::common::to_pretty;
 use ruletest::common::Decode;
 use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::{execute_solution, execute_solution_with};
@@ -318,8 +319,7 @@ fn write_telemetry_outputs(fw: &Framework, opts: &Opts, started: Instant) -> Res
     if let Some(path) = &opts.metrics_json {
         let mut report = fw.run_report();
         report.wall_seconds = started.elapsed().as_secs_f64();
-        std::fs::write(path, report.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote run report to {path}");
     }
     if let Some(path) = &opts.trace_out {
@@ -386,8 +386,7 @@ fn run_diff_cmd(opts: &Opts) -> Result<bool, String> {
     let diff = diff_reports(&base, &cur, threshold);
     print!("{}", diff.render_text());
     if let Some(out) = &opts.json {
-        std::fs::write(out, diff.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {out}: {e}"))?;
+        std::fs::write(out, to_pretty(&diff)).map_err(|e| format!("writing {out}: {e}"))?;
         println!("diff: report written to {out}");
     }
     Ok(diff.regressed())
@@ -605,8 +604,7 @@ fn run_lint(opts: &Opts) -> Result<(), String> {
     print!("{}", report.render_text());
     println!("lint: finished in {:?}", started.elapsed());
     if let Some(path) = &opts.json {
-        std::fs::write(path, report.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
         println!("lint: report written to {path}");
     }
     // --prove: also run the symbolic prover, over its own rowless
@@ -683,8 +681,7 @@ fn run_prove(opts: &Opts) -> Result<(), String> {
     print!("{}", report.render_text());
     println!("prove: finished in {:?}", started.elapsed());
     if let Some(path) = &opts.json {
-        std::fs::write(path, report.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
         println!("prove: report written to {path}");
     }
     let rule_names: Vec<String> = (0..optimizer.num_rules())
@@ -698,8 +695,7 @@ fn run_prove(opts: &Opts) -> Result<(), String> {
     if let Some(path) = &opts.metrics_json {
         let mut run = telemetry.run_report(&rule_names);
         run.wall_seconds = started.elapsed().as_secs_f64();
-        std::fs::write(path, run.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_pretty(&run)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote run report to {path}");
     }
     if let Some(path) = &opts.profile_folded {
@@ -756,7 +752,7 @@ fn run_mutate(opts: &Opts) -> Result<(), String> {
         return Ok(());
     }
     let class = match &opts.class {
-        Some(name) => Some(BugClass::from_name(name).map_err(|e| e.to_string())?),
+        Some(name) => Some(BugClass::parse(name).map_err(|e| e.to_string())?),
         None => None,
     };
     let telemetry = if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
@@ -779,15 +775,13 @@ fn run_mutate(opts: &Opts) -> Result<(), String> {
     print!("{}", report.render_text());
     println!("mutate: finished in {:?}", started.elapsed());
     if let Some(path) = &opts.json {
-        std::fs::write(path, report.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
         println!("mutate: report written to {path}");
     }
     if let Some(path) = &opts.metrics_json {
         let mut run = telemetry.run_report(&[]);
         run.wall_seconds = started.elapsed().as_secs_f64();
-        std::fs::write(path, run.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_pretty(&run)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote run report to {path}");
     }
     if let Some(path) = &opts.profile_folded {

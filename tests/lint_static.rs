@@ -40,7 +40,7 @@ fn clean_catalog_has_no_violations() {
     assert!(report.stats.substitutes_audited > 100);
     assert!(report.stats.necessity_probes > 500);
 
-    let actual = report.to_json().to_string_pretty();
+    let actual = ruletest_common::to_pretty(&report);
     assert!(
         actual == GOLDEN_CLEAN,
         "report differs from tests/golden/lint_clean.json\n--- actual ---\n{actual}"

@@ -18,7 +18,7 @@ fn report_is_byte_identical_across_thread_counts() {
             ..Default::default()
         };
         let report = run_mutation_campaign(&db, &cfg, &Telemetry::disabled()).unwrap();
-        report.to_json().to_string_pretty()
+        ruletest_common::to_pretty(&report)
     };
     let sequential = json_at(1);
     assert_eq!(sequential, json_at(3));

@@ -114,7 +114,7 @@ fn full_catalog_campaign_meets_the_acceptance_bar() {
     assert_eq!(tel.counter(Counter::LintEscapes), escapes.len() as u64);
     assert!(!report.failed());
 
-    let actual = report.to_json().to_string_pretty();
+    let actual = ruletest_common::to_pretty(&report);
     assert!(
         actual == GOLDEN_REPORT,
         "report differs from tests/golden/mutation_report.json\n--- actual ---\n{actual}"

@@ -65,10 +65,8 @@ fn mutant_proofs_match_the_golden_lines() {
 #[test]
 fn clean_catalog_proof_matches_the_golden_report() {
     let opt = Optimizer::new(Arc::new(prove::symbolic_database()));
-    let actual = prove::prove_rules(&opt, &Telemetry::disabled())
-        .unwrap()
-        .to_json()
-        .to_string_pretty();
+    let actual =
+        ruletest_common::to_pretty(&prove::prove_rules(&opt, &Telemetry::disabled()).unwrap());
     assert!(
         actual == GOLDEN_CLEAN,
         "report differs from tests/golden/prove_clean.json\n--- actual ---\n{actual}"

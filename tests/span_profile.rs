@@ -109,7 +109,7 @@ fn campaign_profile_covers_the_pipeline_and_accounts_exactly() {
         "self time does not sum to total wall"
     );
     // And the report JSON round-trips the whole profile.
-    let back = RunReport::from_json(&report.to_json().to_string_pretty()).unwrap();
+    let back = RunReport::from_json(&ruletest_common::to_pretty(&report)).unwrap();
     assert_eq!(back.profile, *profile);
 }
 

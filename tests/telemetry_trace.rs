@@ -171,7 +171,7 @@ fn histogram_invariants_hold_against_counters() {
 
     // The JSON round-trip of the full report preserves the histograms.
     let report = fw.run_report();
-    let back = ruletest_telemetry::RunReport::from_json(&report.to_json().to_string_pretty())
+    let back = ruletest_telemetry::RunReport::from_json(&ruletest_common::to_pretty(&report))
         .expect("report JSON round-trip");
     assert_eq!(back, report);
 }

@@ -22,7 +22,7 @@
 //! `decode(golden) == value`, and `encode(decode(golden)) == golden`.
 
 use ruletest_common::chaos::Chaos;
-use ruletest_common::{ColId, DataType, Decode, FailureKind, RuleId, TableId, Value};
+use ruletest_common::{to_pretty, ColId, DataType, Decode, FailureKind, RuleId, TableId, Value};
 use ruletest_core::{
     read_bundles, write_bundles, CampaignParams, CampaignStore, Quarantine, QuarantineEntry,
     ReproBundle,
@@ -757,13 +757,10 @@ fn repro_bundles() {
 
 #[test]
 fn run_report_document() {
-    assert_golden(
-        &run_report().to_json().to_string_pretty(),
-        "run_report.json",
-    );
+    assert_golden(&to_pretty(&run_report()), "run_report.json");
     let back = RunReport::from_json(&golden("run_report.json")).unwrap();
     assert_eq!(back, run_report());
-    assert_golden(&back.to_json().to_string_pretty(), "run_report.json");
+    assert_golden(&to_pretty(&back), "run_report.json");
 }
 
 /// The deterministic slice `ruletest` compares across thread counts.
@@ -788,7 +785,7 @@ fn diff_report_document() {
     cur.profile.spans.pop();
     let diff = diff_reports(&base, &cur, 25);
     assert!(!diff.regressions.is_empty() && !diff.notes.is_empty());
-    assert_golden(&diff.to_json().to_string_pretty(), "diff_report.json");
+    assert_golden(&to_pretty(&diff), "diff_report.json");
 }
 
 /// The JSONL trace: one line per `Event` variant, with a fingerprint and a
