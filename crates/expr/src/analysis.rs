@@ -59,7 +59,7 @@ pub fn conjuncts(expr: &Expr) -> Vec<Expr> {
 
 /// Hands `f` each conjunct [`conjuncts`] would list, in its order, without
 /// collecting them.
-pub fn for_each_conjunct(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+pub fn for_each_conjunct<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
     match expr {
         Expr::Bin {
             op: BinOp::And,

@@ -32,12 +32,13 @@ pub use cache::{CacheKey, CacheStats, Cached, OptCache};
 pub use mask::RuleMask;
 pub use memo::{GroupId, Memo};
 pub use optimizer::{
-    match_bindings, Explored, OptimizeResult, Optimizer, OptimizerConfig, Search, Searched,
+    match_bindings, match_signatures, Explored, OptimizeResult, Optimizer, OptimizerConfig, Search,
+    Searched,
 };
 pub use pattern::{OpMatcher, PatternTree};
 pub use persist::{campaign_fingerprint, SnapshotStore, WarmHit};
 pub use physical::{PhysOp, PhysicalPlan};
-pub use rewrite::Rewrite;
+pub use rewrite::{Offers, Probed, Rewrite};
 pub use rule::{
     Bound, BoundChild, NewChild, NewTree, PhysCandidate, Rule, RuleAction, RuleCtx, RuleKind,
 };
