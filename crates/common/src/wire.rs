@@ -263,17 +263,22 @@ impl<T: Encode> Encode for Vec<T> {
 }
 
 /// Decodes every element of an array into a collection, naming the index
-/// of the element that fails.
+/// of the element that fails. A `Vec` comes out sized exactly: collecting
+/// through `Result` would give a one-element vector room for four and
+/// double from there, slack every decoded plan would carry.
 pub fn array<T, C: FromIterator<T>>(
     j: &Json,
     decode: impl Fn(&Json) -> Result<T, DecodeError>,
 ) -> Result<C, DecodeError> {
-    j.as_arr()
-        .ok_or_else(|| DecodeError::expected("an array"))?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| decode(v).map_err(|e| e.at_index(i)))
-        .collect()
+    let arr = j
+        .as_arr()
+        .ok_or_else(|| DecodeError::expected("an array"))?;
+    let mut items = Vec::with_capacity(arr.len());
+    for (i, v) in arr.iter().enumerate() {
+        items.push(decode(v).map_err(|e| e.at_index(i))?);
+    }
+    // Collecting a vector's own iterator into a vector keeps its buffer.
+    Ok(items.into_iter().collect())
 }
 
 impl<T: Decode> Decode for Vec<T> {

@@ -233,6 +233,39 @@ mod tests {
         assert!(!parent(leaf(0)).same_shape(&leaf(0)));
     }
 
+    /// A warm cache holds decoded plans for the whole campaign, so their
+    /// vectors carry no room to grow.
+    #[test]
+    fn decoded_plans_are_sized_exactly() {
+        use ruletest_common::wire::{to_compact, Decode};
+        use ruletest_common::{DataType, Json};
+        use ruletest_logical::ColumnInfo;
+        let column = |id| ColumnInfo {
+            id: ColId(id),
+            data_type: DataType::Int,
+            nullable: false,
+        };
+        let plan = PhysicalPlan {
+            op: PhysOp::HashDistinct,
+            children: vec![PhysicalPlan {
+                schema: (0..3).map(column).collect(),
+                ..leaf(0)
+            }],
+            schema: vec![column(0)],
+            est_rows: 5.0,
+            est_cost: 25.0,
+        };
+        let text = to_compact(&plan);
+        let decoded = PhysicalPlan::decode(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(to_compact(&decoded), text);
+        fn check(p: &PhysicalPlan) {
+            assert_eq!(p.children.capacity(), p.children.len());
+            assert_eq!(p.schema.capacity(), p.schema.len());
+            p.children.iter().for_each(check);
+        }
+        check(&decoded);
+    }
+
     #[test]
     fn explain_and_counts() {
         let p = PhysicalPlan {
