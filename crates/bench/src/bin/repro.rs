@@ -1,8 +1,12 @@
 //! Regenerates every figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--quick] [--seed N] [--out DIR] [fig8|fig9|fig10|fig11|fig12|fig13|fig14|all]
+//! repro [--quick] [--seed N] [--out DIR] [--check FILE] [fig8|fig9|fig10|fig11|fig12|fig13|fig14|all]
 //! ```
+//!
+//! `--check FILE` compares the tables of every figure but Figure 10 (wall
+//! time), as printed, with FILE and exits 1 when they differ;
+//! `tests/golden/figures_quick.txt` holds them for `--quick`.
 
 use ruletest_bench::figures::{self, ReproConfig};
 use ruletest_bench::FigureTable;
@@ -11,6 +15,7 @@ use std::time::Instant;
 fn main() {
     let mut cfg = ReproConfig::default();
     let mut which: Vec<String> = Vec::new();
+    let mut check: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -24,6 +29,7 @@ fn main() {
             "--out" => {
                 cfg.out_dir = args.next().expect("--out needs a path").into();
             }
+            "--check" => check = Some(args.next().expect("--check needs a path")),
             other => which.push(other.to_string()),
         }
     }
@@ -39,8 +45,14 @@ fn main() {
         if cfg.quick { "quick" } else { "full" }
     );
 
-    let emit = |t: &FigureTable, file: &str| {
-        println!("{}", t.render());
+    // Every table but Figure 10's, as printed, for `--check`.
+    let mut tables = String::new();
+    let mut emit = |t: &FigureTable, file: &str| {
+        let text = t.render();
+        if file != "fig10.csv" {
+            tables.push_str(&text);
+        }
+        println!("{text}");
         let path = cfg.out_dir.join(file);
         if let Err(e) = t.write_csv(&path) {
             eprintln!("(csv write to {} failed: {e})", path.display());
@@ -76,4 +88,23 @@ fn main() {
         emit(&figures::fig14(&cfg), "fig14.csv");
     }
     println!("total: {:.1}s", t0.elapsed().as_secs_f64());
+    if let Some(path) = check {
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("--check cannot read {path}: {e}"));
+        if tables != expected {
+            let first = tables
+                .lines()
+                .zip(expected.lines())
+                .position(|(a, e)| a != e)
+                .unwrap_or_else(|| tables.lines().count().min(expected.lines().count()));
+            eprintln!(
+                "figure tables differ from {path} at line {}:\n  printed:  {:?}\n  expected: {:?}",
+                first + 1,
+                tables.lines().nth(first),
+                expected.lines().nth(first),
+            );
+            std::process::exit(1);
+        }
+        println!("figure tables match {path}");
+    }
 }
