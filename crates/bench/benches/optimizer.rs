@@ -10,10 +10,10 @@
 
 use ruletest_bench::harness;
 use ruletest_common::chaos::Chaos;
-use ruletest_common::{Json, RuleId};
+use ruletest_common::RuleId;
 use ruletest_expr::{conjoin, AggCall, AggFunc, Expr};
 use ruletest_logical::{IdGen, JoinKind, LogicalTree, OpKind, Operator};
-use ruletest_optimizer::persist::canonical_key;
+use ruletest_optimizer::persist::{canonical_key, parse_entry_line};
 use ruletest_optimizer::rule::newtree_from_logical;
 use ruletest_optimizer::{
     match_bindings, match_signatures, Bound, CacheKey, GroupId, Memo, NewChild, NewTree, Offers,
@@ -392,8 +392,8 @@ fn main() {
     group.bench("canonical_key", || {
         keys.iter().map(|k| canonical_key(k).len()).sum::<usize>()
     });
-    group.bench("json_parse_plan_line", || {
-        Json::parse(plan_line).expect("a shard line is JSON")
+    group.bench("decode_plan_line", || {
+        parse_entry_line(plan_line).expect("a shard line decodes")
     });
     let _ = std::fs::remove_dir_all(&dir);
     group.finish();

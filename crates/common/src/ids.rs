@@ -1,6 +1,6 @@
 //! Identifier newtypes used across the workspace.
 
-use crate::json::{Json, JsonWriter};
+use crate::json::{JsonReader, JsonWriter};
 use crate::wire::{Decode, DecodeError, Encode};
 use std::fmt;
 
@@ -52,8 +52,8 @@ macro_rules! id_wire {
         }
 
         impl Decode for $ty {
-            fn decode(j: &Json) -> Result<Self, DecodeError> {
-                Decode::decode(j).map($ty)
+            fn decode(r: &mut JsonReader<'_>) -> Result<Self, DecodeError> {
+                Decode::decode(r).map($ty)
             }
         }
     )+};

@@ -7,7 +7,7 @@
 //! plans always produce bit-identical results (no rounding divergence in
 //! correctness validation).
 
-use crate::json::{Json, JsonWriter};
+use crate::json::{JsonReader, JsonWriter};
 use crate::wire::{Decode, DecodeError, Encode};
 use std::cmp::Ordering;
 use std::fmt;
@@ -183,22 +183,33 @@ impl Encode for Value {
     }
 }
 
+/// A member that is not a string counts as absent.
 impl Decode for Value {
-    fn decode(j: &Json) -> Result<Self, DecodeError> {
-        match j {
-            Json::Null => Ok(Value::Null),
-            Json::Bool(b) => Ok(Value::Bool(*b)),
-            _ => {
-                if let Some(s) = j.get("int").and_then(Json::as_str) {
-                    s.parse()
-                        .map(Value::Int)
-                        .map_err(|_| DecodeError::expected("a decimal i64").at("int"))
-                } else if let Some(s) = j.get("str").and_then(Json::as_str) {
-                    Ok(Value::Str(s.into()))
-                } else {
-                    Err(DecodeError::expected("a value"))
-                }
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, DecodeError> {
+        match r.peek() {
+            Some(b't' | b'f') => return r.bool().map(Value::Bool),
+            Some(b'{') => r.object()?,
+            _ if r.null()? => return Ok(Value::Null),
+            _ => return Err(DecodeError::expected("a value")),
+        }
+        let (mut int, mut str) = (None, None);
+        while let Some(key) = r.key()? {
+            let text = if r.peek() == Some(b'"') {
+                Some(r.str()?)
+            } else {
+                r.skip().map(|()| None)?
+            };
+            match &*key {
+                "int" => int = text,
+                "str" => str = text,
+                _ => {}
             }
+        }
+        match (int, str) {
+            (Some(i), _) => (i.parse().map(Value::Int))
+                .map_err(|_| DecodeError::expected("a decimal i64").at("int")),
+            (None, Some(s)) => Ok(Value::Str((*s).into())),
+            (None, None) => Err(DecodeError::expected("a value")),
         }
     }
 }

@@ -24,8 +24,8 @@ use crate::suite::{
     build_graph_with, generate_suite_with, singleton_targets, BipartiteGraph, TestSuite,
 };
 use crate::supervise::Quarantine;
-use ruletest_common::wire::{object, required, to_compact};
-use ruletest_common::{wire_record, Decode, Encode, Error, Json, JsonWriter, Result};
+use ruletest_common::wire::{from_str, to_compact};
+use ruletest_common::{wire_record, DecodeError, Encode, Error, JsonWriter, Result};
 use ruletest_optimizer::persist::write_atomic;
 use ruletest_optimizer::SnapshotStore;
 use ruletest_telemetry::Stage;
@@ -114,6 +114,13 @@ wire_record!(Identity {
 /// `quarantine.json`: a campaign's stamp and, after it, its quarantine.
 struct QuarantineFile<'a>(&'a Identity, &'a Quarantine);
 
+/// The quarantine of a `quarantine.json` whose stamp was read and matched.
+struct Stamped {
+    quarantine: Quarantine,
+}
+
+wire_record!(Stamped { "quarantine" => quarantine });
+
 impl Encode for QuarantineFile<'_> {
     fn encode(&self, w: &mut JsonWriter<'_>) {
         let QuarantineFile(stamp, quarantine) = self;
@@ -162,13 +169,13 @@ impl CampaignStore {
         let Ok(text) = fs::read_to_string(self.quarantine_path()) else {
             return Quarantine::new();
         };
-        let decoded = Json::parse(&text).and_then(|doc| {
-            if Identity::decode(&doc)? != self.identity {
+        let decoded = from_str::<Identity>(&text).and_then(|stamp| {
+            if stamp != self.identity {
                 return Ok(Quarantine::new());
             }
-            Ok(required(object(&doc)?, "quarantine", Quarantine::decode)?)
+            from_str::<Stamped>(&text).map(|file| file.quarantine)
         });
-        decoded.unwrap_or_else(|e: String| {
+        decoded.unwrap_or_else(|e: DecodeError| {
             eprintln!(
                 "warning: campaign checkpoint quarantine.json is corrupted ({e}); \
                  starting with an empty quarantine"

@@ -374,7 +374,7 @@ mod tests {
     use crate::framework::FrameworkConfig;
     use crate::generate::{GenConfig, Strategy};
     use crate::suite::{build_graph_with, generate_suite_with};
-    use ruletest_common::{Decode, Error};
+    use ruletest_common::Error;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -418,7 +418,7 @@ mod tests {
         assert!(!q.contains_input(SITE_EXEC_PAIR, "A|SELECT 2"));
 
         let text = ruletest_common::to_compact(&q);
-        let round = Quarantine::decode(&ruletest_common::Json::parse(&text).unwrap()).unwrap();
+        let round = ruletest_common::from_str::<Quarantine>(&text).unwrap();
         assert_eq!(round, q);
         // The optional sql field round-trips both present and absent.
         assert_eq!(round.entries()[0].sql.as_deref(), Some("SELECT 1"));

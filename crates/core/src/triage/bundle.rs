@@ -12,10 +12,7 @@
 //! concatenated, grepped, and replayed individually.
 
 use crate::mutate::{mutant_optimizer, Mutant};
-use ruletest_common::wire::{object, required};
-use ruletest_common::{
-    diff_multisets, to_compact, wire_record, Decode, Error, Json, Result, RuleId,
-};
+use ruletest_common::{diff_multisets, from_str, to_compact, wire_record, Error, Result, RuleId};
 use ruletest_executor::{execute_with, ExecConfig};
 use ruletest_optimizer::{Optimizer, OptimizerConfig};
 use ruletest_sql::parse_sql;
@@ -75,6 +72,13 @@ wire_record!(ReproBundle {
     "version" => version,
 });
 
+/// The version of a bundle line; every other member is skipped.
+struct Stamp {
+    version: u64,
+}
+
+wire_record!(Stamp { "version" => version });
+
 /// Writes bundles as JSONL, one per line.
 pub fn write_bundles<W: Write>(w: &mut W, bundles: &[ReproBundle]) -> std::io::Result<()> {
     for b in bundles {
@@ -88,14 +92,13 @@ pub fn write_bundles<W: Write>(w: &mut W, bundles: &[ReproBundle]) -> std::io::R
 /// interpret.
 pub fn read_bundles<R: BufRead>(r: R) -> std::result::Result<Vec<ReproBundle>, String> {
     let read_one = |line: &str| -> std::result::Result<ReproBundle, String> {
-        let j = Json::parse(line)?;
-        let version: u64 = required(object(&j)?, "version", Decode::decode)?;
+        let Stamp { version } = from_str(line)?;
         if version != BUNDLE_VERSION {
             return Err(format!(
                 "bundle version {version} unsupported (expected {BUNDLE_VERSION})"
             ));
         }
-        Ok(ReproBundle::decode(&j)?)
+        Ok(from_str(line)?)
     };
     let mut out = Vec::new();
     for (i, line) in r.lines().enumerate() {

@@ -1,7 +1,8 @@
 //! The scalar expression tree.
 
-use ruletest_common::wire::{object, required, Decode, DecodeError, Encode};
-use ruletest_common::{wire_names, ColId, Json, JsonWriter, Value, WordBuild};
+use ruletest_common::json::JsonReader;
+use ruletest_common::wire::{field, missing, Decode, DecodeError, Encode};
+use ruletest_common::{wire_names, ColId, JsonWriter, Value, WordBuild};
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Deref;
@@ -292,23 +293,37 @@ impl Encode for Expr {
     }
 }
 
+/// Each member is decoded as it arrives; at the object's end the first
+/// form present in the order `col`, `lit`, `bin`, `not`, `is_null` is the
+/// expression (a member of another form that fails to decode fails it).
 impl Decode for Expr {
-    fn decode(j: &Json) -> Result<Self, DecodeError> {
-        let m = object(j)?;
-        if m.contains_key("col") {
-            required(m, "col", Decode::decode).map(Expr::Col)
-        } else if m.contains_key("lit") {
-            required(m, "lit", Decode::decode).map(Expr::Lit)
-        } else if m.contains_key("bin") {
-            Ok(Expr::bin(
-                required(m, "bin", Decode::decode)?,
-                required(m, "l", Decode::decode)?,
-                required(m, "r", Decode::decode)?,
-            ))
-        } else if m.contains_key("not") {
-            required(m, "not", Decode::decode).map(Expr::not)
-        } else if m.contains_key("is_null") {
-            required(m, "is_null", Decode::decode).map(Expr::is_null)
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, DecodeError> {
+        let (mut col, mut lit, mut bin) = (None, None, None);
+        let (mut left, mut right, mut not, mut is_null) = (None, None, None, None);
+        r.object()?;
+        while let Some(key) = r.key()? {
+            match &*key {
+                "col" => col = Some(field(r, "col")?),
+                "lit" => lit = Some(field(r, "lit")?),
+                "bin" => bin = Some(field(r, "bin")?),
+                "l" => left = Some(field(r, "l")?),
+                "r" => right = Some(field(r, "r")?),
+                "not" => not = Some(field(r, "not")?),
+                "is_null" => is_null = Some(field(r, "is_null")?),
+                _ => r.skip()?,
+            }
+        }
+        if let Some(c) = col {
+            Ok(Expr::Col(c))
+        } else if let Some(v) = lit {
+            Ok(Expr::Lit(v))
+        } else if let Some(op) = bin {
+            let left = left.ok_or_else(|| missing("l"))?;
+            Ok(Expr::bin(op, left, right.ok_or_else(|| missing("r"))?))
+        } else if let Some(x) = not {
+            Ok(Expr::not(x))
+        } else if let Some(x) = is_null {
+            Ok(Expr::is_null(x))
         } else {
             Err(DecodeError::expected("an expression"))
         }

@@ -108,10 +108,12 @@ mod tests {
         let r = report(vec![]);
         assert!(r.is_clean());
         let j = Json::parse(&to_compact(&r)).unwrap();
-        let obj = j.as_obj().unwrap();
-        assert_eq!(obj["clean"], Json::Bool(true));
-        assert_eq!(obj["rules_audited"].as_u64(), Some(3));
-        assert_eq!(obj["violations"].as_arr().unwrap().len(), 0);
+        assert_eq!(j.get("clean"), Some(&Json::Bool(true)));
+        assert_eq!(j.get("rules_audited").and_then(Json::as_u64), Some(3));
+        assert_eq!(
+            j.get("violations").and_then(Json::as_arr).map(<[_]>::len),
+            Some(0)
+        );
         // Canonical round trip through the shared parser.
         let text = to_pretty(&j);
         assert_eq!(Json::parse(&text).unwrap(), j);

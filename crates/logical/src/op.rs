@@ -181,8 +181,9 @@ wire_enum!(Operator tagged "op" {
 /// list as `[{"col": id, "expr": e}, ..]`. Hand-written because the element
 /// is a tuple, whose own wire form is a two-element array.
 pub mod projections {
-    use ruletest_common::wire::{array, object, required, Decode, DecodeError};
-    use ruletest_common::{ColId, Json, JsonWriter};
+    use ruletest_common::json::JsonReader;
+    use ruletest_common::wire::{array, field, missing, DecodeError};
+    use ruletest_common::{ColId, JsonWriter};
     use ruletest_expr::Expr;
 
     pub fn encode(outputs: &[(ColId, Expr)], w: &mut JsonWriter<'_>) {
@@ -196,13 +197,19 @@ pub mod projections {
         });
     }
 
-    pub fn decode(j: &Json) -> Result<Vec<(ColId, Expr)>, DecodeError> {
-        array(j, |entry| {
-            let m = object(entry)?;
-            Ok((
-                required(m, "col", Decode::decode)?,
-                required(m, "expr", Decode::decode)?,
-            ))
+    pub fn decode(r: &mut JsonReader<'_>) -> Result<Vec<(ColId, Expr)>, DecodeError> {
+        array(r, |r| {
+            let (mut col, mut expr) = (None, None);
+            r.object()?;
+            while let Some(key) = r.key()? {
+                match &*key {
+                    "col" => col = Some(field(r, "col")?),
+                    "expr" => expr = Some(field(r, "expr")?),
+                    _ => r.skip()?,
+                }
+            }
+            let col = col.ok_or_else(|| missing("col"))?;
+            Ok((col, expr.ok_or_else(|| missing("expr"))?))
         })
     }
 }

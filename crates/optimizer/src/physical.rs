@@ -237,8 +237,8 @@ mod tests {
     /// vectors carry no room to grow.
     #[test]
     fn decoded_plans_are_sized_exactly() {
-        use ruletest_common::wire::{to_compact, Decode};
-        use ruletest_common::{DataType, Json};
+        use ruletest_common::wire::{from_str, to_compact};
+        use ruletest_common::DataType;
         use ruletest_logical::ColumnInfo;
         let column = |id| ColumnInfo {
             id: ColId(id),
@@ -256,7 +256,7 @@ mod tests {
             est_cost: 25.0,
         };
         let text = to_compact(&plan);
-        let decoded = PhysicalPlan::decode(&Json::parse(&text).unwrap()).unwrap();
+        let decoded = from_str::<PhysicalPlan>(&text).unwrap();
         assert_eq!(to_compact(&decoded), text);
         fn check(p: &PhysicalPlan) {
             assert_eq!(p.children.capacity(), p.children.len());

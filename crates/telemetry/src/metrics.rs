@@ -314,16 +314,17 @@ wire_record!(HistogramSnapshot {
 /// buckets trimmed on the way out and restored on the way in.
 mod trimmed_buckets {
     use super::HIST_BUCKETS;
+    use ruletest_common::json::JsonReader;
     use ruletest_common::wire::{Decode, DecodeError, Encode};
-    use ruletest_common::{Json, JsonWriter};
+    use ruletest_common::JsonWriter;
 
     pub fn encode(buckets: &[u64; HIST_BUCKETS], w: &mut JsonWriter<'_>) {
         let used = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
         buckets[..used].encode(w);
     }
 
-    pub fn decode(j: &Json) -> Result<[u64; HIST_BUCKETS], DecodeError> {
-        let written = Vec::<u64>::decode(j)?;
+    pub fn decode(r: &mut JsonReader<'_>) -> Result<[u64; HIST_BUCKETS], DecodeError> {
+        let written = Vec::<u64>::decode(r)?;
         if written.len() > HIST_BUCKETS {
             return Err(DecodeError::new(format!(
                 "{} buckets (max {HIST_BUCKETS})",
@@ -432,7 +433,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruletest_common::{to_compact, Decode, Json};
+    use ruletest_common::{from_str, to_compact};
 
     #[test]
     fn counters_accumulate() {
@@ -467,7 +468,7 @@ mod tests {
         assert_eq!(snap.count, 6);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
         assert_eq!(snap.sum, 207 + (1 << 40));
-        let rt = HistogramSnapshot::decode(&Json::parse(&to_compact(&snap)).unwrap()).unwrap();
+        let rt = from_str::<HistogramSnapshot>(&to_compact(&snap)).unwrap();
         assert_eq!(rt, snap);
     }
 
@@ -500,11 +501,9 @@ mod tests {
         assert!(p95 >= 1024.0 && p99 <= 4096.0, "{p95} {p99}");
         // Empty histogram: defined, zero.
         assert_eq!(
-            HistogramSnapshot::decode(
-                &Json::parse(&to_compact(&Histogram::default().snapshot())).unwrap()
-            )
-            .unwrap()
-            .percentile(50.0),
+            from_str::<HistogramSnapshot>(&to_compact(&Histogram::default().snapshot()))
+                .unwrap()
+                .percentile(50.0),
             0.0
         );
     }

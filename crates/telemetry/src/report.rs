@@ -14,7 +14,7 @@
 use crate::json::{Json, JsonWriter};
 use crate::metrics::{Counter, Hist, HistogramSnapshot, MetricsSnapshot};
 use crate::span::ProfileSection;
-use ruletest_common::wire::{decimal, to_compact, Decode};
+use ruletest_common::wire::{decimal, from_str, to_compact};
 use ruletest_common::wire_record;
 pub use ruletest_common::PoolSection;
 use std::collections::BTreeMap;
@@ -197,7 +197,7 @@ impl RunReport {
     /// Parses the text of a report document; a failure names the field
     /// (`profile.spans[3].wall_ns: expected a non-negative integer`).
     pub fn from_json(text: &str) -> Result<RunReport, String> {
-        Ok(RunReport::decode(&Json::parse(text)?)?)
+        Ok(from_str(text)?)
     }
 
     /// Smoke-guard used by CI: errors if the instrumentation silently

@@ -37,8 +37,8 @@
 
 use ruletest::cli::{self, Opts};
 use ruletest::common::chaos::{Chaos, ChaosPlan};
+use ruletest::common::from_str;
 use ruletest::common::to_pretty;
-use ruletest::common::Decode;
 use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::{execute_solution, execute_solution_with};
 use ruletest::core::generate::dependency::find_dependency_query;
@@ -371,7 +371,7 @@ fn load_run_report(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let report = doc.get("run_report").unwrap_or(&doc);
-    RunReport::decode(report).map_err(|e| format!("{path}: {e}"))
+    from_str(&report.to_string_compact()).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `ruletest diff <BASE.json> <CUR.json> [--threshold-pct N] [--json OUT]`.

@@ -6,7 +6,7 @@
 //! only what the killed process had not saved, and (3) a snapshot written
 //! under a different campaign fingerprint is rejected, never served.
 
-use ruletest_common::Parallelism;
+use ruletest_common::{from_str, Parallelism};
 use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
@@ -251,7 +251,7 @@ fn corrupted_checkpoints_recompute_instead_of_crashing() {
 /// as an entry counted under some other kind.
 #[test]
 fn unknown_quarantine_kind_is_corruption_not_an_entry() {
-    use ruletest_common::{Decode, FailureKind, Json};
+    use ruletest_common::{FailureKind, Json};
     use ruletest_core::{input_fingerprint, CampaignStore, Quarantine, QuarantineEntry};
     let dir = temp_dir("unknown-kind");
     let store = CampaignStore::open(&dir, 7, &params()).unwrap();
@@ -273,7 +273,8 @@ fn unknown_quarantine_kind_is_corruption_not_an_entry() {
     let foreign = stamped.replace("\"kind\":\"panic\"", "\"kind\":\"oom\"");
     assert_ne!(foreign, stamped);
     let doc = Json::parse(&foreign).unwrap();
-    let err = Quarantine::decode(doc.get("quarantine").unwrap()).unwrap_err();
+    let quarantine = doc.get("quarantine").unwrap().to_string_compact();
+    let err = from_str::<Quarantine>(&quarantine).unwrap_err();
     assert!(err.to_string().contains("entries[0].kind"), "{err}");
     std::fs::write(&path, foreign).unwrap();
     assert!(store.load_quarantine().is_empty());

@@ -9,7 +9,7 @@
 use ruletest_common::check::{self, gen, CheckConfig};
 use ruletest_common::multiset::row_total_cmp;
 use ruletest_common::{diff_multisets, ensure, ensure_eq, ensure_ne, forall};
-use ruletest_common::{multisets_equal, to_compact, Decode, Encode, Json, Rng, RuleId, Value};
+use ruletest_common::{from_str, multisets_equal, to_compact, Decode, Encode, Rng, RuleId, Value};
 use ruletest_common::{ColId, WordBuild};
 use ruletest_core::generate::random::random_tree;
 use ruletest_core::{Framework, FrameworkConfig};
@@ -124,7 +124,7 @@ fn wire_round_trip_is_exact() {
                 .all(|(x, y)| same_plan(x, y))
     }
     fn through_text<T: Encode + Decode>(v: &T) -> Result<T, String> {
-        Ok(T::decode(&Json::parse(&to_compact(v))?)?)
+        Ok(from_str(&to_compact(v))?)
     }
     forall!(CheckConfig::cases(48); seed in gen::u64s(), budget in gen::usizes(1..9) => {
         let fw = fw();
@@ -369,7 +369,7 @@ fn equal_expressions_hash_equal() {
         let identity: HashMap<ColId, ColId> = (0..6).map(|i| (ColId(i), ColId(i))).collect();
         for (path, a, b) in [
             ("rebuilt", e.clone(), rebuilt(&e, &|_| None)),
-            ("decoded", e.clone(), Expr::decode(&Json::parse(&to_compact(&e))?)?),
+            ("decoded", e.clone(), from_str::<Expr>(&to_compact(&e))?),
             ("re-conjoined", conjoined.clone(), conjoin(conjuncts(&conjoined))),
             ("remapped", e.clone(), remap_columns(&e, &identity)),
         ] {
