@@ -3,7 +3,9 @@
 //! count, (2) the exact-accounting invariant holds on real runs — every
 //! row's child time is precisely the sum of its direct children's wall
 //! time, so self time sums to the root walls — and (3) the folded-stack
-//! export is well-formed.
+//! export is well-formed. `tests/golden/profile_slice.txt` pins the
+//! deterministic slice of one traced campaign byte for byte: span paths
+//! and counts, and per rule its binds and fires.
 
 use ruletest_common::Parallelism;
 use ruletest_core::compress::topk;
@@ -14,8 +16,11 @@ use ruletest_core::{
 };
 use ruletest_executor::ExecConfig;
 use ruletest_storage::tpch_database;
+use ruletest_telemetry::json::JsonWriter;
 use ruletest_telemetry::{ProfileSection, RunReport, Telemetry};
 use std::sync::Arc;
+
+const GOLDEN_SLICE: &str = include_str!("golden/profile_slice.txt");
 
 /// Runs the full pipeline — generation, pruned graph, compression,
 /// correctness — with metrics-only telemetry and returns the report.
@@ -70,6 +75,30 @@ fn span_tree_shape_is_thread_count_invariant_over_a_full_campaign() {
             (a.binds, a.fires),
             (b.binds, b.fires),
             "deterministic rule-cost counts diverged for {k}"
+        );
+    }
+}
+
+#[test]
+fn profile_slice_matches_the_golden() {
+    let report = profiled_campaign(1, 0x5AA5_0004);
+    let mut actual = String::new();
+    report
+        .profile
+        .write_deterministic(&mut JsonWriter::pretty(&mut actual));
+    actual.push('\n');
+    if actual != GOLDEN_SLICE {
+        let first = actual
+            .lines()
+            .zip(GOLDEN_SLICE.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(GOLDEN_SLICE.lines().count()));
+        panic!(
+            "actual differs from tests/golden/profile_slice.txt at line {}:\n\
+             actual: {:?}\ngolden: {:?}",
+            first + 1,
+            actual.lines().nth(first),
+            GOLDEN_SLICE.lines().nth(first),
         );
     }
 }
