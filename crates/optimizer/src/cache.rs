@@ -113,18 +113,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The sharded cache. Cheap to share via the owning [`crate::Optimizer`];
 /// all methods take `&self`.
 pub struct OptCache {
@@ -329,7 +317,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -449,8 +449,8 @@ impl Optimizer {
             return Ok(hit);
         }
         // Disk warm path: a persisted entry stands in for the compute —
-        // including its profile sample, so warm telemetry replays the
-        // cold run's exactly.
+        // including its profile sample's counts, so warm telemetry replays
+        // the cold run's deterministic slice exactly.
         if let Some(store) = self.store.get() {
             let warm = store.peek_warm(&key, &self.chaos);
             if let Some(warm) = warm.filter(|w| !needs_plan || matches!(w.value, Cached::Full(_))) {
@@ -659,8 +659,8 @@ impl Optimizer {
         let mut exercised = vec![false; n_rules];
         let mut rule_dependencies = vec![false; n_rules * n_rules];
         let mut truncated = false;
-        // Per-rule bind/substitute timing, buffered until the caller's
-        // dedup decision (`Some` exactly when telemetry is enabled).
+        // Per-rule bind/apply counts and sampled time, buffered until the
+        // caller's dedup decision (`Some` exactly when telemetry is enabled).
         let mut sample = tel.profile_sample();
 
         // ---- Exploration to fixpoint ----
@@ -739,11 +739,11 @@ impl Optimizer {
                             }
                         }
                         marks[slot] = memo.num_exprs() as u32;
-                        let bind_started = sample.is_some().then(Instant::now);
+                        let bind_started = sample.as_mut().and_then(ProfileSample::start);
                         binder.sigs.clear();
                         let bindings = binder.bind(&memo, &rule.pattern, gid, ei);
-                        if let (Some(s), Some(t)) = (sample.as_mut(), bind_started) {
-                            s.record_bind(rid.0, RulePhase::Explore, t.elapsed().as_nanos() as u64);
+                        if let Some(s) = sample.as_mut() {
+                            s.record_bind(rid.0, RulePhase::Explore, bind_started);
                         }
                         let nodes = binder.sigs.len() / bindings.max(1);
                         for sig in (0..bindings).map(|b| &binder.sigs[b * nodes..][..nodes]) {
@@ -770,7 +770,7 @@ impl Optimizer {
                             {
                                 continue;
                             }
-                            let apply_started = sample.is_some().then(Instant::now);
+                            let apply_started = sample.as_mut().and_then(ProfileSample::start);
                             let ctx = RuleCtx {
                                 db: &self.db,
                                 memo: &memo,
@@ -794,13 +794,9 @@ impl Optimizer {
                                 }
                             }
                             let produced = offers.roots.len() as u32;
-                            if let (Some(s), Some(t)) = (sample.as_mut(), apply_started) {
-                                s.record_apply(
-                                    rid.0,
-                                    RulePhase::Explore,
-                                    t.elapsed().as_nanos() as u64,
-                                    produced > 0,
-                                );
+                            if let Some(s) = sample.as_mut() {
+                                let fired = produced > 0;
+                                s.record_apply(rid.0, RulePhase::Explore, apply_started, fired);
                             }
                             if produced > 0 {
                                 exercised[ri] = true;
@@ -1134,8 +1130,8 @@ struct Extractor<'a> {
     winners: Vec<Option<Option<Winner>>>,
     binder: Binder<'a>,
     exercised: &'a mut [bool],
-    /// The invocation's profile buffer (implementation-phase bind/apply
-    /// timings land here, `None` when telemetry is disabled).
+    /// The invocation's profile buffer (implementation-phase binds and
+    /// applications land here, `None` when telemetry is disabled).
     sample: &'a mut Option<ProfileSample>,
 }
 
@@ -1160,17 +1156,17 @@ impl Extractor<'_> {
                 if self.config.mask.is_disabled(rid) {
                     continue;
                 }
-                let bind_started = self.sample.is_some().then(Instant::now);
+                let bind_started = self.sample.as_mut().and_then(ProfileSample::start);
                 // Deeper groups solved below push their signatures above
                 // this group's and pop them again.
                 let base = self.binder.sigs.len();
                 let bindings = self.binder.bind(memo, &rule.pattern, g, ei);
-                if let (Some(s), Some(t)) = (self.sample.as_mut(), bind_started) {
-                    s.record_bind(rid.0, RulePhase::Implement, t.elapsed().as_nanos() as u64);
+                if let Some(s) = self.sample.as_mut() {
+                    s.record_bind(rid.0, RulePhase::Implement, bind_started);
                 }
                 let stride = (self.binder.sigs.len() - base) / bindings.max(1);
                 for b in 0..bindings {
-                    let apply_started = self.sample.is_some().then(Instant::now);
+                    let apply_started = self.sample.as_mut().and_then(ProfileSample::start);
                     let candidates = {
                         let sig = &self.binder.sigs[base + b * stride..][..stride];
                         let bound = bound_at(memo, &rule.pattern, &mut sig.iter().copied());
@@ -1184,13 +1180,9 @@ impl Extractor<'_> {
                             _ => unreachable!(),
                         }
                     };
-                    if let (Some(s), Some(t)) = (self.sample.as_mut(), apply_started) {
-                        s.record_apply(
-                            rid.0,
-                            RulePhase::Implement,
-                            t.elapsed().as_nanos() as u64,
-                            !candidates.is_empty(),
-                        );
+                    if let Some(s) = self.sample.as_mut() {
+                        let fired = !candidates.is_empty();
+                        s.record_apply(rid.0, RulePhase::Implement, apply_started, fired);
                     }
                     if !candidates.is_empty() {
                         self.exercised[ri] = true;
@@ -1271,6 +1263,7 @@ impl Extractor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruletest_common::JsonWriter;
     use ruletest_expr::{AggCall, AggFunc, BinOp};
     use ruletest_storage::{tpch_database, TpchConfig};
 
@@ -1822,15 +1815,23 @@ mod tests {
         assert_eq!(warm_res.rule_set, cold_res.rule_set);
         assert_eq!(warm.telemetry().counter(Counter::OptInvocations), 1);
         assert_eq!(warm.telemetry().counter(Counter::CacheWarmHits), 1);
-        // The persisted profile sample replays verbatim: warm and cold
-        // profile sections are byte-identical.
+        // The persisted profile sample replays its counts: warm and cold
+        // deterministic slices are byte-identical, and the warm section,
+        // which carries no time this process did not spend, validates.
         let names: Vec<String> = (0..cold.num_rules())
             .map(|i| cold.rule(RuleId(i as u16)).name.to_string())
             .collect();
-        assert_eq!(
-            cold.telemetry().profile_section(&names),
-            warm.telemetry().profile_section(&names)
-        );
+        let slice = |opt: &Optimizer| {
+            let section = opt.telemetry().profile_section(&names);
+            let mut out = String::new();
+            section.write_deterministic(&mut JsonWriter::compact(&mut out));
+            (section, out)
+        };
+        let (cold_section, cold_slice) = slice(&cold);
+        let (warm_section, warm_slice) = slice(&warm);
+        assert!(!cold_section.rules.is_empty());
+        assert_eq!(cold_slice, warm_slice);
+        warm_section.validate().unwrap();
 
         // A stale fingerprint is rejected and counted; the probe computes.
         let stale = optimizer();

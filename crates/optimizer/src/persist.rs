@@ -19,8 +19,8 @@
 //!   the whole snapshot is rejected rather than risking poisoned entries.
 //! * **Determinism.** Serialized floats round-trip bit-exactly (hex
 //!   `f64::to_bits`), entries are written sorted by key, and each entry
-//!   carries the [`ProfileSample`] its original compute produced so a
-//!   warm hit can replay the exact telemetry of a cold compute. Hashes
+//!   carries the counts of the [`ProfileSample`] its original compute
+//!   produced so a warm hit can replay the counts of a cold compute. Hashes
 //!   use FNV-1a (self-contained, stable across processes and releases) —
 //!   `DefaultHasher` is documented as unstable and never touches disk.
 //! * **Atomicity.** Every file is written to a temp sibling and renamed
@@ -49,8 +49,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Snapshot layout version; bump on breaking serialization changes. A
 /// version mismatch rejects the snapshot the same way a fingerprint
-/// mismatch does.
-pub const FORMAT_VERSION: u64 = 1;
+/// mismatch does. Version 2: a profile sample holds counts only.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Fixed number of on-disk shard files. Independent of the in-memory
 /// cache's shard count so either can change without invalidating
@@ -133,8 +133,8 @@ impl Manifest {
 #[derive(Clone)]
 pub struct WarmHit {
     pub value: Cached,
-    /// The profile sample the original compute produced, replayed by the
-    /// warm hit so cold and warm span trees match exactly.
+    /// The counts of the profile sample the original compute produced,
+    /// replayed by the warm hit so cold and warm span trees match exactly.
     pub sample: Option<ProfileSample>,
 }
 

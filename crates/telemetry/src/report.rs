@@ -213,10 +213,7 @@ impl RunReport {
             return Err("invocation cache saw no traffic".to_string());
         }
         if !self.profile.is_empty() {
-            // Warm-cache replays carry the original compute's span
-            // timings, so timing containment only holds on cold reports.
-            let strict_timing = self.counter(Counter::CacheWarmHits) == 0;
-            self.profile.validate_with(strict_timing)?;
+            self.profile.validate()?;
         }
         Ok(())
     }

@@ -18,27 +18,27 @@
 //!   ran inline (1 thread) or on N workers. All instrumentation sites in
 //!   the workspace follow this rule.
 //! * **Optimizer work is buffered, not recorded live.** `compute` fills
-//!   a [`ProfileSample`] (per-rule bind/substitute time) and the sample
-//!   is flushed only by the invocation-cache *insertion winner*, mirroring
-//!   how counters dedup to once per unique `(tree, mask, budgets)` key.
-//!   Racing losers' time collapses into the enclosing stage's self time.
+//!   a [`ProfileSample`] (exact per-rule bind/fire counts, sampled time)
+//!   and the sample is flushed only by the invocation-cache *insertion
+//!   winner*, mirroring how counters dedup to once per unique `(tree,
+//!   mask, budgets)` key. Sampled time goes into the rule table only.
 //! * **Exact accounting.** A guard's drop adds its wall time to the
 //!   parent frame's child accumulator, so for every aggregated row
 //!   `child_ns == Σ direct children wall_ns` *exactly* and self time is
 //!   `wall_ns - child_ns` with no drift. [`ProfileSection::validate`]
-//!   checks this.
+//!   checks this, on warm-cache replays too: they carry no time.
 
 use crate::json::JsonWriter;
 use crate::metrics::MAX_RULES;
 use crate::trace::RulePhase;
-use ruletest_common::{wire_names, wire_record};
+use ruletest_common::wire::{Decode, DecodeError, Encode};
+use ruletest_common::{wire_names, wire_record, JsonReader, Rng};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Campaign stages a span can be attributed to. `Optimize` frames are
@@ -87,20 +87,24 @@ pub enum SpanKey {
 }
 
 impl SpanKey {
-    /// Renders one path segment. Rule indices resolve against the run's
-    /// rule table; out-of-table indices print as `rule#N`.
+    /// Renders one path segment.
     fn segment(self, rule_names: &[String]) -> String {
         match self {
             SpanKey::Stage(s) => s.name().to_string(),
             SpanKey::Rule { rule, phase } => {
-                let name = rule_names
-                    .get(rule as usize)
-                    .cloned()
-                    .unwrap_or_else(|| format!("rule#{rule}"));
-                format!("{name}.{}", phase.name())
+                format!("{}.{}", rule_name(rule_names, rule), phase.name())
             }
         }
     }
+}
+
+/// A rule index resolved against the run's rule table; out-of-table
+/// indices print as `rule#N`.
+fn rule_name(rule_names: &[String], rule: u16) -> String {
+    rule_names
+        .get(rule as usize)
+        .cloned()
+        .unwrap_or_else(|| format!("rule#{rule}"))
 }
 
 /// A live span on the current thread's stack.
@@ -119,39 +123,45 @@ thread_local! {
 }
 
 /// Aggregated totals for one distinct span path.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct PathStat {
     count: u64,
     wall_ns: u64,
     child_ns: u64,
+    /// Under an `optimize` path: the binds of each `(rule, phase)`,
+    /// indexed `rule * 2 + phase`, which become its child rows.
+    binds: Vec<u64>,
 }
 
-/// Per-(rule, phase) cost cell in the lock-free attribution table.
-#[derive(Debug, Default)]
-struct RuleCell {
-    binds: AtomicU64,
-    fires: AtomicU64,
-    bind_ns: AtomicU64,
-    subst_ns: AtomicU64,
+impl PathStat {
+    fn add(&mut self, count: u64, wall_ns: u64, child_ns: u64) {
+        self.count += count;
+        self.wall_ns += wall_ns;
+        self.child_ns += child_ns;
+    }
+}
+
+/// One thread-id shard of the aggregation table.
+#[derive(Default)]
+struct Shard {
+    paths: HashMap<Vec<SpanKey>, PathStat>,
+    /// Per-rule costs indexed `rule * 2 + phase`.
+    rules: Vec<RuleCostRow>,
 }
 
 const SHARDS: usize = 16;
 
-/// The aggregation sink shared by all clones of one `Telemetry` handle.
-///
-/// Span-path rows live in thread-id-sharded maps (merged by summation at
-/// snapshot time); per-rule costs live in a flat atomic table indexed by
-/// `rule * 2 + phase`.
+/// The aggregation sink shared by all clones of one `Telemetry` handle:
+/// thread-id-sharded span-path rows and rule tables, merged by summation
+/// at snapshot time.
 pub struct Profiler {
-    shards: Vec<Mutex<HashMap<Vec<SpanKey>, PathStat>>>,
-    rules: Box<[RuleCell]>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl Default for Profiler {
     fn default() -> Self {
         Profiler {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            rules: (0..MAX_RULES * 2).map(|_| RuleCell::default()).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 }
@@ -197,42 +207,22 @@ impl Profiler {
         }
     }
 
-    fn shard_for_current_thread(&self) -> &Mutex<HashMap<Vec<SpanKey>, PathStat>> {
+    fn shard_for_current_thread(&self) -> MutexGuard<'_, Shard> {
         let mut h = DefaultHasher::new();
         std::thread::current().id().hash(&mut h);
-        &self.shards[(h.finish() % SHARDS as u64) as usize]
-    }
-
-    fn record_path(&self, path: &[SpanKey], count: u64, wall_ns: u64, child_ns: u64) {
-        let mut map = self
-            .shard_for_current_thread()
-            .lock()
-            .expect("profiler shard poisoned");
-        // `Vec<SpanKey>: Borrow<[SpanKey]>` lets updates skip the alloc.
-        if let Some(stat) = map.get_mut(path) {
-            stat.count += count;
-            stat.wall_ns += wall_ns;
-            stat.child_ns += child_ns;
-        } else {
-            map.insert(
-                path.to_vec(),
-                PathStat {
-                    count,
-                    wall_ns,
-                    child_ns,
-                },
-            );
-        }
+        let shard = &self.shards[(h.finish() % SHARDS as u64) as usize];
+        shard.lock().expect("profiler shard poisoned")
     }
 
     /// Books a finished optimizer invocation under the current thread's
-    /// span stack: one `optimize` row (child time = total per-rule time)
-    /// counting `invocations`, plus one row per `(rule, phase)` the
-    /// invocation touched, and the flat rule table. The enclosing frame's
-    /// child accumulator absorbs the invocation's wall time so stage
-    /// self/child accounting stays exact. `invocations` is 1, or 0 for a
-    /// sample that completes an invocation booked earlier (the extraction
-    /// of a search first kept without its plan).
+    /// span stack, under one lock: one `optimize` row counting
+    /// `invocations`, the binds of each `(rule, phase)` the invocation
+    /// touched (its child rows, which carry no time), and the flat rule
+    /// table. The enclosing frame's child accumulator absorbs the
+    /// invocation's wall time so stage self/child accounting stays exact.
+    /// `invocations` is 1, or 0 for a sample that completes an invocation
+    /// booked earlier (the extraction of a search first kept without its
+    /// plan).
     pub fn flush_optimize(self: &Arc<Self>, sample: &ProfileSample, invocations: u64) {
         let ptr = Arc::as_ptr(self) as usize;
         let mut path: Vec<SpanKey> = STACKS.with(|s| {
@@ -248,19 +238,17 @@ impl Profiler {
             }
         });
         path.push(SpanKey::Stage(Stage::Optimize));
-        let rules_ns: u64 = touched(&sample.rows).map(|(_, acc)| acc.total_ns()).sum();
-        self.record_path(&path, invocations, sample.elapsed_ns, rules_ns);
+        let shard = &mut *self.shard_for_current_thread();
+        let stat = shard.paths.entry(path).or_default();
+        stat.add(invocations, sample.elapsed_ns, 0);
+        // The sample's table ends at its last recorded row.
+        let len = sample.rows.len();
+        stat.binds.resize(stat.binds.len().max(len), 0);
+        let rules = shard.rules.len().max(len);
+        shard.rules.resize(rules, RuleCostRow::default());
         for (idx, acc) in touched(&sample.rows) {
-            let (rule, phase) = row_key(idx);
-            path.push(SpanKey::Rule { rule, phase });
-            self.record_path(&path, acc.binds, acc.total_ns(), 0);
-            path.pop();
-            if let Some(cell) = self.rules.get(idx) {
-                cell.binds.fetch_add(acc.binds, Ordering::Relaxed);
-                cell.fires.fetch_add(acc.fires, Ordering::Relaxed);
-                cell.bind_ns.fetch_add(acc.bind_ns, Ordering::Relaxed);
-                cell.subst_ns.fetch_add(acc.subst_ns, Ordering::Relaxed);
-            }
+            stat.binds[idx] += acc.binds;
+            shard.rules[idx] += *acc;
         }
     }
 
@@ -272,17 +260,30 @@ impl Profiler {
     /// checkpointed report, where only rendered paths survive.
     pub fn section(&self, rule_names: &[String]) -> ProfileSection {
         let mut merged: BTreeMap<String, PathStat> = BTreeMap::new();
+        let mut rules: BTreeMap<String, RuleCostRow> = BTreeMap::new();
         for shard in &self.shards {
-            for (path, stat) in shard.lock().expect("profiler shard poisoned").iter() {
+            let shard = shard.lock().expect("profiler shard poisoned");
+            for (path, stat) in &shard.paths {
                 let rendered = path
                     .iter()
                     .map(|k| k.segment(rule_names))
                     .collect::<Vec<_>>()
                     .join(";");
+                for (idx, &binds) in stat.binds.iter().enumerate().filter(|(_, &b)| b > 0) {
+                    let (rule, phase) = row_key(idx);
+                    let leaf = SpanKey::Rule { rule, phase }.segment(rule_names);
+                    merged
+                        .entry(format!("{rendered};{leaf}"))
+                        .or_default()
+                        .count += binds;
+                }
                 let row = merged.entry(rendered).or_default();
-                row.count += stat.count;
-                row.wall_ns += stat.wall_ns;
-                row.child_ns += stat.child_ns;
+                row.add(stat.count, stat.wall_ns, stat.child_ns);
+            }
+            for (idx, cost) in touched(&shard.rules) {
+                let (rule, phase) = row_key(idx);
+                let name = format!("{}/{}", rule_name(rule_names, rule), phase.name());
+                *rules.entry(name).or_default() += *cost;
             }
         }
         let spans = merged
@@ -294,28 +295,6 @@ impl Profiler {
                 child_ns: stat.child_ns,
             })
             .collect();
-        let mut rules = BTreeMap::new();
-        for (idx, cell) in self.rules.iter().enumerate() {
-            let binds = cell.binds.load(Ordering::Relaxed);
-            let fires = cell.fires.load(Ordering::Relaxed);
-            if binds == 0 && fires == 0 {
-                continue;
-            }
-            let (rule, phase) = row_key(idx);
-            let name = rule_names
-                .get(rule as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("rule#{rule}"));
-            rules.insert(
-                format!("{name}/{}", phase.name()),
-                RuleCostRow {
-                    binds,
-                    fires,
-                    bind_ns: cell.bind_ns.load(Ordering::Relaxed),
-                    subst_ns: cell.subst_ns.load(Ordering::Relaxed),
-                },
-            );
-        }
         ProfileSection { spans, rules }
     }
 }
@@ -363,8 +342,36 @@ impl Drop for SpanGuard {
             }
             (path, wall_ns, frame.child_ns)
         });
-        p.record_path(&path, 1, wall_ns, child_ns);
+        let mut shard = p.shard_for_current_thread();
+        shard
+            .paths
+            .entry(path)
+            .or_default()
+            .add(1, wall_ns, child_ns);
     }
+}
+
+/// About one bind or rule application in `STRIDE` is timed, and its
+/// duration × `STRIDE` is added to its row.
+pub const STRIDE: u32 = 64;
+
+thread_local! {
+    /// Never reset, so a run of identical searches is not timed at the
+    /// same positions in each.
+    static GAPS: RefCell<Rng> = RefCell::new(Rng::new(0x5717_DE00));
+}
+
+/// Events up to and including the next timed one: geometric with mean
+/// `STRIDE`, so each event is timed with probability `1 / STRIDE`.
+fn next_gap() -> u32 {
+    let bits = GAPS.with(|g| g.borrow_mut().next_u64());
+    let u = ((bits >> 11) + 1) as f64 / (1u64 << 53) as f64; // in (0, 1]
+    1 + (u.ln() / (1.0 - 1.0 / f64::from(STRIDE)).ln()) as u32
+}
+
+/// What an event begun at `t` (if timed) adds to its row's time.
+fn estimate(t: Option<Instant>) -> u64 {
+    t.map_or(0, |t| t.elapsed().as_nanos() as u64 * u64::from(STRIDE))
 }
 
 /// Buffered profile of one optimizer invocation. The optimizer fills
@@ -379,21 +386,35 @@ pub struct ProfileSample {
     /// Per-rule costs indexed `rule * 2 + phase`, as in the [`Profiler`]'s
     /// table; a row of zeros was never recorded, and none ends the table.
     rows: Vec<RuleCostRow>,
+    /// Events left until the next timed one; 0 draws a gap first.
+    countdown: u32,
 }
 
 impl ProfileSample {
-    /// One `match_bindings` call for `rule` in `phase` took `ns`.
-    pub fn record_bind(&mut self, rule: u16, phase: RulePhase, ns: u64) {
-        let acc = row_mut(&mut self.rows, rule, phase);
-        acc.binds += 1;
-        acc.bind_ns += ns;
+    /// Called as a bind or an application begins: the start time if this
+    /// event is timed, else `None` (no clock read).
+    #[inline]
+    pub fn start(&mut self) -> Option<Instant> {
+        if self.countdown == 0 {
+            self.countdown = next_gap();
+        }
+        self.countdown -= 1;
+        (self.countdown == 0).then(Instant::now)
     }
 
-    /// One rule-action application took `ns`; `fired` marks whether it
-    /// produced output.
-    pub fn record_apply(&mut self, rule: u16, phase: RulePhase, ns: u64, fired: bool) {
+    /// One `match_bindings` call for `rule` in `phase`, begun at `t` if
+    /// it was timed.
+    pub fn record_bind(&mut self, rule: u16, phase: RulePhase, t: Option<Instant>) {
         let acc = row_mut(&mut self.rows, rule, phase);
-        acc.subst_ns += ns;
+        acc.binds += 1;
+        acc.bind_ns += estimate(t);
+    }
+
+    /// One rule-action application, begun at `t` if it was timed; `fired`
+    /// marks whether it produced output.
+    pub fn record_apply(&mut self, rule: u16, phase: RulePhase, t: Option<Instant>, fired: bool) {
+        let acc = row_mut(&mut self.rows, rule, phase);
+        acc.subst_ns += estimate(t);
         if fired {
             acc.fires += 1;
         }
@@ -412,68 +433,55 @@ impl ProfileSample {
 }
 
 // The sample rides along with its result in the disk-backed invocation
-// cache, so a warm hit can flush the exact profile rows the original
-// compute produced (identical span shape and per-rule bind/fire counts).
-wire_record!(ProfileSample { "elapsed_ns" => elapsed_ns, "rules" => rows via sample_rows: or_default });
+// cache, so a warm hit can flush the exact counts the original compute
+// produced (identical span shape and per-rule bind/fire counts); its time
+// stays with the process that spent it. On disk it is its recorded rows
+// in rule then phase order; of a repeated row the last copy wins.
+struct Persisted {
+    rules: Vec<PersistedRow>,
+}
 
-/// `via sample_rows`: the recorded rows of the table, in rule then phase
-/// order, each the cost record with its `rule` and `phase` as two more
-/// members. Of a repeated row the last copy wins.
-mod sample_rows {
-    use super::{row_key, row_mut, touched, RuleCostRow, RulePhase, MAX_RULES};
-    use ruletest_common::wire::{Decode, DecodeError};
-    use ruletest_common::{wire_record, JsonReader, JsonWriter};
+struct PersistedRow {
+    binds: u64,
+    fires: u64,
+    phase: RulePhase,
+    rule: u16,
+}
 
-    /// A row as read, before it takes its place in the table.
-    struct Row {
-        bind_ns: u64,
-        binds: u64,
-        fires: u64,
-        phase: RulePhase,
-        rule: u16,
-        subst_ns: u64,
-    }
+wire_record!(Persisted { "rules" => rules: or_default });
+wire_record!(PersistedRow { "binds" => binds, "fires" => fires, "phase" => phase, "rule" => rule });
 
-    wire_record!(Row {
-        "bind_ns" => bind_ns,
-        "binds" => binds,
-        "fires" => fires,
-        "phase" => phase,
-        "rule" => rule,
-        "subst_ns" => subst_ns,
-    });
-
-    pub fn encode(rows: &[RuleCostRow], w: &mut JsonWriter<'_>) {
-        w.array(|w| {
-            for (idx, cost) in touched(rows) {
-                let (rule, phase) = row_key(idx);
-                w.object(|w| {
-                    w.member("bind_ns", &cost.bind_ns);
-                    w.member("binds", &cost.binds);
-                    w.member("fires", &cost.fires);
-                    w.member("phase", &phase);
-                    w.member("rule", &rule);
-                    w.member("subst_ns", &cost.subst_ns);
-                });
+impl Encode for ProfileSample {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        let rules = touched(&self.rows).map(|(idx, c)| {
+            let (rule, phase) = row_key(idx);
+            PersistedRow {
+                binds: c.binds,
+                fires: c.fires,
+                phase,
+                rule,
             }
         });
+        Persisted {
+            rules: rules.collect(),
+        }
+        .encode(w);
     }
+}
 
-    pub fn decode(r: &mut JsonReader<'_>) -> Result<Vec<RuleCostRow>, DecodeError> {
-        let mut rows = Vec::new();
-        for row in Vec::<Row>::decode(r)? {
+impl Decode for ProfileSample {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, DecodeError> {
+        let mut sample = ProfileSample::default();
+        for row in Persisted::decode(r)?.rules {
             // The table grows to the rule's row: bound it as the profiler is.
             if usize::from(row.rule) >= MAX_RULES {
-                return Err(DecodeError::new(format!(
-                    "rule {} beyond {MAX_RULES}",
-                    row.rule
-                )));
+                let beyond = format!("rule {} beyond {MAX_RULES}", row.rule);
+                return Err(DecodeError::new(beyond).at("rules"));
             }
-            let cost = row_mut(&mut rows, row.rule, row.phase);
-            (cost.bind_ns, cost.binds, cost.fires) = (row.bind_ns, row.binds, row.fires);
-            cost.subst_ns = row.subst_ns;
+            let cost = row_mut(&mut sample.rows, row.rule, row.phase);
+            (cost.binds, cost.fires) = (row.binds, row.fires);
         }
-        Ok(rows)
+        Ok(sample)
     }
 }
 
@@ -523,7 +531,7 @@ pub struct RuleCostRow {
     pub binds: u64,
     /// Applications that produced output.
     pub fires: u64,
-    /// Time spent matching the rule's pattern.
+    /// Time spent matching the rule's pattern (sampled, see [`STRIDE`]).
     pub bind_ns: u64,
     /// Time spent running the rule's action (substitute construction).
     pub subst_ns: u64,
@@ -539,6 +547,15 @@ wire_record!(RuleCostRow {
 impl RuleCostRow {
     pub fn total_ns(&self) -> u64 {
         self.bind_ns + self.subst_ns
+    }
+}
+
+impl std::ops::AddAssign for RuleCostRow {
+    fn add_assign(&mut self, other: RuleCostRow) {
+        self.binds += other.binds;
+        self.fires += other.fires;
+        self.bind_ns += other.bind_ns;
+        self.subst_ns += other.subst_ns;
     }
 }
 
@@ -606,16 +623,6 @@ impl ProfileSection {
     /// `child_ns ≤ wall_ns` per row, and `child_ns` equal to the exact sum
     /// of direct children's `wall_ns`.
     pub fn validate(&self) -> Result<(), String> {
-        self.validate_with(true)
-    }
-
-    /// [`ProfileSection::validate`] with the timing-containment check
-    /// (`child_ns ≤ wall_ns`) optional: a report containing warm-cache
-    /// replays attributes the *original* compute's span time under
-    /// parents that did almost no wall work in this process, so
-    /// containment legitimately fails there while every structural
-    /// invariant still holds.
-    pub fn validate_with(&self, strict_timing: bool) -> Result<(), String> {
         let mut child_wall: HashMap<&str, u64> = HashMap::new();
         let mut rows: HashMap<&str, &SpanRow> = HashMap::new();
         for row in &self.spans {
@@ -625,7 +632,7 @@ impl ProfileSection {
             if row.count == 0 && row.leaf() != Stage::Optimize.name() {
                 return Err(format!("profile span '{}': zero count", row.path));
             }
-            if strict_timing && row.child_ns > row.wall_ns {
+            if row.child_ns > row.wall_ns {
                 return Err(format!(
                     "profile span '{}': child_ns {} exceeds wall_ns {}",
                     row.path, row.child_ns, row.wall_ns
@@ -714,10 +721,12 @@ mod tests {
         {
             let _stage = Profiler::enter(&p, SpanKey::Stage(Stage::Generation));
             let mut s = ProfileSample::default();
-            s.record_bind(3, RulePhase::Explore, 40);
-            s.record_apply(3, RulePhase::Explore, 60, true);
-            s.record_bind(3, RulePhase::Implement, 10);
-            s.record_apply(3, RulePhase::Implement, 20, false);
+            let timed = Some(Instant::now());
+            s.record_bind(3, RulePhase::Explore, timed);
+            s.record_apply(3, RulePhase::Explore, None, true);
+            s.record_bind(3, RulePhase::Implement, None);
+            s.record_apply(3, RulePhase::Implement, timed, false);
+            s.record_bind(3, RulePhase::Implement, None);
             s.elapsed_ns = 1000;
             p.flush_optimize(&s, 1);
         }
@@ -726,52 +735,89 @@ mod tests {
         sec.validate().unwrap();
         let by_path: BTreeMap<&str, &SpanRow> =
             sec.spans.iter().map(|r| (r.path.as_str(), r)).collect();
+        // The rule rows carry their counts and no time, so the invocation
+        // has no child time.
         let opt = by_path["generation;optimize"];
-        assert_eq!((opt.count, opt.wall_ns, opt.child_ns), (1, 1000, 130));
-        assert_eq!(by_path["generation;optimize;D.explore"].wall_ns, 100);
-        assert_eq!(by_path["generation;optimize;D.implement"].wall_ns, 30);
+        assert_eq!((opt.count, opt.wall_ns, opt.child_ns), (1, 1000, 0));
+        let explore = by_path["generation;optimize;D.explore"];
+        assert_eq!((explore.count, explore.wall_ns), (1, 0));
+        let implement = by_path["generation;optimize;D.implement"];
+        assert_eq!((implement.count, implement.wall_ns), (2, 0));
         // The enclosing stage absorbed the invocation as child time.
         assert_eq!(by_path["generation"].child_ns, 1000);
+        // The rule table holds the sampled time: a timed event stands for
+        // `STRIDE` of them, an untimed one adds nothing.
         let explore = &sec.rules["D/explore"];
-        assert_eq!(
-            (
-                explore.binds,
-                explore.fires,
-                explore.bind_ns,
-                explore.subst_ns
-            ),
-            (1, 1, 40, 60)
-        );
+        assert_eq!((explore.binds, explore.fires, explore.subst_ns), (1, 1, 0));
+        assert_eq!(explore.bind_ns % u64::from(STRIDE), 0);
         let implement = &sec.rules["D/implement"];
-        assert_eq!((implement.binds, implement.fires), (1, 0));
+        assert_eq!(
+            (implement.binds, implement.fires, implement.bind_ns),
+            (2, 0, 0)
+        );
+        assert_eq!(implement.subst_ns % u64::from(STRIDE), 0);
+    }
+
+    /// A sequence of events over a few rules, repeating with a period that
+    /// divides `STRIDE`: a fixed stride would time one rule's events and
+    /// no other's. With random gaps each rule's share of the timed events
+    /// is its share of the events.
+    #[test]
+    fn stride_sampling_times_every_rule_of_a_periodic_sequence() {
+        const RULES: u16 = 4;
+        const ROUNDS: usize = 1_000;
+        let mut s = ProfileSample::default();
+        let mut timed = [0u32; RULES as usize];
+        for _ in 0..ROUNDS * STRIDE as usize {
+            for rule in 0..RULES {
+                let started = s.start();
+                timed[rule as usize] += u32::from(started.is_some());
+                s.record_bind(rule, RulePhase::Explore, started);
+            }
+        }
+        // Each rule has ROUNDS * STRIDE events, so ROUNDS timed ones are
+        // expected: binomial, with a standard deviation of about
+        // sqrt(ROUNDS) ≈ 32. Allow 5 of them.
+        for (rule, &n) in timed.iter().enumerate() {
+            assert!(n.abs_diff(ROUNDS as u32) <= 160, "rule {rule}: {n} timed");
+            let row = s.rows[rule * 2];
+            assert_eq!(row.binds, (ROUNDS * STRIDE as usize) as u64);
+            assert_eq!(row.bind_ns % u64::from(STRIDE), 0);
+        }
     }
 
     #[test]
     fn a_sample_reads_back_its_rows_in_rule_then_phase_order() {
         let mut s = ProfileSample::default();
-        s.record_bind(9, RulePhase::Implement, 4);
-        s.record_apply(1, RulePhase::Explore, 2, true);
-        s.record_bind(9, RulePhase::Explore, 3);
+        s.record_bind(9, RulePhase::Implement, None);
+        s.record_apply(1, RulePhase::Explore, None, true);
+        s.record_bind(9, RulePhase::Explore, None);
         s.retain_phase(RulePhase::Implement);
         let text = to_compact(&s);
         assert_eq!(
             text,
-            r#"{"elapsed_ns":0,"rules":[{"bind_ns":4,"binds":1,"fires":0,"phase":"implement","rule":9,"subst_ns":0}]}"#
+            r#"{"rules":[{"binds":1,"fires":0,"phase":"implement","rule":9}]}"#
         );
         assert_eq!(from_str::<ProfileSample>(&text).unwrap(), s);
+        // Time is not written: a sample reads back its counts.
+        let mut timed = s.clone();
+        timed.record_bind(9, RulePhase::Implement, Some(Instant::now()));
+        timed.elapsed_ns = 50;
+        let back = from_str::<ProfileSample>(&to_compact(&timed)).unwrap();
+        assert_eq!(
+            (back.elapsed_ns, back.rows[19].binds, back.rows[19].bind_ns),
+            (0, 2, 0)
+        );
         // Of a repeated row the last copy wins; a rule past the profiler's
         // table is refused rather than grown to.
         let twice = text.replace(
             "]}",
-            r#",{"bind_ns":7,"binds":2,"fires":1,"phase":"implement","rule":9,"subst_ns":5}]}"#,
+            r#",{"binds":2,"fires":1,"phase":"implement","rule":9}]}"#,
         );
         let back = from_str::<ProfileSample>(&twice).unwrap();
         assert_eq!(
             to_compact(&back),
-            twice.replace(
-                r#"{"bind_ns":4,"binds":1,"fires":0,"phase":"implement","rule":9,"subst_ns":0},"#,
-                ""
-            )
+            twice.replace(r#"{"binds":1,"fires":0,"phase":"implement","rule":9},"#, "")
         );
         let far = text.replace("\"rule\":9", "\"rule\":65535");
         let err = from_str::<ProfileSample>(&far).unwrap_err();
@@ -782,8 +828,8 @@ mod tests {
     fn a_completing_flush_counts_no_invocation_and_still_validates() {
         let p = Arc::new(Profiler::default());
         let mut s = ProfileSample::default();
-        s.record_bind(2, RulePhase::Explore, 4);
-        s.record_bind(2, RulePhase::Implement, 6);
+        s.record_bind(2, RulePhase::Explore, None);
+        s.record_bind(2, RulePhase::Implement, None);
         s.elapsed_ns = 50;
         s.retain_phase(RulePhase::Implement);
         {
@@ -793,7 +839,7 @@ mod tests {
         let sec = p.section(&["A".into(), "B".into(), "C".into()]);
         sec.validate().unwrap();
         let opt = sec.spans.iter().find(|r| r.path == "mutation;optimize");
-        assert_eq!(opt.map(|r| (r.count, r.child_ns)), Some((0, 6)));
+        assert_eq!(opt.map(|r| (r.count, r.wall_ns)), Some((0, 50)));
         assert_eq!(sec.rules.keys().collect::<Vec<_>>(), ["C/implement"]);
     }
 
@@ -821,7 +867,7 @@ mod tests {
                     let _g = Profiler::enter(p, SpanKey::Stage(Stage::Graph));
                     busy();
                     let mut s = ProfileSample::default();
-                    s.record_bind(1, RulePhase::Explore, 5);
+                    s.record_bind(1, RulePhase::Explore, None);
                     s.elapsed_ns = 10;
                     p.flush_optimize(&s, 1);
                 }
@@ -881,7 +927,7 @@ mod tests {
         {
             let _g = Profiler::enter(&p, SpanKey::Stage(Stage::Triage));
             let mut s = ProfileSample::default();
-            s.record_bind(0, RulePhase::Explore, 3);
+            s.record_bind(0, RulePhase::Explore, None);
             s.elapsed_ns = 9;
             p.flush_optimize(&s, 1);
         }
