@@ -21,7 +21,7 @@
 //! ruletest mutate [--class C] [--sample N] [--json P]  rule-mutation campaign: measure fault-detection power
 //! ruletest mutate --list                 print the mutant catalog
 //!
-//! common options: --seed N   --pad N   --random   --trials N   --threads N   --scale N
+//! common options: --seed N   --random   --trials N   --threads N
 //! telemetry:      --metrics-json PATH   --trace-out PATH   --profile-folded PATH
 //! robustness:     --no-supervise   --deadline-ms N   --chaos-seed N   --chaos-plan SPEC
 //! ```
@@ -37,8 +37,7 @@
 
 use ruletest::cli::{self, Opts};
 use ruletest::common::chaos::{Chaos, ChaosPlan};
-use ruletest::common::from_str;
-use ruletest::common::to_pretty;
+use ruletest::common::{to_pretty, Parallelism, RuleId};
 use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::{execute_solution, execute_solution_with};
 use ruletest::core::generate::dependency::find_dependency_query;
@@ -46,128 +45,54 @@ use ruletest::core::generate::relevant::find_relevant_query;
 use ruletest::core::{
     build_graph, final_persist, generate_suite, mutant_optimizer, read_bundles, replay,
     run_checkpointed_campaign, singleton_targets, to_bundles, triage_report, write_bundles,
-    CampaignParams, DbProfile, Framework, FrameworkConfig, GenConfig, Mutant, RuleTarget, Strategy,
+    CampaignParams, Framework, FrameworkConfig, GenConfig, Mutant, RuleTarget, Strategy,
     TriageConfig,
 };
 use ruletest::executor::{execute_with, ExecConfig};
 use ruletest::optimizer::{Optimizer, RuleKind};
 use ruletest::sql::parse_sql;
-use ruletest::storage::{tpch_database, TpchConfig};
-use ruletest::telemetry::{diff_reports, Json, RunReport, Telemetry};
+use ruletest::storage::{tpch_database, Database, TpchConfig};
+use ruletest::telemetry::{diff_reports, RunReport, Telemetry};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> ExitCode {
-    let (cmd, opts) = match cli::parse(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
+    match cli::parse(std::env::args().skip(1)).and_then(|(cmd, opts)| run(&cmd, &opts)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if cmd == "report" {
-        // Pure file analysis: no framework (or test database) needed.
-        return match run_report_cmd(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
-    if cmd == "diff" {
-        // Pure file analysis: compares two saved run reports.
-        return match run_diff_cmd(&opts) {
-            Ok(regressed) => {
-                if regressed {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+}
+
+/// Runs one command. `report` and `diff` only read saved reports;
+/// `triage`, `mutate`, `lint` and `prove` build their own optimizer over
+/// their own database; every other command shares one campaign framework.
+fn run(cmd: &str, opts: &Opts) -> Result<(), String> {
+    match cmd {
+        "report" => run_report_cmd(opts),
+        "diff" => run_diff_cmd(opts),
+        "triage" => run_triage(opts),
+        "mutate" => run_mutate(opts),
+        "lint" => run_lint(opts),
+        "prove" => run_prove(opts),
+        _ => run_framework_cmd(cmd, opts),
     }
-    if cmd == "triage" {
-        // Builds its own (possibly fault-injected, scaled) framework.
-        return match run_triage(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "mutate" {
-        // Builds one optimizer per mutant; no shared framework.
-        return match run_mutate(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "lint" {
-        // Purely static: no executor, no framework, no query runs.
-        return match run_lint(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "prove" {
-        // Purely symbolic: rowless database, no executor, no framework.
-        return match run_prove(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // --threads 0 (the default) means "one worker per core".
-    let mut parallelism = ruletest::common::Parallelism::default();
-    if opts.threads > 0 {
-        parallelism.threads = opts.threads;
-    }
-    parallelism.seed = opts.seed;
-    // Either telemetry output flag turns recording on; the event tracer is
-    // only allocated when a trace is actually wanted.
-    let telemetry = if opts.trace_out.is_some() {
-        Telemetry::enabled()
-    } else if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
-        Telemetry::metrics_only()
-    } else {
-        Telemetry::disabled()
-    };
-    let chaos = match chaos_from(&opts) {
-        Ok(chaos) => chaos,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+}
+
+/// Runs `cmd` on the campaign framework `opts` configures.
+fn run_framework_cmd(cmd: &str, opts: &Opts) -> Result<(), String> {
     let started = Instant::now();
-    let fw = match Framework::new(&FrameworkConfig {
-        parallelism,
-        telemetry,
-        chaos,
+    let fw = Framework::new(&FrameworkConfig {
+        parallelism: parallelism(opts),
+        telemetry: telemetry(opts),
+        chaos: chaos_from(opts)?,
         ..Default::default()
-    }) {
-        Ok(fw) => fw,
-        Err(e) => {
-            eprintln!("framework construction failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    })
+    .map_err(|e| format!("framework construction failed: {e}"))?;
     let strategy = if opts.random {
         Strategy::Random
     } else {
@@ -175,22 +100,29 @@ fn main() -> ExitCode {
     };
     let gen_cfg = GenConfig {
         seed: opts.seed,
-        pad_ops: opts.pad,
         max_trials: opts.trials,
         ..Default::default()
     };
-    let rule_by_name = |name: &str| {
-        fw.optimizer
-            .rule_id(name)
-            .ok_or_else(|| format!("unknown rule '{name}' — see `ruletest rules` for the catalog"))
+    // The command's first `n` positionals, looked up in the rule catalog.
+    let rule_args = |n: usize, usage: &str| -> Result<Vec<_>, String> {
+        if opts.positional.len() < n {
+            return Err(format!("usage: ruletest {usage}"));
+        }
+        opts.positional[..n]
+            .iter()
+            .map(|name| {
+                fw.optimizer.rule_id(name).ok_or_else(|| {
+                    format!("unknown rule '{name}' — see `ruletest rules` for the catalog")
+                })
+            })
+            .collect()
     };
 
-    let result: Result<(), String> = match cmd.as_str() {
+    let result: Result<(), String> = match cmd {
         "rules" => {
             println!("{:<32} {:<15} precondition", "rule", "kind");
             for i in 0..fw.optimizer.num_rules() {
-                let rid = ruletest::common::RuleId(i as u16);
-                let rule = fw.optimizer.rule(rid);
+                let rule = fw.optimizer.rule(RuleId(i as u16));
                 let kind = match rule.kind {
                     RuleKind::Exploration => "exploration",
                     RuleKind::Implementation => "implementation",
@@ -199,19 +131,11 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        "pattern" => opts
-            .positional
-            .first()
-            .ok_or_else(|| "usage: ruletest pattern <RULE>".to_string())
-            .and_then(|name| rule_by_name(name))
-            .map(|rid| print!("{}", fw.optimizer.rule_pattern(rid).to_xml())),
-        "gen" => opts
-            .positional
-            .first()
-            .ok_or_else(|| "usage: ruletest gen <RULE>".to_string())
-            .and_then(|name| rule_by_name(name))
-            .and_then(|rid| {
-                fw.find_query_for_rule(rid, strategy, &gen_cfg)
+        "pattern" => rule_args(1, "pattern <RULE>")
+            .map(|r| print!("{}", fw.optimizer.rule_pattern(r[0]).to_xml())),
+        "gen" => rule_args(1, "gen <RULE>")
+            .and_then(|r| {
+                fw.find_query_for_rule(r[0], strategy, &gen_cfg)
                     .map_err(|e| e.to_string())
             })
             .map(|out| {
@@ -223,29 +147,18 @@ fn main() -> ExitCode {
                 );
                 println!("{}", out.sql);
             }),
-        "pair" => {
-            if opts.positional.len() < 2 {
-                Err("usage: ruletest pair <RULE_A> <RULE_B>".to_string())
-            } else {
-                rule_by_name(&opts.positional[0])
-                    .and_then(|a| rule_by_name(&opts.positional[1]).map(|b| (a, b)))
-                    .and_then(|pair| {
-                        fw.find_query_for_pair(pair, strategy, &gen_cfg)
-                            .map_err(|e| e.to_string())
-                    })
-                    .map(|out| {
-                        println!("-- found in {} trials ({} operators)", out.trials, out.ops);
-                        println!("{}", out.sql);
-                    })
-            }
-        }
-        "relevant" => opts
-            .positional
-            .first()
-            .ok_or_else(|| "usage: ruletest relevant <RULE>".to_string())
-            .and_then(|name| rule_by_name(name))
-            .and_then(|rid| {
-                find_relevant_query(&fw, rid, strategy, &gen_cfg).map_err(|e| e.to_string())
+        "pair" => rule_args(2, "pair <RULE_A> <RULE_B>")
+            .and_then(|r| {
+                fw.find_query_for_pair((r[0], r[1]), strategy, &gen_cfg)
+                    .map_err(|e| e.to_string())
+            })
+            .map(|out| {
+                println!("-- found in {} trials ({} operators)", out.trials, out.ops);
+                println!("{}", out.sql);
+            }),
+        "relevant" => rule_args(1, "relevant <RULE>")
+            .and_then(|r| {
+                find_relevant_query(&fw, r[0], strategy, &gen_cfg).map_err(|e| e.to_string())
             })
             .map(|(out, discarded)| {
                 println!(
@@ -254,32 +167,25 @@ fn main() -> ExitCode {
                 );
                 println!("{}", out.sql);
             }),
-        "dependency" => {
-            if opts.positional.len() < 2 {
-                Err("usage: ruletest dependency <RULE_A> <RULE_B>".to_string())
-            } else {
-                rule_by_name(&opts.positional[0])
-                    .and_then(|a| rule_by_name(&opts.positional[1]).map(|b| (a, b)))
-                    .and_then(|(a, b)| {
-                        find_dependency_query(&fw, a, b, strategy, &gen_cfg)
-                            .map_err(|e| e.to_string())
-                    })
-                    .map(|(out, discarded)| {
-                        println!(
-                            "-- dependency witness found ({} trials, {} co-occurring-only discarded)",
-                            out.trials, discarded
-                        );
-                        println!("{}", out.sql);
-                    })
-            }
-        }
+        "dependency" => rule_args(2, "dependency <RULE_A> <RULE_B>")
+            .and_then(|r| {
+                find_dependency_query(&fw, r[0], r[1], strategy, &gen_cfg)
+                    .map_err(|e| e.to_string())
+            })
+            .map(|(out, discarded)| {
+                println!(
+                    "-- dependency witness found ({} trials, {} co-occurring-only discarded)",
+                    out.trials, discarded
+                );
+                println!("{}", out.sql);
+            }),
         "sql" => opts
             .positional
             .first()
             .ok_or_else(|| "usage: ruletest sql \"SELECT ...\"".to_string())
             .and_then(|text| run_sql(&fw, text)),
-        "audit" => run_audit(&fw, &opts),
-        "impact" => run_impact(&fw, &opts),
+        "audit" => run_audit(&fw, opts),
+        "impact" => run_impact(&fw, opts),
         _ => {
             eprintln!(
                 "usage: ruletest <rules|pattern|gen|pair|relevant|sql|audit|impact|report|diff|triage|lint|prove|mutate> [options]\n\
@@ -290,14 +196,60 @@ fn main() -> ExitCode {
     };
     // Telemetry outputs are written even when the command failed — a
     // failing campaign's metrics are exactly what one wants to look at.
-    let result = result.and(write_telemetry_outputs(&fw, &opts, started));
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    result.and(write_telemetry_outputs(
+        opts,
+        &fw.telemetry,
+        || fw.run_report(),
+        started,
+    ))
+}
+
+/// Either telemetry output flag turns recording on; the event tracer is
+/// only allocated when a trace is actually wanted.
+fn telemetry(opts: &Opts) -> Telemetry {
+    if opts.trace_out.is_some() {
+        Telemetry::enabled()
+    } else if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
+        Telemetry::metrics_only()
+    } else {
+        Telemetry::disabled()
     }
+}
+
+/// The campaign's worker count and master seed; `--threads 0` (the
+/// default) means one worker per core.
+fn parallelism(opts: &Opts) -> Parallelism {
+    Parallelism {
+        threads: match opts.threads {
+            0 => Parallelism::default().threads,
+            n => n,
+        },
+        seed: opts.seed,
+    }
+}
+
+/// The mutant `--fault` names, if any.
+fn fault_of(opts: &Opts) -> Result<Option<&'static Mutant>, String> {
+    opts.fault
+        .as_deref()
+        .map(Mutant::by_id)
+        .transpose()
+        .map_err(|e| e.to_string())
+}
+
+/// An optimizer over `db`, with `fault`'s rule swapped in when given.
+fn optimizer_for(db: Arc<Database>, fault: Option<&Mutant>) -> Optimizer {
+    match fault {
+        Some(m) => mutant_optimizer(db, m),
+        None => Optimizer::new(db),
+    }
+}
+
+/// The default-sized TPC-H test database.
+fn default_tpch() -> Result<Arc<Database>, String> {
+    tpch_database(&TpchConfig::default())
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
 }
 
 /// The `--chaos-plan` / `--chaos-seed` fault injector, logging the
@@ -313,34 +265,48 @@ fn chaos_from(opts: &Opts) -> Result<Chaos, String> {
     Ok(Chaos::new(plan))
 }
 
-/// Writes the `--metrics-json` run report and the `--trace-out` JSONL
+/// Writes the `--metrics-json` run report (built by `report`), its
+/// profile as `--profile-folded` stacks, and the `--trace-out` JSONL
 /// trace, when requested.
-fn write_telemetry_outputs(fw: &Framework, opts: &Opts, started: Instant) -> Result<(), String> {
-    if let Some(path) = &opts.metrics_json {
-        let mut report = fw.run_report();
+fn write_telemetry_outputs(
+    opts: &Opts,
+    telemetry: &Telemetry,
+    report: impl FnOnce() -> RunReport,
+    started: Instant,
+) -> Result<(), String> {
+    if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
+        let mut report = report();
         report.wall_seconds = started.elapsed().as_secs_f64();
-        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote run report to {path}");
+        if let Some(path) = &opts.metrics_json {
+            write_file(path, to_pretty(&report))?;
+            eprintln!("wrote run report to {path}");
+        }
+        if let Some(path) = &opts.profile_folded {
+            write_file(path, report.profile.folded())?;
+            eprintln!(
+                "wrote {} folded stack(s) to {path}",
+                report.profile.spans.len()
+            );
+        }
     }
     if let Some(path) = &opts.trace_out {
         let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
-        fw.telemetry
+        telemetry
             .export_trace(&mut out)
             .map_err(|e| format!("writing {path}: {e}"))?;
-        let stats = fw.telemetry.trace_stats();
+        let stats = telemetry.trace_stats();
         eprintln!(
             "wrote {} trace events to {path} ({} dropped by the ring buffer)",
             stats.recorded.saturating_sub(stats.dropped),
             stats.dropped
         );
     }
-    if let Some(path) = &opts.profile_folded {
-        let section = fw.telemetry.profile_section(&fw.rule_names());
-        std::fs::write(path, section.folded()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {} folded stack(s) to {path}", section.spans.len());
-    }
     Ok(())
+}
+
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// `ruletest report <run-report.json> [--check] [--profile-folded OUT]`.
@@ -351,7 +317,7 @@ fn run_report_cmd(opts: &Opts) -> Result<(), String> {
     let report = load_run_report(path)?;
     print!("{}", report.summary());
     if let Some(out) = &opts.profile_folded {
-        std::fs::write(out, report.profile.folded()).map_err(|e| format!("writing {out}: {e}"))?;
+        write_file(out, report.profile.folded())?;
         println!(
             "wrote {} folded stack(s) to {out}",
             report.profile.spans.len()
@@ -364,19 +330,15 @@ fn run_report_cmd(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads a `RunReport` from a JSON file — either a bare report (the
-/// `--metrics-json` output) or a document embedding one under a
-/// `run_report` key (the campaign bench's `BENCH_campaign.json`).
+/// Loads a `--metrics-json` run report.
 fn load_run_report(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let report = doc.get("run_report").unwrap_or(&doc);
-    from_str(&report.to_string_compact()).map_err(|e| format!("{path}: {e}"))
+    RunReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `ruletest diff <BASE.json> <CUR.json> [--threshold-pct N] [--json OUT]`.
-/// Returns `Ok(true)` when the comparison regressed (nonzero exit).
-fn run_diff_cmd(opts: &Opts) -> Result<bool, String> {
+/// `ruletest diff <BASE.json> <CUR.json> [--threshold-pct N] [--json OUT]`;
+/// a regression is an error (nonzero exit).
+fn run_diff_cmd(opts: &Opts) -> Result<(), String> {
     let usage = "usage: ruletest diff <BASE.json> <CUR.json> [--threshold-pct N] [--json OUT]";
     let base_path = opts.positional.first().ok_or_else(|| usage.to_string())?;
     let cur_path = opts.positional.get(1).ok_or_else(|| usage.to_string())?;
@@ -386,10 +348,13 @@ fn run_diff_cmd(opts: &Opts) -> Result<bool, String> {
     let diff = diff_reports(&base, &cur, threshold);
     print!("{}", diff.render_text());
     if let Some(out) = &opts.json {
-        std::fs::write(out, to_pretty(&diff)).map_err(|e| format!("writing {out}: {e}"))?;
+        write_file(out, to_pretty(&diff))?;
         println!("diff: report written to {out}");
     }
-    Ok(diff.regressed())
+    if diff.regressed() {
+        return Err(format!("{cur_path} regressed against {base_path}"));
+    }
+    Ok(())
 }
 
 fn run_sql(fw: &Framework, text: &str) -> Result<(), String> {
@@ -518,7 +483,10 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
     // from everything this campaign computed.
     let persisted = final_persist(fw).map_err(|e| e.to_string())?;
     if cache_dir.is_some() {
-        println!("cache: {persisted} invocation entries persisted");
+        println!(
+            "cache: {persisted} invocation entries persisted, {} computed by this run",
+            fw.optimizer.invocation_count()
+        );
     }
     println!(
         "executed TOPK suite: {} validations, {} executions, {} skipped-identical, {} skipped-unsupported, {} skipped-quarantined, {} bugs",
@@ -589,22 +557,15 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
 /// fails when the catalog has violations; with `--fault F` the named
 /// fault is injected and the command fails unless the audit catches it.
 fn run_lint(opts: &Opts) -> Result<(), String> {
-    let fault = match &opts.fault {
-        Some(id) => Some(Mutant::by_id(id).map_err(|e| e.to_string())?),
-        None => None,
-    };
+    let fault = fault_of(opts)?;
     // Data scale is irrelevant to a static audit; only the catalog is read.
-    let db = Arc::new(tpch_database(&TpchConfig::default()).map_err(|e| e.to_string())?);
-    let optimizer = match fault {
-        Some(m) => mutant_optimizer(db, m),
-        None => Optimizer::new(db),
-    };
+    let optimizer = optimizer_for(default_tpch()?, fault);
     let started = Instant::now();
     let report = ruletest::lint::lint_rules(&optimizer).map_err(|e| e.to_string())?;
     print!("{}", report.render_text());
     println!("lint: finished in {:?}", started.elapsed());
     if let Some(path) = &opts.json {
-        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
+        write_file(path, to_pretty(&report))?;
         println!("lint: report written to {path}");
     }
     // --prove: also run the symbolic prover, over its own rowless
@@ -613,11 +574,7 @@ fn run_lint(opts: &Opts) -> Result<(), String> {
     // layers see the same catalog.
     let prove_failures = if opts.prove {
         use ruletest::lint::prove;
-        let sdb = Arc::new(prove::symbolic_database());
-        let sopt = match fault {
-            Some(m) => mutant_optimizer(sdb, m),
-            None => Optimizer::new(sdb),
-        };
+        let sopt = optimizer_for(Arc::new(prove::symbolic_database()), fault);
         let preport =
             prove::prove_rules(&sopt, &Telemetry::disabled()).map_err(|e| e.to_string())?;
         print!("{}", preport.render_text());
@@ -656,21 +613,10 @@ fn run_lint(opts: &Opts) -> Result<(), String> {
 /// inequivalent statically.
 fn run_prove(opts: &Opts) -> Result<(), String> {
     use ruletest::lint::prove::{self, ProveVerdict};
-    let telemetry = if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
-        Telemetry::metrics_only()
-    } else {
-        Telemetry::disabled()
-    };
-    let mutant = match &opts.fault {
-        Some(id) => Some(Mutant::by_id(id).map_err(|e| e.to_string())?),
-        None => None,
-    };
+    let telemetry = telemetry(opts);
+    let mutant = fault_of(opts)?;
     // Proofs run over the rowless symbolic database, never TPC-H.
-    let db = Arc::new(prove::symbolic_database());
-    let optimizer = match mutant {
-        Some(m) => mutant_optimizer(db, m),
-        None => Optimizer::new(db),
-    };
+    let optimizer = optimizer_for(Arc::new(prove::symbolic_database()), mutant);
     let started = Instant::now();
     let report = match (mutant, &opts.rule) {
         (Some(m), _) => prove::prove_rules_focused(&optimizer, m.rule_name, &telemetry),
@@ -681,28 +627,20 @@ fn run_prove(opts: &Opts) -> Result<(), String> {
     print!("{}", report.render_text());
     println!("prove: finished in {:?}", started.elapsed());
     if let Some(path) = &opts.json {
-        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
+        write_file(path, to_pretty(&report))?;
         println!("prove: report written to {path}");
     }
-    let rule_names: Vec<String> = (0..optimizer.num_rules())
-        .map(|i| {
-            optimizer
-                .rule(ruletest::common::RuleId(i as u16))
-                .name
-                .to_string()
-        })
-        .collect();
-    if let Some(path) = &opts.metrics_json {
-        let mut run = telemetry.run_report(&rule_names);
-        run.wall_seconds = started.elapsed().as_secs_f64();
-        std::fs::write(path, to_pretty(&run)).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote run report to {path}");
-    }
-    if let Some(path) = &opts.profile_folded {
-        let section = telemetry.profile_section(&rule_names);
-        std::fs::write(path, section.folded()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {} folded stack(s) to {path}", section.spans.len());
-    }
+    let rule_names = || {
+        (0..optimizer.num_rules())
+            .map(|i| optimizer.rule(RuleId(i as u16)).name.to_string())
+            .collect::<Vec<_>>()
+    };
+    write_telemetry_outputs(
+        opts,
+        &telemetry,
+        || telemetry.run_report(&rule_names()),
+        started,
+    )?;
     match mutant {
         Some(m) => match report.verdict_of(m.rule_name) {
             Some(ProveVerdict::Inequivalent) => {
@@ -723,13 +661,6 @@ fn run_prove(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// `ruletest triage [--fault F] [--out P] [--scale N]` — runs a campaign
-/// (over a fault-injected optimizer when `--fault` is given), then
-/// minimizes, deduplicates, and bundles every finding.
-///
-/// Unlike `audit`, finding bugs here is *success*: the command's job is
-/// producing repro bundles, and it fails only when a requested fault
-/// injection yields nothing to triage.
 /// Runs the rule-mutation campaign (`ruletest mutate`): derives buggy
 /// variants of real catalog rules, runs the static linter *and* the §2.3
 /// generation → differential-execution pipeline against each, and fails
@@ -737,7 +668,7 @@ fn run_prove(opts: &Opts) -> Result<(), String> {
 /// mutants must be killed, benign (cost-only) mutants must *not* be
 /// reported as bugs.
 fn run_mutate(opts: &Opts) -> Result<(), String> {
-    use ruletest::core::mutate::{BugClass, Mutant, MutationConfig};
+    use ruletest::core::mutate::{BugClass, MutationConfig};
     if opts.list {
         println!("{:<38} {:<24} {:<28} expected", "mutant", "class", "rule");
         for m in Mutant::all() {
@@ -755,14 +686,10 @@ fn run_mutate(opts: &Opts) -> Result<(), String> {
         Some(name) => Some(BugClass::parse(name).map_err(|e| e.to_string())?),
         None => None,
     };
-    let telemetry = if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
-        Telemetry::metrics_only()
-    } else {
-        Telemetry::disabled()
-    };
+    let telemetry = telemetry(opts);
     // Data scale: the differential oracle wants the default corpus the
     // detection budgets were tuned against.
-    let db = Arc::new(tpch_database(&TpchConfig::default()).map_err(|e| e.to_string())?);
+    let db = default_tpch()?;
     let cfg = MutationConfig {
         class,
         sample: opts.sample,
@@ -775,20 +702,10 @@ fn run_mutate(opts: &Opts) -> Result<(), String> {
     print!("{}", report.render_text());
     println!("mutate: finished in {:?}", started.elapsed());
     if let Some(path) = &opts.json {
-        std::fs::write(path, to_pretty(&report)).map_err(|e| format!("writing {path}: {e}"))?;
+        write_file(path, to_pretty(&report))?;
         println!("mutate: report written to {path}");
     }
-    if let Some(path) = &opts.metrics_json {
-        let mut run = telemetry.run_report(&[]);
-        run.wall_seconds = started.elapsed().as_secs_f64();
-        std::fs::write(path, to_pretty(&run)).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote run report to {path}");
-    }
-    if let Some(path) = &opts.profile_folded {
-        let section = telemetry.profile_section(&[]);
-        std::fs::write(path, section.folded()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {} folded stack(s) to {path}", section.spans.len());
-    }
+    write_telemetry_outputs(opts, &telemetry, || telemetry.run_report(&[]), started)?;
     if report.failed() {
         Err(format!(
             "{} mutants violated their expected verdict",
@@ -799,51 +716,35 @@ fn run_mutate(opts: &Opts) -> Result<(), String> {
     }
 }
 
+/// `ruletest triage [--fault F] [--out P]` — runs a campaign (over a
+/// fault-injected optimizer when `--fault` is given), then minimizes,
+/// deduplicates, and bundles every finding.
+///
+/// Unlike `audit`, finding bugs here is *success*: the command's job is
+/// producing repro bundles, and it fails only when a requested fault
+/// injection yields nothing to triage.
 fn run_triage(opts: &Opts) -> Result<(), String> {
     if opts.positional.first().map(String::as_str) == Some("replay") {
         return run_triage_replay(opts);
     }
     let started = Instant::now();
-    let mut parallelism = ruletest::common::Parallelism::default();
-    if opts.threads > 0 {
-        parallelism.threads = opts.threads;
-    }
-    parallelism.seed = opts.seed;
-    let telemetry = if opts.trace_out.is_some() {
-        Telemetry::enabled()
-    } else if opts.metrics_json.is_some() || opts.profile_folded.is_some() {
-        Telemetry::metrics_only()
-    } else {
-        Telemetry::disabled()
-    };
-    let fault = match &opts.fault {
-        Some(id) => Some(Mutant::by_id(id).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let scale = opts.scale.max(1);
-    let db_cfg = TpchConfig::scaled(TpchConfig::default().seed, scale);
-    let db = Arc::new(tpch_database(&db_cfg).map_err(|e| e.to_string())?);
-    let optimizer = Arc::new(match fault {
-        Some(m) => mutant_optimizer(db.clone(), m),
-        None => Optimizer::new(db.clone()),
-    });
-    let fw = Framework::with_optimizer(optimizer)
-        .with_db_profile(DbProfile {
-            db_seed: db_cfg.seed,
-            scale,
-        })
-        .with_parallelism(parallelism)
-        .with_telemetry(telemetry);
-    // Fault mode targets the one replaced rule; clean mode audits broadly.
-    let (targets, pad) = match fault {
+    let fault = fault_of(opts)?;
+    // The default database, so the framework's default `DbProfile`
+    // (default seed, scale 1) is its provenance.
+    let fw = Framework::with_optimizer(Arc::new(optimizer_for(default_tpch()?, fault)))
+        .with_parallelism(parallelism(opts))
+        .with_telemetry(telemetry(opts));
+    // Fault mode targets the one replaced rule under one padding
+    // operator; clean mode audits broadly under two.
+    let (targets, pad_ops) = match fault {
         Some(f) => {
             let rid = fw
                 .optimizer
                 .rule_id(f.rule_name)
                 .ok_or_else(|| format!("fault rule '{}' not in catalog", f.rule_name))?;
-            (vec![RuleTarget::Single(rid)], opts.pad.max(1))
+            (vec![RuleTarget::Single(rid)], 1)
         }
-        None => (singleton_targets(&fw, opts.rules), opts.pad.max(2)),
+        None => (singleton_targets(&fw, opts.rules), 2),
     };
     // Detection is seed-sensitive; fall back through a fixed seed ladder
     // until the campaign surfaces a finding (fault mode only — a clean
@@ -860,7 +761,7 @@ fn run_triage(opts: &Opts) -> Result<(), String> {
     for seed in seeds {
         let gen_cfg = GenConfig {
             seed,
-            pad_ops: pad,
+            pad_ops,
             max_trials: opts.trials,
             ..Default::default()
         };
@@ -929,7 +830,7 @@ fn run_triage(opts: &Opts) -> Result<(), String> {
         stats.hits,
         stats.hits + stats.misses
     );
-    write_telemetry_outputs(&fw, opts, started)?;
+    write_telemetry_outputs(opts, &fw.telemetry, || fw.run_report(), started)?;
     if fault.is_some() && triaged.bugs.is_empty() {
         return Err("fault injection produced no triaged bug".to_string());
     }

@@ -12,7 +12,6 @@ use std::str::FromStr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Opts {
     pub seed: u64,
-    pub pad: usize,
     pub trials: usize,
     pub random: bool,
     pub rules: usize,
@@ -34,8 +33,6 @@ pub struct Opts {
     pub out: Option<String>,
     /// Write a machine-readable report here (`ruletest lint --json PATH`).
     pub json: Option<String>,
-    /// Test-database scale factor (1 = default table sizes).
-    pub scale: usize,
     /// `ruletest mutate --class C`: restrict to one bug class.
     pub class: Option<String>,
     /// `ruletest mutate --sample N`: stratified sample, ≤N mutants per
@@ -81,7 +78,6 @@ impl Default for Opts {
     fn default() -> Self {
         Opts {
             seed: 42,
-            pad: 0,
             trials: 500,
             random: false,
             rules: 8,
@@ -93,7 +89,6 @@ impl Default for Opts {
             fault: None,
             out: None,
             json: None,
-            scale: 1,
             class: None,
             sample: None,
             list: false,
@@ -138,7 +133,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, Opts), S
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => opts.seed = parse_value(&a, &mut args)?,
-            "--pad" => opts.pad = parse_value(&a, &mut args)?,
             "--trials" => opts.trials = parse_value(&a, &mut args)?,
             "--rules" => opts.rules = parse_value(&a, &mut args)?,
             "--k" => opts.k = parse_value(&a, &mut args)?,
@@ -148,7 +142,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, Opts), S
             "--fault" => opts.fault = Some(value_of(&a, &mut args)?),
             "--out" => opts.out = Some(value_of(&a, &mut args)?),
             "--json" => opts.json = Some(value_of(&a, &mut args)?),
-            "--scale" => opts.scale = parse_value(&a, &mut args)?,
             "--class" => opts.class = Some(value_of(&a, &mut args)?),
             "--sample" => opts.sample = Some(parse_value(&a, &mut args)?),
             "--profile-folded" => opts.profile_folded = Some(value_of(&a, &mut args)?),
@@ -265,14 +258,11 @@ mod tests {
             "SelectMergedIntoOuterJoin",
             "--out",
             "bugs.jsonl",
-            "--scale",
-            "2",
         ]))
         .unwrap();
         assert_eq!(cmd, "triage");
         assert_eq!(opts.fault.as_deref(), Some("SelectMergedIntoOuterJoin"));
         assert_eq!(opts.out.as_deref(), Some("bugs.jsonl"));
-        assert_eq!(opts.scale, 2);
         // replay form: positional file + --check
         let (cmd, opts) = parse(argv(&["triage", "replay", "bugs.jsonl", "--check"])).unwrap();
         assert_eq!(cmd, "triage");
@@ -280,7 +270,8 @@ mod tests {
         assert!(opts.check);
         // missing values fail loudly
         assert!(parse(argv(&["triage", "--fault"])).is_err());
-        assert!(parse(argv(&["triage", "--scale", "x"])).is_err());
+        // Triage runs at the default scale: there is no --scale.
+        assert!(parse(argv(&["triage", "--scale", "2"])).is_err());
     }
 
     #[test]

@@ -48,7 +48,8 @@ fn telemetry_campaign(threads: usize, seed: u64) -> RunReport {
 }
 
 /// The full campaign — suite generation, pruned graph, compression,
-/// correctness execution — produces identical output at 1 and 3 threads.
+/// correctness execution — produces identical output at 1 and 3 threads,
+/// and attaching telemetry changes none of it.
 #[test]
 fn campaign_is_deterministic_across_thread_counts() {
     let gen_cfg = GenConfig {
@@ -57,8 +58,12 @@ fn campaign_is_deterministic_across_thread_counts() {
         ..Default::default()
     };
     let mut outcomes = Vec::new();
-    for threads in [1usize, 3] {
-        let fw = fw_with_threads(threads);
+    for (threads, telemetry) in [
+        (1usize, Telemetry::disabled()),
+        (3, Telemetry::disabled()),
+        (3, Telemetry::metrics_only()),
+    ] {
+        let fw = fw_with_threads(threads).with_telemetry(telemetry);
         let suite = generate_suite(
             &fw,
             singleton_targets(&fw, 6),
@@ -99,6 +104,7 @@ fn campaign_is_deterministic_across_thread_counts() {
         outcomes[0], outcomes[1],
         "1-thread and 3-thread campaigns diverged"
     );
+    assert_eq!(outcomes[1], outcomes[2], "telemetry changed the campaign");
 }
 
 /// Cached optimization returns exactly what uncached optimization returns,

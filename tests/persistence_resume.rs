@@ -309,3 +309,61 @@ fn fingerprint_mismatch_rejects_snapshot_and_checkpoints() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The warm start through the command line: a second `ruletest audit` on
+/// the same `--cache-dir` computes nothing, both run reports pass
+/// `report --check`, and `diff` finds no regression from cold to warm.
+/// One rule and one query keep the run short and still persist entries.
+#[test]
+fn audit_command_warm_starts_from_its_cache_dir() {
+    let dir = temp_dir("cli");
+    let ruletest = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ruletest"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "ruletest {args:?} failed\nstdout: {stdout}\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let (cache, cold, warm) = (
+        dir.join("cache"),
+        dir.join("cold.json"),
+        dir.join("warm.json"),
+    );
+    let audit = |report: &Path| {
+        let stdout = ruletest(&[
+            "audit",
+            "--rules",
+            "1",
+            "--k",
+            "1",
+            "--threads",
+            "1",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--metrics-json",
+            report.to_str().unwrap(),
+        ]);
+        let line = stdout.lines().find(|l| l.starts_with("cache: ")).unwrap();
+        let computed = line.strip_suffix(" computed by this run").unwrap();
+        computed.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+    };
+    assert!(audit(&cold) > 0, "the cold run computed nothing");
+    assert_eq!(audit(&warm), 0, "the warm run re-optimized a cached entry");
+    for report in [&cold, &warm] {
+        ruletest(&["report", report.to_str().unwrap(), "--check"]);
+    }
+    ruletest(&[
+        "diff",
+        cold.to_str().unwrap(),
+        warm.to_str().unwrap(),
+        "--threshold-pct",
+        "25",
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
