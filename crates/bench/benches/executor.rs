@@ -81,6 +81,23 @@ fn main() {
         execute(&db, &filter).unwrap().len()
     });
 
+    // compute/arithmetic: l_extendedprice * (100 - l_discount) and
+    // l_quantity + l_shipdate (NULL where the date is) on every row.
+    let mut ids = IdGen::new();
+    let l = LogicalTree::get(lineitem, &mut ids);
+    let col = |i| Expr::col(l.output_col(i));
+    let discounted = Expr::bin(BinOp::Sub, Expr::lit(100i64), col(6));
+    let outputs = vec![
+        (ids.fresh(), Expr::bin(BinOp::Mul, col(5), discounted)),
+        (ids.fresh(), Expr::bin(BinOp::Add, col(4), col(8))),
+    ];
+    let compute = best(&opt, &LogicalTree::project(l, outputs), "Compute");
+    let lines = column(&db, "lineitem", 0).count();
+    assert_eq!(execute(&db, &compute).unwrap().len(), lines);
+    group.bench("compute/arithmetic", || {
+        execute(&db, &compute).unwrap().len()
+    });
+
     // join/count-over-hash-join: the parent reads no column of the join.
     let mut ids = IdGen::new();
     let join = lineitem_orders(&db, &mut ids);
