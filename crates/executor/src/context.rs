@@ -2,7 +2,7 @@
 
 use ruletest_common::chaos::Chaos;
 use ruletest_common::{ColId, Error, Result, Row, Value};
-use ruletest_expr::Expr;
+use ruletest_expr::{Compiled, Expr};
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use ruletest_storage::Database;
 use std::borrow::Cow;
@@ -128,23 +128,14 @@ pub(crate) fn position(layout: &[ColId], c: ColId) -> usize {
         .unwrap_or_else(|| panic!("unresolved column {c}"))
 }
 
-/// `expr` with each column reference replaced by the column's position in
-/// `layout` (as a `ColId`), for [`eval_at`]: resolved once, at open.
-pub(crate) fn bind(expr: &Expr, layout: &[ColId]) -> Expr {
-    ruletest_expr::rewrite_columns(expr, &mut |c| {
+/// `expr` with each column resolved to its position in `layout`, compiled
+/// once, at open: a position below `split` reads the first row, any other
+/// the second (one row's layout passes its own length).
+pub(crate) fn bind(expr: &Expr, layout: &[ColId], split: usize) -> Compiled {
+    let positional = ruletest_expr::rewrite_columns(expr, &mut |c| {
         Some(Expr::col(ColId(position(layout, c) as u32)))
-    })
-}
-
-/// Evaluates a [`bind`]-positional expression over `row`, reading each
-/// column where it lies.
-pub(crate) fn eval_at<'v>(expr: &'v Expr, row: &'v [Value]) -> Cow<'v, Value> {
-    ruletest_expr::eval_in(expr, &mut |c| Cow::Borrowed(&row[c.0 as usize]))
-}
-
-/// Predicate evaluation with SQL filter semantics (UNKNOWN rejects).
-pub(crate) fn is_true(v: &Value) -> bool {
-    matches!(v, Value::Bool(true))
+    });
+    ruletest_expr::compile(&positional, split)
 }
 
 /// Executes a plan with the default budget.

@@ -12,11 +12,11 @@
 //! join's parent reads.
 
 use crate::context::{
-    bind, charged, is_true, open as open_child, position, schema_ids, Ctx, Layout, Need, Opened,
-    RowIter, RowRef, NONE,
+    bind, charged, open as open_child, position, schema_ids, Ctx, Layout, Need, Opened, RowIter,
+    RowRef, NONE,
 };
 use ruletest_common::{Error, Result, Value, WordBuild, WordHasher};
-use ruletest_expr::{collect_columns, eval_in, Expr};
+use ruletest_expr::{collect_columns, Compiled, Expr};
 use ruletest_logical::JoinKind;
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use std::borrow::Cow;
@@ -135,8 +135,8 @@ pub(crate) fn open<'a>(
 /// the row of an emitted pair, or of a preserved row padded with NULLs,
 /// from the output layout's columns only.
 struct JoinPair {
-    /// The ON/residual predicate.
-    predicate: Expr,
+    /// The ON/residual predicate, `None` when it is TRUE.
+    predicate: Option<Compiled>,
     /// The position of each output column.
     out: Vec<usize>,
     lwidth: usize,
@@ -146,24 +146,14 @@ impl JoinPair {
     fn new(predicate: &Expr, llayout: &Layout, rlayout: &Layout, out: &Layout) -> Self {
         let both: Layout = llayout.iter().chain(rlayout).copied().collect();
         JoinPair {
-            predicate: bind(predicate, &both),
+            predicate: (!predicate.is_true_lit()).then(|| bind(predicate, &both, llayout.len())),
             out: out.iter().map(|&c| position(&both, c)).collect(),
             lwidth: llayout.len(),
         }
     }
 
     fn accepts(&self, left: &[Value], right: &[Value]) -> bool {
-        if self.predicate.is_true_lit() {
-            return true;
-        }
-        let value = eval_in(&self.predicate, &mut |c| {
-            let p = c.0 as usize;
-            Cow::Borrowed(match p.checked_sub(self.lwidth) {
-                None => &left[p],
-                Some(p) => &right[p],
-            })
-        });
-        is_true(&value)
+        self.predicate.as_ref().is_none_or(|p| p.holds(left, right))
     }
 
     /// The output row of `left` and `right`, NULL for the side that is

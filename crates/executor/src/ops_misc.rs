@@ -5,8 +5,7 @@
 //! the rows they emit.
 
 use crate::context::{
-    bind, charged, eval_at, is_true, open as open_child, position, schema_ids, Ctx, Layout, Need,
-    Opened, RowRef,
+    bind, charged, open as open_child, position, schema_ids, Ctx, Layout, Need, Opened, RowRef,
 };
 use ruletest_common::{ColId, Error, Result, WordBuild};
 use ruletest_expr::columns_of;
@@ -39,18 +38,19 @@ pub(crate) fn open<'a>(
     ctx.charge(1)?;
     match &plan.op {
         PhysOp::Filter { predicate } => {
-            let predicate = bind(predicate, &layout);
+            let predicate = bind(predicate, &layout, layout.len());
             let rows = input.filter(move |row| match row {
-                Ok(row) => is_true(&eval_at(&predicate, row)),
+                Ok(row) => predicate.holds(row, &[]),
                 Err(_) => true,
             });
             Ok((Box::new(rows), layout))
         }
         PhysOp::Compute { outputs } => {
-            let outputs: Vec<_> = outputs.iter().map(|(_, e)| bind(e, &layout)).collect();
+            let bound = |(_, e): &(_, _)| bind(e, &layout, layout.len());
+            let outputs: Vec<_> = outputs.iter().map(bound).collect();
             let rows = input.map(move |row| {
                 let row = row?;
-                let computed = outputs.iter().map(|e| eval_at(e, &row).into_owned());
+                let computed = outputs.iter().map(|e| e.eval(&row, &[]));
                 Ok(Cow::Owned(computed.collect()))
             });
             Ok((Box::new(rows), schema_ids(plan)))

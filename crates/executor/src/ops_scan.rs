@@ -1,7 +1,7 @@
 //! Base-table access operators: sequential scan and primary-key index seek.
 //! Both hand out rows borrowed from the table; neither copies one.
 
-use crate::context::{bind, eval_at, is_true, schema_ids, Ctx, Opened};
+use crate::context::{bind, schema_ids, Ctx, Opened};
 use ruletest_common::{Error, Result};
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use std::borrow::Cow;
@@ -24,14 +24,14 @@ pub(crate) fn open<'a>(ctx: &'a Ctx<'a>, plan: &'a PhysicalPlan) -> Result<Opene
             ..
         } => {
             let t = ctx.db.table(*table)?;
-            let residual = bind(residual, &layout);
+            let residual = bind(residual, &layout, layout.len());
             let hits = t.pk_lookup(std::slice::from_ref(key)).iter();
             let rows = hits.filter_map(move |&off| {
                 if let Err(e) = ctx.charge(1) {
                     return Some(Err(e));
                 }
                 let row = t.rows[off].as_slice();
-                is_true(&eval_at(&residual, row)).then_some(Ok(Cow::Borrowed(row)))
+                residual.holds(row, &[]).then_some(Ok(Cow::Borrowed(row)))
             });
             Ok((Box::new(rows), layout))
         }

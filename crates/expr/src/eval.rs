@@ -5,92 +5,93 @@
 //! Integer arithmetic wraps on overflow — the generators keep literals small
 //! enough that this never fires in practice, but wrapping guarantees two
 //! equivalent plans can never diverge via a panic.
+//!
+//! [`eval`] interprets a tree (the reference evaluator's path); [`compile`]
+//! turns one into closures once, for the executor's rows. Neither
+//! short-circuits AND/OR, so both panic on the same ill-typed row.
 
 use crate::expr::{BinOp, Expr};
 use ruletest_common::{ColId, Value};
-use std::borrow::Cow;
-use std::cmp::Ordering;
 
 /// Evaluates `expr`, resolving column references through `get`.
 pub fn eval(expr: &Expr, get: &mut impl FnMut(ColId) -> Value) -> Value {
-    eval_in(expr, &mut |c| Cow::Owned(get(c))).into_owned()
-}
-
-/// Evaluates `expr` over borrowed operands: `get` hands out a column's
-/// value where it lies, and a comparison reads its operands in place, so
-/// only a computed value is ever built.
-pub fn eval_in<'v>(
-    expr: &'v Expr,
-    get: &mut impl FnMut(ColId) -> Cow<'v, Value>,
-) -> Cow<'v, Value> {
     match expr {
         Expr::Col(c) => get(*c),
-        Expr::Lit(v) => Cow::Borrowed(v),
-        Expr::Not(e) => Cow::Owned(match eval_in(e, get).as_ref() {
-            Value::Null => Value::Null,
-            Value::Bool(b) => Value::Bool(!b),
-            other => panic!("type error: NOT over {other:?}"),
-        }),
-        Expr::IsNull(e) => Cow::Owned(Value::Bool(eval_in(e, get).is_null())),
+        Expr::Lit(v) => v.clone(),
+        Expr::Not(e) => not(&eval(e, get)),
+        Expr::IsNull(e) => Value::Bool(eval(e, get).is_null()),
         Expr::Bin { op, left, right } => {
-            let l = eval_in(left, get);
-            let r = eval_in(right, get);
-            // Kleene AND/OR need non-strict handling (short-circuit on the
-            // dominating value even when the other side is NULL).
-            if *op == BinOp::And || *op == BinOp::Or {
-                return Cow::Owned(eval_logical(*op, &l, &r));
-            }
-            if l.is_null() || r.is_null() {
-                return Cow::Owned(Value::Null);
-            }
-            Cow::Owned(if op.is_comparison() {
-                let ord = l.sql_cmp(&r).expect("non-null operands");
-                Value::Bool(match op {
-                    BinOp::Eq => ord == Ordering::Equal,
-                    BinOp::Ne => ord != Ordering::Equal,
-                    BinOp::Lt => ord == Ordering::Less,
-                    BinOp::Le => ord != Ordering::Greater,
-                    BinOp::Gt => ord == Ordering::Greater,
-                    BinOp::Ge => ord != Ordering::Less,
-                    _ => unreachable!(),
-                })
+            let (l, r) = (eval(left, get), eval(right, get));
+            if op.is_logical() {
+                eval_logical(*op, &l, &r)
+            } else if op.is_comparison() {
+                compare(accepts(*op), &l, &r).map_or(Value::Null, Value::Bool)
             } else {
-                let a = l.as_int().expect("arith over non-null");
-                let b = r.as_int().expect("arith over non-null");
-                Value::Int(match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    _ => unreachable!(),
-                })
-            })
+                arith(*op, &l, &r)
+            }
         }
     }
 }
 
-fn eval_logical(op: BinOp, l: &Value, r: &Value) -> Value {
-    let lb = match l {
-        Value::Null => None,
-        Value::Bool(b) => Some(*b),
-        other => panic!("type error: logical op over {other:?}"),
-    };
-    let rb = match r {
-        Value::Null => None,
-        Value::Bool(b) => Some(*b),
-        other => panic!("type error: logical op over {other:?}"),
-    };
+fn not(v: &Value) -> Value {
+    match v {
+        Value::Null => Value::Null,
+        Value::Bool(b) => Value::Bool(!b),
+        other => panic!("type error: NOT over {other:?}"),
+    }
+}
+
+/// The orderings comparison `op` accepts, indexed by Less, Equal, Greater.
+fn accepts(op: BinOp) -> [bool; 3] {
     match op {
-        BinOp::And => match (lb, rb) {
-            (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-            (Some(true), Some(true)) => Value::Bool(true),
-            _ => Value::Null,
-        },
-        BinOp::Or => match (lb, rb) {
-            (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-            (Some(false), Some(false)) => Value::Bool(false),
-            _ => Value::Null,
-        },
-        _ => unreachable!(),
+        BinOp::Eq => [false, true, false],
+        BinOp::Ne => [true, false, true],
+        BinOp::Lt => [true, false, false],
+        BinOp::Le => [true, true, false],
+        BinOp::Gt => [false, false, true],
+        _ => [false, true, true],
+    }
+}
+
+/// Whether `l` and `r` compare in an `accept`ed order; `None` (UNKNOWN)
+/// when either is NULL.
+fn compare(accept: [bool; 3], l: &Value, r: &Value) -> Option<bool> {
+    let ord = match (l, r) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        _ => l.sql_cmp(r)?,
+    };
+    Some(accept[(ord as i8 + 1) as usize])
+}
+
+/// Wrapping arithmetic over two INTs; NULL when either is NULL.
+fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
+    if l.is_null() || r.is_null() {
+        return Value::Null;
+    }
+    let a = l.as_int().expect("arith over non-null");
+    let b = r.as_int().expect("arith over non-null");
+    Value::Int(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        _ => a.wrapping_mul(b),
+    })
+}
+
+/// Kleene AND/OR: the dominating value (FALSE for AND, TRUE for OR) wins
+/// even over NULL; otherwise NULL if either side is, else the other value.
+fn eval_logical(op: BinOp, l: &Value, r: &Value) -> Value {
+    let truth = |v: &Value| match v {
+        Value::Null => None,
+        Value::Bool(b) => Some(*b),
+        other => panic!("type error: logical op over {other:?}"),
+    };
+    let (l, r, dominant) = (truth(l), truth(r), op == BinOp::Or);
+    if l == Some(dominant) || r == Some(dominant) {
+        Value::Bool(dominant)
+    } else if l.is_none() || r.is_none() {
+        Value::Null
+    } else {
+        Value::Bool(!dominant)
     }
 }
 
@@ -100,16 +101,133 @@ pub fn eval_predicate(expr: &Expr, get: &mut impl FnMut(ColId) -> Value) -> bool
     matches!(eval(expr, get), Value::Bool(true))
 }
 
+/// An expression [`compile`]d into closures over one row or a pair of rows.
+pub struct Compiled(Box<RowsFn>);
+
+type RowsFn = dyn Fn(&[Value], &[Value]) -> Value;
+
+impl Compiled {
+    /// The value over `first` and `second` (empty when there is one row).
+    pub fn eval(&self, first: &[Value], second: &[Value]) -> Value {
+        (self.0)(first, second)
+    }
+
+    /// True when the value is TRUE (UNKNOWN and FALSE both reject).
+    pub fn holds(&self, first: &[Value], second: &[Value]) -> bool {
+        matches!(self.eval(first, second), Value::Bool(true))
+    }
+}
+
+fn closure(f: impl Fn(&[Value], &[Value]) -> Value + 'static) -> Compiled {
+    Compiled(Box::new(f))
+}
+
+/// An operand read where it lies: a column of the first or the second
+/// row, or a literal.
+enum Operand {
+    First(usize),
+    Second(usize),
+    Lit(Value),
+}
+
+impl Operand {
+    fn of(expr: &Expr, split: usize) -> Option<Self> {
+        match expr {
+            Expr::Col(c) if (c.0 as usize) < split => Some(Operand::First(c.0 as usize)),
+            Expr::Col(c) => Some(Operand::Second(c.0 as usize - split)),
+            Expr::Lit(v) => Some(Operand::Lit(v.clone())),
+            _ => None,
+        }
+    }
+
+    fn get<'r>(&'r self, first: &'r [Value], second: &'r [Value]) -> &'r Value {
+        match self {
+            Operand::First(p) => &first[*p],
+            Operand::Second(p) => &second[*p],
+            Operand::Lit(v) => v,
+        }
+    }
+}
+
+/// Compiles a positional expression, whose `ColId(p)` is the column at
+/// position `p`: a position below `split` is in the first row, any other in
+/// the second, shifted by `split`. An operator over columns and literals
+/// reads its operands where they lie; only a computed operand is built.
+/// The result equals [`eval`]'s, panics included.
+pub fn compile(expr: &Expr, split: usize) -> Compiled {
+    match expr {
+        // A column or literal is its own operand, read in place and cloned.
+        Expr::Col(_) | Expr::Lit(_) => unary(Value::clone, expr, split),
+        Expr::IsNull(e) => unary(|v| Value::Bool(v.is_null()), e, split),
+        Expr::Not(e) => unary(not, e, split),
+        Expr::Bin { op, left, right } => {
+            let op = *op;
+            if op.is_comparison() {
+                let accept = accepts(op);
+                let f = move |l: &_, r: &_| compare(accept, l, r).map_or(Value::Null, Value::Bool);
+                binary(f, left, right, split)
+            } else if op.is_logical() {
+                binary(move |l, r| eval_logical(op, l, r), left, right, split)
+            } else {
+                binary(move |l, r| arith(op, l, r), left, right, split)
+            }
+        }
+    }
+}
+
+/// `f` over the value of `e`, read where it lies when it is a column or a
+/// literal.
+fn unary(f: impl Fn(&Value) -> Value + 'static, e: &Expr, split: usize) -> Compiled {
+    match Operand::of(e, split) {
+        Some(o) => closure(move |a, b| f(o.get(a, b))),
+        None => {
+            let e = compile(e, split);
+            closure(move |a, b| f(&e.eval(a, b)))
+        }
+    }
+}
+
+/// `f` over the values of `left` and `right`, read where they lie when
+/// both are columns or literals.
+fn binary(
+    f: impl Fn(&Value, &Value) -> Value + 'static,
+    left: &Expr,
+    right: &Expr,
+    split: usize,
+) -> Compiled {
+    match (Operand::of(left, split), Operand::of(right, split)) {
+        (Some(l), Some(r)) => closure(move |a, b| f(l.get(a, b), r.get(a, b))),
+        _ => {
+            let (l, r) = (compile(left, split), compile(right, split));
+            closure(move |a, b| f(&l.eval(a, b), &r.eval(a, b)))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(e: &Expr) -> Value {
-        eval(e, &mut |_| Value::Null)
+    /// Each evaluator over `e` with every column `v`: the interpreter, the
+    /// compiled form over one row, and over a pair with the row second.
+    const EVALUATORS: [fn(&Expr, &Value) -> Value; 3] = [
+        |e, v| eval(e, &mut |_| v.clone()),
+        |e, v| compile(e, 1).eval(std::slice::from_ref(v), &[]),
+        |e, v| compile(e, 0).eval(&[], std::slice::from_ref(v)),
+    ];
+
+    /// `e`'s value with every column `v`, the same from every evaluator.
+    fn with_col(e: &Expr, v: Value) -> Value {
+        let [first, rest @ ..] = EVALUATORS.map(|evaluate| evaluate(e, &v));
+        assert!(
+            rest.iter().all(|r| *r == first),
+            "{e}: {first:?} vs {rest:?}"
+        );
+        first
     }
 
-    fn with_col(e: &Expr, v: Value) -> Value {
-        eval(e, &mut |_| v.clone())
+    fn ev(e: &Expr) -> Value {
+        with_col(e, Value::Null)
     }
 
     #[test]
@@ -203,8 +321,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "type error")]
     fn logical_over_int_panics() {
-        ev(&Expr::and(Expr::lit(1i64), Expr::lit(true)));
+        let e = Expr::and(Expr::lit(1i64), Expr::lit(true));
+        for evaluate in EVALUATORS {
+            let panic = std::panic::catch_unwind(|| evaluate(&e, &Value::Null)).unwrap_err();
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert_eq!(message, "type error: logical op over Int(1)");
+        }
     }
 }

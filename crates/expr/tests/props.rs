@@ -8,7 +8,8 @@ use ruletest_common::check::{gen, CheckConfig, Gen};
 use ruletest_common::{ensure, ensure_eq, ensure_ne, forall};
 use ruletest_common::{ColId, Rng, Value};
 use ruletest_expr::{
-    columns_of, conjoin, conjuncts, eval, is_null_rejecting, remap_columns, substitute, BinOp, Expr,
+    columns_of, compile, conjoin, conjuncts, eval, is_null_rejecting, remap_columns, substitute,
+    BinOp, Expr,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -214,5 +215,46 @@ fn predicates_evaluate_to_three_values() {
         let v = eval_with(&pred, &binding);
         ensure!(matches!(v, Value::Null | Value::Bool(_)), "got {v:?}");
         Ok(())
+    });
+}
+
+/// What evaluating came to: the value, or the message it panicked with.
+fn outcome(evaluate: impl FnOnce() -> Value) -> Result<Value, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(evaluate))
+        .map_err(|panic| panic.downcast_ref::<String>().cloned().unwrap_or_default())
+}
+
+/// `compile` over one row (`split` past it) and over the row cut into a
+/// join pair at `split` comes to what `eval` does: the same value, or the
+/// same panic (`expr_gen` compares a comparison's BOOL with an INT now and
+/// then).
+fn compiled_matches_interpreted(
+    e: &Expr,
+    mut vals: Vec<Value>,
+    split: usize,
+) -> Result<(), String> {
+    vals.resize(5, Value::Null); // a shrunk binding binds the rest to NULL
+    let interpreted = outcome(|| eval(e, &mut |c| vals[c.0 as usize].clone()));
+    let one_row = outcome(|| compile(e, vals.len()).eval(&vals, &[]));
+    ensure_eq!(one_row, interpreted, "one row: {e}");
+    let (first, second) = vals.split_at(split.min(vals.len()));
+    let pair = outcome(|| compile(e, first.len()).eval(first, second));
+    ensure_eq!(pair, interpreted, "split at {}: {e}", first.len());
+    Ok(())
+}
+
+#[test]
+fn compiled_predicates_match_the_interpreter() {
+    forall!(CheckConfig::default();
+            pred in predicate_gen(), vals in binding_gen(), split in gen::usizes(0..6) => {
+        compiled_matches_interpreted(&pred, vals, split)
+    });
+}
+
+#[test]
+fn compiled_expressions_match_the_interpreter() {
+    forall!(CheckConfig::default();
+            expr in expr_gen(), vals in binding_gen(), split in gen::usizes(0..6) => {
+        compiled_matches_interpreted(&expr, vals, split)
     });
 }
