@@ -68,9 +68,14 @@ fn main() -> ExitCode {
     }
 }
 
+const USAGE: &str = "usage: ruletest <rules|pattern|gen|pair|relevant|dependency|sql|audit|impact|report|diff|triage|lint|prove|mutate> [options]\n\
+     see the module docs (`ruletest --help` equivalent) in src/bin/ruletest.rs";
+
 /// Runs one command. `report` and `diff` only read saved reports;
 /// `triage`, `mutate`, `lint` and `prove` build their own optimizer over
-/// their own database; every other command shares one campaign framework.
+/// their own database; the campaign commands share one framework. `help`
+/// (also no command at all) prints the usage; an unknown command prints it
+/// and fails.
 fn run(cmd: &str, opts: &Opts) -> Result<(), String> {
     match cmd {
         "report" => run_report_cmd(opts),
@@ -79,7 +84,16 @@ fn run(cmd: &str, opts: &Opts) -> Result<(), String> {
         "mutate" => run_mutate(opts),
         "lint" => run_lint(opts),
         "prove" => run_prove(opts),
-        _ => run_framework_cmd(cmd, opts),
+        "audit" if opts.random => {
+            Err("audit does not take --random: its campaign generates with PATTERN".into())
+        }
+        "rules" | "pattern" | "gen" | "pair" | "relevant" | "dependency" | "sql" | "audit"
+        | "impact" => run_framework_cmd(cmd, opts),
+        "help" => {
+            eprintln!("{USAGE}");
+            Ok(())
+        }
+        _ => Err(format!("unknown command '{cmd}'\n{USAGE}")),
     }
 }
 
@@ -186,13 +200,7 @@ fn run_framework_cmd(cmd: &str, opts: &Opts) -> Result<(), String> {
             .and_then(|text| run_sql(&fw, text)),
         "audit" => run_audit(&fw, opts),
         "impact" => run_impact(&fw, opts),
-        _ => {
-            eprintln!(
-                "usage: ruletest <rules|pattern|gen|pair|relevant|sql|audit|impact|report|diff|triage|lint|prove|mutate> [options]\n\
-                 see the module docs (`ruletest --help` equivalent) in src/bin/ruletest.rs"
-            );
-            Ok(())
-        }
+        _ => unreachable!("`run` routes only campaign commands here"),
     };
     // Telemetry outputs are written even when the command failed — a
     // failing campaign's metrics are exactly what one wants to look at.
@@ -424,7 +432,7 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
         k: opts.k,
         seed: opts.seed,
         pad_ops: 2,
-        max_trials: GenConfig::default().max_trials,
+        max_trials: opts.trials,
     };
     let cache_dir = opts.cache_dir.as_deref().map(Path::new);
     if let Some(dir) = cache_dir {
