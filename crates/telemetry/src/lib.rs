@@ -36,7 +36,9 @@ pub use metrics::{
 };
 pub use report::{CacheSection, PoolSection, RunReport, TraceSection, SCHEMA_VERSION};
 pub use ruletest_common::json::{self, Json};
-pub use span::{ProfileSample, ProfileSection, Profiler, RuleCostRow, SpanGuard, SpanRow, Stage};
+pub use span::{
+    ProfileSample, ProfileSection, Profiler, RuleCostRow, SampleClock, SpanGuard, SpanRow, Stage,
+};
 pub use trace::{Event, RulePhase, TraceStats, Tracer, DEFAULT_SHARD_CAPACITY};
 
 use ruletest_common::PoolStats;
@@ -216,14 +218,6 @@ impl Telemetry {
             ),
             None => SpanGuard::noop(),
         }
-    }
-
-    /// A fresh per-invocation profile buffer, `None` when disabled —
-    /// callers thread it through `compute` and hand it back via
-    /// [`Telemetry::flush_profile`] only for deduplicated winners.
-    #[inline]
-    pub fn profile_sample(&self) -> Option<ProfileSample> {
-        self.inner.as_ref().map(|_| ProfileSample::default())
     }
 
     /// Books one optimizer invocation's profile under the current

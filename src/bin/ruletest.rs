@@ -87,6 +87,8 @@ fn run(cmd: &str, opts: &Opts) -> Result<(), String> {
         "audit" if opts.random => {
             Err("audit does not take --random: its campaign generates with PATTERN".into())
         }
+        "audit" if opts.rules == 0 => Err("audit --rules 0 has no rule to validate".into()),
+        "audit" if opts.k == 0 => Err("audit --k 0 has no query to validate".into()),
         "rules" | "pattern" | "gen" | "pair" | "relevant" | "dependency" | "sql" | "audit"
         | "impact" => run_framework_cmd(cmd, opts),
         "help" => {

@@ -29,8 +29,9 @@ fn unknown_command_fails_and_help_succeeds() {
     }
 }
 
-/// `--trials` reaches the campaign parameters the checkpoint records, and
-/// `--random`, which the campaign cannot honour, is refused.
+/// `--trials` reaches the campaign parameters the checkpoint records;
+/// `--random`, which the campaign cannot honour, is refused, and so are
+/// `--rules 0` and `--k 0`, which leave nothing to validate.
 #[test]
 fn audit_takes_trials_and_refuses_random() {
     let dir = std::env::temp_dir().join(format!("ruletest_cli_trials_{}", std::process::id()));
@@ -43,7 +44,11 @@ fn audit_takes_trials_and_refuses_random() {
     assert!(quarantine.contains("\"max_trials\":7"), "{quarantine}");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = ruletest(&[&args[..], &["--random"]].concat());
-    assert!(!out.status.success(), "audit --random exited 0");
-    assert!(stderr(&out).contains("--random"), "{}", stderr(&out));
+    for refused in [&["--random"][..], &["--rules", "0"], &["--k", "0"]] {
+        let named = refused.join(" ");
+        let out = ruletest(&[&args[..], refused].concat());
+        assert!(!out.status.success(), "audit {named} exited 0");
+        assert!(stderr(&out).contains(&named), "{}", stderr(&out));
+        assert!(out.stdout.is_empty(), "audit {named} ran a campaign");
+    }
 }
