@@ -164,6 +164,14 @@ pub fn mutant_optimizer(db: Arc<Database>, mutant: &Mutant) -> Optimizer {
     Optimizer::new_with_overrides(db, vec![mutant.rule()])
 }
 
+/// An optimizer over `db`, with `fault` injected when given.
+pub fn optimizer_for(db: Arc<Database>, fault: Option<&Mutant>) -> Optimizer {
+    match fault {
+        Some(mutant) => mutant_optimizer(db, mutant),
+        None => Optimizer::new(db),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,6 +18,7 @@
 //! those are the same bug. Likewise the diff *direction* is stable across
 //! witnesses of one fault while the diff *count* scales with witness size.
 
+use ruletest_common::{ResultDiff, Row};
 use ruletest_optimizer::{PhysOp, PhysicalPlan};
 use std::collections::BTreeMap;
 
@@ -36,22 +37,22 @@ pub struct BugSignature {
 }
 
 impl BugSignature {
-    /// Derives the signature of a minimized finding. `missing` / `extra`
-    /// are the total multiplicities of rows the masked plan lost /
-    /// invented relative to the base plan.
+    /// Derives the signature of a minimized finding from its plans and
+    /// its result diff (base left, masked right).
     pub fn derive(
         rule_mask: &[String],
         base: &PhysicalPlan,
         masked: &PhysicalPlan,
-        missing: u64,
-        extra: u64,
+        diff: &ResultDiff,
     ) -> BugSignature {
         let mut rules = rule_mask.to_vec();
         rules.sort();
+        // Total multiplicities of the rows the masked plan lost / invented.
+        let count = |side: &[(Row, usize)]| side.iter().map(|(_, n)| *n as u64).sum();
         BugSignature {
             rules,
             plan_delta: plan_delta(base, masked),
-            diff_class: diff_class(missing, extra).to_string(),
+            diff_class: diff_class(count(&diff.only_left), count(&diff.only_right)).to_string(),
         }
     }
 
@@ -194,8 +195,24 @@ mod tests {
     fn signatures_normalize_rule_order() {
         let base = join(JoinKind::Inner, scan(0), scan(1));
         let masked = filter(join(JoinKind::LeftOuter, scan(0), scan(1)));
-        let a = BugSignature::derive(&["B".to_string(), "A".to_string()], &base, &masked, 5, 0);
-        let b = BugSignature::derive(&["A".to_string(), "B".to_string()], &base, &masked, 7, 0);
+        let lost = |n: usize| ResultDiff {
+            only_left: vec![(vec![], n)],
+            only_right: vec![],
+            left_rows: n,
+            right_rows: 0,
+        };
+        let a = BugSignature::derive(
+            &["B".to_string(), "A".to_string()],
+            &base,
+            &masked,
+            &lost(5),
+        );
+        let b = BugSignature::derive(
+            &["A".to_string(), "B".to_string()],
+            &base,
+            &masked,
+            &lost(7),
+        );
         assert_eq!(a, b);
         assert_eq!(a.key(), "rules=[A+B] delta=[Filter:+1] diff=missing");
     }
