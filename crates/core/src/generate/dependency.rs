@@ -5,8 +5,8 @@
 //! than inferred.
 
 use crate::framework::Framework;
-use crate::generate::{GenConfig, GenOutcome, Strategy};
-use ruletest_common::{Error, Result, RuleId};
+use crate::generate::{find_until, GenConfig, GenOutcome, Strategy};
+use ruletest_common::{Result, RuleId};
 
 /// Generates a query in whose optimization `r2` fires on an expression
 /// created by `r1`. Returns the query plus the number of co-occurring
@@ -18,31 +18,18 @@ pub fn find_dependency_query(
     strategy: Strategy,
     cfg: &GenConfig,
 ) -> Result<(GenOutcome, usize)> {
-    let mut discarded = 0usize;
-    let mut trials_used = 0usize;
-    let mut seed = cfg.seed;
-    while trials_used < cfg.max_trials {
-        let sub_cfg = GenConfig {
-            seed,
-            max_trials: cfg.max_trials - trials_used,
-            ..cfg.clone()
-        };
-        let mut out = fw.find_query_for_pair((r1, r2), strategy, &sub_cfg)?;
-        trials_used += out.trials;
-        let res = fw.optimizer.optimize(&out.query)?;
-        if res.rule_dependencies.contains(&(r1, r2)) {
-            out.trials = trials_used;
-            return Ok((out, discarded));
-        }
-        discarded += 1;
-        seed = seed.wrapping_add(0x9E37_79B9);
-    }
-    Err(Error::unsupported(format!(
-        "no query where {} feeds {} found in {} trials",
-        fw.optimizer.rule(r1).name,
-        fw.optimizer.rule(r2).name,
-        cfg.max_trials
-    )))
+    find_until(
+        cfg,
+        |cfg| fw.find_query_for_pair((r1, r2), strategy, cfg),
+        |out| {
+            let res = fw.optimizer.optimize_cached(&out.query)?;
+            Ok(res.rule_dependencies.contains(&(r1, r2)))
+        },
+        || {
+            let name = |r| fw.optimizer.rule(r).name;
+            format!("{} feeds {}", name(r1), name(r2))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ pub mod pattern;
 pub mod random;
 pub mod relevant;
 
+use ruletest_common::{Error, Result};
 use ruletest_logical::LogicalTree;
 use ruletest_optimizer::Searched;
 
@@ -74,4 +75,40 @@ pub struct GenOutcome {
     /// The hit trial's search of `query` (all rules enabled): its full
     /// result, or — when it stopped at the memo cap — only its rules.
     pub searched: Searched,
+}
+
+/// The §7 finders' retry loop: generates with `find` until `keep` accepts
+/// the query, moving to a fresh seed after each discard, within
+/// `cfg.max_trials` trials over all attempts. Returns the kept query (its
+/// `trials` counted over all attempts) and the number discarded; `wanted`
+/// names what was looked for when the trials run out.
+pub(crate) fn find_until(
+    cfg: &GenConfig,
+    find: impl Fn(&GenConfig) -> Result<GenOutcome>,
+    keep: impl Fn(&GenOutcome) -> Result<bool>,
+    wanted: impl FnOnce() -> String,
+) -> Result<(GenOutcome, usize)> {
+    let mut discarded = 0usize;
+    let mut trials_used = 0usize;
+    let mut seed = cfg.seed;
+    while trials_used < cfg.max_trials {
+        let sub_cfg = GenConfig {
+            seed,
+            max_trials: cfg.max_trials - trials_used,
+            ..cfg.clone()
+        };
+        let mut out = find(&sub_cfg)?;
+        trials_used += out.trials;
+        if keep(&out)? {
+            out.trials = trials_used;
+            return Ok((out, discarded));
+        }
+        discarded += 1;
+        seed = seed.wrapping_add(0x9E37_79B9);
+    }
+    Err(Error::unsupported(format!(
+        "no query where {} found in {} trials",
+        wanted(),
+        cfg.max_trials
+    )))
 }

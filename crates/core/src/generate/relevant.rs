@@ -3,8 +3,8 @@
 //! optimizer's final plan choice.
 
 use crate::framework::Framework;
-use crate::generate::{GenConfig, GenOutcome, Strategy};
-use ruletest_common::{Error, Result, RuleId};
+use crate::generate::{find_until, GenConfig, GenOutcome, Strategy};
+use ruletest_common::{Result, RuleId};
 use ruletest_optimizer::OptimizerConfig;
 
 /// Generates a query for which `rule` is relevant: `Plan(q)` differs from
@@ -17,33 +17,17 @@ pub fn find_relevant_query(
     strategy: Strategy,
     cfg: &GenConfig,
 ) -> Result<(GenOutcome, usize)> {
-    let mut discarded = 0usize;
-    let mut trials_used = 0usize;
-    let mut seed = cfg.seed;
-    while trials_used < cfg.max_trials {
-        let sub_cfg = GenConfig {
-            seed,
-            max_trials: cfg.max_trials - trials_used,
-            ..cfg.clone()
-        };
-        let mut out = fw.find_query_for_rule(rule, strategy, &sub_cfg)?;
-        trials_used += out.trials;
-        let base = fw.optimizer.optimize_cached(&out.query)?;
-        let masked = fw
-            .optimizer
-            .optimize_with(&out.query, &OptimizerConfig::disabling(&[rule]))?;
-        if !base.plan.same_shape(&masked.plan) {
-            out.trials = trials_used;
-            return Ok((out, discarded));
-        }
-        discarded += 1;
-        seed = seed.wrapping_add(0x9E37_79B9);
-    }
-    Err(Error::unsupported(format!(
-        "no query where {} is relevant found in {} trials",
-        fw.optimizer.rule(rule).name,
-        cfg.max_trials
-    )))
+    let masked = OptimizerConfig::disabling(&[rule]);
+    find_until(
+        cfg,
+        |cfg| fw.find_query_for_rule(rule, strategy, cfg),
+        |out| {
+            let base = fw.optimizer.optimize_cached(&out.query)?;
+            let masked = fw.optimizer.optimize_with_cached(&out.query, &masked)?;
+            Ok(!base.plan.same_shape(&masked.plan))
+        },
+        || format!("{} is relevant", fw.optimizer.rule(rule).name),
+    )
 }
 
 #[cfg(test)]
