@@ -17,7 +17,7 @@ use ruletest_optimizer::persist::{canonical_key, parse_entry_line};
 use ruletest_optimizer::rule::newtree_from_logical;
 use ruletest_optimizer::{
     match_bindings, match_signatures, Bound, CacheKey, GroupId, Memo, NewChild, NewTree, Offers,
-    Optimizer, OptimizerConfig, Rule, RuleAction, RuleCtx, Searched, SnapshotStore,
+    Optimizer, OptimizerConfig, Rule, RuleAction, RuleCtx, Searched, SnapshotStore, MAX_EXPRS,
 };
 use ruletest_storage::{tpch_database, Database, TpchConfig};
 use std::cell::RefCell;
@@ -103,17 +103,14 @@ fn main() {
 
     // ---- Exploration alone: to the fixpoint, and to the budget ----
     // Three joins are the largest star that saturates under the default
-    // budget; four stop at `max_exprs` (their fixpoint is 115,605
+    // budget; four stop at `MAX_EXPRS` (their fixpoint is 115,605
     // expressions), the shape that is half a campaign's search time.
     let config = OptimizerConfig::default();
     let q3 = star_query(&opt, 3);
     let q4 = star_query(&opt, 4);
     let exprs = |q: &LogicalTree| opt.explore(q, &config).expect("explores").memo.num_exprs();
-    assert!(
-        exprs(&q3) <= config.max_exprs,
-        "3-join reaches its fixpoint"
-    );
-    assert!(exprs(&q4) > config.max_exprs, "4-join stops at the budget");
+    assert!(exprs(&q3) <= MAX_EXPRS, "3-join reaches its fixpoint");
+    assert!(exprs(&q4) > MAX_EXPRS, "4-join stops at the budget");
     group.bench("explore_saturated_3join", || exprs(&q3));
     group.bench("explore_capped", || exprs(&q4));
 

@@ -5,12 +5,12 @@
 //! edge probing recomputes `Plan(q, ¬R)` for targets sharing a rule set,
 //! and correctness validation re-optimizes every `Plan(q)` per assignment.
 //! Since [`Optimizer::optimize_with`](crate::Optimizer::optimize_with) is
-//! a pure function of `(tree, mask, budgets)`, those repeats are pure
+//! a pure function of `(tree, mask)`, those repeats are pure
 //! waste — this cache dedupes them.
 //!
 //! The cache is sharded (`Mutex<HashMap>` per shard, shard chosen by key
 //! fingerprint) so concurrent campaign workers rarely contend, and every
-//! entry stores the **full key** (tree + canonical mask + budgets), so a
+//! entry stores the **full key** (tree + canonical mask), so a
 //! fingerprint collision can never return a wrong plan. Results are
 //! shared as `Arc<OptimizeResult>` — a hit costs one clone of a pointer.
 //!
@@ -33,28 +33,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Full cache key: the logical tree plus everything that can change the
-/// optimization outcome.
+/// Full cache key: the logical tree plus the disabled rules, everything
+/// that can change the optimization outcome (the search budgets are
+/// constants, hashed into a snapshot's campaign fingerprint).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     tree: LogicalTree,
     /// Canonical mask form (ascending disabled ids) — two masks built in
     /// different orders or with different backing lengths compare equal.
     disabled: Vec<RuleId>,
-    max_exprs: usize,
-    max_passes: usize,
-    /// Hard memo-growth cap, part of the key because it changes whether
-    /// an invocation succeeds at all.
-    hard_max_exprs: Option<usize>,
 }
 
-// `hard_max_exprs` is left out when unset so default-config keys keep the
-// exact canonical bytes older snapshots were addressed by.
 ruletest_common::wire_record!(CacheKey {
     "disabled" => disabled,
-    "hard_max_exprs" => hard_max_exprs: omit_none,
-    "max_exprs" => max_exprs,
-    "max_passes" => max_passes,
     "tree" => tree,
 });
 
@@ -62,10 +53,7 @@ impl CacheKey {
     pub fn new(tree: &LogicalTree, config: &OptimizerConfig) -> Self {
         Self {
             tree: tree.clone(),
-            disabled: config.mask.disabled_rules(),
-            max_exprs: config.max_exprs,
-            max_passes: config.max_passes,
-            hard_max_exprs: config.hard_max_exprs,
+            disabled: config.disabled_rules(),
         }
     }
 
@@ -260,51 +248,13 @@ mod tests {
     #[test]
     fn mask_form_is_canonical() {
         let tree = leaf(0);
-        let a = CacheKey::new(
-            &tree,
-            &OptimizerConfig {
-                mask: RuleMask::disabling(&[RuleId(5), RuleId(2)]),
-                ..Default::default()
-            },
-        );
+        let a = CacheKey::new(&tree, &RuleMask::disabling(&[RuleId(5), RuleId(2)]));
         let mut mask = RuleMask::disabling(&[RuleId(2), RuleId(5), RuleId(90)]);
         mask.enable(RuleId(90)); // leaves a longer backing vec behind
-        let b = CacheKey::new(
-            &tree,
-            &OptimizerConfig {
-                mask,
-                ..Default::default()
-            },
-        );
+        let b = CacheKey::new(&tree, &mask);
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn budgets_are_part_of_the_key() {
-        let tree = leaf(0);
-        let a = CacheKey::new(&tree, &OptimizerConfig::default());
-        let b = CacheKey::new(
-            &tree,
-            &OptimizerConfig {
-                max_exprs: 10,
-                ..Default::default()
-            },
-        );
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn hard_cap_is_part_of_the_key() {
-        let tree = leaf(0);
-        let capped = CacheKey::new(
-            &tree,
-            &OptimizerConfig {
-                hard_max_exprs: Some(100),
-                ..Default::default()
-            },
-        );
-        assert_ne!(CacheKey::new(&tree, &OptimizerConfig::default()), capped);
+        assert_ne!(a, CacheKey::new(&tree, &OptimizerConfig::default()));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use mask::RuleMask;
 pub use memo::{GroupId, Memo};
 pub use optimizer::{
     match_bindings, match_signatures, Explored, OptimizeResult, Optimizer, OptimizerConfig, Search,
-    Searched,
+    Searched, MAX_EXPRS, MAX_PASSES,
 };
 pub use pattern::{OpMatcher, PatternTree};
 pub use persist::{campaign_fingerprint, SnapshotStore, WarmHit};

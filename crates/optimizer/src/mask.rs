@@ -3,7 +3,8 @@
 //! The correctness-testing methodology (§2.3) requires "the ability to
 //! optimize (and execute) a query when a given set of transformation rules
 //! is turned off" — `Plan(q, ¬R)`. A [`RuleMask`] is that set ¬R, a dense
-//! bitset over rule ids.
+//! bitset over rule ids, and all an optimization is configured by
+//! ([`OptimizerConfig`](crate::OptimizerConfig) names the same type).
 
 use ruletest_common::RuleId;
 

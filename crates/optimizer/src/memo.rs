@@ -588,7 +588,7 @@ mod tests {
         let tree = LogicalTree::join(JoinKind::Inner, rn, s, ns_pred);
         let config = crate::OptimizerConfig::default();
         let search = crate::Optimizer::new(db).explore(&tree, &config).unwrap();
-        assert!(search.memo.num_exprs() <= config.max_exprs, "saturated");
+        assert!(search.memo.num_exprs() <= crate::MAX_EXPRS, "saturated");
         assert!(search.memo.num_exprs() > search.memo.num_groups());
         assert_index_consistent(&search.memo);
     }

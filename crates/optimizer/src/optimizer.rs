@@ -30,53 +30,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Search budgets and the rule mask for one optimization.
-#[derive(Debug, Clone)]
-pub struct OptimizerConfig {
-    /// Disabled rules (`¬R`); empty for `Plan(q)`.
-    pub mask: RuleMask,
-    /// Safety cap on total memo expressions; exceeding it sets
-    /// [`OptimizeResult::truncated`].
-    pub max_exprs: usize,
-    /// Safety cap on exploration passes.
-    pub max_passes: usize,
-    /// Hard memo-growth cap: exceeding it *fails* the invocation with
-    /// `Error::Budget` instead of truncating. `None` (the default) keeps
-    /// the graceful truncation behavior. The supervision layer uses this
-    /// to turn a rule that floods the memo into a quarantinable
-    /// `Failure::BudgetExhausted` rather than a silently weaker search.
-    pub hard_max_exprs: Option<usize>,
-}
+/// What one optimization is configured by: the disabled rules (`¬R`),
+/// empty for `Plan(q)`. The search budgets are the constants
+/// [`MAX_EXPRS`] and [`MAX_PASSES`].
+pub type OptimizerConfig = RuleMask;
 
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        Self {
-            mask: RuleMask::all_enabled(),
-            // Large enough that the fixpoint is reached for the padded
-            // pattern queries correctness suites use; large random
-            // multi-join queries may truncate (industrial optimizers prune
-            // their search too).
-            max_exprs: 3_000,
-            max_passes: 64,
-            hard_max_exprs: None,
-        }
-    }
-}
+/// Cap on total memo expressions; exceeding it sets
+/// [`OptimizeResult::truncated`]. Large enough that the fixpoint is
+/// reached for the padded pattern queries correctness suites use; large
+/// random multi-join queries may truncate (industrial optimizers prune
+/// their search too).
+pub const MAX_EXPRS: usize = 3_000;
 
-impl OptimizerConfig {
-    /// All rules enabled.
-    pub fn all_enabled() -> Self {
-        Self::default()
-    }
-
-    /// Disabling exactly `rules`.
-    pub fn disabling(rules: &[RuleId]) -> Self {
-        Self {
-            mask: RuleMask::disabling(rules),
-            ..Self::default()
-        }
-    }
-}
+/// Cap on exploration passes; reaching it sets
+/// [`OptimizeResult::truncated`].
+pub const MAX_PASSES: usize = 64;
 
 /// The outcome of optimizing one query.
 #[derive(Debug, Clone)]
@@ -394,7 +362,7 @@ impl Optimizer {
     }
 
     /// Cached variant of [`Optimizer::optimize`]: identical result, but a
-    /// repeat of a previously optimized `(tree, mask, budgets)` key is
+    /// repeat of a previously optimized `(tree, mask)` key is
     /// served from the invocation cache without spending an invocation.
     pub fn optimize_cached(&self, tree: &LogicalTree) -> Result<Arc<OptimizeResult>> {
         self.optimize_with_cached(tree, &OptimizerConfig::default())
@@ -494,7 +462,7 @@ impl Optimizer {
     }
 
     /// Optimizes under a configuration — `Plan(q, ¬R)` when rules are
-    /// disabled in `config.mask`.
+    /// disabled in `config`.
     pub fn optimize_with(
         &self,
         tree: &LogicalTree,
@@ -510,7 +478,7 @@ impl Optimizer {
 
     /// Records an optimization into the telemetry registry and books its
     /// profile sample under the caller's span stack. Called once per
-    /// *unique* `(tree, mask, budgets)` key on the cached path and once per
+    /// *unique* `(tree, mask)` key on the cached path and once per
     /// direct [`Self::optimize_with`] call, which keeps every aggregate
     /// thread-count-invariant. `upgrade`: `value` is the full result of a
     /// key recorded before as a truncated outcome, so only its
@@ -596,7 +564,7 @@ impl Optimizer {
             let elapsed_us = elapsed.as_micros() as u64;
             tel.observe(Hist::InvocationMicros, elapsed_us);
             let (groups, exprs) = (memo.num_groups() as u32, memo.num_exprs() as u32);
-            let masked_rules = config.mask.disabled_rules().len() as u32;
+            let masked_rules = config.disabled_rules().len() as u32;
             tel.event(|| Event::Invocation {
                 fingerprint: fingerprint.unwrap_or(0),
                 masked_rules,
@@ -713,7 +681,7 @@ impl Optimizer {
         let mut binder = Binder::default();
         let mut offers = Offers::default();
 
-        'passes: for pass in 0..config.max_passes {
+        'passes: for pass in 0..MAX_PASSES {
             let mut changed = false;
             let mut g = 0usize;
             while g < memo.num_groups() {
@@ -733,7 +701,7 @@ impl Optimizer {
                     for (slot, &ri) in self.explore_by_kind[kind as usize].iter().enumerate() {
                         let rule = &self.rules[ri];
                         let rid = RuleId(ri as u16);
-                        if config.mask.is_disabled(rid) {
+                        if config.is_disabled(rid) {
                             continue;
                         }
                         if rule.mints_fresh_ids && !memo.is_organic(gid, ei) {
@@ -838,14 +806,7 @@ impl Optimizer {
                                 let (_, fresh) = memo.offer(&self.db, root, gid, organic, rid)?;
                                 changed |= fresh;
                             }
-                            if let Some(hard) = config.hard_max_exprs {
-                                if memo.num_exprs() > hard {
-                                    return Err(Error::budget(format!(
-                                        "memo grew past the hard cap of {hard} expressions"
-                                    )));
-                                }
-                            }
-                            if memo.num_exprs() > config.max_exprs {
+                            if memo.num_exprs() > MAX_EXPRS {
                                 truncated = true;
                                 break 'passes;
                             }
@@ -858,7 +819,7 @@ impl Optimizer {
             if !changed {
                 break;
             }
-            if pass + 1 == config.max_passes {
+            if pass + 1 == MAX_PASSES {
                 truncated = true;
             }
         }
@@ -1172,7 +1133,7 @@ impl Extractor<'_> {
             for &ri in &self.optimizer.implement_by_kind[kind as usize] {
                 let rule = &self.optimizer.rules[ri];
                 let rid = RuleId(ri as u16);
-                if self.config.mask.is_disabled(rid) {
+                if self.config.is_disabled(rid) {
                     continue;
                 }
                 let timed = self.clock.start();
@@ -1460,7 +1421,7 @@ mod tests {
             for g in (0..memo.num_groups() as u32).map(GroupId) {
                 for ei in 0..memo.group(g).exprs.len() {
                     for rid in opt.exploration_rule_ids() {
-                        if config.mask.is_disabled(rid) {
+                        if config.is_disabled(rid) {
                             continue;
                         }
                         let rule = opt.rule(rid);
@@ -1605,22 +1566,6 @@ mod tests {
         let whole = opt.optimize(&tree).unwrap();
         assert!(plan.same_shape(&whole.plan));
         assert_eq!(plan.est_cost.to_bits(), whole.cost.to_bits());
-    }
-
-    #[test]
-    fn hard_memo_cap_fails_with_a_budget_error() {
-        let opt = optimizer();
-        let tree = simple_join(&opt);
-        let err = opt
-            .optimize_with(
-                &tree,
-                &OptimizerConfig {
-                    hard_max_exprs: Some(1),
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::Budget(_)), "{err}");
     }
 
     #[test]

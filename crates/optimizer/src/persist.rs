@@ -3,7 +3,7 @@
 //! A testing campaign's cost model is optimizer invocations (§5.3.1), and
 //! the in-memory [`OptCache`](crate::OptCache) already dedupes repeats
 //! within one process. This module extends that saving across process
-//! boundaries: computed `(tree, mask, budgets)` entries are written to a
+//! boundaries: computed `(tree, mask)` entries are written to a
 //! versioned JSONL snapshot, and a later run with `--cache-dir` answers
 //! those probes from disk without re-computing.
 //!
@@ -15,8 +15,9 @@
 //!   line opens with its key, and a load takes the key's bytes as written
 //!   (they are neither decoded nor printed again). The
 //!   snapshot as a whole is guarded by a campaign fingerprint (catalog
-//!   hash, rule-catalog hash, seed, scale): if the rule catalog changed,
-//!   the whole snapshot is rejected rather than risking poisoned entries.
+//!   hash, rule-catalog hash, seed, scale, search budgets): if the rule
+//!   catalog or a budget changed, the whole snapshot is rejected rather
+//!   than risking poisoned entries.
 //! * **Determinism.** Serialized floats round-trip bit-exactly (hex
 //!   `f64::to_bits`), entries are written sorted by key, and each entry
 //!   carries the counts of the [`ProfileSample`] its original compute
@@ -34,6 +35,7 @@
 //! result recorded for a key replaces a truncated outcome.
 
 use crate::cache::{CacheKey, Cached};
+use crate::optimizer::{MAX_EXPRS, MAX_PASSES};
 use crate::rule::Rule;
 use ruletest_common::chaos::Chaos;
 use ruletest_common::wire::{
@@ -50,7 +52,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Snapshot layout version; bump on breaking serialization changes. A
 /// version mismatch rejects the snapshot the same way a fingerprint
 /// mismatch does. Version 2: a profile sample holds counts only.
-pub const FORMAT_VERSION: u64 = 2;
+/// Version 3: a key is the tree and the mask alone.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Fixed number of on-disk shard files. Independent of the in-memory
 /// cache's shard count so either can change without invalidating
@@ -59,8 +62,9 @@ pub const DISK_SHARDS: usize = 16;
 
 /// The campaign fingerprint guarding a snapshot: schema catalog, rule
 /// catalog (names, kinds, preconditions, in id order), database seed and
-/// scale, and the snapshot format version. Budgets and masks are *not*
-/// included — they are per-entry key components.
+/// scale, the search budgets ([`MAX_EXPRS`], [`MAX_PASSES`]) and the
+/// snapshot format version. Masks are *not* included — they are per-entry
+/// key components.
 pub fn campaign_fingerprint<'a>(
     catalog: &Catalog,
     rules: impl Iterator<Item = &'a Rule>,
@@ -87,6 +91,7 @@ pub fn campaign_fingerprint<'a>(
             .write_str(rule.precondition);
     }
     h.write_u64(db_seed).write_u64(scale);
+    h.write_u64(MAX_EXPRS as u64).write_u64(MAX_PASSES as u64);
     h.finish()
 }
 
@@ -470,20 +475,8 @@ mod tests {
     #[test]
     fn canonical_key_is_stable_and_mask_canonical() {
         let tree = leaf(0);
-        let a = CacheKey::new(
-            &tree,
-            &OptimizerConfig {
-                mask: RuleMask::disabling(&[RuleId(5), RuleId(2)]),
-                ..Default::default()
-            },
-        );
-        let b = CacheKey::new(
-            &tree,
-            &OptimizerConfig {
-                mask: RuleMask::disabling(&[RuleId(2), RuleId(5)]),
-                ..Default::default()
-            },
-        );
+        let a = CacheKey::new(&tree, &RuleMask::disabling(&[RuleId(5), RuleId(2)]));
+        let b = CacheKey::new(&tree, &RuleMask::disabling(&[RuleId(2), RuleId(5)]));
         assert_eq!(canonical_key(&a), canonical_key(&b));
         // Round-tripping the canonical form through the parser reproduces
         // it byte-for-byte (the content-addressing invariant).

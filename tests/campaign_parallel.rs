@@ -13,7 +13,7 @@ use ruletest_core::{
 };
 use ruletest_executor::ExecConfig;
 use ruletest_logical::IdGen;
-use ruletest_optimizer::{OptimizerConfig, RuleMask};
+use ruletest_optimizer::OptimizerConfig;
 use ruletest_storage::tpch_database;
 use ruletest_telemetry::{RunReport, Telemetry};
 use std::sync::Arc;
@@ -127,10 +127,7 @@ fn cache_is_result_transparent() {
     }
 
     for (tree, disabled) in &workload {
-        let cfg = OptimizerConfig {
-            mask: RuleMask::disabling(disabled),
-            ..Default::default()
-        };
+        let cfg = OptimizerConfig::disabling(disabled);
         let uncached = fw.optimizer.optimize_with(tree, &cfg).unwrap();
         let cached = fw.optimizer.optimize_with_cached(tree, &cfg).unwrap();
         assert_eq!(uncached.cost.to_bits(), cached.cost.to_bits());
@@ -143,10 +140,7 @@ fn cache_is_result_transparent() {
     let before = fw.optimizer.invocation_count();
     let hits_before = fw.optimizer.cache_stats().hits;
     for (tree, disabled) in &workload {
-        let cfg = OptimizerConfig {
-            mask: RuleMask::disabling(disabled),
-            ..Default::default()
-        };
+        let cfg = OptimizerConfig::disabling(disabled);
         fw.optimizer.optimize_with_cached(tree, &cfg).unwrap();
     }
     assert_eq!(fw.optimizer.invocation_count(), before);

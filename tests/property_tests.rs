@@ -18,7 +18,7 @@ use ruletest_expr::{
     conjoin, conjuncts, every_column, remap_columns, substitute, BinOp, Expr, SubExpr,
 };
 use ruletest_logical::IdGen;
-use ruletest_optimizer::{OptimizerConfig, PhysicalPlan, RuleMask};
+use ruletest_optimizer::{PhysicalPlan, RuleMask};
 use ruletest_sql::{parse_sql, to_sql};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -66,10 +66,7 @@ fn random_masks_preserve_results() {
         let base = fw.optimizer.optimize(&built.tree).unwrap();
         let masked = fw
             .optimizer
-            .optimize_with(&built.tree, &OptimizerConfig {
-                mask: RuleMask::disabling(&disabled),
-                ..Default::default()
-            })
+            .optimize_with(&built.tree, &RuleMask::disabling(&disabled))
             .unwrap();
         if !base.truncated && !masked.truncated {
             ensure!(masked.cost >= base.cost - 1e-9, "monotonicity");
