@@ -5,9 +5,11 @@
 //! *before* they were replaced by the one wire codec
 //! (`ruletest_common::wire`, ISSUE 13) and are the contract that the bytes
 //! on disk did not move: `CHECKPOINT_FORMAT`, `BUNDLE_VERSION` and
-//! `SCHEMA_VERSION` stay 1. `FORMAT_VERSION` is 2: the cache shards were
-//! rewritten when a profile sample stopped carrying its times
-//! (`elapsed_ns`, and per row `bind_ns` and `subst_ns`).
+//! `SCHEMA_VERSION` stay 1. `FORMAT_VERSION` went to 2 when a profile
+//! sample stopped carrying its times (`elapsed_ns`, and per row `bind_ns`
+//! and `subst_ns`), and to 3 when a cache key lost the search budgets
+//! (`max_exprs`, `max_passes`, `hard_max_exprs`), which became constants;
+//! `cache_v2/` keeps a format-2 snapshot, which is rejected whole.
 //! Every value below is hand-built — no campaign, optimizer or rule runs —
 //! so a rule change never moves a fixture. There is deliberately no
 //! regeneration switch (same policy as `tests/search_golden.rs`): a change
@@ -33,7 +35,7 @@ use ruletest_expr::{AggCall, AggFunc, BinOp, Expr};
 use ruletest_logical::{ColumnInfo, JoinKind, LogicalTree, SortKey};
 use ruletest_optimizer::persist::canonical_key;
 use ruletest_optimizer::{
-    CacheKey, Cached, Explored, OptimizeResult, OptimizerConfig, PhysOp, PhysicalPlan, RuleMask,
+    CacheKey, Cached, Explored, OptimizeResult, OptimizerConfig, PhysOp, PhysicalPlan,
     SnapshotStore,
 };
 use ruletest_telemetry::{
@@ -335,22 +337,17 @@ struct Entry {
 
 /// The first leaf's table id per entry, picked once so that the thirteen
 /// canonical keys land in two of the sixteen disk shards.
-const TABLES: [u32; PHYS_OPS] = [0, 0, 0, 1, 9, 1, 10, 8, 2, 5, 11, 0, 1];
+const TABLES: [u32; PHYS_OPS] = [7, 0, 1, 2, 3, 0, 6, 5, 0, 9, 11, 7, 8];
 
 /// Thirteen entries: entry `i` is keyed by a tree rooted at `Operator`
 /// variant `i % 9` and holds a plan rooted at `PhysOp` variant `i`.
 fn entries() -> Vec<Entry> {
     (0..PHYS_OPS)
         .map(|i| {
-            let config = OptimizerConfig {
-                mask: if i % 3 == 1 {
-                    RuleMask::disabling(&[RuleId(7), RuleId(2)])
-                } else {
-                    RuleMask::all_enabled()
-                },
-                max_exprs: 3_000,
-                max_passes: 64,
-                hard_max_exprs: (i % 4 == 3).then_some(500),
+            let config = if i % 3 == 1 {
+                OptimizerConfig::disabling(&[RuleId(7), RuleId(2)])
+            } else {
+                OptimizerConfig::all_enabled()
             };
             let plan = phys_plan(i);
             Entry {
@@ -670,15 +667,33 @@ fn truncated_outcome_entries() {
     );
 }
 
+/// `cache_v2/` is the snapshot as format 2 wrote it, its keys carrying the
+/// search budgets. Its manifest names the same fingerprint, but the format
+/// bump rejects it whole: no line of it is read, let alone misread.
+#[test]
+fn format_2_snapshot_is_rejected_whole() {
+    assert!(golden("cache_v2/MANIFEST.json").contains("\"format\": 2"));
+    assert!(golden("cache_v2/shard-6.jsonl").contains("\"max_exprs\":3000"));
+    let copy = temp_dir("cache-v2");
+    copy_dir(&golden_dir().join("cache_v2"), &copy.join("cache"));
+    let store = SnapshotStore::open(&copy, FINGERPRINT, None).unwrap();
+    assert!(store.rejected());
+    for (i, e) in entries().iter().enumerate() {
+        assert!(store.peek_warm(&e.key, &Chaos::default()).is_none(), "entry {i}");
+    }
+    assert_eq!(store.resident_entries(), 0);
+    let _ = fs::remove_dir_all(&copy);
+}
+
 /// Read compatibility: `cache_with_boundary/` is the snapshot as written
 /// before the stage-boundary stamp was retired — two thirds of its lines
 /// end in `,"b":N`. It loads to the same entries, a save leaves its
 /// unchanged shards byte for byte.
 #[test]
 fn snapshot_with_retired_boundary_stamps_still_loads() {
-    let stamped = golden("cache_with_boundary/shard-6.jsonl");
+    let stamped = golden("cache_with_boundary/shard-3.jsonl");
     assert!(stamped.contains(",\"b\":2}"));
-    for shard in ["shard-6.jsonl", "shard-11.jsonl"] {
+    for shard in ["shard-3.jsonl", "shard-5.jsonl"] {
         let unstamped: String = golden(&format!("cache_with_boundary/{shard}"))
             .lines()
             .map(|l| match l.rfind(",\"b\":") {
@@ -703,10 +718,10 @@ fn snapshot_with_retired_boundary_stamps_still_loads() {
 #[test]
 fn canonical_cache_keys() {
     let all = entries();
-    // Entry 0 has no hard cap and no mask; entry 7 has both.
+    // Entry 0 has no mask; entry 7 has one.
     let keys = [&all[0].key, &all[7].key];
-    assert!(!canonical_key(keys[0]).contains("hard_max_exprs"));
-    assert!(canonical_key(keys[1]).contains("\"disabled\":[2,7],\"hard_max_exprs\":500"));
+    assert!(canonical_key(keys[0]).starts_with("{\"disabled\":[],\"tree\":"));
+    assert!(canonical_key(keys[1]).starts_with("{\"disabled\":[2,7],\"tree\":"));
     let actual: String = keys.iter().map(|k| canonical_key(k) + "\n").collect();
     assert_golden(&actual, "cache_keys.txt");
     for (line, key) in golden("cache_keys.txt").lines().zip(keys) {
@@ -924,7 +939,7 @@ fn corrupt_documents_never_panic() {
         .map(|f| f.unwrap().file_name().into_string().unwrap())
         .filter(|name| name.starts_with("shard-"))
         .map(|name| format!("cache_truncated/{name}"));
-    let shards = ["cache/shard-6.jsonl", "cache/shard-11.jsonl"].map(String::from);
+    let shards = ["cache/shard-3.jsonl", "cache/shard-5.jsonl"].map(String::from);
     for shard in shards.into_iter().chain(truncated) {
         for line in golden(&shard).lines() {
             let torn: Vec<String> = corruptions(line).collect();
