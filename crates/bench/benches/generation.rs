@@ -4,7 +4,7 @@
 //! Runs on the dependency-free std::time harness.
 
 use ruletest_bench::harness;
-use ruletest_core::mutate::{detect_with_methodology, MutationBudget};
+use ruletest_core::mutate::detect_with_methodology;
 use ruletest_core::{mutant_optimizer, Framework, FrameworkConfig, GenConfig, Mutant, Strategy};
 use ruletest_lint::{lint_rules_focused, LintCorpora};
 use std::sync::Arc;
@@ -64,15 +64,14 @@ fn main() {
         .trials
     });
 
-    // detect/benign-sweep: the full default detection budget, which every
+    // detect/benign-sweep: the full detection budget, which every
     // surviving mutant pays, on a benign mutant's fresh optimizer (empty
     // invocation cache) each iteration.
     let db = fw.optimizer.database().clone();
     let benign = Mutant::by_id("InnerJoinCommuteDuplicated").unwrap();
-    let budget = MutationBudget::default();
     group.bench("detect/benign-sweep", || {
         let opt = Arc::new(mutant_optimizer(db.clone(), benign));
-        let det = detect_with_methodology(&opt, benign.rule_name, &budget).unwrap();
+        let det = detect_with_methodology(&opt, benign.rule_name).unwrap();
         assert!(det.dynamic.is_none(), "benign mutant killed");
         det.plans_diverged
     });

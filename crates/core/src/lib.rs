@@ -23,8 +23,8 @@ pub use framework::{DbProfile, Framework, FrameworkConfig};
 pub use generate::{GenConfig, GenOutcome, Strategy};
 pub use mutate::{
     detect_with_methodology, mutant_optimizer, optimizer_for, run_mutation_campaign, BugClass,
-    Detection, DynamicKill, KillKind, Mutant, MutantOutcome, MutationBudget, MutationConfig,
-    MutationReport, Verdict,
+    Detection, DynamicKill, KillKind, Mutant, MutantOutcome, MutationConfig, MutationReport,
+    Verdict,
 };
 pub use perf::{rule_impact, RuleImpact};
 pub use persist::{

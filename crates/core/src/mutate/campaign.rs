@@ -9,7 +9,7 @@
 //! back in catalog order and telemetry is merged afterwards, so the
 //! report is byte-identical at any thread count.
 
-use super::detect::{detect_with_methodology, Detection, DynamicKill, MutationBudget};
+use super::detect::{detect_with_methodology, Detection, DynamicKill};
 use super::report::MutationReport;
 use super::{mutant_optimizer, BugClass, Mutant, Verdict};
 use ruletest_common::{par_map, Result};
@@ -19,7 +19,9 @@ use ruletest_storage::Database;
 use ruletest_telemetry::{Counter, Telemetry};
 use std::sync::Arc;
 
-/// Selection and effort knobs for one campaign run.
+/// Selection and parallelism for one campaign run; every mutant's
+/// detection sweep runs [`SEEDS`](super::SEEDS) seeds of
+/// [`MAX_TRIALS`](super::MAX_TRIALS) trials.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MutationConfig {
     /// Restrict to one bug class (`--class`).
@@ -30,7 +32,6 @@ pub struct MutationConfig {
     pub sample: Option<usize>,
     /// Worker threads (0 = sequential).
     pub threads: usize,
-    pub budget: MutationBudget,
 }
 
 impl MutationConfig {
@@ -104,7 +105,6 @@ pub fn run_mutation_campaign(
     tel: &Telemetry,
 ) -> Result<MutationReport> {
     let selected = cfg.select();
-    let budget = cfg.budget;
     let static_caught = lint_each(db, &selected)?;
     let outcomes: Vec<Result<MutantOutcome>> = par_map(
         cfg.threads,
@@ -120,7 +120,7 @@ pub fn run_mutation_campaign(
             Ok(MutantOutcome {
                 mutant: m,
                 static_caught: static_caught[idx],
-                detection: detect_with_methodology(&opt, m.rule_name, &budget)?,
+                detection: detect_with_methodology(&opt, m.rule_name)?,
             })
         },
     );
@@ -137,7 +137,7 @@ pub fn run_mutation_campaign(
             tel.incr(Counter::LintEscapes);
         }
     }
-    Ok(MutationReport::from_outcomes(outcomes, &budget))
+    Ok(MutationReport { outcomes })
 }
 
 /// Whether each mutant's focused lint flags its rule. A mutant replaces

@@ -12,54 +12,27 @@ use crate::framework::Framework;
 use crate::generate::pattern::instantiate_pattern;
 use crate::generate::{GenConfig, Strategy};
 use crate::oracle::{Failed, Oracle, Outcome};
-use ruletest_common::{wire_names, wire_record, Error, Rng};
+use ruletest_common::{wire_names, Rng};
 use ruletest_executor::ExecConfig;
 use ruletest_logical::IdGen;
 use ruletest_optimizer::{Optimizer, OptimizerConfig};
 use std::sync::Arc;
 
-/// Effort bounds for one mutant's detection sweep. Deliberately modest:
-/// real bugs fall in the first handful of seeds, and the budget is paid
-/// in full by every *surviving* mutant (benign controls, static-only
-/// mutants whose dynamic effect needs data the generator never hits).
-#[derive(Debug, Clone, Copy)]
-pub struct MutationBudget {
-    /// Seeds to sweep (`0..seeds`).
-    pub seeds: u64,
-    /// Generation trials per seed before giving up on it.
-    pub max_trials: usize,
-    /// Extra random operators stacked on the instantiated pattern.
-    pub pad_ops: usize,
-    /// Cooperative wall-clock deadline per mutant-plan execution, in
-    /// milliseconds (0 = unarmed). With a deadline armed, a mutant whose
-    /// plan loops or degenerates into pathological work is killed as
-    /// [`KillKind::Hang`] instead of stalling the whole campaign.
-    pub exec_deadline_ms: u64,
-}
+/// Seeds one mutant's detection sweep runs (`0..SEEDS`). Deliberately
+/// modest, like [`MAX_TRIALS`]: real bugs fall in the first handful of
+/// seeds, and the sweep is paid in full by every *surviving* mutant
+/// (benign controls, static-only mutants whose dynamic effect needs data
+/// the generator never hits).
+pub const SEEDS: u64 = 48;
 
-wire_record!(MutationBudget {
-    "exec_deadline_ms" => exec_deadline_ms,
-    "max_trials" => max_trials,
-    "pad_ops" => pad_ops,
-    "seeds" => seeds,
-});
-
-impl Default for MutationBudget {
-    fn default() -> Self {
-        MutationBudget {
-            seeds: 48,
-            max_trials: 20,
-            pad_ops: 0,
-            exec_deadline_ms: 0,
-        }
-    }
-}
+/// Generation trials per seed before the sweep gives up on it.
+pub const MAX_TRIALS: usize = 20;
 
 /// How a dynamic kill landed. The masked plan uses only unmutated rules,
 /// so any asymmetric failure implicates the mutant — but *how* it failed
-/// matters for the fault-detection-power analysis: a wrong answer, a
-/// crash, and a hang are different bug classes with different production
-/// blast radii.
+/// matters for the fault-detection-power analysis: a wrong answer and a
+/// crash are different bug classes with different production blast
+/// radii.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillKind {
     /// Both plans executed; the result multisets differ.
@@ -67,13 +40,10 @@ pub enum KillKind {
     /// One plan executed and the other failed outright (e.g. an unbound
     /// column reference surfacing at runtime, or a plan-time error).
     Crash,
-    /// One plan executed and the other exceeded its cooperative deadline
-    /// — the runaway-mutant signature (`Error::Timeout`).
-    Hang,
 }
 
 // Stable names used in `MUTATION_REPORT.json` and the text report.
-wire_names!(KillKind { Diff => "diff", Crash => "crash", Hang => "hang" });
+wire_names!(KillKind { Diff => "diff", Crash => "crash" });
 
 /// A successful dynamic detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,37 +51,25 @@ pub struct DynamicKill {
     /// The seed whose query exposed the bug.
     pub seed: u64,
     /// Cumulative generation trials spent up to and including the kill
-    /// (failed seeds charge their full `max_trials`) — the paper's
+    /// (failed seeds charge their full [`MAX_TRIALS`]) — the paper's
     /// trials-to-detection efficiency metric applied to mutants.
     pub trials: u64,
-    /// How the kill landed (result diff / differential crash / hang).
+    /// How the kill landed (result diff / differential crash).
     pub kind: KillKind,
 }
 
 impl KillKind {
     /// Classifies one check of the mutant against its masked optimizer.
     /// The masked plan uses only unmutated rules, so differing results
-    /// are a kill, and so is exactly one failing side
-    /// ([`KillKind::of_error`]). Identical plans, equal results and two
-    /// failing sides are not kills.
+    /// are a kill, and so is exactly one failing side (a crash). Identical
+    /// plans, equal results and two failing sides are not kills.
     pub(crate) fn of(outcome: &Outcome) -> Option<KillKind> {
         match outcome {
             Outcome::Differ(_) => Some(KillKind::Diff),
-            Outcome::Failed(Failed::Base {
-                error,
-                masked: None,
-            })
-            | Outcome::Failed(Failed::Masked(error)) => Some(KillKind::of_error(error)),
+            Outcome::Failed(Failed::Base { masked: None, .. }) | Outcome::Failed(Failed::Masked(_)) => {
+                Some(KillKind::Crash)
+            }
             _ => None,
-        }
-    }
-
-    /// The kill one failing side is: a cooperative deadline expiry a
-    /// hang, any other error a crash.
-    fn of_error(error: &Error) -> KillKind {
-        match error {
-            Error::Timeout(_) => KillKind::Hang,
-            _ => KillKind::Crash,
         }
     }
 }
@@ -138,7 +96,6 @@ pub struct Detection {
 pub fn detect_with_methodology(
     opt: &Arc<Optimizer>,
     rule_name: &str,
-    budget: &MutationBudget,
 ) -> ruletest_common::Result<Detection> {
     let rule = opt.rule_id(rule_name).ok_or_else(|| {
         ruletest_common::Error::unsupported(format!("unknown rule '{rule_name}'"))
@@ -152,12 +109,8 @@ pub fn detect_with_methodology(
     let db = opt.database();
     let fw = Framework::with_optimizer(opt.clone());
     let masked = OptimizerConfig::disabling(&[rule]);
-    // Both sides run, since one failing side is a kill. Each execution
-    // re-arms the deadline (0 leaves it unarmed).
-    let exec = ExecConfig {
-        deadline: ruletest_common::Deadline::after_ms(budget.exec_deadline_ms),
-        ..ExecConfig::default()
-    };
+    // Both sides run, since one failing side is a kill.
+    let exec = ExecConfig::default();
     let oracle = Oracle {
         both_sides: true,
         ..Oracle::new(opt, &tel, &exec)
@@ -165,11 +118,10 @@ pub fn detect_with_methodology(
     let pattern = opt.rule_pattern(rule).clone();
     let mut det = Detection::default();
     let mut trials = 0u64;
-    for seed in 0..budget.seeds {
+    for seed in 0..SEEDS {
         let cfg = GenConfig {
             seed,
-            max_trials: budget.max_trials,
-            pad_ops: budget.pad_ops,
+            max_trials: MAX_TRIALS,
             ..Default::default()
         };
         // Stage 1: the paper's differential-execution oracle on a query
@@ -192,7 +144,7 @@ pub fn detect_with_methodology(
                 return Ok(det);
             }
         } else {
-            trials += budget.max_trials as u64;
+            trials += MAX_TRIALS as u64;
         }
         // Stage 2: the plan-time crash probe. Generation optimizes each
         // candidate and discards the ones that error — which silently
@@ -202,18 +154,18 @@ pub fn detect_with_methodology(
         // on a pattern-matching query the masked optimizer handles fine,
         // the mutant is implicated — a plan-time differential crash.
         let mut rng = Rng::new(seed);
-        for _ in 0..budget.max_trials {
+        for _ in 0..MAX_TRIALS {
             let mut ids = IdGen::new();
             let Some(built) = instantiate_pattern(db, &mut rng, &mut ids, &pattern) else {
                 continue;
             };
             // Generation searched most of these trees already: the cache
             // answers them, and errors (never cached) are recomputed.
-            let Err(error) = opt.optimize_cached(&built.tree) else {
+            if opt.optimize_cached(&built.tree).is_ok() {
                 continue;
-            };
+            }
             if opt.optimize_with_cached(&built.tree, &masked).is_ok() {
-                let kind = KillKind::of_error(&error);
+                let kind = KillKind::Crash;
                 det.fired = true;
                 det.plans_diverged = true;
                 det.dynamic = Some(DynamicKill { seed, trials, kind });
@@ -229,12 +181,12 @@ mod tests {
     use super::*;
 
     /// One table over the oracle's outcomes: differing results are a
-    /// kill, and so is exactly one failing side (a timeout a hang, any
-    /// other error a crash, whichever side failed); identical plans, equal
-    /// results and two failing sides are not.
+    /// kill, and so is exactly one failing side (a crash, whichever side
+    /// failed and however); identical plans, equal results and two failing
+    /// sides are not.
     #[test]
     fn every_outcome_classifies_to_its_kill() {
-        use ruletest_common::ResultDiff;
+        use ruletest_common::{Error, ResultDiff};
         let base = |error| {
             Outcome::Failed(Failed::Base {
                 error,
@@ -272,12 +224,7 @@ mod tests {
             (
                 "the base times out",
                 base(Error::timeout("deadline")),
-                Some(KillKind::Hang),
-            ),
-            (
-                "the masked side times out",
-                Outcome::Failed(Failed::Masked(Error::timeout("deadline"))),
-                Some(KillKind::Hang),
+                Some(KillKind::Crash),
             ),
             (
                 "both sides fail",
@@ -297,6 +244,5 @@ mod tests {
     fn kill_kind_names_are_stable() {
         assert_eq!(KillKind::Diff.name(), "diff");
         assert_eq!(KillKind::Crash.name(), "crash");
-        assert_eq!(KillKind::Hang.name(), "hang");
     }
 }

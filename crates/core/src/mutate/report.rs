@@ -5,7 +5,7 @@
 //! so the same seed produces byte-identical JSON at any thread count.
 
 use super::campaign::MutantOutcome;
-use super::detect::MutationBudget;
+use super::detect::{KillKind, MAX_TRIALS, SEEDS};
 use super::{BugClass, Verdict};
 use ruletest_common::wire::{to_compact, Encode};
 use ruletest_common::JsonWriter;
@@ -47,17 +47,9 @@ impl ClassStats {
 #[derive(Debug)]
 pub struct MutationReport {
     pub outcomes: Vec<MutantOutcome>,
-    pub budget: MutationBudget,
 }
 
 impl MutationReport {
-    pub(super) fn from_outcomes(outcomes: Vec<MutantOutcome>, budget: &MutationBudget) -> Self {
-        MutationReport {
-            outcomes,
-            budget: *budget,
-        }
-    }
-
     /// Per-class aggregates, in [`BugClass::ALL`] order, classes with no
     /// selected mutants omitted.
     pub fn class_stats(&self) -> Vec<ClassStats> {
@@ -140,14 +132,13 @@ impl MutationReport {
         Json::parse(&to_compact(self)).expect("a written report parses")
     }
 
-    /// `(diff, crash, hang)` counts over the dynamic kills.
-    fn kill_kind_counts(&self) -> (u64, u64, u64) {
-        let mut counts = (0, 0, 0);
+    /// `(diff, crash)` counts over the dynamic kills.
+    fn kill_kind_counts(&self) -> (u64, u64) {
+        let mut counts = (0, 0);
         for k in self.outcomes.iter().filter_map(|o| o.dynamic()) {
             match k.kind {
-                super::detect::KillKind::Diff => counts.0 += 1,
-                super::detect::KillKind::Crash => counts.1 += 1,
-                super::detect::KillKind::Hang => counts.2 += 1,
+                KillKind::Diff => counts.0 += 1,
+                KillKind::Crash => counts.1 += 1,
             }
         }
         counts
@@ -180,12 +171,11 @@ impl MutationReport {
         );
         for o in &self.outcomes {
             let dynamic = match o.dynamic() {
-                // Marker: `!` = differential crash, `~` = hang, none = diff.
+                // Marker: `!` = differential crash, none = diff.
                 Some(k) => {
                     let marker = match k.kind {
-                        super::detect::KillKind::Diff => "",
-                        super::detect::KillKind::Crash => "!",
-                        super::detect::KillKind::Hang => "~",
+                        KillKind::Diff => "",
+                        KillKind::Crash => "!",
                     };
                     format!("s{}{}", k.seed, marker)
                 }
@@ -244,10 +234,14 @@ impl MutationReport {
 impl Encode for MutationReport {
     fn encode(&self, w: &mut JsonWriter<'_>) {
         let (killed, survived) = self.kill_counts();
-        let (diff, crash, hang) = self.kill_kind_counts();
+        let (diff, crash) = self.kill_kind_counts();
         let escapes = self.lint_escapes();
         w.object(|w| {
-            w.member("budget", &self.budget);
+            w.key("budget");
+            w.object(|w| {
+                w.member("max_trials", &MAX_TRIALS);
+                w.member("seeds", &SEEDS);
+            });
             w.key("classes");
             w.array(|w| self.class_stats().iter().for_each(|s| class_row(s, w)));
             w.member("lint_escapes", &escapes);
@@ -260,7 +254,6 @@ impl Encode for MutationReport {
                 w.object(|w| {
                     w.member("crash", &crash);
                     w.member("diff", &diff);
-                    w.member("hang", &hang);
                 });
                 w.member("killed", &killed);
                 w.member("lint_escapes", &escapes.len());
@@ -312,7 +305,7 @@ fn mutant_row(o: &MutantOutcome, w: &mut JsonWriter<'_>) {
 #[cfg(test)]
 mod tests {
     use super::super::campaign::MutantOutcome;
-    use super::super::detect::{Detection, DynamicKill, KillKind, MutationBudget};
+    use super::super::detect::{Detection, DynamicKill, KillKind};
     use super::super::Mutant;
     use super::{to_compact, Json, MutationReport};
 
@@ -338,25 +331,24 @@ mod tests {
         let outcomes = vec![
             outcome(&mutants[0], KillKind::Diff),
             outcome(&mutants[1], KillKind::Crash),
-            outcome(&mutants[2], KillKind::Hang),
         ];
-        let report = MutationReport::from_outcomes(outcomes, &MutationBudget::default());
+        let report = MutationReport { outcomes };
 
         let json = to_compact(&report);
         assert!(json.contains("\"kill_kind\":\"diff\""), "{json}");
         assert!(json.contains("\"kill_kind\":\"crash\""), "{json}");
-        assert!(json.contains("\"kill_kind\":\"hang\""), "{json}");
         let kinds = Json::parse(&json).unwrap();
         let kinds = kinds.get("summary").and_then(|s| s.get("kill_kinds"));
         let count = |k: &str| kinds.and_then(|v| v.get(k)).and_then(|v| v.as_u64());
         assert_eq!(count("diff"), Some(1), "{json}");
         assert_eq!(count("crash"), Some(1), "{json}");
-        assert_eq!(count("hang"), Some(1), "{json}");
-        assert!(json.contains("\"exec_deadline_ms\":0"), "{json}");
+        assert!(
+            json.starts_with("{\"budget\":{\"max_trials\":20,\"seeds\":48},"),
+            "{json}"
+        );
 
         let text = report.render_text();
         assert!(text.contains("s7 "), "diff kill unmarked: {text}");
         assert!(text.contains("s7!"), "crash marker missing: {text}");
-        assert!(text.contains("s7~"), "hang marker missing: {text}");
     }
 }

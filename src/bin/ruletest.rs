@@ -696,7 +696,6 @@ fn run_mutate(opts: &Opts) -> Result<(), String> {
         class,
         sample: opts.sample,
         threads: opts.threads,
-        ..Default::default()
     };
     let started = Instant::now();
     let report = ruletest::core::mutate::run_mutation_campaign(&db, &cfg, &telemetry)
