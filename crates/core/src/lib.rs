@@ -39,6 +39,6 @@ pub use supervise::{
     crash_bundles, input_fingerprint, quarantine_summary, Quarantine, QuarantineEntry,
 };
 pub use triage::{
-    read_bundles, replay, to_bundles, triage_report, write_bundles, BugSignature, ReplayOutcome,
-    ReproBundle, TriageConfig, TriageReport, TriagedBug,
+    read_bundles, replay, to_bundles, triage_campaign, triage_report, write_bundles, BugSignature,
+    ReplayOutcome, ReproBundle, TriageCampaign, TriageConfig, TriageReport, TriagedBug,
 };

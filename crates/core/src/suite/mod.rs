@@ -215,7 +215,8 @@ fn queries_for_target(
     while queries.len() < k {
         if attempt > (k as u64) * 12 {
             return Err(Error::unsupported(format!(
-                "could not find {k} distinct queries for target {ti}"
+                "could not find {k} distinct queries for target {ti} ({})",
+                target.label(&fw.optimizer)
             )));
         }
         let sub_cfg = GenConfig {

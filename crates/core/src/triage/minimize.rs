@@ -39,6 +39,9 @@ use ruletest_expr::{conjoin, conjuncts, Expr};
 use ruletest_logical::{derive_schema, LogicalTree, Operator};
 use ruletest_sql::to_sql;
 
+/// Cap on accepted shrink steps per witness.
+pub const MAX_STEPS: usize = 64;
+
 /// The minimizer's output.
 pub struct Minimized {
     /// The shrunk witness (still diverging).
@@ -71,15 +74,14 @@ pub(crate) fn divergence(
 
 /// Greedy first-improvement descent over the shrink lattice: from `tree`,
 /// accept the first of its [`candidates`] that `accept` holds for and
-/// restart from it, until no candidate is accepted or `max_steps` were.
+/// restart from it, until no candidate is accepted or [`MAX_STEPS`] were.
 /// Returns the accepted trajectory, `tree` first.
 pub(crate) fn descend(
     tree: &LogicalTree,
-    max_steps: usize,
     mut accept: impl FnMut(&LogicalTree) -> bool,
 ) -> Vec<LogicalTree> {
     let mut trajectory = vec![tree.clone()];
-    while trajectory.len() <= max_steps {
+    while trajectory.len() <= MAX_STEPS {
         let cur = trajectory.last().expect("the trajectory starts at tree");
         match candidates(cur).into_iter().find(|c| accept(c)) {
             Some(next) => trajectory.push(next),
@@ -107,7 +109,7 @@ pub fn minimize(
         is_valid(fw, cand) && patterns.iter().any(|p| p.matches_anywhere(cand))
     };
     let diverges = |t: &LogicalTree| divergence(fw, t, rules, &cfg.exec).is_some();
-    let mut trajectory = descend(tree, cfg.max_steps, |cand| {
+    let mut trajectory = descend(tree, |cand| {
         worth_testing(cand) && diverges(cand)
     });
     let steps = trajectory.len() - 1;
@@ -117,7 +119,7 @@ pub fn minimize(
     // cache.
     let mut certified = trajectory.iter().all(diverges);
     let cur = trajectory.pop().expect("the trajectory starts at tree");
-    if steps < cfg.max_steps {
+    if steps < MAX_STEPS {
         certified &= !candidates(&cur)
             .into_iter()
             .any(|c| worth_testing(&c) && diverges(&c));

@@ -20,26 +20,27 @@ pub mod bundle;
 pub mod minimize;
 pub mod signature;
 
-use crate::correctness::{BugReport, CorrectnessReport};
+use crate::compress::{topk, Instance};
+use crate::correctness::{execute_solution_with, BugReport, CorrectnessReport};
 use crate::framework::Framework;
+use crate::generate::{GenConfig, Strategy};
 use crate::mutate::Mutant;
-use crate::suite::TestSuite;
+use crate::suite::{build_graph, generate_suite, RuleTarget, TestSuite};
 use ruletest_common::{Error, Result, RuleId};
 use ruletest_executor::ExecConfig;
 use ruletest_sql::to_sql;
 use ruletest_telemetry::Counter;
 
 pub use bundle::{read_bundles, replay, write_bundles, ReplayOutcome, ReproBundle};
-pub use minimize::{minimize, Minimized};
+pub use minimize::{minimize, Minimized, MAX_STEPS};
 pub use signature::BugSignature;
 
 /// Triage parameters.
 #[derive(Debug, Clone)]
 pub struct TriageConfig {
-    /// Budget for the divergence re-checks during minimization.
+    /// Budget for the campaign's executions and the divergence re-checks
+    /// during minimization.
     pub exec: ExecConfig,
-    /// Cap on accepted shrink steps per bug.
-    pub max_steps: usize,
     /// The mutant injected into the framework's optimizer, if any —
     /// recorded in repro bundles so replay can rebuild the same optimizer.
     pub fault: Option<&'static Mutant>,
@@ -49,10 +50,61 @@ impl Default for TriageConfig {
     fn default() -> Self {
         Self {
             exec: ExecConfig::default(),
-            max_steps: 64,
             fault: None,
         }
     }
+}
+
+/// The seeds a triage campaign under an injected fault falls back
+/// through, in order, after its own: detection is seed-sensitive.
+pub const SEED_LADDER: [u64; 8] = [3, 11, 19, 27, 40, 55, 63, 71];
+
+/// The campaign whose findings triage works on.
+#[derive(Debug)]
+pub struct TriageCampaign {
+    /// The seed the campaign ran at.
+    pub seed: u64,
+    pub suite: TestSuite,
+    pub report: CorrectnessReport,
+}
+
+/// Runs the campaign triage works on: `k` PATTERN queries per target
+/// under `gen`, the TOPK-compressed suite executed under `cfg.exec`.
+/// With a fault injected (`cfg.fault`), a campaign that finds nothing
+/// moves on through [`SEED_LADDER`] (skipping `gen.seed`), and finding
+/// nothing on any seed is an error; without one, `gen.seed`'s campaign is
+/// the answer, findings or not. A seed whose suite cannot be generated
+/// ends the ladder with that error, naming the seed.
+pub fn triage_campaign(
+    fw: &Framework,
+    targets: &[RuleTarget],
+    k: usize,
+    gen: &GenConfig,
+    cfg: &TriageConfig,
+) -> Result<TriageCampaign> {
+    let ladder: &[u64] = if cfg.fault.is_some() { &SEED_LADDER } else { &[] };
+    let fallbacks = ladder.iter().copied().filter(|&s| s != gen.seed);
+    for seed in std::iter::once(gen.seed).chain(fallbacks) {
+        let gen = GenConfig {
+            seed,
+            ..gen.clone()
+        };
+        let suite = generate_suite(fw, targets.to_vec(), k, Strategy::Pattern, &gen)
+            .map_err(|e| Error::unsupported(format!("no suite at seed {seed}: {e}")))?;
+        let graph = build_graph(fw, &suite)?;
+        let sol = topk(&Instance::from_graph(&graph))?;
+        let report = execute_solution_with(fw, &suite, &sol, &cfg.exec, None)?;
+        if cfg.fault.is_none() || !report.bugs.is_empty() {
+            return Ok(TriageCampaign {
+                seed,
+                suite,
+                report,
+            });
+        }
+    }
+    Err(Error::unsupported(
+        "fault injection produced no detectable bug on any seed",
+    ))
 }
 
 /// One deduplicated, minimized bug.

@@ -39,13 +39,13 @@ use ruletest::cli::{self, Opts};
 use ruletest::common::chaos::{Chaos, ChaosPlan};
 use ruletest::common::{to_pretty, Parallelism, RuleId};
 use ruletest::core::compress::{baseline, smc, topk, Instance};
-use ruletest::core::correctness::{execute_solution, execute_solution_with};
+use ruletest::core::correctness::execute_solution_with;
 use ruletest::core::generate::dependency::find_dependency_query;
 use ruletest::core::generate::relevant::find_relevant_query;
 use ruletest::core::{
-    build_graph, final_persist, generate_suite, optimizer_for, read_bundles, replay,
-    run_checkpointed_campaign, singleton_targets, to_bundles, triage_report, write_bundles,
-    CampaignParams, Framework, FrameworkConfig, GenConfig, Mutant, RuleTarget, Strategy,
+    final_persist, optimizer_for, read_bundles, replay, run_checkpointed_campaign,
+    singleton_targets, to_bundles, triage_campaign, triage_report, write_bundles, CampaignParams,
+    Framework, FrameworkConfig, GenConfig, Mutant, RuleTarget, Strategy, TriageCampaign,
     TriageConfig,
 };
 use ruletest::executor::{execute_with, ExecConfig};
@@ -747,52 +747,28 @@ fn run_triage(opts: &Opts) -> Result<(), String> {
         }
         None => (singleton_targets(&fw, opts.rules), 2),
     };
-    // Detection is seed-sensitive; fall back through a fixed seed ladder
-    // until the campaign surfaces a finding (fault mode only — a clean
-    // optimizer legitimately finds nothing).
-    let mut seeds = vec![opts.seed];
-    if fault.is_some() {
-        seeds.extend(
-            [3u64, 11, 19, 27, 40, 55, 63, 71]
-                .iter()
-                .filter(|s| **s != opts.seed),
-        );
-    }
-    let mut found = None;
-    for seed in seeds {
-        let gen_cfg = GenConfig {
-            seed,
-            pad_ops,
-            max_trials: opts.trials,
-            ..Default::default()
-        };
-        let Ok(suite) = generate_suite(&fw, targets.clone(), opts.k, Strategy::Pattern, &gen_cfg)
-        else {
-            continue;
-        };
-        let graph = build_graph(&fw, &suite).map_err(|e| e.to_string())?;
-        let inst = Instance::from_graph(&graph);
-        let sol = topk(&inst).map_err(|e| e.to_string())?;
-        let report = execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default())
-            .map_err(|e| e.to_string())?;
-        let done = !report.bugs.is_empty() || fault.is_none();
-        if done {
-            found = Some((seed, suite, report));
-            break;
-        }
-    }
-    let Some((seed, suite, report)) = found else {
-        return Err("fault injection produced no detectable bug on any seed".to_string());
+    let gen_cfg = GenConfig {
+        seed: opts.seed,
+        pad_ops,
+        max_trials: opts.trials,
+        ..Default::default()
     };
+    let cfg = TriageConfig {
+        fault,
+        ..TriageConfig::default()
+    };
+    // Under a fault the campaign falls back through a fixed seed ladder
+    // until it surfaces a finding.
+    let TriageCampaign {
+        seed,
+        suite,
+        report,
+    } = triage_campaign(&fw, &targets, opts.k, &gen_cfg, &cfg).map_err(|e| e.to_string())?;
     println!(
         "campaign (seed {seed}): {} validations, {} raw findings",
         report.validations,
         report.bugs.len()
     );
-    let cfg = TriageConfig {
-        fault,
-        ..TriageConfig::default()
-    };
     let triaged = triage_report(&fw, &suite, &report, &cfg).map_err(|e| e.to_string())?;
     println!(
         "triage: {} raw -> {} deduplicated signature(s), {} duplicate(s) collapsed, {} shrink steps",

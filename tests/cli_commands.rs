@@ -111,3 +111,22 @@ fn replay_reports_an_unreplayable_bundle_and_carries_on() {
     assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A triage campaign whose suite cannot be generated stops there, naming
+/// the rule and the seed, instead of running the rest of the seed ladder
+/// and blaming the fault for finding nothing.
+#[test]
+fn triage_stops_at_a_seed_without_a_suite() {
+    let out = ruletest(&[
+        "triage",
+        "--fault",
+        "InnerJoinCommuteSuppressed",
+        "--trials",
+        "5",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("InnerJoinCommute"), "{err}");
+    assert!(err.contains("seed 42"), "{err}");
+    assert!(out.stdout.is_empty(), "a campaign ran: {err}");
+}

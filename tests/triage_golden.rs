@@ -10,13 +10,10 @@
 //! copies the `actual` text this test prints on mismatch.
 
 use ruletest_common::Parallelism;
-use ruletest_core::compress::{topk, Instance};
-use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    build_graph, generate_suite, mutant_optimizer, replay, to_bundles, triage_report,
-    write_bundles, Framework, GenConfig, Mutant, RuleTarget, Strategy, TriageConfig,
+    mutant_optimizer, replay, to_bundles, triage_campaign, triage_report, write_bundles,
+    Framework, GenConfig, Mutant, RuleTarget, TriageCampaign, TriageConfig,
 };
-use ruletest_executor::ExecConfig;
 use ruletest_storage::{tpch_database, TpchConfig};
 use std::fmt::Write;
 use std::sync::Arc;
@@ -25,7 +22,8 @@ const GOLDEN: &str = include_str!("golden/triage_bundles.txt");
 
 /// The mutants whose seed ladder finds a bug. The other eight (the four
 /// benign controls and four that the ladder never exposes) give triage
-/// nothing to do.
+/// nothing to do; `InnerJoinCommuteSuppressed`'s rule never fires, so its
+/// campaign stops at the first seed, whose suite cannot be generated.
 const MUTANTS: [&str; 17] = [
     "OuterJoinSimplifyUnconditional",
     "TopTopKeysCheckDropped",
@@ -46,12 +44,11 @@ const MUTANTS: [&str; 17] = [
     "GbAggEliminateMiscountsNulls",
 ];
 
-/// The command's defaults: `--seed 42 --k 3 --trials 500`, one padding
-/// operator under `--fault`, and its seed ladder.
+/// The command's defaults: `--seed 42 --k 3 --trials 500`, and one
+/// padding operator under `--fault`.
 const SEED: u64 = 42;
 const K: usize = 3;
 const TRIALS: usize = 500;
-const LADDER: [u64; 9] = [SEED, 3, 11, 19, 27, 40, 55, 63, 71];
 
 /// `ruletest triage --fault <id> --threads 1 --out <file>` followed by
 /// `ruletest triage replay <file>`, rendered for the golden.
@@ -65,37 +62,27 @@ fn triage_record(id: &str) -> String {
         },
     );
     let rule = fw.optimizer.rule_id(fault.rule_name).unwrap();
-    let mut found = None;
-    for seed in LADDER {
-        let gen = GenConfig {
-            seed,
-            pad_ops: 1,
-            max_trials: TRIALS,
-            ..Default::default()
-        };
-        let targets = vec![RuleTarget::Single(rule)];
-        let Ok(suite) = generate_suite(&fw, targets, K, Strategy::Pattern, &gen) else {
-            continue;
-        };
-        let graph = build_graph(&fw, &suite).unwrap();
-        let inst = Instance::from_graph(&graph);
-        let sol = topk(&inst).unwrap();
-        let report = execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default()).unwrap();
-        if !report.bugs.is_empty() {
-            found = Some((seed, suite, report));
-            break;
-        }
-    }
-    let (seed, suite, report) = found.unwrap_or_else(|| panic!("{id}: no seed finds a bug"));
+    let gen = GenConfig {
+        seed: SEED,
+        pad_ops: 1,
+        max_trials: TRIALS,
+        ..Default::default()
+    };
+    let cfg = TriageConfig {
+        fault: Some(fault),
+        ..TriageConfig::default()
+    };
+    let targets = [RuleTarget::Single(rule)];
+    let TriageCampaign {
+        seed,
+        suite,
+        report,
+    } = triage_campaign(&fw, &targets, K, &gen, &cfg).unwrap_or_else(|e| panic!("{id}: {e}"));
     let mut out = format!(
         "== {id}\ncampaign (seed {seed}): {} validations, {} raw findings\n",
         report.validations,
         report.bugs.len()
     );
-    let cfg = TriageConfig {
-        fault: Some(fault),
-        ..TriageConfig::default()
-    };
     let triaged = triage_report(&fw, &suite, &report, &cfg).unwrap();
     writeln!(
         out,
