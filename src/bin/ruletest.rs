@@ -33,7 +33,8 @@
 //! into crash repro bundles. `--chaos-seed` / `--chaos-plan` give the
 //! campaign a deterministic fault-injection plan to exercise exactly that
 //! path; `triage`, `mutate`, `lint`, `prove`, `report` and `diff` reject
-//! them.
+//! them. `--no-supervise`, `--deadline-ms`, `--cache-dir` and `--resume`
+//! are `audit`'s alone: every other command rejects them.
 
 use ruletest::cli::{self, Opts};
 use ruletest::common::chaos::{Chaos, ChaosPlan};

@@ -124,6 +124,9 @@ fn parse_value<T: FromStr>(
     v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'"))
 }
 
+/// Flags only `audit` reads; any other command would silently ignore them.
+const AUDIT_ONLY: [&str; 4] = ["--deadline-ms", "--no-supervise", "--cache-dir", "--resume"];
+
 /// Parses `(subcommand, options)` from the arguments after the program
 /// name. No arguments at all resolves to the `help` subcommand.
 pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, Opts), String> {
@@ -131,6 +134,9 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, Opts), S
     let cmd = args.next().unwrap_or_else(|| "help".to_string());
     let mut opts = Opts::default();
     while let Some(a) = args.next() {
+        if cmd != "audit" && AUDIT_ONLY.contains(&a.as_str()) {
+            return Err(format!("`{cmd}` takes no {a}: only `audit` reads it"));
+        }
         match a.as_str() {
             "--seed" => opts.seed = parse_value(&a, &mut args)?,
             "--trials" => opts.trials = parse_value(&a, &mut args)?,
@@ -422,6 +428,35 @@ mod tests {
             assert!(parse(argv(&[cmd, "--chaos-plan", "memo.insert:panic@3"])).is_err());
         }
         assert!(parse(argv(&["gen", "SelectMerge", "--chaos-seed", "7"])).is_ok());
+    }
+
+    /// The audit-only flags are refused everywhere else, value or not.
+    fn refused_outside_audit(flag: &[&str]) {
+        assert!(parse(argv(&[&["audit"][..], flag].concat())).is_ok());
+        for cmd in ["triage", "mutate", "lint", "prove", "gen", "sql", "report", "diff"] {
+            let err = parse(argv(&[&[cmd][..], flag].concat())).unwrap_err();
+            assert!(err.contains(flag[0]) && err.contains(cmd), "{err}");
+        }
+    }
+
+    #[test]
+    fn deadline_ms_is_audit_only() {
+        refused_outside_audit(&["--deadline-ms", "1"]);
+    }
+
+    #[test]
+    fn no_supervise_is_audit_only() {
+        refused_outside_audit(&["--no-supervise"]);
+    }
+
+    #[test]
+    fn cache_dir_is_audit_only() {
+        refused_outside_audit(&["--cache-dir", "D"]);
+    }
+
+    #[test]
+    fn resume_is_audit_only() {
+        refused_outside_audit(&["--resume"]);
     }
 
     #[test]
