@@ -41,7 +41,7 @@ pub enum Failure {
     },
     /// A cooperative [`Deadline`] expired (or a chaos stall was injected).
     Timeout { message: String },
-    /// A resource cap was exhausted (memo growth, row count, work units).
+    /// A resource cap was exhausted (work units).
     BudgetExhausted { message: String },
 }
 

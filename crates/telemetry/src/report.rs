@@ -75,7 +75,7 @@ fn fmt_ns(ns: u64) -> String {
 pub struct RunReport {
     pub schema: u64,
     /// Per-rule firing counts by rule name: in how many *unique*
-    /// optimizations (distinct `(tree, mask, budgets)` keys) the rule
+    /// optimizations (distinct `(tree, mask)` keys) the rule
     /// fired. Deduplicated counting is what keeps this identical across
     /// thread counts even when racing workers duplicate a computation.
     pub rule_firings: BTreeMap<String, u64>,

@@ -21,7 +21,7 @@
 //!   its search's tally into one [`ProfileSample`] (exact per-rule
 //!   bind/fire counts, sampled time), flushed only by the invocation-cache
 //!   *insertion winner*, mirroring how counters dedup to once per unique
-//!   `(tree, mask, budgets)` key. Sampled time goes into the rule table only.
+//!   `(tree, mask)` key. Sampled time goes into the rule table only.
 //! * **Exact accounting.** A guard's drop adds its wall time to the
 //!   parent frame's child accumulator, so for every aggregated row
 //!   `child_ns == Σ direct children wall_ns` *exactly* and self time is

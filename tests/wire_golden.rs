@@ -8,8 +8,8 @@
 //! `SCHEMA_VERSION` stay 1. `FORMAT_VERSION` went to 2 when a profile
 //! sample stopped carrying its times (`elapsed_ns`, and per row `bind_ns`
 //! and `subst_ns`), and to 3 when a cache key lost the search budgets
-//! (`max_exprs`, `max_passes`, `hard_max_exprs`), which became constants;
-//! `cache_v2/` keeps a format-2 snapshot, which is rejected whole.
+//! (the memo caps and the pass cap), which became constants; `cache_v2/`
+//! keeps a format-2 snapshot, which is rejected whole.
 //! Every value below is hand-built — no campaign, optimizer or rule runs —
 //! so a rule change never moves a fixture. There is deliberately no
 //! regeneration switch (same policy as `tests/search_golden.rs`): a change
@@ -667,13 +667,14 @@ fn truncated_outcome_entries() {
     );
 }
 
-/// `cache_v2/` is the snapshot as format 2 wrote it, its keys carrying the
-/// search budgets. Its manifest names the same fingerprint, but the format
-/// bump rejects it whole: no line of it is read, let alone misread.
+/// `cache_v2/` is the snapshot as format 2 wrote it (its manifest and the
+/// shard whose five keys carry no hard cap), its keys carrying the search
+/// budgets. Its manifest names the same fingerprint, but the format bump
+/// rejects it whole: no line of it is read, let alone misread.
 #[test]
 fn format_2_snapshot_is_rejected_whole() {
     assert!(golden("cache_v2/MANIFEST.json").contains("\"format\": 2"));
-    assert!(golden("cache_v2/shard-6.jsonl").contains("\"max_exprs\":3000"));
+    assert!(golden("cache_v2/shard-11.jsonl").contains("\"max_exprs\":3000"));
     let copy = temp_dir("cache-v2");
     copy_dir(&golden_dir().join("cache_v2"), &copy.join("cache"));
     let store = SnapshotStore::open(&copy, FINGERPRINT, None).unwrap();
