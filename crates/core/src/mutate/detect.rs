@@ -66,9 +66,8 @@ impl KillKind {
     pub(crate) fn of(outcome: &Outcome) -> Option<KillKind> {
         match outcome {
             Outcome::Differ(_) => Some(KillKind::Diff),
-            Outcome::Failed(Failed::Base { masked: None, .. }) | Outcome::Failed(Failed::Masked(_)) => {
-                Some(KillKind::Crash)
-            }
+            Outcome::Failed(Failed::Base { masked: None, .. })
+            | Outcome::Failed(Failed::Masked(_)) => Some(KillKind::Crash),
             _ => None,
         }
     }

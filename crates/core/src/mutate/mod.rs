@@ -30,9 +30,7 @@ mod report;
 
 pub use campaign::{run_mutation_campaign, MutantOutcome, MutationConfig};
 pub use crossval::{crossval_prove, CrossValReport, CrossValRow};
-pub use detect::{
-    detect_with_methodology, Detection, DynamicKill, KillKind, MAX_TRIALS, SEEDS,
-};
+pub use detect::{detect_with_methodology, Detection, DynamicKill, KillKind, MAX_TRIALS, SEEDS};
 pub use report::{ClassStats, MutationReport};
 
 use ruletest_common::{Error, Result};

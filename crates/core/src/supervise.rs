@@ -298,9 +298,7 @@ pub fn crash_bundles(
             .is_err_and(|failure| failure.kind() == entry.kind)
         };
         let trajectory = if rules.len() == entry.rule_mask.len() && reproduces(&tree) {
-            minimize::descend(&tree, |c| {
-                minimize::is_valid(fw, c) && reproduces(c)
-            })
+            minimize::descend(&tree, |c| minimize::is_valid(fw, c) && reproduces(c))
         } else {
             vec![tree]
         };

@@ -109,9 +109,7 @@ pub fn minimize(
         is_valid(fw, cand) && patterns.iter().any(|p| p.matches_anywhere(cand))
     };
     let diverges = |t: &LogicalTree| divergence(fw, t, rules, &cfg.exec).is_some();
-    let mut trajectory = descend(tree, |cand| {
-        worth_testing(cand) && diverges(cand)
-    });
+    let mut trajectory = descend(tree, |cand| worth_testing(cand) && diverges(cand));
     let steps = trajectory.len() - 1;
     // Certification: re-check the accepted trajectory end to end and
     // re-prove 1-minimality. All optimizer lookups here were just

@@ -36,7 +36,7 @@ pub use minimize::{minimize, Minimized, MAX_STEPS};
 pub use signature::BugSignature;
 
 /// Triage parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TriageConfig {
     /// Budget for the campaign's executions and the divergence re-checks
     /// during minimization.
@@ -44,15 +44,6 @@ pub struct TriageConfig {
     /// The mutant injected into the framework's optimizer, if any —
     /// recorded in repro bundles so replay can rebuild the same optimizer.
     pub fault: Option<&'static Mutant>,
-}
-
-impl Default for TriageConfig {
-    fn default() -> Self {
-        Self {
-            exec: ExecConfig::default(),
-            fault: None,
-        }
-    }
 }
 
 /// The seeds a triage campaign under an injected fault falls back
@@ -82,7 +73,11 @@ pub fn triage_campaign(
     gen: &GenConfig,
     cfg: &TriageConfig,
 ) -> Result<TriageCampaign> {
-    let ladder: &[u64] = if cfg.fault.is_some() { &SEED_LADDER } else { &[] };
+    let ladder: &[u64] = if cfg.fault.is_some() {
+        &SEED_LADDER
+    } else {
+        &[]
+    };
     let fallbacks = ladder.iter().copied().filter(|&s| s != gen.seed);
     for seed in std::iter::once(gen.seed).chain(fallbacks) {
         let gen = GenConfig {
@@ -278,28 +273,20 @@ fn triage_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{topk, Instance};
     use crate::framework::FrameworkConfig;
-    use crate::generate::{GenConfig, Strategy};
     use crate::mutate::mutant_optimizer;
-    use crate::suite::{build_graph, generate_suite, singleton_targets};
-    use ruletest_executor::ExecConfig;
+    use crate::suite::singleton_targets;
     use std::sync::Arc;
 
     #[test]
     fn clean_optimizer_triage_is_empty() {
         let fw = Framework::new(&FrameworkConfig::default()).unwrap();
         let targets = singleton_targets(&fw, 3);
-        let suite =
-            generate_suite(&fw, targets, 2, Strategy::Pattern, &GenConfig::default()).unwrap();
-        let graph = build_graph(&fw, &suite).unwrap();
-        let inst = Instance::from_graph(&graph);
-        let sol = topk(&inst).unwrap();
-        let report =
-            crate::correctness::execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default())
-                .unwrap();
+        let cfg = TriageConfig::default();
+        let TriageCampaign { suite, report, .. } =
+            triage_campaign(&fw, &targets, 2, &GenConfig::default(), &cfg).unwrap();
         assert!(report.passed());
-        let triaged = triage_report(&fw, &suite, &report, &TriageConfig::default()).unwrap();
+        let triaged = triage_report(&fw, &suite, &report, &cfg).unwrap();
         assert_eq!(triaged.raw_bugs, 0);
         assert!(triaged.bugs.is_empty());
     }
@@ -315,42 +302,22 @@ mod tests {
         let opt = Arc::new(mutant_optimizer(db, fault));
         let fw = Framework::with_optimizer(opt);
         let rule = fw.optimizer.rule_id(fault.rule_name).unwrap();
-        let targets = vec![crate::suite::RuleTarget::Single(rule)];
-        let mut found = None;
-        for seed in [3u64, 11, 19, 27, 40, 55, 63, 71] {
-            let cfg = GenConfig {
-                seed,
-                max_trials: 100,
-                pad_ops: 1,
-                ..GenConfig::default()
-            };
-            let Ok(suite) = generate_suite(&fw, targets.clone(), 2, Strategy::Pattern, &cfg) else {
-                continue;
-            };
-            let graph = build_graph(&fw, &suite).unwrap();
-            let inst = Instance::from_graph(&graph);
-            let sol = topk(&inst).unwrap();
-            let report = crate::correctness::execute_solution(
-                &fw,
-                &suite,
-                &inst,
-                &sol,
-                &ExecConfig::default(),
-            )
-            .unwrap();
-            if !report.bugs.is_empty() {
-                found = Some((suite, report));
-                break;
-            }
-        }
-        let (suite, mut report) = found.expect("fault not detected by any seed");
-        // Duplicate every finding.
-        let bugs = report.bugs.clone();
-        report.bugs.extend(bugs);
         let cfg = TriageConfig {
             fault: Some(fault),
             ..TriageConfig::default()
         };
+        let gen = GenConfig {
+            seed: 3,
+            max_trials: 100,
+            pad_ops: 1,
+            ..GenConfig::default()
+        };
+        let TriageCampaign {
+            suite, mut report, ..
+        } = triage_campaign(&fw, &[RuleTarget::Single(rule)], 2, &gen, &cfg).unwrap();
+        // Duplicate every finding.
+        let bugs = report.bugs.clone();
+        report.bugs.extend(bugs);
         let triaged = triage_report(&fw, &suite, &report, &cfg).unwrap();
         assert_eq!(triaged.raw_bugs, report.bugs.len());
         assert_eq!(

@@ -433,7 +433,9 @@ mod tests {
     /// The audit-only flags are refused everywhere else, value or not.
     fn refused_outside_audit(flag: &[&str]) {
         assert!(parse(argv(&[&["audit"][..], flag].concat())).is_ok());
-        for cmd in ["triage", "mutate", "lint", "prove", "gen", "sql", "report", "diff"] {
+        for cmd in [
+            "triage", "mutate", "lint", "prove", "gen", "sql", "report", "diff",
+        ] {
             let err = parse(argv(&[&[cmd][..], flag].concat())).unwrap_err();
             assert!(err.contains(flag[0]) && err.contains(cmd), "{err}");
         }

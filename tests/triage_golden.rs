@@ -11,8 +11,8 @@
 
 use ruletest_common::Parallelism;
 use ruletest_core::{
-    mutant_optimizer, replay, to_bundles, triage_campaign, triage_report, write_bundles,
-    Framework, GenConfig, Mutant, RuleTarget, TriageCampaign, TriageConfig,
+    mutant_optimizer, replay, to_bundles, triage_campaign, triage_report, write_bundles, Framework,
+    GenConfig, Mutant, RuleTarget, TriageCampaign, TriageConfig,
 };
 use ruletest_storage::{tpch_database, TpchConfig};
 use std::fmt::Write;

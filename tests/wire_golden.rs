@@ -680,7 +680,10 @@ fn format_2_snapshot_is_rejected_whole() {
     let store = SnapshotStore::open(&copy, FINGERPRINT, None).unwrap();
     assert!(store.rejected());
     for (i, e) in entries().iter().enumerate() {
-        assert!(store.peek_warm(&e.key, &Chaos::default()).is_none(), "entry {i}");
+        assert!(
+            store.peek_warm(&e.key, &Chaos::default()).is_none(),
+            "entry {i}"
+        );
     }
     assert_eq!(store.resident_entries(), 0);
     let _ = fs::remove_dir_all(&copy);
