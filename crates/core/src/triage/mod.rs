@@ -32,7 +32,7 @@ use ruletest_sql::to_sql;
 use ruletest_telemetry::Counter;
 
 pub use bundle::{read_bundles, replay, write_bundles, ReplayOutcome, ReproBundle};
-pub use minimize::{minimize, Minimized, MAX_STEPS};
+pub use minimize::{minimize, Minimized};
 pub use signature::BugSignature;
 
 /// Triage parameters.
