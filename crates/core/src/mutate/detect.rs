@@ -164,10 +164,13 @@ pub fn detect_with_methodology(
                 continue;
             }
             if opt.optimize_with_cached(&built.tree, &masked).is_ok() {
-                let kind = KillKind::Crash;
                 det.fired = true;
                 det.plans_diverged = true;
-                det.dynamic = Some(DynamicKill { seed, trials, kind });
+                det.dynamic = Some(DynamicKill {
+                    seed,
+                    trials,
+                    kind: KillKind::Crash,
+                });
                 return Ok(det);
             }
         }
