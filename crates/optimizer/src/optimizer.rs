@@ -564,7 +564,7 @@ impl Optimizer {
             let elapsed_us = elapsed.as_micros() as u64;
             tel.observe(Hist::InvocationMicros, elapsed_us);
             let (groups, exprs) = (memo.num_groups() as u32, memo.num_exprs() as u32);
-            let masked_rules = config.disabled_rules().len() as u32;
+            let masked_rules = config.disabled_count() as u32;
             tel.event(|| Event::Invocation {
                 fingerprint: fingerprint.unwrap_or(0),
                 masked_rules,
