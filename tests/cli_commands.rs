@@ -130,3 +130,39 @@ fn triage_stops_at_a_seed_without_a_suite() {
     assert!(err.contains("seed 42"), "{err}");
     assert!(out.stdout.is_empty(), "a campaign ran: {err}");
 }
+
+const AUDIT_GOLDEN: &str = include_str!("golden/audit_stdout.txt");
+
+/// `ruletest audit`'s stdout at two shapes, one and two workers, and once
+/// without supervision, pinned against `tests/golden/audit_stdout.txt`.
+/// There is deliberately no regeneration switch: a change meant to move
+/// the output copies the `actual` text this test prints on mismatch.
+#[test]
+fn audit_stdout_matches_the_golden() {
+    let runs: [&[&str]; 5] = [
+        &["--rules", "6", "--k", "2", "--threads", "1"],
+        &["--rules", "6", "--k", "2", "--threads", "2"],
+        &["--rules", "10", "--k", "3", "--threads", "1"],
+        &["--rules", "10", "--k", "3", "--threads", "2"],
+        &[
+            "--rules",
+            "10",
+            "--k",
+            "3",
+            "--threads",
+            "2",
+            "--no-supervise",
+        ],
+    ];
+    let mut actual = String::new();
+    for args in runs {
+        let out = ruletest(&[&["audit"][..], args].concat());
+        assert!(out.status.success(), "audit {args:?}: {}", stderr(&out));
+        actual.push_str(&format!("== audit {}\n", args.join(" ")));
+        actual.push_str(&String::from_utf8_lossy(&out.stdout));
+    }
+    assert!(
+        actual == AUDIT_GOLDEN,
+        "actual differs from tests/golden/audit_stdout.txt\n--- actual ---\n{actual}"
+    );
+}
