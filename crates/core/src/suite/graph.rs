@@ -205,9 +205,11 @@ fn eager_scan(oracle: &EdgeOracle, t: usize, adj: &[usize]) -> Result<()> {
 
 /// The §5.3.1 scan of one target: queries are visited in increasing
 /// `Cost(q)` order while maintaining the k cheapest edges seen; once the
-/// next query's node cost reaches the current k-th cheapest edge cost, no
-/// remaining query can improve the top-k (because `Cost(q) <= Cost(q, ¬R)`
-/// for a well-behaved optimizer) and the scan stops. The scan is
+/// next query's node cost exceeds the current k-th cheapest edge cost, no
+/// remaining query can improve or tie the top-k (because
+/// `Cost(q) <= Cost(q, ¬R)` for a well-behaved optimizer) and the scan
+/// stops. A query whose node cost equals the k-th cost is still scanned:
+/// its edge may tie, and TOPK's (edge, index) order may pick it. The scan is
 /// sequential *within* a target (each edge decides whether to keep
 /// scanning), but targets are independent — the parallel campaign fans
 /// out across them with the pruning intact.
@@ -222,7 +224,7 @@ fn pruned_scan(oracle: &EdgeOracle, t: usize, adj: &[usize]) -> Result<()> {
     for &q in &by_node_cost {
         if heap.len() == k {
             let kth = heap.peek().expect("heap is full").0;
-            if node_cost(q) >= kth {
+            if node_cost(q) > kth {
                 break; // every remaining edge is at least this expensive
             }
         }

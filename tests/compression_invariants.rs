@@ -5,8 +5,8 @@
 use ruletest_core::compress::{baseline, exact, matching, smc, topk, Instance};
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    build_graph, build_graph_pruned, generate_suite, pair_targets, singleton_targets, Framework,
-    FrameworkConfig, GenConfig, Strategy,
+    build_graph, build_graph_pruned, generate_suite, generate_suite_lenient, pair_targets,
+    singleton_targets, Framework, FrameworkConfig, GenConfig, Strategy,
 };
 use ruletest_executor::ExecConfig;
 
@@ -99,17 +99,22 @@ fn matching_variant_assigns_all_queries_once() {
     assert!(edge_sum(&sol) >= edge_sum(&shared) - 1e-9);
 }
 
+/// Pruning keeps every edge eager TOPK picks, ties included: on this
+/// suite some pair target's k-th cheapest edge ties with the edge of a
+/// query whose node cost equals it, and eager TOPK's (edge, index) order
+/// picks that query.
 #[test]
 fn pruned_graph_supports_topk_with_same_edge_quality() {
     let fw = fw();
-    let suite = generate_suite(
+    let (suite, _) = generate_suite_lenient(
         &fw,
-        pair_targets(&fw, 4),
+        pair_targets(&fw, 5),
         2,
         Strategy::Pattern,
         &GenConfig {
-            seed: 99,
+            seed: 14,
             pad_ops: 1,
+            max_trials: 60,
             ..Default::default()
         },
     )
@@ -117,21 +122,11 @@ fn pruned_graph_supports_topk_with_same_edge_quality() {
     let eager = build_graph(&fw, &suite).unwrap();
     let pruned = build_graph_pruned(&fw, &suite).unwrap();
     assert!(pruned.optimizer_calls <= eager.optimizer_calls);
-    let edge_sum = |g: &ruletest_core::BipartiteGraph| -> f64 {
-        let inst = Instance::from_graph(g);
-        let sol = topk(&inst).unwrap();
-        sol.assignment
-            .iter()
-            .enumerate()
-            .flat_map(|(t, qs)| qs.iter().map(move |&q| (t, q)))
-            .map(|(t, q)| inst.edge(t, q))
-            .sum()
-    };
-    let a = edge_sum(&eager);
-    let b = edge_sum(&pruned);
-    assert!(
-        (a - b).abs() < 1e-6,
-        "pruning changed TOPK quality: {a} vs {b}"
+    let topk_of = |g| topk(&Instance::from_graph(g)).unwrap();
+    assert_eq!(
+        topk_of(&eager),
+        topk_of(&pruned),
+        "pruning changed the TOPK assignment"
     );
 }
 
