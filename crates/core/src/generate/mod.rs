@@ -81,7 +81,8 @@ pub struct GenOutcome {
 /// the query, moving to a fresh seed after each discard, within
 /// `cfg.max_trials` trials over all attempts. Returns the kept query (its
 /// `trials` counted over all attempts) and the number discarded; `wanted`
-/// names what was looked for when the trials run out.
+/// names what was looked for when the trials run out, and the error counts
+/// the trials of every attempt.
 pub(crate) fn find_until(
     cfg: &GenConfig,
     find: impl Fn(&GenConfig) -> Result<GenOutcome>,
@@ -97,7 +98,13 @@ pub(crate) fn find_until(
             max_trials: cfg.max_trials - trials_used,
             ..cfg.clone()
         };
-        let mut out = find(&sub_cfg)?;
+        let mut out = match find(&sub_cfg) {
+            Ok(out) => out,
+            // A later attempt ran out of the trials the earlier ones left:
+            // the search as a whole spent them all.
+            Err(Error::Unsupported(_)) if discarded > 0 => break,
+            Err(e) => return Err(e),
+        };
         trials_used += out.trials;
         if keep(&out)? {
             out.trials = trials_used;

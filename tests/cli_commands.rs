@@ -166,3 +166,16 @@ fn audit_stdout_matches_the_golden() {
         "actual differs from tests/golden/audit_stdout.txt\n--- actual ---\n{actual}"
     );
 }
+
+/// A §7 finder that discards co-occurring queries and then runs out names
+/// the trials of every attempt, not only the last attempt's.
+#[test]
+fn dependency_finder_reports_every_trial_it_spent() {
+    let out = ruletest(&["dependency", "LojCommute", "JoinLojAssoc"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("LojCommute feeds JoinLojAssoc found in 500 trials"),
+        "{}",
+        stderr(&out)
+    );
+}

@@ -3,10 +3,11 @@
 //! set of rules and rule pairs, at the CLI's defaults (`--seed 42 --trials
 //! 500`, PATTERN), the SQL each returns with its trials and discards, or
 //! the error it ends with. The cases cover a first-trial hit, hits after
-//! discards, a search that runs out of trials, an error raised by the
-//! inner generation after discards, and an error raised by the check
-//! itself. There is deliberately no regeneration switch: a change meant to
-//! move a finder copies the `actual` text this test prints on mismatch.
+//! discards, searches that run out of trials after discards (the error
+//! names the whole budget, whichever attempt spent its last trial), and
+//! an error raised by the check itself. There is deliberately no
+//! regeneration switch: a change meant to move a finder copies the
+//! `actual` text this test prints on mismatch.
 
 use ruletest_core::generate::dependency::find_dependency_query;
 use ruletest_core::generate::relevant::find_relevant_query;
