@@ -2,11 +2,10 @@
 
 use super::{fmt_cost, ReproConfig};
 use crate::table::FigureTable;
-use ruletest_core::compress::{baseline, smc, topk, Instance};
 use ruletest_core::{
-    build_graph, generate_suite, generate_suite_lenient, pair_targets, singleton_targets,
+    compress_suite, generate_suite, generate_suite_lenient, pair_targets, singleton_targets,
 };
-use ruletest_core::{Framework, GenConfig, Strategy, TestSuite};
+use ruletest_core::{Framework, GenConfig, Solution, Strategy, TestSuite};
 
 fn suite_cfg(seed: u64) -> GenConfig {
     GenConfig {
@@ -23,13 +22,10 @@ fn suite_cfg(seed: u64) -> GenConfig {
     }
 }
 
-fn compression_row(fw: &Framework, suite: &TestSuite) -> (f64, f64, f64) {
-    let graph = build_graph(fw, suite).expect("graph construction");
-    let inst = Instance::from_graph(&graph);
-    let b = baseline(&inst).expect("baseline").total_cost(&inst);
-    let s = smc(&inst).expect("smc").total_cost(&inst);
-    let t = topk(&inst).expect("topk").total_cost(&inst);
-    (b, s, t)
+fn compression_row(fw: &Framework, suite: TestSuite) -> (f64, f64, f64) {
+    let c = compress_suite(fw, suite, None).expect("compression");
+    let cost = |sol: &Solution| sol.total_cost(&c.inst);
+    (cost(&c.baseline), cost(&c.smc), cost(&c.topk))
 }
 
 /// Figure 11: compression for **singleton rules**, k = 10, varying the
@@ -56,7 +52,7 @@ pub fn fig11(cfg: &ReproConfig) -> FigureTable {
             &suite_cfg(cfg.seed.wrapping_add(n as u64)),
         )
         .expect("suite generation");
-        let (b, s, tk) = compression_row(&fw, &suite);
+        let (b, s, tk) = compression_row(&fw, suite);
         t.row(vec![
             n.to_string(),
             fmt_cost(b),
@@ -101,7 +97,7 @@ pub fn fig12(cfg: &ReproConfig) -> FigureTable {
                 skipped.len()
             ));
         }
-        let (b, s, tk) = compression_row(&fw, &suite);
+        let (b, s, tk) = compression_row(&fw, suite);
         t.row(vec![
             n.to_string(),
             pairs.to_string(),
@@ -154,7 +150,7 @@ pub fn fig13(cfg: &ReproConfig) -> FigureTable {
         if !skipped.is_empty() {
             t.note(format!("k={k}: {} pairs skipped", skipped.len()));
         }
-        let (b, s, tk) = compression_row(&fw, &suite);
+        let (b, s, tk) = compression_row(&fw, suite);
         t.row(vec![
             k.to_string(),
             fmt_cost(b),

@@ -3,7 +3,7 @@
 
 use super::{fmt_cost, ReproConfig};
 use crate::table::FigureTable;
-use ruletest_core::compress::{topk, Instance};
+use ruletest_core::compress::{topk, topk::bounds, Instance};
 use ruletest_core::{build_graph, build_graph_pruned, generate_suite_lenient, pair_targets};
 use ruletest_core::{GenConfig, Strategy};
 
@@ -48,19 +48,11 @@ pub fn fig14(cfg: &ReproConfig) -> FigureTable {
         }
         let eager = build_graph(&fw, &suite).expect("eager graph");
         let pruned = build_graph_pruned(&fw, &suite).expect("pruned graph");
-        // Soundness metric: the sum of the selected edge costs. Pruning
-        // provably preserves it (ties at the k-th position may swap between
-        // equal-cost edges, which can shift node *sharing* slightly, so the
-        // full total is reported but not asserted).
-        let edge_sum = |g: &ruletest_core::BipartiteGraph| -> f64 {
+        // Soundness metric: the sum of the selected edge costs (§5.2's
+        // MinCost), which pruning provably preserves.
+        let edge_sum = |g| {
             let inst = Instance::from_graph(g);
-            let sol = topk(&inst).expect("topk");
-            sol.assignment
-                .iter()
-                .enumerate()
-                .flat_map(|(t, qs)| qs.iter().map(move |&q| (t, q)))
-                .map(|(t, q)| inst.edge(t, q))
-                .sum()
+            bounds(&inst, &topk(&inst).expect("topk")).0
         };
         let cost_eager: f64 = edge_sum(&eager);
         let cost_pruned: f64 = edge_sum(&pruned);

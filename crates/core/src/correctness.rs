@@ -271,10 +271,9 @@ fn merge_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{baseline, topk};
     use crate::framework::FrameworkConfig;
     use crate::generate::{GenConfig, Strategy};
-    use crate::suite::{build_graph, generate_suite, singleton_targets};
+    use crate::suite::{compress_suite, generate_suite, singleton_targets};
 
     #[test]
     fn correct_rules_yield_no_bugs() {
@@ -291,11 +290,10 @@ mod tests {
             },
         )
         .unwrap();
-        let graph = build_graph(&fw, &suite).unwrap();
-        let inst = Instance::from_graph(&graph);
-        for sol in [baseline(&inst).unwrap(), topk(&inst).unwrap()] {
+        let c = compress_suite(&fw, suite, None).unwrap();
+        for sol in [&c.baseline, &c.topk] {
             let report =
-                execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default()).unwrap();
+                execute_solution(&fw, &c.suite, &c.inst, sol, &ExecConfig::default()).unwrap();
             assert!(report.passed(), "false positives: {:?}", report.bugs);
             assert!(report.validations > 0);
             assert!(report.executions > 0);

@@ -99,11 +99,10 @@ pub(crate) fn find_until(
             ..cfg.clone()
         };
         let mut out = match find(&sub_cfg) {
-            Ok(out) => out,
             // A later attempt ran out of the trials the earlier ones left:
             // the search as a whole spent them all.
             Err(Error::Unsupported(_)) if discarded > 0 => break,
-            Err(e) => return Err(e),
+            found => found?,
         };
         trials_used += out.trials;
         if keep(&out)? {

@@ -31,9 +31,9 @@ pub use persist::{
     final_persist, run_checkpointed_campaign, CampaignParams, CampaignRun, CampaignStore,
 };
 pub use suite::{
-    build_graph, build_graph_pruned, build_graph_with, generate_suite, generate_suite_lenient,
-    generate_suite_with, pair_targets, singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery,
-    TestSuite,
+    build_graph, build_graph_pruned, compress_suite, generate_suite, generate_suite_lenient,
+    generate_suite_with, pair_targets, singleton_targets, BipartiteGraph, Compressed, RuleTarget,
+    SuiteQuery, TestSuite,
 };
 pub use supervise::{
     crash_bundles, input_fingerprint, quarantine_summary, Quarantine, QuarantineEntry,

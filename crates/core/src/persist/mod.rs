@@ -20,9 +20,7 @@
 
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
-use crate::suite::{
-    build_graph_with, generate_suite_with, singleton_targets, BipartiteGraph, TestSuite,
-};
+use crate::suite::{compress_suite, generate_suite_with, singleton_targets, Compressed};
 use crate::supervise::Quarantine;
 use ruletest_common::wire::{from_str, to_compact};
 use ruletest_common::{wire_record, DecodeError, Encode, Error, JsonWriter, Result};
@@ -197,23 +195,21 @@ impl CampaignStore {
 // ---------------------------------------------------------------------
 // The checkpointed campaign driver.
 
-/// The suite and graph an audit campaign runs its compression and
-/// correctness stages over.
+/// The compressed suite an audit campaign runs its correctness stage over.
 pub struct CampaignRun {
-    pub suite: TestSuite,
-    pub graph: BipartiteGraph,
+    pub compressed: Compressed,
     /// The checkpoint store, when one is attached — the caller uses it to
     /// persist the final quarantine after the execute stage.
     pub store: Option<CampaignStore>,
 }
 
-/// Runs the generation and graph stages of an audit campaign with
-/// optional persistence (`cache_dir`).
+/// Runs the generation and graph stages of an audit campaign, the second
+/// through [`compress_suite`], with optional persistence (`cache_dir`).
 ///
 /// With a cache dir, the optimizer's snapshot store is attached (warm
 /// invocation entries answer probes without recomputing) and the cache is
-/// saved after each stage; the caller runs compression/execution and
-/// finishes with [`final_persist`]. A kill mid-stage loses that stage's
+/// saved after each stage; the caller runs execution and finishes with
+/// [`final_persist`]. A kill mid-stage loses that stage's
 /// unsaved optimizations and nothing else: rerunning the same command
 /// recomputes exactly those.
 ///
@@ -261,14 +257,14 @@ pub fn run_checkpointed_campaign(
     )?;
     checkpoint(fw, &cstore, quarantine.as_deref())?;
 
-    // Stage 2: bipartite graph. With a quarantine the stage may shrink the
-    // suite (quarantined targets drop with their queries).
-    let (suite, graph) = build_graph_with(fw, suite, quarantine.as_deref_mut())?;
+    // Stage 2: the bipartite graph's edges the compression reads. With a
+    // quarantine the stage may shrink the suite (quarantined targets drop
+    // with their queries).
+    let compressed = compress_suite(fw, suite, quarantine.as_deref_mut())?;
     checkpoint(fw, &cstore, quarantine.as_deref())?;
 
     Ok(CampaignRun {
-        suite,
-        graph,
+        compressed,
         store: cstore,
     })
 }

@@ -17,7 +17,9 @@ use ruletest_optimizer::Searched;
 use ruletest_telemetry::Counter;
 use std::collections::BTreeSet;
 
-pub use graph::{build_graph, build_graph_pruned, build_graph_with, BipartiteGraph, EdgeOracle};
+pub use graph::{
+    build_graph, build_graph_pruned, compress_suite, BipartiteGraph, Compressed, EdgeOracle,
+};
 
 /// What a test-suite slot validates: a single rule or a rule pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -353,7 +353,7 @@ mod tests {
     use super::*;
     use crate::framework::FrameworkConfig;
     use crate::generate::{GenConfig, Strategy};
-    use crate::suite::{build_graph_with, generate_suite_with};
+    use crate::suite::{compress_suite, generate_suite_with};
     use ruletest_common::Error;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -611,22 +611,26 @@ mod tests {
     }
 
     #[test]
-    fn supervised_graph_matches_eager_graph_on_the_clean_path() {
-        use crate::suite::{build_graph, generate_suite, singleton_targets};
+    fn supervised_compression_matches_the_propagating_one_on_the_clean_path() {
+        use crate::suite::{generate_suite, singleton_targets};
         let fw = Framework::new(&FrameworkConfig::default()).unwrap();
         let targets = singleton_targets(&fw, 4);
         let suite =
             generate_suite(&fw, targets, 2, Strategy::Pattern, &GenConfig::default()).unwrap();
-        let eager = build_graph(&fw, &suite).unwrap();
+        let strict = compress_suite(&fw, suite.clone(), None).unwrap();
         let mut q = Quarantine::new();
-        let (sup_suite, sup) = build_graph_with(&fw, suite.clone(), Some(&mut q)).unwrap();
+        let sup = compress_suite(&fw, suite.clone(), Some(&mut q)).unwrap();
         assert!(q.is_empty());
-        assert_eq!(sup_suite.targets, suite.targets);
-        assert_eq!(sup.adjacency, eager.adjacency);
-        assert_eq!(sup.edges, eager.edges);
-        assert_eq!(sup.node_cost, eager.node_cost);
-        assert_eq!(sup.generated_for, eager.generated_for);
-        assert_eq!(sup.optimizer_calls, eager.optimizer_calls);
+        assert_eq!(sup.suite.targets, suite.targets);
+        assert_eq!(sup.graph.adjacency, strict.graph.adjacency);
+        assert_eq!(sup.graph.edges, strict.graph.edges);
+        assert_eq!(sup.graph.node_cost, strict.graph.node_cost);
+        assert_eq!(sup.graph.generated_for, strict.graph.generated_for);
+        assert_eq!(sup.graph.optimizer_calls, strict.graph.optimizer_calls);
+        assert_eq!(
+            [sup.baseline, sup.smc, sup.topk],
+            [strict.baseline, strict.smc, strict.topk]
+        );
     }
 
     #[test]
@@ -686,20 +690,23 @@ mod tests {
             sql: None,
             rule_mask: vec![],
         });
-        let (g_suite, graph) = build_graph_with(&fw, suite.clone(), Some(&mut q)).unwrap();
-        assert_eq!(g_suite.targets.len(), 2);
-        assert!(!g_suite.targets.contains(&targets[2]));
-        assert_eq!(graph.targets, g_suite.targets);
-        // Every adjacency pair has an edge (eager invariant preserved
-        // across the shrink/remap).
-        for (t, adj) in graph.adjacency.iter().enumerate() {
-            for &qi in adj {
-                assert!(
-                    graph.edges.contains_key(&(t, qi)),
-                    "missing edge ({t},{qi})"
-                );
+        let c = compress_suite(&fw, suite.clone(), Some(&mut q)).unwrap();
+        assert_eq!(c.suite.targets.len(), 2);
+        assert!(!c.suite.targets.contains(&targets[2]));
+        assert_eq!(c.graph.targets, c.suite.targets);
+        // Every edge the three solutions read was computed, over the
+        // shrunk and renumbered suite.
+        for sol in [&c.baseline, &c.smc, &c.topk] {
+            sol.validate(&c.inst).unwrap();
+            for (t, qs) in sol.assignment.iter().enumerate() {
+                for &qi in qs {
+                    assert!(
+                        c.graph.edges.contains_key(&(t, qi)),
+                        "missing edge ({t},{qi})"
+                    );
+                }
             }
         }
-        assert_eq!(graph.optimizer_calls, graph.edges.len() as u64);
+        assert_eq!(c.graph.optimizer_calls, c.graph.edges.len() as u64);
     }
 }

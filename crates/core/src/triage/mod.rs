@@ -20,12 +20,11 @@ pub mod bundle;
 pub mod minimize;
 pub mod signature;
 
-use crate::compress::{topk, Instance};
 use crate::correctness::{execute_solution_with, BugReport, CorrectnessReport};
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
 use crate::mutate::Mutant;
-use crate::suite::{build_graph, generate_suite, RuleTarget, TestSuite};
+use crate::suite::{compress_suite, generate_suite, RuleTarget, TestSuite};
 use ruletest_common::{Error, Result, RuleId};
 use ruletest_executor::ExecConfig;
 use ruletest_sql::to_sql;
@@ -86,13 +85,12 @@ pub fn triage_campaign(
         };
         let suite = generate_suite(fw, targets.to_vec(), k, Strategy::Pattern, &gen)
             .map_err(|e| Error::unsupported(format!("no suite at seed {seed}: {e}")))?;
-        let graph = build_graph(fw, &suite)?;
-        let sol = topk(&Instance::from_graph(&graph))?;
-        let report = execute_solution_with(fw, &suite, &sol, &cfg.exec, None)?;
+        let c = compress_suite(fw, suite, None)?;
+        let report = execute_solution_with(fw, &c.suite, &c.topk, &cfg.exec, None)?;
         if cfg.fault.is_none() || !report.bugs.is_empty() {
             return Ok(TriageCampaign {
                 seed,
-                suite,
+                suite: c.suite,
                 report,
             });
         }

@@ -39,7 +39,6 @@
 use ruletest::cli::{self, Opts};
 use ruletest::common::chaos::{Chaos, ChaosPlan};
 use ruletest::common::{to_pretty, Parallelism, RuleId};
-use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::execute_solution_with;
 use ruletest::core::generate::dependency::find_dependency_query;
 use ruletest::core::generate::relevant::find_relevant_query;
@@ -448,21 +447,17 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
         supervised.then_some(&mut quarantine),
     )
     .map_err(|e| e.to_string())?;
-    let (suite, graph) = (&run.suite, &run.graph);
-    let inst = Instance::from_graph(graph);
+    let c = &run.compressed;
     println!(
         "suite: {} queries, {} edges ({} optimizer calls)",
-        suite.queries.len(),
-        graph.edges.len(),
-        graph.optimizer_calls
+        c.suite.queries.len(),
+        c.graph.edges.len(),
+        c.graph.optimizer_calls
     );
-    let b = baseline(&inst).map_err(|e| e.to_string())?;
-    let s = smc(&inst).map_err(|e| e.to_string())?;
-    let t = topk(&inst).map_err(|e| e.to_string())?;
     println!("compression (estimated execution cost):");
-    println!("  BASELINE {:>12.1}", b.total_cost(&inst));
-    println!("  SMC      {:>12.1}", s.total_cost(&inst));
-    println!("  TOPK     {:>12.1}", t.total_cost(&inst));
+    println!("  BASELINE {:>12.1}", c.baseline.total_cost(&c.inst));
+    println!("  SMC      {:>12.1}", c.smc.total_cost(&c.inst));
+    println!("  TOPK     {:>12.1}", c.topk.total_cost(&c.inst));
     // `--deadline-ms` arms a cooperative per-execution deadline in the
     // executor's batch loops (re-armed per run, so it is not a fuse from
     // process start).
@@ -471,8 +466,8 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
         ..ExecConfig::default()
     };
     let policy = supervised.then_some(&mut quarantine);
-    let report =
-        execute_solution_with(fw, suite, &t, &exec_cfg, policy).map_err(|e| e.to_string())?;
+    let report = execute_solution_with(fw, &c.suite, &c.topk, &exec_cfg, policy)
+        .map_err(|e| e.to_string())?;
     // Persist the final quarantine (now including execution-stage
     // entries) so a later --resume skips every poisoned input.
     if let Some(store) = &run.store {

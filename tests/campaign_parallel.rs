@@ -4,12 +4,11 @@
 //! uncached optimization agree on every observable.
 
 use ruletest_common::{Parallelism, Rng};
-use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::generate::random::random_tree;
 use ruletest_core::{
-    build_graph_pruned, generate_suite, singleton_targets, Framework, FrameworkConfig, GenConfig,
-    Instance, Strategy,
+    compress_suite, generate_suite, singleton_targets, Framework, FrameworkConfig, GenConfig,
+    Strategy,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_logical::IdGen;
@@ -40,15 +39,13 @@ fn telemetry_campaign(threads: usize, seed: u64) -> RunReport {
         &gen_cfg,
     )
     .unwrap();
-    let graph = build_graph_pruned(&fw, &suite).unwrap();
-    let inst = Instance::from_graph(&graph);
-    let sol = topk(&inst).unwrap();
-    execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default()).unwrap();
+    let c = compress_suite(&fw, suite, None).unwrap();
+    execute_solution(&fw, &c.suite, &c.inst, &c.topk, &ExecConfig::default()).unwrap();
     fw.run_report()
 }
 
-/// The full campaign — suite generation, pruned graph, compression,
-/// correctness execution — produces identical output at 1 and 3 threads,
+/// The full campaign — suite generation, compression over the edges it
+/// reads, correctness execution — produces identical output at 1 and 3 threads,
 /// and attaching telemetry changes none of it.
 #[test]
 fn campaign_is_deterministic_across_thread_counts() {
@@ -72,14 +69,14 @@ fn campaign_is_deterministic_across_thread_counts() {
             &gen_cfg,
         )
         .unwrap();
-        let graph = build_graph_pruned(&fw, &suite).unwrap();
-        let inst = Instance::from_graph(&graph);
-        let sol = topk(&inst).unwrap();
-        let report = execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default()).unwrap();
+        let c = compress_suite(&fw, suite, None).unwrap();
+        let report =
+            execute_solution(&fw, &c.suite, &c.inst, &c.topk, &ExecConfig::default()).unwrap();
 
-        let sqls: Vec<String> = suite.queries.iter().map(|q| q.sql.clone()).collect();
-        let costs: Vec<u64> = suite.queries.iter().map(|q| q.cost.to_bits()).collect();
-        let mut edges: Vec<((usize, usize), u64)> = graph
+        let sqls: Vec<String> = c.suite.queries.iter().map(|q| q.sql.clone()).collect();
+        let costs: Vec<u64> = c.suite.queries.iter().map(|q| q.cost.to_bits()).collect();
+        let mut edges: Vec<((usize, usize), u64)> = c
+            .graph
             .edges
             .iter()
             .map(|(&e, &c)| (e, c.to_bits()))
@@ -89,7 +86,8 @@ fn campaign_is_deterministic_across_thread_counts() {
             sqls,
             costs,
             edges,
-            graph.optimizer_calls,
+            c.graph.optimizer_calls,
+            [c.baseline, c.smc, c.topk].map(|sol| sol.assignment),
             (
                 report.validations,
                 report.executions,

@@ -10,11 +10,9 @@
 
 use ruletest_common::chaos::{Chaos, ChaosPlan};
 use ruletest_common::{fnv1a, FailureKind};
-use ruletest_core::compress::topk;
 use ruletest_core::{
     crash_bundles, execute_solution_with, generate_suite_with, run_checkpointed_campaign,
-    singleton_targets, CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Quarantine,
-    Strategy,
+    singleton_targets, CampaignParams, Framework, FrameworkConfig, GenConfig, Quarantine, Strategy,
 };
 use ruletest_core::{CorrectnessReport, TriageConfig};
 use ruletest_executor::ExecConfig;
@@ -54,17 +52,21 @@ fn params() -> CampaignParams {
 }
 
 /// Supervised campaign + execution under the framework's chaos plan;
-/// returns the report slice, quarantine, and correctness outcome.
+/// returns the report slice, quarantine, and correctness outcome. Every
+/// edge the three compressions read was computed, also when the graph
+/// stage quarantined a target and ran again on the shrunk suite.
 fn supervised_run(fw: &Framework) -> (RunReport, Quarantine, CorrectnessReport) {
     let mut quarantine = Quarantine::new();
-    let run = run_checkpointed_campaign(fw, &params(), None, false, Some(&mut quarantine))
-        .expect("supervised campaign must absorb chaos, not abort");
-    let inst = Instance::from_graph(&run.graph);
-    let sol = topk(&inst).unwrap();
+    let c = run_checkpointed_campaign(fw, &params(), None, false, Some(&mut quarantine))
+        .expect("supervised campaign must absorb chaos, not abort")
+        .compressed;
+    for sol in [&c.baseline, &c.smc, &c.topk] {
+        assert!(sol.total_cost(&c.inst).is_finite(), "an edge is missing");
+    }
     let report = execute_solution_with(
         fw,
-        &run.suite,
-        &sol,
+        &c.suite,
+        &c.topk,
         &ExecConfig::default(),
         Some(&mut quarantine),
     )
@@ -205,7 +207,7 @@ fn cache_io_chaos_degrades_to_cold_start() {
 
     assert!(stats.total() > 0, "cache chaos never fired");
     assert!(q.is_empty(), "cache-I/O faults degrade, never quarantine");
-    assert!(!run.suite.queries.is_empty());
+    assert!(!run.compressed.suite.queries.is_empty());
     assert_eq!(
         clean_fw.run_report().counter(Counter::CacheWarmHits),
         0,

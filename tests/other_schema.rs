@@ -3,10 +3,9 @@
 //! similar." Run the framework's core experiments against the star-schema
 //! database and assert the same shapes.
 
-use ruletest_core::compress::{baseline, topk, Instance};
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    build_graph, generate_suite, singleton_targets, Framework, GenConfig, Strategy,
+    compress_suite, generate_suite, singleton_targets, Framework, GenConfig, Strategy,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_storage::{ssb_database, SsbConfig};
@@ -66,12 +65,9 @@ fn compression_and_correctness_hold_on_the_star_schema() {
         },
     )
     .unwrap();
-    let graph = build_graph(&fw, &suite).unwrap();
-    let inst = Instance::from_graph(&graph);
-    let b = baseline(&inst).unwrap();
-    let t = topk(&inst).unwrap();
-    assert!(t.total_cost(&inst) <= b.total_cost(&inst) + 1e-9);
-    let report = execute_solution(&fw, &suite, &inst, &t, &ExecConfig::default()).unwrap();
+    let c = compress_suite(&fw, suite, None).unwrap();
+    assert!(c.topk.total_cost(&c.inst) <= c.baseline.total_cost(&c.inst) + 1e-9);
+    let report = execute_solution(&fw, &c.suite, &c.inst, &c.topk, &ExecConfig::default()).unwrap();
     assert!(
         report.passed(),
         "rules must be correct on any schema: {:?}",

@@ -7,11 +7,10 @@
 //! under a different campaign fingerprint is rejected, never served.
 
 use ruletest_common::{from_str, Parallelism};
-use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    build_graph_with, final_persist, generate_suite_with, run_checkpointed_campaign,
-    singleton_targets, CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Strategy,
+    compress_suite, final_persist, generate_suite_with, run_checkpointed_campaign,
+    singleton_targets, CampaignParams, Framework, FrameworkConfig, GenConfig, Strategy,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_optimizer::SnapshotStore;
@@ -44,10 +43,10 @@ fn params() -> CampaignParams {
 /// Runs the full campaign (generation → graph → compression → execution →
 /// final cache save) and returns the final report.
 fn full_campaign(fw: &Framework, cache_dir: Option<&Path>, resume: bool) -> RunReport {
-    let run = run_checkpointed_campaign(fw, &params(), cache_dir, resume, None).unwrap();
-    let inst = Instance::from_graph(&run.graph);
-    let sol = topk(&inst).unwrap();
-    execute_solution(fw, &run.suite, &inst, &sol, &ExecConfig::default()).unwrap();
+    let c = run_checkpointed_campaign(fw, &params(), cache_dir, resume, None)
+        .unwrap()
+        .compressed;
+    execute_solution(fw, &c.suite, &c.inst, &c.topk, &ExecConfig::default()).unwrap();
     final_persist(fw).unwrap();
     let report = fw.run_report();
     report.check().unwrap();
@@ -76,7 +75,7 @@ fn killed_at(dir: &Path, boundary: &str) -> u64 {
     .unwrap();
     fw.optimizer.persist_cache().unwrap();
     if boundary == "graph" {
-        build_graph_with(&fw, suite, None).unwrap();
+        compress_suite(&fw, suite, None).unwrap();
         fw.optimizer.persist_cache().unwrap();
     }
     fw.optimizer.invocation_count()
@@ -184,7 +183,7 @@ fn metrics_rerun_over_an_unobserved_snapshot_reports_its_invocations() {
 
     let unobserved = Framework::new(&FrameworkConfig::default()).unwrap();
     let run = run_checkpointed_campaign(&unobserved, &params(), Some(&dir), false, None).unwrap();
-    assert!(!run.suite.queries.is_empty());
+    assert!(!run.compressed.suite.queries.is_empty());
     drop(unobserved);
 
     // full_campaign's fw() enables metrics, and the helper runs
@@ -229,9 +228,15 @@ fn corrupted_checkpoints_recompute_instead_of_crashing() {
         quarantine.is_empty(),
         "a corrupted quarantine file loads as empty, not as an error"
     );
-    let inst = Instance::from_graph(&run.graph);
-    let sol = topk(&inst).unwrap();
-    execute_solution(&resumed_fw, &run.suite, &inst, &sol, &ExecConfig::default()).unwrap();
+    let c = &run.compressed;
+    execute_solution(
+        &resumed_fw,
+        &c.suite,
+        &c.inst,
+        &c.topk,
+        &ExecConfig::default(),
+    )
+    .unwrap();
     final_persist(&resumed_fw).unwrap();
     let report = resumed_fw.run_report();
     report.check().unwrap();

@@ -7,12 +7,11 @@
 //! a `--resume` skips poisoned inputs instead of re-hitting them.
 
 use ruletest_common::FailureKind;
-use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::supervise::SITE_SUITE;
 use ruletest_core::{
     execute_solution_with, run_checkpointed_campaign, CampaignParams, Framework, FrameworkConfig,
-    GenConfig, Instance, Quarantine, QuarantineEntry,
+    GenConfig, Quarantine, QuarantineEntry,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_telemetry::{Counter, RunReport, Telemetry};
@@ -45,23 +44,22 @@ fn params() -> CampaignParams {
 
 /// Full campaign, unsupervised.
 fn strict_campaign(fw: &Framework) -> RunReport {
-    let run = run_checkpointed_campaign(fw, &params(), None, false, None).unwrap();
-    let inst = Instance::from_graph(&run.graph);
-    let sol = topk(&inst).unwrap();
-    execute_solution(fw, &run.suite, &inst, &sol, &ExecConfig::default()).unwrap();
+    let c = run_checkpointed_campaign(fw, &params(), None, false, None)
+        .unwrap()
+        .compressed;
+    execute_solution(fw, &c.suite, &c.inst, &c.topk, &ExecConfig::default()).unwrap();
     fw.run_report()
 }
 
 /// Full campaign, supervised; returns the final quarantine too.
 fn supervised_campaign(fw: &Framework, quarantine: &mut Quarantine) -> RunReport {
-    let run =
-        run_checkpointed_campaign(fw, &params(), None, false, Some(&mut *quarantine)).unwrap();
-    let inst = Instance::from_graph(&run.graph);
-    let sol = topk(&inst).unwrap();
+    let c = run_checkpointed_campaign(fw, &params(), None, false, Some(&mut *quarantine))
+        .unwrap()
+        .compressed;
     execute_solution_with(
         fw,
-        &run.suite,
-        &sol,
+        &c.suite,
+        &c.topk,
         &ExecConfig::default(),
         Some(quarantine),
     )
@@ -101,7 +99,7 @@ fn clean_supervised_slice_matches_unsupervised_at_any_thread_count() {
 fn quarantined_targets_are_skipped_and_survivors_unchanged() {
     let strict_fw = fw(2);
     let strict_run = run_checkpointed_campaign(&strict_fw, &params(), None, false, None).unwrap();
-    let poisoned_label = strict_run.suite.targets[1].label(&strict_fw.optimizer);
+    let poisoned_label = strict_run.compressed.suite.targets[1].label(&strict_fw.optimizer);
 
     let sup_fw = fw(2);
     let mut quarantine = Quarantine::new();
@@ -117,12 +115,13 @@ fn quarantined_targets_are_skipped_and_survivors_unchanged() {
     let sup_run =
         run_checkpointed_campaign(&sup_fw, &params(), None, false, Some(&mut quarantine)).unwrap();
     assert_eq!(
-        sup_run.suite.targets.len(),
-        strict_run.suite.targets.len() - 1,
+        sup_run.compressed.suite.targets.len(),
+        strict_run.compressed.suite.targets.len() - 1,
         "the poisoned target must be dropped"
     );
     assert!(
         !sup_run
+            .compressed
             .suite
             .targets
             .iter()
@@ -131,15 +130,18 @@ fn quarantined_targets_are_skipped_and_survivors_unchanged() {
     );
     // Survivors keep their strict-run queries byte for byte.
     let strict_sql: Vec<&str> = strict_run
+        .compressed
         .suite
         .queries
         .iter()
         .filter(|q| {
-            strict_run.suite.targets[q.generated_for].label(&strict_fw.optimizer) != poisoned_label
+            strict_run.compressed.suite.targets[q.generated_for].label(&strict_fw.optimizer)
+                != poisoned_label
         })
         .map(|q| q.sql.as_str())
         .collect();
     let sup_sql: Vec<&str> = sup_run
+        .compressed
         .suite
         .queries
         .iter()
@@ -159,7 +161,7 @@ fn resume_skips_quarantined_inputs() {
     let label = {
         // Learn a real target label from a throwaway strict run.
         let probe = run_checkpointed_campaign(&fw(1), &first_params, None, false, None).unwrap();
-        probe.suite.targets[0].label(&fw(1).optimizer)
+        probe.compressed.suite.targets[0].label(&fw(1).optimizer)
     };
     let mut quarantine = Quarantine::new();
     quarantine.add(QuarantineEntry {
@@ -186,6 +188,7 @@ fn resume_skips_quarantined_inputs() {
         .save_quarantine(&quarantine)
         .unwrap();
     let first_queries: Vec<String> = first_run
+        .compressed
         .suite
         .queries
         .iter()
@@ -215,6 +218,7 @@ fn resume_skips_quarantined_inputs() {
         "the persisted quarantine must be loaded on resume"
     );
     let resumed_queries: Vec<String> = resumed
+        .compressed
         .suite
         .queries
         .iter()
@@ -223,6 +227,7 @@ fn resume_skips_quarantined_inputs() {
     assert_eq!(first_queries, resumed_queries);
     assert!(
         !resumed
+            .compressed
             .suite
             .targets
             .iter()

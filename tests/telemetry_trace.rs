@@ -4,11 +4,10 @@
 //! the counters that gate their observations).
 
 use ruletest_common::Parallelism;
-use ruletest_core::compress::topk;
 use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    build_graph_pruned, generate_suite, singleton_targets, Framework, FrameworkConfig, GenConfig,
-    Instance, Strategy,
+    compress_suite, generate_suite, singleton_targets, Compressed, Framework, FrameworkConfig,
+    GenConfig, Strategy,
 };
 use ruletest_executor::ExecConfig;
 use ruletest_storage::tpch_database;
@@ -17,8 +16,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Runs a small single-threaded campaign with a tracer big enough to
-/// retain every event, and returns the framework.
-fn traced_campaign() -> Framework {
+/// retain every event, and returns the framework and the compressed suite.
+fn traced_campaign() -> (Framework, Compressed) {
     let db = Arc::new(tpch_database(&FrameworkConfig::default().db).unwrap());
     let fw = Framework::over_database(db)
         .with_parallelism(Parallelism {
@@ -39,11 +38,9 @@ fn traced_campaign() -> Framework {
         &gen_cfg,
     )
     .unwrap();
-    let graph = build_graph_pruned(&fw, &suite).unwrap();
-    let inst = Instance::from_graph(&graph);
-    let sol = topk(&inst).unwrap();
-    execute_solution(&fw, &suite, &inst, &sol, &ExecConfig::default()).unwrap();
-    fw
+    let c = compress_suite(&fw, suite, None).unwrap();
+    execute_solution(&fw, &c.suite, &c.inst, &c.topk, &ExecConfig::default()).unwrap();
+    (fw, c)
 }
 
 /// Keys every event of a given type must carry, beyond `seq` and `type`.
@@ -68,7 +65,7 @@ fn required_keys(kind: &str) -> &'static [&'static str] {
 
 #[test]
 fn every_exported_event_parses_with_its_schema() {
-    let fw = traced_campaign();
+    let (fw, compressed) = traced_campaign();
     let stats = fw.telemetry.trace_stats();
     assert!(stats.recorded > 0, "campaign emitted no events");
     assert_eq!(stats.dropped, 0, "ring capacity too small for the test");
@@ -81,6 +78,7 @@ fn every_exported_event_parses_with_its_schema() {
 
     let num_rules = fw.optimizer.num_rules() as u64;
     let mut by_kind: HashMap<String, u64> = HashMap::new();
+    let (mut scanned, mut pruned) = (0, 0);
     let mut last_seq = None;
     for line in &lines {
         let doc = Json::parse(line).unwrap_or_else(|e| panic!("unparseable line {line:?}: {e}"));
@@ -105,6 +103,10 @@ fn every_exported_event_parses_with_its_schema() {
         if kind == "rule_fire" || kind == "gen_outcome" {
             let rule = doc.get("rule").and_then(Json::as_u64).unwrap();
             assert!(rule < num_rules, "rule index {rule} out of range: {line}");
+        }
+        if kind == "graph_probe" {
+            let field = |key| doc.get(key).and_then(Json::as_u64).unwrap();
+            (scanned, pruned) = (scanned + field("scanned"), pruned + field("pruned"));
         }
         *by_kind.entry(kind).or_insert(0) += 1;
     }
@@ -134,12 +136,24 @@ fn every_exported_event_parses_with_its_schema() {
         "one validation event per (target, query) validation"
     );
     assert!(by_kind.get("rule_fire").copied().unwrap_or(0) > 0);
-    assert!(by_kind.get("graph_probe").copied().unwrap_or(0) > 0);
+    // One probe per target, splitting its adjacency into the edges
+    // computed and those never computed.
+    let graph = &compressed.graph;
+    assert_eq!(
+        by_kind.get("graph_probe").copied(),
+        Some(graph.targets.len() as u64)
+    );
+    assert_eq!(scanned, tel.counter(Counter::OracleCalls));
+    assert_eq!(scanned, graph.optimizer_calls);
+    assert_eq!(pruned, tel.counter(Counter::EdgesPruned));
+    assert!(pruned > 0, "nothing was pruned");
+    let pairs: usize = graph.adjacency.iter().map(Vec::len).sum();
+    assert_eq!(scanned + pruned, pairs as u64);
 }
 
 #[test]
 fn histogram_invariants_hold_against_counters() {
-    let fw = traced_campaign();
+    let (fw, _) = traced_campaign();
     let snap = fw.telemetry.metrics_snapshot();
 
     // Bucket sums always equal the observation count.

@@ -889,14 +889,17 @@ fn seeds_above_2_pow_53_do_not_share_checkpoints() {
     let first = run(SEED, &mut quarantine());
     let stamp = fs::read_to_string(dir.join("checkpoint/quarantine.json")).unwrap();
     assert!(stamp.contains("\"seed\":\"9007199254740993\""), "{stamp}");
-    assert_eq!(first.suite.seed, SEED);
+    assert_eq!(first.compressed.suite.seed, SEED);
     // The same seed inherits the quarantine...
     let mut inherited = Quarantine::new();
-    assert_eq!(run(SEED, &mut inherited).suite.seed, SEED);
+    assert_eq!(run(SEED, &mut inherited).compressed.suite.seed, SEED);
     assert_eq!(inherited, quarantine());
     // ...while the neighbouring seed (what SEED used to round to) does not.
     let mut neighbour = Quarantine::new();
-    assert_eq!(run(SEED - 1, &mut neighbour).suite.seed, SEED - 1);
+    assert_eq!(
+        run(SEED - 1, &mut neighbour).compressed.suite.seed,
+        SEED - 1
+    );
     assert!(neighbour.is_empty(), "{neighbour:?}");
     let _ = fs::remove_dir_all(&dir);
 }
