@@ -209,9 +209,9 @@ pub struct CampaignRun {
 /// With a cache dir, the optimizer's snapshot store is attached (warm
 /// invocation entries answer probes without recomputing) and the cache is
 /// saved after each stage; the caller runs execution and finishes with
-/// [`final_persist`]. A kill mid-stage loses that stage's
-/// unsaved optimizations and nothing else: rerunning the same command
-/// recomputes exactly those.
+/// [`final_persist`]. A kill mid-stage loses that stage's unsaved
+/// optimizations and nothing else: rerunning the same command recomputes
+/// exactly those.
 ///
 /// `quarantine` is the failure policy of both stages. With one, absorbed
 /// failures land in it, quarantined targets shrink the suite instead of

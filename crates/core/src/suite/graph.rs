@@ -5,7 +5,7 @@
 //! pairs, `nC2` invocations per query in the worst case — so the number of
 //! optimizer invocations is itself the cost metric of Figure 14.
 
-use super::{RuleTarget, SuiteQuery, TestSuite};
+use super::{RuleTarget, TestSuite};
 use crate::compress::{self, Instance, Solution};
 use crate::framework::Framework;
 use crate::supervise::{run_stage, ItemName, Quarantine, SITE_GRAPH};
@@ -95,27 +95,19 @@ fn renumber(keep: impl Iterator<Item = bool>) -> Vec<Option<usize>> {
 /// `suite` without the targets `keep` rejects and their dedicated queries,
 /// and `edges` renumbered to match (an edge of a dropped target or query
 /// goes).
-fn shrink(suite: TestSuite, keep: &[bool], edges: Edges) -> (TestSuite, Edges) {
+fn shrink(mut suite: TestSuite, keep: &[bool], edges: Edges) -> (TestSuite, Edges) {
     let target_map = renumber(keep.iter().copied());
     let query_map = renumber(suite.queries.iter().map(|q| keep[q.generated_for]));
     let edges = edges
         .into_iter()
         .filter_map(|((t, q), c)| Some(((target_map[t]?, query_map[q]?), c)))
         .collect();
-    let suite = TestSuite {
-        targets: (suite.targets.into_iter().zip(keep))
-            .filter_map(|(t, &kept)| kept.then_some(t))
-            .collect(),
-        queries: (suite.queries.into_iter())
-            .filter_map(|q| {
-                Some(SuiteQuery {
-                    generated_for: target_map[q.generated_for]?,
-                    ..q
-                })
-            })
-            .collect(),
-        ..suite
-    };
+    let mut kept = keep.iter();
+    suite.targets.retain(|_| kept.next() == Some(&true));
+    suite.queries.retain(|q| keep[q.generated_for]);
+    for q in &mut suite.queries {
+        q.generated_for = target_map[q.generated_for].expect("a kept query's target is kept");
+    }
     (suite, edges)
 }
 
@@ -278,7 +270,9 @@ pub fn compress_suite(
         .iter()
         .map(|t| {
             let label = t.label(&fw.optimizer);
-            !(quarantine.as_deref()).is_some_and(|q| q.contains_input(SITE_GRAPH, &label))
+            !quarantine
+                .as_deref()
+                .is_some_and(|q| q.contains_input(SITE_GRAPH, &label))
         })
         .collect();
     let (mut suite, mut edges) = (suite, Edges::new());
@@ -292,7 +286,8 @@ pub fn compress_suite(
             edges,
             |oracle, t, adj| {
                 pruned_scan(oracle, t, adj)?;
-                (baseline.assignment[t].iter())
+                baseline.assignment[t]
+                    .iter()
                     .chain(&smc.assignment[t])
                     .try_for_each(|&q| oracle.edge_cost(t, q).map(drop))
             },
