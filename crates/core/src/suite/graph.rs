@@ -262,7 +262,7 @@ pub struct Compressed {
 /// target drops.
 pub fn compress_suite(
     fw: &Framework,
-    suite: TestSuite,
+    mut suite: TestSuite,
     mut quarantine: Option<&mut Quarantine>,
 ) -> Result<Compressed> {
     let mut keep: Vec<bool> = suite
@@ -275,7 +275,7 @@ pub fn compress_suite(
                 .is_some_and(|q| q.contains_input(SITE_GRAPH, &label))
         })
         .collect();
-    let (mut suite, mut edges) = (suite, Edges::new());
+    let mut edges = Edges::new();
     loop {
         (suite, edges) = shrink(suite, &keep, edges);
         let nodes = Instance::from_graph(&BipartiteGraph::over(&suite));
