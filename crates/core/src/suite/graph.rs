@@ -112,8 +112,8 @@ fn shrink(mut suite: TestSuite, keep: &[bool], edges: Edges) -> (TestSuite, Edge
 }
 
 impl BipartiteGraph {
-    /// The graph of `suite` before any edge cost is computed.
-    fn over(suite: &TestSuite) -> BipartiteGraph {
+    /// The graph of `suite` with the edge costs known so far.
+    fn over(suite: &TestSuite, edges: Edges) -> BipartiteGraph {
         BipartiteGraph {
             targets: suite.targets.clone(),
             k: suite.k,
@@ -121,7 +121,7 @@ impl BipartiteGraph {
             adjacency: (0..suite.targets.len())
                 .map(|t| suite.covering(t))
                 .collect(),
-            edges: Edges::new(),
+            edges,
             generated_for: suite.queries.iter().map(|q| q.generated_for).collect(),
             optimizer_calls: 0,
         }
@@ -148,22 +148,21 @@ impl BipartiteGraph {
 
 /// The one graph build: `scan(oracle, t, adjacency[t])` computes the edge
 /// costs of target `t` through one [`EdgeOracle`] that starts from
-/// `edges`, fanned out through [`run_stage`] under the caller's failure
-/// policy. Returns the graph of `suite` with every edge cost known at the
-/// end, and which targets came through (all of them without a
-/// quarantine). One worker per target: every `(t, q)` edge belongs to
-/// exactly one target, so workers never race on an edge, and edge costs
-/// are pure, so the edge map is identical at any thread count.
+/// `graph`'s edges, fanned out through [`run_stage`] under the caller's
+/// failure policy. Returns `graph` (the graph of `suite`) with every edge
+/// cost known at the end, and which targets came through (all of them
+/// without a quarantine). One worker per target: every `(t, q)` edge
+/// belongs to exactly one target, so workers never race on an edge, and
+/// edge costs are pure, so the edge map is identical at any thread count.
 fn build(
     fw: &Framework,
     suite: &TestSuite,
-    edges: Edges,
+    mut graph: BipartiteGraph,
     scan: impl Fn(&EdgeOracle, usize, &[usize]) -> Result<()> + Sync,
     quarantine: Option<&mut Quarantine>,
 ) -> Result<(BipartiteGraph, Vec<bool>)> {
-    let mut graph = BipartiteGraph::over(suite);
     let oracle = EdgeOracle::new(fw, suite);
-    *oracle.cache.lock().expect("edge cache poisoned") = edges;
+    *oracle.cache.lock().expect("edge cache poisoned") = std::mem::take(&mut graph.edges);
     let scanned = run_stage(
         fw,
         SITE_GRAPH,
@@ -204,43 +203,48 @@ fn pruned_scan(oracle: &EdgeOracle, t: usize, adj: &[usize]) -> Result<()> {
     let node_cost = |q: usize| oracle.suite.queries[q].cost;
     let mut by_node_cost = adj.to_vec();
     by_node_cost.sort_by(|&a, &b| node_cost(a).total_cmp(&node_cost(b)));
-    // The k cheapest edge costs seen so far, ascending under `total_cmp`
-    // (a NaN cost sorts last instead of panicking).
     let mut cheapest: Vec<f64> = Vec::with_capacity(k + 1);
     for &q in &by_node_cost {
         if cheapest.len() == k && node_cost(q) > cheapest[k - 1] {
             break; // every remaining edge is more expensive
         }
-        let c = oracle.edge_cost(t, q)?;
-        cheapest.insert(cheapest.partition_point(|e| e.total_cmp(&c).is_le()), c);
-        cheapest.truncate(k);
+        keep_cheapest(&mut cheapest, oracle.edge_cost(t, q)?, k);
     }
     Ok(())
+}
+
+/// Adds `c` to `cheapest`, the k cheapest edge costs seen so far, kept
+/// ascending under `total_cmp` (a NaN cost sorts last instead of
+/// panicking).
+fn keep_cheapest(cheapest: &mut Vec<f64>, c: f64, k: usize) {
+    cheapest.insert(cheapest.partition_point(|e| e.total_cmp(&c).is_le()), c);
+    cheapest.truncate(k);
 }
 
 /// Builds the graph eagerly: every adjacency edge's cost is computed — the
 /// exhaustive strategy Figure 14 compares against.
 pub fn build_graph(fw: &Framework, suite: &TestSuite) -> Result<BipartiteGraph> {
-    Ok(build(fw, suite, Edges::new(), eager_scan, None)?.0)
+    let nodes = BipartiteGraph::over(suite, Edges::new());
+    Ok(build(fw, suite, nodes, eager_scan, None)?.0)
 }
 
 /// Builds the graph with the §5.3.1 pruning ([`pruned_scan`]): only the
 /// edges the TopKIndependent algorithm can ever use are computed.
 pub fn build_graph_pruned(fw: &Framework, suite: &TestSuite) -> Result<BipartiteGraph> {
-    let (graph, _) = build(fw, suite, Edges::new(), pruned_scan, None)?;
+    let nodes = BipartiteGraph::over(suite, Edges::new());
+    let (graph, _) = build(fw, suite, nodes, pruned_scan, None)?;
     graph.record_probes(fw);
     Ok(graph)
 }
 
-/// A suite compressed three ways (§2.3, §5) over a graph that holds the
-/// edges the three solutions read, so all three costs are exact.
+/// A suite compressed three ways (§2.3, §5) over an instance that holds
+/// the edges the three solutions read, so all three costs are exact.
 #[derive(Debug, Clone)]
 pub struct Compressed {
-    /// The suite the graph and the solutions index: the input suite, less
-    /// any target the graph stage quarantined (with its queries).
+    /// The suite the instance and the solutions index: the input suite,
+    /// less any target the graph stage quarantined (with its queries).
     pub suite: TestSuite,
-    pub graph: BipartiteGraph,
-    /// [`Instance::from_graph`] of `graph`.
+    /// The suite's graph with the edge costs computed, no others.
     pub inst: Instance,
     pub baseline: Solution,
     pub smc: Solution,
@@ -278,12 +282,13 @@ pub fn compress_suite(
     let mut edges = Edges::new();
     loop {
         (suite, edges) = shrink(suite, &keep, edges);
-        let nodes = Instance::from_graph(&BipartiteGraph::over(&suite));
-        let (baseline, smc) = (compress::baseline(&nodes)?, compress::smc(&nodes)?);
+        let nodes = BipartiteGraph::over(&suite, edges);
+        let mut inst = Instance::from_graph(&nodes);
+        let (baseline, smc) = (compress::baseline(&inst)?, compress::smc(&inst)?);
         let (graph, kept) = build(
             fw,
             &suite,
-            edges,
+            nodes,
             |oracle, t, adj| {
                 pruned_scan(oracle, t, adj)?;
                 baseline.assignment[t]
@@ -298,11 +303,10 @@ pub fn compress_suite(
             continue;
         }
         graph.record_probes(fw);
-        let inst = Instance::from_graph(&graph);
+        inst.edge_cost = graph.edges;
         let topk = compress::topk(&inst)?;
         return Ok(Compressed {
             suite,
-            graph,
             inst,
             baseline,
             smc,
@@ -324,6 +328,21 @@ mod tests {
         let suite =
             generate_suite(&fw, targets, 2, Strategy::Pattern, &GenConfig::default()).unwrap();
         (fw, suite)
+    }
+
+    #[test]
+    fn nan_costs_keep_the_k_cheapest_instead_of_panicking() {
+        // Regression: the scan's ordering of edge costs used
+        // `partial_cmp().expect("finite costs")` and panicked on NaN.
+        let mut cheapest = Vec::new();
+        for c in [3.0, f64::NAN, 1.0, 2.0] {
+            keep_cheapest(&mut cheapest, c, 3);
+        }
+        assert_eq!(cheapest, [1.0, 2.0, 3.0]);
+        // A NaN among fewer than k costs is kept, last.
+        keep_cheapest(&mut cheapest, f64::NAN, 4);
+        assert_eq!(cheapest[..3], [1.0, 2.0, 3.0]);
+        assert!(cheapest[3].is_nan());
     }
 
     #[test]
@@ -383,8 +402,8 @@ mod tests {
         let eager = build_graph(&fw, &suite).unwrap();
         let inst = Instance::from_graph(&eager);
         let c = compress_suite(&fw, suite, None).unwrap();
-        assert!(c.graph.optimizer_calls < eager.optimizer_calls);
-        for (e, cost) in &c.graph.edges {
+        assert!((c.inst.edge_cost.len() as u64) < eager.optimizer_calls);
+        for (e, cost) in &c.inst.edge_cost {
             assert_eq!(eager.edges[e], *cost);
         }
         let solutions = [

@@ -622,11 +622,10 @@ mod tests {
         let sup = compress_suite(&fw, suite.clone(), Some(&mut q)).unwrap();
         assert!(q.is_empty());
         assert_eq!(sup.suite.targets, suite.targets);
-        assert_eq!(sup.graph.adjacency, strict.graph.adjacency);
-        assert_eq!(sup.graph.edges, strict.graph.edges);
-        assert_eq!(sup.graph.node_cost, strict.graph.node_cost);
-        assert_eq!(sup.graph.generated_for, strict.graph.generated_for);
-        assert_eq!(sup.graph.optimizer_calls, strict.graph.optimizer_calls);
+        assert_eq!(sup.inst.adjacency, strict.inst.adjacency);
+        assert_eq!(sup.inst.edge_cost, strict.inst.edge_cost);
+        assert_eq!(sup.inst.node_cost, strict.inst.node_cost);
+        assert_eq!(sup.inst.generated_for, strict.inst.generated_for);
         assert_eq!(
             [sup.baseline, sup.smc, sup.topk],
             [strict.baseline, strict.smc, strict.topk]
@@ -693,7 +692,7 @@ mod tests {
         let c = compress_suite(&fw, suite.clone(), Some(&mut q)).unwrap();
         assert_eq!(c.suite.targets.len(), 2);
         assert!(!c.suite.targets.contains(&targets[2]));
-        assert_eq!(c.graph.targets, c.suite.targets);
+        assert_eq!(c.inst.num_targets(), c.suite.targets.len());
         // Every edge the three solutions read was computed, over the
         // shrunk and renumbered suite.
         for sol in [&c.baseline, &c.smc, &c.topk] {
@@ -701,12 +700,11 @@ mod tests {
             for (t, qs) in sol.assignment.iter().enumerate() {
                 for &qi in qs {
                     assert!(
-                        c.graph.edges.contains_key(&(t, qi)),
+                        c.inst.edge_cost.contains_key(&(t, qi)),
                         "missing edge ({t},{qi})"
                     );
                 }
             }
         }
-        assert_eq!(c.graph.optimizer_calls, c.graph.edges.len() as u64);
     }
 }

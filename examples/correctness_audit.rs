@@ -41,11 +41,10 @@ fn main() {
     println!("== bipartite graph (Figure 4), the edges compression reads ==");
     let c = compress_suite(&fw, suite, None).expect("compression");
     println!(
-        "{} targets, {} queries, {} edges ({} optimizer calls)\n",
-        c.graph.targets.len(),
-        c.graph.node_cost.len(),
-        c.graph.edges.len(),
-        c.graph.optimizer_calls
+        "{} targets, {} queries, {} edges (one optimizer call each)\n",
+        c.suite.targets.len(),
+        c.suite.queries.len(),
+        c.inst.edge_cost.len()
     );
 
     println!("== compression (Figures 11–13) ==");

@@ -448,11 +448,11 @@ fn run_audit(fw: &Framework, opts: &Opts) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let c = &run.compressed;
+    // One optimizer call per computed edge.
+    let edges = c.inst.edge_cost.len();
     println!(
-        "suite: {} queries, {} edges ({} optimizer calls)",
-        c.suite.queries.len(),
-        c.graph.edges.len(),
-        c.graph.optimizer_calls
+        "suite: {} queries, {edges} edges ({edges} optimizer calls)",
+        c.suite.queries.len()
     );
     println!("compression (estimated execution cost):");
     println!("  BASELINE {:>12.1}", c.baseline.total_cost(&c.inst));

@@ -76,8 +76,8 @@ fn campaign_is_deterministic_across_thread_counts() {
         let sqls: Vec<String> = c.suite.queries.iter().map(|q| q.sql.clone()).collect();
         let costs: Vec<u64> = c.suite.queries.iter().map(|q| q.cost.to_bits()).collect();
         let mut edges: Vec<((usize, usize), u64)> = c
-            .graph
-            .edges
+            .inst
+            .edge_cost
             .iter()
             .map(|(&e, &c)| (e, c.to_bits()))
             .collect();
@@ -86,7 +86,7 @@ fn campaign_is_deterministic_across_thread_counts() {
             sqls,
             costs,
             edges,
-            c.graph.optimizer_calls,
+            c.inst.edge_cost.len(),
             [c.baseline, c.smc, c.topk].map(|sol| sol.assignment),
             (
                 report.validations,

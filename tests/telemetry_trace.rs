@@ -138,16 +138,16 @@ fn every_exported_event_parses_with_its_schema() {
     assert!(by_kind.get("rule_fire").copied().unwrap_or(0) > 0);
     // One probe per target, splitting its adjacency into the edges
     // computed and those never computed.
-    let graph = &compressed.graph;
+    let inst = &compressed.inst;
     assert_eq!(
         by_kind.get("graph_probe").copied(),
-        Some(graph.targets.len() as u64)
+        Some(inst.num_targets() as u64)
     );
     assert_eq!(scanned, tel.counter(Counter::OracleCalls));
-    assert_eq!(scanned, graph.optimizer_calls);
+    assert_eq!(scanned, inst.edge_cost.len() as u64);
     assert_eq!(pruned, tel.counter(Counter::EdgesPruned));
     assert!(pruned > 0, "nothing was pruned");
-    let pairs: usize = graph.adjacency.iter().map(Vec::len).sum();
+    let pairs: usize = inst.adjacency.iter().map(Vec::len).sum();
     assert_eq!(scanned + pruned, pairs as u64);
 }
 
