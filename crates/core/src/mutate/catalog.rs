@@ -797,6 +797,59 @@ mod tests {
         assert_eq!(edited, 18);
     }
 
+    /// How a mutant changes its rule (DESIGN §18).
+    #[derive(Debug, Clone, Copy)]
+    enum Form {
+        Edited,
+        Wrapped,
+        Rewritten,
+    }
+
+    /// The mutants that are no edit of their rule's rewrite, though the
+    /// rule may be in the IR, each with why.
+    const NOT_EDITS: &[(&str, Form, &str)] = &[
+        (
+            "TopTopCollapseOffByOne",
+            Form::Wrapped,
+            "a limit bump of each substitute the real rule returns",
+        ),
+        (
+            "EagerAggDropsJoinColumns",
+            Form::Rewritten,
+            "its partial key G ∩ cols(side) and its guard G ≠ ∅ are no edit of the rule's terms",
+        ),
+    ];
+
+    /// Every mutant of an IR rule is an edit of its rewrite, except the
+    /// ones `NOT_EDITS` names, and the forms add up to DESIGN §18's
+    /// counts: a mutant that copies an IR rule's body fails here.
+    #[test]
+    fn mutants_of_ir_rules_are_edits() {
+        let mut counts = [0; 3];
+        for m in Mutant::all() {
+            let listed = NOT_EDITS.iter().find(|(id, ..)| *id == m.id);
+            let form = match (&m.rule().action, listed) {
+                (RuleAction::Rewrite(_), None) => Form::Edited,
+                (RuleAction::Rewrite(_), Some((_, _, why))) => {
+                    panic!("{}: an edit, though listed as not one ({why})", m.id)
+                }
+                (_, Some(&(_, form, _))) => form,
+                (_, None) => {
+                    assert!(
+                        !matches!(real(m.rule_name).action, RuleAction::Rewrite(_)),
+                        "{}: a copied body of IR rule {}",
+                        m.id,
+                        m.rule_name
+                    );
+                    Form::Rewritten
+                }
+            };
+            counts[form as usize] += 1;
+        }
+        // Edited, wrapped, rewritten.
+        assert_eq!(counts, [18, 1, 6]);
+    }
+
     /// What `rule` substitutes for `region ⋈ nation` joined with `kind`,
     /// as (root join kind, child groups) per substitute, and the join's
     /// own (left, right) groups.
