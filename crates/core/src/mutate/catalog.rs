@@ -2,18 +2,17 @@
 //!
 //! Each mutant's `build` receives the real rule and changes one thing, in
 //! one of three ways:
-//! * *edited* mutants (18) change one part of an IR rule's [`Rewrite`] —
-//!   delete a guard, change a target's join kind, connective or a split's
-//!   scope, un-swap its inputs, reverse a predicate term, empty or repeat
-//!   its targets, drop a residual or an outer operator, re-emit another
-//!   node, read one union branch twice;
-//! * *wrapped* mutants (1) keep a hand-coded rule's substitution and edit
-//!   each substitute it returns (a limit bump);
-//! * *rewritten* mutants (6) re-implement a hand-coded rule's substitution
-//!   with one check or step deleted — the bug is inside the logic, so
-//!   output transformation cannot express it. `EagerAggDropsJoinColumns`
-//!   is one though its rule is in the IR: its guard (a non-empty grouping)
-//!   is no edit of the rule's guards.
+//! * *edited* mutants (23) change one part of an IR rule's [`Rewrite`] —
+//!   delete a guard, change a target's join kind, connective, limit or a
+//!   split's scope, un-swap its inputs, reverse a predicate term, keep only
+//!   the first grouping column, empty or repeat its targets, drop a
+//!   residual or an outer operator, re-emit another node, read one union
+//!   branch twice;
+//! * *wrapped* mutants (1) keep the rule's substitution and edit each
+//!   substitute it returns (a limit bump);
+//! * *rewritten* mutants (1) re-implement the substitution with one step
+//!   changed: `EagerAggDropsJoinColumns`, whose guard (a non-empty
+//!   grouping) and partial key are no edit of its IR rule's terms.
 //!
 //! Every mutant keeps the real rule's name (so the optimizer override
 //! replaces it), pattern, and `mints_fresh_ids` flag; only the
@@ -21,9 +20,9 @@
 //! pattern, because that is its bug.
 
 use super::{BugClass, Mutant, Verdict};
-use ruletest_expr::{AggCall, AggFunc, BinOp, Expr};
+use ruletest_expr::{AggCall, BinOp};
 use ruletest_logical::{JoinKind, OpKind, Operator};
-use ruletest_optimizer::rewrite::{Guard, Pred, Scope, Target};
+use ruletest_optimizer::rewrite::{Guard, Keys, Kind, Limit, Pred, Scope, Target};
 use ruletest_optimizer::rule::RuleCtx;
 use ruletest_optimizer::{Bound, NewChild, NewTree, PatternTree, Rewrite, Rule, RuleAction};
 use std::collections::BTreeSet;
@@ -51,8 +50,8 @@ fn edited(mut rule: Rule, precondition: &'static str, edit: fn(&mut Rewrite)) ->
 
 /// The join at or under the selects atop a rewrite's first target: its
 /// kind, predicate term and inputs.
-fn first_join(rewrite: &mut Rewrite) -> (&mut JoinKind, &mut Pred, &mut [Target; 2]) {
-    fn walk(t: &mut Target) -> (&mut JoinKind, &mut Pred, &mut [Target; 2]) {
+fn first_join(rewrite: &mut Rewrite) -> (&mut Kind, &mut Pred, &mut [Target; 2]) {
+    fn walk(t: &mut Target) -> (&mut Kind, &mut Pred, &mut [Target; 2]) {
         match t {
             Target::Join {
                 kind,
@@ -101,170 +100,6 @@ fn rewritten(
         action: RuleAction::Explore(Arc::new(f)),
         ..rule
     }
-}
-
-// ---------------------------------------------------------------------
-// Class 1: dropped preconditions.
-// ---------------------------------------------------------------------
-
-/// `OuterJoinSimplify` without the null-rejection analysis: every
-/// filtered LOJ/ROJ becomes an inner join.
-fn ojs_unconditional(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join { predicate: jp, .. } = &join.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::Select {
-            predicate: predicate.clone(),
-        },
-        vec![NewChild::Tree(NewTree::new(
-            Operator::Join {
-                kind: JoinKind::Inner,
-                predicate: jp.clone(),
-            },
-            vec![
-                NewChild::Group(join.children[0].group()),
-                NewChild::Group(join.children[1].group()),
-            ],
-        ))],
-    )]
-}
-
-/// `TopTopCollapse` without the identical-keys precondition: collapsing
-/// differently-keyed Tops keeps the wrong `min(n,m)` rows.
-fn top_top_any_keys(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Top { n, keys } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Top { n: m, .. } = &inner.op else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::Top {
-            n: (*n).min(*m),
-            keys: keys.clone(),
-        },
-        vec![NewChild::Group(inner.children[0].group())],
-    )]
-}
-
-// ---------------------------------------------------------------------
-// Class 3: set/bag duplicate sensitivity.
-// ---------------------------------------------------------------------
-
-/// `DistinctToGbAgg` grouping by only the first column: collapses rows
-/// that agree on it, and the output loses every other column.
-fn distinct_to_gbagg_first_col(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    if !matches!(b.op, Operator::Distinct) {
-        return vec![];
-    }
-    let Some(first) = ctx
-        .schema(b.children[0].group())
-        .iter()
-        .map(|c| c.id)
-        .next()
-    else {
-        return vec![];
-    };
-    vec![NewTree::new(
-        Operator::GbAgg {
-            group_by: vec![first],
-            aggs: vec![],
-        },
-        vec![NewChild::Group(b.children[0].group())],
-    )]
-}
-
-// ---------------------------------------------------------------------
-// Class 5: aggregate/TopN boundary bugs.
-// ---------------------------------------------------------------------
-
-/// `TopTopCollapse` taking `max(n, m)` instead of `min`.
-fn top_top_max(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Top { n, keys } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Top {
-        n: m,
-        keys: inner_keys,
-    } = &inner.op
-    else {
-        return vec![];
-    };
-    if keys != inner_keys {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Top {
-            n: (*n).max(*m),
-            keys: keys.clone(),
-        },
-        vec![NewChild::Group(inner.children[0].group())],
-    )]
-}
-
-/// `GbAggEliminateOnKey` without the no-COUNT precondition: when each
-/// group is a single row, the real rule rewrites `SUM/MIN/MAX(x)` to
-/// `x` but refuses `COUNT(x)` (whose value is 0 or 1, depending on
-/// NULLness, never `x`). The mutant treats COUNT like the others — a
-/// classic aggregate boundary bug at the NULL edge. The elimination
-/// replaces an aggregate with a projection, so the cost model takes it.
-fn gbagg_eliminate_count_unchecked(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::GbAgg { group_by, aggs } = &b.op else {
-        return vec![];
-    };
-    let Some(get) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Get { table, cols } = &get.op else {
-        return vec![];
-    };
-    let Ok(def) = ctx.db.catalog.table(*table) else {
-        return vec![];
-    };
-    let ordinals: Vec<usize> = group_by
-        .iter()
-        .filter_map(|g| cols.iter().position(|c| c == g))
-        .collect();
-    if ordinals.len() != group_by.len() || !def.ordinals_cover_key(&ordinals) {
-        return vec![];
-    }
-    let covering_non_null = {
-        let check = |key: &[usize]| {
-            key.iter().all(|k| ordinals.contains(k))
-                && key.iter().all(|&k| !def.columns[k].nullable)
-        };
-        check(&def.primary_key) || def.unique_keys.iter().any(|k| check(k))
-    };
-    if !covering_non_null {
-        return vec![];
-    }
-    // BUG: the no-COUNT guard is gone; COUNT(x) becomes x.
-    let mut outputs: Vec<(ruletest_common::ColId, Expr)> =
-        group_by.iter().map(|&g| (g, Expr::col(g))).collect();
-    for a in aggs {
-        let e = match a.func {
-            AggFunc::CountStar => Expr::lit(1i64),
-            _ => Expr::col(a.arg.expect("non-star aggregates have arguments")),
-        };
-        outputs.push((a.output, e));
-    }
-    vec![NewTree::new(
-        Operator::Project { outputs },
-        vec![NewChild::Group(b.children[0].group())],
-    )]
 }
 
 /// Eager aggregation whose partial grouping key forgets the
@@ -350,7 +185,12 @@ static CATALOG: &[Mutant] = &[
         rule_name: "OuterJoinSimplify",
         expected: Verdict::DetectableStatic,
         note: "null-rejection check deleted; every filtered outer join becomes inner",
-        build: |rule| rewritten(rule, "BUGGY: no null-rejection check", ojs_unconditional),
+        build: |rule| {
+            edited(rule, "BUGGY: no null-rejection check", |rw| {
+                rw.guards.clear();
+                *first_join(rw).0 = Kind::Is(JoinKind::Inner);
+            })
+        },
     },
     Mutant {
         id: "TopTopKeysCheckDropped",
@@ -359,10 +199,10 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableDynamic,
         note: "identical-keys precondition deleted; collapses differently-ordered Tops",
         build: |rule| {
-            rewritten(
+            edited(
                 rule,
                 "BUGGY: collapses Tops with different sort keys",
-                top_top_any_keys,
+                |rw| rw.guards.clear(),
             )
         },
     },
@@ -436,7 +276,7 @@ static CATALOG: &[Mutant] = &[
             ..edited(
                 rule,
                 "BUGGY: merges the filter into an outer join's ON clause",
-                |rw| *first_join(rw).0 = JoinKind::LeftOuter,
+                |rw| *first_join(rw).0 = Kind::Is(JoinKind::LeftOuter),
             )
         },
     },
@@ -541,11 +381,12 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableStatic,
         note: "grouping key shrunk to the first column; schema and rows both wrong",
         build: |rule| {
-            rewritten(
-                rule,
-                "BUGGY: groups by the first column only",
-                distinct_to_gbagg_first_col,
-            )
+            edited(rule, "BUGGY: groups by the first column only", |rw| {
+                let [Target::GbAgg { keys, .. }] = &mut rw.targets[..] else {
+                    unreachable!("a distinct becomes one aggregate");
+                };
+                *keys = Keys::First(Box::new(keys.clone()));
+            })
         },
     },
     Mutant {
@@ -577,7 +418,7 @@ static CATALOG: &[Mutant] = &[
         note: "children swapped but the kind stays LeftOuter",
         build: |rule| {
             edited(rule, "BUGGY: kind not flipped with the children", |rw| {
-                *first_join(rw).0 = JoinKind::LeftOuter
+                *first_join(rw).0 = Kind::Is(JoinKind::LeftOuter)
             })
         },
     },
@@ -603,7 +444,7 @@ static CATALOG: &[Mutant] = &[
         note: "full outer commuted into a left outer",
         build: |rule| {
             edited(rule, "BUGGY: full outer demoted to left outer", |rw| {
-                *first_join(rw).0 = JoinKind::LeftOuter
+                *first_join(rw).0 = Kind::Is(JoinKind::LeftOuter)
             })
         },
     },
@@ -617,7 +458,7 @@ static CATALOG: &[Mutant] = &[
             edited(
                 rule,
                 "BUGGY: rebuilt join kind corrupted to left outer",
-                |rw| *first_join(rw).0 = JoinKind::LeftOuter,
+                |rw| *first_join(rw).0 = Kind::Is(JoinKind::LeftOuter),
             )
         },
     },
@@ -643,11 +484,12 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableDynamic,
         note: "collapsed limit is max(n, m)",
         build: |rule| {
-            rewritten(
-                rule,
-                "BUGGY: keeps max(n, m) rows instead of min",
-                top_top_max,
-            )
+            edited(rule, "BUGGY: keeps max(n, m) rows instead of min", |rw| {
+                let [Target::Top { limit, .. }] = &mut rw.targets[..] else {
+                    unreachable!("a collapse emits one Top");
+                };
+                *limit = Limit::Max;
+            })
         },
     },
     Mutant {
@@ -657,10 +499,13 @@ static CATALOG: &[Mutant] = &[
         expected: Verdict::DetectableDynamic,
         note: "COUNT(x) eliminated to x instead of 0/1 on single-row groups",
         build: |rule| {
-            rewritten(
+            // Each group is a single row, so the real rule reads SUM/MIN/MAX(x)
+            // as x but refuses COUNT(x), which is 0 or 1 by NULLness: with the
+            // guard gone, COUNT(x) becomes x too.
+            edited(
                 rule,
                 "BUGGY: COUNT survives key-based elimination as an identity",
-                gbagg_eliminate_count_unchecked,
+                |rw| rw.guards.retain(|g| !matches!(g, Guard::NoCount(_))),
             )
         },
     },
@@ -748,6 +593,7 @@ pub(super) fn all() -> &'static [Mutant] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruletest_expr::Expr;
     use ruletest_logical::{IdGen, LogicalTree};
     use ruletest_optimizer::rule::newtree_from_logical;
     use ruletest_optimizer::{match_bindings, GroupId, Memo};
@@ -794,7 +640,7 @@ mod tests {
             assert_ne!(mutated, real, "{}", m.id);
             edited += 1;
         }
-        assert_eq!(edited, 18);
+        assert_eq!(edited, 23);
     }
 
     /// How a mutant changes its rule (DESIGN §18).
@@ -847,7 +693,7 @@ mod tests {
             counts[form as usize] += 1;
         }
         // Edited, wrapped, rewritten.
-        assert_eq!(counts, [18, 1, 6]);
+        assert_eq!(counts, [23, 1, 1]);
     }
 
     /// What `rule` substitutes for `region ⋈ nation` joined with `kind`,

@@ -7,19 +7,19 @@
 //! [`Node`] number — pre-order over concrete nodes and placeholders alike,
 //! the order binding signatures list concrete picks in. The guard and term
 //! vocabularies are closed, so a rewrite can be inspected and edited
-//! (the mutant catalog deletes a guard, changes a join kind or a scope)
-//! without running it. DESIGN §18 lists the rules that stay hand-coded and
-//! why.
+//! (the mutant catalog deletes a guard, changes a join kind, a scope or a
+//! limit) without running it. DESIGN §18 lists the rules that stay
+//! hand-coded and why.
 
 use crate::memo::{expr_word, join_word, op_word, select_word, GroupExpr, GroupId, Inputs, Memo};
 use crate::pattern::PatternTree;
 use crate::rule::{Bound, BoundChild, NewChild, NewTree, RuleCtx};
 use ruletest_common::ColId;
 use ruletest_expr::{
-    collect_columns, conjoin, conjuncts, every_column, for_each_conjunct, rewrite_columns,
-    try_col_eq_col, AggCall, AggFunc, BinOp, Expr,
+    collect_columns, conjoin, conjuncts, every_column, for_each_conjunct, is_null_rejecting,
+    rewrite_columns, try_col_eq_col, AggCall, AggFunc, BinOp, Expr,
 };
-use ruletest_logical::{JoinKind, Operator};
+use ruletest_logical::{JoinKind, Operator, SortKey};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::slice;
@@ -57,6 +57,19 @@ pub enum Guard {
     /// `COUNT`: a scalar global aggregate would turn COUNT's empty-input 0
     /// into a SUM over nothing, NULL.
     NoScalarCount(Node),
+    /// The `GbAgg` at the node computes no `COUNT(col)`.
+    NoCount(Node),
+    /// The grouping columns of the `GbAgg` at node `agg` are columns of
+    /// the `Get` at node `get` and cover a non-nullable unique key of its
+    /// table: every group is one row.
+    KeyCovered { agg: Node, get: Node },
+    /// The `Top`s at both nodes sort by the same keys.
+    SameKeys(Node, Node),
+    /// Binds [`Kind::Stricter`]: node `pred`'s predicate rejects NULLs on a
+    /// null-supplying input of the outer join at node `join`, which then
+    /// becomes the stricter kind (LOJ/ROJ -> INNER; FOJ -> LOJ, ROJ or
+    /// INNER).
+    NullRejecting { pred: Node, join: Node },
 }
 
 /// Where a [`Guard::Split`] may move a conjunct.
@@ -135,7 +148,7 @@ pub enum Target {
     /// The group a matched node lives in (never a target's root).
     Group(Node),
     Join {
-        kind: JoinKind,
+        kind: Kind,
         pred: Pred,
         children: Box<[Target; 2]>,
     },
@@ -178,6 +191,36 @@ pub enum Target {
         aggs: Aggs,
         input: Box<Target>,
     },
+    /// The projection the `GbAgg` at node `of` is when every group is one
+    /// row: each grouping column as itself, `COUNT(*)` as 1, any other
+    /// aggregate as its argument (wrong for `COUNT(col)`, which is 0 or 1:
+    /// [`Guard::NoCount`] keeps it out).
+    SingleRow {
+        of: Node,
+        input: Box<Target>,
+    },
+    /// A `Top` over `input` with the sort keys of the `Top` at `of[0]` and
+    /// the `limit` of both `Top`s' limits.
+    Top {
+        of: [Node; 2],
+        limit: Limit,
+        input: Box<Target>,
+    },
+}
+
+/// The kind of a target join.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Is(JoinKind),
+    /// The kind a [`Guard::NullRejecting`] bound.
+    Stricter,
+}
+
+/// Which of two `Top` limits a target `Top` keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Limit {
+    Min,
+    Max,
 }
 
 /// The grouping columns of a target `GbAgg`.
@@ -189,6 +232,10 @@ pub enum Keys {
     /// the `GbAgg` at `agg` and the columns of node `pred`'s predicate,
     /// each kept if node `side` outputs it.
     Partial { agg: Node, pred: Node, side: Node },
+    /// Every column of the node's schema, in its order.
+    Schema(Node),
+    /// The first column of the keys, if they have one.
+    First(Box<Keys>),
 }
 
 /// The aggregates of a target `GbAgg`, one per aggregate of the `GbAgg` at
@@ -196,6 +243,8 @@ pub enum Keys {
 /// in aggregate order, and `Global` reads the same ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Aggs {
+    /// No aggregates.
+    None,
     /// The aggregate over its own argument, into a fresh id.
     Local(Node),
     /// The aggregate's combining function over its local's output, into
@@ -206,7 +255,7 @@ pub enum Aggs {
 impl Target {
     pub fn join(kind: JoinKind, pred: Pred, left: Target, right: Target) -> Target {
         Target::Join {
-            kind,
+            kind: Kind::Is(kind),
             pred,
             children: Box::new([left, right]),
         }
@@ -296,6 +345,7 @@ impl Rewrite {
             ctx,
             nodes,
             probe: None,
+            stricter: None,
             split_of: None,
             sides: [None, None],
             parts: vec![],
@@ -680,6 +730,7 @@ struct Match<'c, 'm> {
     ctx: &'c RuleCtx<'c>,
     nodes: &'c [Slot<'m>],
     probe: Option<ColId>,
+    stricter: Option<JoinKind>,
     /// The nodes of the last [`Pred::Inside`] / [`Pred::Rest`] split, and
     /// its sides not yet handed out.
     split_of: Option<(Node, Node)>,
@@ -720,6 +771,14 @@ impl<'c, 'm> Match<'c, 'm> {
         match self.op(n) {
             Operator::GbAgg { group_by, aggs } => (group_by, aggs),
             op => panic!("rewrite node {n} is a {}, not a GbAgg", op.label()),
+        }
+    }
+
+    /// The `Top` at node `n`: its limit and its sort keys.
+    fn top(&self, n: Node) -> (u64, &'m [SortKey]) {
+        match self.op(n) {
+            Operator::Top { n, keys } => (*n, keys),
+            op => panic!("rewrite node {n} is a {}, not a Top", op.label()),
         }
     }
 
@@ -821,6 +880,43 @@ impl<'c, 'm> Match<'c, 'm> {
                         .iter()
                         .any(|a| matches!(a.func, AggFunc::Count | AggFunc::CountStar))
             }
+            Guard::NoCount(n) => !self.gbagg(n).1.iter().any(|a| a.func == AggFunc::Count),
+            Guard::KeyCovered { agg, get } => {
+                let Operator::Get { table, cols } = self.op(get) else {
+                    return false;
+                };
+                let Ok(def) = ctx.db.catalog.table(*table) else {
+                    return false;
+                };
+                let group_by = self.gbagg(agg).0;
+                let ordinals: Vec<usize> = group_by
+                    .iter()
+                    .filter_map(|g| cols.iter().position(|c| c == g))
+                    .collect();
+                ordinals.len() == group_by.len() && def.ordinals_cover_non_null_key(&ordinals)
+            }
+            Guard::SameKeys(a, b) => self.top(a).1 == self.top(b).1,
+            Guard::NullRejecting { pred, join } => {
+                let (Operator::Join { kind, .. }, Slot::Op { inputs, .. }) =
+                    (self.op(join), self.nodes[join])
+                else {
+                    panic!("rewrite node {join} is not a join");
+                };
+                let rejects =
+                    |side| is_null_rejecting(self.predicate(pred), ctx.cols(inputs[side]));
+                use JoinKind::{FullOuter, Inner, LeftOuter, RightOuter};
+                self.stricter = match (kind, rejects(0), rejects(1)) {
+                    (LeftOuter, _, true) | (RightOuter, true, _) | (FullOuter, true, true) => {
+                        Some(Inner)
+                    }
+                    // Rejecting the left side's NULLs drops the rows that
+                    // pad it, the unmatched right rows: FOJ becomes LOJ.
+                    (FullOuter, true, false) => Some(LeftOuter),
+                    (FullOuter, false, true) => Some(RightOuter),
+                    _ => None,
+                };
+                self.stricter.is_some()
+            }
         }
     }
 
@@ -920,8 +1016,12 @@ impl<'c, 'm> Match<'c, 'm> {
                 pred,
                 children,
             } => {
+                let kind = match *kind {
+                    Kind::Is(kind) => kind,
+                    Kind::Stricter => self.stricter.expect("Stricter needs a NullRejecting guard"),
+                };
                 let pred = self.pred(pred);
-                self.node(OpTerm::Join { kind: *kind, pred }, &children[..], sink)
+                self.node(OpTerm::Join { kind, pred }, &children[..], sink)
             }
             Target::Select { pred, input } => {
                 let pred = self.pred(pred);
@@ -978,33 +1078,79 @@ impl<'c, 'm> Match<'c, 'm> {
                 self.node(op, &inputs[..], sink)
             }
             Target::GbAgg { keys, aggs, input } => {
-                let group_by = match *keys {
-                    Keys::Of(n) => self.gbagg(n).0.to_vec(),
-                    Keys::Partial { agg, pred, side } => {
-                        let mut keys: BTreeSet<ColId> = self.gbagg(agg).0.iter().copied().collect();
-                        collect_columns(self.predicate(pred), &mut keys);
-                        let side = self.ctx.cols(self.group(side));
-                        keys.retain(|c| side.contains(c));
-                        keys.into_iter().collect()
+                let group_by = self.keys(keys);
+                let aggs = match *aggs {
+                    Aggs::None => vec![],
+                    Aggs::Local(n) | Aggs::Global(n) => {
+                        let global = matches!(aggs, Aggs::Global(_));
+                        let of = self.gbagg(n).1;
+                        let aggs = of.iter().zip(self.fresh(n)).map(|(a, &id)| {
+                            if global {
+                                AggCall::new(a.func.combining_func(), Some(id), a.output)
+                            } else {
+                                AggCall::new(a.func, a.arg, id)
+                            }
+                        });
+                        aggs.collect()
                     }
                 };
-                let (n, global) = match *aggs {
-                    Aggs::Local(n) => (n, false),
-                    Aggs::Global(n) => (n, true),
-                };
-                let of = self.gbagg(n).1;
-                let aggs = of.iter().zip(self.fresh(n)).map(|(a, &id)| {
-                    if global {
-                        AggCall::new(a.func.combining_func(), Some(id), a.output)
-                    } else {
-                        AggCall::new(a.func, a.arg, id)
-                    }
+                let op = OpTerm::Other(Cow::Owned(Operator::GbAgg { group_by, aggs }));
+                self.node(op, slice::from_ref(input), sink)
+            }
+            Target::SingleRow { of, input } => {
+                let (group_by, aggs) = self.gbagg(*of);
+                let keys = group_by.iter().map(|&g| (g, Expr::col(g)));
+                let aggs = aggs.iter().map(|a| match a.func {
+                    AggFunc::CountStar => (a.output, Expr::lit(1i64)),
+                    _ => (
+                        a.output,
+                        Expr::col(a.arg.expect("only COUNT(*) has no argument")),
+                    ),
                 });
-                let op = OpTerm::Other(Cow::Owned(Operator::GbAgg {
-                    group_by,
-                    aggs: aggs.collect(),
+                let outputs = keys.chain(aggs).collect();
+                let op = OpTerm::Other(Cow::Owned(Operator::Project { outputs }));
+                self.node(op, slice::from_ref(input), sink)
+            }
+            &Target::Top {
+                of: [a, b],
+                limit,
+                ref input,
+            } => {
+                let ((n, keys), (m, _)) = (self.top(a), self.top(b));
+                let n = match limit {
+                    Limit::Min => n.min(m),
+                    Limit::Max => n.max(m),
+                };
+                let op = OpTerm::Other(Cow::Owned(Operator::Top {
+                    n,
+                    keys: keys.to_vec(),
                 }));
                 self.node(op, slice::from_ref(input), sink)
+            }
+        }
+    }
+
+    /// The columns of a target `GbAgg`'s keys.
+    fn keys(&self, keys: &Keys) -> Vec<ColId> {
+        match *keys {
+            Keys::Of(n) => self.gbagg(n).0.to_vec(),
+            Keys::Partial { agg, pred, side } => {
+                let mut keys: BTreeSet<ColId> = self.gbagg(agg).0.iter().copied().collect();
+                collect_columns(self.predicate(pred), &mut keys);
+                let side = self.ctx.cols(self.group(side));
+                keys.retain(|c| side.contains(c));
+                keys.into_iter().collect()
+            }
+            Keys::Schema(n) => self
+                .ctx
+                .schema(self.group(n))
+                .iter()
+                .map(|c| c.id)
+                .collect(),
+            Keys::First(ref keys) => {
+                let mut keys = self.keys(keys);
+                keys.truncate(1);
+                keys
             }
         }
     }
@@ -1042,17 +1188,23 @@ mod tests {
         Predicate,
         Join,
         InnerJoin,
+        OuterJoin,
+        Select,
         GbAgg,
+        Get,
+        Top,
         UnionAll,
     }
 
     /// What a rewrite asks of its nodes, and of the split its guards bound
     /// (`parts`: the bound split's scope count, if any; `mints`: the node
     /// whose aggregates get fresh ids, if any).
+    #[derive(Default)]
     struct Uses {
         nodes: Vec<(Node, Use)>,
         parts: Option<usize>,
         probe: bool,
+        stricter: bool,
         mints: Option<Node>,
     }
 
@@ -1114,14 +1266,45 @@ mod tests {
                 &Guard::ArgsWithin { agg, side } => {
                     self.nodes.extend([(agg, Use::GbAgg), (side, Use::Group)])
                 }
-                &Guard::NoScalarCount(n) => self.nodes.push((n, Use::GbAgg)),
+                &Guard::NoScalarCount(n) | &Guard::NoCount(n) => self.nodes.push((n, Use::GbAgg)),
+                &Guard::KeyCovered { agg, get } => {
+                    assert_eq!(get, agg + 1, "{rule}: the Get is not the GbAgg's input");
+                    self.nodes.extend([(agg, Use::GbAgg), (get, Use::Get)]);
+                }
+                &Guard::SameKeys(a, b) => self.nodes.extend([(a, Use::Top), (b, Use::Top)]),
+                &Guard::NullRejecting { pred, join } => {
+                    assert_eq!(join, pred + 1, "{rule}: the join is not the Select's input");
+                    self.stricter = true;
+                    self.nodes
+                        .extend([(pred, Use::Select), (join, Use::OuterJoin)]);
+                }
+            }
+        }
+
+        fn keys(&mut self, keys: &Keys) {
+            match *keys {
+                Keys::Of(n) => self.nodes.push((n, Use::GbAgg)),
+                Keys::Partial { agg, pred, side } => self.nodes.extend([
+                    (agg, Use::GbAgg),
+                    (pred, Use::InnerJoin),
+                    (side, Use::Group),
+                ]),
+                Keys::Schema(n) => self.nodes.push((n, Use::Group)),
+                Keys::First(ref keys) => self.keys(keys),
             }
         }
 
         fn target(&mut self, target: &Target, rule: &str) {
             match target {
                 Target::Group(n) => self.nodes.push((*n, Use::Group)),
-                Target::Join { pred, children, .. } => {
+                Target::Join {
+                    kind,
+                    pred,
+                    children,
+                } => {
+                    if *kind == Kind::Stricter {
+                        assert!(self.stricter, "{rule}: unbound stricter kind");
+                    }
                     self.pred(pred, rule);
                     children.iter().for_each(|c| self.target(c, rule));
                 }
@@ -1162,21 +1345,23 @@ mod tests {
                     inputs.iter().for_each(|t| self.target(t, rule));
                 }
                 Target::GbAgg { keys, aggs, input } => {
-                    match *keys {
-                        Keys::Of(n) => self.nodes.push((n, Use::GbAgg)),
-                        Keys::Partial { agg, pred, side } => self.nodes.extend([
-                            (agg, Use::GbAgg),
-                            (pred, Use::InnerJoin),
-                            (side, Use::Group),
-                        ]),
+                    self.keys(keys);
+                    if let Aggs::Local(n) | Aggs::Global(n) = *aggs {
+                        self.nodes.push((n, Use::GbAgg));
+                        assert_eq!(
+                            *self.mints.get_or_insert(n),
+                            n,
+                            "{rule}: mints for two nodes"
+                        );
                     }
-                    let (Aggs::Local(n) | Aggs::Global(n)) = *aggs;
-                    self.nodes.push((n, Use::GbAgg));
-                    assert_eq!(
-                        *self.mints.get_or_insert(n),
-                        n,
-                        "{rule}: mints for two nodes"
-                    );
+                    self.target(input, rule);
+                }
+                Target::SingleRow { of, input } => {
+                    self.nodes.push((*of, Use::GbAgg));
+                    self.target(input, rule);
+                }
+                Target::Top { of, input, .. } => {
+                    self.nodes.extend(of.map(|n| (n, Use::Top)));
                     self.target(input, rule);
                 }
             }
@@ -1198,10 +1383,13 @@ mod tests {
     /// What the interpreter would otherwise panic on mid-search: every
     /// catalog rewrite names only nodes its pattern has, asks predicates
     /// only of operators that carry one, scopes only of the joins and
-    /// aggregates that have them, branch lists only of a union and a
-    /// partial key only of an aggregate over an inner join, roots each
-    /// target at an operator, binds a probe or a split before a term reads
-    /// it, and mints fresh ids exactly when its rule says it does.
+    /// aggregates that have them, branch lists only of a union, a partial
+    /// key only of an aggregate over an inner join, sort keys and limits
+    /// only of `Top`s, a covering key only of an aggregate over a `Get`, a
+    /// single-row projection only of an aggregate and null rejection only
+    /// of a `Select` over an outer join, roots each target at an operator,
+    /// binds a probe, a split or a stricter kind before a term reads it,
+    /// and mints fresh ids exactly when its rule says it does.
     #[test]
     fn catalog_rewrites_fit_their_patterns() {
         let mut checked = 0;
@@ -1212,12 +1400,7 @@ mod tests {
             let mut nodes = Vec::new();
             pattern_nodes(&rule.pattern, &mut nodes);
             assert!(nodes.len() <= MAX_NODES, "{}", rule.name);
-            let mut uses = Uses {
-                nodes: vec![],
-                parts: None,
-                probe: false,
-                mints: None,
-            };
+            let mut uses = Uses::default();
             rewrite.guards.iter().for_each(|g| uses.guard(g, rule.name));
             for target in &rewrite.targets {
                 assert!(!matches!(target, Target::Group(_)), "{}", rule.name);
@@ -1236,13 +1419,24 @@ mod tests {
                     Use::Predicate => matches!(kind, Some(OpKind::Join | OpKind::Select)),
                     Use::Join => kind == Some(OpKind::Join),
                     Use::InnerJoin => node == Some(Some(&OpMatcher::Join(vec![JoinKind::Inner]))),
+                    Use::OuterJoin => matches!(
+                        node,
+                        Some(Some(OpMatcher::Join(kinds))) if !kinds.is_empty()
+                            && kinds.iter().all(|k| matches!(
+                                k,
+                                JoinKind::LeftOuter | JoinKind::RightOuter | JoinKind::FullOuter
+                            ))
+                    ),
+                    Use::Select => kind == Some(OpKind::Select),
                     Use::GbAgg => kind == Some(OpKind::GbAgg),
+                    Use::Get => kind == Some(OpKind::Get),
+                    Use::Top => kind == Some(OpKind::Top),
                     Use::UnionAll => kind == Some(OpKind::UnionAll),
                 };
                 assert!(fits, "{}: node {n} as {used:?}", rule.name);
             }
             checked += 1;
         }
-        assert_eq!(checked, 30);
+        assert_eq!(checked, 34);
     }
 }

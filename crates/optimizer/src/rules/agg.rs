@@ -4,97 +4,15 @@
 //! which is unconditionally duplicate-correct because the join predicate's
 //! columns are added to the partial grouping key).
 //!
-//! Three rules are [`Rewrite`]s; each comment names its pattern's nodes in
-//! pre-order (see [`crate::rewrite::Node`]). Two stay code, each needing a
-//! term no second rule uses (DESIGN §18): `DistinctToGbAgg` (grouping keys
-//! from a group's schema) and `GbAggEliminateOnKey` (a covering-key test
-//! and a projection per aggregate function).
+//! All five rules are [`Rewrite`]s; each comment names its pattern's nodes
+//! in pre-order (see [`crate::rewrite::Node`]).
 
-use super::util::*;
 use crate::pattern::PatternTree;
 use crate::rewrite::{Aggs, Guard, Keys, Node, Rewrite, Target};
-use crate::rule::{Bound, NewTree, Rule, RuleCtx};
-use ruletest_expr::{AggFunc, Expr};
-use ruletest_logical::{JoinKind, OpKind, Operator};
+use crate::rule::Rule;
+use ruletest_logical::{JoinKind, OpKind};
 
 const ANY: PatternTree = PatternTree::Any;
-
-/// `Distinct(x) -> GbAgg[all columns of x; no aggregates](x)`.
-fn distinct_to_gbagg(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    if !matches!(b.op, Operator::Distinct) {
-        return vec![];
-    }
-    let group_by: Vec<_> = ctx
-        .schema(b.children[0].group())
-        .iter()
-        .map(|c| c.id)
-        .collect();
-    vec![NewTree::new(
-        Operator::GbAgg {
-            group_by,
-            aggs: vec![],
-        },
-        vec![gref(&b.children[0])],
-    )]
-}
-
-/// `GbAgg[G; F](Get(T)) -> Project` when G covers a non-nullable unique key
-/// of T: every row is its own group, so COUNT(*) is 1 and SUM/MIN/MAX of a
-/// single value is the value itself. COUNT(col) is excluded (it would need
-/// a conditional expression). A schema-dependent rule in the sense of §7.
-fn gbagg_eliminate_on_key(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::GbAgg { group_by, aggs } = &b.op else {
-        return vec![];
-    };
-    let Some(get) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Get { table, cols } = &get.op else {
-        return vec![];
-    };
-    let Ok(def) = ctx.db.catalog.table(*table) else {
-        return vec![];
-    };
-    let ordinals: Vec<usize> = group_by
-        .iter()
-        .filter_map(|g| cols.iter().position(|c| c == g))
-        .collect();
-    if ordinals.len() != group_by.len() || !def.ordinals_cover_key(&ordinals) {
-        return vec![];
-    }
-    // The covering key must be non-nullable (NULL keys would not be unique
-    // group identities). Primary keys are non-null by construction; check
-    // anyway for secondary unique keys.
-    let covering_non_null = {
-        let check = |key: &[usize]| {
-            key.iter().all(|k| ordinals.contains(k))
-                && key.iter().all(|&k| !def.columns[k].nullable)
-        };
-        check(&def.primary_key) || def.unique_keys.iter().any(|k| check(k))
-    };
-    if !covering_non_null {
-        return vec![];
-    }
-    if aggs.iter().any(|a| a.func == AggFunc::Count) {
-        return vec![];
-    }
-    let mut outputs: Vec<(ruletest_common::ColId, Expr)> =
-        group_by.iter().map(|&g| (g, Expr::col(g))).collect();
-    for a in aggs {
-        let e = match a.func {
-            AggFunc::CountStar => Expr::lit(1i64),
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
-                Expr::col(a.arg.expect("non-star aggregates have arguments"))
-            }
-            AggFunc::Count => unreachable!("excluded above"),
-        };
-        outputs.push((a.output, e));
-    }
-    vec![NewTree::new(
-        Operator::Project { outputs },
-        vec![gref(&b.children[0])],
-    )]
-}
 
 /// Eager aggregation below input `side` of the inner join 1 under
 /// `GbAgg0[G; F]`, whose inputs are 2 and 3: the partial aggregate
@@ -131,11 +49,15 @@ pub(super) fn rules() -> Vec<Rule> {
     let gbagg = |child| PatternTree::kind(OpKind::GbAgg, vec![child]);
     let over_join = || gbagg(PatternTree::join(vec![JoinKind::Inner], ANY, ANY));
     vec![
-        Rule::explore(
+        // `Distinct0(1) -> GbAgg[every column of 1; no aggregates](1)`.
+        Rule::rewrite(
             "DistinctToGbAgg",
             PatternTree::kind(OpKind::Distinct, vec![ANY]),
             "always applicable",
-            distinct_to_gbagg,
+            Rewrite {
+                guards: vec![],
+                targets: vec![Target::gbagg(Keys::Schema(1), Aggs::None, Target::Group(1))],
+            },
         ),
         // `GbAgg0[G; F](1) -> GbAgg[G; combine(F)](GbAgg[G; F](1))`, the
         // local/global split. Well-defined for the whole supported
@@ -169,11 +91,21 @@ pub(super) fn rules() -> Vec<Rule> {
             eager_push(3),
         )
         .minting_fresh_ids(),
-        Rule::explore(
+        // `GbAgg0[G; F](Get1) -> Project(Get1)` when G covers a non-nullable
+        // unique key of the table: every group is one row, so COUNT(*) is 1
+        // and SUM/MIN/MAX of one value is the value. COUNT(col) would need a
+        // conditional expression. A schema-dependent rule in the sense of §7.
+        Rule::rewrite(
             "GbAggEliminateOnKey",
             gbagg(PatternTree::kind(OpKind::Get, vec![])),
             "grouping columns cover a non-nullable unique key; no COUNT(col) aggregate",
-            gbagg_eliminate_on_key,
+            Rewrite {
+                guards: vec![Guard::KeyCovered { agg: 0, get: 1 }, Guard::NoCount(0)],
+                targets: vec![Target::SingleRow {
+                    of: 0,
+                    input: Box::new(Target::Group(1)),
+                }],
+            },
         ),
     ]
 }

@@ -1,16 +1,15 @@
 //! Union, projection, sort, and top-n transformation rules.
 //!
-//! Six rules are [`Rewrite`]s; each comment names its pattern's nodes in
-//! pre-order (see [`crate::rewrite::Node`]). Four stay code, each needing a
-//! term no second rule uses (DESIGN §18): `UnionAllAssoc` (fresh ids chased
-//! through the inner union's lists), `ProjectMerge` (composition by
-//! substitution), `ProjectPushBelowUnionAll` (a projection remapped per
-//! branch under fresh ids) and `TopTopCollapse` (the smaller of two limits,
-//! under equal keys).
+//! Seven rules are [`Rewrite`]s; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]). Three stay code, each needing a
+//! term no second rule or mutant uses (DESIGN §18): `UnionAllAssoc` (fresh
+//! ids chased through the inner union's lists), `ProjectMerge` (composition
+//! by substitution) and `ProjectPushBelowUnionAll` (a projection remapped
+//! per branch under fresh ids).
 
 use super::util::*;
 use crate::pattern::PatternTree;
-use crate::rewrite::{Rewrite, Target};
+use crate::rewrite::{Guard, Limit, Rewrite, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
 use ruletest_common::WordBuild;
 use ruletest_logical::{OpKind, Operator};
@@ -162,35 +161,6 @@ fn project_push_below_union(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
     )]
 }
 
-/// `Top[n,k](Top[m,k](x)) -> Top[min(n,m),k](x)` when the sort keys are
-/// identical (same keys imply the same deterministic total order, so the
-/// compositions agree).
-fn top_top_collapse(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Top { n, keys } = &b.op else {
-        return vec![];
-    };
-    let Some(inner) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Top {
-        n: m,
-        keys: inner_keys,
-    } = &inner.op
-    else {
-        return vec![];
-    };
-    if keys != inner_keys {
-        return vec![];
-    }
-    vec![NewTree::new(
-        Operator::Top {
-            n: (*n).min(*m),
-            keys: keys.clone(),
-        },
-        vec![gref(&inner.children[0])],
-    )]
-}
-
 /// The misc rule set, in registration order.
 pub(super) fn rules() -> Vec<Rule> {
     use Target::Group;
@@ -276,11 +246,20 @@ pub(super) fn rules() -> Vec<Rule> {
             OpKind::Distinct,
             "always applicable",
         ),
-        Rule::explore(
+        // `Top0[n, k](Top1[m, k](2)) -> Top[min(n, m), k](2)`: the same keys
+        // are the same deterministic total order, so the compositions agree.
+        Rule::rewrite(
             "TopTopCollapse",
             unary(OpKind::Top, unary(OpKind::Top, ANY)),
             "identical sort keys on both Top operators",
-            top_top_collapse,
+            Rewrite {
+                guards: vec![Guard::SameKeys(0, 1)],
+                targets: vec![Target::Top {
+                    of: [0, 1],
+                    limit: Limit::Min,
+                    input: Box::new(Group(2)),
+                }],
+            },
         ),
         // Top imposes its own order.
         drop_sort("TopSortAbsorb", OpKind::Top, "always applicable"),

@@ -1,21 +1,18 @@
 //! Selection (filter) transformation rules: merging, splitting, pushdown
 //! through every operator that admits it, and outer-join simplification.
 //!
-//! Nine rules are [`Rewrite`]s; each comment names its pattern's nodes in
-//! pre-order (see [`crate::rewrite::Node`]). Four stay code, each needing a
-//! term no second rule uses (DESIGN §18): `SelectSplit` (a first conjunct
-//! and the rest), `SelectPushBelowProject` (substitution through the
-//! projection), `SelectPullAboveProject` (a pass-through remap) and
-//! `OuterJoinSimplify` (a null-rejection table of join kinds).
+//! Ten rules are [`Rewrite`]s; each comment names its pattern's nodes in
+//! pre-order (see [`crate::rewrite::Node`]). Three stay code, each needing a
+//! term no second rule or mutant uses (DESIGN §18): `SelectSplit` (a first
+//! conjunct and the rest), `SelectPushBelowProject` (substitution through
+//! the projection) and `SelectPullAboveProject` (a pass-through remap).
 
 use super::util::*;
 use crate::pattern::PatternTree;
-use crate::rewrite::{Guard, Pred, Rewrite, Scope, Target};
+use crate::rewrite::{Guard, Kind, Pred, Rewrite, Scope, Target};
 use crate::rule::{Bound, NewChild, NewTree, Rule, RuleCtx};
 use ruletest_common::ColId;
-use ruletest_expr::{
-    conjoin, conjuncts, every_column, is_null_rejecting, rewrite_columns, BinOp, Expr,
-};
+use ruletest_expr::{conjoin, conjuncts, every_column, rewrite_columns, BinOp, Expr};
 use ruletest_logical::{JoinKind, OpKind, Operator};
 
 const ANY: PatternTree = PatternTree::Any;
@@ -105,52 +102,6 @@ fn select_pull_above_project(_ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
                 outputs: outputs.clone(),
             },
             vec![gref(&sel.children[0])],
-        ))],
-    )]
-}
-
-/// Outer-join simplification: a null-rejecting filter above an outer join
-/// on the null-supplying side's columns converts the join to a stricter
-/// kind (LOJ/ROJ -> INNER; FOJ -> LOJ/ROJ/INNER).
-fn outer_join_simplify(ctx: &RuleCtx, b: &Bound) -> Vec<NewTree> {
-    let Operator::Select { predicate } = &b.op else {
-        return vec![];
-    };
-    let Some(join) = b.children[0].nested() else {
-        return vec![];
-    };
-    let Operator::Join {
-        kind,
-        predicate: jp,
-    } = &join.op
-    else {
-        return vec![];
-    };
-    let left_cols = ctx.cols(join.children[0].group());
-    let right_cols = ctx.cols(join.children[1].group());
-    let rejects_left = is_null_rejecting(predicate, left_cols);
-    let rejects_right = is_null_rejecting(predicate, right_cols);
-    let new_kind = match kind {
-        JoinKind::LeftOuter if rejects_right => JoinKind::Inner,
-        JoinKind::RightOuter if rejects_left => JoinKind::Inner,
-        JoinKind::FullOuter => match (rejects_left, rejects_right) {
-            (true, true) => JoinKind::Inner,
-            // Rejecting left-side NULLs drops the rows that pad the left,
-            // i.e. the unmatched *right* rows: FOJ degrades to LOJ.
-            (true, false) => JoinKind::LeftOuter,
-            (false, true) => JoinKind::RightOuter,
-            (false, false) => return vec![],
-        },
-        _ => return vec![],
-    };
-    vec![NewTree::new(
-        select_op(predicate.clone()),
-        vec![NewChild::Tree(NewTree::new(
-            Operator::Join {
-                kind: new_kind,
-                predicate: jp.clone(),
-            },
-            vec![gref(&join.children[0]), gref(&join.children[1])],
         ))],
     )]
 }
@@ -331,7 +282,9 @@ pub(super) fn rules() -> Vec<Rule> {
                 )],
             },
         ),
-        Rule::explore(
+        // `σ0(2 ⟗1 3) -> σ0(2 ⋈ 3)` under the stricter kind a filter that
+        // rejects NULLs on a null-supplying side leaves.
+        Rule::rewrite(
             "OuterJoinSimplify",
             sel(PatternTree::join(
                 vec![LeftOuter, RightOuter, FullOuter],
@@ -339,7 +292,17 @@ pub(super) fn rules() -> Vec<Rule> {
                 ANY,
             )),
             "filter is null-rejecting on a null-supplying side",
-            outer_join_simplify,
+            Rewrite {
+                guards: vec![Guard::NullRejecting { pred: 0, join: 1 }],
+                targets: vec![Target::select(
+                    Pred::Of(0),
+                    Target::Join {
+                        kind: Kind::Stricter,
+                        pred: Pred::Of(1),
+                        children: Box::new([Group(2), Group(3)]),
+                    },
+                )],
+            },
         ),
     ]
 }

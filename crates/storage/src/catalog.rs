@@ -1,7 +1,8 @@
 //! Schema metadata: tables, columns, keys, and foreign keys.
 //!
 //! Several transformation rules fire only under schema constraints (paper
-//! §7): `GbAggEliminateOnKey` needs the grouping columns to cover a key,
+//! §7): `GbAggEliminateOnKey` needs the grouping columns to cover a
+//! non-nullable key,
 //! `SemiJoinToInnerJoinOnKey` needs the probe-side join column to be unique.
 //! The catalog is therefore the source of truth for keys and nullability.
 
@@ -56,9 +57,13 @@ impl TableDef {
     }
 
     /// True iff the given set of ordinals contains some unique key
-    /// (primary or secondary) of this table.
-    pub fn ordinals_cover_key(&self, ordinals: &[usize]) -> bool {
-        let covers = |key: &[usize]| key.iter().all(|k| ordinals.contains(k));
+    /// (primary or secondary) of this table with no nullable column: NULL
+    /// keys would not be unique group identities.
+    pub fn ordinals_cover_non_null_key(&self, ordinals: &[usize]) -> bool {
+        let covers = |key: &[usize]| {
+            key.iter()
+                .all(|&k| ordinals.contains(&k) && !self.columns[k].nullable)
+        };
         covers(&self.primary_key) || self.unique_keys.iter().any(|k| covers(k))
     }
 
@@ -190,16 +195,20 @@ mod tests {
     fn key_coverage() {
         let mut t = two_col_table(0, "t");
         t.unique_keys = vec![vec![1]];
-        assert!(t.ordinals_cover_key(&[0]));
-        assert!(t.ordinals_cover_key(&[1]));
-        assert!(t.ordinals_cover_key(&[0, 1]));
+        assert!(t.ordinals_cover_non_null_key(&[0]));
+        // `v` is a unique key, but nullable.
+        assert!(!t.ordinals_cover_non_null_key(&[1]));
+        assert!(t.ordinals_cover_non_null_key(&[0, 1]));
         assert!(t.is_unique_column(0));
         assert!(t.is_unique_column(1));
 
         let mut comp = two_col_table(0, "c");
         comp.primary_key = vec![0, 1];
-        assert!(!comp.ordinals_cover_key(&[0]));
-        assert!(comp.ordinals_cover_key(&[1, 0]));
+        assert!(!comp.ordinals_cover_non_null_key(&[0]));
+        // A composite key with a nullable column covers no non-null key.
+        assert!(!comp.ordinals_cover_non_null_key(&[1, 0]));
+        comp.columns[1].nullable = false;
+        assert!(comp.ordinals_cover_non_null_key(&[1, 0]));
         assert!(!comp.is_unique_column(0));
     }
 
